@@ -49,33 +49,5 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    let data = uniform_binary(14, 2000, 3);
-    let net = AlphaNet::new(14, 0.2).expect("valid");
-    let mut g = c.benchmark_group("alpha_net_build_d14_n2000_parallel");
-    g.sample_size(10);
-    for &threads in &[1usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let s = AlphaNetF0::build_parallel(
-                        &data,
-                        net,
-                        NetMode::Full,
-                        1 << 24,
-                        |mask| Kmv::new(64, mask),
-                        threads,
-                    )
-                    .expect("build");
-                    black_box(s.num_sketches())
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_build, bench_query, bench_parallel);
+criterion_group!(benches, bench_build, bench_query);
 criterion_main!(benches);

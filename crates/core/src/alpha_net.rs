@@ -20,11 +20,11 @@
 use pfe_codes::binomial::binomial_sum;
 use pfe_codes::entropy::{binary_entropy, net_size_bound_log2};
 use pfe_codes::subsets::FixedWeightIter;
-use pfe_hash::builder::{seeded_map, SeededHashMap};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
+use pfe_row::{ColumnSet, Dataset, PatternKey};
 use pfe_sketch::traits::{DistinctSketch, MomentSketch, SpaceUsage};
 
+use crate::net_sketches::NetSketches;
 use crate::problem::{check_dims, QueryError};
 
 /// Seed for pattern-key fingerprinting; fixed so that the same pattern maps
@@ -168,43 +168,44 @@ impl AlphaNet {
                 sym_diff: 0,
             });
         }
-        let len = cols.len();
-        let shrink_cost = len - self.small;
-        let grow_cost = self.large - len;
-        if shrink_cost <= grow_cost {
-            // Drop the largest indices.
-            let mut mask = cols.mask();
-            for _ in 0..shrink_cost {
-                let top = 63 - mask.leading_zeros();
-                mask &= !(1u64 << top);
-            }
-            Ok(RoundedQuery {
-                target: ColumnSet::from_mask(self.d, mask).expect("subset of valid mask"),
-                sym_diff: shrink_cost,
-            })
+        let (shrink_cost, grow_cost) = (cols.len() - self.small, self.large - cols.len());
+        let width = if shrink_cost <= grow_cost {
+            self.small
         } else {
-            // Add the smallest absent indices.
-            let mut mask = cols.mask();
-            let full = (1u64 << self.d) - 1;
-            for _ in 0..grow_cost {
-                let absent = full & !mask;
-                let low = absent.trailing_zeros();
-                mask |= 1u64 << low;
-            }
-            Ok(RoundedQuery {
-                target: ColumnSet::from_mask(self.d, mask).expect("subset of valid mask"),
-                sym_diff: grow_cost,
-            })
+            self.large
+        };
+        Ok(self.resized(cols, width))
+    }
+
+    /// Grow or shrink `cols` to exactly `width` columns — the one
+    /// deterministic index choice every rounding shares: growing adds the
+    /// smallest absent indices, shrinking drops the largest present ones.
+    pub(crate) fn resized(&self, cols: &ColumnSet, width: u32) -> RoundedQuery {
+        let full = (1u64 << self.d) - 1;
+        let mut mask = cols.mask();
+        for _ in cols.len()..width {
+            mask |= 1u64 << (full & !mask).trailing_zeros();
+        }
+        for _ in width..cols.len() {
+            mask &= !(1u64 << (63 - mask.leading_zeros()));
+        }
+        RoundedQuery {
+            target: ColumnSet::from_mask(self.d, mask).expect("subset of valid mask"),
+            sym_diff: cols.len().abs_diff(width),
+        }
+    }
+
+    /// The subset sizes materialized under `mode`, ascending.
+    pub(crate) fn member_widths(&self, mode: NetMode) -> Vec<u32> {
+        match mode {
+            NetMode::Full => (0..=self.small).chain(self.large..=self.d).collect(),
+            NetMode::BoundaryOnly => vec![self.small, self.large],
         }
     }
 
     /// Iterate the masks of the materialized subsets under `mode`.
     pub fn members(&self, mode: NetMode) -> impl Iterator<Item = u64> + '_ {
-        let weights: Vec<u32> = match mode {
-            NetMode::Full => (0..=self.small).chain(self.large..=self.d).collect(),
-            NetMode::BoundaryOnly => vec![self.small, self.large],
-        };
-        weights
+        self.member_widths(mode)
             .into_iter()
             .flat_map(move |w| FixedWeightIter::new(self.d, w))
     }
@@ -312,62 +313,6 @@ impl Persist for NetMode {
     }
 }
 
-/// Encode a per-mask sketch map in ascending mask order, so equal maps
-/// always serialize to equal bytes (HashMap iteration order is not part of
-/// the wire format).
-pub(crate) fn encode_sketch_map<S: Persist>(map: &SeededHashMap<u64, S>, enc: &mut Encoder) {
-    let mut masks: Vec<u64> = map.keys().copied().collect();
-    masks.sort_unstable();
-    enc.put_len(masks.len());
-    for mask in masks {
-        enc.put_u64(mask);
-        map[&mask].encode(enc);
-    }
-}
-
-/// Decode a per-mask sketch map and verify it holds *exactly* the net's
-/// materialized membership under `mode` — a missing member would later
-/// panic at query time, so it is rejected here as malformed input.
-pub(crate) fn decode_sketch_map<S: Persist>(
-    dec: &mut Decoder<'_>,
-    net: &AlphaNet,
-    mode: NetMode,
-    map_seed: u64,
-) -> Result<SeededHashMap<u64, S>, PersistError> {
-    // Each entry is at least a mask (8 bytes) plus one sketch byte.
-    let n = dec.take_len(9)?;
-    let expected = net.member_count(mode);
-    if n as u128 != expected {
-        return Err(PersistError::Malformed(format!(
-            "sketch map holds {n} subset(s), net materializes {expected}"
-        )));
-    }
-    let limit = if net.d == 0 { 0 } else { (1u64 << net.d) - 1 };
-    let mut map: SeededHashMap<u64, S> = seeded_map(map_seed);
-    map.reserve(n);
-    for _ in 0..n {
-        let mask = dec.take_u64()?;
-        if mask & !limit != 0 {
-            return Err(PersistError::Malformed(format!(
-                "subset mask {mask:#b} has bits above d={}",
-                net.d
-            )));
-        }
-        let sketch = S::decode(dec)?;
-        if map.insert(mask, sketch).is_some() {
-            return Err(PersistError::Malformed(format!(
-                "duplicate subset mask {mask:#b}"
-            )));
-        }
-    }
-    if let Some(missing) = net.members(mode).find(|m| !map.contains_key(m)) {
-        return Err(PersistError::Malformed(format!(
-            "net member {missing:#b} missing from sketch map"
-        )));
-    }
-    Ok(map)
-}
-
 /// Per-query answer from an α-net summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetAnswer {
@@ -383,96 +328,18 @@ pub struct NetAnswer {
     pub distortion_bound: f64,
 }
 
-/// Shared build loop: one sketch per net member, fed all projected rows.
-///
-/// Subset-major order (all rows per subset, then next subset) keeps each
-/// sketch hot in cache; the binary path projects with `PEXT` and the Q-ary
-/// path reuses one codec per subset width.
-fn build_sketch_map<T>(
-    data: &Dataset,
-    net: &AlphaNet,
-    mode: NetMode,
-    max_subsets: u128,
-    mut make: impl FnMut(u64) -> T,
-    mut feed: impl FnMut(&mut T, u64),
-) -> Result<SeededHashMap<u64, T>, QueryError> {
-    check_dims(net.d, &ColumnSet::empty(data.dimension()).expect("d <= 63"))?;
-    let count = net.member_count(mode);
-    if count > max_subsets {
-        return Err(QueryError::BadParameter(format!(
-            "net would materialize {count} subsets, above the safety cap {max_subsets}"
-        )));
-    }
-    let mut map: SeededHashMap<u64, T> = seeded_map(0xa1fa);
-    map.reserve(count as usize);
-    let q = data.alphabet();
-    for mask in net.members(mode) {
-        let cols = ColumnSet::from_mask(net.d, mask).expect("valid member");
-        let mut sketch = make(mask);
-        match data {
-            Dataset::Binary(m) => {
-                for &row in m.rows() {
-                    let key = pfe_row::pext_u64(row, mask);
-                    feed(
-                        &mut sketch,
-                        PatternKey::from(key).fingerprint64(FINGERPRINT_SEED),
-                    );
-                }
-            }
-            Dataset::Qary(m) => {
-                let codec = PatternCodec::new(q, cols.len())?;
-                for i in 0..m.num_rows() {
-                    let key = m.project_row(i, &cols, &codec);
-                    feed(&mut sketch, key.fingerprint64(FINGERPRINT_SEED));
-                }
-            }
-        }
-        map.insert(mask, sketch);
-    }
-    Ok(map)
-}
-
-/// BoundaryOnly fallback shared by the `F_0` and `F_p` nets: re-round an
-/// in-net query of non-boundary size to the nearest boundary weight
-/// (grow small queries to `small`, shrink large ones to `large`), with
-/// the same deterministic index choice as [`AlphaNet::round`].
-fn boundary_round(net: &AlphaNet, cols: &ColumnSet) -> RoundedQuery {
-    let len = cols.len();
-    let (target_w, cost) = if len <= net.small {
-        (net.small, net.small - len)
-    } else {
-        (net.large, len - net.large)
-    };
-    let mut mask = cols.mask();
-    if len < target_w {
-        let full = (1u64 << net.d) - 1;
-        for _ in 0..(target_w - len) {
-            let absent = full & !mask;
-            mask |= 1u64 << absent.trailing_zeros();
-        }
-    } else {
-        for _ in 0..(len - target_w) {
-            let top = 63 - mask.leading_zeros();
-            mask &= !(1u64 << top);
-        }
-    }
-    RoundedQuery {
-        target: ColumnSet::from_mask(net.d, mask).expect("valid"),
-        sym_diff: cost,
-    }
-}
-
 /// α-net summary for projected `F_0` (Algorithm 1 with a distinct-count
 /// plug-in).
 #[derive(Clone)]
 pub struct AlphaNetF0<S: DistinctSketch> {
-    net: AlphaNet,
-    mode: NetMode,
-    sketches: SeededHashMap<u64, S>,
-    q: u32,
+    members: NetSketches<S>,
 }
 
 impl<S: DistinctSketch> AlphaNetF0<S> {
+    fn feed(sketch: &mut S, key: PatternKey) {
+        sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
+    }
+
     /// Build over a dataset. `factory(mask)` creates the β-approximate
     /// sketch for one subset (typically seeding it from the mask);
     /// `max_subsets` is a safety cap against runaway materialization.
@@ -484,127 +351,10 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         net: AlphaNet,
         mode: NetMode,
         max_subsets: u128,
-        mut factory: impl FnMut(u64) -> S,
+        factory: impl FnMut(u64) -> S,
     ) -> Result<Self, QueryError> {
-        if data.dimension() != net.d {
-            return Err(QueryError::DimensionMismatch {
-                data: data.dimension(),
-                query: net.d,
-            });
-        }
-        let sketches = build_sketch_map(
-            data,
-            &net,
-            mode,
-            max_subsets,
-            &mut factory,
-            |s: &mut S, fp| s.insert(fp),
-        )?;
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q: data.alphabet(),
-        })
-    }
-
-    /// Build over a dataset with subset-level parallelism: the net members
-    /// are partitioned across `threads` workers, each building its share of
-    /// sketches over the full data (the build is embarrassingly parallel —
-    /// sketches never interact). Produces *identical* sketches to
-    /// [`build`](Self::build) with the same factory, since each sketch's
-    /// randomness comes from its own mask-derived seed.
-    ///
-    /// # Errors
-    /// Same as [`build`](Self::build); additionally rejects `threads == 0`.
-    pub fn build_parallel(
-        data: &Dataset,
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        factory: impl Fn(u64) -> S + Sync,
-        threads: usize,
-    ) -> Result<Self, QueryError>
-    where
-        S: Send,
-    {
-        if threads == 0 {
-            return Err(QueryError::BadParameter("threads must be >= 1".into()));
-        }
-        if data.dimension() != net.d {
-            return Err(QueryError::DimensionMismatch {
-                data: data.dimension(),
-                query: net.d,
-            });
-        }
-        let count = net.member_count(mode);
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        let members: Vec<u64> = net.members(mode).collect();
-        let q = data.alphabet();
-        // Pre-validate codecs once (all widths that occur).
-        if let Dataset::Qary(_) = data {
-            for &mask in &members {
-                PatternCodec::new(q, mask.count_ones())?;
-            }
-        }
-        let chunk = members.len().div_ceil(threads).max(1);
-        let partial_maps = std::thread::scope(|scope| {
-            let handles: Vec<_> = members
-                .chunks(chunk)
-                .map(|slice| {
-                    let factory = &factory;
-                    scope.spawn(move || {
-                        let mut local: Vec<(u64, S)> = Vec::with_capacity(slice.len());
-                        for &mask in slice {
-                            let mut sketch = factory(mask);
-                            match data {
-                                Dataset::Binary(m) => {
-                                    for &row in m.rows() {
-                                        let key = pfe_row::pext_u64(row, mask);
-                                        sketch.insert(
-                                            PatternKey::from(key).fingerprint64(FINGERPRINT_SEED),
-                                        );
-                                    }
-                                }
-                                Dataset::Qary(m) => {
-                                    let cols =
-                                        ColumnSet::from_mask(net.d, mask).expect("valid member");
-                                    let codec =
-                                        PatternCodec::new(q, cols.len()).expect("pre-validated");
-                                    for i in 0..m.num_rows() {
-                                        let key = m.project_row(i, &cols, &codec);
-                                        sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
-                                    }
-                                }
-                            }
-                            local.push((mask, sketch));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut sketches: SeededHashMap<u64, S> = seeded_map(0xa1fa);
-        sketches.reserve(count as usize);
-        for local in partial_maps {
-            for (mask, sketch) in local {
-                sketches.insert(mask, sketch);
-            }
-        }
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q,
-        })
+        let members = NetSketches::build(data, net, mode, max_subsets, factory, Self::feed)?;
+        Ok(Self { members })
     }
 
     /// Create an empty streaming summary for binary rows (`Q = 2`); feed
@@ -635,41 +385,10 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         mode: NetMode,
         max_subsets: u128,
         q: u32,
-        mut factory: impl FnMut(u64) -> S,
+        factory: impl FnMut(u64) -> S,
     ) -> Result<Self, QueryError> {
-        if q < 2 {
-            return Err(QueryError::BadParameter(format!(
-                "alphabet q={q} must be >= 2"
-            )));
-        }
-        let count = net.member_count(mode);
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        if q > 2 {
-            // Only widths that actually occur among materialized members
-            // (mirrors `build`, which never sees non-member widths).
-            let widths: Vec<u32> = match mode {
-                NetMode::Full => (0..=net.small).chain(net.large..=net.d).collect(),
-                NetMode::BoundaryOnly => vec![net.small, net.large],
-            };
-            for w in widths {
-                PatternCodec::new(q, w)?;
-            }
-        }
-        let mut sketches: SeededHashMap<u64, S> = seeded_map(0xa1fa);
-        sketches.reserve(count as usize);
-        for mask in net.members(mode) {
-            sketches.insert(mask, factory(mask));
-        }
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q,
-        })
+        let members = NetSketches::new(net, mode, max_subsets, q, factory)?;
+        Ok(Self { members })
     }
 
     /// Observe one dense row over alphabet `q` (streaming ingestion;
@@ -679,30 +398,17 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.net.d as usize, "row length != d");
-        for &s in row {
-            assert!((s as u32) < self.q, "symbol {s} outside alphabet");
-        }
-        if self.q == 2 {
-            let mut packed = 0u64;
-            for (i, &s) in row.iter().enumerate() {
-                packed |= (s as u64) << i;
-            }
-            self.push_packed(packed);
-            return;
-        }
-        // One codec per projection width, built on the stack per call
-        // (PatternCodec is Copy and cheap to construct).
-        let mut codecs: [Option<PatternCodec>; 64] = [None; 64];
-        for (&mask, sketch) in self.sketches.iter_mut() {
-            let cols = ColumnSet::from_mask(self.net.d, mask).expect("valid member");
-            let w = cols.len() as usize;
-            let codec = *codecs[w].get_or_insert_with(|| {
-                PatternCodec::new(self.q, w as u32).expect("validated at construction")
-            });
-            let key = codec.encode_row(row, &cols);
-            sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
-        }
+        self.members.push_dense(row, Self::feed);
+    }
+
+    /// Observe one packed binary row (streaming ingestion; row-major
+    /// update of every net sketch).
+    ///
+    /// # Panics
+    /// Panics if the summary is not binary or the row has bits at or
+    /// above `d`.
+    pub fn push_packed(&mut self, row: u64) {
+        self.members.push_packed(row, Self::feed);
     }
 
     /// Merge a summary built over a disjoint segment of the same stream:
@@ -716,70 +422,40 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// Panics on net/mode/alphabet mismatch (and propagates the underlying
     /// sketch's parameter-mismatch panics).
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.net, other.net, "alpha-net merge: net mismatch");
-        assert_eq!(self.mode, other.mode, "alpha-net merge: mode mismatch");
-        assert_eq!(self.q, other.q, "alpha-net merge: alphabet mismatch");
-        for (mask, theirs) in other.sketches.iter() {
-            self.sketches
-                .get_mut(mask)
-                .expect("identical net membership")
-                .merge(theirs);
-        }
-    }
-
-    /// Observe one packed binary row (streaming ingestion; row-major
-    /// update of every net sketch).
-    ///
-    /// # Panics
-    /// Panics if the row has bits at or above `d`.
-    pub fn push_packed(&mut self, row: u64) {
-        assert!(
-            row & !((1u64 << self.net.d) - 1) == 0,
-            "row has bits above d={}",
-            self.net.d
-        );
-        assert_eq!(self.q, 2, "push_packed requires a binary summary");
-        for (&mask, sketch) in self.sketches.iter_mut() {
-            let key = pfe_row::pext_u64(row, mask);
-            sketch.insert(PatternKey::from(key).fingerprint64(FINGERPRINT_SEED));
-        }
+        self.members.merge(&other.members, S::merge);
     }
 
     /// The net definition.
     pub fn net(&self) -> &AlphaNet {
-        &self.net
+        self.members.net()
     }
 
     /// The materialization mode.
     pub fn mode(&self) -> NetMode {
-        self.mode
+        self.members.mode()
     }
 
     /// The alphabet size `Q`.
     pub fn alphabet(&self) -> u32 {
-        self.q
+        self.members.alphabet()
     }
 
     /// Number of sketches kept.
     pub fn num_sketches(&self) -> usize {
-        self.sketches.len()
+        self.members.len()
     }
 
     /// The sketch materialized for `mask`, if it is a net member —
     /// exposed so callers (e.g. the engine's resume path) can verify
-    /// sketch parameters without reaching into the map.
+    /// sketch parameters without reaching into the summary.
     pub fn sketch(&self, mask: u64) -> Option<&S> {
-        self.sketches.get(&mask)
+        self.members.get(mask)
     }
 
     /// Round a query exactly as [`f0`](Self::f0) will (BoundaryOnly mode
     /// also rounds in-net queries of non-boundary sizes).
     pub fn effective_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        let mut r = self.net.round(cols)?;
-        if self.mode == NetMode::BoundaryOnly && !self.sketches.contains_key(&r.target.mask()) {
-            r = boundary_round(&self.net, cols);
-        }
-        Ok(r)
+        self.members.effective_rounding(cols)
     }
 
     /// Answer a projected `F_0` query (Algorithm 1 lines 4–6).
@@ -788,52 +464,35 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// Dimension errors.
     pub fn f0(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
         let r = self.effective_rounding(cols)?;
-        let sketch = self
-            .sketches
-            .get(&r.target.mask())
-            .expect("rounded target is materialized");
         Ok(NetAnswer {
-            estimate: sketch.estimate(),
+            estimate: self.members.answering(&r).estimate(),
             answered_on: r.target,
             sym_diff: r.sym_diff,
-            distortion_bound: (self.q as f64).powi(r.sym_diff as i32),
+            distortion_bound: (self.alphabet() as f64).powi(r.sym_diff as i32),
         })
     }
 }
 
 impl<S: DistinctSketch + Persist> Persist for AlphaNetF0<S> {
     fn encode(&self, enc: &mut Encoder) {
-        self.net.encode(enc);
-        self.mode.encode(enc);
-        enc.put_u32(self.q);
-        encode_sketch_map(&self.sketches, enc);
+        self.net().encode(enc);
+        self.mode().encode(enc);
+        enc.put_u32(self.alphabet());
+        self.members.encode_members(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         let net = AlphaNet::decode(dec)?;
         let mode = NetMode::decode(dec)?;
         let q = dec.take_u32()?;
-        if q < 2 {
-            return Err(PersistError::Malformed(format!("alphabet q={q} below 2")));
-        }
-        let sketches = decode_sketch_map(dec, &net, mode, 0xa1fa)?;
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q,
-        })
+        let members = NetSketches::decode_members(dec, net, mode, q)?;
+        Ok(Self { members })
     }
 }
 
 impl<S: DistinctSketch> SpaceUsage for AlphaNetF0<S> {
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .sketches
-                .values()
-                .map(|s| s.space_bytes() + std::mem::size_of::<u64>())
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.members.member_bytes()
     }
 }
 
@@ -841,14 +500,27 @@ impl<S: DistinctSketch> SpaceUsage for AlphaNetF0<S> {
 /// plug-in: `AmsF2` for `p = 2`, `StableFp` for `0 < p < 2`).
 #[derive(Clone)]
 pub struct AlphaNetFp<M: MomentSketch> {
-    net: AlphaNet,
-    mode: NetMode,
-    sketches: SeededHashMap<u64, M>,
-    q: u32,
+    members: NetSketches<M>,
     p: f64,
 }
 
 impl<M: MomentSketch> AlphaNetFp<M> {
+    fn feed(sketch: &mut M, key: PatternKey) {
+        sketch.update(key.fingerprint64(FINGERPRINT_SEED), 1);
+    }
+
+    /// The order is read off the sketches themselves: the factory, not a
+    /// separate argument, decides `p`.
+    fn over(members: NetSketches<M>) -> Self {
+        let p = members.first().p();
+        Self { members, p }
+    }
+
+    /// One member's sketch: the factory gives every member the same shape.
+    pub(crate) fn any_sketch(&self) -> &M {
+        self.members.first()
+    }
+
     /// Build over a dataset; `factory(mask)` must produce sketches whose
     /// [`MomentSketch::p`] all equal the same `p`.
     ///
@@ -859,35 +531,9 @@ impl<M: MomentSketch> AlphaNetFp<M> {
         net: AlphaNet,
         mode: NetMode,
         max_subsets: u128,
-        mut factory: impl FnMut(u64) -> M,
+        factory: impl FnMut(u64) -> M,
     ) -> Result<Self, QueryError> {
-        if data.dimension() != net.d {
-            return Err(QueryError::DimensionMismatch {
-                data: data.dimension(),
-                query: net.d,
-            });
-        }
-        let mut p = None;
-        let sketches = build_sketch_map(
-            data,
-            &net,
-            mode,
-            max_subsets,
-            |mask| {
-                let s = factory(mask);
-                p.get_or_insert(s.p());
-                s
-            },
-            |s: &mut M, fp| s.update(fp, 1),
-        )?;
-        let p = p.ok_or(QueryError::EmptyData)?;
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q: data.alphabet(),
-            p,
-        })
+        NetSketches::build(data, net, mode, max_subsets, factory, Self::feed).map(Self::over)
     }
 
     /// Create an empty streaming summary for binary rows (`Q = 2`); feed
@@ -919,46 +565,9 @@ impl<M: MomentSketch> AlphaNetFp<M> {
         mode: NetMode,
         max_subsets: u128,
         q: u32,
-        mut factory: impl FnMut(u64) -> M,
+        factory: impl FnMut(u64) -> M,
     ) -> Result<Self, QueryError> {
-        if q < 2 {
-            return Err(QueryError::BadParameter(format!(
-                "alphabet q={q} must be >= 2"
-            )));
-        }
-        let count = net.member_count(mode);
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        if q > 2 {
-            // Only widths that actually occur among materialized members
-            // (mirrors `build`, which never sees non-member widths).
-            let widths: Vec<u32> = match mode {
-                NetMode::Full => (0..=net.small).chain(net.large..=net.d).collect(),
-                NetMode::BoundaryOnly => vec![net.small, net.large],
-            };
-            for w in widths {
-                PatternCodec::new(q, w)?;
-            }
-        }
-        let mut sketches: SeededHashMap<u64, M> = seeded_map(0xa1fa);
-        sketches.reserve(count as usize);
-        let mut p = None;
-        for mask in net.members(mode) {
-            let s = factory(mask);
-            p.get_or_insert(s.p());
-            sketches.insert(mask, s);
-        }
-        let p = p.ok_or(QueryError::EmptyData)?;
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q,
-            p,
-        })
+        NetSketches::new(net, mode, max_subsets, q, factory).map(Self::over)
     }
 
     /// Observe one dense row over alphabet `q` (streaming ingestion;
@@ -968,48 +577,17 @@ impl<M: MomentSketch> AlphaNetFp<M> {
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.net.d as usize, "row length != d");
-        for &s in row {
-            assert!((s as u32) < self.q, "symbol {s} outside alphabet");
-        }
-        if self.q == 2 {
-            let mut packed = 0u64;
-            for (i, &s) in row.iter().enumerate() {
-                packed |= (s as u64) << i;
-            }
-            self.push_packed(packed);
-            return;
-        }
-        // One codec per projection width, built on the stack per call
-        // (PatternCodec is Copy and cheap to construct).
-        let mut codecs: [Option<PatternCodec>; 64] = [None; 64];
-        for (&mask, sketch) in self.sketches.iter_mut() {
-            let cols = ColumnSet::from_mask(self.net.d, mask).expect("valid member");
-            let w = cols.len() as usize;
-            let codec = *codecs[w].get_or_insert_with(|| {
-                PatternCodec::new(self.q, w as u32).expect("validated at construction")
-            });
-            let key = codec.encode_row(row, &cols);
-            sketch.update(key.fingerprint64(FINGERPRINT_SEED), 1);
-        }
+        self.members.push_dense(row, Self::feed);
     }
 
     /// Observe one packed binary row (streaming ingestion; row-major
     /// update of every net sketch).
     ///
     /// # Panics
-    /// Panics if the row has bits at or above `d`.
+    /// Panics if the summary is not binary or the row has bits at or
+    /// above `d`.
     pub fn push_packed(&mut self, row: u64) {
-        assert!(
-            row & !((1u64 << self.net.d) - 1) == 0,
-            "row has bits above d={}",
-            self.net.d
-        );
-        assert_eq!(self.q, 2, "push_packed requires a binary summary");
-        for (&mask, sketch) in self.sketches.iter_mut() {
-            let key = pfe_row::pext_u64(row, mask);
-            sketch.update(PatternKey::from(key).fingerprint64(FINGERPRINT_SEED), 1);
-        }
+        self.members.push_packed(row, Self::feed);
     }
 
     /// Merge a summary built over a disjoint segment of the same stream:
@@ -1024,20 +602,12 @@ impl<M: MomentSketch> AlphaNetFp<M> {
     /// Panics on net/mode/alphabet/order mismatch (and propagates the
     /// underlying sketch's parameter-mismatch panics).
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.net, other.net, "alpha-net merge: net mismatch");
-        assert_eq!(self.mode, other.mode, "alpha-net merge: mode mismatch");
-        assert_eq!(self.q, other.q, "alpha-net merge: alphabet mismatch");
         assert_eq!(
             self.p.to_bits(),
             other.p.to_bits(),
             "alpha-net merge: moment order mismatch"
         );
-        for (mask, theirs) in other.sketches.iter() {
-            self.sketches
-                .get_mut(mask)
-                .expect("identical net membership")
-                .merge_with(theirs);
-        }
+        self.members.merge(&other.members, M::merge_with);
     }
 
     /// The moment order this net answers.
@@ -1047,39 +617,35 @@ impl<M: MomentSketch> AlphaNetFp<M> {
 
     /// The net definition.
     pub fn net(&self) -> &AlphaNet {
-        &self.net
+        self.members.net()
     }
 
     /// The materialization mode.
     pub fn mode(&self) -> NetMode {
-        self.mode
+        self.members.mode()
     }
 
     /// The alphabet size `Q`.
     pub fn alphabet(&self) -> u32 {
-        self.q
+        self.members.alphabet()
     }
 
     /// Number of sketches kept.
     pub fn num_sketches(&self) -> usize {
-        self.sketches.len()
+        self.members.len()
     }
 
     /// The sketch materialized for `mask`, if it is a net member —
     /// exposed so callers (e.g. guarantee reporting) can read sketch
-    /// parameters without reaching into the map.
+    /// parameters without reaching into the summary.
     pub fn sketch(&self, mask: u64) -> Option<&M> {
-        self.sketches.get(&mask)
+        self.members.get(mask)
     }
 
     /// Round a query exactly as [`fp`](Self::fp) will (BoundaryOnly mode
     /// also rounds in-net queries of non-boundary sizes).
     pub fn effective_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        let mut r = self.net.round(cols)?;
-        if self.mode == NetMode::BoundaryOnly && !self.sketches.contains_key(&r.target.mask()) {
-            r = boundary_round(&self.net, cols);
-        }
-        Ok(r)
+        self.members.effective_rounding(cols)
     }
 
     /// Answer a projected `F_p` query.
@@ -1095,61 +661,44 @@ impl<M: MomentSketch> AlphaNetFp<M> {
             });
         }
         let r = self.effective_rounding(cols)?;
-        let sketch = self
-            .sketches
-            .get(&r.target.mask())
-            .expect("rounded target is materialized");
+        let exponent = r.sym_diff as f64 * (self.p - 1.0).abs();
         Ok(NetAnswer {
-            estimate: sketch.estimate(),
+            estimate: self.members.answering(&r).estimate(),
             answered_on: r.target,
             sym_diff: r.sym_diff,
-            distortion_bound: (self.q as f64).powf(r.sym_diff as f64 * (self.p - 1.0).abs()),
+            distortion_bound: (self.alphabet() as f64).powf(exponent),
         })
     }
 }
 
 impl<M: MomentSketch + Persist> Persist for AlphaNetFp<M> {
     fn encode(&self, enc: &mut Encoder) {
-        self.net.encode(enc);
-        self.mode.encode(enc);
-        enc.put_u32(self.q);
+        self.net().encode(enc);
+        self.mode().encode(enc);
+        enc.put_u32(self.alphabet());
         enc.put_f64(self.p);
-        encode_sketch_map(&self.sketches, enc);
+        self.members.encode_members(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         let net = AlphaNet::decode(dec)?;
         let mode = NetMode::decode(dec)?;
         let q = dec.take_u32()?;
-        if q < 2 {
-            return Err(PersistError::Malformed(format!("alphabet q={q} below 2")));
-        }
         let p = dec.take_f64()?;
-        let sketches: SeededHashMap<u64, M> = decode_sketch_map(dec, &net, mode, 0xa1fa)?;
-        if let Some(bad) = sketches.values().find(|s| (s.p() - p).abs() > 1e-12) {
+        let members: NetSketches<M> = NetSketches::decode_members(dec, net, mode, q)?;
+        if let Some(bad) = members.sketches().find(|s| (s.p() - p).abs() > 1e-12) {
             return Err(PersistError::Malformed(format!(
                 "summary claims moment order p={p} but holds a p={} sketch",
                 bad.p()
             )));
         }
-        Ok(Self {
-            net,
-            mode,
-            sketches,
-            q,
-            p,
-        })
+        Ok(Self { members, p })
     }
 }
 
 impl<M: MomentSketch> SpaceUsage for AlphaNetFp<M> {
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .sketches
-                .values()
-                .map(|s| s.space_bytes() + std::mem::size_of::<u64>())
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.members.member_bytes()
     }
 }
 
@@ -1344,56 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_identical_to_sequential() {
-        let d = 12;
-        let data = uniform_binary(d, 1500, 21);
-        let n = net(d, 0.25);
-        let seq = AlphaNetF0::build(&data, n, NetMode::Full, 1 << 22, |m| Kmv::new(64, m))
-            .expect("build");
-        for threads in [1usize, 2, 4, 7] {
-            let par = AlphaNetF0::build_parallel(
-                &data,
-                n,
-                NetMode::Full,
-                1 << 22,
-                |m| Kmv::new(64, m),
-                threads,
-            )
-            .expect("parallel build");
-            assert_eq!(par.num_sketches(), seq.num_sketches());
-            for mask in [0b11u64, 0b111111000000, 0b101010101010] {
-                let cols = ColumnSet::from_mask(d, mask).expect("valid");
-                assert_eq!(
-                    par.f0(&cols).expect("ok").estimate,
-                    seq.f0(&cols).expect("ok").estimate,
-                    "threads={threads}: parallel diverged at mask {mask:#b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_qary_and_errors() {
-        let data = pfe_stream::gen::uniform_qary(3, 8, 300, 22);
-        let n = net(8, 0.3);
-        let par =
-            AlphaNetF0::build_parallel(&data, n, NetMode::Full, 1 << 16, |m| Kmv::new(32, m), 3)
-                .expect("qary parallel build");
-        let seq = AlphaNetF0::build(&data, n, NetMode::Full, 1 << 16, |m| Kmv::new(32, m))
-            .expect("build");
-        let cols = ColumnSet::from_indices(8, &[0, 3, 6]).expect("valid");
-        assert_eq!(
-            par.f0(&cols).expect("ok").estimate,
-            seq.f0(&cols).expect("ok").estimate
-        );
-        // threads = 0 is a typed error.
-        assert!(matches!(
-            AlphaNetF0::build_parallel(&data, n, NetMode::Full, 1 << 16, |m| Kmv::new(8, m), 0),
-            Err(QueryError::BadParameter(_))
-        ));
-    }
-
-    #[test]
     fn budget_planner_returns_optimal_feasible_net() {
         let d = 16;
         for &budget in &[4u128, 64, 1024, 1 << 15] {
@@ -1433,92 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_build() {
-        // The one-pass model: pushing rows one at a time must produce the
-        // same summary as the batch build (KMV is order-insensitive).
-        let d = 10;
-        let data = uniform_binary(d, 800, 7);
-        let n = net(d, 0.25);
-        let batch = AlphaNetF0::build(&data, n, NetMode::Full, 1 << 20, |m| Kmv::new(64, m))
-            .expect("build");
-        let mut streamed =
-            AlphaNetF0::new_streaming(n, NetMode::Full, 1 << 20, |m| Kmv::new(64, m)).expect("new");
-        if let pfe_row::Dataset::Binary(m) = &data {
-            for &row in m.rows() {
-                streamed.push_packed(row);
-            }
-        } else {
-            unreachable!("generator yields binary data");
-        }
-        for mask in [0b11u64, 0b1111100000, 0b1010101010, (1 << d) - 1] {
-            let cols = ColumnSet::from_mask(d, mask).expect("valid");
-            assert_eq!(
-                batch.f0(&cols).expect("ok").estimate,
-                streamed.f0(&cols).expect("ok").estimate,
-                "streamed summary diverged at mask {mask:#b}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_merge_equals_single_build() {
-        // KMV with per-mask seeds is union-mergeable: building shards over
-        // disjoint row segments and merging must equal one build exactly.
-        let d = 12;
-        let data = uniform_binary(d, 2000, 17);
-        let n = net(d, 0.25);
-        let single = AlphaNetF0::build(&data, n, NetMode::Full, 1 << 22, |m| Kmv::new(64, m))
-            .expect("build");
-        let mut shards: Vec<AlphaNetF0<Kmv>> = (0..3)
-            .map(|_| {
-                AlphaNetF0::new_streaming(n, NetMode::Full, 1 << 22, |m| Kmv::new(64, m))
-                    .expect("new")
-            })
-            .collect();
-        if let pfe_row::Dataset::Binary(m) = &data {
-            for (i, &row) in m.rows().iter().enumerate() {
-                shards[i % 3].push_packed(row);
-            }
-        } else {
-            unreachable!("generator yields binary data");
-        }
-        let mut merged = shards.remove(0);
-        for s in &shards {
-            merged.merge(s);
-        }
-        for mask in [0b11u64, 0b111111000000, 0b101010101010, (1 << d) - 1] {
-            let cols = ColumnSet::from_mask(d, mask).expect("valid");
-            assert_eq!(
-                merged.f0(&cols).expect("ok").estimate,
-                single.f0(&cols).expect("ok").estimate,
-                "sharded merge diverged at mask {mask:#b}"
-            );
-        }
-    }
-
-    #[test]
-    fn qary_streaming_push_matches_build() {
-        let data = pfe_stream::gen::uniform_qary(4, 7, 400, 23);
-        let n = net(7, 0.3);
-        let built = AlphaNetF0::build(&data, n, NetMode::Full, 1 << 16, |m| Kmv::new(32, m))
-            .expect("build");
-        let mut streamed =
-            AlphaNetF0::new_streaming_qary(n, NetMode::Full, 1 << 16, 4, |m| Kmv::new(32, m))
-                .expect("new");
-        for i in 0..data.num_rows() {
-            streamed.push_dense(&data.row_dense(i));
-        }
-        for mask in [0b1u64, 0b11, 0b1111110] {
-            let cols = ColumnSet::from_mask(7, mask).expect("valid");
-            assert_eq!(
-                built.f0(&cols).expect("ok").estimate,
-                streamed.f0(&cols).expect("ok").estimate,
-                "qary streamed summary diverged at mask {mask:#b}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "net mismatch")]
     fn merge_rejects_net_mismatch() {
         let a = AlphaNetF0::<Kmv>::new_streaming(net(8, 0.2), NetMode::Full, 1 << 16, |m| {
@@ -1540,50 +953,6 @@ mod tests {
         let mut s =
             AlphaNetF0::new_streaming(n, NetMode::Full, 1 << 10, |m| Kmv::new(8, m)).expect("new");
         s.push_packed(1 << 5);
-    }
-
-    #[test]
-    fn fp_streaming_and_sharded_merge_match_batch_build_bit_exactly() {
-        use pfe_sketch::ams_f2::AmsF2;
-        // AMS sums are integers: streaming pushes and any merge grouping
-        // must be bit-identical to the single batch build.
-        let d = 10;
-        let data = uniform_binary(d, 1200, 29);
-        let n = net(d, 0.25);
-        let batch = AlphaNetFp::build(&data, n, NetMode::Full, 1 << 20, |m| {
-            AmsF2::new(5, 8, m ^ 0xf2f2)
-        })
-        .expect("build");
-        let mut shards: Vec<AlphaNetFp<AmsF2>> = (0..3)
-            .map(|_| {
-                AlphaNetFp::new_streaming(n, NetMode::Full, 1 << 20, |m| {
-                    AmsF2::new(5, 8, m ^ 0xf2f2)
-                })
-                .expect("new")
-            })
-            .collect();
-        if let pfe_row::Dataset::Binary(m) = &data {
-            for (i, &row) in m.rows().iter().enumerate() {
-                shards[i % 3].push_packed(row);
-            }
-        } else {
-            unreachable!("generator yields binary data");
-        }
-        let mut merged = shards.remove(0);
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.p(), 2.0);
-        assert_eq!(merged.alphabet(), 2);
-        assert_eq!(merged.mode(), NetMode::Full);
-        for mask in [0b11u64, 0b1111100000, 0b1010101010, (1 << d) - 1] {
-            let cols = ColumnSet::from_mask(d, mask).expect("valid");
-            assert_eq!(
-                merged.fp(&cols, 2.0).expect("ok").estimate.to_bits(),
-                batch.fp(&cols, 2.0).expect("ok").estimate.to_bits(),
-                "sharded Fp merge diverged at mask {mask:#b}"
-            );
-        }
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //!   heavy patterns — no false negatives among monitored items), aggregate
 //!   their estimates, and threshold.
 
-use pfe_hash::builder::{seeded_map, SeededHashMap};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::count_min::CountMin;
 use pfe_sketch::space_saving::SpaceSaving;
 use pfe_sketch::traits::{FrequencySketch, SpaceUsage};
 
-use crate::alpha_net::{AlphaNet, RoundedQuery};
+use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
+use crate::net_sketches::NetSketches;
 use crate::problem::{check_dims, HeavyHitter, QueryError};
 
 /// Upper bound on extension enumeration per query (`Q^{|C′\C|}` terms).
@@ -42,25 +42,12 @@ const MAX_EXTENSIONS: u128 = 1 << 20;
 /// keeping the pattern correspondence exact.
 fn round_up(net: &AlphaNet, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
     check_dims(net.dimension(), cols)?;
-    if net.contains(cols) {
-        return Ok(RoundedQuery {
-            target: *cols,
-            sym_diff: 0,
-        });
-    }
-    let d = net.dimension();
-    let target_w = net.large_size();
-    let mut mask = cols.mask();
-    let full = (1u64 << d) - 1;
-    let cost = target_w - cols.len();
-    for _ in 0..cost {
-        let absent = full & !mask;
-        mask |= 1u64 << absent.trailing_zeros();
-    }
-    Ok(RoundedQuery {
-        target: ColumnSet::from_mask(d, mask).expect("valid"),
-        sym_diff: cost,
-    })
+    let width = if net.contains(cols) {
+        cols.len()
+    } else {
+        net.large_size()
+    };
+    Ok(net.resized(cols, width))
 }
 
 /// The per-query answer of the frequency net.
@@ -79,14 +66,17 @@ pub struct FreqNetAnswer {
 /// α-net point-frequency summary: one CountMin per net subset.
 #[derive(Clone)]
 pub struct AlphaNetFrequency {
-    net: AlphaNet,
-    sketches: SeededHashMap<u64, CountMin>,
-    q: u32,
+    members: NetSketches<CountMin>,
     n_rows: u64,
     fingerprint_seed: u64,
 }
 
 impl AlphaNetFrequency {
+    /// What a member does with a projected key: count its fingerprint.
+    fn feed(fingerprint_seed: u64) -> impl Fn(&mut CountMin, PatternKey) {
+        move |cm, key| cm.update(key.fingerprint64(fingerprint_seed), 1)
+    }
+
     /// Build over a dataset with `depth × width` CountMin sketches.
     ///
     /// # Errors
@@ -99,46 +89,17 @@ impl AlphaNetFrequency {
         max_subsets: u128,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        if data.dimension() != net.dimension() {
-            return Err(QueryError::DimensionMismatch {
-                data: data.dimension(),
-                query: net.dimension(),
-            });
-        }
-        let count = net.size();
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        let q = data.alphabet();
         let fingerprint_seed = Self::fingerprint_seed_for(seed);
-        let mut sketches: SeededHashMap<u64, CountMin> = seeded_map(0xcafe);
-        sketches.reserve(count as usize);
-        for mask in net.members(crate::alpha_net::NetMode::Full) {
-            let cols = ColumnSet::from_mask(net.dimension(), mask).expect("valid");
-            let mut cm = CountMin::new(depth, width, seed ^ mask);
-            match data {
-                Dataset::Binary(m) => {
-                    for &row in m.rows() {
-                        let key = pfe_row::pext_u64(row, mask);
-                        cm.update(PatternKey::from(key).fingerprint64(fingerprint_seed), 1);
-                    }
-                }
-                Dataset::Qary(m) => {
-                    let codec = PatternCodec::new(q, cols.len())?;
-                    for i in 0..m.num_rows() {
-                        let key = m.project_row(i, &cols, &codec);
-                        cm.update(key.fingerprint64(fingerprint_seed), 1);
-                    }
-                }
-            }
-            sketches.insert(mask, cm);
-        }
-        Ok(Self {
+        let members = NetSketches::build(
+            data,
             net,
-            sketches,
-            q,
+            NetMode::Full,
+            max_subsets,
+            |mask| CountMin::new(depth, width, seed ^ mask),
+            Self::feed(fingerprint_seed),
+        )?;
+        Ok(Self {
+            members,
             n_rows: data.num_rows() as u64,
             fingerprint_seed,
         })
@@ -159,35 +120,13 @@ impl AlphaNetFrequency {
         max_subsets: u128,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        if q < 2 {
-            return Err(QueryError::BadParameter(format!(
-                "alphabet q={q} must be >= 2"
-            )));
-        }
-        let count = net.size();
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        if q > 2 {
-            // Only the widths the Full net materializes (mirrors `build`).
-            for w in (0..=net.small_size()).chain(net.large_size()..=net.dimension()) {
-                PatternCodec::new(q, w)?;
-            }
-        }
-        let fingerprint_seed = Self::fingerprint_seed_for(seed);
-        let mut sketches: SeededHashMap<u64, CountMin> = seeded_map(0xcafe);
-        sketches.reserve(count as usize);
-        for mask in net.members(crate::alpha_net::NetMode::Full) {
-            sketches.insert(mask, CountMin::new(depth, width, seed ^ mask));
-        }
+        let members = NetSketches::new(net, NetMode::Full, max_subsets, q, |mask| {
+            CountMin::new(depth, width, seed ^ mask)
+        })?;
         Ok(Self {
-            net,
-            sketches,
-            q,
+            members,
             n_rows: 0,
-            fingerprint_seed,
+            fingerprint_seed: Self::fingerprint_seed_for(seed),
         })
     }
 
@@ -197,19 +136,8 @@ impl AlphaNetFrequency {
     /// Panics if the summary is not binary or the row has bits at or above
     /// `d`.
     pub fn push_packed(&mut self, row: u64) {
-        assert_eq!(self.q, 2, "push_packed requires a binary summary");
-        assert!(
-            row & !((1u64 << self.net.dimension()) - 1) == 0,
-            "row has bits above d={}",
-            self.net.dimension()
-        );
-        for (&mask, cm) in self.sketches.iter_mut() {
-            let key = pfe_row::pext_u64(row, mask);
-            cm.update(
-                PatternKey::from(key).fingerprint64(self.fingerprint_seed),
-                1,
-            );
-        }
+        self.members
+            .push_packed(row, Self::feed(self.fingerprint_seed));
         self.n_rows += 1;
     }
 
@@ -218,29 +146,8 @@ impl AlphaNetFrequency {
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.net.dimension() as usize, "row length != d");
-        for &s in row {
-            assert!((s as u32) < self.q, "symbol {s} outside alphabet");
-        }
-        if self.q == 2 {
-            let mut packed = 0u64;
-            for (i, &s) in row.iter().enumerate() {
-                packed |= (s as u64) << i;
-            }
-            self.push_packed(packed);
-            return;
-        }
-        let d = self.net.dimension();
-        let mut codecs: [Option<PatternCodec>; 64] = [None; 64];
-        for (&mask, cm) in self.sketches.iter_mut() {
-            let cols = ColumnSet::from_mask(d, mask).expect("valid member");
-            let w = cols.len() as usize;
-            let codec = *codecs[w].get_or_insert_with(|| {
-                PatternCodec::new(self.q, w as u32).expect("validated at construction")
-            });
-            let key = codec.encode_row(row, &cols);
-            cm.update(key.fingerprint64(self.fingerprint_seed), 1);
-        }
+        self.members
+            .push_dense(row, Self::feed(self.fingerprint_seed));
         self.n_rows += 1;
     }
 
@@ -252,29 +159,22 @@ impl AlphaNetFrequency {
     /// Panics on net/alphabet/seed mismatch (and propagates CountMin's
     /// parameter-mismatch panics).
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.net, other.net, "frequency-net merge: net mismatch");
-        assert_eq!(self.q, other.q, "frequency-net merge: alphabet mismatch");
         assert_eq!(
             self.fingerprint_seed, other.fingerprint_seed,
             "frequency-net merge: seed mismatch"
         );
-        for (mask, theirs) in other.sketches.iter() {
-            self.sketches
-                .get_mut(mask)
-                .expect("identical net membership")
-                .merge(theirs);
-        }
+        self.members.merge(&other.members, CountMin::merge);
         self.n_rows += other.n_rows;
     }
 
     /// The net definition.
     pub fn net(&self) -> &AlphaNet {
-        &self.net
+        self.members.net()
     }
 
     /// Number of sketches kept.
     pub fn num_sketches(&self) -> usize {
-        self.sketches.len()
+        self.members.len()
     }
 
     /// Rows ingested (`n = ‖f‖₁`).
@@ -284,7 +184,7 @@ impl AlphaNetFrequency {
 
     /// The alphabet size `Q`.
     pub fn alphabet(&self) -> u32 {
-        self.q
+        self.members.alphabet()
     }
 
     /// The pattern-fingerprint seed actually in use (derived from the
@@ -301,7 +201,7 @@ impl AlphaNetFrequency {
 
     /// The CountMin materialized for `mask`, if it is a net member.
     pub fn sketch(&self, mask: u64) -> Option<&CountMin> {
-        self.sketches.get(&mask)
+        self.members.get(mask)
     }
 
     /// Estimate `f_{e(b)}` for a pattern `b` given over the *query* columns
@@ -319,15 +219,13 @@ impl AlphaNetFrequency {
         cols: &ColumnSet,
         key: PatternKey,
     ) -> Result<FreqNetAnswer, QueryError> {
-        let r = round_up(&self.net, cols)?;
-        let sketch = self
-            .sketches
-            .get(&r.target.mask())
-            .expect("rounded target materialized");
+        let q = self.alphabet();
+        let r = round_up(self.net(), cols)?;
+        let sketch = self.members.answering(&r);
         // Enumerate extensions: patterns on target whose restriction to
         // cols equals `key`.
         let extra = r.target.symmetric_difference(cols);
-        let num_ext = (self.q as u128)
+        let num_ext = (q as u128)
             .checked_pow(extra.len())
             .filter(|&n| n <= MAX_EXTENSIONS)
             .ok_or_else(|| {
@@ -336,8 +234,8 @@ impl AlphaNetFrequency {
                     extra.len()
                 ))
             })?;
-        let query_codec = PatternCodec::new(self.q, cols.len())?;
-        let target_codec = PatternCodec::new(self.q, r.target.len())?;
+        let query_codec = PatternCodec::new(q, cols.len())?;
+        let target_codec = PatternCodec::new(q, r.target.len())?;
         let base_pattern = query_codec.decode(key);
         // Positions of the original columns inside the target's ascending
         // order, so digits can be interleaved correctly.
@@ -366,8 +264,8 @@ impl AlphaNetFrequency {
         for ext_index in 0..num_ext {
             let mut v = ext_index;
             for &pos in &ext_pos {
-                pattern[pos] = (v % self.q as u128) as u16;
-                v /= self.q as u128;
+                pattern[pos] = (v % q as u128) as u16;
+                v /= q as u128;
             }
             let ext_key = target_codec.encode_pattern(&pattern);
             total += sketch.estimate(ext_key.fingerprint64(self.fingerprint_seed));
@@ -383,45 +281,30 @@ impl AlphaNetFrequency {
 
 impl Persist for AlphaNetFrequency {
     fn encode(&self, enc: &mut Encoder) {
-        self.net.encode(enc);
-        enc.put_u32(self.q);
+        self.net().encode(enc);
+        enc.put_u32(self.alphabet());
         enc.put_u64(self.n_rows);
         enc.put_u64(self.fingerprint_seed);
-        crate::alpha_net::encode_sketch_map(&self.sketches, enc);
+        self.members.encode_members(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         let net = AlphaNet::decode(dec)?;
         let q = dec.take_u32()?;
-        if q < 2 {
-            return Err(PersistError::Malformed(format!("alphabet q={q} below 2")));
-        }
         let n_rows = dec.take_u64()?;
         let fingerprint_seed = dec.take_u64()?;
-        let sketches: SeededHashMap<u64, CountMin> = crate::alpha_net::decode_sketch_map(
-            dec,
-            &net,
-            crate::alpha_net::NetMode::Full,
-            0xcafe,
-        )?;
+        let members: NetSketches<CountMin> =
+            NetSketches::decode_members(dec, net, NetMode::Full, q)?;
         // Every CountMin must share one geometry, or merges would panic.
-        let mut geom: Option<(usize, usize)> = None;
-        for cm in sketches.values() {
-            let this = (cm.depth(), cm.width());
-            match geom {
-                None => geom = Some(this),
-                Some(g) if g != this => {
-                    return Err(PersistError::Malformed(format!(
-                        "CountMin geometry mismatch across subsets: {g:?} vs {this:?}"
-                    )));
-                }
-                Some(_) => {}
-            }
+        let geometry = |cm: &CountMin| (cm.depth(), cm.width());
+        let first = geometry(members.first());
+        if let Some(other) = members.sketches().map(geometry).find(|&g| g != first) {
+            return Err(PersistError::Malformed(format!(
+                "CountMin geometry mismatch across subsets: {first:?} vs {other:?}"
+            )));
         }
         Ok(Self {
-            net,
-            sketches,
-            q,
+            members,
             n_rows,
             fingerprint_seed,
         })
@@ -430,31 +313,19 @@ impl Persist for AlphaNetFrequency {
 
 impl SpaceUsage for AlphaNetFrequency {
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .sketches
-                .values()
-                .map(|s| s.space_bytes() + std::mem::size_of::<u64>())
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.members.member_bytes()
     }
 }
 
 /// α-net heavy-hitter summary: one SpaceSaving per net subset, with
-/// candidate projection at query time.
+/// candidate projection at query time. The sketches monitor raw *pattern
+/// keys* (not fingerprints — the keys must be decodable for projection);
+/// SpaceSaving is keyed on `u64`, so `Q^d ≤ 2^64` is required at build
+/// time for keys to fit losslessly.
 pub struct AlphaNetHeavyHitters {
-    net: AlphaNet,
-    /// Per subset: SpaceSaving over *pattern keys* (not fingerprints — the
-    /// keys must be decodable for projection).
-    sketches: SeededHashMap<u64, SpaceSavingKeys>,
-    q: u32,
+    members: NetSketches<SpaceSaving>,
     n_rows: u64,
 }
-
-/// SpaceSaving over `u128` pattern keys (thin adaptation: SpaceSaving in
-/// `pfe-sketch` is keyed on `u64`; net subsets have `|C′| ≤ d ≤ 63`, and we
-/// require `Q^{|C′|} ≤ 2^64` at build time so keys fit losslessly).
-#[derive(Debug, Clone)]
-struct SpaceSavingKeys(SpaceSaving);
 
 impl AlphaNetHeavyHitters {
     /// Build with `slots` SpaceSaving slots per subset.
@@ -468,62 +339,35 @@ impl AlphaNetHeavyHitters {
         slots: usize,
         max_subsets: u128,
     ) -> Result<Self, QueryError> {
-        if data.dimension() != net.dimension() {
-            return Err(QueryError::DimensionMismatch {
-                data: data.dimension(),
-                query: net.dimension(),
-            });
-        }
-        let count = net.size();
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        let q = data.alphabet();
         // Keys must fit u64: Q^{d} with the largest materialized width.
         let max_width = net.dimension(); // full set is in the net
-        if (q as f64).log2() * max_width as f64 > 63.0 {
+        if (data.alphabet() as f64).log2() * max_width as f64 > 63.0 {
             return Err(QueryError::BadParameter(format!(
                 "Q^{max_width} exceeds u64; SpaceSaving keys would alias"
             )));
         }
-        let mut sketches: SeededHashMap<u64, SpaceSavingKeys> = seeded_map(0x55aa);
-        sketches.reserve(count as usize);
-        for mask in net.members(crate::alpha_net::NetMode::Full) {
-            let cols = ColumnSet::from_mask(net.dimension(), mask).expect("valid");
-            let mut ss = SpaceSaving::new(slots);
-            match data {
-                Dataset::Binary(m) => {
-                    for &row in m.rows() {
-                        ss.insert(pfe_row::pext_u64(row, mask));
-                    }
-                }
-                Dataset::Qary(m) => {
-                    let codec = PatternCodec::new(q, cols.len())?;
-                    for i in 0..m.num_rows() {
-                        ss.insert(m.project_row(i, &cols, &codec).raw() as u64);
-                    }
-                }
-            }
-            sketches.insert(mask, SpaceSavingKeys(ss));
-        }
-        Ok(Self {
+        let members = NetSketches::build(
+            data,
             net,
-            sketches,
-            q,
+            NetMode::Full,
+            max_subsets,
+            |_| SpaceSaving::new(slots),
+            |ss, key| ss.insert(key.raw() as u64),
+        )?;
+        Ok(Self {
+            members,
             n_rows: data.num_rows() as u64,
         })
     }
 
     /// The net definition.
     pub fn net(&self) -> &AlphaNet {
-        &self.net
+        self.members.net()
     }
 
     /// Number of sketches kept.
     pub fn num_sketches(&self) -> usize {
-        self.sketches.len()
+        self.members.len()
     }
 
     /// `φ`-`ℓ₁` heavy hitters of the projection `cols` with slack `c > 1`:
@@ -549,14 +393,10 @@ impl AlphaNetHeavyHitters {
         if c <= 1.0 || !c.is_finite() {
             return Err(QueryError::BadParameter(format!("slack c={c} must be > 1")));
         }
-        let r = round_up(&self.net, cols)?;
-        let sketch = &self
-            .sketches
-            .get(&r.target.mask())
-            .expect("rounded target materialized")
-            .0;
-        let target_codec = PatternCodec::new(self.q, r.target.len())?;
-        let query_codec = PatternCodec::new(self.q, cols.len())?;
+        let r = round_up(self.net(), cols)?;
+        let sketch = self.members.answering(&r);
+        let target_codec = PatternCodec::new(self.members.alphabet(), r.target.len())?;
+        let query_codec = PatternCodec::new(self.members.alphabet(), cols.len())?;
         // Project candidates onto the query columns and aggregate.
         let target_cols = r.target.to_indices();
         let keep: Vec<usize> = cols
@@ -592,12 +432,7 @@ impl AlphaNetHeavyHitters {
 
 impl SpaceUsage for AlphaNetHeavyHitters {
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .sketches
-                .values()
-                .map(|s| s.0.space_bytes() + std::mem::size_of::<u64>())
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.members.member_bytes()
     }
 }
 

@@ -37,6 +37,17 @@ pub fn fp_seed(base: u64, idx: usize) -> u64 {
     pfe_hash::mix::hash_u64(idx as u64, base ^ FP_SEED_SALT)
 }
 
+/// The orders a sketch family exists for: AMS at `p = 2`, stable
+/// projections on `(0, 2)`.
+fn check_order(p: f64) -> Result<(), QueryError> {
+    if p.is_finite() && p > 0.0 && p <= 2.0 {
+        return Ok(());
+    }
+    Err(QueryError::BadParameter(format!(
+        "fp order p={p} outside (0, 2]"
+    )))
+}
+
 /// Configuration of the optional `F_p` moment nets.
 ///
 /// Empty `orders` (the default) materializes nothing — `F_p` support is
@@ -83,11 +94,7 @@ impl FpConfig {
     /// a zero sketch dimension.
     pub fn validate(&self) -> Result<(), QueryError> {
         for (i, &p) in self.orders.iter().enumerate() {
-            if !(p.is_finite() && p > 0.0 && p <= 2.0) {
-                return Err(QueryError::BadParameter(format!(
-                    "fp order p={p} outside (0, 2]"
-                )));
-            }
+            check_order(p)?;
             if self.orders[..i].iter().any(|&q| q.to_bits() == p.to_bits()) {
                 return Err(QueryError::BadParameter(format!("duplicate fp order {p}")));
             }
@@ -161,11 +168,7 @@ impl FpNet {
         cfg: &FpConfig,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        if !(p.is_finite() && p > 0.0 && p <= 2.0) {
-            return Err(QueryError::BadParameter(format!(
-                "fp order p={p} outside (0, 2]"
-            )));
-        }
+        check_order(p)?;
         if p == 2.0 {
             let inner = AlphaNetFp::new_streaming_qary(net, mode, max_subsets, q, |mask| {
                 AmsF2::new(cfg.ams_groups, cfg.ams_per_group, seed ^ mask)
@@ -209,11 +212,7 @@ impl FpNet {
         cfg: &FpConfig,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        if !(p.is_finite() && p > 0.0 && p <= 2.0) {
-            return Err(QueryError::BadParameter(format!(
-                "fp order p={p} outside (0, 2]"
-            )));
-        }
+        check_order(p)?;
         if p == 2.0 {
             Ok(Self::Ams(AlphaNetFp::build(
                 data,
@@ -318,16 +317,8 @@ impl FpNet {
     /// distortion for the full Theorem 6.5 guarantee factor.
     pub fn beta(&self) -> f64 {
         match self {
-            Self::Ams(n) => {
-                let mask = n.net().members(n.mode()).next().expect("net has members");
-                let s = n.sketch(mask).expect("member materialized");
-                ams_f2_beta(s.per_group())
-            }
-            Self::Stable(n) => {
-                let mask = n.net().members(n.mode()).next().expect("net has members");
-                let s = n.sketch(mask).expect("member materialized");
-                stable_fp_beta(s.estimators())
-            }
+            Self::Ams(n) => ams_f2_beta(n.any_sketch().per_group()),
+            Self::Stable(n) => stable_fp_beta(n.any_sketch().estimators()),
         }
     }
 
@@ -336,16 +327,8 @@ impl FpNet {
     /// if their shapes (and families) are identical.
     pub fn sketch_shape(&self) -> (usize, usize) {
         match self {
-            Self::Ams(n) => {
-                let mask = n.net().members(n.mode()).next().expect("net has members");
-                let s = n.sketch(mask).expect("member materialized");
-                (s.groups(), s.per_group())
-            }
-            Self::Stable(n) => {
-                let mask = n.net().members(n.mode()).next().expect("net has members");
-                let s = n.sketch(mask).expect("member materialized");
-                (s.estimators(), 0)
-            }
+            Self::Ams(n) => (n.any_sketch().groups(), n.any_sketch().per_group()),
+            Self::Stable(n) => (n.any_sketch().estimators(), 0),
         }
     }
 

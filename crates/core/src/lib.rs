@@ -36,6 +36,7 @@ pub mod exact;
 pub mod f1;
 pub mod fp;
 pub mod marginals;
+mod net_sketches;
 pub mod problem;
 pub mod sampling;
 pub mod uniform_sample;

@@ -197,3 +197,37 @@ fn cross_dimension_tampering_rejected() {
         r.is_ok()
     );
 }
+
+#[test]
+fn alphabet_without_member_codecs_rejected_at_decode() {
+    // A summary whose alphabet has no codec for some member width used to
+    // decode fine and panic on its first dense push. Splice Q = 2^16 into
+    // valid bytes (65536^10 > 2^127): every net summary must refuse it.
+    let d = 10;
+    let data = uniform_binary(d, 50, 1);
+    let net = AlphaNet::new(d, 0.25).expect("valid");
+    let f0 =
+        AlphaNetF0::build(&data, net, NetMode::Full, 1 << 20, |m| Kmv::new(8, m)).expect("build");
+    let fp = AlphaNetFp::build(&data, net, NetMode::Full, 1 << 20, |m| {
+        StableFp::new(4, 0.5, m)
+    })
+    .expect("build");
+    let freq = AlphaNetFrequency::build(&data, net, 2, 16, 1 << 20, 3).expect("build");
+
+    // `q: u32` follows the net (d: u32, alpha: f64) and, where the summary
+    // has one, the mode tag.
+    fn with_huge_alphabet(mut bytes: Vec<u8>, q_at: usize) -> Vec<u8> {
+        assert_eq!(bytes[q_at..q_at + 4], 2u32.to_le_bytes(), "layout moved");
+        bytes[q_at..q_at + 4].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        bytes
+    }
+    let is_malformed = |e: Option<PersistError>| matches!(e, Some(PersistError::Malformed(_)));
+    let bytes = with_huge_alphabet(encode_to_vec(&f0), 13);
+    assert!(is_malformed(decode_all::<AlphaNetF0<Kmv>>(&bytes).err()));
+    let bytes = with_huge_alphabet(encode_to_vec(&fp), 13);
+    assert!(is_malformed(
+        decode_all::<AlphaNetFp<StableFp>>(&bytes).err()
+    ));
+    let bytes = with_huge_alphabet(encode_to_vec(&freq), 12);
+    assert!(is_malformed(decode_all::<AlphaNetFrequency>(&bytes).err()));
+}

@@ -366,3 +366,42 @@ fn merge_rejects_incompatible_snapshot_files() {
         std::fs::remove_file(p).ok();
     }
 }
+
+/// Byte length and the frame's own trailing CRC-32 of a checkpoint file.
+fn length_and_crc(path: &std::path::Path) -> (usize, u32) {
+    let bytes = std::fs::read(path).expect("read");
+    let crc = bytes[bytes.len() - 4..].try_into().expect("4 bytes");
+    (bytes.len(), u32::from_le_bytes(crc))
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_across_commits() {
+    // Round-trip tests only prove a commit agrees with itself. These
+    // values were recorded at 6b95527, before the α-net summaries moved
+    // onto one member container: a seeded stream must keep producing the
+    // same file, byte for byte, whatever holds the sketches in memory.
+    let binary = tmp("pinned-binary.pfes");
+    let engine = Engine::start(12, 2, cfg()).expect("start");
+    engine.ingest(&uniform_binary(12, 3000, 7)).expect("ingest");
+    engine.checkpoint(&binary).expect("checkpoint");
+    assert_eq!(length_and_crc(&binary), (5_594_858, 0xe571_1b9d));
+
+    // Q = 4 takes the dense push path; frequency net on, AMS and a
+    // stable-projection moment net.
+    let qary = tmp("pinned-q4.pfes");
+    let qcfg = EngineConfig {
+        fp: Some(FpConfig {
+            orders: vec![2.0, 1.0],
+            ..cfg().fp.expect("set")
+        }),
+        ..cfg()
+    };
+    let engine = Engine::start(8, 4, qcfg).expect("start");
+    engine
+        .ingest(&pfe_stream::gen::uniform_qary(4, 8, 1500, 9))
+        .expect("ingest");
+    engine.checkpoint(&qary).expect("checkpoint");
+    assert_eq!(length_and_crc(&qary), (727_402, 0x8182_aa79));
+    std::fs::remove_file(&binary).ok();
+    std::fs::remove_file(&qary).ok();
+}

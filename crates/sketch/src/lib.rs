@@ -8,7 +8,7 @@
 //!
 //! | family | sketches |
 //! |---|---|
-//! | distinct count (`F_0`) | [`Kmv`], [`HyperLogLog`], [`LinearCounting`], [`RoughF0`], [`Bjkst`] |
+//! | distinct count (`F_0`) | [`Kmv`], [`HyperLogLog`], [`LinearCounting`], [`Bjkst`] |
 //! | point frequency | [`CountMin`], [`CountSketch`] |
 //! | deterministic heavy hitters | [`MisraGries`], [`SpaceSaving`] |
 //! | frequency moments | [`AmsF2`] (`p = 2`), [`StableFp`] (`0 < p < 2`) |
@@ -28,12 +28,10 @@ pub mod linear_counting;
 pub mod misra_gries;
 pub mod reservoir;
 pub mod reservoir_l;
-pub mod rough_f0;
 pub mod space_saving;
 pub mod stable_fp;
 pub mod traits;
 pub mod weighted_reservoir;
-pub mod windowed_kmv;
 
 pub use ams_f2::AmsF2;
 pub use bjkst::Bjkst;
@@ -46,9 +44,7 @@ pub use linear_counting::LinearCounting;
 pub use misra_gries::MisraGries;
 pub use reservoir::Reservoir;
 pub use reservoir_l::ReservoirL;
-pub use rough_f0::RoughF0;
 pub use space_saving::SpaceSaving;
 pub use stable_fp::{stable_median_abs, StableFp};
 pub use traits::{DistinctSketch, FrequencySketch, MomentSketch, SpaceUsage};
 pub use weighted_reservoir::WeightedReservoir;
-pub use windowed_kmv::WindowedKmv;

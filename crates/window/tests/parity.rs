@@ -18,6 +18,7 @@
 use pfe_core::{FpConfig, SuiteConfig, SummarySuite};
 use pfe_engine::{AnswerValue, EngineConfig, Query};
 use pfe_row::{BinaryMatrix, ColumnSet, Dataset};
+use pfe_stream::gen::uniform_binary;
 use pfe_window::{WindowConfig, WindowedEngine};
 use proptest::prelude::*;
 
@@ -251,4 +252,26 @@ proptest! {
             resumed.query(&q).expect("ok").value
         );
     }
+}
+
+#[test]
+fn ring_checkpoint_bytes_are_pinned_across_commits() {
+    // Recorded at 6b95527 (see `checkpoint_bytes_are_pinned_across_commits`
+    // in pfe-engine's persistence suite): the ring file of a seeded
+    // stream is part of the format, not of the in-memory layout.
+    let Dataset::Binary(data) = uniform_binary(D, 1000, 11) else {
+        unreachable!("generator yields binary data");
+    };
+    let engine = windowed_over(data.rows(), 5);
+    let dir = std::env::temp_dir().join("pfe-window-parity");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("pinned-ring.pfew");
+    engine.checkpoint(&path).expect("checkpoint");
+    let bytes = std::fs::read(&path).expect("read");
+    std::fs::remove_file(&path).ok();
+    let crc = bytes[bytes.len() - 4..].try_into().expect("4 bytes");
+    assert_eq!(
+        (bytes.len(), u32::from_le_bytes(crc)),
+        (862_078, 0x6e36_b630)
+    );
 }

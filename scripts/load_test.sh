@@ -102,10 +102,15 @@ done
 
 echo "== merge into $OUT"
 CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
-python3 - "$OUT" "$DATE" "$CORES" <"$points" <<'PY'
+# The program arrives on stdin (the heredoc), so the points file has to be
+# an argument: a second stdin redirection would be silently overridden.
+python3 - "$OUT" "$DATE" "$CORES" "$points" <<'PY'
 import json, sys
-path, date, cores = sys.argv[1], sys.argv[2], int(sys.argv[3])
-points = [json.loads(line) for line in sys.stdin if line.strip()]
+path, date, cores, points_path = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+with open(points_path) as f:
+    points = [json.loads(line) for line in f if line.strip()]
+if not points:
+    sys.exit("FAIL: no sweep points to merge")
 try:
     with open(path) as f:
         doc = json.load(f)
@@ -115,5 +120,5 @@ doc["load_test"] = points
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
+print(f"OK: {len(points)} sweep points merged into {path}")
 PY
-echo "OK: $(wc -l <"$points" | tr -d ' ') sweep points merged into $OUT"

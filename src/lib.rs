@@ -14,7 +14,7 @@
 //!   keys, exact frequency vectors;
 //! - [`sketch`] — KMV/HLL/LinearCounting/BJKST distinct counters,
 //!   CountMin/CountSketch, Misra–Gries/SpaceSaving, AMS F2, p-stable Fp,
-//!   reservoirs, windowed KMV, ℓ₀-sampler;
+//!   reservoirs, ℓ₀-sampler;
 //! - [`stream`] — workload generators and the paper's adversarial
 //!   lower-bound instances;
 //! - [`core`] — the paper's summaries: exact baseline, Theorem 5.1
