@@ -43,7 +43,7 @@ fn bench_ingest_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-row `push_packed` vs one `push_packed_batch` call: same shard
+/// One-row chunks vs one whole-stream `push_packed_batch` call: same shard
 /// partitioning and channel chunking, with the engine's pipeline lock,
 /// validation, and router bookkeeping taken once per slice instead of
 /// once per row (20k lock acquisitions vs 1 here). Note: on a 1-core box
@@ -58,11 +58,11 @@ fn bench_ingest_batch_api(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_ingest_api_d12_n20000");
     g.sample_size(10);
     g.throughput(Throughput::Elements(ROWS as u64));
-    g.bench_function("push_packed_per_row", |b| {
+    g.bench_function("push_packed_one_row_chunks", |b| {
         b.iter(|| {
             let engine = Engine::start(D, 2, cfg(4, 0)).expect("start");
             for &row in &rows {
-                engine.push_packed(row).expect("push");
+                engine.push_packed_batch(&[row]).expect("push");
             }
             let snap = engine.shutdown().expect("shutdown");
             black_box(snap.n())

@@ -58,8 +58,8 @@ fn fixture(name: &str, d: u32, rows: usize) -> (PathBuf, u64) {
     (path, bytes)
 }
 
-/// The baseline: buffered lines, `split`, `str::parse`, one
-/// `push_dense` per row.
+/// The baseline: buffered lines, `split`, `str::parse`, one one-row
+/// chunk per row.
 fn naive_rows(path: &std::path::Path, mut push: impl FnMut(&[u16])) -> u64 {
     let file = std::fs::File::open(path).expect("open");
     let mut rows = 0u64;
@@ -120,7 +120,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.bench_function(BenchmarkId::from_parameter("row_at_a_time"), |b| {
         b.iter(|| {
             let engine = Engine::start(E2E_D, 2, cfg()).expect("start");
-            naive_rows(&path, |r| engine.push_dense(r).expect("push"));
+            naive_rows(&path, |r| engine.push_dense_batch(r).expect("push"));
             let snap = engine.shutdown().expect("shutdown");
             black_box(snap.n())
         })

@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pfe_sketch::traits::{DistinctSketch, FrequencySketch, MomentSketch};
-use pfe_sketch::{AmsF2, CountMin, CountSketch, HyperLogLog, Kmv, LinearCounting, MisraGries};
+use pfe_sketch::{AmsF2, CountMin, CountSketch, Kmv, LinearCounting, MisraGries};
 
 const N: u64 = 10_000;
 
@@ -15,15 +15,6 @@ fn bench_distinct(c: &mut Criterion) {
     g.bench_function("kmv_k256", |b| {
         b.iter(|| {
             let mut s = Kmv::new(256, 1);
-            for i in 0..N {
-                s.insert(black_box(i));
-            }
-            black_box(s.estimate())
-        })
-    });
-    g.bench_function("hll_b10", |b| {
-        b.iter(|| {
-            let mut s = HyperLogLog::new(10, 1);
             for i in 0..N {
                 s.insert(black_box(i));
             }

@@ -3,7 +3,7 @@
 //! 1. **Lemma 6.4 tightness** — the measured rounding distortion
 //!    `P(A,C′)/P(A,C)` against the bound `2^{|CΔC′|·x}` (`x = 1` for `F_0`,
 //!    `|p−1|` for `F_p`), on uniform and adversarial (star-code) data.
-//! 2. **Sketch plug-in ablation** — KMV vs HyperLogLog vs LinearCounting
+//! 2. **Sketch plug-in ablation** — KMV vs LinearCounting vs BJKST
 //!    inside the α-net: bytes and observed error at equal α.
 //! 3. **Net-mode ablation** — Full vs BoundaryOnly materialization.
 //!
@@ -16,7 +16,7 @@ use pfe_core::ExactSummary;
 use pfe_hash::rng::Xoshiro256pp;
 use pfe_row::{ColumnSet, Dataset, FrequencyVector};
 use pfe_sketch::traits::{DistinctSketch, SpaceUsage};
-use pfe_sketch::{Bjkst, HyperLogLog, Kmv, LinearCounting};
+use pfe_sketch::{Bjkst, Kmv, LinearCounting};
 use pfe_stream::adversarial::F0Instance;
 use pfe_stream::gen::uniform_binary;
 
@@ -114,7 +114,7 @@ fn sketch_plugins() {
     let alpha = 0.25;
     let net = AlphaNet::new(D, alpha).expect("valid");
     let mut t = Table::new(
-        "KMV vs HLL vs LinearCounting (alpha = 0.25, 200 queries)",
+        "KMV vs LinearCounting vs BJKST (alpha = 0.25, 200 queries)",
         &["plug-in", "bytes", "median ratio", "worst ratio"],
     );
 
@@ -144,13 +144,6 @@ fn sketch_plugins() {
 
     let (b, m, w) = run(&data, &exact, net, |mask| Kmv::new(64, mask));
     t.row(&["KMV k=64".to_string(), fmt_bytes(b), fmt_f64(m), fmt_f64(w)]);
-    let (b, m, w) = run(&data, &exact, net, |mask| HyperLogLog::new(6, mask));
-    t.row(&[
-        "HLL b=6 (64 regs)".to_string(),
-        fmt_bytes(b),
-        fmt_f64(m),
-        fmt_f64(w),
-    ]);
     let (b, m, w) = run(&data, &exact, net, |mask| LinearCounting::new(512, mask));
     t.row(&[
         "LinearCounting m=512".to_string(),

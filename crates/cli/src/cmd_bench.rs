@@ -25,7 +25,7 @@ pub(crate) fn delim_for(opts: &IngestOptions, path: &str) -> char {
 }
 
 /// The baseline every streaming system starts from: buffered lines,
-/// `split`, `str::parse`, one `push_dense` per row. Returns rows read.
+/// `split`, `str::parse`, one one-row `push_dense_batch` per row. Returns rows read.
 pub(crate) fn naive_load(path: &str, opts: &IngestOptions, engine: &Engine) -> Result<u64, String> {
     let delim = delim_for(opts, path);
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -53,7 +53,7 @@ pub(crate) fn naive_load(path: &str, opts: &IngestOptions, engine: &Engine) -> R
                 Ok(v)
             })
             .collect();
-        engine.push_dense(&row?).map_err(|e| e.to_string())?;
+        engine.push_dense_batch(&row?).map_err(|e| e.to_string())?;
         rows += 1;
     }
     Ok(rows)

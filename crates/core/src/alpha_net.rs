@@ -416,7 +416,7 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// summaries must share the net, mode, alphabet, and per-mask sketch
     /// parameters/seeds (use the same factory on both sides); then merging
     /// shard summaries is *exactly* union-equivalent for union-mergeable
-    /// sketches such as KMV, HLL, and LinearCounting.
+    /// sketches such as KMV and LinearCounting.
     ///
     /// # Panics
     /// Panics on net/mode/alphabet mismatch (and propagates the underlying

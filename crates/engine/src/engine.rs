@@ -68,6 +68,7 @@ pub struct EngineStats {
 /// engine and the `pfe-window` sliding-window engine serve identical
 /// semantics per snapshot.
 pub struct Engine {
+    d: u32,
     pipeline: Mutex<Option<IngestPipeline>>,
     published: RwLock<Option<Arc<Snapshot>>>,
     exec: QueryExecutor,
@@ -102,11 +103,17 @@ impl Engine {
         let mut pipeline = IngestPipeline::new(d, q, &cfg)?;
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
         Ok(Self {
+            d,
             pipeline: Mutex::new(Some(pipeline)),
             published: RwLock::new(None),
             exec,
             retired: Mutex::new(None),
         })
+    }
+
+    /// Dimension `d` of the stream (columns per row).
+    pub fn dimension(&self) -> u32 {
+        self.d
     }
 
     fn with_pipeline<T>(
@@ -120,19 +127,9 @@ impl Engine {
         }
     }
 
-    /// Route one packed binary row.
-    ///
-    /// # Errors
-    /// `Closed` after [`shutdown`](Self::shutdown) or on worker loss.
-    pub fn push_packed(&self, row: u64) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_packed(row))
-    }
-
-    /// Route a slice of packed binary rows in one call: the rows are
-    /// validated up front, partitioned, and forwarded one bounded-channel
-    /// message per accumulated chunk — amortizing the per-row router
-    /// bookkeeping of [`push_packed`](Self::push_packed) (see
-    /// `benches/engine.rs` for the ingest win).
+    /// Route a chunk of packed binary rows (a single row is a one-row
+    /// chunk): checked as a whole, partitioned, and forwarded one
+    /// bounded-channel message per full per-shard buffer.
     ///
     /// # Errors
     /// `Query(BadParameter)` if any row is malformed (nothing is routed in
@@ -155,18 +152,11 @@ impl Engine {
         self.with_pipeline(|p| p.push_packed_batch_traced(rows, trace))
     }
 
-    /// Route one dense row.
+    /// Route a flat row-major chunk of dense rows (`d` symbols per row) —
+    /// the allocation-free surface for general alphabets.
     ///
     /// # Errors
-    /// `Closed` after [`shutdown`](Self::shutdown) or on worker loss.
-    pub fn push_dense(&self, row: &[u16]) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_dense(row))
-    }
-
-    /// Route a flattened row-major slice of dense rows (`d` symbols per
-    /// row) — the allocation-free batch surface for general alphabets.
-    ///
-    /// # Errors
+    /// `Query(BadParameter)` on shape violations (nothing is routed);
     /// `Closed` after [`shutdown`](Self::shutdown) or on worker loss.
     pub fn push_dense_batch(&self, flat: &[u16]) -> Result<(), EngineError> {
         self.with_pipeline(|p| p.push_dense_batch(flat))
@@ -288,6 +278,7 @@ impl Engine {
             IngestPipeline::with_base(d, q, &cfg, Some(snap.to_base_shard()), snap.epoch())?;
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
         let engine = Self {
+            d,
             pipeline: Mutex::new(Some(pipeline)),
             published: RwLock::new(Some(snap)),
             exec,
@@ -656,7 +647,7 @@ mod tests {
         engine.ingest(&uniform_binary(d, 500, 14)).expect("ingest");
         let snap = engine.shutdown().expect("shutdown");
         assert_eq!(snap.n(), 500);
-        assert!(engine.push_packed(0).is_err());
+        assert!(engine.push_packed_batch(&[0]).is_err());
         assert!(engine.query(&Query::over([0]).f0()).is_ok());
         assert!(engine.shutdown().is_err());
         // Counters must survive the pipeline retiring.
@@ -666,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn push_packed_batch_matches_per_row_pushes() {
+    fn packed_chunking_does_not_change_the_snapshot() {
         let d = 10;
         let data = uniform_binary(d, 2000, 41);
         let rows: Vec<u64> = match &data {
@@ -675,7 +666,7 @@ mod tests {
         };
         let per_row = Engine::start(d, 2, small_cfg(3)).expect("start");
         for &row in &rows {
-            per_row.push_packed(row).expect("push");
+            per_row.push_packed_batch(&[row]).expect("push");
         }
         let batched = Engine::start(d, 2, small_cfg(3)).expect("start");
         batched.push_packed_batch(&rows).expect("batch push");

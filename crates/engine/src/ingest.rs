@@ -1,19 +1,31 @@
-//! Sharded parallel ingest pipeline.
+//! The one road rows take into the summaries.
 //!
-//! Rows are hash-partitioned by content across `N` worker shards; each
-//! worker owns a [`ShardSummary`] and drains a *bounded* channel of row
-//! batches, so a slow shard exerts backpressure on the producer instead of
-//! letting the queue grow without bound. Content partitioning sends every
-//! copy of a row to the same shard — harmless for all summaries (distinct
-//! counting is duplicate-insensitive, sampling and counting are
+//! ```text
+//!  door                     check                route                 loop
+//!  Engine / wire `ingest` ┐ check_packed_chunk   IngestPipeline        ShardSummary::
+//!  file `RowSink`         ├ check_dense_chunk ─▶ hash-partition by ─▶  push_packed_chunk
+//!  `Dataset`              ┘ (whole chunk, or     row content, bounded  push_dense_chunk
+//!  window `BucketRing` ───▶  nothing is routed)  channel per shard     (Alg. 1 per row)
+//! ```
+//!
+//! Every door hands over a *chunk* — a `&[u64]` of packed binary rows or a
+//! flat row-major `&[u16]` of dense rows; a single row is a one-row chunk.
+//! The chunk is shape-checked once, as a whole, by [`check_packed_chunk`] /
+//! [`check_dense_chunk`] (the pipeline and the window ring both call
+//! them), so a malformed chunk is a typed error that ingests nothing.
+//! The router then hash-partitions rows by content across `N` worker
+//! shards through *bounded* channels — a slow shard exerts backpressure on
+//! the producer instead of letting the queue grow. Content partitioning
+//! sends every copy of a row to the same shard: harmless for all summaries
+//! (distinct counting is duplicate-insensitive, sampling and counting are
 //! partition-oblivious) and the standard scheme for distributed distinct
-//! counting.
+//! counting. Each worker owns a [`ShardSummary`], whose chunk methods are
+//! the only per-row push loop in the system.
 //!
-//! The pipeline accepts both batch [`Dataset`]s and incremental row pushes,
-//! and supports two exits: [`snapshot`](IngestPipeline::snapshot) clones
-//! the live shard summaries into a point-in-time merged view while ingest
-//! continues, and [`finish`](IngestPipeline::finish) shuts the workers down
-//! and merges their final state.
+//! Two exits: [`snapshot`](IngestPipeline::snapshot) clones the live shard
+//! summaries into a point-in-time merged view while ingest continues, and
+//! [`finish`](IngestPipeline::finish) shuts the workers down and merges
+//! their final state.
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -69,19 +81,11 @@ pub struct IngestPipeline {
     backpressure: std::sync::Arc<pfe_obs::Counter>,
 }
 
-fn worker(rx: Receiver<Msg>, mut shard: ShardSummary, d: usize) -> ShardSummary {
+fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::Batch(RowBatch::Packed(rows)) => {
-                for row in rows {
-                    shard.push_packed(row);
-                }
-            }
-            Msg::Batch(RowBatch::Dense(flat)) => {
-                for row in flat.chunks_exact(d) {
-                    shard.push_dense(row);
-                }
-            }
+            Msg::Batch(RowBatch::Packed(rows)) => shard.push_packed_chunk(&rows),
+            Msg::Batch(RowBatch::Dense(flat)) => shard.push_dense_chunk(&flat),
             Msg::Collect(reply) => {
                 // The collector may have given up (engine dropped); ignore.
                 let _ = reply.send(shard.clone());
@@ -89,6 +93,52 @@ fn worker(rx: Receiver<Msg>, mut shard: ShardSummary, d: usize) -> ShardSummary 
         }
     }
     shard
+}
+
+fn bad_chunk(msg: String) -> EngineError {
+    EngineError::Query(QueryError::BadParameter(msg))
+}
+
+/// Shape check for a chunk of packed binary rows bound for a `d`-column
+/// stream over alphabet `q`: the stream must be binary and no row may set
+/// a bit at or above `d`. Every ingest boundary (the pipeline router, the
+/// window ring) runs this over the *whole* chunk before touching any
+/// state, so a malformed chunk ingests nothing and a bad client request
+/// is a typed error — never a panic in a summary's assert.
+///
+/// # Errors
+/// `Query(BadParameter)` naming the offending row.
+pub fn check_packed_chunk(d: u32, q: u32, rows: &[u64]) -> Result<(), EngineError> {
+    if q != 2 {
+        return Err(bad_chunk(format!(
+            "packed rows require a binary stream, this one has Q={q}"
+        )));
+    }
+    let above_d = !((1u64 << d) - 1);
+    match rows.iter().find(|&&row| row & above_d != 0) {
+        Some(bad) => Err(bad_chunk(format!("row {bad:#x} has bits above d={d}"))),
+        None => Ok(()),
+    }
+}
+
+/// Shape check for a flat row-major chunk of dense rows (`d` symbols per
+/// row) over alphabet `q` — the dense counterpart of
+/// [`check_packed_chunk`], with the same whole-chunk-or-nothing contract.
+///
+/// # Errors
+/// `Query(BadParameter)` when the length is not a whole number of rows or
+/// a symbol is outside the alphabet.
+pub fn check_dense_chunk(d: u32, q: u32, flat: &[u16]) -> Result<(), EngineError> {
+    if d == 0 || !flat.len().is_multiple_of(d as usize) {
+        return Err(bad_chunk(format!(
+            "flat length {} is not a multiple of d = {d}",
+            flat.len()
+        )));
+    }
+    match flat.iter().find(|&&s| s as u32 >= q) {
+        Some(s) => Err(bad_chunk(format!("symbol {s} outside alphabet Q={q}"))),
+        None => Ok(()),
+    }
 }
 
 impl IngestPipeline {
@@ -128,7 +178,7 @@ impl IngestPipeline {
             handles.push(std::thread::spawn(move || {
                 let shard = ShardSummary::new(d, q, shard_id, &cfg)
                     .expect("parameters validated by the router");
-                worker(rx, shard, d as usize)
+                worker(rx, shard)
             }));
             senders.push(tx);
         }
@@ -206,50 +256,53 @@ impl IngestPipeline {
         }
     }
 
-    /// Route one packed binary row.
-    ///
-    /// The pipeline is the serving boundary, so malformed rows are typed
-    /// errors here (not panics): a bad client request must never take the
-    /// engine down. The shard-side summaries keep their assert contracts
-    /// as defense in depth — rows are validated before crossing a thread.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations; `Closed` if a worker
-    /// has gone away.
-    pub fn push_packed(&mut self, row: u64) -> Result<(), EngineError> {
-        if self.q != 2 {
-            return Err(EngineError::Query(QueryError::BadParameter(
-                "push_packed requires a binary pipeline".into(),
-            )));
+    /// The one partition-and-send loop. `stage(self, i)` appends row `i`
+    /// of the caller's chunk to its shard's buffer and hands back
+    /// `(shard, batch)` when that buffer reached `batch_rows`; each such
+    /// batch crosses the shard's bounded channel here. Under an enabled
+    /// `trace` the sweep is one `ingest_route` span with a child
+    /// `shard_send` span (shard id, chunk index, rows) per channel hop.
+    fn route(
+        &mut self,
+        n_rows: usize,
+        format: &'static str,
+        trace: &TraceHandle,
+        mut stage: impl FnMut(&mut Self, usize) -> Option<(usize, RowBatch)>,
+    ) -> Result<(), EngineError> {
+        let mut route_span = trace.span("ingest_route");
+        if route_span.is_enabled() {
+            route_span.attr("rows", n_rows);
+            route_span.attr("format", format);
         }
-        if row & !((1u64 << self.d) - 1) != 0 {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row has bits above d={}",
-                self.d
-            ))));
+        let hop = route_span.handle();
+        let mut chunk = 0usize;
+        for i in 0..n_rows {
+            let Some((shard, batch)) = stage(self, i) else {
+                continue;
+            };
+            let mut send_span = hop.span("shard_send");
+            if send_span.is_enabled() {
+                send_span.attr("shard", shard);
+                send_span.attr("chunk", chunk);
+                // `stage` hands a buffer over the moment it fills.
+                send_span.attr("rows", self.batch_rows);
+            }
+            self.send(shard, batch)?;
+            drop(send_span);
+            chunk += 1;
         }
-        let shard = self.shard_of_packed(row);
-        self.packed_buf[shard].push(row);
-        self.rows_routed += 1;
-        if self.packed_buf[shard].len() >= self.batch_rows {
-            let batch = std::mem::take(&mut self.packed_buf[shard]);
-            self.send(shard, RowBatch::Packed(batch))?;
-        }
+        self.rows_routed += n_rows as u64;
         Ok(())
     }
 
-    /// Route a slice of packed binary rows.
-    ///
-    /// Every row is validated *before* any routing happens (a malformed
-    /// batch routes nothing), then rows are partitioned into the per-shard
-    /// buffers and forwarded one bounded-channel message per full chunk —
-    /// the same wire format as [`push_packed`](Self::push_packed), with
-    /// the per-row q/mask checks and counter updates amortized across the
-    /// whole slice.
+    /// Route a chunk of packed binary rows (a single row is a one-row
+    /// chunk): checked as a whole by [`check_packed_chunk`] *before* any
+    /// routing happens, then partitioned into the per-shard buffers and
+    /// forwarded one bounded-channel message per full buffer.
     ///
     /// # Errors
-    /// `Query(BadParameter)` on shape violations; `Closed` if a worker
-    /// has gone away.
+    /// `Query(BadParameter)` on shape violations (nothing is routed);
+    /// `Closed` if a worker has gone away.
     pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
         self.push_packed_batch_traced(rows, &TraceHandle::disabled())
     }
@@ -257,98 +310,36 @@ impl IngestPipeline {
     /// [`push_packed_batch`](Self::push_packed_batch) under a request
     /// trace: the routing sweep is recorded as one `ingest_route` span
     /// and every bounded-channel hop to a worker as a child `shard_send`
-    /// span (shard id, chunk index, rows). With a disabled handle this is
-    /// exactly the untraced path — same delivery order, no allocation.
+    /// span. With a disabled handle this is exactly the untraced path —
+    /// same delivery order, no allocation.
     ///
     /// # Errors
-    /// `Query(BadParameter)` on shape violations; `Closed` if a worker
-    /// has gone away.
+    /// Same as [`push_packed_batch`](Self::push_packed_batch).
     pub fn push_packed_batch_traced(
         &mut self,
         rows: &[u64],
         trace: &TraceHandle,
     ) -> Result<(), EngineError> {
-        if self.q != 2 {
-            return Err(EngineError::Query(QueryError::BadParameter(
-                "push_packed requires a binary pipeline".into(),
-            )));
-        }
-        let above_d = !((1u64 << self.d) - 1);
-        if let Some(&bad) = rows.iter().find(|&&row| row & above_d != 0) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row {bad:#x} has bits above d={}",
-                self.d
-            ))));
-        }
-        let mut route_span = trace.span("ingest_route");
-        if route_span.is_enabled() {
-            route_span.attr("rows", rows.len());
-            route_span.attr("format", "packed");
-        }
-        let hop = route_span.handle();
-        let mut chunk = 0usize;
-        for &row in rows {
-            let shard = self.shard_of_packed(row);
-            self.packed_buf[shard].push(row);
-            if self.packed_buf[shard].len() >= self.batch_rows {
-                let batch = std::mem::take(&mut self.packed_buf[shard]);
-                let mut send_span = hop.span("shard_send");
-                if send_span.is_enabled() {
-                    send_span.attr("shard", shard);
-                    send_span.attr("chunk", chunk);
-                    send_span.attr("rows", batch.len());
-                }
-                self.send(shard, RowBatch::Packed(batch))?;
-                drop(send_span);
-                chunk += 1;
-            }
-        }
-        self.rows_routed += rows.len() as u64;
-        Ok(())
+        check_packed_chunk(self.d, self.q, rows)?;
+        self.route(rows.len(), "packed", trace, |p, i| {
+            let row = rows[i];
+            let shard = p.shard_of_packed(row);
+            let buf = &mut p.packed_buf[shard];
+            buf.push(row);
+            (buf.len() >= p.batch_rows).then(|| (shard, RowBatch::Packed(std::mem::take(buf))))
+        })
     }
 
-    /// Route one dense row.
+    /// Route a flat row-major chunk of dense rows (`d` symbols per row,
+    /// `flat.len() / d` rows): checked as a whole by
+    /// [`check_dense_chunk`] *before* any routing happens, then appended
+    /// to the per-shard flat buffers — no per-row allocation anywhere on
+    /// the path, which is what lets the columnar file ingester feed
+    /// general alphabets at the same channel cost as the packed path.
     ///
     /// # Errors
-    /// `Query(BadParameter)` on wrong row length or out-of-alphabet
-    /// symbols (see [`push_packed`](Self::push_packed) on why these are
-    /// errors, not panics); `Closed` if a worker has gone away.
-    pub fn push_dense(&mut self, row: &[u16]) -> Result<(), EngineError> {
-        if row.len() != self.d as usize {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row length {} != d = {}",
-                row.len(),
-                self.d
-            ))));
-        }
-        if let Some(&s) = row.iter().find(|&&s| s as u32 >= self.q) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "symbol {s} outside alphabet Q={}",
-                self.q
-            ))));
-        }
-        let shard = self.shard_of_dense(row);
-        self.dense_buf[shard].extend_from_slice(row);
-        self.rows_routed += 1;
-        if self.dense_buf[shard].len() >= self.batch_rows * self.d as usize {
-            let batch = std::mem::take(&mut self.dense_buf[shard]);
-            self.send(shard, RowBatch::Dense(batch))?;
-        }
-        Ok(())
-    }
-
-    /// Route a flattened row-major slice of dense rows (`d` symbols per
-    /// row, `flat.len() / d` rows).
-    ///
-    /// Every symbol is validated *before* any routing happens (a
-    /// malformed batch routes nothing), then rows are appended to the
-    /// per-shard flat buffers — no per-row allocation anywhere on the
-    /// path, which is what lets the columnar file ingester feed general
-    /// alphabets at the same channel cost as the packed path.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations; `Closed` if a worker
-    /// has gone away.
+    /// `Query(BadParameter)` on shape violations (nothing is routed);
+    /// `Closed` if a worker has gone away.
     pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
         self.push_dense_batch_traced(flat, &TraceHandle::disabled())
     }
@@ -359,52 +350,21 @@ impl IngestPipeline {
     /// the span shape.
     ///
     /// # Errors
-    /// `Query(BadParameter)` on shape violations; `Closed` if a worker
-    /// has gone away.
+    /// Same as [`push_dense_batch`](Self::push_dense_batch).
     pub fn push_dense_batch_traced(
         &mut self,
         flat: &[u16],
         trace: &TraceHandle,
     ) -> Result<(), EngineError> {
+        check_dense_chunk(self.d, self.q, flat)?;
         let d = self.d as usize;
-        if d == 0 || !flat.len().is_multiple_of(d) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "flat length {} is not a multiple of d = {}",
-                flat.len(),
-                self.d
-            ))));
-        }
-        if let Some(&s) = flat.iter().find(|&&s| s as u32 >= self.q) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "symbol {s} outside alphabet Q={}",
-                self.q
-            ))));
-        }
-        let mut route_span = trace.span("ingest_route");
-        if route_span.is_enabled() {
-            route_span.attr("rows", flat.len() / d);
-            route_span.attr("format", "dense");
-        }
-        let hop = route_span.handle();
-        let mut chunk = 0usize;
-        for row in flat.chunks_exact(d) {
-            let shard = self.shard_of_dense(row);
-            self.dense_buf[shard].extend_from_slice(row);
-            if self.dense_buf[shard].len() >= self.batch_rows * d {
-                let batch = std::mem::take(&mut self.dense_buf[shard]);
-                let mut send_span = hop.span("shard_send");
-                if send_span.is_enabled() {
-                    send_span.attr("shard", shard);
-                    send_span.attr("chunk", chunk);
-                    send_span.attr("rows", batch.len() / d);
-                }
-                self.send(shard, RowBatch::Dense(batch))?;
-                drop(send_span);
-                chunk += 1;
-            }
-        }
-        self.rows_routed += (flat.len() / d) as u64;
-        Ok(())
+        self.route(flat.len() / d, "dense", trace, |p, i| {
+            let row = &flat[i * d..(i + 1) * d];
+            let shard = p.shard_of_dense(row);
+            let buf = &mut p.dense_buf[shard];
+            buf.extend_from_slice(row);
+            (buf.len() >= p.batch_rows * d).then(|| (shard, RowBatch::Dense(std::mem::take(buf))))
+        })
     }
 
     /// Route a whole dataset (batch ingest).
@@ -422,14 +382,11 @@ impl IngestPipeline {
             )));
         }
         match data {
-            // One validation sweep + chunked channel sends for the packed
-            // fast path, instead of per-row routing.
-            Dataset::Binary(m) => self.push_packed_batch(m.rows())?,
-            // Same story for the dense path: the matrix is already flat
-            // row-major, so the batch router consumes it directly.
-            Dataset::Qary(m) => self.push_dense_batch(m.flat())?,
+            // Both matrices are already chunks: packed rows, or flat
+            // row-major symbols.
+            Dataset::Binary(m) => self.push_packed_batch(m.rows()),
+            Dataset::Qary(m) => self.push_dense_batch(m.flat()),
         }
-        Ok(())
     }
 
     /// Flush router-side buffers to the workers.
@@ -553,14 +510,10 @@ mod tests {
             Dataset::Binary(m) => m.rows().to_vec(),
             Dataset::Qary(_) => unreachable!("generator yields binary data"),
         };
-        for &row in &rows[..500] {
-            p.push_packed(row).expect("push");
-        }
+        p.push_packed_batch(&rows[..500]).expect("push");
         let snap1 = p.snapshot().expect("snapshot");
         assert_eq!(snap1.n(), 500);
-        for &row in &rows[500..] {
-            p.push_packed(row).expect("push");
-        }
+        p.push_packed_batch(&rows[500..]).expect("push");
         let snap2 = p.snapshot().expect("snapshot");
         assert_eq!(snap2.n(), 1000);
         assert!(snap2.epoch() > snap1.epoch());
@@ -590,9 +543,18 @@ mod tests {
         // The pipeline is the serving boundary: a bad client row must not
         // take the engine down (regression: wrong-length rows panicked).
         let mut p = IngestPipeline::new(8, 2, &cfg(2)).expect("spawn");
-        assert!(matches!(p.push_dense(&[0, 1]), Err(EngineError::Query(_))));
-        assert!(matches!(p.push_dense(&[7; 8]), Err(EngineError::Query(_))));
-        assert!(matches!(p.push_packed(1 << 20), Err(EngineError::Query(_))));
+        assert!(matches!(
+            p.push_dense_batch(&[0, 1]),
+            Err(EngineError::Query(_))
+        ));
+        assert!(matches!(
+            p.push_dense_batch(&[7; 8]),
+            Err(EngineError::Query(_))
+        ));
+        assert!(matches!(
+            p.push_packed_batch(&[1 << 20]),
+            Err(EngineError::Query(_))
+        ));
         // A batch with one bad row routes nothing.
         let routed_before = p.rows_routed();
         assert!(matches!(
@@ -601,20 +563,24 @@ mod tests {
         ));
         assert_eq!(p.rows_routed(), routed_before);
         // Still healthy afterwards.
-        p.push_packed(0b1010_1010).expect("good row");
-        p.push_dense(&[0, 1, 0, 1, 0, 1, 0, 1]).expect("good row");
+        p.push_packed_batch(&[0b1010_1010]).expect("good row");
+        p.push_dense_batch(&[0, 1, 0, 1, 0, 1, 0, 1])
+            .expect("good row");
         let snap = p.finish().expect("finish");
         assert_eq!(snap.n(), 2);
-        // Q-ary pipeline rejects push_packed.
+        // Q-ary pipeline rejects packed rows.
         let mut q = IngestPipeline::new(4, 3, &cfg(1)).expect("spawn");
-        assert!(matches!(q.push_packed(0), Err(EngineError::Query(_))));
+        assert!(matches!(
+            q.push_packed_batch(&[0]),
+            Err(EngineError::Query(_))
+        ));
         q.finish().expect("finish");
     }
 
     #[test]
-    fn dense_batch_matches_per_row_pushes() {
-        // One flat batched push must produce the same snapshot as d-sized
-        // per-row pushes: same per-shard arrival order either way.
+    fn dense_chunking_does_not_change_the_snapshot() {
+        // One whole-stream chunk must produce the same snapshot as
+        // one-row chunks: same per-shard arrival order either way.
         let (d, q) = (6u32, 3u32);
         let data = uniform_qary(q, d, 900, 11);
         let rows: Vec<Vec<u16>> = match &data {
@@ -624,7 +590,7 @@ mod tests {
         let flat: Vec<u16> = rows.iter().flatten().copied().collect();
         let mut a = IngestPipeline::new(d, q, &cfg(3)).expect("spawn");
         for row in &rows {
-            a.push_dense(row).expect("push");
+            a.push_dense_batch(row).expect("push");
         }
         let mut b = IngestPipeline::new(d, q, &cfg(3)).expect("spawn");
         b.push_dense_batch(&flat).expect("batch push");

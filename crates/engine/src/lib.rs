@@ -11,8 +11,11 @@
 //!    [`UniformSampleSummary`](pfe_core::UniformSampleSummary) +
 //!    [`AlphaNetF0`](pfe_core::alpha_net::AlphaNetF0)`<Kmv>` (plus an
 //!    optional CountMin frequency net), fed through *bounded* channels so
-//!    slow shards apply backpressure. Accepts batch
-//!    [`Dataset`](pfe_row::Dataset)s and incremental row pushes.
+//!    slow shards apply backpressure. Every door — a
+//!    [`Dataset`](pfe_row::Dataset), the wire, a file, the window ring —
+//!    hands over a shape-checked *chunk* ([`check_packed_chunk`] /
+//!    [`check_dense_chunk`]), and [`ShardSummary`]'s chunk methods are the
+//!    one per-row loop.
 //! 2. **Merge / compaction** ([`Snapshot`]): shard summaries fold into an
 //!    immutable snapshot via the `DistinctSketch::merge` /
 //!    reservoir-union contracts — exact for KMV/CountMin (per-mask seeds
@@ -85,7 +88,7 @@ pub use config::{EngineConfig, FreqNetConfig};
 pub use engine::{Engine, EngineStats};
 pub use error::EngineError;
 pub use exec::{QueryCounters, QueryExecutor};
-pub use ingest::{IngestPipeline, RowBatch};
+pub use ingest::{check_dense_chunk, check_packed_chunk, IngestPipeline, RowBatch};
 pub use json::Json;
 pub use persist::merge_snapshot_files;
 pub use pfe_core::FpConfig;

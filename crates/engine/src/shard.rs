@@ -160,6 +160,33 @@ impl ShardSummary {
         self.rows += 1;
     }
 
+    /// Observe a chunk of packed binary rows, in order. With
+    /// [`push_dense_chunk`](Self::push_dense_chunk) this is the only
+    /// per-row push loop in the system — pipeline workers and the window
+    /// ring both end here — and so the one place a mask-major sweep
+    /// (one pass per net member over the whole chunk) would replace.
+    ///
+    /// # Panics
+    /// As [`push_packed`](Self::push_packed); callers run
+    /// [`check_packed_chunk`](crate::check_packed_chunk) first.
+    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        for &row in rows {
+            self.push_packed(row);
+        }
+    }
+
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per
+    /// row), in order.
+    ///
+    /// # Panics
+    /// As [`push_dense`](Self::push_dense); callers run
+    /// [`check_dense_chunk`](crate::check_dense_chunk) first.
+    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        for row in flat.chunks_exact(self.sample.dimension() as usize) {
+            self.push_dense(row);
+        }
+    }
+
     /// Fold another shard's summaries into this one.
     ///
     /// # Panics

@@ -24,6 +24,13 @@ use pfe_row::PatternCodec;
 use crate::engine::EngineStats;
 use crate::json::Json;
 
+/// `x` as a nonnegative integer no larger than `max` — the one place the
+/// wire decides what counts as an integer.
+fn uint_up_to(x: &Json, max: f64) -> Option<f64> {
+    x.as_f64()
+        .filter(|&f| f >= 0.0 && f.fract() == 0.0 && f <= max)
+}
+
 /// Parse an array of nonnegative integers fitting `u32` (e.g. a `cols`
 /// field).
 ///
@@ -34,16 +41,14 @@ pub fn u32s(v: Option<&Json>) -> Result<Vec<u32>, String> {
         .ok_or_else(|| "expected an array of numbers".to_string())?
         .iter()
         .map(|x| {
-            x.as_f64()
-                .filter(|&f| f >= 0.0 && f.fract() == 0.0 && f < u32::MAX as f64)
+            uint_up_to(x, (u32::MAX - 1) as f64)
                 .map(|f| f as u32)
                 .ok_or_else(|| "expected a nonnegative integer".to_string())
         })
         .collect()
 }
 
-/// Parse an array of symbols fitting `u16` (e.g. a `pattern` field or an
-/// ingest row).
+/// Parse an array of symbols fitting `u16` (e.g. a `pattern` field).
 ///
 /// # Errors
 /// A message naming the malformed element.
@@ -54,12 +59,39 @@ pub fn u16s(v: Option<&Json>) -> Result<Vec<u16>, String> {
         .collect()
 }
 
-fn uint(req: &Json, field: &str) -> Result<Option<u64>, String> {
+/// Parse an `ingest` request's `rows` — an array of `d`-symbol arrays —
+/// into one flat row-major chunk, the unit every engine ingests. Arity
+/// and symbol range are checked here, row by row, so the caller can
+/// reject the whole request before anything is routed.
+///
+/// # Errors
+/// A message naming the malformed row.
+pub fn dense_rows(rows: &[Json], d: usize) -> Result<Vec<u16>, String> {
+    let mut flat = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let symbols = row
+            .as_arr()
+            .filter(|symbols| symbols.len() == d)
+            .ok_or_else(|| format!("row {i}: expected an array of d = {d} symbols"))?;
+        for x in symbols {
+            let symbol = uint_up_to(x, u16::MAX as f64)
+                .ok_or_else(|| format!("row {i}: symbols must be integers in 0..=65535"))?;
+            flat.push(symbol as u16);
+        }
+    }
+    Ok(flat)
+}
+
+/// Read an optional field that must be a nonnegative integer: `Ok(None)`
+/// when absent or `null`.
+///
+/// # Errors
+/// A message naming `field` when the value is fractional, negative, or
+/// not a number.
+pub fn uint(req: &Json, field: &str) -> Result<Option<u64>, String> {
     match req.get(field) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .filter(|&f| f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64)
+        Some(v) => uint_up_to(v, u64::MAX as f64)
             .map(|f| Some(f as u64))
             .ok_or_else(|| format!("'{field}' must be a nonnegative integer")),
     }
@@ -91,8 +123,8 @@ pub fn query_from_json(req: &Json) -> Result<Query, String> {
     let builder = Query::over(u32s(req.get("cols"))?);
     let mut query = match op {
         "f0" => builder.f0(),
-        "frequency" | "freq" => builder.frequency(u16s(req.get("pattern"))?),
-        "heavy_hitters" | "hh" => {
+        "frequency" => builder.frequency(u16s(req.get("pattern"))?),
+        "heavy_hitters" => {
             let phi = req
                 .get("phi")
                 .and_then(Json::as_f64)
@@ -287,11 +319,14 @@ mod tests {
                 pattern: vec![1, 0]
             }
         );
-        // Legacy short op still accepted.
-        let q2 =
-            query_from_json(&Json::parse(r#"{"op":"freq","cols":[0,1],"pattern":[1,0]}"#).unwrap())
-                .unwrap();
-        assert_eq!(q.statistic, q2.statistic);
+        // The retired short aliases are unknown ops like any other.
+        for (alias, rest) in [("freq", r#""pattern":[1,0]"#), ("hh", r#""phi":0.1"#)] {
+            let req = Json::parse(&format!(r#"{{"op":"{alias}","cols":[0,1],{rest}}}"#)).unwrap();
+            assert_eq!(
+                query_from_json(&req),
+                Err(format!("unknown statistic op '{alias}'"))
+            );
+        }
 
         let q = query_from_json(
             &Json::parse(

@@ -134,12 +134,12 @@ fn merged_half_stream_files_equal_single_stream_snapshot() {
     // Two independent "processes" each summarize half the stream.
     let a = Engine::start(d, 2, cfg()).expect("start");
     for &row in &rows[..1200] {
-        a.push_packed(row).expect("push");
+        a.push_packed_batch(&[row]).expect("push");
     }
     a.checkpoint(&path_a).expect("checkpoint a");
     let b = Engine::start(d, 2, cfg()).expect("start");
     for &row in &rows[1200..] {
-        b.push_packed(row).expect("push");
+        b.push_packed_batch(&[row]).expect("push");
     }
     b.checkpoint(&path_b).expect("checkpoint b");
 

@@ -1,9 +1,13 @@
-//! Where parsed chunks go: the [`RowSink`] trait and its engine impls.
+//! Where parsed chunks go: the [`RowSink`] trait and its engine impls —
+//! the file door onto the one ingest road (door → check → route →
+//! `ShardSummary` loop; see `pfe_engine::ingest`).
 //!
 //! The ingester hands over *chunks*, never rows — a packed chunk is a
-//! `&[u64]`, a dense chunk is a flat row-major `&[u16]` — so every sink
-//! implementation rides the engines' allocation-free batch surfaces
-//! (`push_packed_batch` / `push_dense_batch`).
+//! `&[u64]`, a dense chunk is a flat row-major `&[u16]` — which is the
+//! only unit the engines accept: every impl below is a one-line delegate
+//! to `push_packed_batch` / `push_dense_batch`, where the chunk is
+//! shape-checked as a whole (a rejected chunk ingests nothing and
+//! surfaces as [`IngestError::Sink`]) and then routed.
 
 use pfe_engine::Engine;
 use pfe_window::WindowedEngine;
@@ -30,45 +34,22 @@ fn sink_err(e: impl std::fmt::Display) -> IngestError {
     IngestError::Sink(e.to_string())
 }
 
-impl RowSink for Engine {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        Engine::push_packed_batch(self, rows).map_err(sink_err)
-    }
+/// Engines (owned, as a sink factory returns them, or borrowed) take the
+/// chunk as-is.
+macro_rules! engine_sinks {
+    ($($sink:ty),*) => {$(
+        impl RowSink for $sink {
+            fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
+                self.push_packed_batch(rows).map_err(sink_err)
+            }
 
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        Engine::push_dense_batch(self, flat).map_err(sink_err)
-    }
+            fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
+                self.push_dense_batch(flat).map_err(sink_err)
+            }
+        }
+    )*};
 }
-
-impl RowSink for WindowedEngine {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        WindowedEngine::push_packed_batch(self, rows).map_err(sink_err)
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        WindowedEngine::push_dense_batch(self, flat).map_err(sink_err)
-    }
-}
-
-impl RowSink for &Engine {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        Engine::push_packed_batch(self, rows).map_err(sink_err)
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        Engine::push_dense_batch(self, flat).map_err(sink_err)
-    }
-}
-
-impl RowSink for &WindowedEngine {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        WindowedEngine::push_packed_batch(self, rows).map_err(sink_err)
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        WindowedEngine::push_dense_batch(self, flat).map_err(sink_err)
-    }
-}
+engine_sinks!(Engine, WindowedEngine, &Engine, &WindowedEngine);
 
 /// A sink that just collects rows — the reference for parity tests and
 /// the cheapest way to parse a file without an engine.

@@ -39,7 +39,7 @@ use pfe_obs::{
 };
 use pfe_window::{wire as window_wire, WindowConfig, WindowedEngine};
 
-/// Every op name the dispatcher recognizes, aliases included.
+/// Every op name the dispatcher recognizes.
 ///
 /// This is the single registry the `match` in [`Dispatcher::handle_line`]
 /// is built from; `scripts/check_protocol_docs.sh` (CI) fails if any name
@@ -51,9 +51,7 @@ pub const OPS: &[&str] = &[
     "snapshot",
     "f0",
     "frequency",
-    "freq",
     "heavy_hitters",
-    "hh",
     "l1_sample",
     "fp",
     "batch",
@@ -182,6 +180,16 @@ fn trace_context_from(req: &Json) -> Result<Option<TraceContext>, Json> {
     }
 }
 
+/// Overwrite `slot` with the `start` parameter `obj[field]` when it is
+/// present. The value must be a nonnegative integer fitting `T` — never
+/// a silently truncated float.
+fn set_uint<T: TryFrom<u64>>(obj: &Json, field: &str, slot: &mut T) -> Result<(), Json> {
+    if let Some(v) = wire::uint(obj, field).map_err(err)? {
+        *slot = T::try_from(v).map_err(|_| err(format!("'{field}' is out of range")))?;
+    }
+    Ok(())
+}
+
 /// One completed trace as a span-tree JSON object: spans nest under
 /// their parents (`children` arrays), roots in start order.
 fn trace_to_json(t: &CompletedTrace) -> Json {
@@ -282,14 +290,25 @@ impl Backend {
         }
     }
 
-    /// Route one dense row.
+    /// Dimension `d` of the served stream.
+    pub fn dimension(&self) -> u32 {
+        match self {
+            Backend::Plain(e) => e.dimension(),
+            Backend::Windowed(e) => e.dimension(),
+        }
+    }
+
+    /// Route a flat row-major chunk of dense rows in one engine call
+    /// (one pipeline/ring lock). The plain engine records its routing
+    /// spans under `trace`; the window ring pushes inline, so its tree
+    /// stops at the caller's span.
     ///
     /// # Errors
-    /// Shape violations or a closed pipeline.
-    pub fn push_dense(&self, row: &[u16]) -> Result<(), EngineError> {
+    /// Shape violations (nothing is ingested) or a closed pipeline.
+    pub fn push_dense_batch(&self, flat: &[u16], trace: &TraceHandle) -> Result<(), EngineError> {
         match self {
-            Backend::Plain(e) => e.push_dense(row),
-            Backend::Windowed(e) => e.push_dense(row),
+            Backend::Plain(e) => e.push_dense_batch_traced(flat, trace),
+            Backend::Windowed(e) => e.push_dense_batch(flat),
         }
     }
 
@@ -427,6 +446,9 @@ impl ServerCounters {
 
 struct Started {
     backend: Backend,
+    /// Stream shape, cached at install so request parsing needs no
+    /// engine lock.
+    d: u32,
     q: u32,
 }
 
@@ -683,7 +705,8 @@ impl Dispatcher {
     /// backend with [`recorder`](Self::recorder) (the `*_with_recorder`
     /// engine constructors).
     pub fn install(&self, backend: Backend, q: u32) {
-        *self.started.write().expect("backend lock") = Some(Started { backend, q });
+        let d = backend.dimension();
+        *self.started.write().expect("backend lock") = Some(Started { backend, d, q });
     }
 
     /// Announce the worker-pool shape reported by `server_stats`.
@@ -858,10 +881,10 @@ impl Dispatcher {
         }
     }
 
-    fn with_backend<T>(&self, f: impl FnOnce(&Backend, u32) -> Result<T, Json>) -> Result<T, Json> {
+    fn with_backend<T>(&self, f: impl FnOnce(&Started) -> Result<T, Json>) -> Result<T, Json> {
         let guard = self.started.read().expect("backend lock");
         match guard.as_ref() {
-            Some(s) => f(&s.backend, s.q),
+            Some(s) => f(s),
             None => Err(err("no engine: send 'start' first")),
         }
     }
@@ -869,13 +892,14 @@ impl Dispatcher {
     /// Serve one statistic request through the canonical query types.
     fn serve_query(&self, req: &Json, trace: &TraceHandle) -> Result<Json, Json> {
         let query = wire::query_from_json(req).map_err(err)?;
-        self.with_backend(|backend, q| {
-            let answer = backend
+        self.with_backend(|s| {
+            let answer = s
+                .backend
                 .query_batch_traced(std::slice::from_ref(&query), trace)
                 .pop()
                 .expect("one answer per query")
                 .map_err(|e| err(e.to_string()))?;
-            Ok(wire::answer_to_json(&answer, q))
+            Ok(wire::answer_to_json(&answer, s.q))
         })
     }
 
@@ -903,14 +927,14 @@ impl Dispatcher {
             })
             .collect();
         let valid: Vec<Query> = parsed.iter().filter_map(|p| p.clone().ok()).collect();
-        self.with_backend(|backend, q| {
-            let mut served = backend.query_batch_traced(&valid, trace).into_iter();
+        self.with_backend(|s| {
+            let mut served = s.backend.query_batch_traced(&valid, trace).into_iter();
             let answers = parsed
                 .iter()
                 .map(|p| match p {
                     Err(e) => e.clone(),
                     Ok(_) => match served.next().expect("one answer per valid query") {
-                        Ok(answer) => wire::answer_to_json(&answer, q),
+                        Ok(answer) => wire::answer_to_json(&answer, s.q),
                         Err(e) => err(e.to_string()),
                     },
                 })
@@ -923,24 +947,17 @@ impl Dispatcher {
     }
 
     fn start(&self, req: &Json) -> Result<Json, Json> {
-        let d = req.get("d").and_then(Json::as_f64).unwrap_or(0.0) as u32;
-        let q = req.get("q").and_then(Json::as_f64).unwrap_or(2.0) as u32;
+        let (mut d, mut q) = (0u32, 2u32);
+        set_uint(req, "d", &mut d)?;
+        set_uint(req, "q", &mut q)?;
         let mut cfg = EngineConfig::default();
-        if let Some(s) = req.get("shards").and_then(Json::as_f64) {
-            cfg.shards = s as usize;
-        }
+        set_uint(req, "shards", &mut cfg.shards)?;
         if let Some(a) = req.get("alpha").and_then(Json::as_f64) {
             cfg.alpha = a;
         }
-        if let Some(t) = req.get("sample_t").and_then(Json::as_f64) {
-            cfg.sample_t = t as usize;
-        }
-        if let Some(k) = req.get("kmv_k").and_then(Json::as_f64) {
-            cfg.kmv_k = k as usize;
-        }
-        if let Some(s) = req.get("seed").and_then(Json::as_f64) {
-            cfg.seed = s as u64;
-        }
+        set_uint(req, "sample_t", &mut cfg.sample_t)?;
+        set_uint(req, "kmv_k", &mut cfg.kmv_k)?;
+        set_uint(req, "seed", &mut cfg.seed)?;
         match req.get("fp") {
             None | Some(Json::Null) => {}
             Some(fp) => {
@@ -952,20 +969,14 @@ impl Dispatcher {
                     .map(|v| v.as_f64().ok_or_else(|| err("'orders' must be numbers")))
                     .collect::<Result<Vec<f64>, Json>>()?;
                 let mut fp_cfg = pfe_engine::FpConfig::with_orders(orders);
-                if let Some(v) = fp.get("stable_t").and_then(Json::as_f64) {
-                    fp_cfg.stable_t = v as usize;
-                }
-                if let Some(v) = fp.get("ams_groups").and_then(Json::as_f64) {
-                    fp_cfg.ams_groups = v as usize;
-                }
-                if let Some(v) = fp.get("ams_per_group").and_then(Json::as_f64) {
-                    fp_cfg.ams_per_group = v as usize;
-                }
+                set_uint(fp, "stable_t", &mut fp_cfg.stable_t)?;
+                set_uint(fp, "ams_groups", &mut fp_cfg.ams_groups)?;
+                set_uint(fp, "ams_per_group", &mut fp_cfg.ams_per_group)?;
                 cfg.fp = Some(fp_cfg);
             }
         }
-        if let Some(ms) = req.get("slow_ms").and_then(Json::as_f64) {
-            self.recorder.slow_log().set_threshold_ms(ms as u64);
+        if let Some(ms) = wire::uint(req, "slow_ms").map_err(err)? {
+            self.recorder.slow_log().set_threshold_ms(ms);
         }
         let backend = match req.get("window") {
             None | Some(Json::Null) => Backend::Plain(
@@ -974,18 +985,10 @@ impl Dispatcher {
             ),
             Some(win) => {
                 let mut wcfg = WindowConfig::default();
-                if let Some(v) = win.get("bucket_rows").and_then(Json::as_f64) {
-                    wcfg.bucket_rows = v as u64;
-                }
-                if let Some(v) = win.get("tier_cap").and_then(Json::as_f64) {
-                    wcfg.tier_cap = v as usize;
-                }
-                if let Some(v) = win.get("max_tiers").and_then(Json::as_f64) {
-                    wcfg.max_tiers = v as u32;
-                }
-                if let Some(v) = win.get("merged_cache").and_then(Json::as_f64) {
-                    wcfg.merged_cache = v as usize;
-                }
+                set_uint(win, "bucket_rows", &mut wcfg.bucket_rows)?;
+                set_uint(win, "tier_cap", &mut wcfg.tier_cap)?;
+                set_uint(win, "max_tiers", &mut wcfg.max_tiers)?;
+                set_uint(win, "merged_cache", &mut wcfg.merged_cache)?;
                 Backend::Windowed(
                     WindowedEngine::start_with_recorder(
                         d,
@@ -1002,7 +1005,7 @@ impl Dispatcher {
         // Last start wins (operator action): sessions already in flight
         // keep their answers consistent — the swap happens between
         // requests, never inside one.
-        *self.started.write().expect("backend lock") = Some(Started { backend, q });
+        self.install(backend, q);
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("windowed", Json::Bool(windowed)),
@@ -1230,8 +1233,10 @@ impl Dispatcher {
                 .clone()
                 .ok_or_else(|| err("no checkpoint path: pass 'path' or configure one"))?,
         };
-        self.with_backend(|backend, _| {
-            backend.checkpoint(&path).map_err(|e| err(e.to_string()))?;
+        self.with_backend(|s| {
+            s.backend
+                .checkpoint(&path)
+                .map_err(|e| err(e.to_string()))?;
             Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("path", Json::Str(path.display().to_string())),
@@ -1254,34 +1259,31 @@ impl Dispatcher {
                     .get("rows")
                     .and_then(Json::as_arr)
                     .ok_or_else(|| err("missing 'rows'"))?;
-                // Parse every row before pushing any, so a malformed
-                // symbol rejects the request with nothing ingested.
-                let dense: Vec<Vec<u16>> = rows
-                    .iter()
-                    .map(|row| wire::u16s(Some(row)).map_err(err))
-                    .collect::<Result<_, _>>()?;
-                let mut ingest_span = trace.span("ingest");
-                ingest_span.attr("rows", dense.len());
-                self.with_backend(|backend, _| {
-                    for (accepted, row) in dense.iter().enumerate() {
-                        // A mid-batch engine rejection (e.g. a wrong-arity
-                        // row) reports how many rows landed, so a client
-                        // can resume without double-ingesting.
-                        backend.push_dense(row).map_err(|e| {
-                            Json::obj([
-                                ("ok", Json::Bool(false)),
-                                ("error", Json::Str(e.to_string())),
-                                ("rows_ingested", Json::Num(accepted as f64)),
-                            ])
-                        })?;
-                    }
+                // All or nothing: arity and symbol range are checked while
+                // the rows are flattened, the alphabet by the engine's
+                // whole-chunk check — so every rejection happens before
+                // anything is routed, and `rows_ingested` is always 0.
+                let rejected = |msg: String| {
+                    Json::obj([
+                        ("ok", Json::Bool(false)),
+                        ("error", Json::Str(msg)),
+                        ("rows_ingested", Json::Num(0.0)),
+                    ])
+                };
+                self.with_backend(|s| {
+                    let flat = wire::dense_rows(rows, s.d as usize).map_err(rejected)?;
+                    let mut ingest_span = trace.span("ingest");
+                    ingest_span.attr("rows", rows.len());
+                    s.backend
+                        .push_dense_batch(&flat, &ingest_span.handle())
+                        .map_err(|e| rejected(e.to_string()))?;
                     Ok(Reply::cont(Json::obj([
                         ("ok", Json::Bool(true)),
-                        ("rows", Json::Num(dense.len() as f64)),
+                        ("rows", Json::Num(rows.len() as f64)),
                     ])))
                 })
             }
-            "snapshot" => self.with_backend(|backend, _| match backend {
+            "snapshot" => self.with_backend(|s| match &s.backend {
                 Backend::Plain(e) => {
                     let snap = e.refresh().map_err(|e| err(e.to_string()))?;
                     Ok(Reply::cont(Json::obj([
@@ -1297,15 +1299,15 @@ impl Dispatcher {
                     ("rows", Json::Num(e.retained_rows() as f64)),
                 ]))),
             }),
-            "f0" | "frequency" | "freq" | "heavy_hitters" | "hh" | "l1_sample" | "fp" => {
+            "f0" | "frequency" | "heavy_hitters" | "l1_sample" | "fp" => {
                 self.serve_query(req, trace).map(Reply::cont)
             }
             "batch" => self.serve_batch(req, trace).map(Reply::cont),
             "stats" => self
-                .with_backend(|backend, _| Ok(wire::stats_to_json(&backend.stats())))
+                .with_backend(|s| Ok(wire::stats_to_json(&s.backend.stats())))
                 .map(Reply::cont),
             "window_stats" => self
-                .with_backend(|backend, _| match backend {
+                .with_backend(|s| match &s.backend {
                     Backend::Windowed(e) => {
                         Ok(window_wire::window_stats_to_json(&e.window_stats()))
                     }
@@ -1374,11 +1376,15 @@ mod tests {
                 "op '{op}' is listed in OPS but not dispatched"
             );
         }
-        let r = d.handle_line(r#"{"op":"definitely_not_an_op"}"#);
-        assert_eq!(
-            r.json.get("op").and_then(Json::as_str),
-            Some("definitely_not_an_op")
-        );
+        // The retired `freq` / `hh` aliases are unknown like any other.
+        for op in ["definitely_not_an_op", "freq", "hh"] {
+            let r = d.handle_line(&format!(r#"{{"op":"{op}","cols":[0],"phi":0.5}}"#));
+            assert_eq!(r.json.get("op").and_then(Json::as_str), Some(op));
+            assert_eq!(
+                r.json.get("error").and_then(Json::as_str),
+                Some(format!("unknown request op '{op}'").as_str())
+            );
+        }
     }
 
     #[test]
@@ -1479,6 +1485,92 @@ mod tests {
             r.json.get("rows_ingested").and_then(Json::as_f64),
             Some(8.0)
         );
+    }
+
+    #[test]
+    fn rejected_ingest_ingests_nothing() {
+        // A bad row in the middle of a request must not land the rows
+        // before it: the whole request is checked before any is routed.
+        let good = "[0,1,0,0,1,0,1,1]";
+        for start in [
+            r#"{"op":"start","d":8,"q":2,"shards":2}"#,
+            r#"{"op":"start","d":8,"q":2,"window":{"bucket_rows":2}}"#,
+        ] {
+            let d = Dispatcher::new(None);
+            d.handle_line(start);
+            d.handle_line(&format!(r#"{{"op":"ingest","rows":[{good}]}}"#));
+            let ingested = || {
+                let stats = d.handle_line(r#"{"op":"stats"}"#).json;
+                stats.get("rows_ingested").and_then(Json::as_f64)
+            };
+            assert_eq!(ingested(), Some(1.0));
+            for (bad, names) in [
+                ("[1,1,0]", "row 1: expected an array of d = 8 symbols"),
+                ("[0,1,0,0,1,0,1,2]", "symbol 2 outside alphabet"),
+                ("[0,1,0,0,1,0,1,0.5]", "row 1: symbols must be integers"),
+            ] {
+                let r = d.handle_line(&format!(
+                    r#"{{"op":"ingest","rows":[{good},{bad},{good}]}}"#
+                ));
+                assert_eq!(r.json.get("ok"), Some(&Json::Bool(false)), "{start} {bad}");
+                assert_eq!(ingested(), Some(1.0), "{start}: a prefix of {bad} landed");
+                assert_eq!(
+                    r.json.get("rows_ingested").and_then(Json::as_f64),
+                    Some(0.0)
+                );
+                let error = r.json.get("error").and_then(Json::as_str).expect("error");
+                assert!(error.contains(names), "{error}");
+            }
+            // The session is still healthy.
+            let r = d.handle_line(&format!(r#"{{"op":"ingest","rows":[{good},{good}]}}"#));
+            assert_eq!(r.json.get("rows").and_then(Json::as_f64), Some(2.0));
+            assert_eq!(ingested(), Some(3.0));
+        }
+    }
+
+    #[test]
+    fn start_rejects_non_integer_parameters_by_name() {
+        let d = Dispatcher::new(None);
+        for (field, request) in [
+            ("d", r#"{"op":"start","d":8.7}"#),
+            ("d", r#"{"op":"start","d":-4}"#),
+            ("d", r#"{"op":"start","d":"8"}"#),
+            ("d", r#"{"op":"start","d":4294967304}"#),
+            ("q", r#"{"op":"start","d":8,"q":2.5}"#),
+            ("shards", r#"{"op":"start","d":8,"shards":1.9}"#),
+            ("sample_t", r#"{"op":"start","d":8,"sample_t":-1}"#),
+            ("kmv_k", r#"{"op":"start","d":8,"kmv_k":16.5}"#),
+            ("seed", r#"{"op":"start","d":8,"seed":"x"}"#),
+            ("slow_ms", r#"{"op":"start","d":8,"slow_ms":0.5}"#),
+            (
+                "stable_t",
+                r#"{"op":"start","d":8,"fp":{"orders":[2.0],"stable_t":4.5}}"#,
+            ),
+            (
+                "ams_groups",
+                r#"{"op":"start","d":8,"fp":{"orders":[2.0],"ams_groups":-3}}"#,
+            ),
+            (
+                "bucket_rows",
+                r#"{"op":"start","d":8,"window":{"bucket_rows":63.9}}"#,
+            ),
+            (
+                "max_tiers",
+                r#"{"op":"start","d":8,"window":{"max_tiers":"3"}}"#,
+            ),
+        ] {
+            let r = d.handle_line(request);
+            assert_eq!(r.json.get("ok"), Some(&Json::Bool(false)), "{request}");
+            let error = r.json.get("error").and_then(Json::as_str).expect("error");
+            assert!(
+                error.contains(&format!("'{field}'")),
+                "{request}: error does not name '{field}': {error}"
+            );
+            assert_eq!(d.backend_kind(), None, "{request} started a backend");
+        }
+        // Integral values written as floats are still integers.
+        let r = d.handle_line(r#"{"op":"start","d":8.0,"q":2,"shards":1}"#);
+        assert_eq!(r.json.get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

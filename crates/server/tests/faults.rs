@@ -62,7 +62,7 @@ fn requests() -> Vec<String> {
 fn direct_answers() -> Vec<Json> {
     let engine = Engine::start(D, 2, test_cfg()).expect("start");
     for row in &dense_rows() {
-        engine.push_dense(row).expect("push");
+        engine.push_dense_batch(row).expect("push");
     }
     engine.refresh().expect("refresh");
     requests()

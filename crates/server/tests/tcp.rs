@@ -172,7 +172,7 @@ fn concurrent_clients_match_direct_engine_bit_for_bit() {
     // The direct side: same config, same rows, same order.
     let direct = Engine::start(D, 2, test_cfg()).expect("start");
     for row in &rows {
-        direct.push_dense(row).expect("push");
+        direct.push_dense_batch(row).expect("push");
     }
     direct.refresh().expect("refresh");
     let expected: Vec<Json> = statistic_requests(None)
@@ -277,7 +277,7 @@ fn windowed_backend_matches_direct_windowed_engine() {
 
     let direct = WindowedEngine::start(D, 2, test_cfg(), test_wcfg()).expect("start");
     for row in &rows {
-        direct.push_dense(row).expect("push");
+        direct.push_dense_batch(row).expect("push");
     }
 
     let (handle, join) = spawn_server(quick_poll());

@@ -184,6 +184,51 @@ fn trace_op_returns_the_complete_query_span_tree() {
 }
 
 #[test]
+fn traced_ingest_records_the_route_under_the_ingest_span() {
+    let (handle, join) = spawn_server(quick_poll());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    prime(&mut client);
+
+    let id = "0000000000000000000000000000abcd";
+    let r = client
+        .request_line(&format!(
+            r#"{{"op":"ingest","trace":"{id}","rows":[[0,1,0,0,1,0,1,1],[1,1,0,0,0,0,1,1]]}}"#
+        ))
+        .expect("ingest");
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
+    let r = client
+        .request_line(&format!(r#"{{"op":"trace","id":"{id}"}}"#))
+        .expect("trace");
+    let traces = r.get("traces").and_then(Json::as_arr).expect("traces");
+    assert_well_formed(&traces[0]);
+
+    // session ─► dispatch ─► ingest ─► ingest_route: the router's sweep
+    // hangs under the handler's span, carrying the chunk's row count.
+    let child = |span: &Json, name: &str| -> Json {
+        span.get("children")
+            .and_then(Json::as_arr)
+            .and_then(|kids| {
+                kids.iter()
+                    .find(|k| k.get("name").and_then(Json::as_str) == Some(name))
+            })
+            .unwrap_or_else(|| panic!("span {name:?} missing under {span}"))
+            .clone()
+    };
+    let session = &traces[0]
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("spans")[0];
+    let ingest = child(&child(session, "dispatch"), "ingest");
+    let route = child(&ingest, "ingest_route");
+    let attrs = route.get("attrs").expect("attrs");
+    assert_eq!(attrs.get("rows").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(attrs.get("format").and_then(Json::as_str), Some("dense"));
+
+    handle.shutdown();
+    join.join().expect("join");
+}
+
+#[test]
 fn chrome_export_is_structurally_valid() {
     let (handle, join) = spawn_server(quick_poll());
     let mut client = Client::connect(handle.addr()).expect("connect");

@@ -8,7 +8,7 @@
 //!
 //! | family | sketches |
 //! |---|---|
-//! | distinct count (`F_0`) | [`Kmv`], [`HyperLogLog`], [`LinearCounting`], [`Bjkst`] |
+//! | distinct count (`F_0`) | [`Kmv`], [`LinearCounting`], [`Bjkst`] |
 //! | point frequency | [`CountMin`], [`CountSketch`] |
 //! | deterministic heavy hitters | [`MisraGries`], [`SpaceSaving`] |
 //! | frequency moments | [`AmsF2`] (`p = 2`), [`StableFp`] (`0 < p < 2`) |
@@ -21,7 +21,6 @@ pub mod ams_f2;
 pub mod bjkst;
 pub mod count_min;
 pub mod count_sketch;
-pub mod hll;
 pub mod kmv;
 pub mod l0_sampler;
 pub mod linear_counting;
@@ -37,7 +36,6 @@ pub use ams_f2::AmsF2;
 pub use bjkst::Bjkst;
 pub use count_min::CountMin;
 pub use count_sketch::CountSketch;
-pub use hll::HyperLogLog;
 pub use kmv::Kmv;
 pub use l0_sampler::L0Sampler;
 pub use linear_counting::LinearCounting;

@@ -3,9 +3,9 @@
 //! A bitmap of `m` bits; each item sets the bit at `h(item) mod m`. The
 //! distinct count estimate is `m · ln(m / z)` where `z` is the number of
 //! zero bits. Accurate while the load factor is moderate; saturates as
-//! `z → 0`. Included as the third `F_0` plug-in for the α-net ablation
+//! `z → 0`. Included as an `F_0` plug-in for the α-net ablation
 //! (cheapest per-sketch memory at low cardinalities, degrades predictably —
-//! the E-A2 experiment shows the crossover against KMV/HLL).
+//! the E-A2 experiment shows the crossover against KMV).
 
 use crate::traits::{vec_bytes, DistinctSketch, SpaceUsage};
 use pfe_hash::hash_u64;

@@ -3,7 +3,7 @@
 //! are built distributed and combined.
 
 use pfe_sketch::traits::{DistinctSketch, FrequencySketch, MomentSketch, SpaceUsage};
-use pfe_sketch::{AmsF2, Bjkst, CountMin, HyperLogLog, Kmv, LinearCounting};
+use pfe_sketch::{AmsF2, Bjkst, CountMin, Kmv, LinearCounting};
 use proptest::prelude::*;
 
 proptest! {
@@ -20,29 +20,6 @@ proptest! {
         let mut a = Kmv::new(32, 7);
         let mut b = Kmv::new(32, 7);
         let mut u = Kmv::new(32, 7);
-        for &x in left {
-            a.insert(x);
-            u.insert(x);
-        }
-        for &x in right {
-            b.insert(x);
-            u.insert(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.estimate(), u.estimate());
-    }
-
-    /// HLL merge is exactly union-equivalent.
-    #[test]
-    fn hll_merge_union(
-        items in proptest::collection::vec(any::<u64>(), 1..500),
-        split in 0usize..500,
-    ) {
-        let split = split.min(items.len());
-        let (left, right) = items.split_at(split);
-        let mut a = HyperLogLog::new(6, 3);
-        let mut b = HyperLogLog::new(6, 3);
-        let mut u = HyperLogLog::new(6, 3);
         for &x in left {
             a.insert(x);
             u.insert(x);

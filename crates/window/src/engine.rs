@@ -157,15 +157,8 @@ impl WindowedEngine {
         f(&mut self.ring.lock().expect("ring lock"))
     }
 
-    /// Route one packed binary row into the active bucket.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations.
-    pub fn push_packed(&self, row: u64) -> Result<(), EngineError> {
-        self.with_ring(|r| r.push_packed(row))
-    }
-
-    /// Route a slice of packed binary rows (validated up front).
+    /// Route a chunk of packed binary rows into the active bucket
+    /// (checked as a whole first; a single row is a one-row chunk).
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
@@ -173,16 +166,8 @@ impl WindowedEngine {
         self.with_ring(|r| r.push_packed_batch(rows))
     }
 
-    /// Route one dense row into the active bucket.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations.
-    pub fn push_dense(&self, row: &[u16]) -> Result<(), EngineError> {
-        self.with_ring(|r| r.push_dense(row))
-    }
-
-    /// Route a flattened row-major slice of dense rows (`d` symbols per
-    /// row, validated up front) under one ring lock.
+    /// Route a flat row-major chunk of dense rows (`d` symbols per row,
+    /// checked as a whole first) under one ring lock.
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
@@ -573,7 +558,7 @@ mod tests {
         assert!(stats.cache.hits >= 1);
         // New rows shift the covering: the cache must not serve stale
         // windows.
-        engine.push_packed(0b1).expect("push");
+        engine.push_packed_batch(&[0b1]).expect("push");
         let third = engine.query(&q).expect("ok");
         assert!(!third.cost.cached, "ingest must invalidate the window");
         assert_ne!(third.epoch, second.epoch);

@@ -23,8 +23,9 @@
 
 use std::collections::VecDeque;
 
-use pfe_core::QueryError;
-use pfe_engine::{EngineConfig, EngineError, FreqNetConfig, ShardSummary};
+use pfe_engine::{
+    check_dense_chunk, check_packed_chunk, EngineConfig, EngineError, FreqNetConfig, ShardSummary,
+};
 use pfe_hash::hash_u64;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_sketch::traits::SpaceUsage;
@@ -210,108 +211,44 @@ impl BucketRing {
         tiers
     }
 
-    /// Observe one packed binary row.
-    ///
-    /// The ring is a serving boundary like the ingest pipeline: malformed
-    /// rows are typed errors, never panics.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations.
-    pub fn push_packed(&mut self, row: u64) -> Result<(), EngineError> {
-        if self.q != 2 {
-            return Err(EngineError::Query(QueryError::BadParameter(
-                "push_packed requires a binary ring".into(),
-            )));
-        }
-        if row & !((1u64 << self.d) - 1) != 0 {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row has bits above d={}",
-                self.d
-            ))));
-        }
-        self.active.push_packed(row);
-        self.maybe_seal();
-        Ok(())
-    }
-
-    /// Observe a slice of packed binary rows (validated up front: a
-    /// malformed batch observes nothing).
+    /// Observe a chunk of packed binary rows (a single row is a one-row
+    /// chunk). The ring is a serving boundary like the ingest pipeline:
+    /// the chunk is checked as a whole first, so a malformed chunk is a
+    /// typed error that observes nothing.
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
     pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
-        if self.q != 2 {
-            return Err(EngineError::Query(QueryError::BadParameter(
-                "push_packed requires a binary ring".into(),
-            )));
-        }
-        let above_d = !((1u64 << self.d) - 1);
-        if let Some(&bad) = rows.iter().find(|&&row| row & above_d != 0) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row {bad:#x} has bits above d={}",
-                self.d
-            ))));
-        }
-        for &row in rows {
-            self.active.push_packed(row);
-            self.maybe_seal();
-        }
+        check_packed_chunk(self.d, self.q, rows)?;
+        self.push_split(rows, 1, ShardSummary::push_packed_chunk);
         Ok(())
     }
 
-    /// Observe one dense row (any alphabet).
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on wrong length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) -> Result<(), EngineError> {
-        if row.len() != self.d as usize {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "row length {} != d = {}",
-                row.len(),
-                self.d
-            ))));
-        }
-        if let Some(&s) = row.iter().find(|&&s| s as u32 >= self.q) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "symbol {s} outside alphabet Q={}",
-                self.q
-            ))));
-        }
-        self.active.push_dense(row);
-        self.maybe_seal();
-        Ok(())
-    }
-
-    /// Observe a flattened row-major slice of dense rows (`d` symbols per
-    /// row; validated up front, a malformed batch observes nothing).
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per row;
+    /// checked as a whole first, a malformed chunk observes nothing).
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
     pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
-        let d = self.d as usize;
-        if d == 0 || !flat.len().is_multiple_of(d) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "flat length {} is not a multiple of d = {}",
-                flat.len(),
-                self.d
-            ))));
-        }
-        if let Some(&s) = flat.iter().find(|&&s| s as u32 >= self.q) {
-            return Err(EngineError::Query(QueryError::BadParameter(format!(
-                "symbol {s} outside alphabet Q={}",
-                self.q
-            ))));
-        }
-        for row in flat.chunks_exact(d) {
-            self.active.push_dense(row);
-            self.maybe_seal();
-        }
+        check_dense_chunk(self.d, self.q, flat)?;
+        self.push_split(flat, self.d as usize, ShardSummary::push_dense_chunk);
         Ok(())
     }
 
-    fn maybe_seal(&mut self) {
-        if self.active.rows() >= self.wcfg.bucket_rows {
-            self.seal();
+    /// Feed a checked chunk (`width` symbols per row) to the active
+    /// bucket, split at every seal boundary: each piece tops the active
+    /// bucket up to at most `bucket_rows`, and a full bucket seals before
+    /// the next piece lands.
+    fn push_split<T>(&mut self, mut rest: &[T], width: usize, push: fn(&mut ShardSummary, &[T])) {
+        while !rest.is_empty() {
+            let room = self.wcfg.bucket_rows.saturating_sub(self.active.rows());
+            let take = room.min((rest.len() / width) as u64) as usize * width;
+            let (head, tail) = rest.split_at(take);
+            push(&mut self.active, head);
+            rest = tail;
+            if self.active.rows() >= self.wcfg.bucket_rows {
+                self.seal();
+            }
         }
     }
 
@@ -681,7 +618,7 @@ mod tests {
         // Same request, untouched ring: stable.
         assert_eq!(ring.covering(Some(20)).fingerprint, before);
         // One more row lands in the active bucket: fingerprint moves.
-        ring.push_packed(0b1).expect("push");
+        ring.push_packed_batch(&[0b1]).expect("push");
         let after = ring.covering(Some(20)).fingerprint;
         assert_ne!(before, after);
         // Different coverings differ.
@@ -695,23 +632,19 @@ mod tests {
     fn malformed_rows_are_typed_errors() {
         let mut ring = BucketRing::new(8, 2, &ecfg(), wcfg(10, 2, 2)).expect("new");
         assert!(matches!(
-            ring.push_packed(1 << 20),
-            Err(EngineError::Query(_))
-        ));
-        assert!(matches!(
             ring.push_packed_batch(&[0, 1 << 20]),
             Err(EngineError::Query(_))
         ));
-        assert_eq!(ring.retained_rows(), 0, "malformed batch observes nothing");
         assert!(matches!(
-            ring.push_dense(&[0, 1]),
+            ring.push_dense_batch(&[0, 1]),
             Err(EngineError::Query(_))
         ));
         assert!(matches!(
-            ring.push_dense(&[9; 8]),
+            ring.push_dense_batch(&[1, 0, 1, 0, 1, 0, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9]),
             Err(EngineError::Query(_))
         ));
-        ring.push_dense(&[1, 0, 1, 0, 1, 0, 1, 0])
+        assert_eq!(ring.retained_rows(), 0, "malformed chunk observes nothing");
+        ring.push_dense_batch(&[1, 0, 1, 0, 1, 0, 1, 0])
             .expect("good row");
         assert_eq!(ring.retained_rows(), 1);
     }

@@ -83,12 +83,8 @@ fn main() {
     let (path_a, path_b) = (dir.join("half-a.pfes"), dir.join("half-b.pfes"));
     let worker_a = Engine::start(d, 2, cfg()).expect("start");
     let worker_b = Engine::start(d, 2, cfg()).expect("start");
-    for &row in &rows[..20_000] {
-        worker_a.push_packed(row).expect("push");
-    }
-    for &row in &rows[20_000..] {
-        worker_b.push_packed(row).expect("push");
-    }
+    worker_a.push_packed_batch(&rows[..20_000]).expect("push");
+    worker_b.push_packed_batch(&rows[20_000..]).expect("push");
     worker_a.checkpoint(&path_a).expect("checkpoint a");
     worker_b.checkpoint(&path_b).expect("checkpoint b");
     let merged = merge_snapshot_files(&[&path_a, &path_b]).expect("merge");

@@ -12,7 +12,7 @@
 //!   greedy codes, the `star_Q` operator, binomials and entropy;
 //! - [`row`] — column sets, packed binary and Q-ary matrices, pattern
 //!   keys, exact frequency vectors;
-//! - [`sketch`] — KMV/HLL/LinearCounting/BJKST distinct counters,
+//! - [`sketch`] — KMV/LinearCounting/BJKST distinct counters,
 //!   CountMin/CountSketch, Misra–Gries/SpaceSaving, AMS F2, p-stable Fp,
 //!   reservoirs, ℓ₀-sampler;
 //! - [`stream`] — workload generators and the paper's adversarial
