@@ -25,10 +25,18 @@ const E2E_ROWS: usize = 8_000;
 
 fn cfg() -> EngineConfig {
     EngineConfig {
+        batch_rows: 256,
+        ..default_batch_cfg()
+    }
+}
+
+/// [`cfg`] at the engine's own `batch_rows` / `channel_capacity`: what a
+/// caller who sets no batching gets.
+fn default_batch_cfg() -> EngineConfig {
+    EngineConfig {
         shards: 4,
         kmv_k: 64,
         sample_t: 1024,
-        batch_rows: 256,
         ..Default::default()
     }
 }
@@ -105,18 +113,23 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group(format!("file_ingest_engine_d{E2E_D}_n{E2E_ROWS}"));
     g.sample_size(10);
     g.throughput(Throughput::Bytes(bytes));
-    g.bench_function(BenchmarkId::from_parameter("columnar"), |b| {
-        b.iter(|| {
-            let (engine, _) = FileIngester::new(IngestOptions::default())
-                .ingest_path_with(&path, |s| {
-                    Engine::start(s.dimension(), s.alphabet, cfg())
-                        .map_err(|e| IngestError::Sink(e.to_string()))
-                })
-                .expect("ingest");
-            let snap = engine.shutdown().expect("shutdown");
-            black_box(snap.n())
-        })
-    });
+    for (id, cfg) in [
+        ("columnar", cfg()),
+        ("columnar_default_batch", default_batch_cfg()),
+    ] {
+        g.bench_function(BenchmarkId::from_parameter(id), |b| {
+            b.iter(|| {
+                let (engine, _) = FileIngester::new(IngestOptions::default())
+                    .ingest_path_with(&path, |s| {
+                        Engine::start(s.dimension(), s.alphabet, cfg.clone())
+                            .map_err(|e| IngestError::Sink(e.to_string()))
+                    })
+                    .expect("ingest");
+                let snap = engine.shutdown().expect("shutdown");
+                black_box(snap.n())
+            })
+        });
+    }
     g.bench_function(BenchmarkId::from_parameter("row_at_a_time"), |b| {
         b.iter(|| {
             let engine = Engine::start(E2E_D, 2, cfg()).expect("start");

@@ -5,8 +5,7 @@ use pfe_engine::{EngineConfig, FpConfig};
 use pfe_ingest::IngestOptions;
 use pfe_window::WindowConfig;
 
-/// Flags that take no value. Every other `--flag` consumes the next
-/// argument as its value.
+/// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &[
     "--no-header",
     "--quiet",
@@ -18,6 +17,78 @@ const BOOL_FLAGS: &[&str] = &[
     "-h",
 ];
 
+/// Flags that consume the next argument as their value. With
+/// [`BOOL_FLAGS`] this is every flag any subcommand reads; a flag valid
+/// for one subcommand is accepted (and ignored) by the others, so one
+/// fixed engine-flag list can be handed to `ingest`, `query` and `serve`
+/// alike.
+const VALUE_FLAGS: &[&str] = &[
+    // file shape
+    "--q",
+    "--columns",
+    "--delim",
+    "--chunk-rows",
+    "--chunk-bytes",
+    "--max-rejects",
+    // engine
+    "--shards",
+    "--alpha",
+    "--kmv-k",
+    "--sample-t",
+    "--seed",
+    "--max-subsets",
+    "--batch-rows",
+    "--cache",
+    "--fp",
+    "--window",
+    // checkpoints
+    "--out",
+    "--ingest",
+    "--resume",
+    "--checkpoint",
+    // query
+    "--op",
+    "--cols",
+    "--pattern",
+    "--phi",
+    "--k",
+    "--p",
+    "--sample-seed",
+    "--json",
+    "--batch",
+    // serve
+    "--listen",
+    "--workers",
+    "--queue",
+    "--metrics",
+    "--max-line",
+    "--slow-ms",
+    "--trace-sample",
+    "--ship",
+    "--ship-ms",
+    "--replica-of",
+    "--replica-poll-ms",
+    // replica / trace / bench-ingest
+    "--interval-ms",
+    "--id",
+    "--last",
+    "--chrome",
+    "--iters",
+];
+
+/// A `--flag` that no subcommand reads: most likely a typo, and silently
+/// ignoring it would run with a default where the user asked for a value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownFlag(pub String);
+
+impl std::fmt::Display for UnknownFlag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown flag {}", self.0)
+    }
+}
+
+impl std::error::Error for UnknownFlag {}
+
 /// One subcommand's argument list: `--flag value` pairs, boolean flags,
 /// and positional operands, in any order.
 pub struct Args {
@@ -26,12 +97,26 @@ pub struct Args {
 
 impl Args {
     /// Wrap a raw argument vector (everything after the subcommand).
-    pub fn new(items: Vec<String>) -> Self {
-        Self { items }
+    ///
+    /// # Errors
+    /// The first `-flag` that is on neither flag list.
+    pub fn new(items: Vec<String>) -> Result<Self, UnknownFlag> {
+        let mut i = 0;
+        while i < items.len() {
+            let a = items[i].as_str();
+            if VALUE_FLAGS.contains(&a) {
+                i += 1; // its value, whatever that looks like
+            } else if a.starts_with('-') && a.len() > 1 && !BOOL_FLAGS.contains(&a) {
+                return Err(UnknownFlag(a.to_string()));
+            }
+            i += 1;
+        }
+        Ok(Self { items })
     }
 
     /// The value following `flag`, if present.
     pub fn value(&self, flag: &str) -> Option<&str> {
+        debug_assert!(VALUE_FLAGS.contains(&flag), "{flag} not in VALUE_FLAGS");
         self.items
             .iter()
             .position(|a| a == flag)
@@ -42,6 +127,7 @@ impl Args {
     /// Every value of a repeatable `flag`, in order (`--replica-of A
     /// --replica-of B` → `["A", "B"]`).
     pub fn values(&self, flag: &str) -> Vec<&str> {
+        debug_assert!(VALUE_FLAGS.contains(&flag), "{flag} not in VALUE_FLAGS");
         self.items
             .iter()
             .enumerate()
@@ -53,6 +139,7 @@ impl Args {
 
     /// Whether `flag` appears at all.
     pub fn present(&self, flag: &str) -> bool {
+        debug_assert!(BOOL_FLAGS.contains(&flag), "{flag} not in BOOL_FLAGS");
         self.items.iter().any(|a| a == flag)
     }
 
@@ -190,8 +277,23 @@ pub fn window_config(args: &Args) -> Result<Option<WindowConfig>, String> {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
+    fn parse(list: &[&str]) -> Result<Args, UnknownFlag> {
         Args::new(list.iter().map(|s| s.to_string()).collect())
+    }
+
+    fn args(list: &[&str]) -> Args {
+        parse(list).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    #[test]
+    fn a_flag_on_no_list_is_an_error_not_a_default() {
+        let typo = parse(&["q4.csv", "--out", "x.pfes", "--kmvk", "7"]);
+        assert_eq!(typo.err(), Some(UnknownFlag("--kmvk".into())));
+        assert_eq!(parse(&["-x"]).err(), Some(UnknownFlag("-x".into())));
+        // A value may look like a flag; a lone dash is an operand.
+        let a = args(&["--pattern", "-1", "-", "--quiet"]);
+        assert_eq!(a.value("--pattern"), Some("-1"));
+        assert_eq!(a.positionals(), vec!["-"]);
     }
 
     #[test]
@@ -205,9 +307,9 @@ mod tests {
 
     #[test]
     fn repeatable_flags_collect_in_order() {
-        let a = args(&["--replica-of", "a", "--poll", "9", "--replica-of", "b"]);
+        let a = args(&["--replica-of", "a", "--queue", "9", "--replica-of", "b"]);
         assert_eq!(a.values("--replica-of"), vec!["a", "b"]);
-        assert!(a.values("--missing").is_empty());
+        assert!(a.values("--ship").is_empty());
     }
 
     #[test]

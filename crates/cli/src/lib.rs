@@ -31,7 +31,7 @@ mod cmd_serve;
 mod cmd_trace;
 mod cmd_verify;
 
-pub use args::Args;
+pub use args::{Args, UnknownFlag};
 
 const USAGE: &str = "\
 pfe — projected frequency estimation over file data
@@ -62,6 +62,8 @@ FILE SHAPE (ingest / resume / bench-ingest / verify)
 ENGINE (must repeat the ingest-time values when querying/resuming)
   --shards N --alpha A --kmv-k K --sample-t T --seed S
   --max-subsets M --cache C --fp 2.0,1.5
+  --batch-rows N      rows per shard batch (default 4096); tunes ingest
+                      speed only, answers and checkpoint bytes do not change
   --window ROWS[,TIER_CAP[,MAX_TIERS]]   sliding-window engine (ingest/serve)
 
 QUERY
@@ -91,7 +93,13 @@ pub fn run(argv: Vec<String>) -> i32 {
         eprint!("{USAGE}");
         return 2;
     };
-    let args = Args::new(rest.to_vec());
+    let args = match Args::new(rest.to_vec()) {
+        Ok(args) => args,
+        Err(unknown) => {
+            eprintln!("pfe {cmd}: {unknown} (see 'pfe help')");
+            return 2;
+        }
+    };
     let result = match cmd.as_str() {
         "ingest" => cmd_ingest::ingest(&args),
         "query" => cmd_query::query(&args),

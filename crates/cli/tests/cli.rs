@@ -293,3 +293,44 @@ fn usage_errors_exit_2() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("bench-ingest"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_flags_are_refused_before_anything_is_written() {
+    let dir = temp_dir("unknown-flag");
+    write_csv(&dir.join("rows.csv"), 8, 200, 0x5eed);
+    // A typo of --kmv-k used to ingest with the default k and exit 0.
+    let out = pfe(
+        &dir,
+        &[
+            "ingest", "rows.csv", "--out", "x.pfes", "--kmvk", "7", "--bogus", "1",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --kmvk"));
+    assert!(!dir.join("x.pfes").exists(), "nothing may be written");
+
+    // Flags valid for *some* subcommand pass on all of them: one fixed
+    // engine-flag list (the benchmark's, `--cache` included) is handed to
+    // ingest, query and stats alike.
+    let engine = ["--shards", "2", "--kmv-k", "64", "--cache", "16"];
+    let with_engine = |head: &[&'static str]| [head, &engine[..]].concat();
+    assert_ok(
+        &pfe(
+            &dir,
+            &with_engine(&["ingest", "rows.csv", "--out", "x.pfes", "--quiet"]),
+        ),
+        "ingest with engine flags",
+    );
+    assert_ok(
+        &pfe(
+            &dir,
+            &with_engine(&["query", "x.pfes", "--op", "f0", "--cols", "0,1"]),
+        ),
+        "query with engine flags",
+    );
+    assert_ok(
+        &pfe(&dir, &with_engine(&["stats", "x.pfes"])),
+        "stats with engine flags",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

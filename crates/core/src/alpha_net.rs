@@ -21,10 +21,10 @@ use pfe_codes::binomial::binomial_sum;
 use pfe_codes::entropy::{binary_entropy, net_size_bound_log2};
 use pfe_codes::subsets::FixedWeightIter;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternKey};
+use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternCodecError, PatternKey};
 use pfe_sketch::traits::{DistinctSketch, MomentSketch, SpaceUsage};
 
-use crate::net_sketches::NetSketches;
+use crate::net_sketches::{Feed, NetSketches};
 use crate::problem::{check_dims, QueryError};
 
 /// Seed for pattern-key fingerprinting; fixed so that the same pattern maps
@@ -203,6 +203,43 @@ impl AlphaNet {
         }
     }
 
+    /// Every projection width materialized under `mode` must have a
+    /// pattern codec over alphabet `q`, so projecting a row can never fail.
+    pub(crate) fn check_codecs(&self, mode: NetMode, q: u32) -> Result<(), PatternCodecError> {
+        for w in self.member_widths(mode) {
+            PatternCodec::new(q, w)?;
+        }
+        Ok(())
+    }
+
+    /// Everything that can stop a summary from keeping one sketch per
+    /// member under `mode` over alphabet `q`, checked without
+    /// materializing any sketch — so a caller can validate on one thread
+    /// and construct on another.
+    ///
+    /// # Errors
+    /// `q < 2`, more than `max_subsets` members, or a member width whose
+    /// pattern domain `q^w` has no codec.
+    pub fn check_materializable(
+        &self,
+        mode: NetMode,
+        max_subsets: u128,
+        q: u32,
+    ) -> Result<(), QueryError> {
+        if q < 2 {
+            return Err(QueryError::BadParameter(format!(
+                "alphabet q={q} must be >= 2"
+            )));
+        }
+        let count = self.member_count(mode);
+        if count > max_subsets {
+            return Err(QueryError::BadParameter(format!(
+                "net would materialize {count} subsets, above the safety cap {max_subsets}"
+            )));
+        }
+        Ok(self.check_codecs(mode, q)?)
+    }
+
     /// Iterate the masks of the materialized subsets under `mode`.
     pub fn members(&self, mode: NetMode) -> impl Iterator<Item = u64> + '_ {
         self.member_widths(mode)
@@ -336,7 +373,8 @@ pub struct AlphaNetF0<S: DistinctSketch> {
 }
 
 impl<S: DistinctSketch> AlphaNetF0<S> {
-    fn feed(sketch: &mut S, key: PatternKey) {
+    /// A distinct sketch is a set: a key's multiplicity is irrelevant.
+    fn feed(sketch: &mut S, key: PatternKey, _multiplicity: u32) {
         sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
     }
 
@@ -353,7 +391,15 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         max_subsets: u128,
         factory: impl FnMut(u64) -> S,
     ) -> Result<Self, QueryError> {
-        let members = NetSketches::build(data, net, mode, max_subsets, factory, Self::feed)?;
+        let members = NetSketches::build(
+            data,
+            net,
+            mode,
+            max_subsets,
+            factory,
+            Feed::Counted,
+            Self::feed,
+        )?;
         Ok(Self { members })
     }
 
@@ -391,24 +437,52 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         Ok(Self { members })
     }
 
-    /// Observe one dense row over alphabet `q` (streaming ingestion;
-    /// row-major update of every net sketch). Produces the same sketch
-    /// contents as [`build`](Self::build) over the same rows.
+    /// Observe one dense row over alphabet `q` — a one-row
+    /// [`push_dense_chunk`](Self::push_dense_chunk).
     ///
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        self.members.push_dense(row, Self::feed);
+        assert_eq!(
+            row.len(),
+            self.net().dimension() as usize,
+            "row length != d"
+        );
+        self.push_dense_chunk(row);
     }
 
-    /// Observe one packed binary row (streaming ingestion; row-major
-    /// update of every net sketch).
+    /// Observe one packed binary row — a one-row
+    /// [`push_packed_chunk`](Self::push_packed_chunk).
     ///
     /// # Panics
     /// Panics if the summary is not binary or the row has bits at or
     /// above `d`.
     pub fn push_packed(&mut self, row: u64) {
-        self.members.push_packed(row, Self::feed);
+        self.push_packed_chunk(&[row]);
+    }
+
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per
+    /// row): one mask-major sweep, every net sketch fed each distinct
+    /// projected key of the chunk. Produces the same sketch contents as
+    /// [`build`](Self::build) over the same rows, however they are cut
+    /// into chunks.
+    ///
+    /// # Panics
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols.
+    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        self.members
+            .push_dense_chunk(flat, Feed::Counted, Self::feed);
+    }
+
+    /// Observe a chunk of packed binary rows (one mask-major sweep).
+    ///
+    /// # Panics
+    /// Panics if the summary is not binary or a row has bits at or above
+    /// `d`.
+    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        self.members
+            .push_packed_chunk(rows, Feed::Counted, Self::feed);
     }
 
     /// Merge a summary built over a disjoint segment of the same stream:
@@ -505,8 +579,16 @@ pub struct AlphaNetFp<M: MomentSketch> {
 }
 
 impl<M: MomentSketch> AlphaNetFp<M> {
-    fn feed(sketch: &mut M, key: PatternKey) {
-        sketch.update(key.fingerprint64(FINGERPRINT_SEED), 1);
+    /// Only a sketch whose sums are exact in the update weight may be
+    /// handed a chunk's repeated keys once, with their multiplicity.
+    const ORDER: Feed = if M::EXACT_IN_DELTA {
+        Feed::Counted
+    } else {
+        Feed::RowOrder
+    };
+
+    fn feed(sketch: &mut M, key: PatternKey, multiplicity: u32) {
+        sketch.update(key.fingerprint64(FINGERPRINT_SEED), multiplicity.into());
     }
 
     /// The order is read off the sketches themselves: the factory, not a
@@ -533,7 +615,16 @@ impl<M: MomentSketch> AlphaNetFp<M> {
         max_subsets: u128,
         factory: impl FnMut(u64) -> M,
     ) -> Result<Self, QueryError> {
-        NetSketches::build(data, net, mode, max_subsets, factory, Self::feed).map(Self::over)
+        NetSketches::build(
+            data,
+            net,
+            mode,
+            max_subsets,
+            factory,
+            Self::ORDER,
+            Self::feed,
+        )
+        .map(Self::over)
     }
 
     /// Create an empty streaming summary for binary rows (`Q = 2`); feed
@@ -570,24 +661,53 @@ impl<M: MomentSketch> AlphaNetFp<M> {
         NetSketches::new(net, mode, max_subsets, q, factory).map(Self::over)
     }
 
-    /// Observe one dense row over alphabet `q` (streaming ingestion;
-    /// row-major `+1` update of every net sketch). Produces the same
-    /// sketch contents as [`build`](Self::build) over the same rows.
+    /// Observe one dense row over alphabet `q` — a one-row
+    /// [`push_dense_chunk`](Self::push_dense_chunk).
     ///
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        self.members.push_dense(row, Self::feed);
+        assert_eq!(
+            row.len(),
+            self.net().dimension() as usize,
+            "row length != d"
+        );
+        self.push_dense_chunk(row);
     }
 
-    /// Observe one packed binary row (streaming ingestion; row-major
-    /// update of every net sketch).
+    /// Observe one packed binary row — a one-row
+    /// [`push_packed_chunk`](Self::push_packed_chunk).
     ///
     /// # Panics
     /// Panics if the summary is not binary or the row has bits at or
     /// above `d`.
     pub fn push_packed(&mut self, row: u64) {
-        self.members.push_packed(row, Self::feed);
+        self.push_packed_chunk(&[row]);
+    }
+
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per
+    /// row): one mask-major sweep. An integer-sum sketch
+    /// ([`MomentSketch::EXACT_IN_DELTA`]) takes each distinct projected
+    /// key once, weighted by its multiplicity in the chunk; a float-sum
+    /// sketch takes `+1` per row in row order. Either way the sketch
+    /// contents equal [`build`](Self::build) over the same rows, however
+    /// they are cut into chunks.
+    ///
+    /// # Panics
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols.
+    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        self.members.push_dense_chunk(flat, Self::ORDER, Self::feed);
+    }
+
+    /// Observe a chunk of packed binary rows (one mask-major sweep).
+    ///
+    /// # Panics
+    /// Panics if the summary is not binary or a row has bits at or above
+    /// `d`.
+    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        self.members
+            .push_packed_chunk(rows, Self::ORDER, Self::feed);
     }
 
     /// Merge a summary built over a disjoint segment of the same stream:

@@ -30,7 +30,7 @@ use pfe_sketch::space_saving::SpaceSaving;
 use pfe_sketch::traits::{FrequencySketch, SpaceUsage};
 
 use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
-use crate::net_sketches::NetSketches;
+use crate::net_sketches::{Feed, NetSketches};
 use crate::problem::{check_dims, HeavyHitter, QueryError};
 
 /// Upper bound on extension enumeration per query (`Q^{|C′\C|}` terms).
@@ -72,9 +72,13 @@ pub struct AlphaNetFrequency {
 }
 
 impl AlphaNetFrequency {
-    /// What a member does with a projected key: count its fingerprint.
-    fn feed(fingerprint_seed: u64) -> impl Fn(&mut CountMin, PatternKey) {
-        move |cm, key| cm.update(key.fingerprint64(fingerprint_seed), 1)
+    /// What a member does with a projected key: count its fingerprint,
+    /// as many times as the chunk held it (CountMin counters are exact
+    /// integer sums).
+    fn feed(fingerprint_seed: u64) -> impl Fn(&mut CountMin, PatternKey, u32) {
+        move |cm, key, multiplicity| {
+            cm.update(key.fingerprint64(fingerprint_seed), multiplicity.into())
+        }
     }
 
     /// Build over a dataset with `depth × width` CountMin sketches.
@@ -96,6 +100,7 @@ impl AlphaNetFrequency {
             NetMode::Full,
             max_subsets,
             |mask| CountMin::new(depth, width, seed ^ mask),
+            Feed::Counted,
             Self::feed(fingerprint_seed),
         )?;
         Ok(Self {
@@ -130,25 +135,53 @@ impl AlphaNetFrequency {
         })
     }
 
-    /// Observe one packed binary row (`q = 2` fast path).
+    /// Observe one packed binary row — a one-row
+    /// [`push_packed_chunk`](Self::push_packed_chunk).
     ///
     /// # Panics
     /// Panics if the summary is not binary or the row has bits at or above
     /// `d`.
     pub fn push_packed(&mut self, row: u64) {
-        self.members
-            .push_packed(row, Self::feed(self.fingerprint_seed));
-        self.n_rows += 1;
+        self.push_packed_chunk(&[row]);
     }
 
-    /// Observe one dense row (streaming ingestion; any alphabet).
+    /// Observe one dense row — a one-row
+    /// [`push_dense_chunk`](Self::push_dense_chunk).
     ///
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
+        assert_eq!(
+            row.len(),
+            self.net().dimension() as usize,
+            "row length != d"
+        );
+        self.push_dense_chunk(row);
+    }
+
+    /// Observe a chunk of packed binary rows: one mask-major sweep, every
+    /// CountMin updated once per distinct projected key of the chunk,
+    /// weighted by its multiplicity.
+    ///
+    /// # Panics
+    /// Panics if the summary is not binary or a row has bits at or above
+    /// `d`.
+    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
         self.members
-            .push_dense(row, Self::feed(self.fingerprint_seed));
-        self.n_rows += 1;
+            .push_packed_chunk(rows, Feed::Counted, Self::feed(self.fingerprint_seed));
+        self.n_rows += rows.len() as u64;
+    }
+
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per
+    /// row; any alphabet).
+    ///
+    /// # Panics
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols.
+    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        self.members
+            .push_dense_chunk(flat, Feed::Counted, Self::feed(self.fingerprint_seed));
+        self.n_rows += (flat.len() / self.net().dimension() as usize) as u64;
     }
 
     /// Merge a summary built over a disjoint segment of the same stream:
@@ -352,7 +385,9 @@ impl AlphaNetHeavyHitters {
             NetMode::Full,
             max_subsets,
             |_| SpaceSaving::new(slots),
-            |ss, key| ss.insert(key.raw() as u64),
+            // SpaceSaving's evictions depend on arrival order.
+            Feed::RowOrder,
+            |ss, key, _| ss.insert(key.raw() as u64),
         )?;
         Ok(Self {
             members,

@@ -52,8 +52,7 @@ impl<S: DistinctSketch> SubsetEnumerationF0<S> {
             let mut sketch = factory(mask);
             match data {
                 Dataset::Binary(m) => {
-                    for &row in m.rows() {
-                        let key = pfe_row::pext_u64(row, mask);
+                    for key in m.projected_keys(&cols) {
                         sketch.insert(PatternKey::from(key).fingerprint64(FINGERPRINT_SEED));
                     }
                 }
@@ -152,8 +151,7 @@ impl<M: pfe_sketch::traits::MomentSketch> SubsetEnumerationFp<M> {
             p.get_or_insert(sketch.p());
             match data {
                 Dataset::Binary(m) => {
-                    for &row in m.rows() {
-                        let key = pfe_row::pext_u64(row, mask);
+                    for key in m.projected_keys(&cols) {
                         sketch.update(PatternKey::from(key).fingerprint64(FINGERPRINT_SEED), 1);
                     }
                 }

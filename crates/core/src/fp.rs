@@ -254,6 +254,29 @@ impl FpNet {
         }
     }
 
+    /// Observe a chunk of packed binary rows (one mask-major sweep).
+    ///
+    /// # Panics
+    /// Panics if a row has bits at or above `d` or the net is not binary.
+    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        match self {
+            Self::Ams(n) => n.push_packed_chunk(rows),
+            Self::Stable(n) => n.push_packed_chunk(rows),
+        }
+    }
+
+    /// Observe a flat row-major chunk of dense rows (`d` symbols per row).
+    ///
+    /// # Panics
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols.
+    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        match self {
+            Self::Ams(n) => n.push_dense_chunk(flat),
+            Self::Stable(n) => n.push_dense_chunk(flat),
+        }
+    }
+
     /// Merge a net built over a disjoint segment of the same stream.
     ///
     /// # Panics

@@ -10,13 +10,50 @@
 //! the persisted sketch map. The summaries in [`crate::alpha_net`] and
 //! [`crate::alpha_net_freq`] add only what to do with a projected key and
 //! how to read an answer off a member's sketch.
+//!
+//! # The update loop: a mask-major chunk sweep
+//!
+//! Rows arrive as chunks ([`push_packed_chunk`](NetSketches::push_packed_chunk),
+//! [`push_dense_chunk`](NetSketches::push_dense_chunk); a single row is a
+//! one-row chunk, a whole dataset is one chunk) and the sweep makes one
+//! pass over the whole chunk *per member*, so one sketch is hot at a time:
+//!
+//! 1. **project** — packed rows through the member's mask compiled to its
+//!    runs of adjacent columns ([`pfe_row::bit_runs`], one shift-and-mask
+//!    per run), dense rows through its [`PatternCodec`];
+//! 2. **histogram or not** — the net is made of subsets of size `≤ αd` or
+//!    `≥ (1−α)d`, so half of the members project onto only `Q^{≤αd}`
+//!    patterns and see the same few keys over and over. When a member's
+//!    domain `Q^w` is no larger than the chunk, its keys are counted into
+//!    a `Q^w`-slot histogram and each *present* key is fed once with its
+//!    multiplicity; a wider member is fed row by row;
+//! 3. **feed** — the statistic's closure gets `(sketch, key, multiplicity)`.
+//!
+//! Which sketches may take a multiplicity is the statistic's call
+//! ([`Feed`]): set sketches (KMV) ignore it, exact integer sums (CountMin,
+//! AMS) take it as the update weight and end in the same bits as `n` unit
+//! updates in any order. Float sums (`StableFp`) round differently under
+//! `n·x` than under `n` additions of `x`, and SpaceSaving depends on
+//! arrival order, so both are always fed [`Feed::RowOrder`]. Either way a
+//! summary's bytes do not depend on how its rows were cut into chunks.
 
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternCodecError, PatternKey};
+use pfe_row::{BitRun, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
 use crate::problem::QueryError;
+
+/// How a statistic's sketches consume the keys a chunk projects to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Feed {
+    /// Sets and exact integer sums: a key the chunk holds `n` times may
+    /// arrive once, with multiplicity `n`, in any order.
+    Counted,
+    /// Order- or rounding-sensitive sketches: every row's key, in row
+    /// order, with multiplicity 1.
+    RowOrder,
+}
 
 /// One materialized net subset: its columns, the codec of its projection
 /// width, and the statistic's sketch over the projected stream.
@@ -24,41 +61,77 @@ use crate::problem::QueryError;
 struct Member<T> {
     cols: ColumnSet,
     codec: PatternCodec,
+    /// Where `cols`, compiled for packed rows, sits in the net's run table.
+    runs: std::ops::Range<u32>,
+    /// The projected domain `Q^w`, when it fits a `usize`.
+    domain: Option<usize>,
     sketch: T,
 }
 
 impl<T> Member<T> {
+    /// Appends the member's compiled mask to `run_table`.
+    ///
     /// # Panics
-    /// Panics unless [`check_codecs`] passed for `(net, mode, q)` and
+    /// Panics unless [`AlphaNet::check_codecs`] passed for `(mode, q)` and
     /// `mask` is a member of that net.
-    fn new(net: &AlphaNet, q: u32, mask: u64, sketch: T) -> Self {
+    fn new(net: &AlphaNet, q: u32, mask: u64, sketch: T, run_table: &mut Vec<BitRun>) -> Self {
         let cols = ColumnSet::from_mask(net.dimension(), mask).expect("net member is a valid mask");
         let codec = PatternCodec::new(q, cols.len()).expect("member widths validated");
+        let start = run_table.len() as u32;
+        run_table.extend(pfe_row::bit_runs(mask));
         Self {
             cols,
             codec,
+            runs: start..run_table.len() as u32,
+            domain: usize::try_from(codec.domain_size()).ok(),
             sketch,
         }
     }
-
-    fn feed_packed(&mut self, row: u64, feed: &mut impl FnMut(&mut T, PatternKey)) {
-        let key = PatternKey::from(pfe_row::pext_u64(row, self.cols.mask()));
-        feed(&mut self.sketch, key);
-    }
-
-    fn feed_dense(&mut self, row: &[u16], feed: &mut impl FnMut(&mut T, PatternKey)) {
-        let key = self.codec.encode_row(row, &self.cols);
-        feed(&mut self.sketch, key);
-    }
 }
 
-/// Every projection width the net materializes under `mode` must have a
-/// pattern codec over alphabet `q`, so projecting a row can never fail.
-fn check_codecs(net: &AlphaNet, mode: NetMode, q: u32) -> Result<(), PatternCodecError> {
-    for w in net.member_widths(mode) {
-        PatternCodec::new(q, w)?;
+/// An empty run table with room for every member's compiled mask. Sized
+/// once, up front: a table regrown while the sketches are being allocated
+/// leaves a freed block between their buffers at every doubling (0.5 MB
+/// more resident after resuming a 598-member snapshot, measured).
+fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
+    let runs = net
+        .members(mode)
+        .map(|mask| pfe_row::bit_runs(mask).count())
+        .sum();
+    Vec::with_capacity(runs)
+}
+
+/// One member's pass over a chunk whose projections onto it are `keys`,
+/// in row order. When the sketch takes multiplicities and the member's
+/// `domain = Some(Q^w)` is no larger than the chunk, the keys are counted
+/// into `hist` and each present key is fed once, in ascending key order;
+/// otherwise every key is fed as it comes.
+fn absorb<T>(
+    sketch: &mut T,
+    keys: impl ExactSizeIterator<Item = PatternKey>,
+    domain: Option<usize>,
+    order: Feed,
+    hist: &mut Vec<u32>,
+    feed: &mut impl FnMut(&mut T, PatternKey, u32),
+) {
+    let rows = keys.len();
+    // A count is at most `rows`, so it fits the `u32` slots.
+    let counted = order == Feed::Counted && u32::try_from(rows).is_ok();
+    match domain.filter(|&n| counted && n <= rows) {
+        Some(n) => {
+            hist.clear();
+            hist.resize(n, 0);
+            for key in keys {
+                hist[key.raw() as usize] += 1;
+            }
+            for (key, &count) in hist.iter().enumerate() {
+                if count != 0 {
+                    feed(sketch, PatternKey::from(key as u64), count);
+                }
+            }
+        }
+        None => keys.for_each(|key| feed(sketch, key, 1)),
     }
-    Ok(())
 }
 
 /// The sketches of one α-net summary, one per materialized member.
@@ -69,14 +142,19 @@ pub(crate) struct NetSketches<T> {
     q: u32,
     /// Ascending by mask.
     members: Vec<Member<T>>,
+    /// Every member's mask compiled for packed rows ([`Member::runs`]
+    /// indexes it). One table, not an allocation per member: a small
+    /// block of each member's own, sitting between two sketch buffers,
+    /// keeps the holes those buffers leave when they grow from coalescing
+    /// (+0.6 MB resident per 598-member KMV net, measured).
+    run_table: Vec<BitRun>,
 }
 
 impl<T> NetSketches<T> {
     /// Materialize `factory(mask)` for every member of `net` under `mode`.
     ///
     /// # Errors
-    /// `q < 2`, more than `max_subsets` members, or a member width whose
-    /// pattern domain `q^w` has no codec.
+    /// As [`AlphaNet::check_materializable`].
     pub(crate) fn new(
         net: AlphaNet,
         mode: NetMode,
@@ -84,23 +162,13 @@ impl<T> NetSketches<T> {
         q: u32,
         mut factory: impl FnMut(u64) -> T,
     ) -> Result<Self, QueryError> {
-        if q < 2 {
-            return Err(QueryError::BadParameter(format!(
-                "alphabet q={q} must be >= 2"
-            )));
-        }
-        let count = net.member_count(mode);
-        if count > max_subsets {
-            return Err(QueryError::BadParameter(format!(
-                "net would materialize {count} subsets, above the safety cap {max_subsets}"
-            )));
-        }
-        check_codecs(&net, mode, q)?;
+        net.check_materializable(mode, max_subsets, q)?;
         // The factory sees masks in the net's own (weight-major) order.
-        let mut members = Vec::with_capacity(count as usize);
+        let mut run_table = run_table_for(&net, mode);
+        let mut members = Vec::with_capacity(net.member_count(mode) as usize);
         members.extend(
             net.members(mode)
-                .map(|mask| Member::new(&net, q, mask, factory(mask))),
+                .map(|mask| Member::new(&net, q, mask, factory(mask), &mut run_table)),
         );
         members.sort_unstable_by_key(|m: &Member<T>| m.cols.mask());
         Ok(Self {
@@ -108,12 +176,11 @@ impl<T> NetSketches<T> {
             mode,
             q,
             members,
+            run_table,
         })
     }
 
-    /// [`new`](Self::new), then feed every projected row of `data` to
-    /// every member. Subset-major (all rows per member, then the next
-    /// member) keeps each sketch hot in cache.
+    /// [`new`](Self::new), then `data` as one chunk.
     ///
     /// # Errors
     /// As [`new`](Self::new), plus a dimension mismatch between `data`
@@ -124,7 +191,8 @@ impl<T> NetSketches<T> {
         mode: NetMode,
         max_subsets: u128,
         factory: impl FnMut(u64) -> T,
-        mut feed: impl FnMut(&mut T, PatternKey),
+        order: Feed,
+        feed: impl FnMut(&mut T, PatternKey, u32),
     ) -> Result<Self, QueryError> {
         if data.dimension() != net.dimension() {
             return Err(QueryError::DimensionMismatch {
@@ -133,60 +201,70 @@ impl<T> NetSketches<T> {
             });
         }
         let mut this = Self::new(net, mode, max_subsets, data.alphabet(), factory)?;
-        for m in &mut this.members {
-            match data {
-                Dataset::Binary(rows) => {
-                    for &row in rows.rows() {
-                        m.feed_packed(row, &mut feed);
-                    }
-                }
-                Dataset::Qary(rows) => {
-                    for i in 0..rows.num_rows() {
-                        m.feed_dense(rows.row(i), &mut feed);
-                    }
-                }
-            }
+        match data {
+            Dataset::Binary(rows) => this.push_packed_chunk(rows.rows(), order, feed),
+            Dataset::Qary(rows) => this.push_dense_chunk(rows.flat(), order, feed),
         }
         Ok(this)
     }
 
-    /// Project one packed binary row onto every member (row-major).
+    /// Sweep a chunk of packed binary rows over every member (see the
+    /// [module docs](self)): `feed` gets each member's sketch with the
+    /// projected keys and their multiplicities.
     ///
     /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or
-    /// above `d`.
-    pub(crate) fn push_packed(&mut self, row: u64, mut feed: impl FnMut(&mut T, PatternKey)) {
+    /// Panics if the summary is not binary or a row has bits at or above
+    /// `d`.
+    pub(crate) fn push_packed_chunk(
+        &mut self,
+        rows: &[u64],
+        order: Feed,
+        mut feed: impl FnMut(&mut T, PatternKey, u32),
+    ) {
         assert_eq!(self.q, 2, "push_packed requires a binary summary");
+        let d = self.net.dimension();
         assert!(
-            row >> self.net.dimension() == 0,
-            "row has bits above d={}",
-            self.net.dimension()
+            rows.iter().all(|&row| row >> d == 0),
+            "row has bits above d={d}"
         );
+        let mut hist = Vec::new();
         for m in &mut self.members {
-            m.feed_packed(row, &mut feed);
+            let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
+            let keys = rows
+                .iter()
+                .map(|&row| PatternKey::from(pfe_row::extract_runs(runs, row)));
+            absorb(&mut m.sketch, keys, m.domain, order, &mut hist, &mut feed);
         }
     }
 
-    /// Project one dense row onto every member (row-major). A binary
-    /// summary packs the row and takes the [`push_packed`](Self::push_packed)
-    /// path, so both surfaces feed identical keys.
+    /// Sweep a flat row-major chunk of dense rows (`d` symbols per row)
+    /// over every member. A binary summary packs the chunk once and takes
+    /// the [`push_packed_chunk`](Self::push_packed_chunk) sweep, so both
+    /// surfaces feed identical keys.
     ///
     /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
-    pub(crate) fn push_dense(&mut self, row: &[u16], mut feed: impl FnMut(&mut T, PatternKey)) {
-        assert_eq!(row.len(), self.net.dimension() as usize, "row length != d");
-        for &s in row {
-            assert!((s as u32) < self.q, "symbol {s} outside alphabet");
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols.
+    pub(crate) fn push_dense_chunk(
+        &mut self,
+        flat: &[u16],
+        order: Feed,
+        mut feed: impl FnMut(&mut T, PatternKey, u32),
+    ) {
+        let d = self.net.dimension();
+        assert!(flat.len().is_multiple_of(d as usize), "row length != d");
+        if let Some(s) = flat.iter().find(|&&s| s as u32 >= self.q) {
+            panic!("symbol {s} outside alphabet");
         }
         if self.q == 2 {
-            let packed = row
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &s)| acc | (s as u64) << i);
-            return self.push_packed(packed, feed);
+            return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d), order, feed);
         }
+        let mut hist = Vec::new();
         for m in &mut self.members {
-            m.feed_dense(row, &mut feed);
+            let keys = flat
+                .chunks_exact(d as usize)
+                .map(|row| m.codec.encode_row(row, &m.cols));
+            absorb(&mut m.sketch, keys, m.domain, order, &mut hist, &mut feed);
         }
     }
 
@@ -292,7 +370,7 @@ impl<T> NetSketches<T> {
         if q < 2 {
             return Err(PersistError::Malformed(format!("alphabet q={q} below 2")));
         }
-        check_codecs(&net, mode, q)
+        net.check_codecs(mode, q)
             .map_err(|e| PersistError::Malformed(format!("alphabet q={q}: {e}")))?;
         // Each entry is at least a mask (8 bytes) plus one sketch byte.
         let n = dec.take_len(9)?;
@@ -304,6 +382,7 @@ impl<T> NetSketches<T> {
         }
         let mut masks: Vec<u64> = net.members(mode).collect();
         masks.sort_unstable();
+        let mut run_table = run_table_for(&net, mode);
         let mut members = Vec::with_capacity(n);
         for want in masks {
             let mask = dec.take_u64()?;
@@ -312,13 +391,14 @@ impl<T> NetSketches<T> {
                     "sketch map holds subset {mask:#b} where net member {want:#b} belongs"
                 )));
             }
-            members.push(Member::new(&net, q, mask, T::decode(dec)?));
+            members.push(Member::new(&net, q, mask, T::decode(dec)?, &mut run_table));
         }
         Ok(Self {
             net,
             mode,
             q,
             members,
+            run_table,
         })
     }
 }
@@ -328,9 +408,8 @@ impl<T: SpaceUsage> NetSketches<T> {
     /// inline size).
     pub(crate) fn member_bytes(&self) -> usize {
         let overhead = std::mem::size_of::<Member<T>>() - std::mem::size_of::<T>();
-        self.sketches()
-            .map(|s| s.space_bytes() + overhead)
-            .sum::<usize>()
+        let sketches: usize = self.sketches().map(|s| s.space_bytes() + overhead).sum();
+        sketches + std::mem::size_of_val(&*self.run_table)
     }
 }
 
@@ -360,6 +439,8 @@ mod tests {
         empty: fn(AlphaNet, u32) -> T,
         push_packed: fn(&mut T, u64),
         push_dense: fn(&mut T, &[u16]),
+        push_packed_chunk: fn(&mut T, &[u64]),
+        push_dense_chunk: fn(&mut T, &[u16]),
         merge: fn(&mut T, &T),
         /// Whether a merge of shards equals one build to the byte. Float
         /// sums (stable projections) only promise that under an identical
@@ -385,15 +466,60 @@ mod tests {
         merged
     }
 
+    /// The chunk lengths that exercise the sweep's path choice: one row,
+    /// an odd length, the whole stream, and one row either side of a
+    /// boundary member's domain `Q^w` (below it that member is fed per
+    /// row, from it on through the histogram).
+    fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
+        let mut lengths = vec![1, 7, n_rows];
+        for w in [net.small_size(), net.large_size()] {
+            if let Some(domain) = (q as usize).checked_pow(w).filter(|&n| n < n_rows) {
+                lengths.extend([domain - 1, domain, domain + 1]);
+            }
+        }
+        lengths.retain(|&len| len > 0);
+        lengths
+    }
+
     fn check<T: Persist>(s: Surface<T>) {
         let datasets = [
             (uniform_binary(10, 900, 7), AlphaNet::new(10, 0.25)),
             (uniform_qary(4, 7, 400, 23), AlphaNet::new(7, 0.3)),
+            // Full-width member at d = 63: `1 << w` and `Q^w` must neither
+            // overflow nor be allocated for.
+            (uniform_binary(63, 3, 11), AlphaNet::new(63, 0.48)),
         ];
         for (data, net) in datasets {
             let (net, q, name) = (net.expect("valid"), data.alphabet(), s.name);
+            let d = data.dimension() as usize;
             let rows: Vec<Vec<u16>> = (0..data.num_rows()).map(|i| data.row_dense(i)).collect();
             let built = bytes(&(s.build)(&data, net));
+
+            // The sweep is invisible in the bytes: however the stream is
+            // cut into chunks, the summary is the one-row-chunk summary.
+            let flat = rows.concat();
+            for len in chunk_lengths(&net, q, rows.len()) {
+                let mut chunked = (s.empty)(net, q);
+                for chunk in flat.chunks(len * d) {
+                    (s.push_dense_chunk)(&mut chunked, chunk);
+                }
+                assert_eq!(
+                    bytes(&chunked),
+                    built,
+                    "{name} q={q} d={d}: dense chunks of {len} != build"
+                );
+                if let Dataset::Binary(m) = &data {
+                    let mut chunked = (s.empty)(net, q);
+                    for chunk in m.rows().chunks(len) {
+                        (s.push_packed_chunk)(&mut chunked, chunk);
+                    }
+                    assert_eq!(
+                        bytes(&chunked),
+                        built,
+                        "{name} d={d}: packed chunks of {len} != build"
+                    );
+                }
+            }
 
             let mut streamed = (s.empty)(net, q);
             rows.iter()
@@ -445,6 +571,8 @@ mod tests {
             },
             push_packed: AlphaNetF0::push_packed,
             push_dense: AlphaNetF0::push_dense,
+            push_packed_chunk: AlphaNetF0::push_packed_chunk,
+            push_dense_chunk: AlphaNetF0::push_dense_chunk,
             merge: AlphaNetF0::merge,
             merge_is_exact: true,
         });
@@ -456,6 +584,8 @@ mod tests {
             },
             push_packed: AlphaNetFp::push_packed,
             push_dense: AlphaNetFp::push_dense,
+            push_packed_chunk: AlphaNetFp::push_packed_chunk,
+            push_dense_chunk: AlphaNetFp::push_dense_chunk,
             merge: AlphaNetFp::merge,
             merge_is_exact: true,
         });
@@ -467,6 +597,8 @@ mod tests {
             },
             push_packed: AlphaNetFp::push_packed,
             push_dense: AlphaNetFp::push_dense,
+            push_packed_chunk: AlphaNetFp::push_packed_chunk,
+            push_dense_chunk: AlphaNetFp::push_dense_chunk,
             merge: AlphaNetFp::merge,
             merge_is_exact: false,
         });
@@ -476,6 +608,8 @@ mod tests {
             empty: |n, q| AlphaNetFrequency::new_streaming(n, q, 4, 128, CAP, 9).expect("new"),
             push_packed: AlphaNetFrequency::push_packed,
             push_dense: AlphaNetFrequency::push_dense,
+            push_packed_chunk: AlphaNetFrequency::push_packed_chunk,
+            push_dense_chunk: AlphaNetFrequency::push_dense_chunk,
             merge: AlphaNetFrequency::merge,
             merge_is_exact: true,
         });

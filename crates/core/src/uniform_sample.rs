@@ -209,11 +209,13 @@ impl UniformSampleSummary {
     pub fn projected_sample(&self, cols: &ColumnSet) -> Result<Vec<PatternKey>, QueryError> {
         check_dims(self.d, cols)?;
         match &self.rows {
-            RowStore::Binary(r) => Ok(r
-                .sample()
-                .iter()
-                .map(|&row| PatternKey::from(pfe_row::pext_u64(row, cols.mask())))
-                .collect()),
+            RowStore::Binary(r) => {
+                let extractor = pfe_row::BitExtractor::new(cols.mask());
+                Ok(r.sample()
+                    .iter()
+                    .map(|&row| PatternKey::from(extractor.extract(row)))
+                    .collect())
+            }
             RowStore::Qary(r) => {
                 let codec = pfe_row::PatternCodec::new(self.q, cols.len())?;
                 Ok(r.sample()

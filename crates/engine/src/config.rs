@@ -59,8 +59,12 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            channel_capacity: 64,
-            batch_rows: 512,
+            // 32,768 rows in flight per shard; a batch is the chunk the
+            // shard's mask-major sweep amortizes over, and 4096 rows put
+            // every member of a d <= 12 binary net (domain 2^w <= 4096)
+            // on its histogram path.
+            channel_capacity: 8,
+            batch_rows: 4096,
             alpha: 0.25,
             kmv_k: 256,
             sample_t: 4096,

@@ -1,11 +1,11 @@
 //! The one road rows take into the summaries.
 //!
 //! ```text
-//!  door                     check                route                 loop
+//!  door                     check                route                 sweep
 //!  Engine / wire `ingest` ┐ check_packed_chunk   IngestPipeline        ShardSummary::
 //!  file `RowSink`         ├ check_dense_chunk ─▶ hash-partition by ─▶  push_packed_chunk
 //!  `Dataset`              ┘ (whole chunk, or     row content, bounded  push_dense_chunk
-//!  window `BucketRing` ───▶  nothing is routed)  channel per shard     (Alg. 1 per row)
+//!  window `BucketRing` ───▶  nothing is routed)  channel per shard     (Alg. 1 per mask)
 //! ```
 //!
 //! Every door hands over a *chunk* — a `&[u64]` of packed binary rows or a
@@ -19,8 +19,10 @@
 //! sends every copy of a row to the same shard: harmless for all summaries
 //! (distinct counting is duplicate-insensitive, sampling and counting are
 //! partition-oblivious) and the standard scheme for distributed distinct
-//! counting. Each worker owns a [`ShardSummary`], whose chunk methods are
-//! the only per-row push loop in the system.
+//! counting. Each worker owns a [`ShardSummary`] and hands it every batch
+//! (`batch_rows` rows) whole: the shard samples the rows in order and
+//! sweeps each α-net over the batch mask-major, so a batch is the unit
+//! that sweep amortizes over.
 //!
 //! Two exits: [`snapshot`](IngestPipeline::snapshot) clones the live shard
 //! summaries into a point-in-time merged view while ingest continues, and

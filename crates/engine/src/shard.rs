@@ -2,11 +2,23 @@
 //!
 //! Each ingest worker owns one [`ShardSummary`]: a uniform row sample
 //! (Theorem 5.1), an α-net `F_0` summary (Algorithm 1 with KMV plug-ins),
-//! and optionally an α-net CountMin frequency summary. All three are
-//! mergeable — KMV/CountMin exactly (per-mask seeds are derived from the
-//! shared base seed, so equal masks carry equal seeds on every shard), the
-//! reservoir by the seeded hypergeometric union — which is what makes the
-//! shard → merge → snapshot pipeline equivalent to a single-threaded build.
+//! and optionally an α-net CountMin frequency summary and `F_p` moment
+//! nets. All are mergeable — KMV/CountMin/AMS exactly (per-mask seeds are
+//! derived from the shared base seed, so equal masks carry equal seeds on
+//! every shard), the reservoir by the seeded hypergeometric union — which
+//! is what makes the shard → merge → snapshot pipeline equivalent to a
+//! single-threaded build.
+//!
+//! Rows reach a shard only as chunks. A chunk is consumed in two steps:
+//! the reservoir samples its rows in order (the one order-sensitive
+//! summary), then every net sweeps it mask-major — per net member:
+//! compiled projection → histogram of the projected keys when the
+//! member's domain `Q^w` is no larger than the chunk, else a per-row
+//! feed → sketch. KMV ignores a key's multiplicity, CountMin and AMS take
+//! it as the update weight (exact integer sums), and the float-sum
+//! `StableFp` nets are always fed row by row in row order — so a shard's
+//! bytes do not depend on how its rows were cut into chunks. The sweep
+//! itself lives in `pfe-core` (`net_sketches.rs`), once for every net.
 
 use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
 use pfe_core::{fp_seed, AlphaNetFrequency, FpNet, UniformSampleSummary};
@@ -49,28 +61,7 @@ impl ShardSummary {
     /// The same errors `new` would surface.
     pub fn validate(d: u32, q: u32, cfg: &EngineConfig) -> Result<(), EngineError> {
         cfg.validate()?;
-        let net = AlphaNet::new(d, cfg.alpha)?;
-        if q < 2 {
-            return Err(EngineError::Query(pfe_core::QueryError::BadParameter(
-                format!("alphabet q={q} must be >= 2"),
-            )));
-        }
-        let count = net.member_count(NetMode::Full);
-        if count > cfg.max_subsets {
-            return Err(EngineError::Query(pfe_core::QueryError::BadParameter(
-                format!(
-                    "net would materialize {count} subsets, above the safety cap {}",
-                    cfg.max_subsets
-                ),
-            )));
-        }
-        if q > 2 {
-            // The widths the Full net materializes (same set the summary
-            // constructors validate).
-            for w in (0..=net.small_size()).chain(net.large_size()..=d) {
-                pfe_row::PatternCodec::new(q, w).map_err(pfe_core::QueryError::from)?;
-            }
-        }
+        AlphaNet::new(d, cfg.alpha)?.check_materializable(NetMode::Full, cfg.max_subsets, q)?;
         Ok(())
     }
 
@@ -127,64 +118,78 @@ impl ShardSummary {
         })
     }
 
-    /// Observe one packed binary row.
+    /// Observe one packed binary row — a one-row
+    /// [`push_packed_chunk`](Self::push_packed_chunk).
     ///
     /// # Panics
     /// Panics if the shard is not binary or the row has bits at or above
     /// `d`.
     pub fn push_packed(&mut self, row: u64) {
-        self.sample.push_packed(row);
-        self.net_f0.push_packed(row);
-        if let Some(freq) = &mut self.freq {
-            freq.push_packed(row);
-        }
-        for net in &mut self.fp {
-            net.push_packed(row);
-        }
-        self.rows += 1;
+        self.push_packed_chunk(&[row]);
     }
 
-    /// Observe one dense row (any alphabet).
+    /// Observe one dense row (any alphabet) — a one-row
+    /// [`push_dense_chunk`](Self::push_dense_chunk).
     ///
     /// # Panics
     /// Panics on wrong row length or out-of-alphabet symbols.
     pub fn push_dense(&mut self, row: &[u16]) {
-        self.sample.push_dense(row);
-        self.net_f0.push_dense(row);
-        if let Some(freq) = &mut self.freq {
-            freq.push_dense(row);
-        }
-        for net in &mut self.fp {
-            net.push_dense(row);
-        }
-        self.rows += 1;
+        assert_eq!(
+            row.len(),
+            self.sample.dimension() as usize,
+            "row length != d"
+        );
+        self.push_dense_chunk(row);
     }
 
-    /// Observe a chunk of packed binary rows, in order. With
-    /// [`push_dense_chunk`](Self::push_dense_chunk) this is the only
-    /// per-row push loop in the system — pipeline workers and the window
-    /// ring both end here — and so the one place a mask-major sweep
-    /// (one pass per net member over the whole chunk) would replace.
+    /// Observe a chunk of packed binary rows: the reservoir samples them
+    /// in order, then each net makes its one mask-major sweep over the
+    /// whole chunk (see the [module docs](self)). Pipeline workers and the
+    /// window ring both end here.
     ///
     /// # Panics
-    /// As [`push_packed`](Self::push_packed); callers run
-    /// [`check_packed_chunk`](crate::check_packed_chunk) first.
+    /// Panics if the shard is not binary or a row has bits at or above
+    /// `d`; callers run [`check_packed_chunk`](crate::check_packed_chunk)
+    /// first.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
         for &row in rows {
-            self.push_packed(row);
+            self.sample.push_packed(row);
         }
+        self.net_f0.push_packed_chunk(rows);
+        if let Some(freq) = &mut self.freq {
+            freq.push_packed_chunk(rows);
+        }
+        for net in &mut self.fp {
+            net.push_packed_chunk(rows);
+        }
+        self.rows += rows.len() as u64;
     }
 
     /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row), in order.
+    /// row). A binary shard packs the chunk once and takes the
+    /// [`push_packed_chunk`](Self::push_packed_chunk) road — the same
+    /// keys, the same reservoir contents.
     ///
     /// # Panics
-    /// As [`push_dense`](Self::push_dense); callers run
+    /// Panics unless `flat` is a whole number of rows of in-alphabet
+    /// symbols; callers run
     /// [`check_dense_chunk`](crate::check_dense_chunk) first.
     pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        for row in flat.chunks_exact(self.sample.dimension() as usize) {
-            self.push_dense(row);
+        let d = self.sample.dimension();
+        if self.sample.alphabet() == 2 {
+            return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d));
         }
+        for row in flat.chunks_exact(d as usize) {
+            self.sample.push_dense(row);
+        }
+        self.net_f0.push_dense_chunk(flat);
+        if let Some(freq) = &mut self.freq {
+            freq.push_dense_chunk(flat);
+        }
+        for net in &mut self.fp {
+            net.push_dense_chunk(flat);
+        }
+        self.rows += (flat.len() / d as usize) as u64;
     }
 
     /// Fold another shard's summaries into this one.
@@ -349,7 +354,7 @@ mod tests {
     use super::*;
     use crate::config::FreqNetConfig;
     use pfe_row::ColumnSet;
-    use pfe_stream::gen::uniform_binary;
+    use pfe_stream::gen::{uniform_binary, uniform_qary};
 
     fn cfg() -> EngineConfig {
         EngineConfig {
@@ -420,6 +425,50 @@ mod tests {
             (m - s).abs() <= 1e-9 * s.abs().max(1.0),
             "stable fp merge diverged beyond float tolerance: {m} vs {s}"
         );
+    }
+
+    #[test]
+    fn chunked_pushes_equal_per_row_pushes_to_the_byte() {
+        fn bytes(s: &ShardSummary) -> Vec<u8> {
+            let mut enc = pfe_persist::Encoder::new();
+            s.encode(&mut enc);
+            enc.into_bytes()
+        }
+        // `freq` + AMS take multiplicities, the p = 0.5 stable net must be
+        // fed in row order, the reservoir must see rows in order.
+        let cfg = cfg();
+        let binary = uniform_binary(10, 1500, 5);
+        let pfe_row::Dataset::Binary(m) = &binary else {
+            unreachable!("generator yields binary data");
+        };
+        let mut per_row = ShardSummary::new(10, 2, 0, &cfg).expect("new");
+        m.rows().iter().for_each(|&row| per_row.push_packed(row));
+        let dense: Vec<u16> = (0..m.num_rows()).flat_map(|i| m.row_dense(i)).collect();
+        for len in [1, 7, 256, 1500] {
+            let mut packed = ShardSummary::new(10, 2, 0, &cfg).expect("new");
+            m.rows()
+                .chunks(len)
+                .for_each(|chunk| packed.push_packed_chunk(chunk));
+            assert_eq!(bytes(&packed), bytes(&per_row), "packed chunks of {len}");
+            let mut via_dense = ShardSummary::new(10, 2, 0, &cfg).expect("new");
+            dense
+                .chunks(len * 10)
+                .for_each(|chunk| via_dense.push_dense_chunk(chunk));
+            assert_eq!(bytes(&via_dense), bytes(&per_row), "dense chunks of {len}");
+        }
+
+        let pfe_row::Dataset::Qary(m) = &uniform_qary(4, 6, 600, 9) else {
+            unreachable!("generator yields q-ary data");
+        };
+        let mut per_row = ShardSummary::new(6, 4, 0, &cfg).expect("new");
+        m.flat().chunks(6).for_each(|row| per_row.push_dense(row));
+        for len in [1, 7, 64, 600] {
+            let mut chunked = ShardSummary::new(6, 4, 0, &cfg).expect("new");
+            m.flat()
+                .chunks(len * 6)
+                .for_each(|chunk| chunked.push_dense_chunk(chunk));
+            assert_eq!(bytes(&chunked), bytes(&per_row), "Q=4 chunks of {len}");
+        }
     }
 
     #[test]

@@ -42,6 +42,91 @@ pub fn pdep_u64(x: u64, mut mask: u64) -> u64 {
     out
 }
 
+/// One run of adjacent set bits of a fixed mask, ready to apply: the
+/// run's bits of `x` land at `(x >> shift) & keep`. Output positions never
+/// exceed input positions, so every shift is a right shift.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitRun {
+    shift: u32,
+    keep: u64,
+}
+
+/// Compile `mask` into its runs of adjacent set bits, lowest first — the
+/// one-time half of a [`pext_u64`] whose mask is applied to many rows.
+pub fn bit_runs(mut mask: u64) -> impl Iterator<Item = BitRun> {
+    let mut pos = 0u32;
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let start = mask.trailing_zeros();
+        let len = (mask >> start).trailing_ones();
+        let ones = u64::MAX >> (64 - len);
+        let run = BitRun {
+            shift: start - pos,
+            keep: ones << pos,
+        };
+        pos += len;
+        mask &= !(ones << start);
+        Some(run)
+    })
+}
+
+/// The per-row half: the bits of `x` selected by the mask `runs` was
+/// compiled from, packed toward the LSB — equal to [`pext_u64`]`(x, mask)`
+/// at one shift-and-mask per run (≤ 4 runs for a 9-of-12 column subset)
+/// instead of one step per set bit.
+#[inline]
+pub fn extract_runs(runs: &[BitRun], x: u64) -> u64 {
+    runs.iter()
+        .fold(0, |out, run| out | (x >> run.shift) & run.keep)
+}
+
+/// [`pext_u64`] for one fixed mask applied to many rows: [`bit_runs`]
+/// compiled once at construction, [`extract_runs`] per row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitExtractor {
+    runs: Box<[BitRun]>,
+}
+
+impl BitExtractor {
+    /// Compile `mask`.
+    pub fn new(mask: u64) -> Self {
+        Self {
+            runs: bit_runs(mask).collect(),
+        }
+    }
+
+    /// The bits of `x` the mask selects, packed toward the LSB.
+    #[inline]
+    pub fn extract(&self, x: u64) -> u64 {
+        extract_runs(&self.runs, x)
+    }
+}
+
+/// Pack a flat row-major chunk of dense binary rows (`d` symbols each),
+/// bit `i` of a packed row holding column `i`.
+///
+/// # Panics
+/// Panics unless `1 ≤ d ≤ 63`, `flat` is a whole number of rows and every
+/// symbol is 0 or 1.
+pub fn pack_binary_rows(flat: &[u16], d: u32) -> Vec<u64> {
+    assert!((1..=63).contains(&d), "packed rows need 1 <= d <= 63");
+    assert!(
+        flat.len().is_multiple_of(d as usize),
+        "flat length {} is not a multiple of d={d}",
+        flat.len()
+    );
+    flat.chunks_exact(d as usize)
+        .map(|row| {
+            row.iter().enumerate().fold(0u64, |acc, (i, &s)| {
+                assert!(s < 2, "symbol {s} not binary");
+                acc | (s as u64) << i
+            })
+        })
+        .collect()
+}
+
 /// A binary matrix with `n` rows of `d ≤ 63` columns, rows packed as `u64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryMatrix {
@@ -153,8 +238,8 @@ impl BinaryMatrix {
     /// Iterate projected keys for all rows.
     pub fn projected_keys<'a>(&'a self, cols: &ColumnSet) -> impl Iterator<Item = u64> + 'a {
         debug_assert_eq!(cols.dimension(), self.d);
-        let mask = cols.mask();
-        self.rows.iter().map(move |&r| pext_u64(r, mask))
+        let extractor = BitExtractor::new(cols.mask());
+        self.rows.iter().map(move |&r| extractor.extract(r))
     }
 
     /// Value at `(row, col)` as 0/1.
@@ -264,7 +349,48 @@ mod tests {
         assert!(m.space_bytes() > s0 + 1000 * 8 / 2);
     }
 
+    #[test]
+    fn extractor_edge_masks_equal_pext() {
+        const ALTERNATING: u64 = 0x5555_5555_5555_5555;
+        let masks = [
+            0,
+            u64::MAX,
+            ALTERNATING,
+            !ALTERNATING,
+            0b111,
+            0b11 << 62,
+            1 << 62,
+            1 << 63,
+        ];
+        for mask in masks {
+            let e = BitExtractor::new(mask);
+            for x in [0, u64::MAX, ALTERNATING, 0x0123_4567_89ab_cdef, 1 << 62] {
+                assert_eq!(e.extract(x), pext_u64(x, mask), "mask {mask:#x} x {x:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_binary_rows_is_column_i_to_bit_i() {
+        assert_eq!(pack_binary_rows(&[1, 0, 0, 0, 1, 1], 3), vec![0b001, 0b110]);
+        assert!(pack_binary_rows(&[], 63).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not binary")]
+    fn pack_binary_rows_rejects_wide_symbols() {
+        pack_binary_rows(&[0, 2], 2);
+    }
+
     proptest! {
+        #[test]
+        fn prop_extractor_equals_pext(x in any::<u64>(), mask in any::<u64>(), lo in 0u32..64, len in 0u32..=64) {
+            prop_assert_eq!(BitExtractor::new(mask).extract(x), pext_u64(x, mask));
+            // Single runs, wherever they start and however long.
+            let run = (u64::MAX.checked_shr(64 - len).unwrap_or(0)) << lo;
+            prop_assert_eq!(BitExtractor::new(run).extract(x), pext_u64(x, run));
+        }
+
         #[test]
         fn prop_pext_popcount(x in any::<u64>(), mask in any::<u64>()) {
             // The projected value fits in |mask| bits.

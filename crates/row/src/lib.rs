@@ -23,7 +23,10 @@ pub mod freq;
 pub mod pattern;
 pub mod qary;
 
-pub use binary::{pdep_u64, pext_u64, BinaryMatrix};
+pub use binary::{
+    bit_runs, extract_runs, pack_binary_rows, pdep_u64, pext_u64, BinaryMatrix, BitExtractor,
+    BitRun,
+};
 pub use column_set::{ColumnSet, ColumnSetError};
 pub use dataset::Dataset;
 pub use freq::FrequencyVector;

@@ -90,6 +90,8 @@ impl SpaceUsage for AmsF2 {
 }
 
 impl MomentSketch for AmsF2 {
+    const EXACT_IN_DELTA: bool = true;
+
     fn p(&self) -> f64 {
         2.0
     }

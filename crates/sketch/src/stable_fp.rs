@@ -124,6 +124,9 @@ impl SpaceUsage for StableFp {
 }
 
 impl MomentSketch for StableFp {
+    /// `sums[j] += n·x` and `n` times `sums[j] += x` round differently.
+    const EXACT_IN_DELTA: bool = false;
+
     fn p(&self) -> f64 {
         self.p
     }

@@ -47,6 +47,13 @@ pub trait FrequencySketch: SpaceUsage {
 
 /// A frequency-moment sketch estimating `F_p = Σ f_i^p`.
 pub trait MomentSketch: SpaceUsage {
+    /// Whether `update(item, n)` leaves bit-for-bit the state of `n`
+    /// calls of `update(item, 1)` interleaved anywhere among other
+    /// updates. True for integer sums; false for float sums, which are
+    /// only bit-stable under a fixed addition order. A caller that
+    /// batches repeated items into one weighted update must check it.
+    const EXACT_IN_DELTA: bool;
+
     /// The moment order `p` this sketch targets.
     fn p(&self) -> f64;
 
