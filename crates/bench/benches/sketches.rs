@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks for the sketch substrate: update and estimate
-//! throughput for every α-net plug-in and the classical baselines.
+//! throughput for every α-net plug-in, the classical baselines, and the
+//! uniform row reservoir.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pfe_sketch::traits::{DistinctSketch, FrequencySketch, MomentSketch};
-use pfe_sketch::{AmsF2, CountMin, CountSketch, Kmv, LinearCounting, MisraGries};
+use pfe_sketch::{AmsF2, CountMin, CountSketch, Kmv, LinearCounting, Reservoir};
 
 const N: u64 = 10_000;
 
@@ -54,13 +55,22 @@ fn bench_frequency(c: &mut Criterion) {
             black_box(s.estimate(7))
         })
     });
-    g.bench_function("misra_gries_k64", |b| {
+    g.finish();
+}
+
+/// Algorithm R, the Theorem 5.1 row sampler (ledger id kept from the
+/// retired `samplers` target).
+fn bench_reservoir(c: &mut Criterion) {
+    const STREAM: u64 = 100_000;
+    let mut g = c.benchmark_group("reservoir_100k_stream_t64");
+    g.throughput(Throughput::Elements(STREAM));
+    g.bench_function("algorithm_r", |b| {
         b.iter(|| {
-            let mut s = MisraGries::new(64);
-            for i in 0..N {
-                s.insert(black_box(i % 100));
+            let mut r = Reservoir::new(64, 1);
+            for i in 0..STREAM {
+                r.insert(black_box(i));
             }
-            black_box(s.estimate(7))
+            black_box(r.sample().len())
         })
     });
     g.finish();
@@ -82,5 +92,11 @@ fn bench_moments(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_distinct, bench_frequency, bench_moments);
+criterion_group!(
+    benches,
+    bench_distinct,
+    bench_frequency,
+    bench_moments,
+    bench_reservoir
+);
 criterion_main!(benches);

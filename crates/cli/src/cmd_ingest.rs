@@ -5,13 +5,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pfe_engine::{Engine, Json, Recorder};
+use pfe_engine::{Json, Recorder};
 use pfe_ingest::{FileIngester, IngestError, IngestReport};
-use pfe_server::proto::Backend;
-use pfe_window::WindowedEngine;
+use pfe_window::Backend;
 
 use crate::args::{engine_config, ingest_options, window_config, Args};
-use crate::backend::resume_backend;
 
 /// A once-a-second progress line on stderr, fed by the same recorder
 /// counters the ingester reports into. Silent under `--quiet`.
@@ -110,33 +108,13 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
     let ingester = FileIngester::with_recorder(opts, &recorder).with_trace(root.handle());
     let progress = Progress::start(&recorder, args.present("--quiet"));
 
-    let (backend, report) = if let Some(wcfg) = wcfg {
-        let ecfg = ecfg.clone();
-        let rec = Arc::clone(&recorder);
-        let (engine, report) = ingester
-            .ingest_path_with(file, move |schema| {
-                WindowedEngine::start_with_recorder(
-                    schema.dimension(),
-                    schema.alphabet,
-                    ecfg,
-                    wcfg,
-                    rec,
-                )
+    let rec = Arc::clone(&recorder);
+    let (backend, report) = ingester
+        .ingest_path_with(file, move |schema| {
+            Backend::start(schema.dimension(), schema.alphabet, ecfg, wcfg, rec)
                 .map_err(|e| IngestError::Sink(e.to_string()))
-            })
-            .map_err(|e| e.to_string())?;
-        (Backend::Windowed(engine), report)
-    } else {
-        let ecfg = ecfg.clone();
-        let rec = Arc::clone(&recorder);
-        let (engine, report) = ingester
-            .ingest_path_with(file, move |schema| {
-                Engine::start_with_recorder(schema.dimension(), schema.alphabet, ecfg, rec)
-                    .map_err(|e| IngestError::Sink(e.to_string()))
-            })
-            .map_err(|e| e.to_string())?;
-        (Backend::Plain(engine), report)
-    };
+        })
+        .map_err(|e| e.to_string())?;
     drop(progress);
     drop(root);
     recorder.trace_store().finish(trace);
@@ -146,9 +124,7 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
             .checkpoint(Path::new(out))
             .map_err(|e| format!("checkpoint {out}: {e}"))?;
     }
-    if let Backend::Plain(e) = &backend {
-        e.shutdown().ok();
-    }
+    backend.close();
     println!("{}", report_json(file, &report, out));
     Ok(0)
 }
@@ -167,7 +143,9 @@ pub fn resume(args: &Args) -> Result<i32, String> {
         .ok_or("usage: pfe resume SNAP --ingest FILE [--out NEW]")?;
     let ecfg = engine_config(args)?;
     let recorder = Arc::new(Recorder::new());
-    let (backend, q) = resume_backend(snap, ecfg, Arc::clone(&recorder))?;
+    let backend =
+        Backend::resume(snap, ecfg, Arc::clone(&recorder)).map_err(|e| format!("{snap}: {e}"))?;
+    let q = backend.alphabet();
 
     let mut opts = ingest_options(args)?;
     // The checkpoint fixes the alphabet; the flag may only agree.
@@ -184,11 +162,9 @@ pub fn resume(args: &Args) -> Result<i32, String> {
     let root = trace.span("cmd:resume");
     let ingester = FileIngester::with_recorder(opts, &recorder).with_trace(root.handle());
     let progress = Progress::start(&recorder, args.present("--quiet"));
-    let report = match &backend {
-        Backend::Plain(e) => ingester.ingest_into(file, e).map(|(_, r)| r),
-        Backend::Windowed(e) => ingester.ingest_into(file, e).map(|(_, r)| r),
-    }
-    .map_err(|e| e.to_string())?;
+    let (backend, report) = ingester
+        .ingest_into(file, backend)
+        .map_err(|e| e.to_string())?;
     drop(progress);
     drop(root);
     recorder.trace_store().finish(trace);
@@ -197,9 +173,7 @@ pub fn resume(args: &Args) -> Result<i32, String> {
     backend
         .checkpoint(Path::new(out))
         .map_err(|e| format!("checkpoint {out}: {e}"))?;
-    if let Backend::Plain(e) = &backend {
-        e.shutdown().ok();
-    }
+    backend.close();
     println!("{}", report_json(file, &report, Some(out)));
     Ok(0)
 }

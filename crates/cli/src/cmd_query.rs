@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use pfe_engine::wire::{answer_to_json, query_from_json, stats_to_json};
 use pfe_engine::{Json, Query, Recorder};
+use pfe_window::Backend;
 
 use crate::args::{engine_config, Args};
-use crate::backend::resume_backend;
 
 /// Build one wire-protocol query object from the `--op`-style flags.
 fn query_json_from_flags(args: &Args) -> Result<Json, String> {
@@ -106,7 +106,9 @@ pub fn query(args: &Args) -> Result<i32, String> {
         .map_err(|e| format!("bad query: {e}"))?;
     let ecfg = engine_config(args)?;
     let recorder = Arc::new(Recorder::new());
-    let (backend, q) = resume_backend(snap, ecfg, Arc::clone(&recorder))?;
+    let backend =
+        Backend::resume(snap, ecfg, Arc::clone(&recorder)).map_err(|e| format!("{snap}: {e}"))?;
+    let q = backend.alphabet();
     let trace = recorder.begin_trace(None);
     let root = trace.span("cmd:query");
     let stage = root.handle();
@@ -140,7 +142,8 @@ pub fn stats(args: &Args) -> Result<i32, String> {
         return Err("usage: pfe stats SNAP [engine flags]".into());
     };
     let ecfg = engine_config(args)?;
-    let (backend, _) = resume_backend(snap, ecfg, Arc::new(Recorder::new()))?;
+    let backend = Backend::resume(snap, ecfg, Arc::new(Recorder::new()))
+        .map_err(|e| format!("{snap}: {e}"))?;
     println!("{}", stats_to_json(&backend.stats()));
     Ok(0)
 }

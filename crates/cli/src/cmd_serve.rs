@@ -1,10 +1,10 @@
 //! `pfe serve` — the wire protocol from the installed binary.
 //!
-//! The same dispatcher as `examples/serve.rs`, plus `--resume SNAP`:
-//! the backend comes up pre-installed from a checkpoint (snapshot or
-//! window ring, auto-detected) instead of waiting for a `start`
-//! request, so a server can restart into its durable state in one
-//! command.
+//! The one front door onto the dispatcher: pipe mode (stdin/stdout) or
+//! `--listen ADDR` (TCP). With `--resume SNAP` the backend comes up
+//! pre-installed from a checkpoint (snapshot or window ring,
+//! auto-detected) instead of waiting for a `start` request, so a server
+//! can restart into its durable state in one command.
 //!
 //! Replication roles (TCP mode only): `--ship DIR` makes this server a
 //! writer that periodically checkpoints into the snapshot directory;
@@ -19,9 +19,9 @@ use std::time::Duration;
 
 use pfe_server::proto::{Control, Dispatcher};
 use pfe_server::{install_signal_handlers, ReplicaSpec, Server, ServerConfig, ShipSpec};
+use pfe_window::Backend;
 
 use crate::args::{engine_config, Args};
-use crate::backend::resume_backend;
 
 /// Install the `--resume` checkpoint (if any) into `dispatcher`.
 fn preinstall(args: &Args, dispatcher: &Dispatcher) -> Result<(), String> {
@@ -30,7 +30,8 @@ fn preinstall(args: &Args, dispatcher: &Dispatcher) -> Result<(), String> {
     };
     let ecfg = engine_config(args)?;
     let recorder = Arc::clone(dispatcher.recorder());
-    let (backend, q) = resume_backend(snap, ecfg, recorder)?;
+    let backend = Backend::resume(snap, ecfg, recorder).map_err(|e| format!("{snap}: {e}"))?;
+    let q = backend.alphabet();
     dispatcher.install(backend, q);
     eprintln!("resumed {snap} (q={q})");
     Ok(())

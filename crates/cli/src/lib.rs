@@ -21,7 +21,6 @@
 //! runtime failure, 2 on usage errors.
 
 pub mod args;
-pub mod backend;
 mod cmd_bench;
 mod cmd_checkpoint;
 mod cmd_ingest;

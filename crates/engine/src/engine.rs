@@ -69,6 +69,7 @@ pub struct EngineStats {
 /// semantics per snapshot.
 pub struct Engine {
     d: u32,
+    q: u32,
     pipeline: Mutex<Option<IngestPipeline>>,
     published: RwLock<Option<Arc<Snapshot>>>,
     exec: QueryExecutor,
@@ -104,6 +105,7 @@ impl Engine {
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
         Ok(Self {
             d,
+            q,
             pipeline: Mutex::new(Some(pipeline)),
             published: RwLock::new(None),
             exec,
@@ -114,6 +116,11 @@ impl Engine {
     /// Dimension `d` of the stream (columns per row).
     pub fn dimension(&self) -> u32 {
         self.d
+    }
+
+    /// Alphabet `Q` of the stream (symbols lie in `[0, Q)`).
+    pub fn alphabet(&self) -> u32 {
+        self.q
     }
 
     fn with_pipeline<T>(
@@ -274,11 +281,11 @@ impl Engine {
     ) -> Result<(Self, u32), EngineError> {
         let (d, q) = crate::persist::validate_resume(&snap, &cfg)?;
         let exec = QueryExecutor::with_recorder(cfg.cache_capacity, false, Arc::clone(&recorder));
-        let mut pipeline =
-            IngestPipeline::with_base(d, q, &cfg, Some(snap.to_base_shard()), snap.epoch())?;
+        let mut pipeline = IngestPipeline::with_base(d, q, &cfg, Some(Arc::clone(&snap)))?;
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
         let engine = Self {
             d,
+            q,
             pipeline: Mutex::new(Some(pipeline)),
             published: RwLock::new(Some(snap)),
             exec,
@@ -304,7 +311,7 @@ impl Engine {
     /// shape mismatch or a non-increasing epoch.
     pub fn install_snapshot(&self, snap: Arc<Snapshot>) -> Result<(), EngineError> {
         let current = self.current()?;
-        current.check_mergeable(&snap)?;
+        current.summary().check_mergeable(snap.summary())?;
         if snap.epoch() <= current.epoch() {
             return Err(EngineError::Incompatible(format!(
                 "snapshot epoch {} is not newer than published epoch {}",
@@ -360,9 +367,9 @@ impl Engine {
             .expect("one answer per query")
     }
 
-    /// Answer a batch of queries (the serving unit of the `serve`
-    /// example). Answers return in request order; per-query errors are
-    /// reported per slot, not batch-fatal.
+    /// Answer a batch of queries (the serving unit of the wire protocol).
+    /// Answers return in request order; per-query errors are reported per
+    /// slot, not batch-fatal.
     ///
     /// The whole batch is answered against one snapshot. The planner
     /// groups co-plannable queries by canonical [`pfe_query::QueryKey`] —

@@ -30,6 +30,7 @@
 //! their final state.
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use pfe_core::QueryError;
@@ -75,12 +76,13 @@ pub struct IngestPipeline {
     rows_routed: u64,
     epoch: u64,
     /// Checkpointed state a resumed pipeline folds under every snapshot
-    /// (cloned per snapshot so the fold is deterministic).
-    base: Option<ShardSummary>,
+    /// (its summary cloned per snapshot so the fold is deterministic) —
+    /// the very `Arc` the engine published at resume.
+    base: Option<Arc<Snapshot>>,
     /// Sends that blocked on a full shard channel (backpressure events);
     /// detached unless [`instrument`](Self::instrument) installed a
     /// registered handle.
-    backpressure: std::sync::Arc<pfe_obs::Counter>,
+    backpressure: Arc<pfe_obs::Counter>,
 }
 
 fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
@@ -152,12 +154,13 @@ impl IngestPipeline {
     /// # Errors
     /// Config validation and summary construction errors.
     pub fn new(d: u32, q: u32, cfg: &EngineConfig) -> Result<Self, EngineError> {
-        Self::with_base(d, q, cfg, None, 0)
+        Self::with_base(d, q, cfg, None)
     }
 
     /// Spawn the workers on top of checkpointed state: every snapshot (and
-    /// the final merge) folds `base` under the live shards, and epochs
-    /// continue from `start_epoch`. This is the engine's resume path.
+    /// the final merge) folds `base`'s summary under the live shards, and
+    /// epochs and the row count continue from it. This is the engine's
+    /// resume path; `base` is the published snapshot itself, shared.
     ///
     /// # Errors
     /// Config validation and summary construction errors.
@@ -165,8 +168,7 @@ impl IngestPipeline {
         d: u32,
         q: u32,
         cfg: &EngineConfig,
-        base: Option<ShardSummary>,
-        start_epoch: u64,
+        base: Option<Arc<Snapshot>>,
     ) -> Result<Self, EngineError> {
         // Validate everything shard construction can fail on up front (no
         // sketch allocation), so construction errors surface here — not as
@@ -196,17 +198,17 @@ impl IngestPipeline {
             // Like the epoch, the row counter continues from the
             // checkpointed state, so stats stay consistent with the
             // snapshot across a restart.
-            rows_routed: base.as_ref().map(|b| b.rows()).unwrap_or(0),
-            epoch: start_epoch,
+            rows_routed: base.as_ref().map_or(0, |b| b.n()),
+            epoch: base.as_ref().map_or(0, |b| b.epoch()),
             base,
-            backpressure: std::sync::Arc::new(pfe_obs::Counter::new()),
+            backpressure: Arc::new(pfe_obs::Counter::new()),
         })
     }
 
     /// Route backpressure events (sends that found a shard channel full)
     /// into `counter` — typically `engine_ingest_backpressure` from the
     /// engine's shared recorder.
-    pub fn instrument(&mut self, counter: std::sync::Arc<pfe_obs::Counter>) {
+    pub fn instrument(&mut self, counter: Arc<pfe_obs::Counter>) {
         self.backpressure = counter;
     }
 
@@ -444,7 +446,7 @@ impl IngestPipeline {
             None => shards,
             Some(base) => {
                 let mut all = Vec::with_capacity(shards.len() + 1);
-                all.push(base.clone());
+                all.push(base.summary().clone());
                 all.extend(shards);
                 all
             }

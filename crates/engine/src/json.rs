@@ -1,4 +1,4 @@
-//! Minimal JSON support for the `serve` example.
+//! Minimal JSON support for the wire protocol (`pfe serve`).
 //!
 //! The build environment is offline (no `serde`), so the line protocol is
 //! handled by this small, dependency-free parser/writer covering the JSON

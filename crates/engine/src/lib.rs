@@ -60,8 +60,8 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 //!
-//! The `serve` example (workspace root) speaks line-delimited JSON over
-//! stdin; the [`wire`] module serializes the canonical `pfe-query` types
+//! `pfe serve` (`crates/cli`) speaks line-delimited JSON over stdin or
+//! TCP; the [`wire`] module serializes the canonical `pfe-query` types
 //! directly onto the vendored [`json`] parser, so the Rust API and the
 //! wire protocol are one definition. `benches/engine.rs`,
 //! `benches/query.rs`, and `benches/persist.rs` in `pfe-bench` measure

@@ -1,13 +1,13 @@
 //! Durable snapshots: cross-process union and resume validation.
 //!
-//! A [`Snapshot`] file is a complete, self-describing
-//! stand-in for the stream it summarized (the whole point of the paper's
-//! summaries — Theorem 5.1's sample and the Section 6 α-net survive the
-//! data). Because every summary in the stack is mergeable — KMV and
-//! CountMin exactly under shared per-mask seeds, the row sample by the
-//! seeded hypergeometric union — snapshot files built by *independent
-//! processes over disjoint slices of one stream* can be unioned after the
-//! fact:
+//! A [`Snapshot`] file (an epoch, then one [`ShardSummary`]) is a
+//! complete, self-describing stand-in for the stream it summarized (the
+//! whole point of the paper's summaries — Theorem 5.1's sample and the
+//! Section 6 α-net survive the data). Because every summary in the stack
+//! is mergeable — KMV and CountMin exactly under shared per-mask seeds,
+//! the row sample by the seeded hypergeometric union — snapshot files
+//! built by *independent processes over disjoint slices of one stream*
+//! can be unioned after the fact:
 //!
 //! ```text
 //! process A: ingest slice 1 ──▶ checkpoint ──▶ a.pfes ─┐
@@ -58,8 +58,9 @@ pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<Snapshot, Eng
 ///
 /// The rules are not re-stated here: an empty probe shard is constructed
 /// from `cfg` — the same construction the resumed pipeline's workers will
-/// perform — and checked with [`Snapshot::check_mergeable`], so resume
-/// validation and file-merge validation share one source of truth.
+/// perform — and checked by reference with
+/// [`ShardSummary::check_mergeable`], so resume validation, window resume
+/// and file-merge validation share one source of truth.
 ///
 /// # Errors
 /// [`EngineError::Incompatible`] naming the first mismatch.
@@ -69,8 +70,8 @@ pub(crate) fn validate_resume(
 ) -> Result<(u32, u32), EngineError> {
     cfg.validate()?;
     let (d, q) = (snap.sample().dimension(), snap.sample().alphabet());
-    let probe = Snapshot::from_shards(vec![ShardSummary::new(d, q, 0, cfg)?], 0);
-    snap.check_mergeable(&probe)?;
+    snap.summary()
+        .check_mergeable(&ShardSummary::new(d, q, 0, cfg)?)?;
     Ok((d, q))
 }
 

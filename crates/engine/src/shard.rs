@@ -1,13 +1,18 @@
-//! Per-shard summary state.
+//! The summary bundle: the system's whole state, declared once.
 //!
-//! Each ingest worker owns one [`ShardSummary`]: a uniform row sample
-//! (Theorem 5.1), an α-net `F_0` summary (Algorithm 1 with KMV plug-ins),
-//! and optionally an α-net CountMin frequency summary and `F_p` moment
-//! nets. All are mergeable — KMV/CountMin/AMS exactly (per-mask seeds are
-//! derived from the shared base seed, so equal masks carry equal seeds on
-//! every shard), the reservoir by the seeded hypergeometric union — which
-//! is what makes the shard → merge → snapshot pipeline equivalent to a
-//! single-threaded build.
+//! A [`ShardSummary`] is a uniform row sample (Theorem 5.1), an α-net
+//! `F_0` summary (Algorithm 1 with KMV plug-ins), and optionally an α-net
+//! CountMin frequency summary and `F_p` moment nets. Each ingest worker
+//! owns one, each window bucket is one, and a
+//! [`Snapshot`](crate::Snapshot) is one plus an epoch — so merging,
+//! merge compatibility ([`ShardSummary::check_mergeable`]), the byte
+//! encoding and its decode-time cross-component checks, and space
+//! accounting all live here and nowhere else. All parts are mergeable —
+//! KMV/CountMin/AMS exactly (per-mask seeds are derived from the shared
+//! base seed, so equal masks carry equal seeds on every shard), the
+//! reservoir by the seeded hypergeometric union — which is what makes the
+//! shard → merge → snapshot pipeline equivalent to a single-threaded
+//! build.
 //!
 //! Rows reach a shard only as chunks. A chunk is consumed in two steps:
 //! the reservoir samples its rows in order (the one order-sensitive
@@ -192,11 +197,89 @@ impl ShardSummary {
         self.rows += (flat.len() / d as usize) as u64;
     }
 
+    /// Check that `other` summarizes a disjoint segment of the *same*
+    /// logical stream configuration as `self`: equal dimension, alphabet,
+    /// reservoir capacity, α-net, and per-subset sketch parameters/seeds.
+    /// Snapshot unions, engine resume and window resume all ask here.
+    ///
+    /// # Errors
+    /// [`EngineError::Incompatible`] naming the first mismatch.
+    pub fn check_mergeable(&self, other: &Self) -> Result<(), EngineError> {
+        let mismatch = |what: &str| Err(EngineError::Incompatible(what.to_string()));
+        if self.sample.dimension() != other.sample.dimension() {
+            return mismatch("dimension d differs");
+        }
+        if self.sample.alphabet() != other.sample.alphabet() {
+            return mismatch("alphabet Q differs");
+        }
+        if self.sample.capacity() != other.sample.capacity() {
+            return mismatch("reservoir capacity sample_t differs");
+        }
+        if self.net_f0.net() != other.net_f0.net() {
+            return mismatch("alpha-net (d, alpha) differs");
+        }
+        if self.net_f0.mode() != other.net_f0.mode() {
+            return mismatch("net materialization mode differs");
+        }
+        for mask in self.net_f0.net().members(self.net_f0.mode()) {
+            let (a, b) = (
+                self.net_f0.sketch(mask).expect("member materialized"),
+                other.net_f0.sketch(mask).expect("member materialized"),
+            );
+            if a.k() != b.k() {
+                return mismatch("KMV capacity k differs");
+            }
+            if a.seed() != b.seed() {
+                return mismatch("KMV seeds differ (snapshots from different base seeds)");
+            }
+        }
+        match (&self.freq, &other.freq) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                if a.net() != b.net() {
+                    return mismatch("frequency-net alpha-nets differ");
+                }
+                if a.fingerprint_seed() != b.fingerprint_seed() {
+                    return mismatch("frequency-net fingerprint seeds differ");
+                }
+                for mask in a.net().members(NetMode::Full) {
+                    let (x, y) = (
+                        a.sketch(mask).expect("member materialized"),
+                        b.sketch(mask).expect("member materialized"),
+                    );
+                    if x.depth() != y.depth() || x.width() != y.width() {
+                        return mismatch("CountMin geometry differs");
+                    }
+                }
+            }
+            _ => return mismatch("frequency net present on one side only"),
+        }
+        if self.fp.len() != other.fp.len() {
+            return mismatch("fp-net counts differ");
+        }
+        for (a, b) in self.fp.iter().zip(&other.fp) {
+            if a.p().to_bits() != b.p().to_bits() {
+                return mismatch("fp-net moment orders differ");
+            }
+            if a.is_ams() != b.is_ams() {
+                return mismatch("fp-net sketch families differ");
+            }
+            if a.net() != b.net() || a.mode() != b.mode() || a.alphabet() != b.alphabet() {
+                return mismatch("fp-net alpha-nets differ");
+            }
+            if a.sketch_shape() != b.sketch_shape() {
+                return mismatch("fp-net sketch shapes differ");
+            }
+        }
+        Ok(())
+    }
+
     /// Fold another shard's summaries into this one.
     ///
     /// # Panics
-    /// Panics on shape/parameter mismatch (shards of one engine always
-    /// match).
+    /// Panics on shape/parameter mismatch: shards of one engine always
+    /// match, anything else passes [`check_mergeable`](Self::check_mergeable)
+    /// first.
     pub fn merge(&mut self, other: &Self) {
         self.sample.merge(&other.sample);
         self.net_f0.merge(&other.net_f0);
@@ -240,37 +323,6 @@ impl ShardSummary {
     pub fn fp(&self) -> &[FpNet] {
         &self.fp
     }
-
-    /// Reassemble a shard from parts (the resume path: a decoded snapshot
-    /// becomes the base state that every later snapshot merges on top of).
-    pub(crate) fn from_parts(
-        sample: UniformSampleSummary,
-        net_f0: AlphaNetF0<Kmv>,
-        freq: Option<AlphaNetFrequency>,
-        fp: Vec<FpNet>,
-        rows: u64,
-    ) -> Self {
-        Self {
-            sample,
-            net_f0,
-            freq,
-            fp,
-            rows,
-        }
-    }
-
-    /// Decompose into parts (snapshot assembly).
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        UniformSampleSummary,
-        AlphaNetF0<Kmv>,
-        Option<AlphaNetFrequency>,
-        Vec<FpNet>,
-        u64,
-    ) {
-        (self.sample, self.net_f0, self.freq, self.fp, self.rows)
-    }
 }
 
 impl Persist for ShardSummary {
@@ -296,10 +348,12 @@ impl Persist for ShardSummary {
         for _ in 0..n_fp {
             fp.push(FpNet::decode(dec)?);
         }
-        // Cross-component consistency, mirroring `Snapshot::decode`: a
+        // Cross-component consistency — the one place it is checked, for
+        // snapshot files, window rings and shipped replicas alike: a
         // CRC-valid record whose parts are each internally consistent but
-        // summarize different (d, Q) would panic later when a merge walks
-        // one component's masks and indexes the other's.
+        // summarize different (d, alpha, Q) would panic later, when a
+        // resume or merge walks one net's members and indexes another's
+        // sketch map.
         let (d, q) = (sample.dimension(), sample.alphabet());
         if net_f0.net().dimension() != d || net_f0.alphabet() != q {
             return Err(PersistError::Malformed(format!(

@@ -1,17 +1,19 @@
 //! Immutable, queryable snapshots.
 //!
-//! A [`Snapshot`] is the merge of every shard's summaries at one point in
-//! time. It is immutable by construction and shared behind `Arc` by the
-//! serving layer, so any number of query threads can read it while ingest
-//! continues on the live shards.
+//! A [`Snapshot`] is one [`ShardSummary`] — the merge of every shard's
+//! bundle at one point in time — plus the epoch it was published under.
+//! Everything about the bundle (its five summaries, merge compatibility,
+//! the byte encoding and its cross-component checks, space accounting)
+//! lives with `ShardSummary`; this module adds the epoch and the query
+//! surface. A snapshot is immutable by construction and shared behind
+//! `Arc` by the serving layer, so any number of query threads can read it
+//! while ingest continues on the live shards — and a resumed pipeline
+//! folds new rows on top of the published `Arc` itself, not a copy.
 
 use std::path::Path;
 
 use pfe_core::alpha_net::{AlphaNetF0, RoundedQuery};
-use pfe_core::{
-    AlphaNetFrequency, FpNet, HeavyHitter, NetAnswer, QueryError, SampledPattern,
-    UniformSampleSummary,
-};
+use pfe_core::{FpNet, HeavyHitter, NetAnswer, QueryError, SampledPattern, UniformSampleSummary};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, PatternCodec, PatternKey};
 use pfe_sketch::kmv::Kmv;
@@ -34,11 +36,7 @@ pub struct FrequencyAnswer {
 
 /// The merged, immutable view the engine serves queries from.
 pub struct Snapshot {
-    sample: UniformSampleSummary,
-    net_f0: AlphaNetF0<Kmv>,
-    freq: Option<AlphaNetFrequency>,
-    fp: Vec<FpNet>,
-    rows: u64,
+    summary: ShardSummary,
     epoch: u64,
 }
 
@@ -48,21 +46,17 @@ impl Snapshot {
     /// # Panics
     /// Panics if `shards` is empty or shard parameters mismatch.
     pub fn from_shards(shards: Vec<ShardSummary>, epoch: u64) -> Self {
-        assert!(!shards.is_empty(), "snapshot needs at least one shard");
         let mut iter = shards.into_iter();
-        let mut acc = iter.next().expect("nonempty");
+        let mut summary = iter.next().expect("snapshot needs at least one shard");
         for shard in iter {
-            acc.merge(&shard);
+            summary.merge(&shard);
         }
-        let (sample, net_f0, freq, fp, rows) = acc.into_parts();
-        Self {
-            sample,
-            net_f0,
-            freq,
-            fp,
-            rows,
-            epoch,
-        }
+        Self { summary, epoch }
+    }
+
+    /// The summary bundle this snapshot serves from.
+    pub fn summary(&self) -> &ShardSummary {
+        &self.summary
     }
 
     /// Monotone snapshot sequence number (per engine).
@@ -96,82 +90,6 @@ impl Snapshot {
         Ok(pfe_persist::load(path, pfe_persist::kind::SNAPSHOT)?)
     }
 
-    /// Check that `other` summarizes a disjoint segment of the *same*
-    /// logical stream configuration as `self`: equal dimension, alphabet,
-    /// reservoir capacity, α-net, and per-subset sketch parameters/seeds.
-    ///
-    /// # Errors
-    /// [`EngineError::Incompatible`] naming the first mismatch.
-    pub fn check_mergeable(&self, other: &Self) -> Result<(), EngineError> {
-        let mismatch = |what: &str| Err(EngineError::Incompatible(what.to_string()));
-        if self.sample.dimension() != other.sample.dimension() {
-            return mismatch("dimension d differs");
-        }
-        if self.sample.alphabet() != other.sample.alphabet() {
-            return mismatch("alphabet Q differs");
-        }
-        if self.sample.capacity() != other.sample.capacity() {
-            return mismatch("reservoir capacity sample_t differs");
-        }
-        if self.net_f0.net() != other.net_f0.net() {
-            return mismatch("alpha-net (d, alpha) differs");
-        }
-        if self.net_f0.mode() != other.net_f0.mode() {
-            return mismatch("net materialization mode differs");
-        }
-        for mask in self.net_f0.net().members(self.net_f0.mode()) {
-            let (a, b) = (
-                self.net_f0.sketch(mask).expect("member materialized"),
-                other.net_f0.sketch(mask).expect("member materialized"),
-            );
-            if a.k() != b.k() {
-                return mismatch("KMV capacity k differs");
-            }
-            if a.seed() != b.seed() {
-                return mismatch("KMV seeds differ (snapshots from different base seeds)");
-            }
-        }
-        match (&self.freq, &other.freq) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                if a.net() != b.net() {
-                    return mismatch("frequency-net alpha-nets differ");
-                }
-                if a.fingerprint_seed() != b.fingerprint_seed() {
-                    return mismatch("frequency-net fingerprint seeds differ");
-                }
-                for mask in a.net().members(pfe_core::NetMode::Full) {
-                    let (x, y) = (
-                        a.sketch(mask).expect("member materialized"),
-                        b.sketch(mask).expect("member materialized"),
-                    );
-                    if x.depth() != y.depth() || x.width() != y.width() {
-                        return mismatch("CountMin geometry differs");
-                    }
-                }
-            }
-            _ => return mismatch("frequency net present on one side only"),
-        }
-        if self.fp.len() != other.fp.len() {
-            return mismatch("fp-net counts differ");
-        }
-        for (a, b) in self.fp.iter().zip(&other.fp) {
-            if a.p().to_bits() != b.p().to_bits() {
-                return mismatch("fp-net moment orders differ");
-            }
-            if a.is_ams() != b.is_ams() {
-                return mismatch("fp-net sketch families differ");
-            }
-            if a.net() != b.net() || a.mode() != b.mode() || a.alphabet() != b.alphabet() {
-                return mismatch("fp-net alpha-nets differ");
-            }
-            if a.sketch_shape() != b.sketch_shape() {
-                return mismatch("fp-net sketch shapes differ");
-            }
-        }
-        Ok(())
-    }
-
     /// Union another snapshot into this one — the cross-process merge
     /// behind [`merge_snapshot_files`](crate::merge_snapshot_files).
     /// Sketch unions are exact (shared per-mask seeds); the row samples
@@ -179,65 +97,44 @@ impl Snapshot {
     /// the maximum of the two.
     ///
     /// # Errors
-    /// [`EngineError::Incompatible`] when [`check_mergeable`](Self::check_mergeable)
-    /// fails; nothing is modified in that case.
+    /// [`EngineError::Incompatible`] when
+    /// [`ShardSummary::check_mergeable`] fails; nothing is modified in
+    /// that case.
     pub fn merge(&mut self, other: &Self) -> Result<(), EngineError> {
-        self.check_mergeable(other)?;
-        self.sample.merge(&other.sample);
-        self.net_f0.merge(&other.net_f0);
-        match (&mut self.freq, &other.freq) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => unreachable!("checked by check_mergeable"),
-        }
-        for (a, b) in self.fp.iter_mut().zip(&other.fp) {
-            a.merge(b);
-        }
-        self.rows += other.rows;
+        self.summary.check_mergeable(&other.summary)?;
+        self.summary.merge(&other.summary);
         self.epoch = self.epoch.max(other.epoch);
         Ok(())
     }
 
-    /// Clone this snapshot's summaries into a [`ShardSummary`] — the base
-    /// state a resumed pipeline folds every later snapshot on top of.
-    pub(crate) fn to_base_shard(&self) -> ShardSummary {
-        ShardSummary::from_parts(
-            self.sample.clone(),
-            self.net_f0.clone(),
-            self.freq.clone(),
-            self.fp.clone(),
-            self.rows,
-        )
-    }
-
     /// Rows summarized.
     pub fn n(&self) -> u64 {
-        self.rows
+        self.summary.rows()
     }
 
     /// The merged uniform row sample.
     pub fn sample(&self) -> &UniformSampleSummary {
-        &self.sample
+        self.summary.sample()
     }
 
     /// The merged α-net `F_0` summary.
     pub fn net_f0(&self) -> &AlphaNetF0<Kmv> {
-        &self.net_f0
+        self.summary.net_f0()
     }
 
     /// Whether the frequency net is materialized.
     pub fn has_freq_net(&self) -> bool {
-        self.freq.is_some()
+        self.summary.freq().is_some()
     }
 
     /// The materialized `F_p` moment nets, one per configured order.
     pub fn fp_nets(&self) -> &[FpNet] {
-        &self.fp
+        self.summary.fp()
     }
 
     /// The net materialized for moment order `p`, if any.
     pub fn fp_net(&self, p: f64) -> Option<&FpNet> {
-        self.fp.iter().find(|n| (n.p() - p).abs() <= 1e-12)
+        self.fp_nets().iter().find(|n| (n.p() - p).abs() <= 1e-12)
     }
 
     /// Whether the uniform sample retains the *entire* stream (the
@@ -245,7 +142,7 @@ impl Snapshot {
     /// and [`f0_exact`](Self::f0_exact) — is computed from complete data,
     /// so the serving layer can honor `exact_if_available` queries.
     pub fn is_exhaustive(&self) -> bool {
-        self.sample.sample_len() as u64 == self.sample.n()
+        self.sample().sample_len() as u64 == self.sample().n()
     }
 
     /// Exact projected `F_0` from the fully retained rows: the number of
@@ -256,7 +153,7 @@ impl Snapshot {
     /// # Errors
     /// Dimension or codec errors.
     pub fn f0_exact(&self, cols: &ColumnSet) -> Result<f64, QueryError> {
-        let mut keys = self.sample.projected_sample(cols)?;
+        let mut keys = self.sample().projected_sample(cols)?;
         keys.sort_unstable();
         keys.dedup();
         Ok(keys.len() as f64)
@@ -268,7 +165,7 @@ impl Snapshot {
     /// # Errors
     /// Dimension errors.
     pub fn f0_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        self.net_f0.effective_rounding(cols)
+        self.net_f0().effective_rounding(cols)
     }
 
     /// Projected `F_0` (Algorithm 1).
@@ -276,7 +173,7 @@ impl Snapshot {
     /// # Errors
     /// Dimension errors.
     pub fn f0(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
-        self.net_f0.f0(cols)
+        self.net_f0().f0(cols)
     }
 
     /// Exact projected `F_p = Σ f_i^p` from the fully retained rows. Like
@@ -286,7 +183,7 @@ impl Snapshot {
     /// # Errors
     /// Dimension or codec errors.
     pub fn fp_exact(&self, cols: &ColumnSet, p: f64) -> Result<f64, QueryError> {
-        let mut keys = self.sample.projected_sample(cols)?;
+        let mut keys = self.sample().projected_sample(cols)?;
         keys.sort_unstable();
         let mut total = 0.0;
         let mut i = 0;
@@ -348,13 +245,13 @@ impl Snapshot {
             )));
         }
         for &s in pattern {
-            if s as u32 >= self.sample.alphabet() {
+            if s as u32 >= self.sample().alphabet() {
                 return Err(QueryError::BadParameter(format!(
                     "symbol {s} outside alphabet"
                 )));
             }
         }
-        let codec = PatternCodec::new(self.sample.alphabet(), cols.len())?;
+        let codec = PatternCodec::new(self.sample().alphabet(), cols.len())?;
         Ok(codec.encode_pattern(pattern))
     }
 
@@ -368,15 +265,17 @@ impl Snapshot {
         cols: &ColumnSet,
         key: PatternKey,
     ) -> Result<FrequencyAnswer, QueryError> {
-        let estimate = self.sample.frequency(cols, key)?;
-        let upper_bound = match &self.freq {
+        let estimate = self.sample().frequency(cols, key)?;
+        let upper_bound = match self.summary.freq() {
             Some(net) => Some(net.frequency(cols, key)?.estimate),
             None => None,
         };
         Ok(FrequencyAnswer {
             estimate,
             upper_bound,
-            additive_error: self.sample.additive_error(pfe_core::bounds::DEFAULT_DELTA),
+            additive_error: self
+                .sample()
+                .additive_error(pfe_core::bounds::DEFAULT_DELTA),
         })
     }
 
@@ -391,7 +290,7 @@ impl Snapshot {
         p: f64,
         c: f64,
     ) -> Result<Vec<HeavyHitter>, QueryError> {
-        self.sample.heavy_hitters(cols, phi, p, c)
+        self.sample().heavy_hitters(cols, phi, p, c)
     }
 
     /// `ℓ_1` pattern sampling on projection `cols`.
@@ -404,87 +303,28 @@ impl Snapshot {
         count: usize,
         seed: u64,
     ) -> Result<Vec<SampledPattern>, QueryError> {
-        self.sample.l1_sample(cols, count, seed)
+        self.sample().l1_sample(cols, count, seed)
     }
 }
 
+/// `epoch ‖ ShardSummary`: the summary's own encoding behind the epoch,
+/// so its decoder's cross-component checks guard snapshot files too.
 impl Persist for Snapshot {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.epoch);
-        enc.put_u64(self.rows);
-        self.sample.encode(enc);
-        self.net_f0.encode(enc);
-        self.freq.encode(enc);
-        enc.put_len(self.fp.len());
-        for net in &self.fp {
-            net.encode(enc);
-        }
+        self.summary.encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         let epoch = dec.take_u64()?;
-        let rows = dec.take_u64()?;
-        let sample = UniformSampleSummary::decode(dec)?;
-        let net_f0 = AlphaNetF0::<Kmv>::decode(dec)?;
-        let freq = Option::<AlphaNetFrequency>::decode(dec)?;
-        // Cross-component consistency: every part summarizes one (d, Q).
-        let (d, q) = (sample.dimension(), sample.alphabet());
-        if net_f0.net().dimension() != d || net_f0.alphabet() != q {
-            return Err(PersistError::Malformed(format!(
-                "F0 net summarizes ({}, Q={}) but the sample holds ({d}, Q={q})",
-                net_f0.net().dimension(),
-                net_f0.alphabet()
-            )));
-        }
-        if let Some(f) = &freq {
-            // The freq net must share the F0 net's exact (d, alpha) and
-            // alphabet: a CRC-valid file whose components are each
-            // internally consistent but disagree with one another would
-            // otherwise panic later, when resume/merge walks one net's
-            // members and indexes the other's sketch map.
-            if f.net() != net_f0.net() || f.alphabet() != q {
-                return Err(PersistError::Malformed(format!(
-                    "frequency net (d={}, alpha={}, Q={}) disagrees with the F0 net \
-                     (d={d}, alpha={}, Q={q})",
-                    f.net().dimension(),
-                    f.net().alpha(),
-                    f.alphabet(),
-                    net_f0.net().alpha()
-                )));
-            }
-        }
-        // Each fp net is at least a family tag plus net parameters.
-        let n_fp = dec.take_len(13)?;
-        let mut fp = Vec::with_capacity(n_fp);
-        for _ in 0..n_fp {
-            let net = FpNet::decode(dec)?;
-            if net.net() != net_f0.net() || net.alphabet() != q {
-                return Err(PersistError::Malformed(format!(
-                    "fp net (p={}, d={}, Q={}) disagrees with the F0 net (d={d}, Q={q})",
-                    net.p(),
-                    net.net().dimension(),
-                    net.alphabet()
-                )));
-            }
-            fp.push(net);
-        }
-        Ok(Self {
-            sample,
-            net_f0,
-            freq,
-            fp,
-            rows,
-            epoch,
-        })
+        let summary = ShardSummary::decode(dec)?;
+        Ok(Self { summary, epoch })
     }
 }
 
 impl SpaceUsage for Snapshot {
     fn space_bytes(&self) -> usize {
-        self.sample.space_bytes()
-            + self.net_f0.space_bytes()
-            + self.freq.as_ref().map(|f| f.space_bytes()).unwrap_or(0)
-            + self.fp.iter().map(|n| n.space_bytes()).sum::<usize>()
+        self.summary.space_bytes()
     }
 }
 
@@ -553,6 +393,27 @@ mod tests {
             Err(QueryError::UnsupportedMoment { .. })
         ));
         assert!(snap.space_bytes() > 0);
+    }
+
+    #[test]
+    fn framed_payload_is_epoch_then_the_summary_encoding() {
+        // The format relation `Persist for Snapshot` relies on: a snapshot
+        // file is its summary's bytes behind 8 bytes of epoch.
+        let mut shard = ShardSummary::new(8, 2, 0, &EngineConfig::default()).expect("new");
+        shard.push_packed_chunk(&[0b1011, 0b0110, 0b1011]);
+        let mut summary = Encoder::new();
+        shard.encode(&mut summary);
+        let epoch = 0x0102_0304_0506_0708u64;
+        let path = std::env::temp_dir().join("pfe-engine-snapshot-payload.pfes");
+        Snapshot::from_shards(vec![shard], epoch)
+            .save_to(&path)
+            .expect("save");
+        let file = std::fs::read(&path).expect("read");
+        let payload =
+            pfe_persist::frame::unframe(&file, pfe_persist::kind::SNAPSHOT).expect("unframe");
+        assert_eq!(payload[..8], epoch.to_le_bytes());
+        assert_eq!(payload[8..], summary.into_bytes()[..]);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The wire protocol: canonical `pfe-query` types ⇄ line-delimited JSON.
 //!
-//! One definition drives everything — the `serve` example parses requests
+//! One definition drives everything — the server dispatcher parses requests
 //! with [`query_from_json`] and serializes responses with
 //! [`answer_to_json`] / [`stats_to_json`], so the Rust API, the cache
 //! keys, and the wire protocol can never drift apart. The statistic op

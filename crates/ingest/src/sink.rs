@@ -4,13 +4,16 @@
 //!
 //! The ingester hands over *chunks*, never rows — a packed chunk is a
 //! `&[u64]`, a dense chunk is a flat row-major `&[u16]` — which is the
-//! only unit the engines accept: every impl below is a one-line delegate
+//! only unit the engines accept: both impls below are one-line delegates
 //! to `push_packed_batch` / `push_dense_batch`, where the chunk is
 //! shape-checked as a whole (a rejected chunk ingests nothing and
-//! surfaces as [`IngestError::Sink`]) and then routed.
+//! surfaces as [`IngestError::Sink`]) and then routed. A bare [`Engine`]
+//! is a sink for library callers; the CLI ingests into a [`Backend`],
+//! whichever engine it holds.
 
 use pfe_engine::Engine;
-use pfe_window::WindowedEngine;
+use pfe_obs::TraceHandle;
+use pfe_window::Backend;
 
 use crate::error::IngestError;
 
@@ -34,22 +37,27 @@ fn sink_err(e: impl std::fmt::Display) -> IngestError {
     IngestError::Sink(e.to_string())
 }
 
-/// Engines (owned, as a sink factory returns them, or borrowed) take the
-/// chunk as-is.
-macro_rules! engine_sinks {
-    ($($sink:ty),*) => {$(
-        impl RowSink for $sink {
-            fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-                self.push_packed_batch(rows).map_err(sink_err)
-            }
+impl RowSink for Engine {
+    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
+        self.push_packed_batch(rows).map_err(sink_err)
+    }
 
-            fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-                self.push_dense_batch(flat).map_err(sink_err)
-            }
-        }
-    )*};
+    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
+        self.push_dense_batch(flat).map_err(sink_err)
+    }
 }
-engine_sinks!(Engine, WindowedEngine, &Engine, &WindowedEngine);
+
+impl RowSink for Backend {
+    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
+        self.push_packed_batch(rows, &TraceHandle::disabled())
+            .map_err(sink_err)
+    }
+
+    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
+        self.push_dense_batch(flat, &TraceHandle::disabled())
+            .map_err(sink_err)
+    }
+}
 
 /// A sink that just collects rows — the reference for parity tests and
 /// the cheapest way to parse a file without an engine.

@@ -64,8 +64,8 @@
 //! running.join().unwrap();
 //! ```
 //!
-//! `examples/serve.rs` (workspace root) runs this server from the command
-//! line (`--listen`), `benches/server.rs` and `benches/connections.rs`
+//! `pfe serve` (`crates/cli`) runs this server from the command line
+//! (`--listen`, or pipe mode without it), `benches/server.rs` and `benches/connections.rs`
 //! measure throughput and connection scaling, `scripts/load_test.sh`
 //! drives the writer + replica topology end to end, and `docs/GUIDE.md`
 //! walks the whole install → ingest → query → serve → scale-out path.

@@ -1,11 +1,10 @@
 //! The protocol dispatcher: one definition of the line-delimited JSON
 //! surface, shared by stdin (pipe) mode, TCP sessions, and tests.
 //!
-//! A [`Dispatcher`] owns the serving backend (whole-stream
-//! [`Engine`] or sliding-window
-//! [`WindowedEngine`], selected by the
-//! `start` request) plus the server-level counters, and turns one request
-//! line into one response [`Reply`]. Statistic requests and responses are
+//! A [`Dispatcher`] owns the serving [`Backend`] (whole-stream or
+//! sliding-window, selected by the `start` request — the dispatcher never
+//! asks which) plus the server-level counters, and turns one request line
+//! into one response [`Reply`]. Statistic requests and responses are
 //! the canonical `pfe-query` types serialized by `pfe_engine::wire`, so
 //! the Rust API, the cache keys, and every transport speak one language.
 //! The full request/response reference lives in `docs/PROTOCOL.md`
@@ -32,12 +31,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Instant, SystemTime};
 
-use pfe_engine::{wire, Engine, EngineConfig, EngineError, EngineStats, Json, Query, Snapshot};
+use pfe_engine::{wire, Engine, EngineConfig, Json, Query, Snapshot};
 use pfe_obs::{
     chrome_trace_json, AttrValue, CompletedTrace, Counter, Gauge, Histogram, Recorder, SpanRecord,
     TraceContext, TraceHandle,
 };
-use pfe_window::{wire as window_wire, WindowConfig, WindowedEngine};
+use pfe_window::{wire as window_wire, WindowConfig};
+
+/// The serving backend — whole-stream or sliding-window — lives in
+/// `pfe-window`, the lowest crate that sees both engines; re-exported here
+/// for the transports and tools that install one.
+pub use pfe_window::Backend;
 
 /// Every op name the dispatcher recognizes.
 ///
@@ -190,6 +194,19 @@ fn set_uint<T: TryFrom<u64>>(obj: &Json, field: &str, slot: &mut T) -> Result<()
     Ok(())
 }
 
+/// `start` reads a closed set of fields: a key of `obj` (the request, or
+/// its `fp` / `window` object) outside `known` is a typed error naming it,
+/// never a parameter silently served at its default.
+fn known_fields(obj: &Json, what: &str, known: &[&str]) -> Result<(), Json> {
+    let Json::Obj(map) = obj else {
+        return Err(err(format!("{what} must be an object")));
+    };
+    match map.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(k) => Err(err(format!("unknown {what} field '{k}'"))),
+        None => Ok(()),
+    }
+}
+
 /// One completed trace as a span-tree JSON object: spans nest under
 /// their parents (`children` arrays), roots in start order.
 fn trace_to_json(t: &CompletedTrace) -> Json {
@@ -256,97 +273,6 @@ fn trace_to_json(t: &CompletedTrace) -> Json {
             Json::Arr(roots.iter().map(|r| span_json(t, r, &by_parent)).collect()),
         ),
     ])
-}
-
-/// Whole-stream or sliding-window serving, behind one protocol.
-pub enum Backend {
-    /// Whole-stream serving ([`Engine`]).
-    Plain(Engine),
-    /// Sliding-window serving ([`WindowedEngine`]).
-    Windowed(WindowedEngine),
-}
-
-impl Backend {
-    /// Answer a batch through whichever engine is live.
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<pfe_engine::Answer, EngineError>> {
-        match self {
-            Backend::Plain(e) => e.query_batch(queries),
-            Backend::Windowed(e) => e.query_batch(queries),
-        }
-    }
-
-    /// [`query_batch`](Self::query_batch) under a request trace: the
-    /// engine stages record spans on `trace`, and `Ok` answers echo
-    /// the trace id when the client supplied it (or the request turned
-    /// slow). Identical to the untraced path with a disabled handle.
-    pub fn query_batch_traced(
-        &self,
-        queries: &[Query],
-        trace: &TraceHandle,
-    ) -> Vec<Result<pfe_engine::Answer, EngineError>> {
-        match self {
-            Backend::Plain(e) => e.query_batch_traced(queries, trace),
-            Backend::Windowed(e) => e.query_batch_traced(queries, trace),
-        }
-    }
-
-    /// Dimension `d` of the served stream.
-    pub fn dimension(&self) -> u32 {
-        match self {
-            Backend::Plain(e) => e.dimension(),
-            Backend::Windowed(e) => e.dimension(),
-        }
-    }
-
-    /// Route a flat row-major chunk of dense rows in one engine call
-    /// (one pipeline/ring lock). The plain engine records its routing
-    /// spans under `trace`; the window ring pushes inline, so its tree
-    /// stops at the caller's span.
-    ///
-    /// # Errors
-    /// Shape violations (nothing is ingested) or a closed pipeline.
-    pub fn push_dense_batch(&self, flat: &[u16], trace: &TraceHandle) -> Result<(), EngineError> {
-        match self {
-            Backend::Plain(e) => e.push_dense_batch_traced(flat, trace),
-            Backend::Windowed(e) => e.push_dense_batch(flat),
-        }
-    }
-
-    /// Engine-level counters under the one documented `stats` schema: the
-    /// windowed engine maps its ring counters onto it (ingested =
-    /// retained + evicted, "snapshot" fields describe the live ring,
-    /// epoch 0) and serves ring-specific detail under `window_stats`.
-    pub fn stats(&self) -> EngineStats {
-        match self {
-            Backend::Plain(e) => e.stats(),
-            Backend::Windowed(e) => {
-                let w = e.window_stats();
-                EngineStats {
-                    rows_ingested: w.retained_rows + w.evicted_rows,
-                    snapshot_epoch: 0,
-                    snapshot_rows: w.retained_rows,
-                    snapshot_bytes: w.ring_bytes,
-                    cache: w.cache,
-                    shards: 1,
-                    queries_served: w.queries_served,
-                    queries: w.queries,
-                }
-            }
-        }
-    }
-
-    /// Write a durable checkpoint: the merged snapshot for a plain
-    /// engine, the whole bucket ring for a windowed one.
-    ///
-    /// # Errors
-    /// Persistence/IO failures, or `NoSnapshot` on an empty plain engine
-    /// that was already shut down.
-    pub fn checkpoint(&self, path: &Path) -> Result<(), EngineError> {
-        match self {
-            Backend::Plain(e) => e.checkpoint(path).map(|_| ()),
-            Backend::Windowed(e) => e.checkpoint(path),
-        }
-    }
 }
 
 /// What the transport should do after writing a [`Reply`]'s response.
@@ -552,16 +478,6 @@ impl Dispatcher {
         self.replica.read().expect("replica lock").is_some()
     }
 
-    /// Which backend flavor is live: `Some("plain")`, `Some("windowed")`,
-    /// or `None` before any `start`/install.
-    pub fn backend_kind(&self) -> Option<&'static str> {
-        let guard = self.started.read().expect("backend lock");
-        guard.as_ref().map(|s| match s.backend {
-            Backend::Plain(_) => "plain",
-            Backend::Windowed(_) => "windowed",
-        })
-    }
-
     /// Swap a freshly loaded snapshot in as the serving state (replica
     /// apply path). Tries the in-place [`Engine::install_snapshot`] swap
     /// first (keeps the warm answer cache); where that is not legal —
@@ -575,17 +491,12 @@ impl Dispatcher {
     pub fn adopt_snapshot(&self, snap: Snapshot, cfg: &EngineConfig) -> Result<u64, String> {
         let epoch = snap.epoch();
         let snap = Arc::new(snap);
-        {
-            let guard = self.started.read().expect("backend lock");
-            if let Some(Started {
-                backend: Backend::Plain(e),
-                ..
-            }) = guard.as_ref()
-            {
-                if e.install_snapshot(Arc::clone(&snap)).is_ok() {
-                    return Ok(epoch);
-                }
-            }
+        let swapped = self.with_live_backend(|b| {
+            b.plain()
+                .is_some_and(|e| e.install_snapshot(Arc::clone(&snap)).is_ok())
+        });
+        if swapped == Some(true) {
+            return Ok(epoch);
         }
         let (engine, q) = Engine::from_snapshot(snap, cfg.clone(), Arc::clone(&self.recorder))
             .map_err(|e| e.to_string())?;
@@ -731,17 +642,7 @@ impl Dispatcher {
     /// reflects the live state, not the state at the last `stats` call.
     fn sync_gauges(&self) {
         self.uptime.set(self.started_at.elapsed().as_secs());
-        let guard = self.started.read().expect("backend lock");
-        if let Some(s) = guard.as_ref() {
-            match &s.backend {
-                Backend::Plain(e) => {
-                    let _ = e.stats();
-                }
-                Backend::Windowed(e) => {
-                    let _ = e.window_stats();
-                }
-            }
-        }
+        self.with_live_backend(|b| b.stats());
     }
 
     /// The full registry in Prometheus text-exposition format (metric
@@ -867,18 +768,10 @@ impl Dispatcher {
         reply
     }
 
-    /// Run `f` against the live plain engine; `None` when no backend is
-    /// installed or the backend is windowed. (Snapshot shipping needs the
-    /// engine surface — epoch, refresh — not the wire surface.)
-    pub(crate) fn with_plain_engine<T>(&self, f: impl FnOnce(&Engine) -> T) -> Option<T> {
+    /// Run `f` against the live backend; `None` when none is installed.
+    pub(crate) fn with_live_backend<T>(&self, f: impl FnOnce(&Backend) -> T) -> Option<T> {
         let guard = self.started.read().expect("backend lock");
-        match guard.as_ref() {
-            Some(Started {
-                backend: Backend::Plain(e),
-                ..
-            }) => Some(f(e)),
-            _ => None,
-        }
+        guard.as_ref().map(|s| f(&s.backend))
     }
 
     fn with_backend<T>(&self, f: impl FnOnce(&Started) -> Result<T, Json>) -> Result<T, Json> {
@@ -947,13 +840,22 @@ impl Dispatcher {
     }
 
     fn start(&self, req: &Json) -> Result<Json, Json> {
+        known_fields(
+            req,
+            "'start'",
+            &[
+                "op", "trace", "d", "q", "shards", "alpha", "sample_t", "kmv_k", "seed", "fp",
+                "slow_ms", "window",
+            ],
+        )?;
         let (mut d, mut q) = (0u32, 2u32);
         set_uint(req, "d", &mut d)?;
         set_uint(req, "q", &mut q)?;
         let mut cfg = EngineConfig::default();
         set_uint(req, "shards", &mut cfg.shards)?;
-        if let Some(a) = req.get("alpha").and_then(Json::as_f64) {
-            cfg.alpha = a;
+        match req.get("alpha") {
+            None | Some(Json::Null) => {}
+            Some(a) => cfg.alpha = a.as_f64().ok_or_else(|| err("'alpha' must be a number"))?,
         }
         set_uint(req, "sample_t", &mut cfg.sample_t)?;
         set_uint(req, "kmv_k", &mut cfg.kmv_k)?;
@@ -961,6 +863,11 @@ impl Dispatcher {
         match req.get("fp") {
             None | Some(Json::Null) => {}
             Some(fp) => {
+                known_fields(
+                    fp,
+                    "'fp'",
+                    &["orders", "stable_t", "ams_groups", "ams_per_group"],
+                )?;
                 let orders = fp
                     .get("orders")
                     .and_then(Json::as_arr)
@@ -978,37 +885,31 @@ impl Dispatcher {
         if let Some(ms) = wire::uint(req, "slow_ms").map_err(err)? {
             self.recorder.slow_log().set_threshold_ms(ms);
         }
-        let backend = match req.get("window") {
-            None | Some(Json::Null) => Backend::Plain(
-                Engine::start_with_recorder(d, q, cfg, Arc::clone(&self.recorder))
-                    .map_err(|e| err(e.to_string()))?,
-            ),
+        let wcfg = match req.get("window") {
+            None | Some(Json::Null) => None,
             Some(win) => {
+                known_fields(
+                    win,
+                    "'window'",
+                    &["bucket_rows", "tier_cap", "max_tiers", "merged_cache"],
+                )?;
                 let mut wcfg = WindowConfig::default();
                 set_uint(win, "bucket_rows", &mut wcfg.bucket_rows)?;
                 set_uint(win, "tier_cap", &mut wcfg.tier_cap)?;
                 set_uint(win, "max_tiers", &mut wcfg.max_tiers)?;
                 set_uint(win, "merged_cache", &mut wcfg.merged_cache)?;
-                Backend::Windowed(
-                    WindowedEngine::start_with_recorder(
-                        d,
-                        q,
-                        cfg,
-                        wcfg,
-                        Arc::clone(&self.recorder),
-                    )
-                    .map_err(|e| err(e.to_string()))?,
-                )
+                Some(wcfg)
             }
         };
-        let windowed = matches!(backend, Backend::Windowed(_));
+        let backend = Backend::start(d, q, cfg, wcfg, Arc::clone(&self.recorder))
+            .map_err(|e| err(e.to_string()))?;
         // Last start wins (operator action): sessions already in flight
         // keep their answers consistent — the swap happens between
         // requests, never inside one.
         self.install(backend, q);
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
-            ("windowed", Json::Bool(windowed)),
+            ("windowed", Json::Bool(wcfg.is_some())),
         ]))
     }
 
@@ -1016,13 +917,9 @@ impl Dispatcher {
     fn server_stats(&self) -> Json {
         let (workers, queue) = *self.pool_shape.read().expect("pool shape lock");
         let c = &self.counters;
-        let engine = {
-            let guard = self.started.read().expect("backend lock");
-            match guard.as_ref() {
-                Some(s) => wire::stats_to_json(&s.backend.stats()),
-                None => Json::Null,
-            }
-        };
+        let engine = self
+            .with_live_backend(|b| wire::stats_to_json(&b.stats()))
+            .unwrap_or(Json::Null);
         Json::obj([
             ("ok", Json::Bool(true)),
             (
@@ -1215,12 +1112,8 @@ impl Dispatcher {
         if self.checkpointed.swap(true, Ordering::SeqCst) {
             return Ok(None);
         }
-        let guard = self.started.read().expect("backend lock");
-        match guard.as_ref() {
-            Some(s) => {
-                s.backend.checkpoint(&path).map_err(|e| e.to_string())?;
-                Ok(Some(path))
-            }
+        match self.with_live_backend(|b| b.checkpoint(&path)) {
+            Some(written) => written.map(|()| Some(path)).map_err(|e| e.to_string()),
             None => Ok(None),
         }
     }
@@ -1283,21 +1176,11 @@ impl Dispatcher {
                     ])))
                 })
             }
-            "snapshot" => self.with_backend(|s| match &s.backend {
-                Backend::Plain(e) => {
-                    let snap = e.refresh().map_err(|e| err(e.to_string()))?;
-                    Ok(Reply::cont(Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("epoch", Json::Num(snap.epoch() as f64)),
-                        ("rows", Json::Num(snap.n() as f64)),
-                    ])))
-                }
-                // The windowed engine serves the live ring directly —
-                // there is nothing to publish; report what is retained.
-                Backend::Windowed(e) => Ok(Reply::cont(Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("rows", Json::Num(e.retained_rows() as f64)),
-                ]))),
+            "snapshot" => self.with_backend(|s| {
+                let (epoch, rows) = s.backend.publish().map_err(|e| err(e.to_string()))?;
+                let mut fields = vec![("ok", Json::Bool(true)), ("rows", Json::Num(rows as f64))];
+                fields.extend(epoch.map(|e| ("epoch", Json::Num(e as f64))));
+                Ok(Reply::cont(Json::obj(fields)))
             }),
             "f0" | "frequency" | "heavy_hitters" | "l1_sample" | "fp" => {
                 self.serve_query(req, trace).map(Reply::cont)
@@ -1307,13 +1190,11 @@ impl Dispatcher {
                 .with_backend(|s| Ok(wire::stats_to_json(&s.backend.stats())))
                 .map(Reply::cont),
             "window_stats" => self
-                .with_backend(|s| match &s.backend {
-                    Backend::Windowed(e) => {
-                        Ok(window_wire::window_stats_to_json(&e.window_stats()))
-                    }
-                    Backend::Plain(_) => Err(err(
-                        "window_stats requires a windowed engine: start with a 'window' object",
-                    )),
+                .with_backend(|s| {
+                    let stats = s.backend.window_stats().ok_or_else(|| {
+                        err("window_stats requires a windowed engine: start with a 'window' object")
+                    })?;
+                    Ok(window_wire::window_stats_to_json(&stats))
                 })
                 .map(Reply::cont),
             "server_stats" => Ok(Reply::cont(self.server_stats())),
@@ -1558,6 +1439,20 @@ mod tests {
                 "max_tiers",
                 r#"{"op":"start","d":8,"window":{"max_tiers":"3"}}"#,
             ),
+            // A present, non-numeric alpha is an error, not the default.
+            ("alpha", r#"{"op":"start","d":8,"q":2,"alpha":"0.3"}"#),
+            // A field `start`, `fp` or `window` does not read is an error
+            // naming it, not a parameter served at its default.
+            ("kmvk", r#"{"op":"start","d":8,"q":2,"kmvk":64}"#),
+            (
+                "bucketrows",
+                r#"{"op":"start","d":8,"q":2,"window":{"bucketrows":64}}"#,
+            ),
+            (
+                "stablet",
+                r#"{"op":"start","d":8,"fp":{"orders":[2.0],"stablet":4}}"#,
+            ),
+            ("window", r#"{"op":"start","d":8,"q":2,"window":64}"#),
         ] {
             let r = d.handle_line(request);
             assert_eq!(r.json.get("ok"), Some(&Json::Bool(false)), "{request}");
@@ -1566,10 +1461,18 @@ mod tests {
                 error.contains(&format!("'{field}'")),
                 "{request}: error does not name '{field}': {error}"
             );
-            assert_eq!(d.backend_kind(), None, "{request} started a backend");
+            let stats = d.handle_line(r#"{"op":"stats"}"#).json;
+            assert_eq!(
+                stats.get("error").and_then(Json::as_str),
+                Some("no engine: send 'start' first"),
+                "{request} started a backend"
+            );
         }
-        // Integral values written as floats are still integers.
-        let r = d.handle_line(r#"{"op":"start","d":8.0,"q":2,"shards":1}"#);
+        // Integral values written as floats are still integers, and the
+        // documented non-parameter fields pass.
+        let r = d.handle_line(
+            r#"{"op":"start","d":8.0,"q":2,"shards":1,"alpha":0.3,"trace":"ab12","slow_ms":0}"#,
+        );
         assert_eq!(r.json.get("ok"), Some(&Json::Bool(true)));
     }
 

@@ -114,15 +114,11 @@ pub fn ship_once(
     dir: &Path,
     last_rows: &mut Option<u64>,
 ) -> Result<Option<u64>, String> {
-    match dispatcher.backend_kind() {
-        None => return Ok(None), // nothing started yet
-        Some("plain") => {}
-        Some(_) => {
-            return Err("snapshot shipping requires a plain (whole-stream) engine".to_string())
-        }
-    }
     let shipped = dispatcher
-        .with_plain_engine(|engine| -> Result<Option<u64>, String> {
+        .with_live_backend(|backend| -> Result<Option<u64>, String> {
+            let engine = backend
+                .plain()
+                .ok_or("snapshot shipping requires a plain (whole-stream) engine")?;
             let rows = engine.stats().rows_ingested;
             if *last_rows == Some(rows) {
                 return Ok(None);
@@ -136,7 +132,7 @@ pub fn ship_once(
             *last_rows = Some(rows);
             Ok(Some(snap.epoch()))
         })
-        .unwrap_or(Ok(None))?; // backend raced away between kind check and use
+        .unwrap_or(Ok(None))?; // nothing started yet
     if let Some(epoch) = shipped {
         let recorder = dispatcher.recorder();
         recorder.counter("server_snapshots_shipped").inc();

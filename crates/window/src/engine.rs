@@ -1,5 +1,12 @@
 //! The windowed serving engine: recency queries over the tiered bucket
 //! ring, answered through the shared `pfe-engine` query executor.
+//!
+//! Every bucket is a `ShardSummary` — the same bundle a whole-stream
+//! snapshot wraps — so a window is served by folding the covering buckets
+//! into a [`Snapshot`] (epoch slot = covering fingerprint), and a resumed
+//! ring is validated by reference against one probe summary built from
+//! the caller's config (`BucketRing::adopt_config`), exactly as engine
+//! resume and file merges are.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -371,9 +378,10 @@ impl WindowedEngine {
 
     /// Restore a windowed engine from a [`checkpoint`](Self::checkpoint)
     /// file. `ecfg` must carry the same summary parameters the ring was
-    /// built with (sketch and reservoir seeds derive from them); every
-    /// decoded bucket is verified mergeable against a probe summary built
-    /// from `ecfg` before anything is served.
+    /// built with (sketch and reservoir seeds derive from them): every
+    /// decoded bucket is verified mergeable, by reference, against a probe
+    /// summary built from `ecfg` before anything is served — that probe is
+    /// the only statement of what "the same parameters" means.
     ///
     /// # Errors
     /// `Persist` for unreadable/corrupt files, `Incompatible` when `ecfg`
@@ -392,32 +400,9 @@ impl WindowedEngine {
         ecfg: EngineConfig,
         recorder: Arc<Recorder>,
     ) -> Result<Self, EngineError> {
-        let ring: BucketRing = pfe_persist::load(path, pfe_persist::kind::WINDOW)?;
-        let (d, q) = (ring.dimension(), ring.alphabet());
-        let stored = ring.engine_config();
-        for (what, matches) in [
-            ("alpha", stored.alpha == ecfg.alpha),
-            ("kmv_k", stored.kmv_k == ecfg.kmv_k),
-            ("sample_t", stored.sample_t == ecfg.sample_t),
-            ("seed", stored.seed == ecfg.seed),
-            ("max_subsets", stored.max_subsets == ecfg.max_subsets),
-            ("freq_net", stored.freq_net == ecfg.freq_net),
-            ("fp", stored.fp == ecfg.fp),
-        ] {
-            if !matches {
-                return Err(EngineError::Incompatible(format!(
-                    "ring was built with a different {what}"
-                )));
-            }
-        }
-        // Structural probe: every bucket must merge cleanly with
-        // summaries the resumed ring will construct from `ecfg`.
-        let probe = Snapshot::from_shards(vec![ShardSummary::new(d, q, 0, &ecfg)?], 0);
+        let mut ring: BucketRing = pfe_persist::load(path, pfe_persist::kind::WINDOW)?;
+        ring.adopt_config(&ecfg)?;
         let wcfg = *ring.window_config();
-        for bucket in ring.buckets() {
-            Snapshot::from_shards(vec![bucket.summary().clone()], 0).check_mergeable(&probe)?;
-        }
-        Snapshot::from_shards(vec![ring.active().clone()], 0).check_mergeable(&probe)?;
         Ok(Self {
             ring: Mutex::new(ring),
             merged: Mutex::new(MergedLru::new(wcfg.merged_cache)),

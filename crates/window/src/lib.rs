@@ -59,11 +59,13 @@
 //! assert!(a.hitters().unwrap().len() < 1_000);
 //! ```
 
+mod backend;
 mod config;
 mod engine;
 mod ring;
 pub mod wire;
 
+pub use backend::Backend;
 pub use config::WindowConfig;
 pub use engine::{WindowStats, WindowedEngine};
 pub use ring::{Bucket, BucketRing, Covering};

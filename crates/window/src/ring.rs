@@ -162,9 +162,27 @@ impl BucketRing {
         &self.wcfg
     }
 
-    /// The per-bucket summary configuration.
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.ecfg
+    /// Resume under `ecfg`: every bucket, sealed and active, must merge
+    /// with a probe summary built from it — by reference, the same
+    /// [`ShardSummary::check_mergeable`] engine resume and file merges ask
+    /// — and future seals then build from `ecfg`, so what was probed is
+    /// what the ring will construct.
+    ///
+    /// # Errors
+    /// `Incompatible` naming the first mismatch; summary construction
+    /// errors.
+    pub(crate) fn adopt_config(&mut self, ecfg: &EngineConfig) -> Result<(), EngineError> {
+        let probe = ShardSummary::new(self.d, self.q, 0, ecfg)?;
+        for summary in self
+            .buckets
+            .iter()
+            .map(Bucket::summary)
+            .chain([&self.active])
+        {
+            summary.check_mergeable(&probe)?;
+        }
+        self.ecfg = ecfg.clone();
+        Ok(())
     }
 
     /// Sealed buckets, oldest first.

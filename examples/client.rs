@@ -1,5 +1,5 @@
 //! `client` — command-line client for a running `pfe-server`
-//! (`serve --listen`).
+//! (`pfe serve --listen ADDR`).
 //!
 //! ```text
 //! cargo run --release --example client -- 127.0.0.1:7070            # interactive/pipe

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Smoke-run the docs/GUIDE.md quickstart: build the examples, run the
-# scripted pipe-mode sessions, then a real TCP server + client round
-# trip ending in a wire shutdown with a durable checkpoint. Fails if any
-# response is an error or the checkpoint is missing.
+# Smoke-run the docs/GUIDE.md quickstart: build the `pfe` binary and the
+# client example, run two scripted pipe-mode sessions through `pfe serve`,
+# then a real TCP server + client round trip ending in a wire shutdown
+# with a durable checkpoint. Fails if any response is an error or the
+# checkpoint is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,19 +11,50 @@ tmpdir=$(mktemp -d)
 trap 'kill ${server_pid:-} ${writer_pid:-} ${replica_pid:-} 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 
 echo "== build (guide §1)"
-cargo build --release --example serve --example client
+cargo build --release -p pfe-cli
+cargo build --release --example client
+pfe=target/release/pfe
 
-echo "== pipe-mode demos (guide §5)"
-out=$(cargo run --release --example serve -- --demo 2>/dev/null)
-echo "$out" | grep -q '"bye":true' || { echo "FAIL: demo session did not finish"; exit 1; }
-echo "$out" | grep -q '"ok":false' && { echo "FAIL: demo session had an error response"; exit 1; }
-out=$(cargo run --release --example serve -- --demo-window 2>/dev/null)
-echo "$out" | grep -q '"bye":true' || { echo "FAIL: windowed demo did not finish"; exit 1; }
-echo "$out" | grep -q '"ok":false' && { echo "FAIL: windowed demo had an error response"; exit 1; }
+echo "== pipe-mode sessions (guide §5)"
+# Whole-stream: moment nets on, one of each statistic, a batch, stats.
+out=$("$pfe" serve 2>/dev/null <<'SESSION'
+{"op":"start","d":6,"q":2,"shards":2,"fp":{"orders":[2.0,1.5]}}
+{"op":"ingest","rows":[[0,1,0,1,0,1],[1,1,0,0,1,0],[0,0,1,1,0,1],[1,0,1,0,1,1],[0,1,1,0,0,0],[1,1,1,1,0,1],[0,0,0,1,1,0],[1,0,0,1,0,0]]}
+{"op":"ingest","rows":[[0,1,0,1,0,1],[1,1,0,0,1,0],[1,1,1,0,0,1],[0,1,0,0,1,1]]}
+{"op":"snapshot"}
+{"op":"f0","cols":[0,1,2,3]}
+{"op":"frequency","cols":[0,1],"pattern":[1,1]}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
+{"op":"l1_sample","cols":[0,1,2],"k":4,"seed":7}
+{"op":"fp","cols":[0,1,2,3],"p":2.0}
+{"op":"batch","queries":[{"op":"f0","cols":[0,1,2]},{"op":"f0","cols":[0,1,2,3]}]}
+{"op":"stats"}
+{"op":"quit"}
+SESSION
+)
+echo "$out" | grep -q '"bye":true' || { echo "FAIL: pipe session did not finish"; exit 1; }
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: pipe session had an error response: $out"; exit 1; }
+echo "$out" | grep -q '"rows_ingested":12' || { echo "FAIL: pipe session stats wrong: $out"; exit 1; }
+# Windowed: 4-row buckets, 14 rows => 3 sealed buckets + 2 active rows.
+out=$("$pfe" serve 2>/dev/null <<'SESSION'
+{"op":"start","d":6,"q":2,"window":{"bucket_rows":4,"tier_cap":4,"max_tiers":3}}
+{"op":"ingest","rows":[[0,1,0,1,0,1],[1,1,0,0,1,0],[0,0,1,1,0,1],[1,0,1,0,1,1],[0,1,1,0,0,0],[1,1,1,1,0,1],[0,0,0,1,1,0]]}
+{"op":"ingest","rows":[[1,0,0,1,0,0],[0,1,0,1,0,1],[1,1,0,0,1,0],[1,1,1,0,0,1],[0,1,0,0,1,1],[0,0,1,0,1,0],[1,0,1,1,1,0]]}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05,"window":6}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
+{"op":"f0","cols":[0,1,2,3],"window":10}
+{"op":"batch","queries":[{"op":"f0","cols":[0,1],"window":6},{"op":"f0","cols":[0,1],"window":7}]}
+{"op":"window_stats"}
+{"op":"quit"}
+SESSION
+)
+echo "$out" | grep -q '"bye":true' || { echo "FAIL: windowed session did not finish"; exit 1; }
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: windowed session had an error response: $out"; exit 1; }
+echo "$out" | grep -q '"sealed_buckets":3' || { echo "FAIL: windowed session sealed no buckets: $out"; exit 1; }
 
 echo "== TCP server + client round trip (guide §5)"
 ckpt="$tmpdir/smoke.pfes"
-cargo run --release --example serve -- \
+"$pfe" serve \
     --listen 127.0.0.1:0 --workers 2 --queue 4 --checkpoint "$ckpt" \
     --metrics 127.0.0.1:0 --slow-ms 50 \
     2>"$tmpdir/serve.err" &
@@ -71,8 +103,6 @@ lines=$(grep -c '^pfe_' "$body")
 echo "   scrape OK ($lines metric lines, grammar clean)"
 
 echo "== request tracing (guide §7)"
-cargo build --release -p pfe-cli
-pfe=target/release/pfe
 host=${addr%:*}; port=${addr##*:}
 tid="00000000000000000000000000abc123"
 # A traced query over the live TCP socket: the client-supplied id must
@@ -115,8 +145,6 @@ wait "$server_pid" 2>/dev/null || true
 [ -s "$ckpt" ] || { echo "FAIL: shutdown checkpoint missing or empty"; exit 1; }
 
 echo "== pfe bulk-data CLI (guide §8)"
-cargo build --release -p pfe-cli
-pfe=target/release/pfe
 csv="$tmpdir/rows.csv"
 # Deterministic 12-column binary CSV (awk LCG, header + 500 rows).
 awk 'BEGIN {

@@ -13,8 +13,8 @@
 //! - [`row`] — column sets, packed binary and Q-ary matrices, pattern
 //!   keys, exact frequency vectors;
 //! - [`sketch`] — KMV/LinearCounting/BJKST distinct counters,
-//!   CountMin/CountSketch, Misra–Gries/SpaceSaving, AMS F2, p-stable Fp,
-//!   reservoirs, ℓ₀-sampler;
+//!   CountMin/CountSketch, SpaceSaving, AMS F2, p-stable Fp, the uniform
+//!   reservoir;
 //! - [`stream`] — workload generators and the paper's adversarial
 //!   lower-bound instances;
 //! - [`core`] — the paper's summaries: exact baseline, Theorem 5.1
