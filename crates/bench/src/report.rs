@@ -33,18 +33,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render to a string with aligned columns.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -160,7 +150,7 @@ mod tests {
         let r = t.render();
         assert!(r.contains("## demo"));
         assert!(r.contains("| a   | long-header |"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -68,12 +68,11 @@ const VALUE_FLAGS: &[&str] = &[
     "--ship-ms",
     "--replica-of",
     "--replica-poll-ms",
-    // replica / trace / bench-ingest
+    // replica / trace
     "--interval-ms",
     "--id",
     "--last",
     "--chrome",
-    "--iters",
 ];
 
 /// A `--flag` that no subcommand reads: most likely a typo, and silently

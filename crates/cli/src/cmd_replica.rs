@@ -11,6 +11,7 @@ use pfe_engine::Json;
 use pfe_server::Client;
 
 use crate::args::Args;
+use crate::request;
 
 const USAGE: &str = "usage: pfe replica ADDR [--watch] [--interval-ms N]";
 
@@ -22,19 +23,8 @@ pub fn replica(args: &Args) -> Result<i32, String> {
         return Err(USAGE.into());
     };
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let fetch = |client: &mut Client| -> Result<Json, String> {
-        let resp = client
-            .request_line(r#"{"op":"replica_stats"}"#)
-            .map_err(|e| e.to_string())?;
-        if resp.get("ok") == Some(&Json::Bool(false)) {
-            return Err(resp
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("request failed")
-                .to_string());
-        }
-        Ok(resp)
-    };
+    let stats = Json::obj([("op", Json::Str("replica_stats".to_string()))]);
+    let fetch = |client: &mut Client| request(client, &stats);
     if !args.present("--watch") {
         println!("{}", fetch(&mut client)?);
         return Ok(0);

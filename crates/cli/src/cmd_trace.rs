@@ -7,49 +7,15 @@
 //! Chrome trace-event JSON loadable in `chrome://tracing` and Perfetto.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use pfe_engine::Json;
+use pfe_server::Client;
 
 use crate::args::Args;
+use crate::request;
 
 const USAGE: &str = "usage: pfe trace ADDR [--id HEX] [--last N] [--follow] [--chrome FILE]";
-
-/// One connected line-protocol client.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Result<Self, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        stream.set_nodelay(true).ok();
-        let writer = stream
-            .try_clone()
-            .map_err(|e| format!("clone stream: {e}"))?;
-        Ok(Self {
-            writer,
-            reader: BufReader::new(stream),
-        })
-    }
-
-    fn request(&mut self, req: &Json) -> Result<Json, String> {
-        writeln!(self.writer, "{req}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))?;
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("recv: {e}"))?;
-        if n == 0 {
-            return Err("server closed the connection".into());
-        }
-        Json::parse(line.trim()).map_err(|e| format!("bad response: {e}"))
-    }
-}
 
 fn trace_request(args: &Args, chrome: bool) -> Result<Json, String> {
     let mut fields = vec![("op", Json::Str("trace".to_string()))];
@@ -64,21 +30,9 @@ fn trace_request(args: &Args, chrome: bool) -> Result<Json, String> {
     Ok(Json::obj(fields))
 }
 
-fn fail(resp: &Json) -> Result<(), String> {
-    if resp.get("ok") == Some(&Json::Bool(false)) {
-        return Err(resp
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("request failed")
-            .to_string());
-    }
-    Ok(())
-}
-
 /// Write the server's Chrome trace-event export to `path`.
 fn export_chrome(client: &mut Client, args: &Args, path: &str) -> Result<(), String> {
-    let resp = client.request(&trace_request(args, true)?)?;
-    fail(&resp)?;
+    let resp = request(client, &trace_request(args, true)?)?;
     let events = resp.get("events").ok_or("no 'events' in response")?;
     std::fs::write(path, format!("{events}\n")).map_err(|e| format!("write {path}: {e}"))?;
     let n = events.as_arr().map(<[Json]>::len).unwrap_or(0);
@@ -100,14 +54,13 @@ pub fn trace(args: &Args) -> Result<i32, String> {
     let [addr] = pos[..] else {
         return Err(USAGE.into());
     };
-    let mut client = Client::connect(addr)?;
+    let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     if let Some(path) = args.value("--chrome") {
         export_chrome(&mut client, args, path)?;
         return Ok(0);
     }
     if !args.present("--follow") {
-        let resp = client.request(&trace_request(args, false)?)?;
-        fail(&resp)?;
+        let resp = request(&mut client, &trace_request(args, false)?)?;
         for t in resp.get("traces").and_then(Json::as_arr).unwrap_or(&[]) {
             println!("{t}");
         }
@@ -119,8 +72,7 @@ pub fn trace(args: &Args) -> Result<i32, String> {
     let mut seen: HashSet<String> = HashSet::new();
     let mut first_sweep = true;
     loop {
-        let resp = client.request(&trace_request(args, false)?)?;
-        fail(&resp)?;
+        let resp = request(&mut client, &trace_request(args, false)?)?;
         for t in resp.get("traces").and_then(Json::as_arr).unwrap_or(&[]) {
             let Some(id) = t.get("trace_id").and_then(Json::as_str) else {
                 continue;

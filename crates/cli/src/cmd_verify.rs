@@ -14,7 +14,20 @@ use pfe_engine::{Engine, Json, Query};
 use pfe_ingest::{FileIngester, IngestError, IngestOptions};
 
 use crate::args::{engine_config, ingest_options, Args};
-use crate::cmd_bench::delim_for;
+
+fn delim_for(opts: &IngestOptions, path: &str) -> char {
+    match opts.delimiter {
+        Some(d) => d as char,
+        None => {
+            let lower = path.to_ascii_lowercase();
+            if lower.ends_with(".tsv") || lower.ends_with(".tab") {
+                '\t'
+            } else {
+                ','
+            }
+        }
+    }
+}
 
 /// Independent reference parse: `String` splitting, quote stripping,
 /// `str::parse` — nothing shared with the byte-level columnar parser.

@@ -4,9 +4,8 @@
 //! One binary covers the whole bulk-data workflow: load a CSV/TSV file
 //! through the columnar ingest path ([`pfe-ingest`](pfe_ingest)), write
 //! a durable checkpoint, answer any of the five projected statistics
-//! against it, merge shard checkpoints, serve the wire protocol over
-//! TCP or a pipe, and benchmark the ingest path against a naive
-//! row-at-a-time baseline.
+//! against it, merge shard checkpoints, and serve the wire protocol
+//! over TCP or a pipe.
 //!
 //! ```text
 //! pfe ingest rows.csv --out rows.pfes
@@ -21,7 +20,6 @@
 //! runtime failure, 2 on usage errors.
 
 pub mod args;
-mod cmd_bench;
 mod cmd_checkpoint;
 mod cmd_ingest;
 mod cmd_query;
@@ -46,11 +44,10 @@ SUBCOMMANDS
   serve [--listen ADDR]      wire protocol over TCP, or stdin/stdout pipe mode
   replica ADDR [--watch]     replication health of a live server
   trace ADDR [--last N]      fetch request traces from a live server
-  bench-ingest FILE          columnar vs row-at-a-time ingest throughput
   verify FILE                prove file ingest matches the Rust API bit-for-bit
   help                       this text
 
-FILE SHAPE (ingest / resume / bench-ingest / verify)
+FILE SHAPE (ingest / resume / verify)
   --q Q               alphabet size (default 2; values must lie in [0,Q))
   --no-header         first line is data, not column names
   --columns a,b,c     declare/validate column names
@@ -85,6 +82,24 @@ SERVE (TCP mode)
 Run 'pfe <SUBCOMMAND>' with no operands for that subcommand's usage.
 ";
 
+/// One wire round trip of the `replica` / `trace` clients; an `ok:false`
+/// reply is the error.
+fn request(
+    client: &mut pfe_server::Client,
+    req: &pfe_engine::Json,
+) -> Result<pfe_engine::Json, String> {
+    use pfe_engine::Json;
+    let resp = client.request(req).map_err(|e| e.to_string())?;
+    if resp.get("ok") == Some(&Json::Bool(false)) {
+        return Err(resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("request failed")
+            .to_string());
+    }
+    Ok(resp)
+}
+
 /// Run the CLI against `argv` (everything after the program name);
 /// returns the process exit code.
 pub fn run(argv: Vec<String>) -> i32 {
@@ -108,7 +123,6 @@ pub fn run(argv: Vec<String>) -> i32 {
         "serve" => cmd_serve::serve(&args),
         "replica" => cmd_replica::replica(&args),
         "trace" => cmd_trace::trace(&args),
-        "bench-ingest" => cmd_bench::bench_ingest(&args),
         "verify" => cmd_verify::verify(&args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");

@@ -1,9 +1,7 @@
-//! Binomial coefficients — exact (checked `u128`) and logarithmic forms.
+//! Binomial coefficients, exact in checked `u128`.
 //!
 //! The paper's space bounds are expressed through `C(d, k)` (code sizes,
-//! Theorem 4.1) and partial binomial sums (net sizes, Lemma 6.2). Exact
-//! values are used when they fit in `u128`; the `ln`/`log2` forms are used
-//! for the analytic curves at scales where the exact value overflows.
+//! Theorem 4.1) and partial binomial sums (net sizes, Lemma 6.2).
 
 /// Exact binomial coefficient `C(n, k)`, or `None` on `u128` overflow.
 ///
@@ -11,7 +9,7 @@
 /// product is itself a binomial coefficient, so divisions are exact).
 /// `None` is returned when any *intermediate* product `C(n, i)·(n-i)`
 /// overflows, so final values up to roughly `u128::MAX / n` are guaranteed
-/// representable; callers needing larger magnitudes use [`binomial_f64`].
+/// representable.
 pub fn binomial(n: u64, k: u64) -> Option<u128> {
     if k > n {
         return Some(0);
@@ -24,69 +22,6 @@ pub fn binomial(n: u64, k: u64) -> Option<u128> {
         acc /= (i + 1) as u128;
     }
     Some(acc)
-}
-
-/// Natural log of `C(n, k)` via `ln Γ` (Stirling–Lanczos approximation).
-///
-/// Accurate to ~1e-10 relative error for the ranges used here; exact-value
-/// tests pin it against [`binomial`] where both are available.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    if k == 0 || k == n {
-        return 0.0;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
-/// Base-2 log of `C(n, k)`.
-pub fn log2_binomial(n: u64, k: u64) -> f64 {
-    ln_binomial(n, k) / std::f64::consts::LN_2
-}
-
-/// `C(n, k)` as an `f64` (may be `inf` for astronomically large values).
-pub fn binomial_f64(n: u64, k: u64) -> f64 {
-    match binomial(n, k) {
-        Some(v) if v <= (1u128 << 100) => v as f64,
-        _ => ln_binomial(n, k).exp(),
-    }
-}
-
-/// `ln(n!)` using exact accumulation for small `n` and Lanczos `ln Γ` above.
-pub fn ln_factorial(n: u64) -> f64 {
-    if n < 2 {
-        return 0.0;
-    }
-    if n <= 256 {
-        // Exact summation is cheap and avoids approximation error entirely.
-        return (2..=n).map(|i| (i as f64).ln()).sum();
-    }
-    ln_gamma(n as f64 + 1.0)
-}
-
-/// Lanczos approximation to `ln Γ(x)` for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
-    // g = 7, n = 9 Lanczos coefficients (standard table).
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    debug_assert!(x > 0.0);
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + 7.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
 /// Partial binomial sum `Σ_{i=0}^{m} C(n, i)`, or `None` on overflow.
@@ -163,41 +98,6 @@ mod tests {
                 assert!(lhs >= rhs, "(d/k)^k bound fails at d={d}, k={k}");
             }
         }
-    }
-
-    #[test]
-    fn ln_matches_exact() {
-        for n in [10u64, 30, 60, 120, 500, 1000] {
-            for k in [0u64, 1, n / 4, n / 2] {
-                if let Some(exact) = binomial(n, k) {
-                    let approx = ln_binomial(n, k);
-                    let truth = (exact as f64).ln();
-                    let err = if truth == 0.0 {
-                        approx.abs()
-                    } else {
-                        (approx - truth).abs() / truth.max(1.0)
-                    };
-                    assert!(err < 1e-9, "ln_binomial({n},{k}) err {err}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ln_gamma_known_values() {
-        // Γ(n) = (n-1)! — check a few points.
-        assert!((ln_gamma(1.0) - 0.0).abs() < 1e-10);
-        assert!((ln_gamma(2.0) - 0.0).abs() < 1e-10);
-        assert!((ln_gamma(5.0) - (24.0f64).ln()).abs() < 1e-9);
-        assert!((ln_gamma(11.0) - (3_628_800.0f64).ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn binomial_f64_handles_huge() {
-        // C(400, 200) overflows u128 but must come back finite and huge.
-        let v = binomial_f64(400, 200);
-        assert!(v.is_finite());
-        assert!(v > 1e100);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::subsets::{colex_rank, colex_unrank, FixedWeightIter};
 /// assert_eq!(code.size(), 1820); // C(16, 4)
 /// // Distinct codewords share at most k-1 = 3 ones (Section 3.2).
 /// let (a, b) = (code.unrank(0), code.unrank(1000));
-/// assert!((a & b).count_ones() <= code.max_pairwise_intersection());
+/// assert!((a & b).count_ones() <= code.weight() - 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConstantWeightCode {
@@ -90,22 +90,6 @@ impl ConstantWeightCode {
         assert!(rank < self.size(), "rank {rank} out of range");
         colex_unrank(self.k, rank)
     }
-
-    /// Maximum possible intersection (shared 1s) between distinct codewords:
-    /// `k - 1` (the "trivial but crucial property" of Section 3.2).
-    pub fn max_pairwise_intersection(&self) -> u32 {
-        self.k.saturating_sub(1)
-    }
-
-    /// Lower bound on the code size used in Theorem 4.1's space bound:
-    /// `(d/k)^k` for `0 < k <= d/2`, else the trivial bound 1.
-    pub fn size_lower_bound(&self) -> f64 {
-        if self.k == 0 || self.k > self.d / 2 {
-            1.0
-        } else {
-            (self.d as f64 / self.k as f64).powi(self.k as i32)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +113,7 @@ mod tests {
             for &y in &words[i + 1..] {
                 let shared = (x & y).count_ones();
                 assert!(
-                    shared <= code.max_pairwise_intersection(),
+                    shared < code.weight(),
                     "{x:b} and {y:b} share {shared} ones"
                 );
             }
@@ -152,19 +136,6 @@ mod tests {
         assert!(!code.contains(0b0000_0011));
         assert!(!code.contains(0b1_0000_0011)); // bit 8 out of range... weight 3 but d=8
         assert!(!code.contains(1 << 10));
-    }
-
-    #[test]
-    fn size_lower_bound_holds() {
-        for d in 4..30u32 {
-            for k in 1..=d / 2 {
-                let code = ConstantWeightCode::new(d, k);
-                assert!(
-                    code.size() as f64 >= code.size_lower_bound(),
-                    "bound violated at d={d}, k={k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! `H(x) = -x log2 x - (1-x) log2 (1-x)` controls the number of subsets the
 //! α-net scheme materializes: `|N| ≤ 2^{H(1/2-α)d + 1}`. Figure 1 of the
 //! paper plots `2^{H(1/2-α)d}/2^d` (relative space) against the rounding
-//! distortion `2^{αd}`; these helpers generate those exact curves.
-
-use crate::binomial::binomial_sum;
+//! distortion `2^{αd}`.
 
 /// Binary entropy `H(x)` in bits, with the standard convention `H(0)=H(1)=0`.
 ///
@@ -31,45 +29,9 @@ pub fn net_size_bound_log2(d: u32, alpha: f64) -> f64 {
     binary_entropy(0.5 - alpha) * d as f64 + 1.0
 }
 
-/// Exact α-net size: `2·Σ_{i ≤ (1/2-α)d} C(d, i)`, minus the double count of
-/// nothing (small and large halves are disjoint since `(1/2-α)d < (1/2+α)d`).
-///
-/// Returns `None` if the exact count overflows `u128` (only possible for
-/// `d > 127`, beyond any experiment here).
-pub fn exact_net_size(d: u32, alpha: f64) -> Option<u128> {
-    assert!(alpha > 0.0 && alpha < 0.5);
-    let small = ((0.5 - alpha) * d as f64).floor() as u64;
-    let lo = binomial_sum(d as u64, small)?;
-    // Large half: |U| >= ceil((1/2+alpha) d) — by symmetry C(d,i) = C(d,d-i),
-    // so the count equals the number of subsets of size <= d - ceil(...).
-    let large_min = ((0.5 + alpha) * d as f64).ceil() as u64;
-    let hi = binomial_sum(d as u64, (d as u64).saturating_sub(large_min))?;
-    lo.checked_add(hi)
-}
-
-/// Relative space of the α-net against materializing all `2^d` subsets,
-/// computed exactly: `exact_net_size / 2^d`.
-pub fn relative_space_exact(d: u32, alpha: f64) -> f64 {
-    match exact_net_size(d, alpha) {
-        Some(n) => n as f64 / 2f64.powi(d as i32),
-        None => (net_size_bound_log2(d, alpha) - d as f64).exp2(),
-    }
-}
-
-/// The paper's analytic relative-space curve `2^{H(1/2-α)d} / 2^d`.
-pub fn relative_space_bound(d: u32, alpha: f64) -> f64 {
-    (binary_entropy(0.5 - alpha) * d as f64 - d as f64).exp2()
-}
-
 /// Rounding distortion for projected `F_0` (Lemma 6.4 case 1): `2^{αd}`.
 pub fn f0_distortion(d: u32, alpha: f64) -> f64 {
     (alpha * d as f64).exp2()
-}
-
-/// Rounding distortion for projected `F_p` (Lemma 6.4 cases 2–3):
-/// `2^{αd·|p-1|}`; continuous in `p` and equal to 1 at `p = 1`.
-pub fn fp_distortion(d: u32, alpha: f64, p: f64) -> f64 {
-    (alpha * d as f64 * (p - 1.0).abs()).exp2()
 }
 
 #[cfg(test)]
@@ -116,79 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn exact_net_size_le_bound() {
-        // Lemma 6.2: exact net size <= 2^{H(1/2-alpha)d + 1}.
-        for d in [8u32, 12, 16, 20, 24] {
-            for &alpha in &[0.05, 0.1, 0.2, 0.3, 0.4, 0.45] {
-                let exact = exact_net_size(d, alpha).expect("fits") as f64;
-                let bound = net_size_bound_log2(d, alpha).exp2();
-                assert!(
-                    exact <= bound * (1.0 + 1e-9),
-                    "net size {exact} exceeds bound {bound} at d={d}, alpha={alpha}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn net_smaller_than_power_set() {
-        // |N| < 2^d for every alpha > 0 (the whole point of the scheme).
-        for d in [10u32, 16, 20] {
-            for &alpha in &[0.08, 0.15, 0.25, 0.4] {
-                let exact = exact_net_size(d, alpha).expect("fits");
-                assert!(
-                    exact < 1u128 << d,
-                    "net not sublinear at d={d}, alpha={alpha}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn net_size_shrinks_with_alpha() {
-        let d = 20;
-        let mut prev = u128::MAX;
-        for i in 1..10 {
-            let alpha = i as f64 * 0.05;
-            let n = exact_net_size(d, alpha).expect("fits");
-            assert!(n <= prev, "net size not monotone at alpha={alpha}");
-            prev = n;
-        }
-    }
-
-    #[test]
     fn distortion_curves() {
         // F0 distortion at alpha=0.25, d=20 is 2^5 = 32 (Figure 1 midpoint).
         assert!((f0_distortion(20, 0.25) - 32.0).abs() < 1e-9);
-        // Fp distortion vanishes at p=1 (the paper's remark after Lemma 6.4).
-        assert_eq!(fp_distortion(20, 0.3, 1.0), 1.0);
-        // Symmetric in |p-1|: p=0.5 and p=1.5 match.
-        assert_eq!(fp_distortion(20, 0.3, 0.5), fp_distortion(20, 0.3, 1.5));
-        // F0 case equals the p=0 curve.
-        assert!((fp_distortion(20, 0.3, 0.0) - f0_distortion(20, 0.3)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn figure1_reference_point() {
-        // Paper §6 illustration: with d=20, relative space 2^-8 keeps
-        // 2^12 = 4096 summaries. Check the exact count is in that ballpark
-        // for the alpha that yields relative space ~2^-8.
-        let d = 20u32;
-        // Find alpha with bound-relative space closest to 2^-8.
-        let mut best = (f64::MAX, 0.0);
-        for i in 1..100 {
-            let alpha = i as f64 / 200.0;
-            let rs = relative_space_bound(d, alpha);
-            let diff = (rs.log2() + 8.0).abs();
-            if diff < best.0 {
-                best = (diff, alpha);
-            }
-        }
-        let alpha = best.1;
-        let kept = exact_net_size(d, alpha).expect("fits");
-        assert!(
-            kept < (1u128 << 15) && kept > (1u128 << 8),
-            "summaries kept {kept} not in the paper's described range"
-        );
     }
 }

@@ -16,9 +16,6 @@ use crate::constant_weight::ConstantWeightCode;
 #[derive(Debug, Clone)]
 pub struct GreedyCode {
     words: Vec<u64>,
-    d: u32,
-    k: u32,
-    cap: u32,
 }
 
 impl GreedyCode {
@@ -44,7 +41,7 @@ impl GreedyCode {
                 words.push(w);
             }
         }
-        Self { words, d, k, cap }
+        Self { words }
     }
 
     /// The selected words, in colex order.
@@ -62,39 +59,6 @@ impl GreedyCode {
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
-
-    /// Dimension `d`.
-    pub fn dimension(&self) -> u32 {
-        self.d
-    }
-
-    /// Weight `k`.
-    pub fn weight(&self) -> u32 {
-        self.k
-    }
-
-    /// The intersection cap.
-    pub fn intersection_cap(&self) -> u32 {
-        self.cap
-    }
-
-    /// Exhaustive verification of the pairwise bound.
-    pub fn verify(&self) -> bool {
-        self.words.iter().enumerate().all(|(i, &x)| {
-            x.count_ones() == self.k
-                && self.words[i + 1..]
-                    .iter()
-                    .all(|&y| (x & y).count_ones() <= self.cap)
-        })
-    }
-
-    /// The Johnson-style packing upper bound on any such code:
-    /// `C(d, cap+1) / C(k, cap+1)` (each `(cap+1)`-subset of positions can
-    /// be covered by at most one codeword).
-    pub fn packing_upper_bound(&self) -> f64 {
-        crate::binomial::binomial_f64(self.d as u64, self.cap as u64 + 1)
-            / crate::binomial::binomial_f64(self.k as u64, self.cap as u64 + 1)
-    }
 }
 
 #[cfg(test)]
@@ -102,10 +66,20 @@ mod tests {
     use super::*;
     use crate::random_code::{RandomCode, RandomCodeParams};
 
+    /// Exhaustive check of the weight and the pairwise bound.
+    fn verify(code: &GreedyCode, k: u32, cap: u32) -> bool {
+        code.words.iter().enumerate().all(|(i, &x)| {
+            x.count_ones() == k
+                && code.words[i + 1..]
+                    .iter()
+                    .all(|&y| (x & y).count_ones() <= cap)
+        })
+    }
+
     #[test]
     fn greedy_respects_cap() {
         let code = GreedyCode::generate(20, 5, 2, 64);
-        assert!(code.verify());
+        assert!(verify(&code, 5, 2));
         assert!(code.len() > 4, "greedy found only {} words", code.len());
     }
 
@@ -134,20 +108,7 @@ mod tests {
         // words fit, and greedy finds them all.
         let code = GreedyCode::generate(20, 5, 0, 100);
         assert_eq!(code.len(), 4);
-        assert!(code.verify());
-    }
-
-    #[test]
-    fn within_packing_bound() {
-        for (d, k, cap) in [(16u32, 4u32, 1u32), (20, 5, 2), (24, 6, 2)] {
-            let code = GreedyCode::generate(d, k, cap, usize::MAX >> 1);
-            assert!(
-                (code.len() as f64) <= code.packing_upper_bound() + 1e-9,
-                "greedy code of {} words exceeds packing bound {} at (d={d},k={k},cap={cap})",
-                code.len(),
-                code.packing_upper_bound()
-            );
-        }
+        assert!(verify(&code, 5, 0));
     }
 
     #[test]

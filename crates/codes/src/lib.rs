@@ -9,9 +9,7 @@
 //! - randomly sampled codes with bounded pairwise intersection, whose
 //!   existence Lemma 3.2 establishes via a Chernoff bound ([`random_code`]);
 //! - the `star_Q` operator lifting a binary word to all `Q`-ary child words
-//!   supported inside its support ([`star`]);
-//! - the index function `e(·)` mapping `Q`-ary words to positions of the
-//!   frequency vector (Remark 1, [`indexer`]).
+//!   supported inside its support ([`star`]).
 //!
 //! Shared numeric helpers live in [`mod@binomial`] (exact and logarithmic
 //! binomial coefficients) and [`entropy`] (the binary entropy function `H`
@@ -25,16 +23,14 @@ pub mod binomial;
 pub mod constant_weight;
 pub mod entropy;
 pub mod greedy_code;
-pub mod indexer;
 pub mod random_code;
 pub mod star;
 pub mod subsets;
 
-pub use binomial::{binomial, binomial_f64, ln_binomial};
+pub use binomial::binomial;
 pub use constant_weight::ConstantWeightCode;
 pub use entropy::{binary_entropy, net_size_bound_log2};
 pub use greedy_code::GreedyCode;
-pub use indexer::PatternIndexer;
 pub use random_code::{RandomCode, RandomCodeParams};
 pub use star::{star_count, StarIter};
-pub use subsets::{subsets_of_weight, FixedWeightIter};
+pub use subsets::FixedWeightIter;

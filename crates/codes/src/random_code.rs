@@ -37,11 +37,6 @@ impl RandomCodeParams {
     pub fn intersection_cap(&self) -> u32 {
         ((self.epsilon * self.epsilon + self.gamma) * self.d as f64).floor() as u32
     }
-
-    /// Lemma 3.2's achievable code size: `exp(dγ²) = 2^{γ²d / ln 2}`.
-    pub fn lemma_size(&self) -> f64 {
-        (self.d as f64 * self.gamma * self.gamma).exp()
-    }
 }
 
 /// Error from random-code construction.
@@ -202,24 +197,6 @@ impl RandomCode {
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
-
-    /// Canonical index of a word, if present.
-    pub fn index_of(&self, word: u64) -> Option<usize> {
-        self.words.iter().position(|&w| w == word)
-    }
-
-    /// Verify the intersection invariant by exhaustive pairwise check.
-    /// (O(|C|²); used by tests and by the experiment harness on start-up.)
-    pub fn verify(&self) -> bool {
-        let cap = self.params.intersection_cap();
-        let k = self.params.weight();
-        self.words.iter().enumerate().all(|(i, &x)| {
-            x.count_ones() == k
-                && self.words[i + 1..]
-                    .iter()
-                    .all(|&y| (x & y).count_ones() <= cap)
-        })
-    }
 }
 
 /// Uniformly random `d`-bit word with exactly `k` ones.
@@ -245,9 +222,10 @@ mod tests {
 
     #[test]
     fn generates_verified_code() {
-        let code = RandomCode::generate(params(32, 0.25, 0.15, 40, 1)).expect("generate");
+        let p = params(32, 0.25, 0.15, 40, 1);
+        let code = RandomCode::generate(p).expect("generate");
         assert_eq!(code.len(), 40);
-        assert!(code.verify());
+        assert!(RandomCode::from_verified_words(p, code.words().to_vec()).is_ok());
     }
 
     #[test]
@@ -278,15 +256,6 @@ mod tests {
         let c = RandomCode::generate(params(32, 0.25, 0.15, 20, 10)).expect("c");
         assert_eq!(a.words(), b.words());
         assert_ne!(a.words(), c.words());
-    }
-
-    #[test]
-    fn index_of_roundtrip() {
-        let code = RandomCode::generate(params(24, 0.25, 0.2, 16, 4)).expect("generate");
-        for (i, &w) in code.words().iter().enumerate() {
-            assert_eq!(code.index_of(w), Some(i));
-        }
-        assert_eq!(code.index_of(u64::MAX >> 1), None);
     }
 
     #[test]
@@ -321,12 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn lemma_size_achievable_at_moderate_dims() {
+    fn lemma_regime_generation_succeeds_at_moderate_dims() {
         // At d=48, gamma=0.3: lemma promises exp(48*0.09) ~ 75 words.
         let p = params(48, 0.25, 0.3, 64, 7);
-        assert!(p.lemma_size() > 64.0);
         let code = RandomCode::generate(p).expect("lemma-regime generation succeeds");
-        assert!(code.verify());
+        assert!(RandomCode::from_verified_words(p, code.words().to_vec()).is_ok());
     }
 
     #[test]
@@ -336,7 +304,6 @@ mod tests {
         let good = vec![0b1111u64, 0b1111_0000, 0b1111_0000_0000];
         let code = RandomCode::from_verified_words(p, good).expect("valid words wrap");
         assert_eq!(code.len(), 3);
-        assert!(code.verify());
         // Wrong weight rejected.
         assert!(matches!(
             RandomCode::from_verified_words(p, vec![0b111]),

@@ -56,16 +56,11 @@ impl StarIter {
         }
     }
 
-    /// Total number of children `Q^k`.
-    pub fn total(&self) -> u128 {
-        self.total
-    }
-
     /// Materialize the child with the given index without iterating.
     ///
     /// # Panics
     /// Panics if `index >= Q^k`.
-    pub fn child(&self, mut index: u128) -> Vec<u16> {
+    fn child(&self, mut index: u128) -> Vec<u16> {
         assert!(index < self.total, "child index {index} out of range");
         let mut row = vec![0u16; self.d as usize];
         for &pos in &self.support {
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn count_matches_iteration() {
         let it = StarIter::new(0b1011, 6, 3);
-        assert_eq!(it.total(), 27);
+        assert_eq!(it.total, 27);
         assert_eq!(it.count(), 27);
     }
 
@@ -170,7 +165,7 @@ mod tests {
     fn paper_example_star2_of_weight_k() {
         // |star_2(y)| = 2^k (Section 3.2): y of weight 4 gives 16 children.
         let it = StarIter::new(0b0110_1100, 8, 2);
-        assert_eq!(it.total(), 16);
+        assert_eq!(it.total, 16);
     }
 
     #[test]

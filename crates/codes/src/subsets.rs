@@ -13,7 +13,6 @@ use crate::binomial::binomial;
 pub struct FixedWeightIter {
     current: Option<u64>,
     limit: u64, // exclusive upper bound: 1 << d (or wraparound guard)
-    d: u32,
 }
 
 impl FixedWeightIter {
@@ -29,13 +28,7 @@ impl FixedWeightIter {
         Self {
             current: Some(first),
             limit: 1u64 << d,
-            d,
         }
-    }
-
-    /// Dimension `d`.
-    pub fn dimension(&self) -> u32 {
-        self.d
     }
 }
 
@@ -62,11 +55,6 @@ impl Iterator for FixedWeightIter {
         };
         Some(v)
     }
-}
-
-/// Convenience wrapper returning the fixed-weight iterator.
-pub fn subsets_of_weight(d: u32, k: u32) -> FixedWeightIter {
-    FixedWeightIter::new(d, k)
 }
 
 /// Colexicographic rank of a weight-`k` word among all weight-`k` words.
@@ -110,16 +98,6 @@ pub fn colex_unrank(k: u32, mut rank: u128) -> u64 {
     }
     assert_eq!(rank, 0, "rank not exactly consumed: leftover {rank}");
     word
-}
-
-/// Iterate over all `2^d` subsets of `[d]` as masks `0..2^d`.
-///
-/// # Panics
-/// Panics if `d > 30` — full power-set enumeration beyond that is a bug in
-/// the caller, not a use case.
-pub fn all_subsets(d: u32) -> impl Iterator<Item = u64> {
-    assert!(d <= 30, "power-set enumeration capped at d=30, got {d}");
-    0..(1u64 << d)
 }
 
 #[cfg(test)]
@@ -195,11 +173,6 @@ mod tests {
     #[should_panic(expected = "weight 5 exceeds dimension 3")]
     fn rejects_overweight() {
         FixedWeightIter::new(3, 5);
-    }
-
-    #[test]
-    fn all_subsets_count() {
-        assert_eq!(all_subsets(10).count(), 1024);
     }
 
     proptest! {

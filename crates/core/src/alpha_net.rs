@@ -258,19 +258,6 @@ impl AlphaNet {
         }
     }
 
-    /// Rounding distortion bound for `F_0` at this net's worst case over
-    /// alphabet `q`: `q^{max_rounding}` (Lemma 6.4(1), generalized from the
-    /// binary `2^{αd}`).
-    pub fn f0_distortion_bound(&self, q: u32) -> f64 {
-        (q as f64).powi(self.max_rounding() as i32)
-    }
-
-    /// Rounding distortion bound for `F_p`: `q^{max_rounding·|p−1|}`
-    /// (Lemma 6.4(2)–(3)).
-    pub fn fp_distortion_bound(&self, q: u32, p: f64) -> f64 {
-        (q as f64).powf(self.max_rounding() as f64 * (p - 1.0).abs())
-    }
-
     /// The relative-space curve value of Figure 1: `|N| / 2^d` (exact).
     pub fn relative_space(&self) -> f64 {
         self.size() as f64 / 2f64.powi(self.d as i32)
@@ -280,38 +267,6 @@ impl AlphaNet {
     /// Figure 1's leftmost pane.
     pub fn relative_space_bound(&self) -> f64 {
         (binary_entropy(0.5 - self.alpha) * self.d as f64 - self.d as f64).exp2()
-    }
-
-    /// The inverse of Lemma 6.2: the most accurate net (smallest α, hence
-    /// smallest distortion) whose exact size fits within `max_sketches`.
-    ///
-    /// Scans the finitely many distinct nets for dimension `d` (the net is
-    /// determined by the integer pair `(small, large)`), so the returned
-    /// net is exactly optimal for the budget, not a bound-based guess.
-    ///
-    /// # Errors
-    /// Fails if `d` is out of range or even the sparsest net (α near 1/2,
-    /// size 2: the empty and full subsets... plus singletons) exceeds the
-    /// budget.
-    pub fn for_budget(d: u32, max_sketches: u128) -> Result<Self, QueryError> {
-        let mut best: Option<AlphaNet> = None;
-        // Alpha grid fine enough to hit every (small, large) pair.
-        let steps = (4 * d).max(8);
-        for i in 1..steps {
-            let alpha = i as f64 / (2.0 * steps as f64); // (0, 1/2)
-            let net = AlphaNet::new(d, alpha)?;
-            if net.size() <= max_sketches {
-                match best {
-                    Some(b) if b.alpha <= alpha => {}
-                    _ => best = Some(net),
-                }
-            }
-        }
-        best.ok_or_else(|| {
-            QueryError::BadParameter(format!(
-                "no alpha-net of dimension {d} fits within {max_sketches} sketches"
-            ))
-        })
     }
 }
 
@@ -627,23 +582,6 @@ impl<M: MomentSketch> AlphaNetFp<M> {
         .map(Self::over)
     }
 
-    /// Create an empty streaming summary for binary rows (`Q = 2`); feed
-    /// rows with [`push_packed`](Self::push_packed). One-pass semantics:
-    /// identical to [`build`](Self::build) over the same rows in any order
-    /// (moment sketches are sums, hence order-insensitive up to float
-    /// rounding; exactly order-insensitive for integer-sum sketches).
-    ///
-    /// # Errors
-    /// Parameter errors; net size above `max_subsets`.
-    pub fn new_streaming(
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        factory: impl FnMut(u64) -> M,
-    ) -> Result<Self, QueryError> {
-        Self::new_streaming_qary(net, mode, max_subsets, 2, factory)
-    }
-
     /// Create an empty streaming summary over alphabet `q`; feed rows with
     /// [`push_dense`](Self::push_dense) (or [`push_packed`](Self::push_packed)
     /// when `q = 2`). Validates every net codec up front so pushes are
@@ -753,13 +691,6 @@ impl<M: MomentSketch> AlphaNetFp<M> {
     /// Number of sketches kept.
     pub fn num_sketches(&self) -> usize {
         self.members.len()
-    }
-
-    /// The sketch materialized for `mask`, if it is a net member —
-    /// exposed so callers (e.g. guarantee reporting) can read sketch
-    /// parameters without reaching into the summary.
-    pub fn sketch(&self, mask: u64) -> Option<&M> {
-        self.members.get(mask)
     }
 
     /// Round a query exactly as [`fp`](Self::fp) will (BoundaryOnly mode
@@ -1010,45 +941,6 @@ mod tests {
         assert!(AlphaNet::new(64, 0.2).is_err());
         assert!(AlphaNet::new(10, 0.0).is_err());
         assert!(AlphaNet::new(10, 0.5).is_err());
-    }
-
-    #[test]
-    fn budget_planner_returns_optimal_feasible_net() {
-        let d = 16;
-        for &budget in &[4u128, 64, 1024, 1 << 15] {
-            let net = AlphaNet::for_budget(d, budget).expect("feasible");
-            assert!(net.size() <= budget, "planner exceeded budget");
-            // No distinct net with smaller alpha fits: check the next finer
-            // grid step below the chosen alpha.
-            let finer = net.alpha() - 1.0 / (8.0 * d as f64);
-            if finer > 0.0 {
-                let tighter = AlphaNet::new(d, finer).expect("valid");
-                if tighter.small_size() != net.small_size()
-                    || tighter.large_size() != net.large_size()
-                {
-                    assert!(
-                        tighter.size() > budget,
-                        "a strictly finer net also fits: planner suboptimal"
-                    );
-                }
-            }
-        }
-        // Budget 1 is infeasible (even the sparsest net has >= 2 members).
-        assert!(AlphaNet::for_budget(d, 1).is_err());
-    }
-
-    #[test]
-    fn budget_planner_monotone_in_budget() {
-        let d = 14;
-        let mut prev_alpha = 1.0;
-        for &budget in &[8u128, 128, 2048, 1 << 13] {
-            let net = AlphaNet::for_budget(d, budget).expect("feasible");
-            assert!(
-                net.alpha() <= prev_alpha,
-                "larger budget produced worse alpha"
-            );
-            prev_alpha = net.alpha();
-        }
     }
 
     #[test]

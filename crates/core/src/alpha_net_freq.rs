@@ -1,5 +1,5 @@
-//! α-net summaries for point frequency and heavy hitters — the closing
-//! remark of the paper's Section 6.
+//! The α-net summary for point frequency — the closing remark of the
+//! paper's Section 6.
 //!
 //! > "similar results are possible for the other functions considered,
 //! > ℓ_p frequency estimation, ℓ_p heavy hitters and ℓ_p sampling. The key
@@ -11,27 +11,22 @@
 //! We realize the remark with *grow-side* rounding: a query `C` not in the
 //! net is rounded to a superset `C′ ⊇ C` of size `(1/2+α)d`. On a superset,
 //! a pattern `b ∈ [Q]^{|C|}` corresponds to the set of its extensions on
-//! `C′ \ C`, and `f_C(b) = Σ_{ext} f_{C′}(b·ext)` exactly. So:
-//!
-//! - **point frequency**: sum the sketch's point estimates over all
-//!   `Q^{|C′\C|}` extensions (at most `Q^{2αd}` terms — the same magnitude
-//!   Lemma 6.4 charges the answer anyway). CountMin overestimates each
-//!   term, so the summed estimate inherits a one-sided
-//!   `ε‖f‖₁·Q^{|C′\C|}` error bound.
-//! - **heavy hitters**: take the rounded subset's SpaceSaving candidates,
-//!   *project* them onto `C` (projection can only merge, never split,
-//!   heavy patterns — no false negatives among monitored items), aggregate
-//!   their estimates, and threshold.
+//! `C′ \ C`, and `f_C(b) = Σ_{ext} f_{C′}(b·ext)` exactly. So a point
+//! frequency is the sum of the sketch's point estimates over all
+//! `Q^{|C′\C|}` extensions (at most `Q^{2αd}` terms — the same magnitude
+//! Lemma 6.4 charges the answer anyway). CountMin overestimates each
+//! term, so the summed estimate inherits a one-sided
+//! `ε‖f‖₁·Q^{|C′\C|}` error bound. (Heavy hitters are served from the
+//! Theorem 5.1 uniform sample, not from a net.)
 
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::count_min::CountMin;
-use pfe_sketch::space_saving::SpaceSaving;
 use pfe_sketch::traits::{FrequencySketch, SpaceUsage};
 
 use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
 use crate::net_sketches::{Feed, NetSketches};
-use crate::problem::{check_dims, HeavyHitter, QueryError};
+use crate::problem::{check_dims, QueryError};
 
 /// Upper bound on extension enumeration per query (`Q^{|C′\C|}` terms).
 const MAX_EXTENSIONS: u128 = 1 << 20;
@@ -111,8 +106,8 @@ impl AlphaNetFrequency {
     }
 
     /// Create an empty streaming summary over alphabet `q`; feed rows with
-    /// [`push_dense`](Self::push_dense) or (for `q = 2`)
-    /// [`push_packed`](Self::push_packed). Same sketch contents as
+    /// [`push_dense_chunk`](Self::push_dense_chunk) or (for `q = 2`)
+    /// [`push_packed_chunk`](Self::push_packed_chunk). Same sketch contents as
     /// [`build`](Self::build) over the same rows.
     ///
     /// # Errors
@@ -133,30 +128,6 @@ impl AlphaNetFrequency {
             n_rows: 0,
             fingerprint_seed: Self::fingerprint_seed_for(seed),
         })
-    }
-
-    /// Observe one packed binary row — a one-row
-    /// [`push_packed_chunk`](Self::push_packed_chunk).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or above
-    /// `d`.
-    pub fn push_packed(&mut self, row: u64) {
-        self.push_packed_chunk(&[row]);
-    }
-
-    /// Observe one dense row — a one-row
-    /// [`push_dense_chunk`](Self::push_dense_chunk).
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(
-            row.len(),
-            self.net().dimension() as usize,
-            "row length != d"
-        );
-        self.push_dense_chunk(row);
     }
 
     /// Observe a chunk of packed binary rows: one mask-major sweep, every
@@ -205,11 +176,6 @@ impl AlphaNetFrequency {
         self.members.net()
     }
 
-    /// Number of sketches kept.
-    pub fn num_sketches(&self) -> usize {
-        self.members.len()
-    }
-
     /// Rows ingested (`n = ‖f‖₁`).
     pub fn n(&self) -> u64 {
         self.n_rows
@@ -221,14 +187,13 @@ impl AlphaNetFrequency {
     }
 
     /// The pattern-fingerprint seed actually in use (derived from the
-    /// build seed via [`fingerprint_seed_for`](Self::fingerprint_seed_for)).
+    /// build seed).
     pub fn fingerprint_seed(&self) -> u64 {
         self.fingerprint_seed
     }
 
-    /// The fingerprint seed a build with base seed `seed` uses — exposed
-    /// so a resume path can verify a decoded summary matches its config.
-    pub fn fingerprint_seed_for(seed: u64) -> u64 {
+    /// The fingerprint seed a build with base seed `seed` uses.
+    fn fingerprint_seed_for(seed: u64) -> u64 {
         0xfe_0fe0 ^ seed
     }
 
@@ -350,127 +315,6 @@ impl SpaceUsage for AlphaNetFrequency {
     }
 }
 
-/// α-net heavy-hitter summary: one SpaceSaving per net subset, with
-/// candidate projection at query time. The sketches monitor raw *pattern
-/// keys* (not fingerprints — the keys must be decodable for projection);
-/// SpaceSaving is keyed on `u64`, so `Q^d ≤ 2^64` is required at build
-/// time for keys to fit losslessly.
-pub struct AlphaNetHeavyHitters {
-    members: NetSketches<SpaceSaving>,
-    n_rows: u64,
-}
-
-impl AlphaNetHeavyHitters {
-    /// Build with `slots` SpaceSaving slots per subset.
-    ///
-    /// # Errors
-    /// Parameter/codec errors; cap exceeded; `Q^{large} > 2^64` (keys must
-    /// fit `u64` losslessly for projection).
-    pub fn build(
-        data: &Dataset,
-        net: AlphaNet,
-        slots: usize,
-        max_subsets: u128,
-    ) -> Result<Self, QueryError> {
-        // Keys must fit u64: Q^{d} with the largest materialized width.
-        let max_width = net.dimension(); // full set is in the net
-        if (data.alphabet() as f64).log2() * max_width as f64 > 63.0 {
-            return Err(QueryError::BadParameter(format!(
-                "Q^{max_width} exceeds u64; SpaceSaving keys would alias"
-            )));
-        }
-        let members = NetSketches::build(
-            data,
-            net,
-            NetMode::Full,
-            max_subsets,
-            |_| SpaceSaving::new(slots),
-            // SpaceSaving's evictions depend on arrival order.
-            Feed::RowOrder,
-            |ss, key, _| ss.insert(key.raw() as u64),
-        )?;
-        Ok(Self {
-            members,
-            n_rows: data.num_rows() as u64,
-        })
-    }
-
-    /// The net definition.
-    pub fn net(&self) -> &AlphaNet {
-        self.members.net()
-    }
-
-    /// Number of sketches kept.
-    pub fn num_sketches(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `φ`-`ℓ₁` heavy hitters of the projection `cols` with slack `c > 1`:
-    /// the rounded subset's monitored candidates are projected onto `cols`,
-    /// aggregated, and thresholded at `(φ/c)·n`.
-    ///
-    /// Guarantee: every true `φ`-heavy pattern of `cols` whose mass is
-    /// monitored on the rounded superset (SpaceSaving guarantees monitoring
-    /// for mass `> n/slots`) is reported, because projection aggregates —
-    /// never splits — its extensions' counts.
-    ///
-    /// # Errors
-    /// Dimension/codec/parameter errors.
-    pub fn heavy_hitters(
-        &self,
-        cols: &ColumnSet,
-        phi: f64,
-        c: f64,
-    ) -> Result<Vec<HeavyHitter>, QueryError> {
-        if !(phi > 0.0 && phi <= 1.0) {
-            return Err(QueryError::BadParameter(format!("phi={phi} outside (0,1]")));
-        }
-        if c <= 1.0 || !c.is_finite() {
-            return Err(QueryError::BadParameter(format!("slack c={c} must be > 1")));
-        }
-        let r = round_up(self.net(), cols)?;
-        let sketch = self.members.answering(&r);
-        let target_codec = PatternCodec::new(self.members.alphabet(), r.target.len())?;
-        let query_codec = PatternCodec::new(self.members.alphabet(), cols.len())?;
-        // Project candidates onto the query columns and aggregate.
-        let target_cols = r.target.to_indices();
-        let keep: Vec<usize> = cols
-            .iter()
-            .map(|c| target_cols.binary_search(&c).expect("subset"))
-            .collect();
-        let mut agg: std::collections::BTreeMap<PatternKey, u64> =
-            std::collections::BTreeMap::new();
-        for (key64, count) in sketch.candidates(0) {
-            let full_pattern = target_codec.decode(PatternKey::new(key64 as u128));
-            let projected: Vec<u16> = keep.iter().map(|&i| full_pattern[i]).collect();
-            *agg.entry(query_codec.encode_pattern(&projected))
-                .or_insert(0) += count;
-        }
-        let threshold = (phi / c) * self.n_rows as f64;
-        let mut out: Vec<HeavyHitter> = agg
-            .into_iter()
-            .filter(|&(_, count)| count as f64 >= threshold)
-            .map(|(key, count)| HeavyHitter {
-                key,
-                estimate: count as f64,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.estimate
-                .partial_cmp(&a.estimate)
-                .expect("finite")
-                .then(a.key.cmp(&b.key))
-        });
-        Ok(out)
-    }
-}
-
-impl SpaceUsage for AlphaNetHeavyHitters {
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.members.member_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,56 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitters_recall_through_rounding() {
-        let d = 12;
-        let data = fixture(d, 20_000, 3);
-        let net = AlphaNet::new(d, 0.2).expect("valid");
-        let summary = AlphaNetHeavyHitters::build(&data, net, 128, 1 << 22).expect("build");
-        for mask in [0b111100001111u64, 0b10101010, 0b11] {
-            let cols = ColumnSet::from_mask(d, mask).expect("valid");
-            let exact = FrequencyVector::compute(&data, &cols).expect("fits");
-            let truth: Vec<PatternKey> = exact
-                .heavy_hitters(0.1, 1.0)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-            let reported: Vec<PatternKey> = summary
-                .heavy_hitters(&cols, 0.1, 2.0)
-                .expect("ok")
-                .into_iter()
-                .map(|h| h.key)
-                .collect();
-            for k in &truth {
-                assert!(
-                    reported.contains(k),
-                    "mask {mask:#b}: missed true heavy hitter {k:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn heavy_hitter_estimates_bracket_truth() {
-        let d = 10;
-        let data = fixture(d, 10_000, 4);
-        let net = AlphaNet::new(d, 0.25).expect("valid");
-        let summary = AlphaNetHeavyHitters::build(&data, net, 256, 1 << 20).expect("build");
-        let cols = ColumnSet::from_indices(d, &[1, 3, 5, 7]).expect("valid");
-        let exact = FrequencyVector::compute(&data, &cols).expect("fits");
-        for h in summary.heavy_hitters(&cols, 0.05, 2.0).expect("ok") {
-            let truth = exact.frequency(h.key) as f64;
-            // SpaceSaving overestimates by at most n/slots per candidate,
-            // summed over extensions that were monitored.
-            assert!(h.estimate >= truth * 0.5, "estimate far below truth");
-            assert!(
-                h.estimate <= truth + 10_000.0 / 256.0 * 64.0,
-                "estimate {} too far above truth {truth}",
-                h.estimate
-            );
-        }
-    }
-
-    #[test]
     fn extension_cap_enforced() {
         // Large alphabet + wide growth -> enumeration refused, typed error.
         let data = pfe_stream::gen::uniform_qary(64, 12, 100, 5);
@@ -619,19 +413,6 @@ mod tests {
             0,
         )
         .expect("build");
-        assert!(loose.num_sketches() > tight.num_sketches());
         assert!(loose.space_bytes() > tight.space_bytes());
-    }
-
-    #[test]
-    fn u64_key_capacity_checked() {
-        // Q=16, d=63 would need 252 bits for keys: rejected.
-        let m = pfe_row::QaryMatrix::new(16, 63);
-        let data = Dataset::Qary(m);
-        let net = AlphaNet::new(63, 0.25).expect("valid");
-        assert!(matches!(
-            AlphaNetHeavyHitters::build(&data, net, 8, u128::MAX),
-            Err(QueryError::BadParameter(_))
-        ));
     }
 }

@@ -81,8 +81,8 @@ pub fn stable_fp_beta(t: usize) -> f64 {
 /// The `β` of a median-of-means AMS `F_2` sketch with `per_group`
 /// estimators per group: `Var[mean of m] ≤ 2F_2²/m`, so two standard
 /// errors give `β = 1 + √(8/per_group)` — bit-exact mergeable, used on
-/// the `p = 2` dispatch path. Inverts `AmsF2::with_error`
-/// (`per_group = ⌈8/ε²⌉`).
+/// the `p = 2` dispatch path: a sketch with `per_group = ⌈8/ε²⌉` reports
+/// `β ≤ 1 + ε`.
 ///
 /// ```
 /// use pfe_core::bounds::ams_f2_beta;
@@ -104,10 +104,10 @@ mod tests {
 
     #[test]
     fn sample_epsilon_matches_summary_formula() {
-        // UniformSampleSummary::sample_size_for inverts this: t rows give
-        // back (approximately) the eps the size was chosen for.
-        let (eps, delta) = (0.05, 0.01);
-        let t = crate::UniformSampleSummary::sample_size_for(eps, delta);
+        // Theorem 5.1 sizes the sample t = ceil(ln(2/delta)/eps^2): t rows
+        // give back (approximately) the eps the size was chosen for.
+        let (eps, delta) = (0.05f64, 0.01f64);
+        let t = ((2.0 / delta).ln() / (eps * eps)).ceil() as usize;
         let back = sample_epsilon(t, delta);
         assert!((back - eps).abs() < 1e-3, "eps {eps} round-trips to {back}");
     }
@@ -143,15 +143,15 @@ mod tests {
     }
 
     #[test]
-    fn moment_betas_decrease_and_invert_with_error() {
+    fn moment_betas_decrease_and_invert_the_sizing_rule() {
         let mut prev = f64::INFINITY;
         for t in [4usize, 16, 64, 1024] {
             let b = stable_fp_beta(t);
             assert!(b > 1.0 && b < prev);
             prev = b;
         }
-        // ams_f2_beta inverts AmsF2::with_error's per_group = ceil(8/eps^2):
-        // the sketch sized for eps reports beta <= 1 + eps (up to ceiling).
+        // A sketch sized per_group = ceil(8/eps^2) for eps reports
+        // beta <= 1 + eps (up to ceiling).
         for eps in [0.5f64, 0.25, 0.1] {
             let per_group = (8.0 / (eps * eps)).ceil() as usize;
             let b = ams_f2_beta(per_group);

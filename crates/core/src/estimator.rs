@@ -1,5 +1,7 @@
-//! A convenience facade bundling the summaries for side-by-side use — the
-//! configuration the examples and experiment binaries drive.
+//! The single-threaded bundle of the summaries (exact baseline, uniform
+//! sample, α-net, moment nets) — the parity reference: the engine and
+//! window suites build one over the same rows and seed and require the
+//! sharded, merged, windowed answers to match it bit for bit.
 
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset};

@@ -182,22 +182,6 @@ impl FpNet {
         }
     }
 
-    /// Binary (`q = 2`) variant of
-    /// [`new_streaming_qary`](Self::new_streaming_qary).
-    ///
-    /// # Errors
-    /// Same as [`new_streaming_qary`](Self::new_streaming_qary).
-    pub fn new_streaming(
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        p: f64,
-        cfg: &FpConfig,
-        seed: u64,
-    ) -> Result<Self, QueryError> {
-        Self::new_streaming_qary(net, mode, max_subsets, 2, p, cfg, seed)
-    }
-
     /// Batch build over a dataset (same sketches as streaming the rows).
     ///
     /// # Errors
@@ -318,14 +302,6 @@ impl FpNet {
         match self {
             Self::Ams(n) => n.alphabet(),
             Self::Stable(n) => n.alphabet(),
-        }
-    }
-
-    /// Number of sketches kept.
-    pub fn num_sketches(&self) -> usize {
-        match self {
-            Self::Ams(n) => n.num_sketches(),
-            Self::Stable(n) => n.num_sketches(),
         }
     }
 
@@ -470,13 +446,15 @@ mod tests {
     fn dispatch_picks_family_by_order() {
         let net = AlphaNet::new(8, 0.25).expect("valid");
         let cfg = FpConfig::with_orders([1.0, 2.0]);
-        let ams = FpNet::new_streaming(net, NetMode::Full, 1 << 16, 2.0, &cfg, 7).expect("new");
+        let ams =
+            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 2.0, &cfg, 7).expect("new");
         assert!(ams.is_ams());
         assert_eq!(ams.p(), 2.0);
-        let stable = FpNet::new_streaming(net, NetMode::Full, 1 << 16, 1.0, &cfg, 7).expect("new");
+        let stable =
+            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 1.0, &cfg, 7).expect("new");
         assert!(!stable.is_ams());
         assert_eq!(stable.p(), 1.0);
-        assert!(FpNet::new_streaming(net, NetMode::Full, 1 << 16, 2.5, &cfg, 7).is_err());
+        assert!(FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 2.5, &cfg, 7).is_err());
         // Betas come from the configured sketch shapes.
         assert_eq!(ams.beta(), ams_f2_beta(cfg.ams_per_group));
         assert_eq!(stable.beta(), stable_fp_beta(cfg.stable_t));
@@ -497,7 +475,8 @@ mod tests {
             let built =
                 FpNet::build(&data, net, NetMode::Full, 1 << 16, p, &cfg, seed).expect("build");
             let mut streamed =
-                FpNet::new_streaming(net, NetMode::Full, 1 << 16, p, &cfg, seed).expect("new");
+                FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, p, &cfg, seed)
+                    .expect("new");
             for &row in binary_rows(&data) {
                 streamed.push_packed(row);
             }
@@ -532,8 +511,10 @@ mod tests {
     fn family_mismatch_merge_panics_with_message() {
         let net = AlphaNet::new(6, 0.25).expect("valid");
         let cfg = FpConfig::with_orders([1.0, 2.0]);
-        let mut a = FpNet::new_streaming(net, NetMode::Full, 1 << 16, 2.0, &cfg, 1).expect("new");
-        let b = FpNet::new_streaming(net, NetMode::Full, 1 << 16, 1.0, &cfg, 1).expect("new");
+        let mut a =
+            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 2.0, &cfg, 1).expect("new");
+        let b =
+            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 1.0, &cfg, 1).expect("new");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)))
             .expect_err("must panic");
         let msg = err

@@ -18,8 +18,6 @@
 //!   [`alpha_net::AlphaNetFp`] — Algorithm 1: β-approximate
 //!   sketches over an α-net of subsets, answering any query after rounding
 //!   with distortion `r(α, P)` (Lemma 6.4, Theorem 6.5);
-//! - [`enumeration::SubsetEnumerationF0`] — the naïve
-//!   known-`|C|` enumeration strawman (Section 3.1);
 //! - [`sampling::ExactLpSampler`] — offline `ℓ_p` sampling
 //!   from the materialized frequency vector (the object Theorem 5.5 proves
 //!   incompressible for `p ≠ 1`);
@@ -30,10 +28,8 @@
 pub mod alpha_net;
 pub mod alpha_net_freq;
 pub mod bounds;
-pub mod enumeration;
 pub mod estimator;
 pub mod exact;
-pub mod f1;
 pub mod fp;
 pub mod marginals;
 mod net_sketches;
@@ -42,11 +38,9 @@ pub mod sampling;
 pub mod uniform_sample;
 
 pub use alpha_net::{AlphaNet, AlphaNetF0, AlphaNetFp, NetAnswer, NetMode, RoundedQuery};
-pub use alpha_net_freq::{AlphaNetFrequency, AlphaNetHeavyHitters, FreqNetAnswer};
-pub use enumeration::{SubsetEnumerationF0, SubsetEnumerationFp};
+pub use alpha_net_freq::{AlphaNetFrequency, FreqNetAnswer};
 pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;
-pub use f1::F1Counter;
 pub use fp::{fp_seed, FpConfig, FpNet};
 pub use marginals::MarginalsSummary;
 pub use problem::{HeavyHitter, QueryError, SampledPattern, ScalarEstimate};

@@ -33,9 +33,9 @@
 //! ([`Feed`]): set sketches (KMV) ignore it, exact integer sums (CountMin,
 //! AMS) take it as the update weight and end in the same bits as `n` unit
 //! updates in any order. Float sums (`StableFp`) round differently under
-//! `n·x` than under `n` additions of `x`, and SpaceSaving depends on
-//! arrival order, so both are always fed [`Feed::RowOrder`]. Either way a
-//! summary's bytes do not depend on how its rows were cut into chunks.
+//! `n·x` than under `n` additions of `x`, so they are always fed
+//! [`Feed::RowOrder`]. Either way a summary's bytes do not depend on how
+//! its rows were cut into chunks.
 
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{BitRun, ColumnSet, Dataset, PatternCodec, PatternKey};
@@ -50,7 +50,7 @@ pub(crate) enum Feed {
     /// Sets and exact integer sums: a key the chunk holds `n` times may
     /// arrive once, with multiplicity `n`, in any order.
     Counted,
-    /// Order- or rounding-sensitive sketches: every row's key, in row
+    /// Rounding-sensitive sketches (float sums): every row's key, in row
     /// order, with multiplicity 1.
     RowOrder,
 }
@@ -606,8 +606,9 @@ mod tests {
             name: "Frequency/CountMin",
             build: |d, n| AlphaNetFrequency::build(d, n, 4, 128, CAP, 9).expect("build"),
             empty: |n, q| AlphaNetFrequency::new_streaming(n, q, 4, 128, CAP, 9).expect("new"),
-            push_packed: AlphaNetFrequency::push_packed,
-            push_dense: AlphaNetFrequency::push_dense,
+            // No single-row door on the frequency net: a one-row chunk.
+            push_packed: |s, row| s.push_packed_chunk(&[row]),
+            push_dense: AlphaNetFrequency::push_dense_chunk,
             push_packed_chunk: AlphaNetFrequency::push_packed_chunk,
             push_dense_chunk: AlphaNetFrequency::push_dense_chunk,
             merge: AlphaNetFrequency::merge,

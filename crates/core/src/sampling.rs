@@ -90,11 +90,6 @@ impl ExactLpSampler {
         }
     }
 
-    /// Draw `count` i.i.d. patterns.
-    pub fn sample_many(&mut self, count: usize) -> Vec<SampledPattern> {
-        (0..count).map(|_| self.sample()).collect()
-    }
-
     /// The exact probability of a given pattern (0 if unsupported).
     pub fn probability(&self, key: PatternKey) -> f64 {
         match self.keys.binary_search(&key) {
@@ -204,18 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_many_length() {
-        let f = fixture();
-        let mut s = ExactLpSampler::from_freq_vector(&f, 1.0, 5).expect("ok");
-        assert_eq!(s.sample_many(17).len(), 17);
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let f = fixture();
         let draw = |seed| {
             let mut s = ExactLpSampler::from_freq_vector(&f, 1.5, seed).expect("ok");
-            s.sample_many(20).iter().map(|x| x.key).collect::<Vec<_>>()
+            (0..20).map(|_| s.sample().key).collect::<Vec<_>>()
         };
         assert_eq!(draw(9), draw(9));
     }

@@ -56,18 +56,6 @@ pub struct UniformSampleSummary {
 }
 
 impl UniformSampleSummary {
-    /// The sample size achieving additive error `ε‖f‖_1` with probability
-    /// `1 − δ`: `t = ⌈ln(2/δ)/ε²⌉` (the constant from the additive
-    /// Chernoff bound in the paper's Appendix A.1).
-    ///
-    /// # Panics
-    /// Panics if `eps` or `delta` are outside `(0, 1)`.
-    pub fn sample_size_for(eps: f64, delta: f64) -> usize {
-        assert!(eps > 0.0 && eps < 1.0, "eps {eps} outside (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta {delta} outside (0,1)");
-        ((2.0 / delta).ln() / (eps * eps)).ceil() as usize
-    }
-
     /// Create an empty summary for a `d`-column stream over alphabet `q`.
     ///
     /// # Panics
@@ -413,18 +401,12 @@ mod tests {
     use pfe_stream::gen::{uniform_qary, zipf_patterns};
 
     #[test]
-    fn sample_size_formula() {
-        // eps=0.1, delta=0.05: t = ln(40)/0.01 ~ 369.
-        let t = UniformSampleSummary::sample_size_for(0.1, 0.05);
-        assert!((368..=370).contains(&t), "t = {t}");
-    }
-
-    #[test]
     fn frequency_estimate_within_additive_error() {
         let d = 20;
         let data = zipf_patterns(d, 100_000, 100, 1.2, 1);
         let eps = 0.05;
-        let t = UniformSampleSummary::sample_size_for(eps, 0.01);
+        // Theorem 5.1: t = ceil(ln(2/delta)/eps^2) rows at delta = 0.01.
+        let t = ((2.0f64 / 0.01).ln() / (eps * eps)).ceil() as usize;
         let s = UniformSampleSummary::build(&data, t, 2);
         let cols = ColumnSet::from_indices(d, &[0, 2, 4, 6, 8]).expect("valid");
         let exact = FrequencyVector::compute(&data, &cols).expect("fits");

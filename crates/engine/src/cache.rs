@@ -176,14 +176,6 @@ impl QueryCache {
             len: s.map.len(),
         }
     }
-
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        let mut s = self.state.lock().expect("cache lock");
-        s.map.clear();
-        s.order.clear();
-        self.len_gauge.set(0);
-    }
 }
 
 #[cfg(test)]
@@ -274,14 +266,6 @@ mod tests {
         assert!(c.get(&key(1)).is_none());
         assert_eq!(c.stats().len, 0);
         assert_eq!(c.stats().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let c = QueryCache::new(4);
-        c.put(key(1), answer(1.0));
-        c.clear();
-        assert!(c.get(&key(1)).is_none());
     }
 
     #[test]

@@ -401,12 +401,6 @@ impl Engine {
         self.exec.answer_batch_traced(&snap, queries, trace)
     }
 
-    /// The recorder this engine reports into (see
-    /// [`start_with_recorder`](Self::start_with_recorder)).
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        self.exec.recorder()
-    }
-
     /// Observability counters.
     ///
     /// Reading stats also mirrors the pipeline/snapshot-derived values

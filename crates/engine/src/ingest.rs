@@ -212,16 +212,6 @@ impl IngestPipeline {
         self.backpressure = counter;
     }
 
-    /// Dimension `d`.
-    pub fn dimension(&self) -> u32 {
-        self.d
-    }
-
-    /// Alphabet `Q`.
-    pub fn alphabet(&self) -> u32 {
-        self.q
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.senders.len()
@@ -397,7 +387,7 @@ impl IngestPipeline {
     ///
     /// # Errors
     /// `Closed` if a worker has gone away.
-    pub fn flush(&mut self) -> Result<(), EngineError> {
+    fn flush(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.senders.len() {
             if !self.packed_buf[shard].is_empty() {
                 let batch = std::mem::take(&mut self.packed_buf[shard]);

@@ -122,13 +122,8 @@ impl Snapshot {
         self.summary.net_f0()
     }
 
-    /// Whether the frequency net is materialized.
-    pub fn has_freq_net(&self) -> bool {
-        self.summary.freq().is_some()
-    }
-
     /// The materialized `F_p` moment nets, one per configured order.
-    pub fn fp_nets(&self) -> &[FpNet] {
+    fn fp_nets(&self) -> &[FpNet] {
         self.summary.fp()
     }
 
@@ -364,7 +359,7 @@ mod tests {
         let snap = Snapshot::from_shards(vec![shard], 1);
         assert_eq!(snap.n(), 2000);
         assert_eq!(snap.epoch(), 1);
-        assert!(snap.has_freq_net());
+        assert!(snap.summary().freq().is_some());
         let cols = ColumnSet::from_mask(d, 0b111).expect("valid");
         assert!(snap.f0(&cols).expect("ok").estimate > 0.0);
         let key = snap.encode_pattern(&cols, &[0, 0, 0]).expect("ok");

@@ -36,7 +36,7 @@ fn uint_up_to(x: &Json, max: f64) -> Option<f64> {
 ///
 /// # Errors
 /// A message naming the malformed element.
-pub fn u32s(v: Option<&Json>) -> Result<Vec<u32>, String> {
+fn u32s(v: Option<&Json>) -> Result<Vec<u32>, String> {
     v.and_then(Json::as_arr)
         .ok_or_else(|| "expected an array of numbers".to_string())?
         .iter()
@@ -52,7 +52,7 @@ pub fn u32s(v: Option<&Json>) -> Result<Vec<u32>, String> {
 ///
 /// # Errors
 /// A message naming the malformed element.
-pub fn u16s(v: Option<&Json>) -> Result<Vec<u16>, String> {
+fn u16s(v: Option<&Json>) -> Result<Vec<u16>, String> {
     u32s(v)?
         .into_iter()
         .map(|x| u16::try_from(x).map_err(|_| format!("symbol {x} exceeds u16 range")))
@@ -105,13 +105,46 @@ fn flag(req: &Json, field: &str) -> Result<bool, String> {
     }
 }
 
+/// A request object reads a closed set of fields: a key of `obj` that
+/// `known` rejects is an error naming it (`unknown '<what>' field '<key>'`),
+/// never a parameter silently served at its default.
+///
+/// # Errors
+/// The first unknown key, or `obj` not being an object.
+pub fn known_fields(obj: &Json, what: &str, known: impl Fn(&str) -> bool) -> Result<(), String> {
+    let Json::Obj(map) = obj else {
+        return Err(format!("'{what}' must be an object"));
+    };
+    match map.keys().find(|k| !known(k)) {
+        Some(k) => Err(format!("unknown '{what}' field '{k}'")),
+        None => Ok(()),
+    }
+}
+
+/// Fields every statistic request may carry beside its own payload:
+/// the op, the projection, the transport's `trace`, and the per-query
+/// options.
+const COMMON_FIELDS: &[&str] = &[
+    "op",
+    "cols",
+    "trace",
+    "seed",
+    "epoch",
+    "bypass_cache",
+    "exact",
+    "window",
+];
+
 /// Parse one statistic request object into a [`Query`].
 ///
 /// The object's `op` must be a [`StatKind::name`]; `cols` is required;
-/// statistic payloads (`pattern`, `phi`, `k`) and options (`epoch`,
-/// `bypass_cache`, `exact`, `seed`, `window`) are read from sibling
-/// fields. A `window` field asks for the most recent `window` rows and is
-/// honored by a windowed engine (a plain engine returns a typed error).
+/// the op's own payload (`pattern` | `phi` | `k` | `p`) and the options
+/// (`epoch`, `bypass_cache`, `exact`, `seed`, `window`) are read from
+/// sibling fields. That set is closed: a field outside it — a misspelt
+/// option, another op's payload — is an error naming it, never a value
+/// silently served at its default. A `window` field asks for the most
+/// recent `window` rows and is honored by a windowed engine (a plain
+/// engine returns a typed error).
 ///
 /// # Errors
 /// A human-readable message naming the malformed field.
@@ -121,29 +154,28 @@ pub fn query_from_json(req: &Json) -> Result<Query, String> {
         .and_then(Json::as_str)
         .ok_or_else(|| "missing 'op'".to_string())?;
     let builder = Query::over(u32s(req.get("cols"))?);
-    let mut query = match op {
-        "f0" => builder.f0(),
-        "frequency" => builder.frequency(u16s(req.get("pattern"))?),
-        "heavy_hitters" => {
-            let phi = req
-                .get("phi")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "missing 'phi'".to_string())?;
-            builder.heavy_hitters(phi)
-        }
+    let number = |field: &str| {
+        req.get(field)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing '{field}'"))
+    };
+    let (mut query, payload) = match op {
+        "f0" => (builder.f0(), None),
+        "frequency" => (
+            builder.frequency(u16s(req.get("pattern"))?),
+            Some("pattern"),
+        ),
+        "heavy_hitters" => (builder.heavy_hitters(number("phi")?), Some("phi")),
         "l1_sample" => {
             let k = uint(req, "k")?.ok_or_else(|| "missing 'k'".to_string())?;
-            builder.l1_sample(k as usize)
+            (builder.l1_sample(k as usize), Some("k"))
         }
-        "fp" => {
-            let p = req
-                .get("p")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "missing 'p'".to_string())?;
-            builder.fp(p)
-        }
+        "fp" => (builder.fp(number("p")?), Some("p")),
         other => return Err(format!("unknown statistic op '{other}'")),
     };
+    known_fields(req, op, |k| {
+        COMMON_FIELDS.contains(&k) || Some(k) == payload
+    })?;
     if let Some(seed) = uint(req, "seed")? {
         query = query.with_seed(seed);
     }
@@ -378,6 +410,49 @@ mod tests {
         ] {
             let req = Json::parse(text).expect("valid json");
             assert!(query_from_json(&req).is_err(), "accepted {text}");
+        }
+    }
+
+    #[test]
+    fn statistic_requests_read_a_closed_set_of_fields() {
+        let parse = |text: &str| query_from_json(&Json::parse(text).expect("valid json"));
+        // Everything the set holds, on one request.
+        assert!(parse(
+            r#"{"op":"l1_sample","cols":[0],"k":4,"seed":7,"epoch":null,"bypass_cache":true,
+                "exact":false,"window":100,"trace":"ab12"}"#
+        )
+        .is_ok());
+        for (text, op, field) in [
+            (r#"{"op":"f0","cols":[0,1],"windw":1000}"#, "f0", "windw"),
+            (r#"{"op":"f0","cols":[0,1],"exat":true}"#, "f0", "exat"),
+            (
+                r#"{"op":"fp","cols":[0],"p":2,"bypas_cache":true}"#,
+                "fp",
+                "bypas_cache",
+            ),
+            // Another op's payload is as unknown as a typo.
+            (r#"{"op":"f0","cols":[0],"phi":0.1}"#, "f0", "phi"),
+            (
+                r#"{"op":"heavy_hitters","cols":[0],"phi":0.1,"k":4}"#,
+                "heavy_hitters",
+                "k",
+            ),
+            (
+                r#"{"op":"frequency","cols":[0],"pattern":[1],"p":2}"#,
+                "frequency",
+                "p",
+            ),
+            (
+                r#"{"op":"l1_sample","cols":[0],"k":4,"pattern":[1]}"#,
+                "l1_sample",
+                "pattern",
+            ),
+        ] {
+            assert_eq!(
+                parse(text),
+                Err(format!("unknown '{op}' field '{field}'")),
+                "{text}"
+            );
         }
     }
 

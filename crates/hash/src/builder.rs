@@ -22,7 +22,7 @@ pub struct SeededState {
 
 impl SeededState {
     /// Create a state with an explicit seed.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Self { seed }
     }
 }

@@ -9,7 +9,7 @@
 use crate::rng::SplitMix64;
 
 /// The Mersenne prime `2^61 - 1`.
-pub const MERSENNE61: u64 = (1 << 61) - 1;
+const MERSENNE61: u64 = (1 << 61) - 1;
 
 /// Reduce a 128-bit product modulo `2^61 - 1`.
 #[inline]
@@ -44,7 +44,7 @@ fn mul_add_mod(a: u64, b: u64, c: u64) -> u64 {
 /// A k-wise independent hash function `F_p -> F_p` given by a random
 /// degree-`(k-1)` polynomial.
 #[derive(Debug, Clone)]
-pub struct PolyHash {
+struct PolyHash {
     /// Coefficients, constant term last (Horner order: highest degree first).
     coeffs: Vec<u64>,
 }
@@ -54,7 +54,7 @@ impl PolyHash {
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn new(k: usize, seed: u64) -> Self {
+    fn new(k: usize, seed: u64) -> Self {
         assert!(k >= 1, "independence k must be >= 1");
         let mut sm = SplitMix64::new(seed);
         let coeffs = (0..k)
@@ -72,22 +72,15 @@ impl PolyHash {
     }
 
     /// Independence level (number of coefficients).
-    pub fn independence(&self) -> usize {
+    fn independence(&self) -> usize {
         self.coeffs.len()
     }
 
-    /// The polynomial's coefficients (Horner order), exposed for
-    /// serialization: storing them reproduces the exact same function.
-    pub fn coefficients(&self) -> &[u64] {
-        &self.coeffs
-    }
-
-    /// Rebuild a function from coefficients previously returned by
-    /// [`coefficients`](Self::coefficients).
+    /// Rebuild a function from its stored coefficients (Horner order).
     ///
     /// Returns `None` if the list is empty or any coefficient lies outside
     /// `F_p` — the validation a deserializer needs to stay panic-free.
-    pub fn from_coefficients(coeffs: Vec<u64>) -> Option<Self> {
+    fn from_coefficients(coeffs: Vec<u64>) -> Option<Self> {
         if coeffs.is_empty() || coeffs.iter().any(|&c| c >= MERSENNE61) {
             return None;
         }
@@ -96,7 +89,7 @@ impl PolyHash {
 
     /// Evaluate at `x` (reduced into `F_p` first). Output is in `[0, p)`.
     #[inline]
-    pub fn eval(&self, x: u64) -> u64 {
+    fn eval(&self, x: u64) -> u64 {
         let x = mod_once(x);
         let mut acc = 0u64;
         for &c in &self.coeffs {
@@ -108,15 +101,9 @@ impl PolyHash {
     /// Evaluate and map to a bucket in `[0, m)` by multiply-shift on the
     /// 61-bit output (low bias for `m << 2^61`).
     #[inline]
-    pub fn bucket(&self, x: u64, m: usize) -> usize {
+    fn bucket(&self, x: u64, m: usize) -> usize {
         debug_assert!(m > 0);
         ((self.eval(x) as u128 * m as u128) >> 61) as usize
-    }
-
-    /// Evaluate and map to the unit interval `[0, 1)`.
-    #[inline]
-    pub fn unit(&self, x: u64) -> f64 {
-        self.eval(x) as f64 / MERSENNE61 as f64
     }
 }
 
@@ -128,36 +115,6 @@ impl TwoWise {
     /// Draw a pairwise independent function from `seed`.
     pub fn new(seed: u64) -> Self {
         Self(PolyHash::new(2, seed))
-    }
-
-    /// Evaluate at `x`; output in `[0, 2^61-1)`.
-    #[inline]
-    pub fn eval(&self, x: u64) -> u64 {
-        self.0.eval(x)
-    }
-
-    /// Bucket in `[0, m)`.
-    #[inline]
-    pub fn bucket(&self, x: u64, m: usize) -> usize {
-        self.0.bucket(x, m)
-    }
-}
-
-/// 4-wise independent hash — the independence level the AMS `F_2` analysis
-/// requires for its variance bound.
-#[derive(Debug, Clone)]
-pub struct FourWise(PolyHash);
-
-impl FourWise {
-    /// Draw a 4-wise independent function from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self(PolyHash::new(4, seed))
-    }
-
-    /// Evaluate at `x`; output in `[0, 2^61-1)`.
-    #[inline]
-    pub fn eval(&self, x: u64) -> u64 {
-        self.0.eval(x)
     }
 
     /// Bucket in `[0, m)`.
@@ -230,7 +187,7 @@ macro_rules! persist_fixed_kwise {
     )+};
 }
 
-persist_fixed_kwise!(TwoWise => 2, FourWise => 4, SignHash => 4);
+persist_fixed_kwise!(TwoWise => 2, SignHash => 4);
 
 #[cfg(test)]
 mod tests {
@@ -348,7 +305,6 @@ mod tests {
         let bytes = enc.into_bytes();
         let back = TwoWise::decode(&mut Decoder::new(&bytes)).expect("decodes");
         for x in 0..500u64 {
-            assert_eq!(h.eval(x), back.eval(x));
             assert_eq!(h.bucket(x, 37), back.bucket(x, 37));
         }
         // A SignHash payload (4 coefficients) is not a TwoWise.
@@ -360,14 +316,5 @@ mod tests {
         // Out-of-field coefficients are malformed, not a panic.
         assert!(PolyHash::from_coefficients(vec![MERSENNE61]).is_none());
         assert!(PolyHash::from_coefficients(vec![]).is_none());
-    }
-
-    #[test]
-    fn unit_in_range() {
-        let h = PolyHash::new(2, 8);
-        for x in 0..1000u64 {
-            let u = h.unit(x);
-            assert!((0.0..1.0).contains(&u));
-        }
     }
 }

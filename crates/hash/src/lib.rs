@@ -20,17 +20,13 @@
 //! - [`builder`] — a fast seeded [`std::hash::BuildHasher`] so `HashMap`s in
 //!   hot paths avoid SipHash (per the Rust performance guide) while staying
 //!   deterministic across runs.
-//! - [`tabulation`] — simple tabulation hashing (Pǎtraşcu–Thorup), the
-//!   multiplication-free high-quality family.
 
 pub mod builder;
 pub mod kwise;
 pub mod mix;
 pub mod rng;
-pub mod tabulation;
 
 pub use builder::{SeededHashMap, SeededHashSet, SeededState};
-pub use kwise::{FourWise, PolyHash, SignHash, TwoWise};
-pub use mix::{hash_bytes, hash_u128, hash_u64, mix64};
+pub use kwise::{SignHash, TwoWise};
+pub use mix::{hash_u128, hash_u64, mix64};
 pub use rng::{SplitMix64, Xoshiro256pp};
-pub use tabulation::Tabulation;

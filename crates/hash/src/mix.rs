@@ -47,34 +47,6 @@ pub fn hash_u128(item: u128, seed: u64) -> u64 {
     hash_u64(lo, seed ^ mix64(hi ^ GOLDEN_GAMMA))
 }
 
-/// Hash an arbitrary byte string under a seed (xxHash-flavoured word-at-a-time).
-///
-/// Used for hashing reconstructed pattern vectors and for the seeded
-/// `BuildHasher`. Word-at-a-time with a distinct tail path; quality is
-/// sufficient for hash tables and sketches (not cryptographic).
-pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
-    let mut acc = seed ^ (bytes.len() as u64).wrapping_mul(GOLDEN_GAMMA);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        acc = mix64(acc ^ w).wrapping_mul(0x9ddf_ea08_eb38_2d69);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        acc = mix64(acc ^ u64::from_le_bytes(tail) ^ (rem.len() as u64));
-    }
-    mix64(acc)
-}
-
-/// Map a hash to the unit interval `[0, 1)` with 53 bits of precision.
-#[inline]
-pub fn to_unit_f64(h: u64) -> f64 {
-    // Take the top 53 bits; 2^-53 scaling yields values in [0, 1).
-    (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,39 +118,5 @@ mod tests {
         assert_ne!(lo_only, hi_only);
         assert_ne!(lo_only, both);
         assert_ne!(hi_only, both);
-    }
-
-    #[test]
-    fn hash_bytes_tail_sensitivity() {
-        // Same prefix, different tails of every length 1..8.
-        let base: Vec<u8> = (0..23u8).collect();
-        let h0 = hash_bytes(&base, 11);
-        for i in 0..base.len() {
-            let mut alt = base.clone();
-            alt[i] ^= 0x80;
-            assert_ne!(hash_bytes(&alt, 11), h0, "byte {i} did not affect hash");
-        }
-    }
-
-    #[test]
-    fn hash_bytes_length_sensitivity() {
-        // A zero-extended string must not collide with its prefix.
-        let a = [1u8, 2, 3];
-        let b = [1u8, 2, 3, 0];
-        assert_ne!(hash_bytes(&a, 0), hash_bytes(&b, 0));
-    }
-
-    #[test]
-    fn unit_f64_in_range_and_spread() {
-        let mut lo = 1.0f64;
-        let mut hi = 0.0f64;
-        for i in 0..10_000u64 {
-            let u = to_unit_f64(hash_u64(i, 5));
-            assert!((0.0..1.0).contains(&u));
-            lo = lo.min(u);
-            hi = hi.max(u);
-        }
-        assert!(lo < 0.01, "min {lo} too high");
-        assert!(hi > 0.99, "max {hi} too low");
     }
 }

@@ -62,19 +62,12 @@ impl Xoshiro256pp {
         Self { s }
     }
 
-    /// The raw 256-bit generator state — captured for serialization so a
-    /// restored generator continues the exact same stream.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator at an exact state previously returned by
-    /// [`state`](Self::state). The all-zero state is the generator's fixed
-    /// point and is rejected.
+    /// Rebuild a generator at an exact stored state. The all-zero state is
+    /// the generator's fixed point and is rejected.
     ///
     /// # Errors
     /// Returns `None` for the (invalid) all-zero state.
-    pub fn from_state(s: [u64; 4]) -> Option<Self> {
+    fn from_state(s: [u64; 4]) -> Option<Self> {
         if s == [0, 0, 0, 0] {
             return None;
         }
@@ -96,12 +89,6 @@ impl Xoshiro256pp {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Next 32 uniformly distributed bits (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform integer in `[0, n)` using Lemire's nearly-divisionless method.
@@ -126,16 +113,6 @@ impl Xoshiro256pp {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    #[inline]
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.range_u64(hi - lo)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53-bit resolution.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -144,7 +121,7 @@ impl Xoshiro256pp {
 
     /// Uniform `f64` in `(0, 1]` — safe as a `ln` argument.
     #[inline]
-    pub fn f64_open_zero(&mut self) -> f64 {
+    fn f64_open_zero(&mut self) -> f64 {
         1.0 - self.f64()
     }
 
@@ -156,7 +133,7 @@ impl Xoshiro256pp {
 
     /// Standard Gaussian via the Box–Muller transform (one value per call;
     /// simple and allocation-free — speed is not critical for generators).
-    pub fn gaussian(&mut self) -> f64 {
+    fn gaussian(&mut self) -> f64 {
         let u1 = self.f64_open_zero();
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -164,13 +141,13 @@ impl Xoshiro256pp {
 
     /// Standard exponential variate (rate 1).
     #[inline]
-    pub fn exponential(&mut self) -> f64 {
+    fn exponential(&mut self) -> f64 {
         -self.f64_open_zero().ln()
     }
 
     /// Standard Cauchy variate (the symmetric 1-stable distribution).
     #[inline]
-    pub fn cauchy(&mut self) -> f64 {
+    fn cauchy(&mut self) -> f64 {
         (std::f64::consts::PI * (self.f64() - 0.5)).tan()
     }
 
@@ -220,12 +197,6 @@ impl Xoshiro256pp {
             }
         }
         chosen.into_iter().collect()
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `s > 0`, via inverse
-    /// transform on the precomputed CDF held in `ZipfTable`.
-    pub fn zipf(&mut self, table: &ZipfTable) -> usize {
-        table.sample(self)
     }
 }
 
@@ -278,16 +249,6 @@ impl ZipfTable {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if the table is empty (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw a rank using the supplied generator.
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
         let u = rng.f64();
@@ -320,19 +281,6 @@ mod tests {
         let zs: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
-    }
-
-    #[test]
-    fn state_capture_resumes_the_exact_stream() {
-        let mut a = Xoshiro256pp::seed_from_u64(7);
-        for _ in 0..37 {
-            a.next_u64();
-        }
-        let mut b = Xoshiro256pp::from_state(a.state()).expect("valid state");
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        assert!(Xoshiro256pp::from_state([0; 4]).is_none());
     }
 
     #[test]

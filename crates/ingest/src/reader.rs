@@ -116,11 +116,6 @@ impl FileIngester {
         self
     }
 
-    /// The options this ingester runs with.
-    pub fn options(&self) -> &IngestOptions {
-        &self.opts
-    }
-
     /// Ingest `path`, building the sink from the discovered schema.
     ///
     /// `make_sink` runs exactly once, after the schema is known and

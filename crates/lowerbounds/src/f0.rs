@@ -93,15 +93,10 @@ impl<O: F0Oracle> F0Protocol<O> {
 
     /// The decision threshold: the geometric mean of the "yes" floor `Q^k`
     /// and the "no" ceiling `k·Q^{k−1}`.
-    pub fn threshold(&self) -> f64 {
+    fn threshold(&self) -> f64 {
         let yes = (self.q as f64).powi(self.code.weight() as i32);
         let no = self.code.weight() as f64 * (self.q as f64).powi(self.code.weight() as i32 - 1);
         (yes * no).sqrt()
-    }
-
-    /// The provable separation `Δ = Q/k`.
-    pub fn separation(&self) -> f64 {
-        self.q as f64 / self.code.weight() as f64
     }
 }
 
@@ -214,9 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn separation_formula_and_threshold_ordering() {
+    fn threshold_ordering() {
         let p: F0Protocol<ExactF0Oracle> = F0Protocol::new(16, 4, 16, 8, 3);
-        assert!((p.separation() - 4.0).abs() < 1e-12);
         let yes = 16f64.powi(4);
         let no = 4.0 * 16f64.powi(3);
         assert!(p.threshold() > no && p.threshold() < yes);

@@ -57,7 +57,7 @@ pub struct FpSmallProtocol<O: FpOracle> {
 impl<O: FpOracle> FpSmallProtocol<O> {
     /// Generate the code and fix `p`, checking that the parameters are in
     /// the separating regime (the finite-`d` analogue of the proof's
-    /// "choose `c` small enough": [`Self::no_case_ceiling`] must fall below
+    /// "choose `c` small enough": the no-case ceiling must fall below
     /// the yes-case floor `2^{εd}`).
     ///
     /// # Panics
@@ -91,7 +91,7 @@ impl<O: FpOracle> FpSmallProtocol<O> {
 
     /// Yes-case floor: `2^{εd}` — each of the `2^{εd}` children of `y`
     /// contributes at least `1^p = 1` to `F_p(A, supp(y))`.
-    pub fn yes_case_floor(&self) -> f64 {
+    fn yes_case_floor(&self) -> f64 {
         2f64.powi(self.code.params().weight() as i32)
     }
 
@@ -101,14 +101,14 @@ impl<O: FpOracle> FpSmallProtocol<O> {
     /// `2^{εd − |∩|}`; for `p < 1` the exponent `|∩| + (εd − |∩|)p` is
     /// maximized at `|∩| = cap`, and subadditivity of `x^p` lets parents
     /// be summed. Ceiling: `|C| · 2^{cap + (εd − cap)p}`.
-    pub fn no_case_ceiling(&self) -> f64 {
+    fn no_case_ceiling(&self) -> f64 {
         let k = self.code.params().weight() as f64;
         let cap = self.code.params().intersection_cap() as f64;
         self.code.len() as f64 * 2f64.powf(cap + (k - cap) * self.p)
     }
 
     /// Decision threshold: the geometric mean of the ceiling and floor.
-    pub fn threshold(&self) -> f64 {
+    fn threshold(&self) -> f64 {
         (self.no_case_ceiling() * self.yes_case_floor()).sqrt()
     }
 }
@@ -171,7 +171,7 @@ impl<O: FpOracle> FpLargeProtocol<O> {
     /// Alice's actual set): with `y ∈ T` the pattern `0_S` gains `2^{εd}`
     /// occurrences, raising `F_p` by ~`(2^{εd})^p` over the all-ones
     /// block's contribution, which is present either way.
-    pub fn threshold(&self) -> f64 {
+    fn threshold(&self) -> f64 {
         let k = self.code.params().weight();
         let block = (1u64 << k) as f64; // 2^{εd} all-ones rows
                                         // Both cases contain the all-ones block: F_p >= block^p. The yes

@@ -11,7 +11,7 @@
 //! exponentially smaller.
 
 use pfe_codes::random_code::{RandomCode, RandomCodeParams};
-use pfe_row::{ColumnSet, Dataset, FrequencyVector, PatternKey};
+use pfe_row::{ColumnSet, Dataset, PatternKey};
 use pfe_stream::adversarial::HeavyHitterInstance;
 
 use crate::index_problem::MembershipProtocol;
@@ -89,7 +89,7 @@ impl<O: HhOracle> HhProtocol<O> {
     }
 
     /// Bob's query for universe index `i`: the complement of `supp(y_i)`.
-    pub fn query_for(&self, index: usize) -> ColumnSet {
+    fn query_for(&self, index: usize) -> ColumnSet {
         let d = self.code.params().d;
         let y = self.code.words()[index];
         ColumnSet::from_mask(d, ((1u64 << d) - 1) & !y).expect("complement in range")
@@ -123,38 +123,39 @@ impl<O: HhOracle> MembershipProtocol for HhProtocol<O> {
     }
 }
 
-/// The two case quantities from the Theorem 5.3 proof, measured exactly on
-/// a concrete instance: the frequency of `0_S` and the total `F_p`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CaseMeasurement {
-    /// `f_{e(0_S)}`.
-    pub zero_pattern_count: u64,
-    /// `F_p(A, S)`.
-    pub fp_value: f64,
-    /// The heaviness ratio `f_{e(0_S)} / F_p^{1/p}`.
-    pub heaviness: f64,
-}
-
-/// Measure the proof's case quantities for a given held set and test word.
-pub fn measure_case(code: &RandomCode, held: &[usize], y_index: usize, p: f64) -> CaseMeasurement {
-    let inst = HeavyHitterInstance::build(code.clone(), held);
-    let d = code.params().d;
-    let y = code.words()[y_index];
-    let cols = ColumnSet::from_mask(d, ((1u64 << d) - 1) & !y).expect("valid");
-    let f = FrequencyVector::compute(&inst.data, &cols).expect("fits");
-    let zero = f.frequency(PatternKey::new(0));
-    let fp = f.fp(p);
-    CaseMeasurement {
-        zero_pattern_count: zero,
-        fp_value: fp,
-        heaviness: zero as f64 / fp.powf(1.0 / p),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index_problem::run_trials;
+    use pfe_row::FrequencyVector;
+
+    /// The two case quantities from the Theorem 5.3 proof, measured exactly on
+    /// a concrete instance: the frequency of `0_S` and the total `F_p`.
+    #[derive(Debug, Clone, PartialEq)]
+    struct CaseMeasurement {
+        /// `f_{e(0_S)}`.
+        zero_pattern_count: u64,
+        /// `F_p(A, S)`.
+        fp_value: f64,
+        /// The heaviness ratio `f_{e(0_S)} / F_p^{1/p}`.
+        heaviness: f64,
+    }
+
+    /// Measure the proof's case quantities for a given held set and test word.
+    fn measure_case(code: &RandomCode, held: &[usize], y_index: usize, p: f64) -> CaseMeasurement {
+        let inst = HeavyHitterInstance::build(code.clone(), held);
+        let d = code.params().d;
+        let y = code.words()[y_index];
+        let cols = ColumnSet::from_mask(d, ((1u64 << d) - 1) & !y).expect("valid");
+        let f = FrequencyVector::compute(&inst.data, &cols).expect("fits");
+        let zero = f.frequency(PatternKey::new(0));
+        let fp = f.fp(p);
+        CaseMeasurement {
+            zero_pattern_count: zero,
+            fp_value: fp,
+            heaviness: zero as f64 / fp.powf(1.0 / p),
+        }
+    }
 
     /// d=32, ε=0.25 (weight 8), γ=0.03 (intersection cap 2): parameters in
     /// the finite-d separating regime (no-case crosstalk `|C|·2^cap = 48`

@@ -29,7 +29,7 @@ pub use f0::{
     F0Oracle, F0Protocol, Table1Row,
 };
 pub use fp::{measure_fp_gap, ExactFpOracle, FpGap, FpLargeProtocol, FpOracle, FpSmallProtocol};
-pub use heavy_hitters::{measure_case, CaseMeasurement, ExactHhOracle, HhOracle, HhProtocol};
+pub use heavy_hitters::{ExactHhOracle, HhOracle, HhProtocol};
 pub use hypotheticals::{model_divergence, HypotheticalsProtocol, HypotheticalsSummary};
 pub use index_problem::{run_trials, MembershipProtocol, TrialReport};
 pub use sampling::{m_prime_mass, SamplerLargeProtocol, SamplerSmallProtocol};

@@ -132,7 +132,7 @@ impl SamplerSmallProtocol {
 
     /// Is a projected pattern (on `S = supp(y)`, little-endian packed) a
     /// member of `M′` — support at least `εd/2`?
-    pub fn in_m_prime(&self, key: PatternKey) -> bool {
+    fn in_m_prime(&self, key: PatternKey) -> bool {
         let k = self.code.params().weight();
         (key.raw().count_ones()) as f64 >= k as f64 / 2.0
     }

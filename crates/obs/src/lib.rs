@@ -181,16 +181,7 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
+impl HistogramSnapshot {}
 
 impl Histogram {
     /// A detached histogram (not registered anywhere).
@@ -252,7 +243,7 @@ impl Histogram {
 
     /// Nonzero buckets as `(upper_bound, cumulative_count)` pairs — the
     /// shape Prometheus `_bucket{le=...}` lines want.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -281,11 +272,6 @@ impl Span {
             hist,
             start: Instant::now(),
         }
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 }
 
@@ -487,13 +473,6 @@ impl Recorder {
         self.traces.begin(ctx)
     }
 
-    /// Render retained completed traces as Chrome trace-event JSON
-    /// (see [`chrome_trace_json`]); loadable in `chrome://tracing` and
-    /// Perfetto.
-    pub fn render_chrome_trace(&self) -> String {
-        chrome_trace_json(&self.traces.last(usize::MAX))
-    }
-
     /// Register (or replace) a constant labeled info gauge — the
     /// `build_info` idiom: rendered as `name{labels…} 1` in Prometheus
     /// exposition, and surfaced by [`infos_snapshot`](Self::infos_snapshot)
@@ -609,7 +588,7 @@ impl Recorder {
 /// Map an arbitrary name onto the Prometheus metric-name grammar
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): invalid characters become `_`, a
 /// leading digit gets a `_` prefix.
-pub fn sanitize_metric_name(name: &str) -> String {
+fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
@@ -679,7 +658,6 @@ mod tests {
         assert!((90..=100).contains(&s.p90), "p90={}", s.p90);
         assert!((99..=100).contains(&s.p99), "p99={}", s.p99);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
-        assert!((s.mean() - 50.5).abs() < 1e-9);
     }
 
     #[test]
@@ -726,9 +704,8 @@ mod tests {
     fn span_records_elapsed_into_named_histogram() {
         let rec = Recorder::new();
         {
-            let span = rec.span("plan");
+            let _span = rec.span("plan");
             std::thread::sleep(Duration::from_millis(2));
-            assert!(span.elapsed() >= Duration::from_millis(2));
         }
         let s = rec.histogram("plan").snapshot();
         assert_eq!(s.count, 1);
@@ -846,7 +823,6 @@ mod tests {
         drop(trace.span("session"));
         rec.trace_store().finish(trace);
         assert_eq!(rec.trace_store().lookup(5).expect("kept").spans.len(), 1);
-        assert!(rec.render_chrome_trace().contains("\"name\":\"session\""));
     }
 
     #[test]

@@ -482,11 +482,6 @@ impl TraceStore {
         self.sample.store(n, Ordering::Relaxed);
     }
 
-    /// The current head-sampling rate.
-    pub fn sample(&self) -> u64 {
-        self.sample.load(Ordering::Relaxed)
-    }
-
     /// Begin a trace. With a client-supplied `ctx` the trace keeps that
     /// id (and is always retained); otherwise a fresh id is generated
     /// and the head-sampler decides retention. Returns a disabled

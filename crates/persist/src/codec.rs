@@ -19,11 +19,6 @@ impl Encoder {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Consume the encoder, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -97,7 +92,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

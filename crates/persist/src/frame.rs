@@ -38,25 +38,12 @@ const HEADER_LEN: usize = 16;
 pub mod kind {
     /// A merged engine snapshot (`pfe-engine`'s `Snapshot`).
     pub const SNAPSHOT: u16 = 1;
-    /// A `SummarySuite` (exact + sample + α-net bundle).
-    pub const SUMMARY_SUITE: u16 = 2;
+    // 2 stays unassigned: it was reserved for a `SummarySuite` file that
+    // nothing ever wrote.
     /// A standalone sketch or summary (tests, tooling).
     pub const SKETCH: u16 = 3;
     /// A sliding-window bucket ring (`pfe-window`'s `BucketRing`).
     pub const WINDOW: u16 = 4;
-}
-
-/// Wrap `payload` in a framed byte vector with the given record kind.
-pub fn frame(record_kind: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&record_kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Validate a framed byte vector and return its payload.
@@ -228,6 +215,20 @@ pub fn peek_kind<P: AsRef<Path>>(path: P) -> Result<u16, PersistError> {
 mod tests {
     use super::*;
 
+    /// Wrap a raw `payload` in a frame, field by field as the module doc
+    /// lays it out — independent of [`to_bytes`]' patch-in-place encoder.
+    fn frame(record_kind: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&record_kind.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
     #[test]
     fn frame_roundtrip() {
         let payload = b"hello, summaries";
@@ -309,7 +310,7 @@ mod tests {
         value.encode(&mut enc);
         assert_eq!(
             to_bytes(kind::SKETCH, &value),
-            frame(kind::SKETCH, enc.as_slice()),
+            frame(kind::SKETCH, &enc.into_bytes()),
             "in-place header patching must produce the canonical frame"
         );
     }

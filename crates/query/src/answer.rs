@@ -109,13 +109,6 @@ pub struct WindowCoverage {
     pub truncated: bool,
 }
 
-impl WindowCoverage {
-    /// Rows covered beyond the request (`0` when truncated).
-    pub fn slack_rows(&self) -> u64 {
-        self.covered_rows.saturating_sub(self.requested_rows)
-    }
-}
-
 /// Cache and planner cost metadata for one answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostInfo {
@@ -273,24 +266,6 @@ mod tests {
         assert_eq!(a.kind(), StatKind::Fp);
         assert_eq!(a.estimate(), Some(9.5));
         assert!(a.hitters().is_none() && a.patterns().is_none());
-    }
-
-    #[test]
-    fn window_coverage_slack() {
-        let w = WindowCoverage {
-            requested_rows: 100,
-            covered_rows: 130,
-            buckets: 3,
-            truncated: false,
-        };
-        assert_eq!(w.slack_rows(), 30);
-        let t = WindowCoverage {
-            requested_rows: 1000,
-            covered_rows: 600,
-            buckets: 4,
-            truncated: true,
-        };
-        assert_eq!(t.slack_rows(), 0);
     }
 
     #[test]

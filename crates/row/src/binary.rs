@@ -27,21 +27,6 @@ pub fn pext_u64(x: u64, mut mask: u64) -> u64 {
     out
 }
 
-/// Inverse of [`pext_u64`]: scatter the low bits of `x` into the positions
-/// of `mask` (parallel bit deposit).
-#[inline]
-pub fn pdep_u64(x: u64, mut mask: u64) -> u64 {
-    let mut out = 0u64;
-    let mut pos = 0u32;
-    while mask != 0 {
-        let b = mask.trailing_zeros();
-        out |= ((x >> pos) & 1) << b;
-        pos += 1;
-        mask &= mask - 1;
-    }
-    out
-}
-
 /// One run of adjacent set bits of a fixed mask, ready to apply: the
 /// run's bits of `x` land at `(x >> shift) & keep`. Output positions never
 /// exceed input positions, so every shift is a right shift.
@@ -195,21 +180,6 @@ impl BinaryMatrix {
         self.rows.len()
     }
 
-    /// True iff the matrix has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Append a row.
-    ///
-    /// # Panics
-    /// Panics if the row has bits at or above `d`.
-    pub fn push(&mut self, row: u64) {
-        let limit = if self.d == 0 { 0 } else { (1u64 << self.d) - 1 };
-        assert!(row & !limit == 0, "row has bits above d={}", self.d);
-        self.rows.push(row);
-    }
-
     /// Packed row `i`.
     ///
     /// # Panics
@@ -225,16 +195,6 @@ impl BinaryMatrix {
         &self.rows
     }
 
-    /// Project row `i` onto `cols`, packed toward the LSB.
-    ///
-    /// # Panics
-    /// Panics (debug) on dimension mismatch.
-    #[inline]
-    pub fn project_row(&self, i: usize, cols: &ColumnSet) -> u64 {
-        debug_assert_eq!(cols.dimension(), self.d, "column-set dimension mismatch");
-        pext_u64(self.rows[i], cols.mask())
-    }
-
     /// Iterate projected keys for all rows.
     pub fn projected_keys<'a>(&'a self, cols: &ColumnSet) -> impl Iterator<Item = u64> + 'a {
         debug_assert_eq!(cols.dimension(), self.d);
@@ -246,7 +206,7 @@ impl BinaryMatrix {
     ///
     /// # Panics
     /// Panics if out of range.
-    pub fn get(&self, row: usize, col: u32) -> u16 {
+    fn get(&self, row: usize, col: u32) -> u16 {
         assert!(col < self.d, "column {col} out of range");
         ((self.rows[row] >> col) & 1) as u16
     }
@@ -279,15 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn pdep_inverts_pext_on_mask() {
-        let mask = 0b1011_0100u64;
-        for x in 0..256u64 {
-            let masked = x & mask;
-            assert_eq!(pdep_u64(pext_u64(masked, mask), mask), masked);
-        }
-    }
-
-    #[test]
     fn paper_running_example() {
         // Section 2 example: A in {0,1}^{5x3} with columns {1,2,3} (we use
         // 0-based {0,1,2}); C = {1,2} (paper's first two columns = our
@@ -314,15 +265,15 @@ mod tests {
     fn projection_onto_full_set_is_identity() {
         let m = BinaryMatrix::from_rows(5, vec![0b10101, 0b01010]);
         let full = ColumnSet::full(5).expect("valid");
-        assert_eq!(m.project_row(0, &full), 0b10101);
-        assert_eq!(m.project_row(1, &full), 0b01010);
+        let keys: Vec<u64> = m.projected_keys(&full).collect();
+        assert_eq!(keys, vec![0b10101, 0b01010]);
     }
 
     #[test]
     fn projection_onto_empty_set_is_zero() {
         let m = BinaryMatrix::from_rows(5, vec![0b11111]);
         let empty = ColumnSet::empty(5).expect("valid");
-        assert_eq!(m.project_row(0, &empty), 0);
+        assert_eq!(m.projected_keys(&empty).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -335,17 +286,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "bits above d")]
-    fn push_rejects_out_of_range_bits() {
-        BinaryMatrix::new(3).push(0b1000);
+    fn from_rows_rejects_out_of_range_bits() {
+        BinaryMatrix::from_rows(3, vec![0b1000]);
     }
 
     #[test]
     fn space_accounting_grows() {
-        let mut m = BinaryMatrix::new(8);
-        let s0 = m.space_bytes();
-        for i in 0..1000 {
-            m.push(i % 256);
-        }
+        let s0 = BinaryMatrix::new(8).space_bytes();
+        let m = BinaryMatrix::from_rows(8, (0..1000).map(|i| i % 256).collect());
         assert!(m.space_bytes() > s0 + 1000 * 8 / 2);
     }
 

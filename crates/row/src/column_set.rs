@@ -117,12 +117,6 @@ impl ColumnSet {
         self.mask == 0
     }
 
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, column: u32) -> bool {
-        column < self.d && self.mask & (1 << column) != 0
-    }
-
     /// `C ∪ {column}` (no-op if already present).
     ///
     /// # Panics
@@ -136,51 +130,6 @@ impl ColumnSet {
         );
         Self {
             mask: self.mask | (1 << column),
-            d: self.d,
-        }
-    }
-
-    /// `C \ {column}` (no-op if absent).
-    #[must_use]
-    pub fn without(&self, column: u32) -> Self {
-        Self {
-            mask: self.mask & !(1u64.checked_shl(column).unwrap_or(0)),
-            d: self.d,
-        }
-    }
-
-    /// Set complement `[d] \ C`.
-    #[must_use]
-    pub fn complement(&self) -> Self {
-        let full = if self.d == 0 { 0 } else { (1u64 << self.d) - 1 };
-        Self {
-            mask: full & !self.mask,
-            d: self.d,
-        }
-    }
-
-    /// Union (dimensions must agree).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn union(&self, other: &Self) -> Self {
-        assert_eq!(self.d, other.d, "dimension mismatch");
-        Self {
-            mask: self.mask | other.mask,
-            d: self.d,
-        }
-    }
-
-    /// Intersection (dimensions must agree).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn intersect(&self, other: &Self) -> Self {
-        assert_eq!(self.d, other.d, "dimension mismatch");
-        Self {
-            mask: self.mask & other.mask,
             d: self.d,
         }
     }
@@ -264,9 +213,6 @@ mod tests {
         let c = ColumnSet::from_indices(8, &[0, 3, 7]).expect("valid");
         assert_eq!(c.len(), 3);
         assert_eq!(c.mask(), 0b1000_1001);
-        assert!(c.contains(3));
-        assert!(!c.contains(1));
-        assert!(!c.contains(63));
     }
 
     #[test]
@@ -283,35 +229,19 @@ mod tests {
     }
 
     #[test]
-    fn full_and_complement() {
-        let f = ColumnSet::full(6).expect("valid");
-        assert_eq!(f.len(), 6);
-        assert!(f.complement().is_empty());
-        let c = ColumnSet::from_indices(6, &[1, 4]).expect("valid");
-        let comp = c.complement();
-        assert_eq!(comp.to_indices(), vec![0, 2, 3, 5]);
-        assert_eq!(c.union(&comp), f);
-        assert!(c.intersect(&comp).is_empty());
-    }
-
-    #[test]
     fn set_algebra() {
         let a = ColumnSet::from_indices(8, &[0, 1, 2]).expect("a");
         let b = ColumnSet::from_indices(8, &[2, 3]).expect("b");
-        assert_eq!(a.union(&b).to_indices(), vec![0, 1, 2, 3]);
-        assert_eq!(a.intersect(&b).to_indices(), vec![2]);
         assert_eq!(a.symmetric_difference(&b).to_indices(), vec![0, 1, 3]);
-        assert!(a.intersect(&b).is_subset_of(&a));
         assert!(!a.is_subset_of(&b));
         assert!(a.is_subset_of(&a));
     }
 
     #[test]
-    fn with_without() {
+    fn with_adds_columns() {
         let c = ColumnSet::empty(5).expect("valid").with(2).with(4);
         assert_eq!(c.to_indices(), vec![2, 4]);
-        assert_eq!(c.without(2).to_indices(), vec![4]);
-        assert_eq!(c.without(3), c);
+        assert_eq!(c.with(2), c);
     }
 
     #[test]

@@ -45,29 +45,12 @@ impl Dataset {
         }
     }
 
-    /// True iff there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.num_rows() == 0
-    }
-
     /// A codec for projections of width `|cols|` over this alphabet.
     ///
     /// # Errors
     /// Propagates the codec capacity check (`Q^{|C|} ≤ 2^127`).
     pub fn codec_for(&self, cols: &ColumnSet) -> Result<PatternCodec, PatternCodecError> {
         PatternCodec::new(self.alphabet(), cols.len())
-    }
-
-    /// Project row `i` onto `cols` as a pattern key.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range (debug: or if `cols` has the wrong
-    /// dimension / codec width).
-    pub fn project_row(&self, i: usize, cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
-        match self {
-            Self::Binary(m) => PatternKey::from(m.project_row(i, cols)),
-            Self::Qary(m) => m.project_row(i, cols, codec),
-        }
     }
 
     /// Row `i` as a dense symbol vector.
@@ -161,7 +144,6 @@ mod tests {
         assert_eq!(b.alphabet(), 2);
         let q = qary_fixture();
         assert_eq!(q.alphabet(), 3);
-        assert!(!q.is_empty());
     }
 
     #[test]

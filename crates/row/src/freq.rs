@@ -57,26 +57,6 @@ impl FrequencyVector {
         })
     }
 
-    /// Build directly from (key, count) pairs (used by tests and by the
-    /// lower-bound harness when the instance is generated analytically).
-    ///
-    /// # Panics
-    /// Panics if a key repeats or a count is zero.
-    pub fn from_counts(codec: PatternCodec, pairs: &[(PatternKey, u64)]) -> Self {
-        let mut counts = seeded_map(0x5eed);
-        let mut total = 0u64;
-        for &(k, c) in pairs {
-            assert!(c > 0, "zero count for key {k:?}");
-            assert!(counts.insert(k, c).is_none(), "duplicate key {k:?}");
-            total += c;
-        }
-        Self {
-            counts,
-            total,
-            codec,
-        }
-    }
-
     /// The codec for this projection.
     pub fn codec(&self) -> &PatternCodec {
         &self.codec
@@ -278,24 +258,6 @@ mod tests {
         let f = FrequencyVector::compute(&data, &cols).expect("fits");
         assert_eq!(f.f0(), 1);
         assert_eq!(f.frequency(PatternKey::new(0)), 5);
-    }
-
-    #[test]
-    fn from_counts_and_duplicates() {
-        let codec = PatternCodec::new(2, 2).expect("fits");
-        let f = FrequencyVector::from_counts(
-            codec,
-            &[(PatternKey::new(0), 2), (PatternKey::new(3), 5)],
-        );
-        assert_eq!(f.total(), 7);
-        assert_eq!(f.f0(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate key")]
-    fn from_counts_rejects_duplicates() {
-        let codec = PatternCodec::new(2, 2).expect("fits");
-        FrequencyVector::from_counts(codec, &[(PatternKey::new(1), 1), (PatternKey::new(1), 2)]);
     }
 
     #[test]

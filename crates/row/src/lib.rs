@@ -24,8 +24,7 @@ pub mod pattern;
 pub mod qary;
 
 pub use binary::{
-    bit_runs, extract_runs, pack_binary_rows, pdep_u64, pext_u64, BinaryMatrix, BitExtractor,
-    BitRun,
+    bit_runs, extract_runs, pack_binary_rows, pext_u64, BinaryMatrix, BitExtractor, BitRun,
 };
 pub use column_set::{ColumnSet, ColumnSetError};
 pub use dataset::Dataset;

@@ -99,21 +99,11 @@ impl PatternCodec {
     }
 
     /// Whether `Q^m ≤ 2^127` (q=1 always fits: domain size 1).
-    pub fn fits(q: u32, m: u32) -> bool {
+    fn fits(q: u32, m: u32) -> bool {
         if q <= 1 {
             return true;
         }
         (m as f64) * (q as f64).log2() <= 127.0
-    }
-
-    /// Alphabet size.
-    pub fn alphabet(&self) -> u32 {
-        self.q
-    }
-
-    /// Projection width.
-    pub fn width(&self) -> u32 {
-        self.m
     }
 
     /// Domain size `Q^m`.
@@ -183,12 +173,6 @@ impl PatternCodec {
             v /= self.q as u128;
         }
         out
-    }
-
-    /// For binary alphabets the key equals the `pext`-packed bits; expose
-    /// the check used by the fast path.
-    pub fn is_binary(&self) -> bool {
-        self.q == 2
     }
 }
 

@@ -72,24 +72,6 @@ impl QaryMatrix {
         }
     }
 
-    /// Build from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if the buffer length is not a multiple of `d`, or any symbol
-    /// is `>= Q`.
-    pub fn from_flat(q: u32, d: u32, data: Vec<u16>) -> Self {
-        let mut m = Self::new(q, d);
-        assert!(d > 0 || data.is_empty(), "d=0 matrix cannot carry symbols");
-        if d > 0 {
-            assert_eq!(data.len() % d as usize, 0, "buffer not a multiple of d");
-        }
-        for (i, &s) in data.iter().enumerate() {
-            assert!((s as u32) < q, "symbol {s} at {i} outside alphabet [{q}]");
-        }
-        m.data = data;
-        m
-    }
-
     /// Build from row slices.
     ///
     /// # Panics
@@ -122,11 +104,6 @@ impl QaryMatrix {
         } else {
             self.data.len() / self.d as usize
         }
-    }
-
-    /// True iff the matrix has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.num_rows() == 0
     }
 
     /// Append a row.
@@ -162,22 +139,12 @@ impl QaryMatrix {
         &self.data[i * d..(i + 1) * d]
     }
 
-    /// Value at `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics if out of range.
-    #[inline]
-    pub fn get(&self, row: usize, col: u32) -> u16 {
-        assert!(col < self.d);
-        self.data[row * self.d as usize + col as usize]
-    }
-
     /// Project row `i` onto `cols` and pack as a [`PatternKey`].
     ///
     /// # Panics
     /// Panics if the codec's capacity check fails (see [`PatternCodec`]).
     #[inline]
-    pub fn project_row(&self, i: usize, cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
+    fn project_row(&self, i: usize, cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
         debug_assert_eq!(cols.dimension(), self.d);
         codec.encode_row(self.row(i), cols)
     }
@@ -206,14 +173,7 @@ mod tests {
         let m = QaryMatrix::from_rows(4, 3, &[[0u16, 1, 2], [3, 3, 0]]);
         assert_eq!(m.num_rows(), 2);
         assert_eq!(m.row(0), &[0, 1, 2]);
-        assert_eq!(m.get(1, 0), 3);
-    }
-
-    #[test]
-    fn from_flat_matches_from_rows() {
-        let a = QaryMatrix::from_flat(3, 2, vec![0, 1, 2, 0]);
-        let b = QaryMatrix::from_rows(3, 2, &[[0u16, 1], [2, 0]]);
-        assert_eq!(a, b);
+        assert_eq!(m.row(1)[0], 3);
     }
 
     #[test]
@@ -230,12 +190,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple of d")]
-    fn rejects_ragged_flat() {
-        QaryMatrix::from_flat(2, 3, vec![0, 1]);
-    }
-
-    #[test]
     fn projection_via_codec() {
         let m = QaryMatrix::from_rows(3, 4, &[[2u16, 1, 0, 2]]);
         let cols = ColumnSet::from_indices(4, &[0, 3]).expect("valid");
@@ -248,7 +202,6 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let m = QaryMatrix::new(5, 7);
-        assert!(m.is_empty());
         assert_eq!(m.num_rows(), 0);
     }
 

@@ -58,19 +58,6 @@ impl Client {
         })
     }
 
-    /// Bound how long [`request`](Self::request) blocks on the response
-    /// (`None` restores blocking forever). Useful in tests and probes
-    /// that must not hang on a stalled server.
-    ///
-    /// # Errors
-    /// Socket-level failures.
-    pub fn set_timeout(&mut self, timeout: Option<std::time::Duration>) -> Result<(), ClientError> {
-        // reader and writer share one file description (`try_clone`), so
-        // setting the option on either side covers both.
-        self.writer.set_read_timeout(timeout)?;
-        Ok(())
-    }
-
     /// Send one request object, wait for its response object.
     ///
     /// # Errors

@@ -76,11 +76,6 @@ impl LineFramer {
         self.ready.pop_front()
     }
 
-    /// Number of frame events ready to pop.
-    pub fn pending(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Bytes buffered for the line still in progress (0 while
     /// discarding an oversized line).
     pub fn buffered(&self) -> usize {

@@ -49,12 +49,6 @@ impl Interest {
         read: true,
         write: true,
     };
-    /// No interest — the fd stays registered but wakes for errors/hangup
-    /// only (used while a session is backpressured).
-    pub const NONE: Interest = Interest {
-        read: false,
-        write: false,
-    };
 }
 
 /// One readiness report from [`Poller::wait`].

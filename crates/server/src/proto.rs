@@ -26,7 +26,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Instant, SystemTime};
@@ -74,14 +74,14 @@ pub const OPS: &[&str] = &[
 ];
 
 /// Build an `{"ok":false,"error":msg}` payload.
-pub fn err(msg: impl Into<String>) -> Json {
+fn err(msg: impl Into<String>) -> Json {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(msg.into()))])
 }
 
 /// Error payload for an unrecognized op name: the offending op string is
 /// echoed in its own field so clients can match it programmatically
 /// instead of parsing the message.
-pub fn err_unknown_op(op: &str, context: &str) -> Json {
+fn err_unknown_op(op: &str, context: &str) -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
         ("error", Json::Str(format!("unknown {context} op '{op}'"))),
@@ -108,7 +108,7 @@ pub fn err_saturated(workers: usize, queue: usize) -> Json {
 
 /// The typed rejection a read-replica answers to any mutating op
 /// (`"code":"read_only"` is the stable, machine-matchable field).
-pub fn err_read_only(op: &str) -> Json {
+fn err_read_only(op: &str) -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
         (
@@ -195,16 +195,9 @@ fn set_uint<T: TryFrom<u64>>(obj: &Json, field: &str, slot: &mut T) -> Result<()
 }
 
 /// `start` reads a closed set of fields: a key of `obj` (the request, or
-/// its `fp` / `window` object) outside `known` is a typed error naming it,
-/// never a parameter silently served at its default.
+/// its `fp` / `window` object) outside `known` is a typed error naming it.
 fn known_fields(obj: &Json, what: &str, known: &[&str]) -> Result<(), Json> {
-    let Json::Obj(map) = obj else {
-        return Err(err(format!("{what} must be an object")));
-    };
-    match map.keys().find(|k| !known.contains(&k.as_str())) {
-        Some(k) => Err(err(format!("unknown {what} field '{k}'"))),
-        None => Ok(()),
-    }
+    wire::known_fields(obj, what, |k| known.contains(&k)).map_err(err)
 }
 
 /// One completed trace as a span-tree JSON object: spans nest under
@@ -361,7 +354,7 @@ impl ServerCounters {
 
     /// Per-op request counts — ops with traffic only (unrecognized names
     /// land under `unknown`).
-    pub fn ops(&self) -> BTreeMap<String, u64> {
+    fn ops(&self) -> BTreeMap<String, u64> {
         self.ops
             .iter()
             .filter(|(_, (count, _))| count.get() > 0)
@@ -474,7 +467,7 @@ impl Dispatcher {
     }
 
     /// Whether this dispatcher serves in read-replica mode.
-    pub fn is_replica(&self) -> bool {
+    fn is_replica(&self) -> bool {
         self.replica.read().expect("replica lock").is_some()
     }
 
@@ -651,11 +644,6 @@ impl Dispatcher {
     pub fn render_prometheus(&self) -> String {
         self.sync_gauges();
         self.recorder.render_prometheus("pfe")
-    }
-
-    /// The configured shutdown-checkpoint path, if any.
-    pub fn checkpoint_path(&self) -> Option<&Path> {
-        self.checkpoint_path.as_deref()
     }
 
     /// Handle one request line: parse, count, dispatch, and answer. Never
@@ -842,7 +830,7 @@ impl Dispatcher {
     fn start(&self, req: &Json) -> Result<Json, Json> {
         known_fields(
             req,
-            "'start'",
+            "start",
             &[
                 "op", "trace", "d", "q", "shards", "alpha", "sample_t", "kmv_k", "seed", "fp",
                 "slow_ms", "window",
@@ -865,7 +853,7 @@ impl Dispatcher {
             Some(fp) => {
                 known_fields(
                     fp,
-                    "'fp'",
+                    "fp",
                     &["orders", "stable_t", "ams_groups", "ams_per_group"],
                 )?;
                 let orders = fp
@@ -890,7 +878,7 @@ impl Dispatcher {
             Some(win) => {
                 known_fields(
                     win,
-                    "'window'",
+                    "window",
                     &["bucket_rows", "tier_cap", "max_tiers", "merged_cache"],
                 )?;
                 let mut wcfg = WindowConfig::default();
@@ -1018,10 +1006,10 @@ impl Dispatcher {
 
     /// Response body for the `slow_log` op: optionally set the threshold,
     /// then return the retained entries (oldest first).
-    fn slow_log_op(&self, req: &Json) -> Json {
+    fn slow_log_op(&self, req: &Json) -> Result<Json, Json> {
         let log = self.recorder.slow_log();
-        if let Some(ms) = req.get("threshold_ms").and_then(Json::as_f64) {
-            log.set_threshold_ms(ms as u64);
+        if let Some(ms) = wire::uint(req, "threshold_ms").map_err(err)? {
+            log.set_threshold_ms(ms);
         }
         let entries: Vec<Json> = log
             .entries()
@@ -1039,20 +1027,19 @@ impl Dispatcher {
                 ])
             })
             .collect();
-        Json::obj([
+        Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("threshold_ms", Json::Num(log.threshold_ms() as f64)),
             ("entries", Json::Arr(entries)),
-        ])
+        ]))
     }
 
     /// Response body for the `set_slow_ms` op: retune the slow-log
     /// threshold on a live server (0 disables capture).
     fn set_slow_ms_op(&self, req: &Json) -> Result<Json, Json> {
-        let ms = req
-            .get("ms")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing 'ms'"))? as u64;
+        let ms = wire::uint(req, "ms")
+            .map_err(err)?
+            .ok_or_else(|| err("missing 'ms'"))?;
         self.recorder.slow_log().set_threshold_ms(ms);
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -1075,8 +1062,8 @@ impl Dispatcher {
                     .ok_or_else(|| err(format!("no retained trace with id '{s}'")))?
             }
             None => {
-                let n = req.get("last").and_then(Json::as_f64).unwrap_or(8.0) as usize;
-                store.last(n)
+                let n = wire::uint(req, "last").map_err(err)?.unwrap_or(8);
+                store.last(usize::try_from(n).unwrap_or(usize::MAX))
             }
         };
         if req.get("format").and_then(Json::as_str) == Some("chrome") {
@@ -1199,7 +1186,7 @@ impl Dispatcher {
                 .map(Reply::cont),
             "server_stats" => Ok(Reply::cont(self.server_stats())),
             "metrics" => Ok(Reply::cont(self.metrics_op(req))),
-            "slow_log" => Ok(Reply::cont(self.slow_log_op(req))),
+            "slow_log" => self.slow_log_op(req).map(Reply::cont),
             "set_slow_ms" => self.set_slow_ms_op(req).map(Reply::cont),
             "trace" => self.trace_op(req).map(Reply::cont),
             "replica_stats" => Ok(Reply::cont(self.replica_stats_op())),
@@ -1288,7 +1275,8 @@ mod tests {
         let r = d.handle_line(r#"{"op":"f0","cols":[0,1,2]}"#);
         assert!(r.json.get("estimate").is_some());
         let r = d.handle_line(
-            r#"{"op":"batch","queries":[{"op":"f0","cols":[0,1]},{"op":"bogus","cols":[0]}]}"#,
+            r#"{"op":"batch","queries":[{"op":"f0","cols":[0,1]},{"op":"bogus","cols":[0]},
+                {"op":"f0","cols":[0,1],"windw":5}]}"#,
         );
         let answers = r
             .json
@@ -1297,6 +1285,11 @@ mod tests {
             .expect("answers");
         assert_eq!(answers[0].get("ok"), Some(&Json::Bool(true)));
         assert_eq!(answers[1].get("op").and_then(Json::as_str), Some("bogus"));
+        // A misspelt option fails its own slot, not the batch.
+        assert_eq!(
+            answers[2].get("error").and_then(Json::as_str),
+            Some("unknown 'f0' field 'windw'")
+        );
         // quit closes the session, not the server.
         let r = d.handle_line(r#"{"op":"quit"}"#);
         assert!(matches!(r.control, Control::CloseSession));
@@ -1581,6 +1574,28 @@ mod tests {
         // `start` accepts slow_ms too.
         d.handle_line(r#"{"op":"start","d":8,"q":2,"shards":1,"slow_ms":9}"#);
         assert_eq!(d.recorder().slow_log().threshold_ms(), 9);
+    }
+
+    #[test]
+    fn integer_fields_reject_what_is_not_a_nonnegative_integer() {
+        let d = started();
+        d.handle_line(r#"{"op":"set_slow_ms","ms":40}"#);
+        for (op, field) in [
+            ("set_slow_ms", "ms"),
+            ("slow_log", "threshold_ms"),
+            ("trace", "last"),
+        ] {
+            for bad in ["-1", "1.5", "\"5\""] {
+                let r = d.handle_line(&format!(r#"{{"op":"{op}","{field}":{bad}}}"#));
+                assert_eq!(
+                    r.json.get("error").and_then(Json::as_str),
+                    Some(format!("'{field}' must be a nonnegative integer").as_str()),
+                    "{op} {field}={bad}"
+                );
+            }
+        }
+        // Nothing above moved the threshold (-1 used to disable the log).
+        assert_eq!(d.recorder().slow_log().threshold_ms(), 40);
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn snapshot_file_name(epoch: u64) -> String {
 /// Parse the epoch out of a shipped snapshot filename; `None` for
 /// anything that is not a `snap-<16 hex digits>.pfes` name (temp files,
 /// stray editors droppings).
-pub fn parse_epoch(file_name: &str) -> Option<u64> {
+fn parse_epoch(file_name: &str) -> Option<u64> {
     let hex = file_name.strip_prefix("snap-")?.strip_suffix(".pfes")?;
     if hex.len() != 16 {
         return None;
@@ -86,7 +86,7 @@ pub fn parse_epoch(file_name: &str) -> Option<u64> {
 
 /// The newest shipped snapshot in `dir`: `(path, epoch)` of the highest
 /// epoch-named file, or `None` for an empty/unreadable directory.
-pub fn newest_snapshot(dir: &Path) -> Option<(PathBuf, u64)> {
+fn newest_snapshot(dir: &Path) -> Option<(PathBuf, u64)> {
     let mut best: Option<(PathBuf, u64)> = None;
     for entry in std::fs::read_dir(dir).ok()? {
         let entry = entry.ok()?;

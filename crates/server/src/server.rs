@@ -1110,19 +1110,6 @@ mod event_loop {
     }
 }
 
-/// Connect-and-bind helper for tests and doctests: a default-config
-/// server on an ephemeral port with the given worker/queue shape.
-///
-/// # Errors
-/// See [`Server::bind`].
-pub fn bind_ephemeral(workers: usize, queue: usize) -> Result<Server, ServerError> {
-    Server::bind(ServerConfig {
-        workers,
-        queue,
-        ..Default::default()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1155,7 +1142,12 @@ mod tests {
 
     #[test]
     fn handle_stops_an_idle_server() {
-        let server = bind_ephemeral(1, 1).expect("bind");
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            queue: 1,
+            ..Default::default()
+        })
+        .expect("bind");
         let handle = server.handle();
         let t = std::thread::spawn(move || server.run().expect("run"));
         handle.shutdown();

@@ -42,18 +42,6 @@ impl AmsF2 {
         }
     }
 
-    /// Create from accuracy targets: relative error `ε`, failure `δ`.
-    ///
-    /// # Panics
-    /// Panics if `eps` or `delta` are outside `(0, 1)`.
-    pub fn with_error(eps: f64, delta: f64, seed: u64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0);
-        assert!(delta > 0.0 && delta < 1.0);
-        let per_group = (8.0 / (eps * eps)).ceil() as usize;
-        let groups = (4.0 * (1.0 / delta).ln()).ceil().max(1.0) as usize;
-        Self::new(groups, per_group, seed)
-    }
-
     /// Number of median groups.
     pub fn groups(&self) -> usize {
         self.sums.len() / self.per_group
@@ -179,7 +167,8 @@ mod tests {
 
     #[test]
     fn skewed_stream_accuracy() {
-        let mut s = AmsF2::with_error(0.2, 0.05, 2);
+        // eps = 0.2, delta = 0.05: ceil(8/eps^2) per group, ceil(4 ln(1/delta)) groups.
+        let mut s = AmsF2::new(12, 200, 2);
         let mut truth = std::collections::HashMap::new();
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         for _ in 0..30_000 {

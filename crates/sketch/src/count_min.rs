@@ -41,19 +41,6 @@ impl CountMin {
         }
     }
 
-    /// Create from accuracy targets: `ε` (additive error fraction of
-    /// `‖f‖_1`) and failure probability `δ`.
-    ///
-    /// # Panics
-    /// Panics if `eps` or `delta` are outside `(0, 1)`.
-    pub fn with_error(eps: f64, delta: f64, seed: u64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0, "eps {eps} outside (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta {delta} outside (0,1)");
-        let width = (std::f64::consts::E / eps).ceil() as usize;
-        let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
-        Self::new(depth, width, seed)
-    }
-
     /// Rows of the counter matrix.
     pub fn depth(&self) -> usize {
         self.hashes.len()
@@ -62,11 +49,6 @@ impl CountMin {
     /// Columns of the counter matrix.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Guaranteed additive overestimate bound `e/width × ‖f‖_1` (per row).
-    pub fn epsilon(&self) -> f64 {
-        std::f64::consts::E / self.width as f64
     }
 
     /// Merge a compatible sketch (same shape and seed-derived hashes).
@@ -189,12 +171,13 @@ mod tests {
 
     #[test]
     fn error_bound_holds_mostly() {
-        let mut s = CountMin::with_error(0.01, 0.01, 2);
+        // eps = delta = 0.01: width ceil(e/eps), depth ceil(ln(1/delta)).
+        let mut s = CountMin::new(5, 272, 2);
         let n = 20_000u64;
         for i in 0..n {
             s.update(i % 100, 1);
         }
-        let eps = s.epsilon();
+        let eps = std::f64::consts::E / 272.0;
         let mut violations = 0;
         for item in 0..100u64 {
             let est = s.estimate(item);
@@ -211,7 +194,7 @@ mod tests {
 
     #[test]
     fn absent_items_small_estimates() {
-        let mut s = CountMin::with_error(0.001, 0.001, 3);
+        let mut s = CountMin::new(7, 2719, 3);
         for i in 0..1000u64 {
             s.update(i, 10);
         }
@@ -248,14 +231,6 @@ mod tests {
     #[should_panic(expected = "nonnegative updates")]
     fn rejects_negative() {
         CountMin::new(2, 16, 0).update(1, -1);
-    }
-
-    #[test]
-    fn shape_from_error_params() {
-        let s = CountMin::with_error(0.1, 0.05, 0);
-        assert!(s.width() >= 27);
-        assert!(s.depth() >= 3);
-        assert!(s.epsilon() <= 0.1 + 1e-9);
     }
 
     #[test]

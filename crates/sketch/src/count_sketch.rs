@@ -80,22 +80,6 @@ impl CountSketch {
         }
         self.total += other.total;
     }
-
-    /// The `F_2` estimate from the median row's squared-counter sum — a
-    /// bonus of CountSketch's structure (each row's `Σ C²` is an unbiased
-    /// `F_2` estimator, as in AMS).
-    pub fn f2_estimate(&self) -> f64 {
-        let mut row_sums: Vec<f64> = (0..self.depth())
-            .map(|j| {
-                self.counters[j * self.width..(j + 1) * self.width]
-                    .iter()
-                    .map(|&c| (c as f64) * (c as f64))
-                    .sum()
-            })
-            .collect();
-        row_sums.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        row_sums[row_sums.len() / 2]
-    }
 }
 
 impl SpaceUsage for CountSketch {
@@ -179,18 +163,6 @@ mod tests {
         a.merge(&b);
         let est = a.estimate(9);
         assert!((est - 75.0).abs() <= 1.0, "estimate {est}");
-    }
-
-    #[test]
-    fn f2_estimate_reasonable() {
-        let mut s = CountSketch::new(9, 1024, 4);
-        // 100 items with frequency 10: F2 = 100 * 100 = 10_000.
-        for item in 0..100u64 {
-            s.update(item, 10);
-        }
-        let f2 = s.f2_estimate();
-        let rel = (f2 - 10_000.0).abs() / 10_000.0;
-        assert!(rel < 0.25, "F2 relative error {rel}");
     }
 
     #[test]

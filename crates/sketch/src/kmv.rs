@@ -56,14 +56,9 @@ impl Kmv {
         self.seed
     }
 
-    /// The expected relative standard error `1/√(k-2)`.
-    pub fn relative_error(&self) -> f64 {
-        1.0 / ((self.k as f64 - 2.0).max(1.0)).sqrt()
-    }
-
     /// Insert a pre-hashed value (for callers that already hold a uniform
     /// 64-bit fingerprint).
-    pub fn insert_hash(&mut self, h: u64) {
+    fn insert_hash(&mut self, h: u64) {
         if self.minima.len() == self.k {
             let last = *self.minima.last().expect("nonempty at capacity");
             if h >= last {
@@ -166,8 +161,8 @@ mod tests {
         }
         let est = s.estimate();
         let rel = (est - n as f64).abs() / n as f64;
-        // 4 standard errors: 4/sqrt(254) ~ 0.25.
-        assert!(rel < 4.0 * s.relative_error(), "relative error {rel}");
+        // 4 standard errors of 1/sqrt(k-2): 4/sqrt(254) ~ 0.25.
+        assert!(rel < 4.0 / (k as f64 - 2.0).sqrt(), "relative error {rel}");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! |---|---|
 //! | distinct count (`F_0`) | [`Kmv`], [`LinearCounting`], [`Bjkst`] |
 //! | point frequency | [`CountMin`], [`CountSketch`] |
-//! | deterministic heavy hitters | [`SpaceSaving`] |
 //! | frequency moments | [`AmsF2`] (`p = 2`), [`StableFp`] (`0 < p < 2`) |
 //! | sampling | [`Reservoir`] (uniform — Theorem 5.1) |
 //!
@@ -24,7 +23,6 @@ pub mod count_sketch;
 pub mod kmv;
 pub mod linear_counting;
 pub mod reservoir;
-pub mod space_saving;
 pub mod stable_fp;
 pub mod traits;
 
@@ -35,6 +33,5 @@ pub use count_sketch::CountSketch;
 pub use kmv::Kmv;
 pub use linear_counting::LinearCounting;
 pub use reservoir::Reservoir;
-pub use space_saving::SpaceSaving;
 pub use stable_fp::{stable_median_abs, StableFp};
 pub use traits::{DistinctSketch, FrequencySketch, MomentSketch, SpaceUsage};

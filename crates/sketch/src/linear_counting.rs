@@ -32,20 +32,10 @@ impl LinearCounting {
         }
     }
 
-    /// Bitmap size in bits.
-    pub fn num_bits(&self) -> usize {
-        self.m
-    }
-
     /// Number of zero bits.
     pub fn zeros(&self) -> usize {
         let ones: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
         self.m - ones as usize
-    }
-
-    /// True once every bit is set (the estimator is saturated).
-    pub fn is_saturated(&self) -> bool {
-        self.zeros() == 0
     }
 }
 
@@ -112,7 +102,7 @@ mod tests {
         for i in 0..10_000u64 {
             s.insert(i);
         }
-        assert!(s.is_saturated());
+        assert_eq!(s.zeros(), 0);
         assert!(s.estimate().is_finite());
         assert!(s.estimate() > 64.0);
     }

@@ -142,16 +142,6 @@ impl<T> Reservoir<T> {
         self.items = out;
         self.seen += other.seen;
     }
-
-    /// Estimate the stream frequency of items matching `pred`:
-    /// `(matching in sample) / rate` (the `ĝ/α` estimator of Theorem 5.1).
-    pub fn estimate_count<F: Fn(&T) -> bool>(&self, pred: F) -> f64 {
-        if self.seen == 0 {
-            return 0.0;
-        }
-        let g = self.items.iter().filter(|x| pred(x)).count() as f64;
-        g / self.rate()
-    }
 }
 
 impl<T: Persist> Persist for Reservoir<T> {
@@ -243,20 +233,6 @@ mod tests {
             let dev = (h as f64 - expect).abs() / expect;
             assert!(dev < 0.30, "position {i} inclusion deviates {dev}");
         }
-    }
-
-    #[test]
-    fn count_estimation_unbiased() {
-        // Stream: 30% of items match; estimate should track 0.3 * n.
-        let n = 50_000u64;
-        let mut r = Reservoir::new(2000, 7);
-        for i in 0..n {
-            r.insert(i % 10);
-        }
-        let est = r.estimate_count(|&x| x < 3);
-        let truth = 0.3 * n as f64;
-        let rel = (est - truth).abs() / truth;
-        assert!(rel < 0.1, "relative error {rel}");
     }
 
     #[test]
@@ -401,9 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_estimates_zero() {
+    fn empty_stream_has_rate_zero() {
         let r: Reservoir<u64> = Reservoir::new(4, 0);
-        assert_eq!(r.estimate_count(|_| true), 0.0);
         assert_eq!(r.rate(), 0.0);
     }
 

@@ -92,7 +92,7 @@ impl StableFp {
     ///
     /// # Panics
     /// Panics on mismatch.
-    pub fn merge(&mut self, other: &Self) {
+    fn merge(&mut self, other: &Self) {
         assert_eq!(
             self.sums.len(),
             other.sums.len(),

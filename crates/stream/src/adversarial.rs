@@ -62,18 +62,6 @@ impl F0Instance {
         self.code.weight() as u128
             * star_count(self.q, self.code.weight().saturating_sub(1)).expect("fits")
     }
-
-    /// The provable approximation-factor separation `Δ = Q/k` (Equation 3).
-    pub fn separation(&self) -> f64 {
-        self.q as f64 / self.code.weight() as f64
-    }
-
-    /// Analytic instance size (rows × columns) if Alice held all of
-    /// `B(d, k)` — the Table 1 "Instance" column: `(d/k)^k × d` over `[Q]`
-    /// (lower bound form), exact form `C(d,k)·Q^k` rows before dedup.
-    pub fn table1_rows_bound(&self) -> f64 {
-        (self.code.dimension() as f64 / self.code.weight() as f64).powi(self.code.weight() as i32)
-    }
 }
 
 /// Theorem 5.3 instance (`ℓ_p` heavy hitters, `p > 1`): `2^{εd}` copies of
@@ -164,11 +152,6 @@ impl FpInstance {
             code,
             held: held.to_vec(),
         }
-    }
-
-    /// The "yes" threshold of the reduction: `F_p ≥ 2^{εd}` when `y ∈ T`.
-    pub fn yes_threshold(&self) -> f64 {
-        2f64.powi(self.code.params().weight() as i32)
     }
 }
 
@@ -284,10 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn f0_separation_formula() {
+    fn f0_thresholds_formula() {
         let code = ConstantWeightCode::new(16, 4);
         let inst = F0Instance::build(code, 16, &[code.unrank(0)]);
-        assert!((inst.separation() - 4.0).abs() < 1e-12);
         assert_eq!(inst.yes_threshold(), 16u128.pow(4));
         assert_eq!(inst.no_ceiling(), 4 * 16u128.pow(3));
     }
@@ -340,10 +322,10 @@ mod tests {
         // at least once on S, so F_p >= 2^{εd} for any p (at p<1 each
         // count^p >= 1).
         let fp = f.fp(0.5);
+        let threshold = 2f64.powi(inst.code.params().weight() as i32);
         assert!(
-            fp >= inst.yes_threshold(),
-            "yes-case F_0.5 {fp} below threshold {}",
-            inst.yes_threshold()
+            fp >= threshold,
+            "yes-case F_0.5 {fp} below threshold {threshold}"
         );
     }
 

@@ -172,18 +172,6 @@ pub fn correlated_columns(d: u32, n: usize, independent: u32, seed: u64) -> Data
     Dataset::Binary(BinaryMatrix::from_rows(d, rows))
 }
 
-/// Homogeneous columns: the last `num_constant` columns are identically 0 —
-/// the paper's example of a projection with `F_0 = 1`.
-pub fn homogeneous_columns(d: u32, n: usize, num_constant: u32, seed: u64) -> Dataset {
-    assert!(d <= 63);
-    assert!(num_constant <= d);
-    let live = d - num_constant;
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mask = if live == 0 { 0 } else { (1u64 << live) - 1 };
-    let rows = (0..n).map(|_| rng.next_u64() & mask).collect();
-    Dataset::Binary(BinaryMatrix::from_rows(d, rows))
-}
-
 /// Demographic-style categorical data for the bias-audit example: columns
 /// (attribute, cardinality) = (gender, 3), (age band, 8), (region, 12),
 /// (education, 6), (income band, 8), (occupation, 10), stored over the
@@ -313,14 +301,6 @@ mod tests {
             }
         }
         assert!(found, "no correlated pair detected");
-    }
-
-    #[test]
-    fn homogeneous_columns_give_f0_one() {
-        let ds = homogeneous_columns(10, 500, 4, 7);
-        let cols = ColumnSet::from_indices(10, &[6, 7, 8, 9]).expect("valid");
-        let f = FrequencyVector::compute(&ds, &cols).expect("fits");
-        assert_eq!(f.f0(), 1);
     }
 
     #[test]

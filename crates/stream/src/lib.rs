@@ -4,7 +4,7 @@
 //!
 //! - [`gen`] — synthetic data matching the paper's motivating scenarios:
 //!   uniform/diverse, Zipf heavy-hitter, planted subspace clusters,
-//!   correlated and homogeneous columns, and a demographic bias-audit
+//!   correlated columns, and a demographic bias-audit
 //!   generator.
 //! - [`adversarial`] — the exact instance constructions of the lower-bound
 //!   proofs (Theorem 4.1 and its corollaries, Theorems 5.3–5.5), reusable
@@ -22,7 +22,7 @@ pub use adversarial::{
     alphabet_reduce, digits_per_symbol, expand_columns, F0Instance, FpInstance, HeavyHitterInstance,
 };
 pub use gen::{
-    bias_audit, bias_audit_planted, clustered_subspace, correlated_columns, homogeneous_columns,
-    uniform_binary, uniform_qary, zipf_patterns, ClusteredConfig, ClusteredData,
+    bias_audit, bias_audit_planted, clustered_subspace, correlated_columns, uniform_binary,
+    uniform_qary, zipf_patterns, ClusteredConfig, ClusteredData,
 };
 pub use stream::{interleave, reorder, shuffled};

@@ -81,13 +81,6 @@ impl WindowConfig {
             .checked_mul(self.tier_cap as u64)?
             .checked_add(self.bucket_rows)
     }
-
-    /// Upper bound on rows the ring retains before eviction starts;
-    /// saturates at `u64::MAX` for configurations [`validate`](Self::validate)
-    /// rejects as overflowing.
-    pub fn max_retention(&self) -> u64 {
-        self.checked_retention().unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +92,8 @@ mod tests {
         assert!(WindowConfig::default().validate().is_ok());
         // 4 tiers-worth of doubling buckets: 4 * 1024 * 255 + 1024.
         assert_eq!(
-            WindowConfig::default().max_retention(),
-            4 * 1024 * 255 + 1024
+            WindowConfig::default().checked_retention(),
+            Some(4 * 1024 * 255 + 1024)
         );
     }
 
@@ -134,13 +127,14 @@ mod tests {
         ] {
             assert!(cfg.validate().is_err(), "{cfg:?} should be rejected");
         }
-        // Rejected-as-overflowing configs saturate instead of panicking.
+        // Rejected-as-overflowing configs report no retention instead of
+        // panicking.
         let huge = WindowConfig {
             bucket_rows: 1 << 60,
             tier_cap: 2,
             max_tiers: 8,
             ..Default::default()
         };
-        assert_eq!(huge.max_retention(), u64::MAX);
+        assert_eq!(huge.checked_retention(), None);
     }
 }

@@ -105,7 +105,7 @@ impl MergedLru {
 /// one cache probe, not one merge.
 ///
 /// Queries without a window option are answered over everything the ring
-/// retains (bounded by [`WindowConfig::max_retention`]). Epoch pinning is
+/// retains (bounded by the [`WindowConfig`]'s tiers). Epoch pinning is
 /// rejected: windowed epochs are content fingerprints, not a monotone
 /// sequence.
 pub struct WindowedEngine {
@@ -411,12 +411,6 @@ impl WindowedEngine {
             covering_buckets: recorder.histogram("window_covering_buckets"),
             exec: QueryExecutor::with_recorder(ecfg.cache_capacity, true, recorder),
         })
-    }
-
-    /// The recorder this engine reports into (see
-    /// [`start_with_recorder`](Self::start_with_recorder)).
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        self.exec.recorder()
     }
 
     /// Observability counters.

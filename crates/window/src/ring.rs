@@ -49,23 +49,13 @@ pub struct Bucket {
 }
 
 impl Bucket {
-    /// Bucket identity (monotone, unique per content).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Tier of this bucket.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     /// Rows the bucket summarizes.
-    pub fn rows(&self) -> u64 {
+    fn rows(&self) -> u64 {
         self.summary.rows()
     }
 
     /// The sealed summaries.
-    pub fn summary(&self) -> &ShardSummary {
+    fn summary(&self) -> &ShardSummary {
         &self.summary
     }
 }
@@ -575,7 +565,7 @@ mod tests {
         assert_eq!(ring.evictions(), 0);
         // Every tier-1 bucket holds 2x rows; retention is exact.
         assert_eq!(ring.retained_rows(), 35);
-        let levels: Vec<u32> = ring.buckets().map(Bucket::level).collect();
+        let levels: Vec<u32> = ring.buckets().map(|b| b.level).collect();
         assert_eq!(levels, vec![1, 0], "older buckets sit in higher tiers");
     }
 

@@ -13,8 +13,8 @@
 #
 # Server and generator are separate processes, so each 10k-connection
 # point costs 10k descriptors per process (not 20k in one): that is what
-# lets the sweep reach 10k under a 20k RLIMIT_NOFILE, where the
-# in-process criterion bench (benches/connections.rs) stops at 5k.
+# lets the sweep reach 10k under a 20k RLIMIT_NOFILE. This script is the
+# only connection-scale measurement the repo keeps.
 # On a 1-core box the absolute latencies compress — the server, the
 # crowd, and the clients all share the core; the signal is that p50/p99
 # stay flat as the idle crowd grows 100x.

@@ -6,15 +6,14 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! - [`hash`] — deterministic PRNGs, k-wise independent and tabulation
-//!   hashing, seeded `BuildHasher`;
+//! - [`hash`] — deterministic PRNGs, k-wise independent hashing, seeded
+//!   `BuildHasher`;
 //! - [`codes`] — constant-weight codes `B(d,k)`, Lemma 3.2 random codes,
 //!   greedy codes, the `star_Q` operator, binomials and entropy;
 //! - [`row`] — column sets, packed binary and Q-ary matrices, pattern
 //!   keys, exact frequency vectors;
 //! - [`sketch`] — KMV/LinearCounting/BJKST distinct counters,
-//!   CountMin/CountSketch, SpaceSaving, AMS F2, p-stable Fp, the uniform
-//!   reservoir;
+//!   CountMin/CountSketch, AMS F2, p-stable Fp, the uniform reservoir;
 //! - [`stream`] — workload generators and the paper's adversarial
 //!   lower-bound instances;
 //! - [`core`] — the paper's summaries: exact baseline, Theorem 5.1
