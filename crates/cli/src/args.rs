@@ -264,10 +264,12 @@ pub fn window_config(args: &Args) -> Result<Option<WindowConfig>, String> {
     let nums = nums.map_err(|_| format!("--window: cannot parse {spec:?}"))?;
     cfg.bucket_rows = nums[0];
     if let Some(&t) = nums.get(1) {
-        cfg.tier_cap = t as usize;
+        cfg.tier_cap =
+            usize::try_from(t).map_err(|_| format!("--window: TIER_CAP {t} is out of range"))?;
     }
     if let Some(&m) = nums.get(2) {
-        cfg.max_tiers = m as u32;
+        cfg.max_tiers =
+            u32::try_from(m).map_err(|_| format!("--window: MAX_TIERS {m} is out of range"))?;
     }
     Ok(Some(cfg))
 }
@@ -355,5 +357,10 @@ mod tests {
             .unwrap();
         assert_eq!(w.bucket_rows, 2048);
         assert!(window_config(&args(&["--window", "a,b"])).is_err());
+        // 2^32 + 2 must not run as `max_tiers = 2`.
+        assert_eq!(
+            window_config(&args(&["--window", "4096,4,4294967298"])).err(),
+            Some("--window: MAX_TIERS 4294967298 is out of range".into())
+        );
     }
 }

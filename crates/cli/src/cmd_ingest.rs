@@ -103,9 +103,7 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
     let wcfg = window_config(args)?;
     let out = args.value("--out");
     let recorder = Arc::new(Recorder::new());
-    let trace = recorder.begin_trace(None);
-    let root = trace.span("cmd:ingest");
-    let ingester = FileIngester::with_recorder(opts, &recorder).with_trace(root.handle());
+    let ingester = FileIngester::with_recorder(opts, &recorder);
     let progress = Progress::start(&recorder, args.present("--quiet"));
 
     let rec = Arc::clone(&recorder);
@@ -116,8 +114,6 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
         })
         .map_err(|e| e.to_string())?;
     drop(progress);
-    drop(root);
-    recorder.trace_store().finish(trace);
 
     if let Some(out) = out {
         backend
@@ -158,16 +154,12 @@ pub fn resume(args: &Args) -> Result<i32, String> {
     }
     opts.alphabet = q;
 
-    let trace = recorder.begin_trace(None);
-    let root = trace.span("cmd:resume");
-    let ingester = FileIngester::with_recorder(opts, &recorder).with_trace(root.handle());
+    let ingester = FileIngester::with_recorder(opts, &recorder);
     let progress = Progress::start(&recorder, args.present("--quiet"));
     let (backend, report) = ingester
         .ingest_into(file, backend)
         .map_err(|e| e.to_string())?;
     drop(progress);
-    drop(root);
-    recorder.trace_store().finish(trace);
 
     let out = args.value("--out").unwrap_or(snap);
     backend

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pfe_engine::wire::{answer_to_json, query_from_json, stats_to_json};
-use pfe_engine::{Json, Query, Recorder};
+use pfe_engine::{Json, Query, Recorder, TraceHandle};
 use pfe_window::Backend;
 
 use crate::args::{engine_config, Args};
@@ -105,16 +105,11 @@ pub fn query(args: &Args) -> Result<i32, String> {
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad query: {e}"))?;
     let ecfg = engine_config(args)?;
-    let recorder = Arc::new(Recorder::new());
-    let backend =
-        Backend::resume(snap, ecfg, Arc::clone(&recorder)).map_err(|e| format!("{snap}: {e}"))?;
+    let backend = Backend::resume(snap, ecfg, Arc::new(Recorder::new()))
+        .map_err(|e| format!("{snap}: {e}"))?;
     let q = backend.alphabet();
-    let trace = recorder.begin_trace(None);
-    let root = trace.span("cmd:query");
-    let stage = root.handle();
-    let results = backend.query_batch_traced(&queries, &stage);
-    drop(root);
-    recorder.trace_store().finish(trace);
+    // A one-shot process has no `trace` op to read spans back through.
+    let results = backend.query_batch_traced(&queries, &TraceHandle::disabled());
     let mut code = 0;
     for result in results {
         match result {

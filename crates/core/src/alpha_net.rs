@@ -1,5 +1,7 @@
-//! The α-net summaries of Section 6 (Algorithm 1, Lemmas 6.2/6.4,
-//! Theorem 6.5).
+//! The α-net of Section 6 (Definition 6.1, Lemmas 6.2/6.4) and the
+//! distinct-count and moment statistics of its summary (Algorithm 1,
+//! Theorem 6.5 — the summary itself is
+//! [`AlphaNetSummary`]).
 //!
 //! An α-net `N = {U ⊆ [d] : |U| ≤ (1/2−α)d or |U| ≥ (1/2+α)d}` has size at
 //! most `2^{H(1/2−α)d+1}` (Lemma 6.2) — strictly sublinear in `2^d`. The
@@ -17,20 +19,23 @@
 //! `min(N^{H(1/2−α)}, n)`-type space, `N = 2^d` — the tradeoff Figure 1
 //! plots and our `figure1` bench regenerates.
 
+use std::marker::PhantomData;
+
 use pfe_codes::binomial::binomial_sum;
 use pfe_codes::entropy::{binary_entropy, net_size_bound_log2};
 use pfe_codes::subsets::FixedWeightIter;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternCodecError, PatternKey};
-use pfe_sketch::traits::{DistinctSketch, MomentSketch, SpaceUsage};
+use pfe_row::{ColumnSet, PatternCodec, PatternKey};
+use pfe_sketch::kmv::Kmv;
+use pfe_sketch::traits::{DistinctSketch, MomentSketch};
 
-use crate::net_sketches::{Feed, NetSketches};
+use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
 use crate::problem::{check_dims, QueryError};
 
 /// Seed for pattern-key fingerprinting; fixed so that the same pattern maps
 /// to the same 64-bit item in every sketch (sketch-internal hashing is
 /// seeded per sketch by the factory).
-const FINGERPRINT_SEED: u64 = 0xf1a9_f1a9_f1a9_f1a9;
+pub(crate) const FINGERPRINT_SEED: u64 = 0xf1a9_f1a9_f1a9_f1a9;
 
 /// Which net subsets to materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,15 +208,6 @@ impl AlphaNet {
         }
     }
 
-    /// Every projection width materialized under `mode` must have a
-    /// pattern codec over alphabet `q`, so projecting a row can never fail.
-    pub(crate) fn check_codecs(&self, mode: NetMode, q: u32) -> Result<(), PatternCodecError> {
-        for w in self.member_widths(mode) {
-            PatternCodec::new(q, w)?;
-        }
-        Ok(())
-    }
-
     /// Everything that can stop a summary from keeping one sketch per
     /// member under `mode` over alphabet `q`, checked without
     /// materializing any sketch — so a caller can validate on one thread
@@ -237,7 +233,12 @@ impl AlphaNet {
                 "net would materialize {count} subsets, above the safety cap {max_subsets}"
             )));
         }
-        Ok(self.check_codecs(mode, q)?)
+        // Every projection width must have a pattern codec over `q`, so
+        // projecting a row can never fail.
+        for w in self.member_widths(mode) {
+            PatternCodec::new(q, w)?;
+        }
+        Ok(())
     }
 
     /// Iterate the masks of the materialized subsets under `mode`.
@@ -320,48 +321,59 @@ pub struct NetAnswer {
     pub distortion_bound: f64,
 }
 
-/// α-net summary for projected `F_0` (Algorithm 1 with a distinct-count
-/// plug-in).
-#[derive(Clone)]
-pub struct AlphaNetF0<S: DistinctSketch> {
-    members: NetSketches<S>,
+impl NetAnswer {
+    /// The order-`p` moment answer for a query rounded by `r`, with the
+    /// Lemma 6.4(2) distortion `Q^{|CΔC′|·|p−1|}`.
+    pub(crate) fn moment(q: u32, p: f64, r: RoundedQuery, estimate: f64) -> Self {
+        Self {
+            estimate,
+            answered_on: r.target,
+            sym_diff: r.sym_diff,
+            distortion_bound: (q as f64).powf(r.sym_diff as f64 * (p - 1.0).abs()),
+        }
+    }
 }
 
-impl<S: DistinctSketch> AlphaNetF0<S> {
-    /// A distinct sketch is a set: a key's multiplicity is irrelevant.
-    fn feed(sketch: &mut S, key: PatternKey, _multiplicity: u32) {
+/// The distinct-count plug-in of Algorithm 1: any [`DistinctSketch`] per
+/// member. A distinct sketch is a set, so a key's multiplicity is
+/// irrelevant.
+#[derive(Clone)]
+pub struct Distinct<S>(PhantomData<S>);
+
+impl<S> Default for Distinct<S> {
+    fn default() -> Self {
+        Self(PhantomData)
+    }
+}
+
+impl<S: DistinctSketch> Statistic for Distinct<S> {
+    type Sketch = S;
+
+    fn feed(&self, sketch: &mut S, key: PatternKey, _multiplicity: u32) {
         sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
     }
+}
 
-    /// Build over a dataset. `factory(mask)` creates the β-approximate
-    /// sketch for one subset (typically seeding it from the mask);
-    /// `max_subsets` is a safety cap against runaway materialization.
-    ///
-    /// # Errors
-    /// Parameter/codec errors, or net size above `max_subsets`.
-    pub fn build(
-        data: &Dataset,
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        factory: impl FnMut(u64) -> S,
-    ) -> Result<Self, QueryError> {
-        let members = NetSketches::build(
-            data,
-            net,
-            mode,
-            max_subsets,
-            factory,
-            Feed::Counted,
-            Self::feed,
-        )?;
-        Ok(Self { members })
+/// Union-mergeable: shard merges are exact.
+impl Mergeable for Kmv {
+    fn check_mergeable(&self, other: &Self) -> Result<(), String> {
+        same("KMV capacity k", self.k(), other.k())?;
+        same("KMV seed", self.seed(), other.seed())
     }
 
-    /// Create an empty streaming summary for binary rows (`Q = 2`); feed
-    /// rows with [`push_packed`](Self::push_packed). One-pass semantics:
-    /// identical to [`build`](Self::build) over the same rows in any order
-    /// (for order-insensitive sketches).
+    fn merge_from(&mut self, other: &Self) {
+        self.merge(other);
+    }
+}
+
+/// α-net summary for projected `F_0` (Algorithm 1 with a distinct-count
+/// plug-in). Construct with [`build`](AlphaNetSummary::build),
+/// [`new_streaming`](AlphaNetSummary::new_streaming) or
+/// [`new_streaming_qary`](AlphaNetSummary::new_streaming_qary).
+pub type AlphaNetF0<S> = AlphaNetSummary<Distinct<S>>;
+
+impl<S: DistinctSketch> AlphaNetF0<S> {
+    /// Create an empty streaming summary for binary rows (`Q = 2`).
     ///
     /// # Errors
     /// Parameter errors; net size above `max_subsets`.
@@ -374,119 +386,6 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         Self::new_streaming_qary(net, mode, max_subsets, 2, factory)
     }
 
-    /// Create an empty streaming summary over alphabet `q`; feed rows with
-    /// [`push_dense`](Self::push_dense) (or [`push_packed`](Self::push_packed)
-    /// when `q = 2`). Validates every net codec up front so pushes are
-    /// panic-free on in-alphabet rows.
-    ///
-    /// # Errors
-    /// Parameter/codec errors; net size above `max_subsets`.
-    pub fn new_streaming_qary(
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        q: u32,
-        factory: impl FnMut(u64) -> S,
-    ) -> Result<Self, QueryError> {
-        let members = NetSketches::new(net, mode, max_subsets, q, factory)?;
-        Ok(Self { members })
-    }
-
-    /// Observe one dense row over alphabet `q` — a one-row
-    /// [`push_dense_chunk`](Self::push_dense_chunk).
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(
-            row.len(),
-            self.net().dimension() as usize,
-            "row length != d"
-        );
-        self.push_dense_chunk(row);
-    }
-
-    /// Observe one packed binary row — a one-row
-    /// [`push_packed_chunk`](Self::push_packed_chunk).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or
-    /// above `d`.
-    pub fn push_packed(&mut self, row: u64) {
-        self.push_packed_chunk(&[row]);
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row): one mask-major sweep, every net sketch fed each distinct
-    /// projected key of the chunk. Produces the same sketch contents as
-    /// [`build`](Self::build) over the same rows, however they are cut
-    /// into chunks.
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        self.members
-            .push_dense_chunk(flat, Feed::Counted, Self::feed);
-    }
-
-    /// Observe a chunk of packed binary rows (one mask-major sweep).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or a row has bits at or above
-    /// `d`.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.members
-            .push_packed_chunk(rows, Feed::Counted, Self::feed);
-    }
-
-    /// Merge a summary built over a disjoint segment of the same stream:
-    /// per-subset sketch merge through [`DistinctSketch::merge`]. Both
-    /// summaries must share the net, mode, alphabet, and per-mask sketch
-    /// parameters/seeds (use the same factory on both sides); then merging
-    /// shard summaries is *exactly* union-equivalent for union-mergeable
-    /// sketches such as KMV and LinearCounting.
-    ///
-    /// # Panics
-    /// Panics on net/mode/alphabet mismatch (and propagates the underlying
-    /// sketch's parameter-mismatch panics).
-    pub fn merge(&mut self, other: &Self) {
-        self.members.merge(&other.members, S::merge);
-    }
-
-    /// The net definition.
-    pub fn net(&self) -> &AlphaNet {
-        self.members.net()
-    }
-
-    /// The materialization mode.
-    pub fn mode(&self) -> NetMode {
-        self.members.mode()
-    }
-
-    /// The alphabet size `Q`.
-    pub fn alphabet(&self) -> u32 {
-        self.members.alphabet()
-    }
-
-    /// Number of sketches kept.
-    pub fn num_sketches(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The sketch materialized for `mask`, if it is a net member —
-    /// exposed so callers (e.g. the engine's resume path) can verify
-    /// sketch parameters without reaching into the summary.
-    pub fn sketch(&self, mask: u64) -> Option<&S> {
-        self.members.get(mask)
-    }
-
-    /// Round a query exactly as [`f0`](Self::f0) will (BoundaryOnly mode
-    /// also rounds in-net queries of non-boundary sizes).
-    pub fn effective_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        self.members.effective_rounding(cols)
-    }
-
     /// Answer a projected `F_0` query (Algorithm 1 lines 4–6).
     ///
     /// # Errors
@@ -494,7 +393,7 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     pub fn f0(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
         let r = self.effective_rounding(cols)?;
         Ok(NetAnswer {
-            estimate: self.members.answering(&r).estimate(),
+            estimate: self.answering(&r).estimate(),
             answered_on: r.target,
             sym_diff: r.sym_diff,
             distortion_bound: (self.alphabet() as f64).powi(r.sym_diff as i32),
@@ -504,199 +403,51 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
 
 impl<S: DistinctSketch + Persist> Persist for AlphaNetF0<S> {
     fn encode(&self, enc: &mut Encoder) {
-        self.net().encode(enc);
-        self.mode().encode(enc);
-        enc.put_u32(self.alphabet());
-        self.members.encode_members(enc);
+        self.encode_shape(enc);
+        self.encode_members(enc, S::encode);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let net = AlphaNet::decode(dec)?;
-        let mode = NetMode::decode(dec)?;
-        let q = dec.take_u32()?;
-        let members = NetSketches::decode_members(dec, net, mode, q)?;
-        Ok(Self { members })
+        let shape = decode_shape(dec)?;
+        Self::decode_members(dec, Distinct::default(), shape, S::decode)
     }
 }
 
-impl<S: DistinctSketch> SpaceUsage for AlphaNetF0<S> {
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.members.member_bytes()
-    }
-}
-
-/// α-net summary for projected `F_p` (Algorithm 1 with a moment-sketch
-/// plug-in: `AmsF2` for `p = 2`, `StableFp` for `0 < p < 2`).
+/// The moment plug-in of Algorithm 1 over one sketch type `M` (`AmsF2`
+/// for `p = 2`, `StableFp` for `0 < p < 2`). The order is read off the
+/// sketches themselves: the factory, not a separate argument, decides
+/// `p`. Engines hold [`FpNet`](crate::fp::FpNet), which picks the family
+/// from the order.
 #[derive(Clone)]
-pub struct AlphaNetFp<M: MomentSketch> {
-    members: NetSketches<M>,
-    p: f64,
+pub struct Moment<M>(PhantomData<M>);
+
+impl<M> Default for Moment<M> {
+    fn default() -> Self {
+        Self(PhantomData)
+    }
 }
 
-impl<M: MomentSketch> AlphaNetFp<M> {
-    /// Only a sketch whose sums are exact in the update weight may be
-    /// handed a chunk's repeated keys once, with their multiplicity.
-    const ORDER: Feed = if M::EXACT_IN_DELTA {
-        Feed::Counted
-    } else {
-        Feed::RowOrder
-    };
+impl<M: MomentSketch> Statistic for Moment<M> {
+    type Sketch = M;
 
-    fn feed(sketch: &mut M, key: PatternKey, multiplicity: u32) {
+    fn counted(&self, _sketch: &M) -> bool {
+        M::EXACT_IN_DELTA
+    }
+
+    fn feed(&self, sketch: &mut M, key: PatternKey, multiplicity: u32) {
         sketch.update(key.fingerprint64(FINGERPRINT_SEED), multiplicity.into());
     }
+}
 
-    /// The order is read off the sketches themselves: the factory, not a
-    /// separate argument, decides `p`.
-    fn over(members: NetSketches<M>) -> Self {
-        let p = members.first().p();
-        Self { members, p }
-    }
+/// α-net summary for projected `F_p` over one sketch type;
+/// `factory(mask)` must produce sketches whose [`MomentSketch::p`] all
+/// equal the same `p`.
+pub type AlphaNetFp<M> = AlphaNetSummary<Moment<M>>;
 
-    /// One member's sketch: the factory gives every member the same shape.
-    pub(crate) fn any_sketch(&self) -> &M {
-        self.members.first()
-    }
-
-    /// Build over a dataset; `factory(mask)` must produce sketches whose
-    /// [`MomentSketch::p`] all equal the same `p`.
-    ///
-    /// # Errors
-    /// Parameter/codec errors, net size above `max_subsets`.
-    pub fn build(
-        data: &Dataset,
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        factory: impl FnMut(u64) -> M,
-    ) -> Result<Self, QueryError> {
-        NetSketches::build(
-            data,
-            net,
-            mode,
-            max_subsets,
-            factory,
-            Self::ORDER,
-            Self::feed,
-        )
-        .map(Self::over)
-    }
-
-    /// Create an empty streaming summary over alphabet `q`; feed rows with
-    /// [`push_dense`](Self::push_dense) (or [`push_packed`](Self::push_packed)
-    /// when `q = 2`). Validates every net codec up front so pushes are
-    /// panic-free on in-alphabet rows.
-    ///
-    /// # Errors
-    /// Parameter/codec errors; net size above `max_subsets`.
-    pub fn new_streaming_qary(
-        net: AlphaNet,
-        mode: NetMode,
-        max_subsets: u128,
-        q: u32,
-        factory: impl FnMut(u64) -> M,
-    ) -> Result<Self, QueryError> {
-        NetSketches::new(net, mode, max_subsets, q, factory).map(Self::over)
-    }
-
-    /// Observe one dense row over alphabet `q` — a one-row
-    /// [`push_dense_chunk`](Self::push_dense_chunk).
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(
-            row.len(),
-            self.net().dimension() as usize,
-            "row length != d"
-        );
-        self.push_dense_chunk(row);
-    }
-
-    /// Observe one packed binary row — a one-row
-    /// [`push_packed_chunk`](Self::push_packed_chunk).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or
-    /// above `d`.
-    pub fn push_packed(&mut self, row: u64) {
-        self.push_packed_chunk(&[row]);
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row): one mask-major sweep. An integer-sum sketch
-    /// ([`MomentSketch::EXACT_IN_DELTA`]) takes each distinct projected
-    /// key once, weighted by its multiplicity in the chunk; a float-sum
-    /// sketch takes `+1` per row in row order. Either way the sketch
-    /// contents equal [`build`](Self::build) over the same rows, however
-    /// they are cut into chunks.
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        self.members.push_dense_chunk(flat, Self::ORDER, Self::feed);
-    }
-
-    /// Observe a chunk of packed binary rows (one mask-major sweep).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or a row has bits at or above
-    /// `d`.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.members
-            .push_packed_chunk(rows, Self::ORDER, Self::feed);
-    }
-
-    /// Merge a summary built over a disjoint segment of the same stream:
-    /// per-subset sketch merge through [`MomentSketch::merge_with`]. Both
-    /// summaries must share the net, mode, alphabet, order `p`, and
-    /// per-mask sketch parameters/seeds (use the same factory on both
-    /// sides). Integer-sum sketches (`AmsF2`) merge *bit-exactly* under
-    /// any grouping; float-sum sketches (`StableFp`) merge exactly up to
-    /// f64 addition order.
-    ///
-    /// # Panics
-    /// Panics on net/mode/alphabet/order mismatch (and propagates the
-    /// underlying sketch's parameter-mismatch panics).
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.p.to_bits(),
-            other.p.to_bits(),
-            "alpha-net merge: moment order mismatch"
-        );
-        self.members.merge(&other.members, M::merge_with);
-    }
-
+impl<M: MomentSketch> AlphaNetFp<M> {
     /// The moment order this net answers.
     pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// The net definition.
-    pub fn net(&self) -> &AlphaNet {
-        self.members.net()
-    }
-
-    /// The materialization mode.
-    pub fn mode(&self) -> NetMode {
-        self.members.mode()
-    }
-
-    /// The alphabet size `Q`.
-    pub fn alphabet(&self) -> u32 {
-        self.members.alphabet()
-    }
-
-    /// Number of sketches kept.
-    pub fn num_sketches(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Round a query exactly as [`fp`](Self::fp) will (BoundaryOnly mode
-    /// also rounds in-net queries of non-boundary sizes).
-    pub fn effective_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        self.members.effective_rounding(cols)
+        self.first().p()
     }
 
     /// Answer a projected `F_p` query.
@@ -705,51 +456,45 @@ impl<M: MomentSketch> AlphaNetFp<M> {
     /// Dimension errors; `UnsupportedMoment` if `p` differs from the build
     /// order.
     pub fn fp(&self, cols: &ColumnSet, p: f64) -> Result<NetAnswer, QueryError> {
-        if (p - self.p).abs() > 1e-12 {
+        if (p - self.p()).abs() > 1e-12 {
             return Err(QueryError::UnsupportedMoment {
                 requested: p,
-                supported: self.p,
+                supported: self.p(),
             });
         }
         let r = self.effective_rounding(cols)?;
-        let exponent = r.sym_diff as f64 * (self.p - 1.0).abs();
-        Ok(NetAnswer {
-            estimate: self.members.answering(&r).estimate(),
-            answered_on: r.target,
-            sym_diff: r.sym_diff,
-            distortion_bound: (self.alphabet() as f64).powf(exponent),
-        })
+        let estimate = self.answering(&r).estimate();
+        Ok(NetAnswer::moment(self.alphabet(), self.p(), r, estimate))
     }
 }
 
 impl<M: MomentSketch + Persist> Persist for AlphaNetFp<M> {
     fn encode(&self, enc: &mut Encoder) {
-        self.net().encode(enc);
-        self.mode().encode(enc);
-        enc.put_u32(self.alphabet());
-        enc.put_f64(self.p);
-        self.members.encode_members(enc);
+        self.encode_shape(enc);
+        enc.put_f64(self.p());
+        self.encode_members(enc, M::encode);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let net = AlphaNet::decode(dec)?;
-        let mode = NetMode::decode(dec)?;
-        let q = dec.take_u32()?;
+        let shape = decode_shape(dec)?;
         let p = dec.take_f64()?;
-        let members: NetSketches<M> = NetSketches::decode_members(dec, net, mode, q)?;
-        if let Some(bad) = members.sketches().find(|s| (s.p() - p).abs() > 1e-12) {
-            return Err(PersistError::Malformed(format!(
-                "summary claims moment order p={p} but holds a p={} sketch",
-                bad.p()
-            )));
-        }
-        Ok(Self { members, p })
+        let this = Self::decode_members(dec, Moment::default(), shape, M::decode)?;
+        orders_match(p, this.sketches().map(M::p))?;
+        Ok(this)
     }
 }
 
-impl<M: MomentSketch> SpaceUsage for AlphaNetFp<M> {
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.members.member_bytes()
+/// Every sketch of a decoded moment net must target the order its header
+/// claims.
+pub(crate) fn orders_match(
+    p: f64,
+    held: impl IntoIterator<Item = f64>,
+) -> Result<(), PersistError> {
+    match held.into_iter().find(|held| (held - p).abs() > 1e-12) {
+        Some(held) => Err(PersistError::Malformed(format!(
+            "summary claims moment order p={p} but holds a p={held} sketch"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -757,6 +502,7 @@ impl<M: MomentSketch> SpaceUsage for AlphaNetFp<M> {
 mod tests {
     use super::*;
     use pfe_sketch::kmv::Kmv;
+    use pfe_sketch::traits::SpaceUsage;
     use pfe_stream::gen::uniform_binary;
 
     fn net(d: u32, alpha: f64) -> AlphaNet {
@@ -944,21 +690,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "net mismatch")]
-    fn merge_rejects_net_mismatch() {
-        let a = AlphaNetF0::<Kmv>::new_streaming(net(8, 0.2), NetMode::Full, 1 << 16, |m| {
-            Kmv::new(16, m)
-        })
-        .expect("new");
-        let b = AlphaNetF0::<Kmv>::new_streaming(net(8, 0.3), NetMode::Full, 1 << 16, |m| {
-            Kmv::new(16, m)
-        })
-        .expect("new");
-        let mut a = a;
-        a.merge(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "bits above d")]
     fn push_packed_rejects_out_of_range() {
         let n = net(4, 0.25);
@@ -969,29 +700,26 @@ mod tests {
 
     #[test]
     fn fp_boundary_mode_rounds_and_reports_distortion() {
-        use pfe_sketch::stable_fp::StableFp;
+        use crate::fp::{FpConfig, FpNet};
         let d = 10;
         let data = uniform_binary(d, 400, 31);
         let n = net(d, 0.25);
-        let summary = AlphaNetFp::build(&data, n, NetMode::BoundaryOnly, 1 << 20, |m| {
-            StableFp::new(8, 1.0, m ^ 0x51ab)
-        })
-        .expect("build");
+        let cfg = FpConfig {
+            stable_t: 8,
+            ..FpConfig::default()
+        };
+        let summary = FpNet::build(&data, n, NetMode::BoundaryOnly, 1 << 20, 1.0, &cfg, 0x51ab)
+            .expect("build");
         // In-net but non-boundary size: rounded, and the effective
         // rounding must agree with what fp() answers on.
         let cols = ColumnSet::from_indices(d, &[0]).expect("v");
         let r = summary.effective_rounding(&cols).expect("ok");
-        let ans = summary.fp(&cols, 1.0).expect("ok");
+        let ans = summary.fp(&cols).expect("ok");
         assert_eq!(ans.answered_on, r.target);
         assert_eq!(ans.sym_diff, r.sym_diff);
         assert!(r.sym_diff > 0);
         // p = 1 pays no rounding distortion (Lemma 6.4(2): |p-1| = 0).
         assert_eq!(ans.distortion_bound, 1.0);
-        // Wrong order is a typed error.
-        assert!(matches!(
-            summary.fp(&cols, 1.5),
-            Err(QueryError::UnsupportedMoment { .. })
-        ));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The α-net summary for point frequency — the closing remark of the
-//! paper's Section 6.
+//! paper's Section 6: Algorithm 1
+//! ([`AlphaNetSummary`]) reused
+//! unchanged, with a CountMin per member.
 //!
 //! > "similar results are possible for the other functions considered,
 //! > ℓ_p frequency estimation, ℓ_p heavy hitters and ℓ_p sampling. The key
@@ -22,10 +24,10 @@
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::count_min::CountMin;
-use pfe_sketch::traits::{FrequencySketch, SpaceUsage};
+use pfe_sketch::traits::FrequencySketch;
 
 use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
-use crate::net_sketches::{Feed, NetSketches};
+use crate::net_sketches::{same, AlphaNetSummary, Mergeable, Statistic};
 use crate::problem::{check_dims, QueryError};
 
 /// Upper bound on extension enumeration per query (`Q^{|C′\C|}` terms).
@@ -58,24 +60,49 @@ pub struct FreqNetAnswer {
     pub extensions: u128,
 }
 
-/// α-net point-frequency summary: one CountMin per net subset.
+/// The point-frequency plug-in of Algorithm 1: a CountMin per member,
+/// counting each projected key's fingerprint as many times as the chunk
+/// held it (CountMin counters are exact integer sums).
 #[derive(Clone)]
-pub struct AlphaNetFrequency {
-    members: NetSketches<CountMin>,
-    n_rows: u64,
+pub struct PointFrequency {
     fingerprint_seed: u64,
 }
 
-impl AlphaNetFrequency {
-    /// What a member does with a projected key: count its fingerprint,
-    /// as many times as the chunk held it (CountMin counters are exact
-    /// integer sums).
-    fn feed(fingerprint_seed: u64) -> impl Fn(&mut CountMin, PatternKey, u32) {
-        move |cm, key, multiplicity| {
-            cm.update(key.fingerprint64(fingerprint_seed), multiplicity.into())
-        }
+impl Statistic for PointFrequency {
+    type Sketch = CountMin;
+
+    fn feed(&self, sketch: &mut CountMin, key: PatternKey, multiplicity: u32) {
+        sketch.update(
+            key.fingerprint64(self.fingerprint_seed),
+            multiplicity.into(),
+        );
     }
 
+    fn check_mergeable(&self, other: &Self) -> Result<(), String> {
+        same(
+            "frequency-net fingerprint seed",
+            self.fingerprint_seed,
+            other.fingerprint_seed,
+        )
+    }
+}
+
+impl Mergeable for CountMin {
+    fn check_mergeable(&self, other: &Self) -> Result<(), String> {
+        same("CountMin depth", self.depth(), other.depth())?;
+        same("CountMin width", self.width(), other.width())
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.merge(other);
+    }
+}
+
+/// α-net point-frequency summary: one CountMin per net subset, always
+/// the full net.
+pub type AlphaNetFrequency = AlphaNetSummary<PointFrequency>;
+
+impl AlphaNetFrequency {
     /// Build over a dataset with `depth × width` CountMin sketches.
     ///
     /// # Errors
@@ -88,27 +115,11 @@ impl AlphaNetFrequency {
         max_subsets: u128,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        let fingerprint_seed = Self::fingerprint_seed_for(seed);
-        let members = NetSketches::build(
-            data,
-            net,
-            NetMode::Full,
-            max_subsets,
-            |mask| CountMin::new(depth, width, seed ^ mask),
-            Feed::Counted,
-            Self::feed(fingerprint_seed),
-        )?;
-        Ok(Self {
-            members,
-            n_rows: data.num_rows() as u64,
-            fingerprint_seed,
-        })
+        Self::new_streaming(net, data.alphabet(), depth, width, max_subsets, seed)?.fed(data)
     }
 
-    /// Create an empty streaming summary over alphabet `q`; feed rows with
-    /// [`push_dense_chunk`](Self::push_dense_chunk) or (for `q = 2`)
-    /// [`push_packed_chunk`](Self::push_packed_chunk). Same sketch contents as
-    /// [`build`](Self::build) over the same rows.
+    /// Create an empty streaming summary over alphabet `q`. Same sketch
+    /// contents as [`build`](Self::build) over the same rows.
     ///
     /// # Errors
     /// Parameter/codec errors; net size above `max_subsets`.
@@ -120,86 +131,23 @@ impl AlphaNetFrequency {
         max_subsets: u128,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        let members = NetSketches::new(net, NetMode::Full, max_subsets, q, |mask| {
+        let stat = PointFrequency {
+            fingerprint_seed: 0xfe_0fe0 ^ seed,
+        };
+        Self::new(stat, net, NetMode::Full, max_subsets, q, |mask| {
             CountMin::new(depth, width, seed ^ mask)
-        })?;
-        Ok(Self {
-            members,
-            n_rows: 0,
-            fingerprint_seed: Self::fingerprint_seed_for(seed),
         })
     }
 
-    /// Observe a chunk of packed binary rows: one mask-major sweep, every
-    /// CountMin updated once per distinct projected key of the chunk,
-    /// weighted by its multiplicity.
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or a row has bits at or above
-    /// `d`.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.members
-            .push_packed_chunk(rows, Feed::Counted, Self::feed(self.fingerprint_seed));
-        self.n_rows += rows.len() as u64;
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row; any alphabet).
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        self.members
-            .push_dense_chunk(flat, Feed::Counted, Self::feed(self.fingerprint_seed));
-        self.n_rows += (flat.len() / self.net().dimension() as usize) as u64;
-    }
-
-    /// Merge a summary built over a disjoint segment of the same stream:
-    /// per-subset CountMin addition. Both sides must share the net,
-    /// alphabet, seed, and sketch geometry (use identical build parameters).
-    ///
-    /// # Panics
-    /// Panics on net/alphabet/seed mismatch (and propagates CountMin's
-    /// parameter-mismatch panics).
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.fingerprint_seed, other.fingerprint_seed,
-            "frequency-net merge: seed mismatch"
-        );
-        self.members.merge(&other.members, CountMin::merge);
-        self.n_rows += other.n_rows;
-    }
-
-    /// The net definition.
-    pub fn net(&self) -> &AlphaNet {
-        self.members.net()
-    }
-
-    /// Rows ingested (`n = ‖f‖₁`).
+    /// Rows ingested (`n = ‖f‖₁`): every member has counted every row.
     pub fn n(&self) -> u64 {
-        self.n_rows
-    }
-
-    /// The alphabet size `Q`.
-    pub fn alphabet(&self) -> u32 {
-        self.members.alphabet()
+        self.first().total() as u64
     }
 
     /// The pattern-fingerprint seed actually in use (derived from the
     /// build seed).
     pub fn fingerprint_seed(&self) -> u64 {
-        self.fingerprint_seed
-    }
-
-    /// The fingerprint seed a build with base seed `seed` uses.
-    fn fingerprint_seed_for(seed: u64) -> u64 {
-        0xfe_0fe0 ^ seed
-    }
-
-    /// The CountMin materialized for `mask`, if it is a net member.
-    pub fn sketch(&self, mask: u64) -> Option<&CountMin> {
-        self.members.get(mask)
+        self.stat.fingerprint_seed
     }
 
     /// Estimate `f_{e(b)}` for a pattern `b` given over the *query* columns
@@ -219,7 +167,7 @@ impl AlphaNetFrequency {
     ) -> Result<FreqNetAnswer, QueryError> {
         let q = self.alphabet();
         let r = round_up(self.net(), cols)?;
-        let sketch = self.members.answering(&r);
+        let sketch = self.answering(&r);
         // Enumerate extensions: patterns on target whose restriction to
         // cols equals `key`.
         let extra = r.target.symmetric_difference(cols);
@@ -266,7 +214,7 @@ impl AlphaNetFrequency {
                 v /= q as u128;
             }
             let ext_key = target_codec.encode_pattern(&pattern);
-            total += sketch.estimate(ext_key.fingerprint64(self.fingerprint_seed));
+            total += sketch.estimate(ext_key.fingerprint64(self.fingerprint_seed()));
         }
         Ok(FreqNetAnswer {
             estimate: total,
@@ -277,41 +225,35 @@ impl AlphaNetFrequency {
     }
 }
 
+/// The header keeps no mode (the net is always full): net, `Q`, the row
+/// count, the fingerprint seed.
 impl Persist for AlphaNetFrequency {
     fn encode(&self, enc: &mut Encoder) {
         self.net().encode(enc);
         enc.put_u32(self.alphabet());
-        enc.put_u64(self.n_rows);
-        enc.put_u64(self.fingerprint_seed);
-        self.members.encode_members(enc);
+        enc.put_u64(self.n());
+        enc.put_u64(self.fingerprint_seed());
+        self.encode_members(enc, CountMin::encode);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let net = AlphaNet::decode(dec)?;
-        let q = dec.take_u32()?;
+        let shape = (AlphaNet::decode(dec)?, NetMode::Full, dec.take_u32()?);
         let n_rows = dec.take_u64()?;
-        let fingerprint_seed = dec.take_u64()?;
-        let members: NetSketches<CountMin> =
-            NetSketches::decode_members(dec, net, NetMode::Full, q)?;
-        // Every CountMin must share one geometry, or merges would panic.
-        let geometry = |cm: &CountMin| (cm.depth(), cm.width());
-        let first = geometry(members.first());
-        if let Some(other) = members.sketches().map(geometry).find(|&g| g != first) {
+        let stat = PointFrequency {
+            fingerprint_seed: dec.take_u64()?,
+        };
+        let this = Self::decode_members(dec, stat, shape, CountMin::decode)?;
+        if this.n() != n_rows {
             return Err(PersistError::Malformed(format!(
-                "CountMin geometry mismatch across subsets: {first:?} vs {other:?}"
+                "frequency net claims {n_rows} rows but its sketches counted {}",
+                this.n()
             )));
         }
-        Ok(Self {
-            members,
-            n_rows,
-            fingerprint_seed,
-        })
-    }
-}
-
-impl SpaceUsage for AlphaNetFrequency {
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.members.member_bytes()
+        // Every CountMin must share one geometry, or merges would panic.
+        this.sketches()
+            .try_for_each(|cm| cm.check_mergeable(this.first()))
+            .map_err(|what| PersistError::Malformed(format!("across subsets, {what}")))?;
+        Ok(this)
     }
 }
 
@@ -319,6 +261,7 @@ impl SpaceUsage for AlphaNetFrequency {
 mod tests {
     use super::*;
     use pfe_row::FrequencyVector;
+    use pfe_sketch::traits::SpaceUsage;
     use pfe_stream::gen::zipf_patterns;
 
     fn fixture(d: u32, n: usize, seed: u64) -> Dataset {
@@ -389,6 +332,24 @@ mod tests {
         // grown_by = large(10) - 5 = 5 -> 64^5 = 2^30 > cap.
         let r = summary.frequency(&cols, PatternKey::new(0));
         assert!(matches!(r, Err(QueryError::BadParameter(_))));
+    }
+
+    #[test]
+    fn header_row_count_must_match_the_sketches() {
+        let data = fixture(8, 300, 4);
+        let net = AlphaNet::new(8, 0.25).expect("valid");
+        let summary = AlphaNetFrequency::build(&data, net, 2, 64, 1 << 20, 5).expect("build");
+        assert_eq!(summary.n(), 300);
+        let mut enc = Encoder::new();
+        summary.encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        // The header is net (d: u32, alpha: f64), Q: u32, then the count.
+        assert_eq!(bytes[16..24], 300u64.to_le_bytes(), "layout moved");
+        bytes[16] ^= 1;
+        assert!(matches!(
+            AlphaNetFrequency::decode(&mut Decoder::new(&bytes)),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -194,15 +194,13 @@ impl Persist for SummarySuite {
                 )));
             }
         }
-        for net in &fp_nets {
-            if net.net().dimension() != d || net.alphabet() != q {
-                return Err(PersistError::Malformed(format!(
-                    "fp net (p={}) summarizes ({}, Q={}) but the sample holds ({d}, Q={q})",
-                    net.p(),
-                    net.net().dimension(),
-                    net.alphabet()
-                )));
-            }
+        if let Some(net) = fp_nets.iter().find(|n| n.shape() != net_f0.shape()) {
+            return Err(PersistError::Malformed(format!(
+                "fp net (p={}) {:?} disagrees with the F0 net {:?}",
+                net.p(),
+                net.shape(),
+                net_f0.shape()
+            )));
         }
         Ok(Self {
             exact,

@@ -1,4 +1,5 @@
-//! The `F_p` moment dispatch layer: configuration plus a two-variant net.
+//! The `F_p` moment nets: configuration plus the net whose member sketch
+//! is picked from the order.
 //!
 //! The paper's Algorithm 1 is parameterized by a β-approximate sketch for
 //! the base statistic; for frequency moments `F_p = Σ f_i^p` the right
@@ -10,18 +11,21 @@
 //!   skewed-projection analysis. Float sums: merges are exact up to f64
 //!   addition order, so differently-grouped builds agree only up to ulps.
 //!
-//! [`FpNet`] is the closed dispatch over the two, keyed off the configured
-//! order at construction; [`FpConfig`] names which orders an engine
-//! materializes (each order gets its own α-net of sketches).
+//! [`FpNet`] is the one α-net summary ([`AlphaNetSummary`]) over members
+//! that are either — [`FpSketch`], keyed off the configured order at
+//! construction and the only place the two families are told apart;
+//! [`FpConfig`] names which orders an engine materializes (each order
+//! gets its own α-net of sketches).
 
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset};
+use pfe_row::{ColumnSet, Dataset, PatternKey};
 use pfe_sketch::ams_f2::AmsF2;
 use pfe_sketch::stable_fp::StableFp;
-use pfe_sketch::traits::SpaceUsage;
+use pfe_sketch::traits::{MomentSketch, SpaceUsage};
 
-use crate::alpha_net::{AlphaNet, AlphaNetFp, NetAnswer, NetMode, RoundedQuery};
+use crate::alpha_net::{orders_match, AlphaNet, NetAnswer, NetMode, FINGERPRINT_SEED};
 use crate::bounds::{ams_f2_beta, stable_fp_beta};
+use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
 use crate::problem::QueryError;
 
 /// Salt folded into the engine seed before deriving per-order sketch
@@ -142,15 +146,112 @@ impl Persist for FpConfig {
     }
 }
 
-/// One materialized `F_p` α-net, dispatched on the order's sketch family.
+/// One member of an [`FpNet`] — the AMS-vs-stable choice, made once per
+/// operation, here.
 #[derive(Clone)]
-pub enum FpNet {
+pub enum FpSketch {
     /// `p = 2`: AMS sign sketches — bit-exact mergeable.
-    Ams(AlphaNetFp<AmsF2>),
+    Ams(AmsF2),
     /// `0 < p < 2`: Indyk stable projections — mergeable up to f64
     /// addition order.
-    Stable(AlphaNetFp<StableFp>),
+    Stable(StableFp),
 }
+
+impl FpSketch {
+    /// The sketch an order-`p` net keeps for one subset: AMS at `p = 2`,
+    /// stable projections below.
+    fn new(p: f64, cfg: &FpConfig, seed: u64) -> Self {
+        if p == 2.0 {
+            Self::Ams(AmsF2::new(cfg.ams_groups, cfg.ams_per_group, seed))
+        } else {
+            Self::Stable(StableFp::new(cfg.stable_t, p, seed))
+        }
+    }
+
+    fn p(&self) -> f64 {
+        match self {
+            Self::Ams(s) => s.p(),
+            Self::Stable(s) => s.p(),
+        }
+    }
+
+    fn estimate(&self) -> f64 {
+        match self {
+            Self::Ams(s) => s.estimate(),
+            Self::Stable(s) => s.estimate(),
+        }
+    }
+
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            Self::Ams(s) => s.encode(enc),
+            Self::Stable(s) => s.encode(enc),
+        }
+    }
+}
+
+impl SpaceUsage for FpSketch {
+    fn space_bytes(&self) -> usize {
+        match self {
+            Self::Ams(s) => s.space_bytes(),
+            Self::Stable(s) => s.space_bytes(),
+        }
+    }
+}
+
+impl Mergeable for FpSketch {
+    fn check_mergeable(&self, other: &Self) -> Result<(), String> {
+        match (self, other) {
+            (Self::Ams(a), Self::Ams(b)) => same(
+                "AMS (groups, per_group)",
+                (a.groups(), a.per_group()),
+                (b.groups(), b.per_group()),
+            ),
+            (Self::Stable(a), Self::Stable(b)) => same("stable_t", a.estimators(), b.estimators()),
+            _ => Err("moment sketch family differs (AMS vs stable)".into()),
+        }
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        match (self, other) {
+            (Self::Ams(a), Self::Ams(b)) => a.merge_with(b),
+            (Self::Stable(a), Self::Stable(b)) => a.merge_with(b),
+            _ => unreachable!("members passed check_mergeable"),
+        }
+    }
+}
+
+/// The moment plug-in of Algorithm 1 with the sketch family keyed off the
+/// order: what an [`FpNet`] keeps beside its members.
+#[derive(Clone)]
+pub struct ByOrder {
+    p: f64,
+}
+
+impl Statistic for ByOrder {
+    type Sketch = FpSketch;
+
+    fn counted(&self, sketch: &FpSketch) -> bool {
+        const { assert!(AmsF2::EXACT_IN_DELTA && !StableFp::EXACT_IN_DELTA) };
+        matches!(sketch, FpSketch::Ams(_))
+    }
+
+    fn feed(&self, sketch: &mut FpSketch, key: PatternKey, multiplicity: u32) {
+        let (item, delta) = (key.fingerprint64(FINGERPRINT_SEED), multiplicity.into());
+        match sketch {
+            FpSketch::Ams(s) => s.update(item, delta),
+            FpSketch::Stable(s) => s.update(item, delta),
+        }
+    }
+
+    fn check_mergeable(&self, other: &Self) -> Result<(), String> {
+        same("moment order p", self.p, other.p)
+    }
+}
+
+/// One materialized `F_p` α-net: AMS members at `p = 2`, stable
+/// projections at `0 < p < 2`.
+pub type FpNet = AlphaNetSummary<ByOrder>;
 
 impl FpNet {
     /// Create an empty streaming net for order `p` over alphabet `q`.
@@ -169,17 +270,9 @@ impl FpNet {
         seed: u64,
     ) -> Result<Self, QueryError> {
         check_order(p)?;
-        if p == 2.0 {
-            let inner = AlphaNetFp::new_streaming_qary(net, mode, max_subsets, q, |mask| {
-                AmsF2::new(cfg.ams_groups, cfg.ams_per_group, seed ^ mask)
-            })?;
-            Ok(Self::Ams(inner))
-        } else {
-            let inner = AlphaNetFp::new_streaming_qary(net, mode, max_subsets, q, |mask| {
-                StableFp::new(cfg.stable_t, p, seed ^ mask)
-            })?;
-            Ok(Self::Stable(inner))
-        }
+        Self::new(ByOrder { p }, net, mode, max_subsets, q, |mask| {
+            FpSketch::new(p, cfg, seed ^ mask)
+        })
     }
 
     /// Batch build over a dataset (same sketches as streaming the rows).
@@ -196,118 +289,18 @@ impl FpNet {
         cfg: &FpConfig,
         seed: u64,
     ) -> Result<Self, QueryError> {
-        check_order(p)?;
-        if p == 2.0 {
-            Ok(Self::Ams(AlphaNetFp::build(
-                data,
-                net,
-                mode,
-                max_subsets,
-                |mask| AmsF2::new(cfg.ams_groups, cfg.ams_per_group, seed ^ mask),
-            )?))
-        } else {
-            Ok(Self::Stable(AlphaNetFp::build(
-                data,
-                net,
-                mode,
-                max_subsets,
-                |mask| StableFp::new(cfg.stable_t, p, seed ^ mask),
-            )?))
-        }
-    }
-
-    /// Observe one packed binary row.
-    ///
-    /// # Panics
-    /// Panics if the row has bits at or above `d` or the net is not binary.
-    pub fn push_packed(&mut self, row: u64) {
-        match self {
-            Self::Ams(n) => n.push_packed(row),
-            Self::Stable(n) => n.push_packed(row),
-        }
-    }
-
-    /// Observe one dense row over the net's alphabet.
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) {
-        match self {
-            Self::Ams(n) => n.push_dense(row),
-            Self::Stable(n) => n.push_dense(row),
-        }
-    }
-
-    /// Observe a chunk of packed binary rows (one mask-major sweep).
-    ///
-    /// # Panics
-    /// Panics if a row has bits at or above `d` or the net is not binary.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        match self {
-            Self::Ams(n) => n.push_packed_chunk(rows),
-            Self::Stable(n) => n.push_packed_chunk(rows),
-        }
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per row).
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        match self {
-            Self::Ams(n) => n.push_dense_chunk(flat),
-            Self::Stable(n) => n.push_dense_chunk(flat),
-        }
-    }
-
-    /// Merge a net built over a disjoint segment of the same stream.
-    ///
-    /// # Panics
-    /// Panics on sketch-family, net, mode, alphabet, or order mismatch.
-    pub fn merge(&mut self, other: &Self) {
-        match (self, other) {
-            (Self::Ams(a), Self::Ams(b)) => a.merge(b),
-            (Self::Stable(a), Self::Stable(b)) => a.merge(b),
-            _ => panic!("fp-net merge: sketch family mismatch (AMS vs stable)"),
-        }
+        let q = data.alphabet();
+        Self::new_streaming_qary(net, mode, max_subsets, q, p, cfg, seed)?.fed(data)
     }
 
     /// The moment order this net answers.
     pub fn p(&self) -> f64 {
-        match self {
-            Self::Ams(n) => n.p(),
-            Self::Stable(n) => n.p(),
-        }
-    }
-
-    /// The net definition.
-    pub fn net(&self) -> &AlphaNet {
-        match self {
-            Self::Ams(n) => n.net(),
-            Self::Stable(n) => n.net(),
-        }
-    }
-
-    /// The materialization mode.
-    pub fn mode(&self) -> NetMode {
-        match self {
-            Self::Ams(n) => n.mode(),
-            Self::Stable(n) => n.mode(),
-        }
-    }
-
-    /// The alphabet size `Q`.
-    pub fn alphabet(&self) -> u32 {
-        match self {
-            Self::Ams(n) => n.alphabet(),
-            Self::Stable(n) => n.alphabet(),
-        }
+        self.stat.p
     }
 
     /// Whether this is the bit-exact AMS (`p = 2`) path.
     pub fn is_ams(&self) -> bool {
-        matches!(self, Self::Ams(_))
+        matches!(self.first(), FpSketch::Ams(_))
     }
 
     /// The sketch β of this net's plug-in, read off the live sketch shape:
@@ -315,30 +308,9 @@ impl FpNet {
     /// stable-projection path. Multiply by the per-query rounding
     /// distortion for the full Theorem 6.5 guarantee factor.
     pub fn beta(&self) -> f64 {
-        match self {
-            Self::Ams(n) => ams_f2_beta(n.any_sketch().per_group()),
-            Self::Stable(n) => stable_fp_beta(n.any_sketch().estimators()),
-        }
-    }
-
-    /// Sketch shape of the per-subset plug-in: `(groups, per_group)` for
-    /// AMS, `(estimators, 0)` for stable projections. Two nets merge only
-    /// if their shapes (and families) are identical.
-    pub fn sketch_shape(&self) -> (usize, usize) {
-        match self {
-            Self::Ams(n) => (n.any_sketch().groups(), n.any_sketch().per_group()),
-            Self::Stable(n) => (n.any_sketch().estimators(), 0),
-        }
-    }
-
-    /// Round a query exactly as [`fp`](Self::fp) will.
-    ///
-    /// # Errors
-    /// Dimension errors.
-    pub fn effective_rounding(&self, cols: &ColumnSet) -> Result<RoundedQuery, QueryError> {
-        match self {
-            Self::Ams(n) => n.effective_rounding(cols),
-            Self::Stable(n) => n.effective_rounding(cols),
+        match self.first() {
+            FpSketch::Ams(s) => ams_f2_beta(s.per_group()),
+            FpSketch::Stable(s) => stable_fp_beta(s.estimators()),
         }
     }
 
@@ -347,53 +319,36 @@ impl FpNet {
     /// # Errors
     /// Dimension errors.
     pub fn fp(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
-        match self {
-            Self::Ams(n) => n.fp(cols, n.p()),
-            Self::Stable(n) => n.fp(cols, n.p()),
-        }
+        let r = self.effective_rounding(cols)?;
+        let estimate = self.answering(&r).estimate();
+        Ok(NetAnswer::moment(self.alphabet(), self.p(), r, estimate))
     }
 }
 
-impl SpaceUsage for FpNet {
-    fn space_bytes(&self) -> usize {
-        match self {
-            Self::Ams(n) => n.space_bytes(),
-            Self::Stable(n) => n.space_bytes(),
-        }
-    }
-}
-
+/// The header leads with the family tag: 0 = AMS, 1 = stable.
 impl Persist for FpNet {
     fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Self::Ams(n) => {
-                enc.put_u8(0);
-                n.encode(enc);
-            }
-            Self::Stable(n) => {
-                enc.put_u8(1);
-                n.encode(enc);
-            }
-        }
+        enc.put_u8(if self.is_ams() { 0 } else { 1 });
+        self.encode_shape(enc);
+        enc.put_f64(self.p());
+        self.encode_members(enc, FpSketch::encode);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        match dec.take_u8()? {
-            0 => {
-                let n: AlphaNetFp<AmsF2> = AlphaNetFp::decode(dec)?;
-                if n.p() != 2.0 {
-                    return Err(PersistError::Malformed(format!(
-                        "AMS fp-net claims order p={}, must be 2",
-                        n.p()
-                    )));
-                }
-                Ok(Self::Ams(n))
+        let decode: fn(&mut Decoder<'_>) -> _ = match dec.take_u8()? {
+            0 => |dec| AmsF2::decode(dec).map(FpSketch::Ams),
+            1 => |dec| StableFp::decode(dec).map(FpSketch::Stable),
+            other => {
+                return Err(PersistError::Malformed(format!(
+                    "fp-net family tag must be 0 (AMS) or 1 (stable), got {other}"
+                )))
             }
-            1 => Ok(Self::Stable(AlphaNetFp::decode(dec)?)),
-            other => Err(PersistError::Malformed(format!(
-                "fp-net family tag must be 0 (AMS) or 1 (stable), got {other}"
-            ))),
-        }
+        };
+        let shape = decode_shape(dec)?;
+        let p = dec.take_f64()?;
+        let this = Self::decode_members(dec, ByOrder { p }, shape, decode)?;
+        orders_match(p, this.sketches().map(FpSketch::p))?;
+        Ok(this)
     }
 }
 
@@ -505,24 +460,6 @@ mod tests {
                 Err(PersistError::Malformed(_))
             ));
         }
-    }
-
-    #[test]
-    fn family_mismatch_merge_panics_with_message() {
-        let net = AlphaNet::new(6, 0.25).expect("valid");
-        let cfg = FpConfig::with_orders([1.0, 2.0]);
-        let mut a =
-            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 2.0, &cfg, 1).expect("new");
-        let b =
-            FpNet::new_streaming_qary(net, NetMode::Full, 1 << 16, 2, 1.0, &cfg, 1).expect("new");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)))
-            .expect_err("must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("family mismatch"), "unexpected panic: {msg}");
     }
 
     #[test]

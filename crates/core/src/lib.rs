@@ -14,10 +14,15 @@
 //!   Theorem 5.1 / Corollary 5.2 uniform row sample: `ε‖f‖_1` frequency
 //!   estimates, `ℓ_p` heavy hitters for `p ≤ 1`, and `ℓ_1` sampling in
 //!   `O(ε⁻² log 1/δ)` rows;
-//! - [`alpha_net::AlphaNetF0`] /
-//!   [`alpha_net::AlphaNetFp`] — Algorithm 1: β-approximate
+//! - [`net_sketches::AlphaNetSummary`] — Algorithm 1, once: β-approximate
 //!   sketches over an α-net of subsets, answering any query after rounding
-//!   with distortion `r(α, P)` (Lemma 6.4, Theorem 6.5);
+//!   with distortion `r(α, P)` (Lemma 6.4, Theorem 6.5). The statistic is
+//!   a plug-in, and the named summaries are aliases of the one type:
+//!   [`alpha_net::AlphaNetF0`] (distinct counts),
+//!   [`fp::FpNet`] / [`alpha_net::AlphaNetFp`] (moments, the sketch family
+//!   picked from the order / fixed by the caller),
+//!   [`alpha_net_freq::AlphaNetFrequency`] (the Section 6 closing remark:
+//!   point frequencies from CountMin members);
 //! - [`sampling::ExactLpSampler`] — offline `ℓ_p` sampling
 //!   from the materialized frequency vector (the object Theorem 5.5 proves
 //!   incompressible for `p ≠ 1`);
@@ -32,7 +37,7 @@ pub mod estimator;
 pub mod exact;
 pub mod fp;
 pub mod marginals;
-mod net_sketches;
+pub mod net_sketches;
 pub mod problem;
 pub mod sampling;
 pub mod uniform_sample;
@@ -43,6 +48,7 @@ pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;
 pub use fp::{fp_seed, FpConfig, FpNet};
 pub use marginals::MarginalsSummary;
+pub use net_sketches::AlphaNetSummary;
 pub use problem::{HeavyHitter, QueryError, SampledPattern, ScalarEstimate};
 pub use sampling::ExactLpSampler;
 pub use uniform_sample::UniformSampleSummary;

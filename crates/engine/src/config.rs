@@ -29,9 +29,6 @@ impl Default for FreqNetConfig {
 pub struct EngineConfig {
     /// Number of ingest worker shards (each owns its own summaries).
     pub shards: usize,
-    /// Bounded-channel depth per shard, in batches; `send` blocks when a
-    /// shard falls this far behind (backpressure).
-    pub channel_capacity: usize,
     /// Rows buffered per shard before a batch is sent down the channel.
     pub batch_rows: usize,
     /// α-net parameter for the `F_0` net.
@@ -59,11 +56,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            // 32,768 rows in flight per shard; a batch is the chunk the
-            // shard's mask-major sweep amortizes over, and 4096 rows put
-            // every member of a d <= 12 binary net (domain 2^w <= 4096)
-            // on its histogram path.
-            channel_capacity: 8,
+            // A batch is the chunk the shard's mask-major sweep amortizes
+            // over, and 4096 rows put every member of a d <= 12 binary
+            // net (domain 2^w <= 4096) on its histogram path.
             batch_rows: 4096,
             alpha: 0.25,
             kmv_k: 256,
@@ -85,11 +80,6 @@ impl EngineConfig {
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.shards == 0 {
             return Err(EngineError::BadConfig("shards must be >= 1".into()));
-        }
-        if self.channel_capacity == 0 {
-            return Err(EngineError::BadConfig(
-                "channel_capacity must be >= 1".into(),
-            ));
         }
         if self.batch_rows == 0 {
             return Err(EngineError::BadConfig("batch_rows must be >= 1".into()));
@@ -135,10 +125,6 @@ mod tests {
         for cfg in [
             EngineConfig {
                 shards: 0,
-                ..Default::default()
-            },
-            EngineConfig {
-                channel_capacity: 0,
                 ..Default::default()
             },
             EngineConfig {

@@ -174,10 +174,14 @@ impl IngestPipeline {
         // sketch allocation), so construction errors surface here — not as
         // worker panics — and the net materialization stays parallel.
         ShardSummary::validate(d, q, cfg)?;
+        // Bounded-channel depth per shard, in batches: `send` blocks when
+        // a shard falls this far behind (backpressure). 8 × the default
+        // `batch_rows` 4096 = 32,768 rows in flight per shard.
+        const CHANNEL_CAPACITY: usize = 8;
         let mut senders = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         for shard_id in 0..cfg.shards {
-            let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity);
+            let (tx, rx) = mpsc::sync_channel::<Msg>(CHANNEL_CAPACITY);
             let cfg = cfg.clone();
             handles.push(std::thread::spawn(move || {
                 let shard = ShardSummary::new(d, q, shard_id, &cfg)

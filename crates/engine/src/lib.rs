@@ -17,9 +17,10 @@
 //!    [`check_dense_chunk`]), and [`ShardSummary`]'s chunk methods are the
 //!    one per-row loop.
 //! 2. **Merge / compaction** ([`Snapshot`]): shard summaries fold into an
-//!    immutable snapshot via the `DistinctSketch::merge` /
-//!    reservoir-union contracts — exact for KMV/CountMin (per-mask seeds
-//!    are shared), hypergeometric-uniform for the row sample.
+//!    immutable snapshot via the net's own `check_mergeable` / `merge`
+//!    ([`AlphaNetSummary`](pfe_core::AlphaNetSummary)) and the
+//!    reservoir-union contract — exact for KMV/CountMin/AMS (per-mask
+//!    seeds are shared), hypergeometric-uniform for the row sample.
 //! 3. **Query serving** ([`Engine`]): typed [`Query`] batches — the four
 //!    paper statistics (`F_0`, point frequency, heavy hitters, `ℓ_1`
 //!    sampling) plus opt-in `F_p` frequency moments (AMS at `p = 2`,

@@ -23,9 +23,12 @@
 //! it as the update weight (exact integer sums), and the float-sum
 //! `StableFp` nets are always fed row by row in row order — so a shard's
 //! bytes do not depend on how its rows were cut into chunks. The sweep
-//! itself lives in `pfe-core` (`net_sketches.rs`), once for every net.
+//! itself lives in `pfe-core` (`net_sketches.rs`), once for every net —
+//! as does what makes two nets mergeable: this file asks each net, and
+//! names no sketch parameter itself.
 
 use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
+use pfe_core::net_sketches::same;
 use pfe_core::{fp_seed, AlphaNetFrequency, FpNet, UniformSampleSummary};
 use pfe_hash::rng::SplitMix64;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
@@ -198,80 +201,33 @@ impl ShardSummary {
     }
 
     /// Check that `other` summarizes a disjoint segment of the *same*
-    /// logical stream configuration as `self`: equal dimension, alphabet,
-    /// reservoir capacity, α-net, and per-subset sketch parameters/seeds.
-    /// Snapshot unions, engine resume and window resume all ask here.
+    /// logical stream configuration as `self`: equal dimension, alphabet
+    /// and reservoir capacity, the same nets present, and each pair of
+    /// nets mergeable by its own account
+    /// ([`AlphaNetSummary::check_mergeable`](pfe_core::AlphaNetSummary::check_mergeable):
+    /// α-net, mode, statistic and per-subset sketch parameters and
+    /// seeds). Snapshot unions, engine resume and window resume all ask
+    /// here.
     ///
     /// # Errors
     /// [`EngineError::Incompatible`] naming the first mismatch.
     pub fn check_mergeable(&self, other: &Self) -> Result<(), EngineError> {
-        let mismatch = |what: &str| Err(EngineError::Incompatible(what.to_string()));
-        if self.sample.dimension() != other.sample.dimension() {
-            return mismatch("dimension d differs");
-        }
-        if self.sample.alphabet() != other.sample.alphabet() {
-            return mismatch("alphabet Q differs");
-        }
-        if self.sample.capacity() != other.sample.capacity() {
-            return mismatch("reservoir capacity sample_t differs");
-        }
-        if self.net_f0.net() != other.net_f0.net() {
-            return mismatch("alpha-net (d, alpha) differs");
-        }
-        if self.net_f0.mode() != other.net_f0.mode() {
-            return mismatch("net materialization mode differs");
-        }
-        for mask in self.net_f0.net().members(self.net_f0.mode()) {
-            let (a, b) = (
-                self.net_f0.sketch(mask).expect("member materialized"),
-                other.net_f0.sketch(mask).expect("member materialized"),
-            );
-            if a.k() != b.k() {
-                return mismatch("KMV capacity k differs");
+        let check = || {
+            let (a, b) = (&self.sample, &other.sample);
+            same("dimension d", a.dimension(), b.dimension())?;
+            same("alphabet Q", a.alphabet(), b.alphabet())?;
+            same("reservoir capacity sample_t", a.capacity(), b.capacity())?;
+            self.net_f0.check_mergeable(&other.net_f0)?;
+            match (&self.freq, &other.freq) {
+                (Some(a), Some(b)) => a.check_mergeable(b)?,
+                (None, None) => {}
+                _ => return Err("frequency net present on one side only".to_string()),
             }
-            if a.seed() != b.seed() {
-                return mismatch("KMV seeds differ (snapshots from different base seeds)");
-            }
-        }
-        match (&self.freq, &other.freq) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                if a.net() != b.net() {
-                    return mismatch("frequency-net alpha-nets differ");
-                }
-                if a.fingerprint_seed() != b.fingerprint_seed() {
-                    return mismatch("frequency-net fingerprint seeds differ");
-                }
-                for mask in a.net().members(NetMode::Full) {
-                    let (x, y) = (
-                        a.sketch(mask).expect("member materialized"),
-                        b.sketch(mask).expect("member materialized"),
-                    );
-                    if x.depth() != y.depth() || x.width() != y.width() {
-                        return mismatch("CountMin geometry differs");
-                    }
-                }
-            }
-            _ => return mismatch("frequency net present on one side only"),
-        }
-        if self.fp.len() != other.fp.len() {
-            return mismatch("fp-net counts differ");
-        }
-        for (a, b) in self.fp.iter().zip(&other.fp) {
-            if a.p().to_bits() != b.p().to_bits() {
-                return mismatch("fp-net moment orders differ");
-            }
-            if a.is_ams() != b.is_ams() {
-                return mismatch("fp-net sketch families differ");
-            }
-            if a.net() != b.net() || a.mode() != b.mode() || a.alphabet() != b.alphabet() {
-                return mismatch("fp-net alpha-nets differ");
-            }
-            if a.sketch_shape() != b.sketch_shape() {
-                return mismatch("fp-net sketch shapes differ");
-            }
-        }
-        Ok(())
+            same("fp-net count", self.fp.len(), other.fp.len())?;
+            let mut pairs = self.fp.iter().zip(&other.fp);
+            pairs.try_for_each(|(a, b)| a.check_mergeable(b))
+        };
+        check().map_err(EngineError::Incompatible)
     }
 
     /// Fold another shard's summaries into this one.
@@ -355,34 +311,18 @@ impl Persist for ShardSummary {
         // resume or merge walks one net's members and indexes another's
         // sketch map.
         let (d, q) = (sample.dimension(), sample.alphabet());
+        let shape = net_f0.shape();
         if net_f0.net().dimension() != d || net_f0.alphabet() != q {
             return Err(PersistError::Malformed(format!(
-                "F0 net summarizes ({}, Q={}) but the sample holds ({d}, Q={q})",
-                net_f0.net().dimension(),
-                net_f0.alphabet()
+                "F0 net summarizes {shape:?} but the sample holds ({d}, Q={q})"
             )));
         }
-        if let Some(f) = &freq {
-            if f.net() != net_f0.net() || f.alphabet() != q {
-                return Err(PersistError::Malformed(format!(
-                    "frequency net (d={}, alpha={}, Q={}) disagrees with the F0 net \
-                     (d={d}, alpha={}, Q={q})",
-                    f.net().dimension(),
-                    f.net().alpha(),
-                    f.alphabet(),
-                    net_f0.net().alpha()
-                )));
-            }
-        }
-        for net in &fp {
-            if net.net() != net_f0.net() || net.alphabet() != q {
-                return Err(PersistError::Malformed(format!(
-                    "fp net (p={}, d={}, Q={}) disagrees with the F0 net (d={d}, Q={q})",
-                    net.p(),
-                    net.net().dimension(),
-                    net.alphabet()
-                )));
-            }
+        let freq_shape = freq.iter().map(|f| ("frequency", f.shape()));
+        let fp_shapes = fp.iter().map(|n| ("fp", n.shape()));
+        if let Some((which, other)) = freq_shape.chain(fp_shapes).find(|(_, s)| *s != shape) {
+            return Err(PersistError::Malformed(format!(
+                "{which} net {other:?} disagrees with the F0 net {shape:?}"
+            )));
         }
         Ok(Self {
             sample,

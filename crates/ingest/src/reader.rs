@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pfe_obs::{Counter, Histogram, Recorder, Span, TraceHandle};
+use pfe_obs::{Counter, Histogram, Recorder, Span};
 
 use crate::error::IngestError;
 use crate::parser::{split_fields, RowParser};
@@ -87,7 +87,6 @@ impl Instruments {
 pub struct FileIngester {
     opts: IngestOptions,
     ins: Instruments,
-    trace: TraceHandle,
 }
 
 impl FileIngester {
@@ -103,17 +102,7 @@ impl FileIngester {
         Self {
             ins: Instruments::from_recorder(recorder),
             opts,
-            trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Record this ingester's chunk hand-offs as spans of `trace` (one
-    /// `ingest_chunk` span per sink push, carrying the chunk index and
-    /// row count). A disabled handle — the default — records nothing.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Ingest `path`, building the sink from the discovered schema.
@@ -175,7 +164,6 @@ impl FileIngester {
         let mut run = Run {
             opts: &self.opts,
             ins: &self.ins,
-            trace: &self.trace,
             label,
             delim,
             make_sink: Some(make_sink),
@@ -250,7 +238,6 @@ impl FileIngester {
 struct Run<'a, S, F> {
     opts: &'a IngestOptions,
     ins: &'a Instruments,
-    trace: &'a TraceHandle,
     label: &'a str,
     delim: u8,
     make_sink: Option<F>,
@@ -367,14 +354,7 @@ where
         let d = schema.dimension();
         if !self.packed.is_empty() {
             let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            let mut chunk_span = self.trace.span("ingest_chunk");
-            if chunk_span.is_enabled() {
-                chunk_span.attr("chunk", self.chunks);
-                chunk_span.attr("rows", self.packed.len());
-                chunk_span.attr("format", "packed");
-            }
             sink.push_packed_rows(&self.packed)?;
-            drop(chunk_span);
             drop(span);
             self.ins.rows.add(self.packed.len() as u64);
             self.packed.clear();
@@ -383,14 +363,7 @@ where
         }
         if !self.dense.is_empty() {
             let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            let mut chunk_span = self.trace.span("ingest_chunk");
-            if chunk_span.is_enabled() {
-                chunk_span.attr("chunk", self.chunks);
-                chunk_span.attr("rows", self.dense.len() / d.max(1) as usize);
-                chunk_span.attr("format", "dense");
-            }
             sink.push_dense_rows(d, &self.dense)?;
-            drop(chunk_span);
             drop(span);
             self.ins.rows.add(self.dense.len() as u64 / d.max(1) as u64);
             self.dense.clear();

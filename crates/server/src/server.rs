@@ -432,7 +432,11 @@ fn serve_metrics(listener: &TcpListener, dispatcher: &Dispatcher, stop: &AtomicB
     }
 }
 
-fn reject_saturated(mut stream: TcpStream, workers: usize, queue: usize) {
+/// Runs on the rejector thread, never on the loop thread: the lingering
+/// read parks its caller for up to 100 ms per silent peer. Once `stop` is
+/// set the linger is skipped — a drain does not wait on peers it never
+/// admitted.
+fn reject_saturated(mut stream: TcpStream, workers: usize, queue: usize, stop: &AtomicBool) {
     // Best-effort: the client may already be gone. The accepted socket is
     // blocking (accept does not inherit the listener's nonblocking flag
     // on Linux), so plain writes work here.
@@ -447,6 +451,9 @@ fn reject_saturated(mut stream: TcpStream, workers: usize, queue: usize) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut sink = [0u8; 1024];
     for _ in 0..64 {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
         match std::io::Read::read(&mut stream, &mut sink) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
@@ -483,6 +490,9 @@ mod event_loop {
     const TOKEN_LISTENER: u64 = 0;
     const TOKEN_WAKE: u64 = 1;
     const TOKEN_BASE: u64 = 2;
+    /// Bounced sockets the rejector may hold; a silent peer costs it the
+    /// 100 ms linger, so a full backlog of them clears in 6.4 s.
+    const REJECT_BACKLOG: usize = 64;
 
     /// Parsed requests queued per session before read interest is
     /// dropped (backpressure against a pipelining flood).
@@ -553,13 +563,15 @@ mod event_loop {
         stop: Arc<AtomicBool>,
         poll_interval: Duration,
         max_line: usize,
-        workers: usize,
-        queue: usize,
         capacity: usize,
         sessions: HashMap<u64, Session>,
         next_token: u64,
         next_trace: u64,
         pool: Option<WorkerPool<Job>>,
+        /// Bounced sockets waiting for their rejection line and lingering
+        /// half-close. One thread, bounded: a flood beyond the backlog is
+        /// dropped unanswered rather than queued without limit.
+        rejector: Option<WorkerPool<TcpStream>>,
         completions: Arc<Mutex<Vec<(u64, Reply)>>>,
         wake_rx: TcpStream,
         submit_waiters: VecDeque<u64>,
@@ -615,6 +627,10 @@ mod event_loop {
                     let _ = (&*wake_tx).write(&[1u8]);
                 })
             };
+            let (workers, queue, stopped) = (cfg.workers, cfg.queue, Arc::clone(&stop));
+            let rejector = WorkerPool::new(1, REJECT_BACKLOG, move |stream| {
+                reject_saturated(stream, workers, queue, &stopped)
+            });
             let recorder = dispatcher.recorder();
             let wakeups = recorder.counter("server_loop_wakeups");
             let ticks = recorder.counter("server_loop_ticks");
@@ -629,13 +645,12 @@ mod event_loop {
                 stop,
                 poll_interval: cfg.poll_interval,
                 max_line: cfg.max_line_bytes,
-                workers: cfg.workers,
-                queue: cfg.queue,
                 capacity,
                 sessions: HashMap::new(),
                 next_token: TOKEN_BASE,
                 next_trace: 1,
                 pool: Some(pool),
+                rejector: Some(rejector),
                 completions,
                 wake_rx,
                 submit_waiters: VecDeque::new(),
@@ -722,6 +737,12 @@ mod event_loop {
             if let Some(pool) = self.pool.take() {
                 pool.join();
             }
+            // The loop is done however it ended (flag, signal, accept
+            // error): strangers still queued get their line, no linger.
+            self.stop.store(true, Ordering::SeqCst);
+            if let Some(rejector) = self.rejector.take() {
+                rejector.join();
+            }
             if let Some(t0) = self.drain_started {
                 self.drain_hist.record_duration(t0.elapsed());
             }
@@ -760,7 +781,9 @@ mod event_loop {
             if self.sessions.len() >= self.capacity {
                 counters.rejected_saturated.inc();
                 counters.connections_open.sub(1);
-                reject_saturated(stream, self.workers, self.queue);
+                if let Some(rejector) = &self.rejector {
+                    let _ = rejector.try_submit(stream);
+                }
                 return;
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {

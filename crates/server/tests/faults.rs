@@ -395,3 +395,65 @@ fn slow_loris_does_not_stall_other_sessions() {
     handle.shutdown();
     join.join().expect("server");
 }
+
+#[test]
+fn idle_bounced_peers_do_not_stall_an_admitted_session() {
+    // Capacity one: the admitted session fills the server, so every
+    // further connection is bounced. A bounced peer that says nothing
+    // holds its rejector for the whole lingering half-close — which must
+    // not be the loop thread the admitted session is served from.
+    let (handle, join) = spawn_served(ServerConfig {
+        workers: 1,
+        queue: 0,
+        ..quick_poll()
+    });
+    let mut admitted = Client::connect(handle.addr()).expect("connect");
+    let warm = admitted
+        .request_line(r#"{"op":"server_stats"}"#)
+        .expect("admitted");
+    assert_eq!(warm.get("ok"), Some(&Json::Bool(true)), "{warm}");
+
+    let mut strangers: Vec<RawSession> = (0..10)
+        .map(|_| RawSession::connect(handle.addr()))
+        .collect();
+    let begin = Instant::now();
+    let stats = admitted
+        .request_line(r#"{"op":"server_stats"}"#)
+        .expect("served beside the bounced peers");
+    let waited = begin.elapsed();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    assert!(
+        waited < Duration::from_millis(500),
+        "an admitted request waited {waited:?} behind idle bounced peers"
+    );
+    for (i, stranger) in strangers.iter_mut().enumerate() {
+        let reply = stranger.read_reply();
+        assert_eq!(
+            reply.get("code").and_then(Json::as_str),
+            Some("saturated"),
+            "stranger {i}: {reply}"
+        );
+        stranger.read_eof();
+    }
+
+    // Nor does a drain wait out the linger of peers it never admitted:
+    // thirty more, all bounced by the time the next reply is back, would
+    // hold the rejector for 3 s.
+    let late: Vec<RawSession> = (0..30)
+        .map(|_| RawSession::connect(handle.addr()))
+        .collect();
+    admitted
+        .request_line(r#"{"op":"server_stats"}"#)
+        .expect("admitted");
+    drop(admitted);
+    let begin = Instant::now();
+    handle.shutdown();
+    let report = join.join().expect("server");
+    let drained = begin.elapsed();
+    assert!(
+        drained < Duration::from_millis(1500),
+        "the drain waited {drained:?} on bounced peers"
+    );
+    assert_eq!(report.rejected_saturated, 40);
+    drop(late);
+}
