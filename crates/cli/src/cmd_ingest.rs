@@ -4,6 +4,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use pfe_engine::{Json, Recorder};
 use pfe_ingest::{FileIngester, IngestError, IngestReport};
@@ -36,7 +37,7 @@ impl Progress {
                 }
                 let secs = started.elapsed().as_secs_f64();
                 eprintln!(
-                    "ingest: {} rows, {:.1} MiB ({:.0} rows/s)",
+                    "ingest: {} rows read, {:.1} MiB ({:.0} rows/s)",
                     rows.get(),
                     bytes.get() as f64 / (1024.0 * 1024.0),
                     rows.get() as f64 / secs.max(1e-9),
@@ -59,6 +60,11 @@ impl Drop for Progress {
     }
 }
 
+/// The report line. `report.elapsed` arrives as the reader's time — up to
+/// the last row *routed*, with whole channels of chunks still unswept —
+/// and both callers overwrite it with their own clock, stopped once the
+/// shards are drained and the checkpoint is on disk: rows/s from a file
+/// into a published snapshot.
 fn report_json(file: &str, report: &IngestReport, out: Option<&str>) -> Json {
     Json::obj([
         ("ok", Json::Bool(true)),
@@ -107,7 +113,8 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
     let progress = Progress::start(&recorder, args.present("--quiet"));
 
     let rec = Arc::clone(&recorder);
-    let (backend, report) = ingester
+    let started = Instant::now();
+    let (backend, mut report) = ingester
         .ingest_path_with(file, move |schema| {
             Backend::start(schema.dimension(), schema.alphabet, ecfg, wcfg, rec)
                 .map_err(|e| IngestError::Sink(e.to_string()))
@@ -121,6 +128,7 @@ pub fn ingest(args: &Args) -> Result<i32, String> {
             .map_err(|e| format!("checkpoint {out}: {e}"))?;
     }
     backend.close();
+    report.elapsed = started.elapsed();
     println!("{}", report_json(file, &report, out));
     Ok(0)
 }
@@ -156,7 +164,8 @@ pub fn resume(args: &Args) -> Result<i32, String> {
 
     let ingester = FileIngester::with_recorder(opts, &recorder);
     let progress = Progress::start(&recorder, args.present("--quiet"));
-    let (backend, report) = ingester
+    let started = Instant::now();
+    let (backend, mut report) = ingester
         .ingest_into(file, backend)
         .map_err(|e| e.to_string())?;
     drop(progress);
@@ -166,6 +175,7 @@ pub fn resume(args: &Args) -> Result<i32, String> {
         .checkpoint(Path::new(out))
         .map_err(|e| format!("checkpoint {out}: {e}"))?;
     backend.close();
+    report.elapsed = started.elapsed();
     println!("{}", report_json(file, &report, Some(out)));
     Ok(0)
 }

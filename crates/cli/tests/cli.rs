@@ -41,7 +41,12 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Deterministic binary CSV with a header.
-fn write_csv(path: &Path, d: u32, n: usize, mut state: u64) {
+fn write_csv(path: &Path, d: u32, n: usize, state: u64) {
+    write_csv_bits(path, d, n, state, 1);
+}
+
+/// Deterministic CSV with a header over the alphabet `[2^bits]`.
+fn write_csv_bits(path: &Path, d: u32, n: usize, mut state: u64, bits: u32) {
     let mut text = (0..d)
         .map(|i| format!("c{i}"))
         .collect::<Vec<_>>()
@@ -49,8 +54,10 @@ fn write_csv(path: &Path, d: u32, n: usize, mut state: u64) {
     text.push('\n');
     for _ in 0..n {
         state = state.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0xb5);
-        let row = (state >> 17) & ((1 << d) - 1);
-        let line: Vec<String> = (0..d).map(|i| ((row >> i) & 1).to_string()).collect();
+        let row = state >> 17;
+        let line: Vec<String> = (0..d)
+            .map(|i| ((row >> (bits * i)) & ((1 << bits) - 1)).to_string())
+            .collect();
         text.push_str(&line.join(","));
         text.push('\n');
     }
@@ -109,6 +116,37 @@ fn ingest_query_stats_roundtrip() {
         stats.get("snapshot_rows").and_then(Json::as_f64),
         Some(800.0)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `elapsed_ms` is the ingest's time — file to checkpoint on disk — not
+/// the reader's: 20,000 rows sit entirely in the shard channels when the
+/// last line has been routed, with nearly all of the work still to do.
+#[test]
+fn ingest_reports_end_to_end_time_not_the_readers() {
+    let dir = temp_dir("elapsed");
+    write_csv_bits(&dir.join("rows.csv"), 10, 20_000, 0x51, 2);
+    for args in [
+        &["ingest", "rows.csv", "--out", "rows.pfes"][..],
+        &["resume", "rows.pfes", "--ingest", "rows.csv"][..],
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--q", "4", "--fp", "2.0", "--shards", "2", "--quiet"]);
+        let begin = std::time::Instant::now();
+        let out = pfe(&dir, &args);
+        let wall_ms = begin.elapsed().as_secs_f64() * 1e3;
+        assert_ok(&out, args[0]);
+        let report = stdout_json(&out);
+        let field = |name| report.get(name).and_then(Json::as_f64).expect(name);
+        let elapsed_ms = field("elapsed_ms");
+        assert!(
+            elapsed_ms >= 0.5 * wall_ms && elapsed_ms <= wall_ms,
+            "{}: reported {elapsed_ms} ms of a {wall_ms} ms process",
+            args[0]
+        );
+        let rate = 20_000.0 / (elapsed_ms / 1e3);
+        assert!((field("rows_per_sec") / rate - 1.0).abs() < 1e-6);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

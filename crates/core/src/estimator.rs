@@ -110,16 +110,6 @@ impl SummarySuite {
         &self.sample
     }
 
-    /// The Section 6 α-net `F_0` summary.
-    pub fn net_f0(&self) -> &AlphaNetF0<Kmv> {
-        &self.net_f0
-    }
-
-    /// The materialized `F_p` moment nets, one per configured order.
-    pub fn fp_nets(&self) -> &[FpNet] {
-        &self.fp_nets
-    }
-
     /// Answer `F_0` through the α-net.
     ///
     /// # Errors
@@ -274,7 +264,7 @@ mod tests {
             ..FpConfig::default()
         };
         let suite = SummarySuite::build_with_fp(&data, &cfg, &fp_cfg).expect("build");
-        assert_eq!(suite.fp_nets().len(), 3);
+        assert_eq!(suite.fp_nets.len(), 3);
         let cols = ColumnSet::from_indices(10, &[0, 1]).expect("v");
         for &p in &fp_cfg.orders {
             let ans = suite.fp(&cols, p).expect("ok");

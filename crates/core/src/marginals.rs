@@ -48,11 +48,6 @@ impl MarginalsSummary {
         }
     }
 
-    /// Rows ingested.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Marginal probability of value `v` in column `c`.
     ///
     /// # Panics
@@ -77,80 +72,6 @@ impl MarginalsSummary {
             prob *= self.marginal(c, v);
         }
         Ok(self.n as f64 * prob)
-    }
-
-    /// Naïve-Bayes subcube heavy hitters: enumerate candidate patterns by
-    /// taking, per column, the values with marginal at least `phi` (a
-    /// superset of any pattern that could reach product mass `phi`), then
-    /// threshold the product estimates.
-    ///
-    /// # Errors
-    /// Dimension/codec/parameter errors; `BadParameter` if the candidate
-    /// cross-product exceeds `2^20` entries.
-    pub fn heavy_hitters(
-        &self,
-        cols: &ColumnSet,
-        phi: f64,
-    ) -> Result<Vec<(PatternKey, f64)>, QueryError> {
-        if !(phi > 0.0 && phi <= 1.0) {
-            return Err(QueryError::BadParameter(format!("phi={phi} outside (0,1]")));
-        }
-        check_dims(self.counts.len() as u32, cols)?;
-        let codec = PatternCodec::new(self.q, cols.len())?;
-        // Per-column candidate values: marginal >= phi (any heavy product
-        // needs every factor >= phi).
-        let mut per_column: Vec<Vec<u16>> = Vec::with_capacity(cols.len() as usize);
-        let mut combos: u128 = 1;
-        for c in cols.iter() {
-            let vals: Vec<u16> = (0..self.q as u16)
-                .filter(|&v| self.marginal(c, v) >= phi)
-                .collect();
-            combos = combos.saturating_mul(vals.len() as u128);
-            if combos > (1 << 20) {
-                return Err(QueryError::BadParameter(
-                    "candidate cross-product exceeds 2^20".into(),
-                ));
-            }
-            per_column.push(vals);
-        }
-        if per_column.iter().any(Vec::is_empty) {
-            return Ok(Vec::new());
-        }
-        // Enumerate the cross-product.
-        let mut out = Vec::new();
-        let mut idx = vec![0usize; per_column.len()];
-        loop {
-            let pattern: Vec<u16> = idx
-                .iter()
-                .zip(&per_column)
-                .map(|(&i, vals)| vals[i])
-                .collect();
-            let mut prob = 1.0;
-            for (c, &v) in cols.iter().zip(pattern.iter()) {
-                prob *= self.marginal(c, v);
-            }
-            if prob >= phi {
-                out.push((codec.encode_pattern(&pattern), self.n as f64 * prob));
-            }
-            // Advance the mixed-radix counter.
-            let mut carry = true;
-            for (slot, vals) in idx.iter_mut().zip(&per_column) {
-                if !carry {
-                    break;
-                }
-                *slot += 1;
-                if *slot == vals.len() {
-                    *slot = 0;
-                } else {
-                    carry = false;
-                }
-            }
-            if carry {
-                break;
-            }
-        }
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-        Ok(out)
     }
 }
 
@@ -232,27 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitters_on_independent_data() {
-        let d = 8;
-        let data = uniform_binary(d, 20_000, 5);
-        let m = MarginalsSummary::build(&data);
-        let cols = ColumnSet::from_indices(d, &[0, 1]).expect("valid");
-        // Every 2-bit pattern has mass ~1/4: phi=0.2 keeps all four.
-        let hh = m.heavy_hitters(&cols, 0.2).expect("ok");
-        assert_eq!(hh.len(), 4);
-        // phi=0.3 excludes all (mass ~0.25 < 0.3).
-        assert!(m.heavy_hitters(&cols, 0.3).expect("ok").is_empty());
-    }
-
-    #[test]
     fn parameter_validation() {
         let data = uniform_binary(6, 100, 6);
         let m = MarginalsSummary::build(&data);
-        let cols = ColumnSet::full(6).expect("valid");
-        assert!(matches!(
-            m.heavy_hitters(&cols, 0.0),
-            Err(QueryError::BadParameter(_))
-        ));
         let wrong = ColumnSet::full(5).expect("valid");
         assert!(matches!(
             m.frequency(&wrong, PatternKey::new(0)),
@@ -266,6 +169,5 @@ mod tests {
         let m = MarginalsSummary::build(&data);
         let cols = ColumnSet::full(4).expect("valid");
         assert_eq!(m.frequency(&cols, PatternKey::new(0)).expect("ok"), 0.0);
-        assert!(m.heavy_hitters(&cols, 0.5).expect("ok").is_empty());
     }
 }

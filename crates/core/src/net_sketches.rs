@@ -19,32 +19,46 @@
 //! [`AlphaNetFrequency`](crate::alpha_net_freq::AlphaNetFrequency),
 //! [`FpNet`](crate::fp::FpNet)) are aliases of this one type.
 //!
-//! # The update loop: a mask-major chunk sweep
+//! # The update loop: a de-duplicated, mask-major chunk sweep
 //!
 //! Rows arrive as chunks ([`push_packed_chunk`](AlphaNetSummary::push_packed_chunk),
 //! [`push_dense_chunk`](AlphaNetSummary::push_dense_chunk); a single row is a
-//! one-row chunk, a whole dataset is one chunk) and the sweep makes one
-//! pass over the whole chunk *per member*, so one sketch is hot at a time:
+//! one-row chunk, a whole dataset is one chunk). Projected frequency
+//! estimation is interesting when rows repeat, so the sweep pays per
+//! *distinct* row, not per row:
+//!
+//! 0. **de-duplicate, once per chunk** — the chunk is sorted (packed rows
+//!    as `u64`, dense rows as `&[u16]` slices) into its distinct rows and a
+//!    `u32` weight each, how often the row occurs; every member below
+//!    reads those;
+//!
+//! then one pass over the distinct rows *per member*, so one sketch is hot
+//! at a time:
 //!
 //! 1. **project** — packed rows through the member's mask compiled to its
 //!    runs of adjacent columns ([`pfe_row::bit_runs`], one shift-and-mask
 //!    per run), dense rows through its [`PatternCodec`];
 //! 2. **histogram or not** — the net is made of subsets of size `≤ αd` or
 //!    `≥ (1−α)d`, so half of the members project onto only `Q^{≤αd}`
-//!    patterns and see the same few keys over and over. When a member's
-//!    domain `Q^w` is no larger than the chunk, its keys are counted into
-//!    a `Q^w`-slot histogram and each *present* key is fed once with its
-//!    multiplicity; a wider member is fed row by row;
+//!    patterns and distinct rows still collide on them. When a member's
+//!    domain `Q^w` is no larger than the number of distinct rows, the
+//!    weights are summed into a `Q^w`-slot histogram and each *present*
+//!    key is fed once with its total; a wider member is fed each distinct
+//!    row's key with that row's weight;
 //! 3. **feed** — [`Statistic::feed`] gets `(sketch, key, multiplicity)`,
 //!    statically dispatched: the sweep is monomorphized per statistic.
 //!
 //! Which sketches may take a multiplicity is the statistic's call
 //! ([`Statistic::counted`]): set sketches (KMV) ignore it, exact integer
 //! sums (CountMin, AMS) take it as the update weight and end in the same
-//! bits as `n` unit updates in any order. Float sums (`StableFp`) round
-//! differently under `n·x` than under `n` additions of `x`, so they are
-//! always fed row by row, in row order. Either way a summary's bytes do
-//! not depend on how its rows were cut into chunks.
+//! bits as `n` unit updates in any order — a summary is charged for its
+//! bits, so any evaluation order that ends in the same bits is the same
+//! summary. Float sums (`StableFp`) round differently under `n·x` than
+//! under `n` additions of `x`, so a net of those skips step 0 — as does a
+//! chunk too long for `u32` weights — and is fed the raw chunk: every row,
+//! in row order, with multiplicity 1. Either way a summary's bytes do not
+//! depend on how its rows were cut into chunks, or on how much they
+//! repeat.
 
 use std::fmt::Debug;
 
@@ -156,27 +170,31 @@ fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
     Vec::with_capacity(runs)
 }
 
-/// One member's pass over a chunk whose projections onto it are `keys`,
-/// in row order. When the sketch takes multiplicities and the member's
-/// `domain = Some(Q^w)` is no larger than the chunk, the keys are counted
-/// into `hist` and each present key is fed once, in ascending key order;
-/// otherwise every key is fed as it comes.
+/// One member's pass over a chunk whose entries project onto it as `keys`.
+/// `weights = None` is the raw chunk: every key is fed as it comes, in row
+/// order, with multiplicity 1. `Some` is the de-duplicated chunk, one
+/// weight per key: when the member's `domain = Some(Q^w)` is no larger
+/// than the chunk's distinct rows the weights are summed into `hist` and
+/// each present key is fed once, in ascending key order; otherwise every
+/// key is fed with its row's weight.
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
     keys: impl ExactSizeIterator<Item = PatternKey>,
+    weights: Option<&[u32]>,
     domain: Option<usize>,
     hist: &mut Vec<u32>,
 ) {
-    let rows = keys.len();
-    // A count is at most `rows`, so it fits the `u32` slots.
-    let counted = stat.counted(sketch) && u32::try_from(rows).is_ok();
-    match domain.filter(|&n| counted && n <= rows) {
+    let Some(weights) = weights else {
+        return keys.for_each(|key| stat.feed(sketch, key, 1));
+    };
+    let weighted = keys.zip(weights.iter().copied());
+    match domain.filter(|&n| n <= weights.len()) {
         Some(n) => {
             hist.clear();
             hist.resize(n, 0);
-            for key in keys {
-                hist[key.raw() as usize] += 1;
+            for (key, weight) in weighted {
+                hist[key.raw() as usize] += weight;
             }
             for (key, &count) in hist.iter().enumerate() {
                 if count != 0 {
@@ -184,7 +202,7 @@ fn absorb<P: Statistic>(
                 }
             }
         }
-        None => keys.for_each(|key| stat.feed(sketch, key, 1)),
+        None => weighted.for_each(|(key, weight)| stat.feed(sketch, key, weight)),
     }
 }
 
@@ -271,6 +289,29 @@ impl<P: Statistic> AlphaNetSummary<P> {
         Ok(self)
     }
 
+    /// The chunk as the sweep reads it: sorted into its distinct rows and
+    /// how often each occurs, when every member sketch takes multiplicities
+    /// and the chunk is short enough for `u32` counts; else the rows as
+    /// they came and no weights. Sorted once per chunk, not per member.
+    fn distinct<R: Ord>(&self, mut rows: Vec<R>) -> (Vec<R>, Option<Vec<u32>>) {
+        let counted = self.sketches().all(|sketch| self.stat.counted(sketch));
+        if !counted || rows.is_empty() || u32::try_from(rows.len()).is_err() {
+            return (rows, None);
+        }
+        rows.sort_unstable();
+        let mut weights = vec![1];
+        rows.dedup_by(|row, kept| {
+            let repeat = row == kept;
+            if repeat {
+                *weights.last_mut().expect("starts with one") += 1;
+            } else {
+                weights.push(1);
+            }
+            repeat
+        });
+        (rows, Some(weights))
+    }
+
     /// Observe one packed binary row — a one-row
     /// [`push_packed_chunk`](Self::push_packed_chunk).
     ///
@@ -306,13 +347,14 @@ impl<P: Statistic> AlphaNetSummary<P> {
             rows.iter().all(|&row| row >> d == 0),
             "row has bits above d={d}"
         );
-        let mut hist = Vec::new();
+        let (rows, weights) = self.distinct(rows.to_vec());
+        let (weights, hist) = (weights.as_deref(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
             let keys = rows
                 .iter()
                 .map(|&row| PatternKey::from(pfe_row::extract_runs(runs, row)));
-            absorb(&self.stat, &mut m.sketch, keys, m.domain, &mut hist);
+            absorb(&self.stat, &mut m.sketch, keys, weights, m.domain, hist);
         }
     }
 
@@ -333,12 +375,11 @@ impl<P: Statistic> AlphaNetSummary<P> {
         if self.q == 2 {
             return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d));
         }
-        let mut hist = Vec::new();
+        let (rows, weights) = self.distinct(flat.chunks_exact(d as usize).collect());
+        let (weights, hist) = (weights.as_deref(), &mut Vec::new());
         for m in &mut self.members {
-            let keys = flat
-                .chunks_exact(d as usize)
-                .map(|row| m.codec.encode_row(row, &m.cols));
-            absorb(&self.stat, &mut m.sketch, keys, m.domain, &mut hist);
+            let keys = rows.iter().map(|row| m.codec.encode_row(row, &m.cols));
+            absorb(&self.stat, &mut m.sketch, keys, weights, m.domain, hist);
         }
     }
 
@@ -573,8 +614,9 @@ mod tests {
     use crate::alpha_net::AlphaNetF0;
     use crate::alpha_net_freq::AlphaNetFrequency;
     use crate::fp::{FpConfig, FpNet};
+    use pfe_hash::rng::{Xoshiro256pp, ZipfTable};
     use pfe_sketch::kmv::Kmv;
-    use pfe_stream::gen::{uniform_binary, uniform_qary};
+    use pfe_stream::gen::{indexed_rows, uniform_binary, uniform_qary};
 
     const CAP: u128 = 1 << 20;
 
@@ -612,8 +654,9 @@ mod tests {
 
     /// The chunk lengths that exercise the sweep's path choice: one row,
     /// an odd length, the whole stream, and one row either side of a
-    /// boundary member's domain `Q^w` (below it that member is fed per
-    /// row, from it on through the histogram).
+    /// boundary member's domain `Q^w` (a chunk with fewer distinct rows
+    /// than that feeds the member key by key, any other through the
+    /// histogram).
     fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
         let mut lengths = vec![1, 7, n_rows];
         for w in [net.small_size(), net.large_size()] {
@@ -637,13 +680,22 @@ mod tests {
         AlphaNetSummary<P>: Persist,
         P::Sketch: Mergeable,
     {
-        let datasets = [
+        let mut datasets = vec![
             (uniform_binary(10, 900, 7), AlphaNet::new(10, 0.25)),
             (uniform_qary(4, 7, 400, 23), AlphaNet::new(7, 0.3)),
             // Full-width member at d = 63: `1 << w` and `Q^w` must neither
             // overflow nor be allocated for.
             (uniform_binary(63, 3, 11), AlphaNet::new(63, 0.48)),
         ];
+        // What the de-duplicated sweep must not show in the bytes: a chunk
+        // that is one row repeated, one with no repeat, one in between.
+        let zipf = zipf_indices(256, 3);
+        for (q, d, alpha) in [(2, 10, 0.25), (4, 7, 0.3)] {
+            let inputs: [&dyn Fn(usize) -> u64; 3] = [&|_| 77, &|i| i as u64, &|i| zipf[i]];
+            for index in inputs {
+                datasets.push((indexed_rows(q, d, 256, index), AlphaNet::new(d, alpha)));
+            }
+        }
         for (data, net) in datasets {
             let (net, q) = (net.expect("valid"), data.alphabet());
             let d = data.dimension() as usize;
@@ -699,6 +751,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` Zipf draws over `n` ranks, about a fifth of them distinct — the
+    /// share a shard batch of the benchmark's rows has.
+    fn zipf_indices(n: usize, seed: u64) -> Vec<u64> {
+        let (table, mut rng) = (ZipfTable::new(n, 1.3), Xoshiro256pp::seed_from_u64(seed));
+        let draws: Vec<u64> = (0..n).map(|_| table.sample(&mut rng) as u64).collect();
+        let distinct = draws
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        assert!(
+            (n / 10..n * 3 / 10).contains(&distinct),
+            "{distinct} of {n} distinct"
+        );
+        draws
     }
 
     fn kmv(m: u64) -> Kmv {

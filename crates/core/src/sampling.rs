@@ -23,7 +23,6 @@ pub struct ExactLpSampler {
     keys: Vec<PatternKey>,
     cdf: Vec<f64>,
     probs: Vec<f64>,
-    p: f64,
     rng: Xoshiro256pp,
 }
 
@@ -60,19 +59,8 @@ impl ExactLpSampler {
             keys,
             cdf,
             probs,
-            p,
             rng: Xoshiro256pp::seed_from_u64(seed),
         })
-    }
-
-    /// The moment order `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of distinct patterns in the support.
-    pub fn support_size(&self) -> usize {
-        self.keys.len()
     }
 
     /// Draw one pattern with its exact probability (the paper's contract:
@@ -87,14 +75,6 @@ impl ExactLpSampler {
         SampledPattern {
             key: self.keys[idx],
             probability: self.probs[idx],
-        }
-    }
-
-    /// The exact probability of a given pattern (0 if unsupported).
-    pub fn probability(&self, key: PatternKey) -> f64 {
-        match self.keys.binary_search(&key) {
-            Ok(i) => self.probs[i],
-            Err(_) => 0.0,
         }
     }
 }
@@ -159,9 +139,14 @@ mod tests {
     fn reported_probability_is_exact() {
         let f = fixture();
         let mut s = ExactLpSampler::from_freq_vector(&f, 2.0, 3).expect("ok");
+        // f = (1,1,3): l2 weights (1,1,9)/11.
         let drawn = s.sample();
-        assert!((s.probability(drawn.key) - drawn.probability).abs() < 1e-15);
-        assert_eq!(s.probability(PatternKey::new(1)), 0.0);
+        let weight = if drawn.key == PatternKey::new(3) {
+            9.0
+        } else {
+            1.0
+        };
+        assert!((weight / 11.0 - drawn.probability).abs() < 1e-15);
     }
 
     #[test]

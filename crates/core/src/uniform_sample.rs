@@ -17,14 +17,36 @@
 //!
 //! For `p > 1` no such summary can exist (Theorem 5.3); the experiment
 //! harness demonstrates this summary failing on the adversarial instances.
+//!
+//! # What a read costs
+//!
+//! Every read projects the `t` sampled rows onto the query's columns.
+//! `frequency` counts its one key while projecting; `heavy_hitters` and
+//! `l1_sample` need every key's multiplicity and get it as one ascending
+//! `(key, count)` list — from a `Q^{|C|}`-slot histogram while the
+//! projected domain is small (an exploratory 3–6-column query has 8–64
+//! binary patterns; `HISTOGRAM_SLOTS_PER_ROW` is the bound), from a
+//! sort and a run-length pass otherwise. Either way the list is what
+//! iterating a `BTreeMap` of the counts would give, so answer order, the
+//! `ℓ_1` sampler's draws over the *uncounted* sample and every reply byte
+//! are the same on both paths.
 
 use pfe_hash::rng::Xoshiro256pp;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternKey};
+use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::reservoir::Reservoir;
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::problem::{check_dims, HeavyHitter, QueryError, SampledPattern};
+
+/// Up to how many histogram slots per sampled row a read counts the
+/// projected sample by indexing rather than by sorting it: sorting `t` keys
+/// takes about `t·log₂ t` compare-and-move steps, the histogram `t`
+/// increments plus a clear and a scan of its `Q^{|C|}` slots, so at the
+/// default `t = 4,096` (`log₂ t = 12`) the two meet near this many. The
+/// histogram is then at most `16·t` transient `u64`s (512 KiB at the
+/// default).
+const HISTOGRAM_SLOTS_PER_ROW: usize = 16;
 
 /// Sampled rows, stored packed for binary data and dense otherwise.
 #[derive(Debug, Clone)]
@@ -190,28 +212,62 @@ impl UniformSampleSummary {
         }
     }
 
+    /// Hand `f` the projection of every sampled row onto `cols`, in sample
+    /// order.
+    fn for_each_projected(
+        &self,
+        cols: &ColumnSet,
+        mut f: impl FnMut(PatternKey),
+    ) -> Result<(), QueryError> {
+        check_dims(self.d, cols)?;
+        match &self.rows {
+            RowStore::Binary(r) => {
+                let extractor = pfe_row::BitExtractor::new(cols.mask());
+                let keys = r.sample().iter().map(|&row| extractor.extract(row));
+                keys.for_each(|key| f(PatternKey::from(key)));
+            }
+            RowStore::Qary(r) => {
+                let codec = PatternCodec::new(self.q, cols.len())?;
+                let keys = r.sample().iter().map(|row| codec.encode_row(row, cols));
+                keys.for_each(f);
+            }
+        }
+        Ok(())
+    }
+
     /// Projected pattern keys of the current sample under `cols`.
     ///
     /// # Errors
     /// Dimension or codec errors.
     pub fn projected_sample(&self, cols: &ColumnSet) -> Result<Vec<PatternKey>, QueryError> {
-        check_dims(self.d, cols)?;
-        match &self.rows {
-            RowStore::Binary(r) => {
-                let extractor = pfe_row::BitExtractor::new(cols.mask());
-                Ok(r.sample()
-                    .iter()
-                    .map(|&row| PatternKey::from(extractor.extract(row)))
-                    .collect())
-            }
-            RowStore::Qary(r) => {
-                let codec = pfe_row::PatternCodec::new(self.q, cols.len())?;
-                Ok(r.sample()
-                    .iter()
-                    .map(|row| codec.encode_row(row, cols))
-                    .collect())
-            }
+        let mut keys = Vec::with_capacity(self.sample_len());
+        self.for_each_projected(cols, |key| keys.push(key))?;
+        Ok(keys)
+    }
+
+    /// The distinct keys of `sample` — the sample projected onto `cols` —
+    /// ascending, each with how often it occurs: counted into a
+    /// `Q^{|C|}`-slot histogram when that is at most
+    /// [`HISTOGRAM_SLOTS_PER_ROW`] slots per sampled row, sorted and
+    /// run-length counted otherwise.
+    fn counted(
+        &self,
+        cols: &ColumnSet,
+        sample: &[PatternKey],
+    ) -> Result<Vec<(PatternKey, u64)>, QueryError> {
+        let domain = PatternCodec::new(self.q, cols.len())?.domain_size();
+        if domain <= (HISTOGRAM_SLOTS_PER_ROW * sample.len()) as u128 {
+            let mut hist = vec![0u64; domain as usize];
+            sample.iter().for_each(|key| hist[key.raw() as usize] += 1);
+            let present = hist.into_iter().enumerate().filter(|&(_, g)| g != 0);
+            return Ok(present
+                .map(|(key, g)| (PatternKey::from(key as u64), g))
+                .collect());
         }
+        let mut sorted = sample.to_vec();
+        sorted.sort_unstable();
+        let runs = sorted.chunk_by(|a, b| a == b);
+        Ok(runs.map(|run| (run[0], run.len() as u64)).collect())
     }
 
     /// Estimate the absolute frequency of the pattern `key` on projection
@@ -220,13 +276,13 @@ impl UniformSampleSummary {
     /// # Errors
     /// Dimension or codec errors.
     pub fn frequency(&self, cols: &ColumnSet, key: PatternKey) -> Result<f64, QueryError> {
-        let sample = self.projected_sample(cols)?;
+        let mut g = 0u64;
+        self.for_each_projected(cols, |k| g += u64::from(k == key))?;
         let rate = self.rate();
         if rate == 0.0 {
             return Ok(0.0);
         }
-        let g = sample.iter().filter(|&&k| k == key).count() as f64;
-        Ok(g / rate)
+        Ok(g as f64 / rate)
     }
 
     /// The additive error `ε‖f‖_1` guaranteed (with prob. `1-δ` at build
@@ -271,14 +327,9 @@ impl UniformSampleSummary {
         if rate == 0.0 {
             return Ok(Vec::new());
         }
-        // Count sample multiplicities per pattern.
-        let mut counts: std::collections::BTreeMap<PatternKey, u64> =
-            std::collections::BTreeMap::new();
-        for k in sample {
-            *counts.entry(k).or_insert(0) += 1;
-        }
         let threshold = (phi / c) * self.n() as f64;
-        let mut out: Vec<HeavyHitter> = counts
+        let mut out: Vec<HeavyHitter> = self
+            .counted(cols, &sample)?
             .into_iter()
             .map(|(key, g)| HeavyHitter {
                 key,
@@ -312,19 +363,17 @@ impl UniformSampleSummary {
         if sample.is_empty() {
             return Err(QueryError::EmptyData);
         }
-        let mut counts: std::collections::BTreeMap<PatternKey, u64> =
-            std::collections::BTreeMap::new();
-        for &k in &sample {
-            *counts.entry(k).or_insert(0) += 1;
-        }
+        let counts = self.counted(cols, &sample)?;
         let m = sample.len() as f64;
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         Ok((0..count)
             .map(|_| {
                 let key = sample[rng.range_u64(sample.len() as u64) as usize];
+                let at = counts.binary_search_by_key(&key, |&(k, _)| k);
+                let (_, g) = counts[at.expect("a sampled key was counted")];
                 SampledPattern {
                     key,
-                    probability: counts[&key] as f64 / m,
+                    probability: g as f64 / m,
                 }
             })
             .collect())
@@ -625,6 +674,65 @@ mod tests {
             packed.projected_sample(&cols).expect("ok"),
             dense.projected_sample(&cols).expect("ok")
         );
+    }
+
+    /// The reads as they were before the histogram: one `BTreeMap` count
+    /// of the materialized sample. Equal element by element — order,
+    /// estimates and probabilities to the bit — for a projected domain
+    /// under the histogram bound and one over it.
+    #[test]
+    fn reads_equal_a_btreemap_count_of_the_projected_sample() {
+        use std::collections::BTreeMap;
+        let binary = zipf_patterns(16, 5_000, 300, 1.1, 51);
+        let qary = uniform_qary(4, 8, 3_000, 52);
+        for (data, t) in [(&binary, 512), (&qary, 256)] {
+            let s = UniformSampleSummary::build(data, t, 53);
+            let d = data.dimension();
+            for width in [3, d] {
+                let cols = ColumnSet::from_mask(d, (1 << width) - 1).expect("valid");
+                let domain = (data.alphabet() as usize).pow(width);
+                assert_eq!(width == 3, domain <= HISTOGRAM_SLOTS_PER_ROW * t);
+                let sample = s.projected_sample(&cols).expect("ok");
+                let mut counts = BTreeMap::new();
+                for &key in &sample {
+                    *counts.entry(key).or_insert(0u64) += 1;
+                }
+
+                let (phi, c) = (0.002, 2.0);
+                let threshold = (phi / c) * s.n() as f64;
+                let mut expect: Vec<_> = counts
+                    .iter()
+                    .map(|(&key, &g)| (key, g as f64 / s.rate()))
+                    .filter(|&(_, estimate)| estimate >= threshold)
+                    .collect();
+                expect.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+                let got = s.heavy_hitters(&cols, phi, 1.0, c).expect("ok");
+                assert!(got.len() > 1, "width {width}: nothing to order");
+                assert_eq!(
+                    got.iter().map(|h| (h.key, h.estimate)).collect::<Vec<_>>(),
+                    expect,
+                    "heavy hitters, width {width}"
+                );
+
+                let mut rng = Xoshiro256pp::seed_from_u64(54);
+                let draws = s.l1_sample(&cols, 64, 54).expect("ok");
+                for drawn in draws {
+                    let key = sample[rng.range_u64(sample.len() as u64) as usize];
+                    let probability = counts[&key] as f64 / sample.len() as f64;
+                    assert_eq!((drawn.key, drawn.probability), (key, probability));
+                }
+
+                let absent = PatternKey::new(domain as u128 - 1);
+                for key in counts.keys().copied().take(20).chain([absent]) {
+                    let g = counts.get(&key).copied().unwrap_or(0);
+                    assert_eq!(
+                        s.frequency(&cols, key).expect("ok"),
+                        g as f64 / s.rate(),
+                        "frequency, width {width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! build.
 //!
 //! Rows reach a shard only as chunks. A chunk is consumed in two steps:
-//! the reservoir samples its rows in order (the one order-sensitive
-//! summary), then every net sweeps it mask-major — per net member:
-//! compiled projection → histogram of the projected keys when the
-//! member's domain `Q^w` is no larger than the chunk, else a per-row
-//! feed → sketch. KMV ignores a key's multiplicity, CountMin and AMS take
-//! it as the update weight (exact integer sums), and the float-sum
-//! `StableFp` nets are always fed row by row in row order — so a shard's
-//! bytes do not depend on how its rows were cut into chunks. The sweep
+//! the reservoir samples its rows — every one, in order (the one
+//! order-sensitive summary) — then every net de-duplicates the chunk into
+//! distinct rows and weights and sweeps those mask-major — per net member:
+//! compiled projection → histogram of the weights when the member's
+//! domain `Q^w` is no larger than the distinct rows, else one weighted
+//! feed per distinct row → sketch. KMV ignores a key's multiplicity,
+//! CountMin and AMS take it as the update weight (exact integer sums), and
+//! the float-sum `StableFp` nets are always fed the raw chunk, row by row
+//! in row order — so a shard's bytes do not depend on how its rows were
+//! cut into chunks or on how much they repeat. The sweep
 //! itself lives in `pfe-core` (`net_sketches.rs`), once for every net —
 //! as does what makes two nets mergeable: this file asks each net, and
 //! names no sketch parameter itself.
@@ -152,8 +154,8 @@ impl ShardSummary {
 
     /// Observe a chunk of packed binary rows: the reservoir samples them
     /// in order, then each net makes its one mask-major sweep over the
-    /// whole chunk (see the [module docs](self)). Pipeline workers and the
-    /// window ring both end here.
+    /// chunk's distinct rows (see the [module docs](self)). Pipeline
+    /// workers and the window ring both end here.
     ///
     /// # Panics
     /// Panics if the shard is not binary or a row has bits at or above
@@ -347,8 +349,9 @@ impl SpaceUsage for ShardSummary {
 mod tests {
     use super::*;
     use crate::config::FreqNetConfig;
+    use pfe_hash::rng::{Xoshiro256pp, ZipfTable};
     use pfe_row::ColumnSet;
-    use pfe_stream::gen::{uniform_binary, uniform_qary};
+    use pfe_stream::gen::{indexed_rows, uniform_binary, uniform_qary};
 
     fn cfg() -> EngineConfig {
         EngineConfig {
@@ -429,39 +432,43 @@ mod tests {
             enc.into_bytes()
         }
         // `freq` + AMS take multiplicities, the p = 0.5 stable net must be
-        // fed in row order, the reservoir must see rows in order.
+        // fed in row order, the reservoir (256 rows, so it overflows) must
+        // see every row, in order — never the sweep's de-duplicated chunk.
         let cfg = cfg();
-        let binary = uniform_binary(10, 1500, 5);
-        let pfe_row::Dataset::Binary(m) = &binary else {
-            unreachable!("generator yields binary data");
-        };
-        let mut per_row = ShardSummary::new(10, 2, 0, &cfg).expect("new");
-        m.rows().iter().for_each(|&row| per_row.push_packed(row));
-        let dense: Vec<u16> = (0..m.num_rows()).flat_map(|i| m.row_dense(i)).collect();
-        for len in [1, 7, 256, 1500] {
-            let mut packed = ShardSummary::new(10, 2, 0, &cfg).expect("new");
-            m.rows()
-                .chunks(len)
-                .for_each(|chunk| packed.push_packed_chunk(chunk));
-            assert_eq!(bytes(&packed), bytes(&per_row), "packed chunks of {len}");
-            let mut via_dense = ShardSummary::new(10, 2, 0, &cfg).expect("new");
-            dense
-                .chunks(len * 10)
-                .for_each(|chunk| via_dense.push_dense_chunk(chunk));
-            assert_eq!(bytes(&via_dense), bytes(&per_row), "dense chunks of {len}");
+        let (zipf, mut rng) = (ZipfTable::new(600, 1.3), Xoshiro256pp::seed_from_u64(5));
+        let zipf: Vec<u64> = (0..600).map(|_| zipf.sample(&mut rng) as u64).collect();
+        let mut inputs = vec![uniform_binary(10, 1500, 5), uniform_qary(4, 6, 600, 9)];
+        for (q, d) in [(2, 10), (4, 6)] {
+            // One row repeated, no row repeated, about a fifth distinct.
+            let repeats: [&dyn Fn(usize) -> u64; 3] = [&|_| 77, &|i| i as u64, &|i| zipf[i]];
+            inputs.extend(repeats.map(|index| indexed_rows(q, d, 600, index)));
         }
-
-        let pfe_row::Dataset::Qary(m) = &uniform_qary(4, 6, 600, 9) else {
-            unreachable!("generator yields q-ary data");
-        };
-        let mut per_row = ShardSummary::new(6, 4, 0, &cfg).expect("new");
-        m.flat().chunks(6).for_each(|row| per_row.push_dense(row));
-        for len in [1, 7, 64, 600] {
-            let mut chunked = ShardSummary::new(6, 4, 0, &cfg).expect("new");
-            m.flat()
-                .chunks(len * 6)
-                .for_each(|chunk| chunked.push_dense_chunk(chunk));
-            assert_eq!(bytes(&chunked), bytes(&per_row), "Q=4 chunks of {len}");
+        for data in inputs {
+            let (d, q, n) = (data.dimension(), data.alphabet(), data.num_rows());
+            let dense: Vec<u16> = (0..n).flat_map(|i| data.row_dense(i)).collect();
+            let mut per_row = ShardSummary::new(d, q, 0, &cfg).expect("new");
+            dense
+                .chunks(d as usize)
+                .for_each(|row| per_row.push_dense(row));
+            for len in [1, 7, 256, n] {
+                let mut chunked = ShardSummary::new(d, q, 0, &cfg).expect("new");
+                dense
+                    .chunks(len * d as usize)
+                    .for_each(|chunk| chunked.push_dense_chunk(chunk));
+                assert_eq!(
+                    bytes(&chunked),
+                    bytes(&per_row),
+                    "Q={q} dense chunks of {len}"
+                );
+                let pfe_row::Dataset::Binary(m) = &data else {
+                    continue;
+                };
+                let mut packed = ShardSummary::new(d, q, 0, &cfg).expect("new");
+                m.rows()
+                    .chunks(len)
+                    .for_each(|chunk| packed.push_packed_chunk(chunk));
+                assert_eq!(bytes(&packed), bytes(&per_row), "packed chunks of {len}");
+            }
         }
     }
 

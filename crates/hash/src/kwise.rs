@@ -5,17 +5,31 @@
 //! standard construction behind the analyses of AMS, CountSketch and
 //! CountMin. We use `p = 2^61 - 1` because reduction modulo a Mersenne prime
 //! needs only shifts and adds.
+//!
+//! # One sign, three products, one fold
+//!
+//! A [`SignHash`] is the low bit of a cubic `c₀x³ + c₁x² + c₂x + c₃` over
+//! `F_p`, its four coefficients held inline. Horner's rule evaluates it as
+//! three dependent multiply-and-reduce steps; an AMS update evaluates 80
+//! such cubics at *one* key, so [`SignHash::powers`] reduces the key and
+//! computes `x³, x², x mod p` once and [`SignHash::sign_at`] sums the three
+//! products `cᵢ·xⁱ` unreduced — each below `2^122`, the sum with `c₃` below
+//! `2^124`, inside what `mod_mersenne61` folds — and reduces once. Both
+//! routes end in the canonical residue in `[0, p)` of the same field
+//! element, hence in the same low bit: same signs, same sums, same bytes.
 
 use crate::rng::SplitMix64;
 
 /// The Mersenne prime `2^61 - 1`.
 const MERSENNE61: u64 = (1 << 61) - 1;
 
-/// Reduce a 128-bit product modulo `2^61 - 1`.
+/// Reduce `x < 2^125` (a product of residues, or a few of them summed)
+/// to its canonical residue modulo `2^61 - 1`.
 #[inline]
 fn mod_mersenne61(x: u128) -> u64 {
-    // x = hi * 2^61 + lo  =>  x ≡ hi + lo (mod 2^61-1); two folds suffice
-    // because after one fold the value is < 2^62.
+    // x = hi * 2^61 + lo  =>  x ≡ hi + lo (mod 2^61-1); `hi < 2^64` is
+    // folded once more, and two folds suffice because `lo ≤ p` and the
+    // folded `hi < p` sum to less than `2p`.
     let lo = (x & MERSENNE61 as u128) as u64;
     let hi = (x >> 61) as u64;
     let mut s = lo.wrapping_add(mod_once(hi));
@@ -41,6 +55,16 @@ fn mul_add_mod(a: u64, b: u64, c: u64) -> u64 {
     mod_mersenne61(a as u128 * b as u128 + c as u128)
 }
 
+/// Rejection-sample a uniform element of `F_p`.
+fn field_element(sm: &mut SplitMix64) -> u64 {
+    loop {
+        let v = sm.next_u64() & ((1 << 61) - 1);
+        if v < MERSENNE61 {
+            return v;
+        }
+    }
+}
+
 /// A k-wise independent hash function `F_p -> F_p` given by a random
 /// degree-`(k-1)` polynomial.
 #[derive(Debug, Clone)]
@@ -57,17 +81,7 @@ impl PolyHash {
     fn new(k: usize, seed: u64) -> Self {
         assert!(k >= 1, "independence k must be >= 1");
         let mut sm = SplitMix64::new(seed);
-        let coeffs = (0..k)
-            .map(|_| {
-                // Rejection-sample a uniform element of F_p.
-                loop {
-                    let v = sm.next_u64() & ((1 << 61) - 1);
-                    if v < MERSENNE61 {
-                        return v;
-                    }
-                }
-            })
-            .collect();
+        let coeffs = (0..k).map(|_| field_element(&mut sm)).collect();
         Self { coeffs }
     }
 
@@ -125,24 +139,39 @@ impl TwoWise {
 }
 
 /// A ±1 sign hash built from a 4-wise independent polynomial (parity of the
-/// low bit), as required by AMS / CountSketch.
+/// low bit), as required by AMS / CountSketch. The four coefficients sit
+/// inline, highest degree first, so a `Vec<SignHash>` is one flat table.
 #[derive(Debug, Clone)]
-pub struct SignHash(PolyHash);
+pub struct SignHash([u64; 4]);
 
 impl SignHash {
     /// Draw a 4-wise independent sign function from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self(PolyHash::new(4, seed))
+        let mut sm = SplitMix64::new(seed);
+        Self(std::array::from_fn(|_| field_element(&mut sm)))
+    }
+
+    /// `[x³, x², x]` in `F_p`: what every sign of one key shares.
+    #[inline]
+    pub fn powers(x: u64) -> [u64; 3] {
+        let x = mod_once(x);
+        let x2 = mul_add_mod(x, x, 0);
+        [mul_add_mod(x2, x, 0), x2, x]
+    }
+
+    /// The sign of the key whose [`powers`](Self::powers) these are (see
+    /// the [module docs](self)).
+    #[inline]
+    pub fn sign_at(&self, &[x3, x2, x]: &[u64; 3]) -> i64 {
+        let [c0, c1, c2, c3] = self.0.map(u128::from);
+        let sum = c0 * x3 as u128 + c1 * x2 as u128 + c2 * x as u128 + c3;
+        1 - 2 * (mod_mersenne61(sum) & 1) as i64
     }
 
     /// Returns `+1` or `-1`.
     #[inline]
     pub fn sign(&self, x: u64) -> i64 {
-        if self.0.eval(x) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
+        self.sign_at(&Self::powers(x))
     }
 }
 
@@ -161,33 +190,42 @@ impl pfe_persist::Persist for PolyHash {
     }
 }
 
-/// Serialize the fixed-independence wrappers by their polynomial,
-/// re-checking the advertised independence on decode.
-macro_rules! persist_fixed_kwise {
-    ($($t:ident => $k:literal),+ $(,)?) => {$(
-        impl pfe_persist::Persist for $t {
-            fn encode(&self, enc: &mut pfe_persist::Encoder) {
-                self.0.encode(enc);
-            }
+/// Travels as its polynomial; anything but a pairwise one is malformed.
+impl pfe_persist::Persist for TwoWise {
+    fn encode(&self, enc: &mut pfe_persist::Encoder) {
+        self.0.encode(enc);
+    }
 
-            fn decode(
-                dec: &mut pfe_persist::Decoder<'_>,
-            ) -> Result<Self, pfe_persist::PersistError> {
-                let poly = PolyHash::decode(dec)?;
-                if poly.independence() != $k {
-                    return Err(pfe_persist::PersistError::Malformed(format!(
-                        concat!(stringify!($t), " requires independence {}, got {}"),
-                        $k,
-                        poly.independence()
-                    )));
-                }
-                Ok(Self(poly))
-            }
+    fn decode(dec: &mut pfe_persist::Decoder<'_>) -> Result<Self, pfe_persist::PersistError> {
+        let poly = PolyHash::decode(dec)?;
+        if poly.independence() != 2 {
+            return Err(pfe_persist::PersistError::Malformed(format!(
+                "TwoWise requires independence 2, got {}",
+                poly.independence()
+            )));
         }
-    )+};
+        Ok(Self(poly))
+    }
 }
 
-persist_fixed_kwise!(TwoWise => 2, SignHash => 4);
+/// Travels as what a `Vec<u64>` of its four coefficients writes.
+impl pfe_persist::Persist for SignHash {
+    const MIN_WIRE_BYTES: usize = 40;
+
+    fn encode(&self, enc: &mut pfe_persist::Encoder) {
+        enc.put_len(4);
+        self.0.iter().for_each(|&c| enc.put_u64(c));
+    }
+
+    fn decode(dec: &mut pfe_persist::Decoder<'_>) -> Result<Self, pfe_persist::PersistError> {
+        match <[u64; 4]>::try_from(Vec::<u64>::decode(dec)?) {
+            Ok(coeffs) if coeffs.iter().all(|&c| c < MERSENNE61) => Ok(Self(coeffs)),
+            _ => Err(pfe_persist::PersistError::Malformed(
+                "sign hash needs 4 coefficients, all in F_{2^61-1}".into(),
+            )),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -287,6 +325,63 @@ mod tests {
                 let dev = (c as f64 - expect).abs() / expect;
                 assert!(dev < 0.25, "joint ({i},{j}) deviation {dev}");
             }
+        }
+    }
+
+    /// `((c₀x + c₁)x + c₂)x + c₃` with `%` on `u128`: no fold to get wrong.
+    fn naive_sign(c: &[u64], x: u64) -> i64 {
+        let p = MERSENNE61 as u128;
+        let x = x as u128 % p;
+        let v = c.iter().fold(0, |acc, &c| (acc * x + c as u128) % p);
+        1 - 2 * (v & 1) as i64
+    }
+
+    #[test]
+    fn sign_equals_the_naive_cubic_and_the_horner_polynomial() {
+        let mut rng = SplitMix64::new(0x5167);
+        let edges = [0, 1, MERSENNE61 - 1, MERSENNE61, MERSENNE61 + 1, u64::MAX];
+        for i in 0..10_000 {
+            let (seed, x) = (rng.next_u64(), rng.next_u64());
+            let (s, poly) = (SignHash::new(seed), PolyHash::new(4, seed));
+            assert_eq!(s.0[..], poly.coeffs[..], "seed {seed}: other coefficients");
+            for x in std::iter::once(x).chain(edges.into_iter().filter(|_| i < 100)) {
+                assert_eq!(s.sign(x), naive_sign(&s.0, x), "seed {seed} x {x}");
+                assert_eq!(s.sign(x), 1 - 2 * (poly.eval(x) & 1) as i64);
+            }
+        }
+        // The largest sum `sign_at` can form still folds to its residue.
+        let top = SignHash([MERSENNE61 - 1; 4]);
+        assert_eq!(top.sign(MERSENNE61 - 1), naive_sign(&top.0, MERSENNE61 - 1));
+    }
+
+    #[test]
+    fn sign_hash_travels_as_a_vec_of_four_field_elements() {
+        use pfe_persist::{Decoder, Encoder, Persist, PersistError};
+        fn bytes(v: &impl Persist) -> Vec<u8> {
+            let mut enc = Encoder::new();
+            v.encode(&mut enc);
+            enc.into_bytes()
+        }
+        let s = SignHash::new(9);
+        let wire = bytes(&s);
+        assert_eq!(wire, bytes(&s.0.to_vec()));
+        assert_eq!(wire.len(), SignHash::MIN_WIRE_BYTES);
+        let back = SignHash::decode(&mut Decoder::new(&wire)).expect("decodes");
+        assert_eq!(back.0, s.0);
+        for bad in [
+            vec![1, 2, 3],
+            vec![1, 2, 3, 4, 5],
+            vec![1, 2, MERSENNE61, 4],
+            vec![],
+        ] {
+            let wire = bytes(&bad);
+            assert!(
+                matches!(
+                    SignHash::decode(&mut Decoder::new(&wire)),
+                    Err(PersistError::Malformed(_))
+                ),
+                "{bad:?} must be malformed"
+            );
         }
     }
 

@@ -46,17 +46,20 @@ pub struct IngestReport {
     pub chunks: u64,
     /// Malformed rows skipped under the reject budget.
     pub rejected: u64,
-    /// Wall-clock time for the whole run.
+    /// Wall-clock time from opening the input to handing the sink its
+    /// last chunk. A sink that queues (the engine's shard channels) has
+    /// not *processed* the rows by then: a caller reporting end-to-end
+    /// throughput sets this to its own clock once the sink is drained.
     pub elapsed: Duration,
 }
 
 impl IngestReport {
-    /// Rows per second over the whole run.
+    /// Rows per second over [`elapsed`](Self::elapsed).
     pub fn rows_per_sec(&self) -> f64 {
         self.rows as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Megabytes (1e6 bytes) per second over the whole run.
+    /// Megabytes (1e6 bytes) per second over [`elapsed`](Self::elapsed).
     pub fn mb_per_sec(&self) -> f64 {
         self.bytes as f64 / 1e6 / self.elapsed.as_secs_f64().max(1e-9)
     }

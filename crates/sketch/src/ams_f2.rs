@@ -85,8 +85,9 @@ impl MomentSketch for AmsF2 {
     }
 
     fn update(&mut self, item: u64, delta: i64) {
+        let powers = SignHash::powers(item);
         for (z, s) in self.sums.iter_mut().zip(&self.signs) {
-            *z += s.sign(item) * delta;
+            *z += s.sign_at(&powers) * delta;
         }
     }
 
@@ -221,6 +222,16 @@ mod tests {
         let mut s = AmsF2::new(3, 8, 5);
         s.update(99, 7);
         assert_eq!(s.estimate(), 49.0);
+    }
+
+    #[test]
+    fn space_counts_the_inline_sign_coefficients() {
+        let s = AmsF2::new(5, 16, 3);
+        let t = 5 * 16;
+        assert_eq!(
+            s.space_bytes(),
+            std::mem::size_of::<AmsF2>() + 8 * t + 32 * t
+        );
     }
 
     #[test]

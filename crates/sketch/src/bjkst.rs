@@ -36,11 +36,6 @@ impl Bjkst {
             seed,
         }
     }
-
-    /// Current level `z`.
-    pub fn level(&self) -> u32 {
-        self.z
-    }
 }
 
 /// Seed-mixing constant (function instead of const to sidestep identifier
@@ -106,7 +101,7 @@ mod tests {
             s.insert(i);
             s.insert(i);
         }
-        assert_eq!(s.level(), 0);
+        assert_eq!(s.z, 0);
         assert_eq!(s.estimate(), 500.0);
     }
 
@@ -120,7 +115,7 @@ mod tests {
         let rel = (s.estimate() - n as f64).abs() / n as f64;
         // 5 standard errors of ~1/sqrt(budget).
         assert!(rel < 5.0 / 256f64.sqrt(), "relative error {rel}");
-        assert!(s.level() > 0, "level never rose");
+        assert!(s.z > 0, "level never rose");
     }
 
     #[test]

@@ -58,28 +58,6 @@ impl CountSketch {
     pub fn depth(&self) -> usize {
         self.buckets.len()
     }
-
-    /// Columns of the counter matrix.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Merge a compatible sketch.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.width, other.width, "CountSketch merge: width mismatch");
-        assert_eq!(
-            self.depth(),
-            other.depth(),
-            "CountSketch merge: depth mismatch"
-        );
-        for (a, &b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
 }
 
 impl SpaceUsage for CountSketch {
@@ -155,17 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds() {
-        let mut a = CountSketch::new(5, 256, 3);
-        let mut b = CountSketch::new(5, 256, 3);
-        a.update(9, 50);
-        b.update(9, 25);
-        a.merge(&b);
-        let est = a.estimate(9);
-        assert!((est - 75.0).abs() <= 1.0, "estimate {est}");
-    }
-
-    #[test]
     fn unseen_item_near_zero_on_light_load() {
         let mut s = CountSketch::new(7, 512, 5);
         for item in 0..20u64 {
@@ -173,13 +140,5 @@ mod tests {
         }
         let est = s.estimate(10_000);
         assert!(est.abs() <= 5.0, "unseen estimate {est}");
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn merge_rejects_mismatch() {
-        let mut a = CountSketch::new(3, 64, 0);
-        let b = CountSketch::new(3, 128, 0);
-        a.merge(&b);
     }
 }

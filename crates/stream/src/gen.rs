@@ -8,7 +8,7 @@
 //! seed.
 
 use pfe_hash::rng::{Xoshiro256pp, ZipfTable};
-use pfe_row::{BinaryMatrix, Dataset, QaryMatrix};
+use pfe_row::{BinaryMatrix, Dataset, PatternCodec, PatternKey, QaryMatrix};
 
 /// Uniform binary rows: every cell i.i.d. Bernoulli(1/2). Maximally diverse
 /// — projected `F_0` approaches `min(n, 2^{|C|})`.
@@ -33,6 +33,27 @@ pub fn uniform_qary(q: u32, d: u32, n: usize, seed: u64) -> Dataset {
         m.push_row(&row);
     }
     Dataset::Qary(m)
+}
+
+/// Rows chosen by number: row `i` is `index(i)` written in base `Q`, least
+/// significant digit in column 0 (the row whose full-width [`PatternKey`]
+/// is `index(i)`) — so the caller decides exactly which rows repeat: a
+/// constant `index` is one row `n` times, the identity `n` distinct rows.
+///
+/// # Panics
+/// Panics if `Q^d` exceeds a pattern key or an index is `Q^d` or more.
+pub fn indexed_rows(q: u32, d: u32, n: usize, index: impl Fn(usize) -> u64) -> Dataset {
+    assert!(q >= 2 && d <= 63);
+    let codec = PatternCodec::new(q, d).expect("[Q]^d fits a pattern key");
+    let row = |i| codec.decode(PatternKey::from(index(i)));
+    let rows: Vec<Vec<u16>> = (0..n).map(row).collect();
+    if q == 2 {
+        let packed = rows
+            .iter()
+            .flat_map(|row| pfe_row::pack_binary_rows(row, d));
+        return Dataset::Binary(BinaryMatrix::from_rows(d, packed.collect()));
+    }
+    Dataset::Qary(QaryMatrix::from_rows(q, d, &rows))
 }
 
 /// Zipf-pattern rows: a dictionary of `num_patterns` distinct random rows is
@@ -210,6 +231,20 @@ pub fn bias_audit_planted() -> [(u32, u16); 3] {
 mod tests {
     use super::*;
     use pfe_row::{ColumnSet, FrequencyVector};
+
+    #[test]
+    fn indexed_rows_repeat_exactly_as_told() {
+        for q in [2, 4] {
+            let cols = ColumnSet::full(5).expect("valid");
+            let f0 = |ds: &Dataset| FrequencyVector::compute(ds, &cols).expect("fits").f0();
+            assert_eq!(f0(&indexed_rows(q, 5, 30, |i| i as u64)), 30);
+            assert_eq!(f0(&indexed_rows(q, 5, 30, |_| 17)), 1);
+            let ds = indexed_rows(q, 5, 30, |i| i as u64 % 3);
+            assert_eq!((ds.num_rows(), ds.alphabet(), f0(&ds)), (30, q, 3));
+            // Column 0 is the least significant digit.
+            assert_eq!(ds.row_dense(1), [1, 0, 0, 0, 0]);
+        }
+    }
 
     #[test]
     fn uniform_binary_shape_and_diversity() {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # A change that claims "no byte and no answer moves" proves it against its
 # parent: both trees' `pfe` ingest the same generated files — binary d=12,
-# Q=4 d=8 with an AMS and a stable moment net, and a sliding window — and
-# the checkpoints must `cmp` equal; one fixed `pfe query --batch` file
+# Q=4 d=8 with an AMS and a stable moment net, a sliding window, and the
+# two ends of row repetition at Q=4 d=10 with an AMS net (20,000 rows of
+# which none repeats; one row 20,000 times) — and the checkpoints must
+# `cmp` equal; one fixed `pfe query --batch` file
 # (all five ops, an in-net and a rounded `f0`, `exact`, a windowed
 # request) must print the same lines from either tree, and the change
 # must read the parent's files to the same answers.
@@ -81,4 +83,8 @@ check binary "$tmpdir/binary.csv" --fp 2.0,1.0
 gen 8 4 6000 > "$tmpdir/q4.csv"
 check q4 "$tmpdir/q4.csv" --q 4 --fp 2.0,1.0
 INGEST_ONLY="--window 4096" check window "$tmpdir/binary.csv" --fp 2.0,1.0
+gen_distinct 10 4 20000 > "$tmpdir/distinct.csv"
+check distinct "$tmpdir/distinct.csv" --q 4 --fp 2.0
+awk 'NR == 1; NR == 7778 { for (r = 0; r < 20000; r++) print }' "$tmpdir/distinct.csv" > "$tmpdir/repeated.csv"
+check repeated "$tmpdir/repeated.csv" --q 4 --fp 2.0
 echo "OK"
