@@ -6,9 +6,9 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, AlphaNetFp, NetMode};
+use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
+use pfe_core::{FpConfig, FpNet};
 use pfe_row::{ColumnSet, Dataset};
-use pfe_sketch::ams_f2::AmsF2;
 use pfe_sketch::kmv::Kmv;
 use pfe_stream::gen::{uniform_binary, uniform_qary};
 
@@ -89,10 +89,9 @@ fn bench_chunk_push(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function(BenchmarkId::new("chunk", 512), |b| {
         b.iter(|| {
-            let mut s = AlphaNetFp::new_streaming_qary(net, NetMode::Full, 1 << 22, 4, |mask| {
-                AmsF2::new(5, 16, mask)
-            })
-            .expect("new");
+            let cfg = FpConfig::with_orders([2.0]);
+            let mut s = FpNet::new_streaming_qary(net, NetMode::Full, 1 << 22, 4, 2.0, &cfg, 0)
+                .expect("new");
             for flat in qary.flat().chunks(512 * 10) {
                 s.push_dense_chunk(flat);
             }

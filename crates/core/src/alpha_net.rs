@@ -27,7 +27,7 @@ use pfe_codes::subsets::FixedWeightIter;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, PatternCodec, PatternKey};
 use pfe_sketch::kmv::Kmv;
-use pfe_sketch::traits::{DistinctSketch, MomentSketch};
+use pfe_sketch::traits::DistinctSketch;
 
 use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
 use crate::problem::{check_dims, QueryError};
@@ -410,91 +410,6 @@ impl<S: DistinctSketch + Persist> Persist for AlphaNetF0<S> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         let shape = decode_shape(dec)?;
         Self::decode_members(dec, Distinct::default(), shape, S::decode)
-    }
-}
-
-/// The moment plug-in of Algorithm 1 over one sketch type `M` (`AmsF2`
-/// for `p = 2`, `StableFp` for `0 < p < 2`). The order is read off the
-/// sketches themselves: the factory, not a separate argument, decides
-/// `p`. Engines hold [`FpNet`](crate::fp::FpNet), which picks the family
-/// from the order.
-#[derive(Clone)]
-pub struct Moment<M>(PhantomData<M>);
-
-impl<M> Default for Moment<M> {
-    fn default() -> Self {
-        Self(PhantomData)
-    }
-}
-
-impl<M: MomentSketch> Statistic for Moment<M> {
-    type Sketch = M;
-
-    fn counted(&self, _sketch: &M) -> bool {
-        M::EXACT_IN_DELTA
-    }
-
-    fn feed(&self, sketch: &mut M, key: PatternKey, multiplicity: u32) {
-        sketch.update(key.fingerprint64(FINGERPRINT_SEED), multiplicity.into());
-    }
-}
-
-/// α-net summary for projected `F_p` over one sketch type;
-/// `factory(mask)` must produce sketches whose [`MomentSketch::p`] all
-/// equal the same `p`.
-pub type AlphaNetFp<M> = AlphaNetSummary<Moment<M>>;
-
-impl<M: MomentSketch> AlphaNetFp<M> {
-    /// The moment order this net answers.
-    pub fn p(&self) -> f64 {
-        self.first().p()
-    }
-
-    /// Answer a projected `F_p` query.
-    ///
-    /// # Errors
-    /// Dimension errors; `UnsupportedMoment` if `p` differs from the build
-    /// order.
-    pub fn fp(&self, cols: &ColumnSet, p: f64) -> Result<NetAnswer, QueryError> {
-        if (p - self.p()).abs() > 1e-12 {
-            return Err(QueryError::UnsupportedMoment {
-                requested: p,
-                supported: self.p(),
-            });
-        }
-        let r = self.effective_rounding(cols)?;
-        let estimate = self.answering(&r).estimate();
-        Ok(NetAnswer::moment(self.alphabet(), self.p(), r, estimate))
-    }
-}
-
-impl<M: MomentSketch + Persist> Persist for AlphaNetFp<M> {
-    fn encode(&self, enc: &mut Encoder) {
-        self.encode_shape(enc);
-        enc.put_f64(self.p());
-        self.encode_members(enc, M::encode);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let shape = decode_shape(dec)?;
-        let p = dec.take_f64()?;
-        let this = Self::decode_members(dec, Moment::default(), shape, M::decode)?;
-        orders_match(p, this.sketches().map(M::p))?;
-        Ok(this)
-    }
-}
-
-/// Every sketch of a decoded moment net must target the order its header
-/// claims.
-pub(crate) fn orders_match(
-    p: f64,
-    held: impl IntoIterator<Item = f64>,
-) -> Result<(), PersistError> {
-    match held.into_iter().find(|held| (held - p).abs() > 1e-12) {
-        Some(held) => Err(PersistError::Malformed(format!(
-            "summary claims moment order p={p} but holds a p={held} sketch"
-        ))),
-        None => Ok(()),
     }
 }
 

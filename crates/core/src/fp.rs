@@ -23,7 +23,7 @@ use pfe_sketch::ams_f2::AmsF2;
 use pfe_sketch::stable_fp::StableFp;
 use pfe_sketch::traits::{MomentSketch, SpaceUsage};
 
-use crate::alpha_net::{orders_match, AlphaNet, NetAnswer, NetMode, FINGERPRINT_SEED};
+use crate::alpha_net::{AlphaNet, NetAnswer, NetMode, FINGERPRINT_SEED};
 use crate::bounds::{ams_f2_beta, stable_fp_beta};
 use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
 use crate::problem::QueryError;
@@ -349,6 +349,17 @@ impl Persist for FpNet {
         let this = Self::decode_members(dec, ByOrder { p }, shape, decode)?;
         orders_match(p, this.sketches().map(FpSketch::p))?;
         Ok(this)
+    }
+}
+
+/// Every sketch of a decoded moment net must target the order its header
+/// claims.
+fn orders_match(p: f64, held: impl IntoIterator<Item = f64>) -> Result<(), PersistError> {
+    match held.into_iter().find(|held| (held - p).abs() > 1e-12) {
+        Some(held) => Err(PersistError::Malformed(format!(
+            "summary claims moment order p={p} but holds a p={held} sketch"
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -19,8 +19,7 @@
 //!   with distortion `r(α, P)` (Lemma 6.4, Theorem 6.5). The statistic is
 //!   a plug-in, and the named summaries are aliases of the one type:
 //!   [`alpha_net::AlphaNetF0`] (distinct counts),
-//!   [`fp::FpNet`] / [`alpha_net::AlphaNetFp`] (moments, the sketch family
-//!   picked from the order / fixed by the caller),
+//!   [`fp::FpNet`] (moments, the sketch family picked from the order),
 //!   [`alpha_net_freq::AlphaNetFrequency`] (the Section 6 closing remark:
 //!   point frequencies from CountMin members);
 //! - [`sampling::ExactLpSampler`] — offline `ℓ_p` sampling
@@ -42,7 +41,7 @@ pub mod problem;
 pub mod sampling;
 pub mod uniform_sample;
 
-pub use alpha_net::{AlphaNet, AlphaNetF0, AlphaNetFp, NetAnswer, NetMode, RoundedQuery};
+pub use alpha_net::{AlphaNet, AlphaNetF0, NetAnswer, NetMode, RoundedQuery};
 pub use alpha_net_freq::{AlphaNetFrequency, FreqNetAnswer};
 pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;

@@ -15,7 +15,6 @@
 //! merge, and how); beside it, each statistic says how an answer is read
 //! off a member and what its persisted header holds. The public
 //! summaries ([`AlphaNetF0`](crate::alpha_net::AlphaNetF0),
-//! [`AlphaNetFp`](crate::alpha_net::AlphaNetFp),
 //! [`AlphaNetFrequency`](crate::alpha_net_freq::AlphaNetFrequency),
 //! [`FpNet`](crate::fp::FpNet)) are aliases of this one type.
 //!

@@ -2,12 +2,13 @@
 //! answer every query bit-identically to the one that was encoded — the
 //! contract the engine's durable snapshots are built on.
 
-use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, AlphaNetFp, NetMode};
-use pfe_core::{AlphaNetFrequency, SuiteConfig, SummarySuite, UniformSampleSummary};
+use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
+use pfe_core::{
+    AlphaNetFrequency, FpConfig, FpNet, SuiteConfig, SummarySuite, UniformSampleSummary,
+};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::ColumnSet;
 use pfe_sketch::kmv::Kmv;
-use pfe_sketch::stable_fp::StableFp;
 use pfe_stream::gen::{uniform_binary, uniform_qary, zipf_patterns};
 use proptest::prelude::*;
 
@@ -83,18 +84,17 @@ proptest! {
         let d = 8;
         let data = uniform_binary(d, n, seed);
         let net = AlphaNet::new(d, 0.3).expect("valid");
-        let original = AlphaNetFp::build(&data, net, NetMode::Full, 1 << 16, |mask| {
-            StableFp::new(5, 0.5, mask ^ seed)
-        })
-        .expect("build");
+        let cfg = FpConfig { stable_t: 5, ..FpConfig::with_orders([0.5]) };
+        let original = FpNet::build(&data, net, NetMode::Full, 1 << 16, 0.5, &cfg, seed)
+            .expect("build");
         let bytes = encode_to_vec(&original);
-        let restored: AlphaNetFp<StableFp> = decode_all(&bytes).expect("roundtrip");
+        let restored: FpNet = decode_all(&bytes).expect("roundtrip");
         prop_assert_eq!(encode_to_vec(&restored), bytes);
         for mask in [0b1u64, 0b1111, (1 << d) - 1] {
             let cols = ColumnSet::from_mask(d, mask).expect("valid");
             prop_assert_eq!(
-                original.fp(&cols, 0.5).expect("ok"),
-                restored.fp(&cols, 0.5).expect("ok")
+                original.fp(&cols).expect("ok"),
+                restored.fp(&cols).expect("ok")
             );
         }
     }
@@ -208,14 +208,15 @@ fn alphabet_without_member_codecs_rejected_at_decode() {
     let net = AlphaNet::new(d, 0.25).expect("valid");
     let f0 =
         AlphaNetF0::build(&data, net, NetMode::Full, 1 << 20, |m| Kmv::new(8, m)).expect("build");
-    let fp = AlphaNetFp::build(&data, net, NetMode::Full, 1 << 20, |m| {
-        StableFp::new(4, 0.5, m)
-    })
-    .expect("build");
+    let cfg = FpConfig {
+        stable_t: 4,
+        ..FpConfig::with_orders([0.5])
+    };
+    let fp = FpNet::build(&data, net, NetMode::Full, 1 << 20, 0.5, &cfg, 0).expect("build");
     let freq = AlphaNetFrequency::build(&data, net, 2, 16, 1 << 20, 3).expect("build");
 
     // `q: u32` follows the net (d: u32, alpha: f64) and, where the summary
-    // has one, the mode tag.
+    // has one, the mode tag; the fp net leads with its family tag.
     fn with_huge_alphabet(mut bytes: Vec<u8>, q_at: usize) -> Vec<u8> {
         assert_eq!(bytes[q_at..q_at + 4], 2u32.to_le_bytes(), "layout moved");
         bytes[q_at..q_at + 4].copy_from_slice(&(1u32 << 16).to_le_bytes());
@@ -224,10 +225,8 @@ fn alphabet_without_member_codecs_rejected_at_decode() {
     let is_malformed = |e: Option<PersistError>| matches!(e, Some(PersistError::Malformed(_)));
     let bytes = with_huge_alphabet(encode_to_vec(&f0), 13);
     assert!(is_malformed(decode_all::<AlphaNetF0<Kmv>>(&bytes).err()));
-    let bytes = with_huge_alphabet(encode_to_vec(&fp), 13);
-    assert!(is_malformed(
-        decode_all::<AlphaNetFp<StableFp>>(&bytes).err()
-    ));
+    let bytes = with_huge_alphabet(encode_to_vec(&fp), 14);
+    assert!(is_malformed(decode_all::<FpNet>(&bytes).err()));
     let bytes = with_huge_alphabet(encode_to_vec(&freq), 12);
     assert!(is_malformed(decode_all::<AlphaNetFrequency>(&bytes).err()));
 }

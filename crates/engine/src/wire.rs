@@ -124,7 +124,7 @@ pub fn known_fields(obj: &Json, what: &str, known: impl Fn(&str) -> bool) -> Res
 /// Fields every statistic request may carry beside its own payload:
 /// the op, the projection, the transport's `trace`, and the per-query
 /// options.
-const COMMON_FIELDS: &[&str] = &[
+pub const COMMON_FIELDS: &[&str] = &[
     "op",
     "cols",
     "trace",

@@ -16,12 +16,14 @@
 //!    (whole-stream [`Engine`](pfe_engine::Engine) or sliding-window
 //!    [`WindowedEngine`](pfe_window::WindowedEngine)) and the
 //!    `server_stats` counters. Stdin (pipe) mode, TCP sessions, and tests
-//!    all share this one definition, so transports can never drift.
-//!    [`proto::OPS`] is the op registry CI checks `docs/PROTOCOL.md`
-//!    against.
+//!    all share this one definition, so transports can never drift. The
+//!    protocol itself is one table, [`proto::OPS`]: per op its name,
+//!    whether a read replica rejects it, its closed field set and its
+//!    handler — dispatch, the per-op counters, the replica rule and the
+//!    `docs/PROTOCOL.md` test all read it.
 //! 2. **[`poll`] + [`framing`]** — the event-loop building blocks: a
 //!    mio-style readiness poller (epoll on Linux, `poll(2)` elsewhere on
-//!    Unix) and a resumable line framer that reassembles requests from
+//!    Unix; the module exists on Unix only) and a resumable line framer that reassembles requests from
 //!    arbitrary TCP chunkings and rejects oversized lines with a typed
 //!    error.
 //! 3. **[`Server`]** — the TCP listener and readiness loop. Sessions are
@@ -65,13 +67,15 @@
 //! ```
 //!
 //! `pfe serve` (`crates/cli`) runs this server from the command line
-//! (`--listen`, or pipe mode without it), `benches/server.rs` and `benches/connections.rs`
-//! measure throughput and connection scaling, `scripts/load_test.sh`
-//! drives the writer + replica topology end to end, and `docs/GUIDE.md`
-//! walks the whole install → ingest → query → serve → scale-out path.
+//! (`--listen`, or pipe mode without it), `crates/bench/benches/server.rs`
+//! measures throughput and latency across connection and worker counts,
+//! `scripts/load_test.sh` drives the writer + replica topology end to
+//! end, and `docs/GUIDE.md` walks the whole install → ingest → query →
+//! serve → scale-out path.
 
 pub mod client;
 pub mod framing;
+#[cfg(unix)]
 pub mod poll;
 pub mod pool;
 pub mod proto;

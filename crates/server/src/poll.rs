@@ -17,17 +17,13 @@
 //! `epoll_wait` declared directly against libc (std already links it; the
 //! same technique as the server's `signal(2)` handler). `epoll_event` is
 //! `repr(C, packed)` on x86-64 only — a kernel ABI quirk worth spelling
-//! out because getting it wrong corrupts every second event. On non-Unix
-//! platforms [`Poller::new`] returns `Unsupported`.
+//! out because getting it wrong corrupts every second event. The module
+//! exists on Unix only: off Unix, `Server::run` reports the platform
+//! unsupported before any poller is built.
 
 #![allow(unsafe_code)]
 
-use std::io;
-use std::time::Duration;
-
-/// Raw file descriptor alias (kept local so the module signature exists
-/// on every platform).
-pub type RawFd = i32;
+pub use sys::Poller;
 
 /// What a registration wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +39,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         read: true,
         write: false,
-    };
-    /// Read + write interest.
-    pub const READ_WRITE: Interest = Interest {
-        read: true,
-        write: true,
     };
 }
 
@@ -67,8 +58,9 @@ pub struct Event {
 
 #[cfg(target_os = "linux")]
 mod sys {
-    use super::{Event, Interest, RawFd};
+    use super::{Event, Interest};
     use std::io;
+    use std::os::fd::RawFd;
     use std::os::raw::c_int;
     use std::time::Duration;
 
@@ -131,12 +123,18 @@ mod sys {
         m
     }
 
+    /// The readiness poller: level-triggered, token-addressed, std-only.
     pub struct Poller {
         epfd: RawFd,
         buf: Vec<EpollEvent>,
     }
 
     impl Poller {
+        /// A poller sized for roughly `capacity` simultaneous registrations
+        /// (a hint for the per-wait event buffer, not a limit).
+        ///
+        /// # Errors
+        /// The underlying syscall error.
         pub fn new(capacity: usize) -> io::Result<Self> {
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(Self {
@@ -153,19 +151,40 @@ mod sys {
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        /// Start watching `fd` under `token` with the given interest.
+        ///
+        /// # Errors
+        /// The underlying syscall error (e.g. an already-registered fd).
+        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        /// Change the interest set (and token) of a registered fd.
+        ///
+        /// # Errors
+        /// The underlying syscall error (e.g. an unregistered fd).
+        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        /// Stop watching `fd`. Must be called *before* closing the fd —
+        /// epoll auto-deregisters on close, but only once every duplicate
+        /// descriptor is gone, and relying on that invites stale events.
+        ///
+        /// # Errors
+        /// The underlying syscall error.
+        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
         }
 
+        /// Block until at least one registered fd is ready or `timeout`
+        /// elapses (`None` blocks indefinitely), appending readiness
+        /// reports to `out`. A signal interruption returns `Ok` with no
+        /// events.
+        ///
+        /// # Errors
+        /// The underlying syscall error.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             let ms: c_int = match timeout {
                 None => -1,
@@ -209,11 +228,12 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
-    use super::{Event, Interest, RawFd};
+    use super::{Event, Interest};
     use std::collections::BTreeMap;
     use std::io;
+    use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short};
     use std::time::Duration;
 
@@ -234,34 +254,46 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     }
 
-    /// `poll(2)` fallback: O(n) per wait, fine for the connection counts
-    /// a non-Linux dev box sees; production-scale serving targets Linux.
+    /// The readiness poller on Unix without epoll: `poll(2)`, O(n) per
+    /// wait, fine for the connection counts a non-Linux dev box sees;
+    /// production-scale serving targets Linux. Same contract as the epoll
+    /// backend.
     pub struct Poller {
         registered: BTreeMap<RawFd, (u64, Interest)>,
     }
 
     impl Poller {
+        /// A poller; `capacity` is only a hint, unused here.
         pub fn new(_capacity: usize) -> io::Result<Self> {
             Ok(Self {
                 registered: BTreeMap::new(),
             })
         }
 
+        /// Start watching `fd` under `token` with the given interest.
         pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.registered.insert(fd, (token, interest));
             Ok(())
         }
 
+        /// Change the interest set (and token) of a registered fd.
         pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.registered.insert(fd, (token, interest));
             Ok(())
         }
 
+        /// Stop watching `fd` (before closing it).
         pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.registered.remove(&fd);
             Ok(())
         }
 
+        /// Block until at least one registered fd is ready or `timeout`
+        /// elapses, appending readiness reports to `out`; a signal
+        /// interruption returns `Ok` with no events.
+        ///
+        /// # Errors
+        /// The underlying syscall error.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             let mut fds: Vec<PollFd> = self
                 .registered
@@ -302,99 +334,22 @@ mod sys {
     }
 }
 
-#[cfg(not(unix))]
-mod sys {
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    /// Stub so the crate compiles off Unix; [`Poller::new`] fails and the
-    /// server reports the platform as unsupported.
-    pub struct Poller;
-
-    impl Poller {
-        pub fn new(_capacity: usize) -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "readiness polling requires a unix platform (epoll/poll)",
-            ))
-        }
-        pub fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-        pub fn modify(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-        pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-        pub fn wait(&mut self, _: &mut Vec<Event>, _: Option<Duration>) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-    }
-}
-
-/// The readiness poller: level-triggered, token-addressed, std-only.
-pub struct Poller {
-    inner: sys::Poller,
-}
-
-impl Poller {
-    /// A poller sized for roughly `capacity` simultaneous registrations
-    /// (a hint for the per-wait event buffer, not a limit).
-    ///
-    /// # Errors
-    /// `Unsupported` off Unix; otherwise the underlying syscall error.
-    pub fn new(capacity: usize) -> io::Result<Self> {
-        Ok(Self {
-            inner: sys::Poller::new(capacity)?,
-        })
-    }
-
-    /// Start watching `fd` under `token` with the given interest.
-    ///
-    /// # Errors
-    /// The underlying syscall error (e.g. an already-registered fd).
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.register(fd, token, interest)
-    }
-
-    /// Change the interest set (and token) of a registered fd.
-    ///
-    /// # Errors
-    /// The underlying syscall error (e.g. an unregistered fd).
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.modify(fd, token, interest)
-    }
-
-    /// Stop watching `fd`. Must be called *before* closing the fd —
-    /// epoll auto-deregisters on close, but only once every duplicate
-    /// descriptor is gone, and relying on that invites stale events.
-    ///
-    /// # Errors
-    /// The underlying syscall error.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        self.inner.deregister(fd)
-    }
-
-    /// Block until at least one registered fd is ready or `timeout`
-    /// elapses (`None` blocks indefinitely), appending readiness reports
-    /// to `out`. A signal interruption returns `Ok` with no events.
-    ///
-    /// # Errors
-    /// The underlying syscall error.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.wait(out, timeout)
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Duration;
+
+    impl Interest {
+        /// Read + write interest (the event loop builds its interest sets
+        /// field by field; only these tests want the constant).
+        const READ_WRITE: Interest = Interest {
+            read: true,
+            write: true,
+        };
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -1,6 +1,12 @@
 //! The protocol dispatcher: one definition of the line-delimited JSON
 //! surface, shared by stdin (pipe) mode, TCP sessions, and tests.
 //!
+//! The protocol is declared once, as the [`OPS`] table: each [`Op`] names
+//! its wire op, says whether it writes (the read-replica rule), lists the
+//! closed set of fields it reads and points at its handler. Dispatch, the
+//! replica rejection, the unknown-field rejection, the per-op counters,
+//! the `docs/PROTOCOL.md` drift test and the request fuzzer all read it.
+//!
 //! A [`Dispatcher`] owns the serving [`Backend`] (whole-stream or
 //! sliding-window, selected by the `start` request — the dispatcher never
 //! asks which) plus the server-level counters, and turns one request line
@@ -8,7 +14,7 @@
 //! the canonical `pfe-query` types serialized by `pfe_engine::wire`, so
 //! the Rust API, the cache keys, and every transport speak one language.
 //! The full request/response reference lives in `docs/PROTOCOL.md`
-//! (checked against [`OPS`] by CI).
+//! (held to [`OPS`] by the unit test `protocol_doc_covers_every_registered_op`).
 //!
 //! ```
 //! use pfe_server::proto::{Control, Dispatcher};
@@ -43,99 +49,98 @@ use pfe_window::{wire as window_wire, WindowConfig};
 /// for the transports and tools that install one.
 pub use pfe_window::Backend;
 
-/// Every op name the dispatcher recognizes.
-///
-/// This is the single registry the `match` in [`Dispatcher::handle_line`]
-/// is built from; `scripts/check_protocol_docs.sh` (CI) fails if any name
-/// listed here is missing from `docs/PROTOCOL.md`.
-pub const OPS: &[&str] = &[
-    // OPS_START — one op per line; greppable by the docs-drift check.
-    "start",
-    "ingest",
-    "snapshot",
-    "f0",
-    "frequency",
-    "heavy_hitters",
-    "l1_sample",
-    "fp",
-    "batch",
-    "stats",
-    "window_stats",
-    "server_stats",
-    "metrics",
-    "slow_log",
-    "set_slow_ms",
-    "trace",
-    "replica_stats",
-    "checkpoint",
-    "shutdown",
-    "quit",
-    // OPS_END
+/// One wire op, as the [`OPS`] table declares it.
+pub struct Op {
+    /// The `"op"` value that selects it.
+    pub name: &'static str,
+    /// Whether it mutates serving state: a read replica answers it with
+    /// the typed `read_only` rejection. (`snapshot` writes: republishing
+    /// the local pipeline would clobber the swapped-in snapshot with the
+    /// stale base it was built on.)
+    pub writes: bool,
+    /// The closed set of top-level fields it reads besides `op` and
+    /// `trace`, which every op accepts: any other key is the typed error
+    /// `unknown '<op>' field '<key>'`, never a field silently ignored.
+    /// `None` for the statistic ops, whose set `wire::query_from_json`
+    /// closes.
+    pub fields: Option<&'static [&'static str]>,
+    /// The handler, run once the checks above pass.
+    serve: fn(&Dispatcher, &Json, &TraceHandle) -> Result<Reply, Json>,
+}
+
+/// The wire protocol, declared once: every op the dispatcher serves.
+/// Dispatch, the replica rule, the closed field sets, the per-op counters
+/// and the `docs/PROTOCOL.md` test all read this table; nothing else in
+/// the server names an op.
+#[rustfmt::skip]
+pub const OPS: &[Op] = &[
+    Op { name: "start", writes: true, serve: Dispatcher::start, fields: Some(&[
+        "d", "q", "shards", "alpha", "sample_t", "kmv_k", "seed", "fp", "slow_ms", "window",
+    ]) },
+    Op { name: "ingest", writes: true, fields: Some(&["rows"]), serve: Dispatcher::ingest },
+    Op { name: "snapshot", writes: true, fields: Some(&[]), serve: Dispatcher::snapshot },
+    Op { name: "f0", writes: false, fields: None, serve: Dispatcher::serve_query },
+    Op { name: "frequency", writes: false, fields: None, serve: Dispatcher::serve_query },
+    Op { name: "heavy_hitters", writes: false, fields: None, serve: Dispatcher::serve_query },
+    Op { name: "l1_sample", writes: false, fields: None, serve: Dispatcher::serve_query },
+    Op { name: "fp", writes: false, fields: None, serve: Dispatcher::serve_query },
+    Op { name: "batch", writes: false, fields: Some(&["queries"]), serve: Dispatcher::serve_batch },
+    Op { name: "stats", writes: false, fields: Some(&[]), serve: Dispatcher::stats },
+    Op { name: "window_stats", writes: false, fields: Some(&[]), serve: Dispatcher::window_stats },
+    Op { name: "server_stats", writes: false, fields: Some(&[]), serve: Dispatcher::server_stats },
+    Op { name: "metrics", writes: false, fields: Some(&["format"]), serve: Dispatcher::metrics },
+    Op { name: "slow_log", writes: false, fields: Some(&["threshold_ms"]),
+         serve: Dispatcher::slow_log },
+    Op { name: "set_slow_ms", writes: false, fields: Some(&["ms"]), serve: Dispatcher::set_slow_ms },
+    Op { name: "trace", writes: false, fields: Some(&["id", "last", "format"]),
+         serve: Dispatcher::trace },
+    Op { name: "replica_stats", writes: false, fields: Some(&[]), serve: Dispatcher::replica_stats },
+    Op { name: "checkpoint", writes: true, fields: Some(&["path"]), serve: Dispatcher::checkpoint },
+    Op { name: "shutdown", writes: false, fields: Some(&[]), serve: Dispatcher::shutdown },
+    Op { name: "quit", writes: false, fields: Some(&[]), serve: Dispatcher::quit },
 ];
 
 /// Build an `{"ok":false,"error":msg}` payload.
 fn err(msg: impl Into<String>) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(msg.into()))])
+    err_with(msg.into(), [])
 }
 
-/// Error payload for an unrecognized op name: the offending op string is
-/// echoed in its own field so clients can match it programmatically
-/// instead of parsing the message.
+/// An error payload with machine-matchable string fields (`"code"`,
+/// `"op"`) beside the message, so clients need not parse it.
+fn err_with<const N: usize>(msg: String, extra: [(&'static str, &str); N]) -> Json {
+    let mut fields = vec![("ok", Json::Bool(false)), ("error", Json::Str(msg))];
+    fields.extend(extra.map(|(k, v)| (k, Json::Str(v.to_string()))));
+    Json::obj(fields)
+}
+
+/// Error payload for an unrecognized op name, the name echoed in `"op"`.
 fn err_unknown_op(op: &str, context: &str) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(format!("unknown {context} op '{op}'"))),
-        ("op", Json::Str(op.to_string())),
-    ])
+    err_with(format!("unknown {context} op '{op}'"), [("op", op)])
 }
 
 /// The typed saturation rejection a client receives when the worker pool
-/// cannot take its connection (`"code":"saturated"` is the stable,
-/// machine-matchable field).
+/// cannot take its connection (`"code":"saturated"`).
 pub fn err_saturated(workers: usize, queue: usize) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str(format!(
-                "server saturated: all {workers} workers busy and the \
-                 {queue}-connection queue is full; retry later"
-            )),
-        ),
-        ("code", Json::Str("saturated".to_string())),
-    ])
+    let msg = format!(
+        "server saturated: all {workers} workers busy and the \
+         {queue}-connection queue is full; retry later"
+    );
+    err_with(msg, [("code", "saturated")])
 }
 
 /// The typed rejection a read-replica answers to any mutating op
-/// (`"code":"read_only"` is the stable, machine-matchable field).
+/// (`"code":"read_only"`).
 fn err_read_only(op: &str) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str(format!(
-                "replica is read-only: '{op}' must run on the writer"
-            )),
-        ),
-        ("code", Json::Str("read_only".to_string())),
-        ("op", Json::Str(op.to_string())),
-    ])
+    let msg = format!("replica is read-only: '{op}' must run on the writer");
+    err_with(msg, [("code", "read_only"), ("op", op)])
 }
 
 /// The typed rejection for a request line over the configured cap
 /// (`"code":"line_too_long"`). The session survives: the server discards
 /// to the next newline and keeps answering.
 pub fn err_line_too_long(limit: usize) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str(format!(
-                "request line exceeds the {limit}-byte cap; request discarded"
-            )),
-        ),
-        ("code", Json::Str("line_too_long".to_string())),
-    ])
+    let msg = format!("request line exceeds the {limit}-byte cap; request discarded");
+    err_with(msg, [("code", "line_too_long")])
 }
 
 /// Replication lag: milliseconds elapsed since the writer produced the
@@ -194,10 +199,33 @@ fn set_uint<T: TryFrom<u64>>(obj: &Json, field: &str, slot: &mut T) -> Result<()
     Ok(())
 }
 
-/// `start` reads a closed set of fields: a key of `obj` (the request, or
-/// its `fp` / `window` object) outside `known` is a typed error naming it.
+/// `start`'s nested `fp` / `window` objects read closed sets too: a key of
+/// `obj` outside `known` is a typed error naming it.
 fn known_fields(obj: &Json, what: &str, known: &[&str]) -> Result<(), Json> {
     wire::known_fields(obj, what, |k| known.contains(&k)).map_err(err)
+}
+
+/// An optional string field: `Ok(None)` when absent or `null`; any other
+/// value that is not a string is an error naming the field, never the
+/// default.
+fn opt_str<'a>(req: &'a Json, field: &str, what: &str) -> Result<Option<&'a str>, Json> {
+    match req.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| err(format!("'{field}' must be {what}"))),
+    }
+}
+
+/// Whether the request asks for `format`, the one alternative rendering
+/// its op serves; any other `format` is an error, not the default.
+fn wants_format(req: &Json, format: &str) -> Result<bool, Json> {
+    match req.get("format") {
+        None | Some(Json::Null) => Ok(false),
+        Some(v) if v.as_str() == Some(format) => Ok(true),
+        Some(_) => Err(err(format!("'format' must be \"{format}\""))),
+    }
 }
 
 /// One completed trace as a span-tree JSON object: spans nest under
@@ -307,8 +335,8 @@ impl Reply {
 /// Every field is a handle into the dispatcher's shared
 /// [`Recorder`] (`server_*` names), so `server_stats`, the `metrics` op,
 /// and the Prometheus endpoint all read the same series. Per-op handles
-/// are pre-resolved for all of [`OPS`] at construction — the hot path
-/// never takes the registry lock.
+/// are pre-resolved for every op of [`OPS`] at construction — the hot
+/// path never takes the registry lock.
 #[derive(Debug)]
 pub struct ServerCounters {
     /// Connections accepted since start.
@@ -329,7 +357,7 @@ pub struct ServerCounters {
 impl ServerCounters {
     fn new(recorder: &Recorder) -> Self {
         let mut ops = BTreeMap::new();
-        for &op in OPS.iter().chain(std::iter::once(&"unknown")) {
+        for op in OPS.iter().map(|op| op.name).chain(["unknown"]) {
             ops.insert(
                 op,
                 (
@@ -346,10 +374,6 @@ impl ServerCounters {
             in_flight: recorder.gauge("server_in_flight"),
             ops,
         }
-    }
-
-    fn op_handles(&self, op: &str) -> &(Arc<Counter>, Arc<Histogram>) {
-        self.ops.get(op).unwrap_or_else(|| &self.ops["unknown"])
     }
 
     /// Per-op request counts — ops with traffic only (unrecognized names
@@ -450,10 +474,9 @@ impl Dispatcher {
     }
 
     /// Mark this dispatcher as a read replica fed from `sources` (snapshot
-    /// directories): mutating ops (`start`, `ingest`, `snapshot`,
-    /// `checkpoint`) answer the typed `read_only` rejection, and
-    /// `replica_stats` reports replication health. Called once at bind,
-    /// before any session is served.
+    /// directories): the ops [`OPS`] declares as writes answer the typed
+    /// `read_only` rejection, and `replica_stats` reports replication
+    /// health. Called once at bind, before any session is served.
     pub fn set_replica_sources(&self, sources: Vec<PathBuf>) {
         let state = ReplicaState {
             sources,
@@ -464,11 +487,6 @@ impl Dispatcher {
             last: Mutex::new(ReplicaLast::default()),
         };
         *self.replica.write().expect("replica lock") = Some(state);
-    }
-
-    /// Whether this dispatcher serves in read-replica mode.
-    fn is_replica(&self) -> bool {
-        self.replica.read().expect("replica lock").is_some()
     }
 
     /// Swap a freshly loaded snapshot in as the serving state (replica
@@ -542,18 +560,21 @@ impl Dispatcher {
         );
     }
 
-    /// Response body for the `replica_stats` op.
-    fn replica_stats_op(&self) -> Json {
+    /// The `replica_stats` op.
+    fn replica_stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
         let guard = self.replica.read().expect("replica lock");
         let Some(state) = guard.as_ref() else {
-            return Json::obj([("ok", Json::Bool(true)), ("replica", Json::Bool(false))]);
+            return Ok(Reply::cont(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("replica", Json::Bool(false)),
+            ])));
         };
         let last = state.last.lock().expect("replica last lock");
         let lag = last.snapshot_mtime.and_then(lag_ms_since);
         if let Some(ms) = lag {
             state.lag_gauge.set(ms);
         }
-        Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             ("replica", Json::Bool(true)),
             (
@@ -596,7 +617,7 @@ impl Dispatcher {
                     .map(|e| Json::Str(e.clone()))
                     .unwrap_or(Json::Null),
             ),
-        ])
+        ])))
     }
 
     /// Install a pre-built backend (e.g. one resumed from a checkpoint by
@@ -670,13 +691,14 @@ impl Dispatcher {
             Ok(v) => v,
             Err(e) => return Reply::cont(err(e.to_string())),
         };
-        let op = match req.get("op").and_then(Json::as_str) {
-            Some(op) => op.to_string(),
+        let name = match req.get("op").and_then(Json::as_str) {
+            Some(name) => name.to_string(),
             None => return Reply::cont(err("missing 'op'")),
         };
-        // Resolve the op to its interned name so per-op labels (metric
-        // handles, trace attrs) borrow 'static strings.
-        let canonical: &'static str = OPS.iter().copied().find(|o| *o == op).unwrap_or("unknown");
+        // Resolve the op once: its table entry names the per-op series
+        // and trace label ('static strings) and decides what runs.
+        let op = OPS.iter().find(|op| op.name == name);
+        let canonical = op.map_or("unknown", |op| op.name);
         let ctx = match trace_context_from(&req) {
             Ok(ctx) => ctx,
             Err(e) => return Reply::cont(e),
@@ -698,20 +720,20 @@ impl Dispatcher {
         let mut dispatch_span = dispatch_parent.span("dispatch");
         dispatch_span.attr(
             "op",
-            if canonical == op {
-                AttrValue::Str(canonical)
-            } else {
-                AttrValue::Text(op.clone())
+            match op {
+                Some(op) => AttrValue::Str(op.name),
+                None => AttrValue::Text(name.clone()),
             },
         );
         let stage_trace = dispatch_span.handle();
-        let (count, latency) = self.counters.op_handles(canonical);
+        let (count, latency) = &self.counters.ops[canonical];
         count.inc();
         let begin = Instant::now();
-        let mut reply = match self.dispatch(&op, &req, &stage_trace) {
-            Ok(reply) => reply,
-            Err(json) => Reply::cont(json),
-        };
+        let mut reply = match op {
+            Some(op) => self.serve(op, &req, &stage_trace),
+            None => Err(err_unknown_op(&name, "request")),
+        }
+        .unwrap_or_else(Reply::cont);
         let elapsed = begin.elapsed();
         drop(dispatch_span);
         drop(session_span);
@@ -724,7 +746,7 @@ impl Dispatcher {
             .recorder
             .slow_log()
             .record(&format!("op:{canonical}"), elapsed, || {
-                let mut detail = vec![("op".to_string(), op.clone())];
+                let mut detail = vec![("op".to_string(), name.clone())];
                 if let Some(id) = trace.trace_id() {
                     detail.push(("trace_id".to_string(), TraceContext::format_id(id)));
                 }
@@ -756,6 +778,19 @@ impl Dispatcher {
         reply
     }
 
+    /// Run a resolved op: a write on a replica and a field outside the
+    /// op's closed set are typed rejections its handler never sees.
+    fn serve(&self, op: &Op, req: &Json, trace: &TraceHandle) -> Result<Reply, Json> {
+        if op.writes && self.replica.read().expect("replica lock").is_some() {
+            return Err(err_read_only(op.name));
+        }
+        if let Some(fields) = op.fields {
+            let known = |k: &str| k == "op" || k == "trace" || fields.contains(&k);
+            wire::known_fields(req, op.name, known).map_err(err)?;
+        }
+        (op.serve)(self, req, trace)
+    }
+
     /// Run `f` against the live backend; `None` when none is installed.
     pub(crate) fn with_live_backend<T>(&self, f: impl FnOnce(&Backend) -> T) -> Option<T> {
         let guard = self.started.read().expect("backend lock");
@@ -771,7 +806,7 @@ impl Dispatcher {
     }
 
     /// Serve one statistic request through the canonical query types.
-    fn serve_query(&self, req: &Json, trace: &TraceHandle) -> Result<Json, Json> {
+    fn serve_query(&self, req: &Json, trace: &TraceHandle) -> Result<Reply, Json> {
         let query = wire::query_from_json(req).map_err(err)?;
         self.with_backend(|s| {
             let answer = s
@@ -780,14 +815,14 @@ impl Dispatcher {
                 .pop()
                 .expect("one answer per query")
                 .map_err(|e| err(e.to_string()))?;
-            Ok(wire::answer_to_json(&answer, s.q))
+            Ok(Reply::cont(wire::answer_to_json(&answer, s.q)))
         })
     }
 
     /// Serve a whole batch through the mask-sharing planner; per-query
     /// failures — parse errors included — come back as error objects in
     /// their slots, never batch-fatal.
-    fn serve_batch(&self, req: &Json, trace: &TraceHandle) -> Result<Json, Json> {
+    fn serve_batch(&self, req: &Json, trace: &TraceHandle) -> Result<Reply, Json> {
         let items = req
             .get("queries")
             .and_then(Json::as_arr)
@@ -820,22 +855,14 @@ impl Dispatcher {
                     },
                 })
                 .collect();
-            Ok(Json::obj([
+            Ok(Reply::cont(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("answers", Json::Arr(answers)),
-            ]))
+            ])))
         })
     }
 
-    fn start(&self, req: &Json) -> Result<Json, Json> {
-        known_fields(
-            req,
-            "start",
-            &[
-                "op", "trace", "d", "q", "shards", "alpha", "sample_t", "kmv_k", "seed", "fp",
-                "slow_ms", "window",
-            ],
-        )?;
+    fn start(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
         let (mut d, mut q) = (0u32, 2u32);
         set_uint(req, "d", &mut d)?;
         set_uint(req, "q", &mut q)?;
@@ -895,20 +922,72 @@ impl Dispatcher {
         // keep their answers consistent — the swap happens between
         // requests, never inside one.
         self.install(backend, q);
-        Ok(Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             ("windowed", Json::Bool(wcfg.is_some())),
-        ]))
+        ])))
     }
 
-    /// Response body for the `server_stats` op.
-    fn server_stats(&self) -> Json {
+    /// All or nothing: arity and symbol range are checked while the rows
+    /// are flattened, the alphabet by the engine's whole-chunk check — so
+    /// every rejection happens before anything is routed, and
+    /// `rows_ingested` is always 0.
+    fn ingest(&self, req: &Json, trace: &TraceHandle) -> Result<Reply, Json> {
+        let rows = req
+            .get("rows")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| err("missing 'rows'"))?;
+        let rejected = |msg: String| {
+            Json::obj([
+                ("ok", Json::Bool(false)),
+                ("error", Json::Str(msg)),
+                ("rows_ingested", Json::Num(0.0)),
+            ])
+        };
+        self.with_backend(|s| {
+            let flat = wire::dense_rows(rows, s.d as usize).map_err(rejected)?;
+            let mut ingest_span = trace.span("ingest");
+            ingest_span.attr("rows", rows.len());
+            s.backend
+                .push_dense_batch(&flat, &ingest_span.handle())
+                .map_err(|e| rejected(e.to_string()))?;
+            Ok(Reply::cont(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("rows", Json::Num(rows.len() as f64)),
+            ])))
+        })
+    }
+
+    fn snapshot(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        self.with_backend(|s| {
+            let (epoch, rows) = s.backend.publish().map_err(|e| err(e.to_string()))?;
+            let mut fields = vec![("ok", Json::Bool(true)), ("rows", Json::Num(rows as f64))];
+            fields.extend(epoch.map(|e| ("epoch", Json::Num(e as f64))));
+            Ok(Reply::cont(Json::obj(fields)))
+        })
+    }
+
+    fn stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        self.with_backend(|s| Ok(Reply::cont(wire::stats_to_json(&s.backend.stats()))))
+    }
+
+    fn window_stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        self.with_backend(|s| {
+            let stats = s.backend.window_stats().ok_or_else(|| {
+                err("window_stats requires a windowed engine: start with a 'window' object")
+            })?;
+            Ok(Reply::cont(window_wire::window_stats_to_json(&stats)))
+        })
+    }
+
+    /// The `server_stats` op.
+    fn server_stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
         let (workers, queue) = *self.pool_shape.read().expect("pool shape lock");
         let c = &self.counters;
         let engine = self
             .with_live_backend(|b| wire::stats_to_json(&b.stats()))
             .unwrap_or(Json::Null);
-        Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             (
                 "connections_accepted",
@@ -939,19 +1018,18 @@ impl Dispatcher {
                 ),
             ),
             ("engine", engine),
-        ])
+        ])))
     }
 
-    /// Response body for the `metrics` op: the full registry as JSON, or
-    /// Prometheus text exposition when the request carries
-    /// `"format":"prometheus"`.
-    fn metrics_op(&self, req: &Json) -> Json {
-        if req.get("format").and_then(Json::as_str) == Some("prometheus") {
-            return Json::obj([
+    /// The `metrics` op: the full registry as JSON, or Prometheus text
+    /// exposition when the request carries `"format":"prometheus"`.
+    fn metrics(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        if wants_format(req, "prometheus")? {
+            return Ok(Reply::cont(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("format", Json::Str("prometheus".to_string())),
                 ("text", Json::Str(self.render_prometheus())),
-            ]);
+            ])));
         }
         self.sync_gauges();
         let counters: BTreeMap<String, Json> = self
@@ -995,18 +1073,18 @@ impl Dispatcher {
                 )
             })
             .collect();
-        Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             ("counters", Json::Obj(counters)),
             ("gauges", Json::Obj(gauges)),
             ("histograms", Json::Obj(histograms)),
             ("info", Json::Obj(info)),
-        ])
+        ])))
     }
 
-    /// Response body for the `slow_log` op: optionally set the threshold,
-    /// then return the retained entries (oldest first).
-    fn slow_log_op(&self, req: &Json) -> Result<Json, Json> {
+    /// The `slow_log` op: optionally set the threshold, then return the
+    /// retained entries (oldest first).
+    fn slow_log(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
         let log = self.recorder.slow_log();
         if let Some(ms) = wire::uint(req, "threshold_ms").map_err(err)? {
             log.set_threshold_ms(ms);
@@ -1027,32 +1105,33 @@ impl Dispatcher {
                 ])
             })
             .collect();
-        Ok(Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             ("threshold_ms", Json::Num(log.threshold_ms() as f64)),
             ("entries", Json::Arr(entries)),
-        ]))
+        ])))
     }
 
-    /// Response body for the `set_slow_ms` op: retune the slow-log
-    /// threshold on a live server (0 disables capture).
-    fn set_slow_ms_op(&self, req: &Json) -> Result<Json, Json> {
+    /// The `set_slow_ms` op: retune the slow-log threshold on a live
+    /// server (0 disables capture).
+    fn set_slow_ms(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
         let ms = wire::uint(req, "ms")
             .map_err(err)?
             .ok_or_else(|| err("missing 'ms'"))?;
         self.recorder.slow_log().set_threshold_ms(ms);
-        Ok(Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             ("threshold_ms", Json::Num(ms as f64)),
-        ]))
+        ])))
     }
 
-    /// Response body for the `trace` op: fetch one retained trace by id,
-    /// or the last `n` completed traces, as span trees — or as Chrome
-    /// trace-event JSON when the request carries `"format":"chrome"`.
-    fn trace_op(&self, req: &Json) -> Result<Json, Json> {
+    /// The `trace` op: fetch one retained trace by id, or the last `n`
+    /// completed traces, as span trees — or as Chrome trace-event JSON
+    /// when the request carries `"format":"chrome"`.
+    fn trace(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        let chrome = wants_format(req, "chrome")?;
         let store = self.recorder.trace_store();
-        let selected: Vec<CompletedTrace> = match req.get("id").and_then(Json::as_str) {
+        let selected: Vec<CompletedTrace> = match opt_str(req, "id", "a hex string")? {
             Some(s) => {
                 let id = TraceContext::parse_id(s)
                     .ok_or_else(|| err(format!("bad trace id '{s}': expected hex")))?;
@@ -1066,22 +1145,22 @@ impl Dispatcher {
                 store.last(usize::try_from(n).unwrap_or(usize::MAX))
             }
         };
-        if req.get("format").and_then(Json::as_str) == Some("chrome") {
+        if chrome {
             let text = chrome_trace_json(&selected);
             let events = Json::parse(&text).expect("chrome trace JSON is well-formed");
-            return Ok(Json::obj([
+            return Ok(Reply::cont(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("format", Json::Str("chrome".to_string())),
                 ("events", events),
-            ]));
+            ])));
         }
-        Ok(Json::obj([
+        Ok(Reply::cont(Json::obj([
             ("ok", Json::Bool(true)),
             (
                 "traces",
                 Json::Arr(selected.iter().map(trace_to_json).collect()),
             ),
-        ]))
+        ])))
     }
 
     /// Write the shutdown checkpoint (configured path) exactly once —
@@ -1105,8 +1184,8 @@ impl Dispatcher {
         }
     }
 
-    fn checkpoint_op(&self, req: &Json) -> Result<Json, Json> {
-        let path: PathBuf = match req.get("path").and_then(Json::as_str) {
+    fn checkpoint(&self, req: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        let path: PathBuf = match opt_str(req, "path", "a string")? {
             Some(p) => PathBuf::from(p),
             None => self
                 .checkpoint_path
@@ -1117,142 +1196,53 @@ impl Dispatcher {
             s.backend
                 .checkpoint(&path)
                 .map_err(|e| err(e.to_string()))?;
-            Ok(Json::obj([
+            Ok(Reply::cont(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("path", Json::Str(path.display().to_string())),
-            ]))
+            ])))
         })
     }
 
-    fn dispatch(&self, op: &str, req: &Json, trace: &TraceHandle) -> Result<Reply, Json> {
-        // A replica's state is whatever the writer shipped: the mutating
-        // ops are rejected up front with a typed error. (`snapshot` is
-        // mutating here — republishing the local pipeline would clobber
-        // the swapped-in snapshot with the stale base it was built on.)
-        if matches!(op, "start" | "ingest" | "snapshot" | "checkpoint") && self.is_replica() {
-            return Err(err_read_only(op));
-        }
-        match op {
-            "start" => self.start(req).map(Reply::cont),
-            "ingest" => {
-                let rows = req
-                    .get("rows")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| err("missing 'rows'"))?;
-                // All or nothing: arity and symbol range are checked while
-                // the rows are flattened, the alphabet by the engine's
-                // whole-chunk check — so every rejection happens before
-                // anything is routed, and `rows_ingested` is always 0.
-                let rejected = |msg: String| {
-                    Json::obj([
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(msg)),
-                        ("rows_ingested", Json::Num(0.0)),
-                    ])
-                };
-                self.with_backend(|s| {
-                    let flat = wire::dense_rows(rows, s.d as usize).map_err(rejected)?;
-                    let mut ingest_span = trace.span("ingest");
-                    ingest_span.attr("rows", rows.len());
-                    s.backend
-                        .push_dense_batch(&flat, &ingest_span.handle())
-                        .map_err(|e| rejected(e.to_string()))?;
-                    Ok(Reply::cont(Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("rows", Json::Num(rows.len() as f64)),
-                    ])))
-                })
-            }
-            "snapshot" => self.with_backend(|s| {
-                let (epoch, rows) = s.backend.publish().map_err(|e| err(e.to_string()))?;
-                let mut fields = vec![("ok", Json::Bool(true)), ("rows", Json::Num(rows as f64))];
-                fields.extend(epoch.map(|e| ("epoch", Json::Num(e as f64))));
-                Ok(Reply::cont(Json::obj(fields)))
-            }),
-            "f0" | "frequency" | "heavy_hitters" | "l1_sample" | "fp" => {
-                self.serve_query(req, trace).map(Reply::cont)
-            }
-            "batch" => self.serve_batch(req, trace).map(Reply::cont),
-            "stats" => self
-                .with_backend(|s| Ok(wire::stats_to_json(&s.backend.stats())))
-                .map(Reply::cont),
-            "window_stats" => self
-                .with_backend(|s| {
-                    let stats = s.backend.window_stats().ok_or_else(|| {
-                        err("window_stats requires a windowed engine: start with a 'window' object")
-                    })?;
-                    Ok(window_wire::window_stats_to_json(&stats))
-                })
-                .map(Reply::cont),
-            "server_stats" => Ok(Reply::cont(self.server_stats())),
-            "metrics" => Ok(Reply::cont(self.metrics_op(req))),
-            "slow_log" => self.slow_log_op(req).map(Reply::cont),
-            "set_slow_ms" => self.set_slow_ms_op(req).map(Reply::cont),
-            "trace" => self.trace_op(req).map(Reply::cont),
-            "replica_stats" => Ok(Reply::cont(self.replica_stats_op())),
-            "checkpoint" => self.checkpoint_op(req).map(Reply::cont),
-            // The checkpoint itself is NOT written here: it happens after
-            // every session drains (`Server::run`, or the pipe-mode loop),
-            // so rows acknowledged by in-flight ingests during the drain
-            // window are always included. The reply announces the path the
-            // drain will write.
-            "shutdown" => Ok(Reply {
-                json: Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("shutdown", Json::Bool(true)),
-                    (
-                        "checkpoint",
-                        self.checkpoint_path
-                            .as_ref()
-                            .map(|p| Json::Str(p.display().to_string()))
-                            .unwrap_or(Json::Null),
-                    ),
-                ]),
-                control: Control::ShutdownServer,
-            }),
-            "quit" => Ok(Reply {
-                json: Json::obj([("ok", Json::Bool(true)), ("bye", Json::Bool(true))]),
-                control: Control::CloseSession,
-            }),
-            other => Err(err_unknown_op(other, "request")),
-        }
+    /// The checkpoint itself is NOT written here: it happens after every
+    /// session drains (`Server::run`, or the pipe-mode loop), so rows
+    /// acknowledged by in-flight ingests during the drain window are
+    /// always included. The reply announces the path the drain will
+    /// write.
+    fn shutdown(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        Ok(Reply {
+            json: Json::obj([
+                ("ok", Json::Bool(true)),
+                ("shutdown", Json::Bool(true)),
+                (
+                    "checkpoint",
+                    self.checkpoint_path
+                        .as_ref()
+                        .map(|p| Json::Str(p.display().to_string()))
+                        .unwrap_or(Json::Null),
+                ),
+            ]),
+            control: Control::ShutdownServer,
+        })
+    }
+
+    fn quit(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
+        Ok(Reply {
+            json: Json::obj([("ok", Json::Bool(true)), ("bye", Json::Bool(true))]),
+            control: Control::CloseSession,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
 
     fn started() -> Dispatcher {
         let d = Dispatcher::new(None);
         let r = d.handle_line(r#"{"op":"start","d":8,"q":2,"shards":2,"sample_t":256,"kmv_k":32}"#);
         assert_eq!(r.json.get("ok"), Some(&Json::Bool(true)));
         d
-    }
-
-    #[test]
-    fn every_match_arm_is_registered_in_ops() {
-        // Any op the dispatcher serves must answer without the
-        // unknown-op error; any name not in OPS must get it. This pins
-        // the OPS registry to the match arms.
-        let d = started();
-        for op in OPS {
-            let r = d.handle_line(&format!(r#"{{"op":"{op}"}}"#));
-            assert_ne!(
-                r.json.get("error").and_then(Json::as_str),
-                Some(format!("unknown request op '{op}'").as_str()),
-                "op '{op}' is listed in OPS but not dispatched"
-            );
-        }
-        // The retired `freq` / `hh` aliases are unknown like any other.
-        for op in ["definitely_not_an_op", "freq", "hh"] {
-            let r = d.handle_line(&format!(r#"{{"op":"{op}","cols":[0],"phi":0.5}}"#));
-            assert_eq!(r.json.get("op").and_then(Json::as_str), Some(op));
-            assert_eq!(
-                r.json.get("error").and_then(Json::as_str),
-                Some(format!("unknown request op '{op}'").as_str())
-            );
-        }
     }
 
     #[test]
@@ -1497,14 +1487,75 @@ mod tests {
 
     #[test]
     fn protocol_doc_covers_every_registered_op() {
-        // Belt and braces with scripts/check_protocol_docs.sh: the wire
-        // reference must name every op the dispatcher serves.
+        // docs/PROTOCOL.md and OPS, read in both directions: exactly one
+        // `### <op>` section under `## Ops` per table op and no other,
+        // every `"op":"x"` example a table op, each closed-set op's
+        // `**Fields:**` paragraph naming exactly the fields it declares,
+        // and the replica paragraph naming exactly the ops that write.
         let doc = include_str!("../../../docs/PROTOCOL.md");
-        for op in OPS {
+        let ops_part = doc.split("\n## Ops\n").nth(1).expect("an '## Ops' part");
+        let ops_part = ops_part
+            .split("\n## ")
+            .next()
+            .expect("split is never empty");
+        let sections: Vec<(&str, &str)> = ops_part
+            .split("\n### ")
+            .skip(1)
+            .map(|s| s.split_once('\n').unwrap_or((s, "")))
+            .collect();
+        for (heading, _) in &sections {
             assert!(
-                doc.contains(&format!("\"{op}\"")),
-                "docs/PROTOCOL.md does not document op '{op}'"
+                OPS.iter().any(|op| op.name == *heading),
+                "docs/PROTOCOL.md has '### {heading}', which OPS does not declare"
             );
+        }
+        for op in OPS {
+            let mut named = sections.iter().filter(|(heading, _)| *heading == op.name);
+            let (Some((_, body)), None) = (named.next(), named.next()) else {
+                panic!(
+                    "docs/PROTOCOL.md needs exactly one '### {}' section",
+                    op.name
+                );
+            };
+            let Some(declared) = op.fields else { continue };
+            let para = body
+                .split("\n\n")
+                .find(|p| p.starts_with("**Fields:**"))
+                .unwrap_or_else(|| panic!("'### {}' has no **Fields:** paragraph", op.name));
+            let mut listed: Vec<&str> = para.split('`').skip(1).step_by(2).collect();
+            let mut declared = declared.to_vec();
+            listed.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(listed, declared, "'### {}' **Fields:** paragraph", op.name);
+        }
+        // The replica rule as the doc states it is the table's `writes`.
+        let rule = doc
+            .split("\n\n")
+            .find(|p| p.starts_with("On a replica the mutating ops"))
+            .expect("the replica paragraph");
+        let named: Vec<&str> = rule.split('`').skip(1).step_by(2).collect();
+        let mut writes: Vec<&str> = OPS
+            .iter()
+            .filter(|op| op.writes)
+            .map(|op| op.name)
+            .collect();
+        writes.push("read_only");
+        assert_eq!(
+            named[..writes.len()],
+            writes[..],
+            "replica paragraph: {rule}"
+        );
+        for example in doc.split("\"op\":\"").skip(1) {
+            let name = example.split('"').next().expect("split is never empty");
+            if name
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+            {
+                assert!(
+                    OPS.iter().any(|op| op.name == name),
+                    "docs/PROTOCOL.md sends op '{name}', which OPS does not declare"
+                );
+            }
         }
     }
 
@@ -1616,5 +1667,338 @@ mod tests {
         assert_eq!(r.json.get("ok"), Some(&Json::Bool(true)));
         assert!(path.exists());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn type_confused_fields_are_errors_not_defaults() {
+        // Each of these used to be served as if the field were absent —
+        // the first wrote the configured `--checkpoint` file.
+        let dir = std::env::temp_dir().join("pfe-server-proto-typed");
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let configured = dir.join("configured.pfes");
+        std::fs::remove_file(&configured).ok();
+        let d = Dispatcher::new(Some(configured.clone()));
+        d.handle_line(r#"{"op":"start","d":8,"q":2,"shards":1}"#);
+        d.handle_line(r#"{"op":"ingest","rows":[[0,1,0,0,1,0,1,1]]}"#);
+        for (request, error) in [
+            (r#"{"op":"checkpoint","path":7}"#, "'path' must be a string"),
+            (r#"{"op":"trace","id":12}"#, "'id' must be a hex string"),
+            (
+                r#"{"op":"metrics","format":"json"}"#,
+                r#"'format' must be "prometheus""#,
+            ),
+            (
+                r#"{"op":"trace","format":true}"#,
+                r#"'format' must be "chrome""#,
+            ),
+        ] {
+            let r = d.handle_line(request);
+            assert_eq!(r.json.get("ok"), Some(&Json::Bool(false)), "{request}");
+            assert_eq!(
+                r.json.get("error").and_then(Json::as_str),
+                Some(error),
+                "{request}"
+            );
+        }
+        assert!(!configured.exists(), "a non-string 'path' wrote the file");
+    }
+
+    #[test]
+    fn every_op_rejects_a_field_it_does_not_declare() {
+        let dir = std::env::temp_dir().join("pfe-server-proto-bogus");
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let configured = dir.join("configured.pfes");
+        let explicit = dir.join("explicit.pfes");
+        for path in [&configured, &explicit] {
+            std::fs::remove_file(path).ok();
+        }
+        let d = Dispatcher::new(Some(configured.clone()));
+        d.handle_line(r#"{"op":"start","d":8,"q":2,"shards":1}"#);
+        d.handle_line(r#"{"op":"ingest","rows":[[0,1,0,0,1,0,1,1]]}"#);
+        d.handle_line(r#"{"op":"snapshot"}"#);
+        d.handle_line(r#"{"op":"set_slow_ms","ms":40}"#);
+        // A request each op would serve, plus the one key it does not read.
+        let served = |name: &str| match name {
+            "start" => r#","d":8,"q":2"#.to_string(),
+            "ingest" => r#","rows":[[0,1,0,0,1,0,1,1]]"#.to_string(),
+            "f0" => r#","cols":[0,1]"#.to_string(),
+            "frequency" => r#","cols":[0,1],"pattern":[0,1]"#.to_string(),
+            "heavy_hitters" => r#","cols":[0,1],"phi":0.5"#.to_string(),
+            "l1_sample" => r#","cols":[0,1],"k":2"#.to_string(),
+            "fp" => r#","cols":[0,1],"p":2.0"#.to_string(),
+            "batch" => r#","queries":[]"#.to_string(),
+            "slow_log" => r#","threshold_ms":5"#.to_string(),
+            "set_slow_ms" => r#","ms":5"#.to_string(),
+            "checkpoint" => format!(r#","path":"{}""#, explicit.display()),
+            _ => String::new(),
+        };
+        for op in OPS {
+            let request = format!(r#"{{"op":"{}"{},"bogus":1}}"#, op.name, served(op.name));
+            let r = d.handle_line(&request);
+            assert_eq!(
+                r.json,
+                err(format!("unknown '{}' field 'bogus'", op.name)),
+                "{request}"
+            );
+            assert!(matches!(r.control, Control::Continue), "{request}");
+        }
+        // Nothing reached the backend: the same engine holds the same one
+        // row, no file was written, the threshold stayed.
+        let stats = d.handle_line(r#"{"op":"stats"}"#).json;
+        assert_eq!(stats.get("rows_ingested").and_then(Json::as_f64), Some(1.0));
+        assert!(!configured.exists() && !explicit.exists());
+        assert_eq!(d.recorder().slow_log().threshold_ms(), 40);
+        // A name OPS does not declare — the retired `freq` / `hh` aliases
+        // included — is the unknown-op error, the name echoed.
+        for name in ["definitely_not_an_op", "freq", "hh"] {
+            let r = d.handle_line(&format!(r#"{{"op":"{name}","cols":[0],"phi":0.5}}"#));
+            assert_eq!(r.json, err_unknown_op(name, "request"));
+        }
+    }
+
+    /// Cases per dispatcher in the request fuzz. The seed is fixed, so a
+    /// failure replays; the failing line is in the assertion message.
+    const FUZZ_CASES: u64 = 1500;
+    const FUZZ_SEED: u64 = 0x0b5_f022;
+
+    /// Keys of the nested objects the protocol reads (`start`'s `fp` and
+    /// `window`, the object form of `trace`).
+    const NESTED_KEYS: &[&str] = &[
+        "orders",
+        "stable_t",
+        "ams_groups",
+        "ams_per_group",
+        "bucket_rows",
+        "tier_cap",
+        "max_tiers",
+        "merged_cache",
+        "id",
+        "parent",
+    ];
+
+    fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+        items[rng.below(items.len() as u128) as usize]
+    }
+
+    fn small_ints(rng: &mut TestRng, max: u128, len: std::ops::Range<u128>) -> Json {
+        let n = len.start + rng.below(len.end - len.start);
+        Json::Arr((0..n).map(|_| Json::Num(rng.below(max) as f64)).collect())
+    }
+
+    /// A value of any shape: null, bools, small / negative / fractional /
+    /// beyond-2^64 numbers, hex and other strings, arrays, objects.
+    fn any_value(rng: &mut TestRng, depth: u32) -> Json {
+        match rng.below(if depth >= 3 { 8 } else { 11 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 | 3 => Json::Num(rng.below(13) as f64),
+            4 => Json::Num(-1.0 - rng.below(1 << 20) as f64),
+            5 => Json::Num(rng.below(64) as f64 + pick(rng, &[0.5, 0.25, 1e-9])),
+            6 => Json::Num(2f64.powi(64) * (1.5 + rng.below(1 << 30) as f64)),
+            7 => Json::Str(
+                pick(
+                    rng,
+                    &[
+                        "",
+                        "ab12",
+                        "0x1f",
+                        "00000000000000000000000000abcdef",
+                        "ffffffffffffffffffffffffffffffffff",
+                        "xyz",
+                        "prometheus",
+                        "chrome",
+                        "f0",
+                        "é\u{0}\"",
+                    ],
+                )
+                .to_string(),
+            ),
+            8 => small_ints(rng, 13, 0..10),
+            9 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| any_value(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|_| {
+                        (
+                            pick(rng, NESTED_KEYS).to_string(),
+                            any_value(rng, depth + 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Some of `keys`, each a small integer.
+    fn some_ints(rng: &mut TestRng, keys: &[&str]) -> BTreeMap<String, Json> {
+        let mut map = BTreeMap::new();
+        for key in keys {
+            if rng.below(2) == 0 {
+                map.insert(key.to_string(), Json::Num(rng.below(13) as f64));
+            }
+        }
+        map
+    }
+
+    /// Where fuzzed `checkpoint`s write: a string `path` always lands
+    /// here, never in the working directory.
+    fn fuzz_scratch() -> std::path::PathBuf {
+        std::env::temp_dir().join("pfe-server-proto-fuzz")
+    }
+
+    /// A value for `key`, shaped like what the key holds five times in
+    /// six (rows near d = 8, columns, statistic requests, `start`'s
+    /// nested objects, paths under [`fuzz_scratch`]), any value — but
+    /// never a stray path string — otherwise.
+    fn field_value(rng: &mut TestRng, key: &str) -> Json {
+        if rng.below(6) == 0 {
+            match any_value(rng, 0) {
+                Json::Str(_) if key == "path" => {}
+                wrong => return wrong,
+            }
+        }
+        match key {
+            "rows" => Json::Arr(
+                (0..rng.below(4))
+                    .map(|_| small_ints(rng, 3, 7..10))
+                    .collect(),
+            ),
+            "cols" | "pattern" => small_ints(rng, 10, 0..6),
+            "queries" => Json::Arr((0..rng.below(5)).map(|_| statistic_request(rng)).collect()),
+            "path" => Json::Str(
+                fuzz_scratch()
+                    .join(pick(rng, &["a", "b"]))
+                    .display()
+                    .to_string(),
+            ),
+            "trace" | "id" => Json::Str(pick(rng, &["ab12", "0x1f", "zz"]).to_string()),
+            "format" => Json::Str(pick(rng, &["prometheus", "chrome", "json"]).to_string()),
+            "alpha" | "phi" | "p" => Json::Num(pick(rng, &[0.05, 0.25, 0.3, 0.5, 1.0, 1.5, 2.0])),
+            "exact" | "bypass_cache" => Json::Bool(rng.below(2) == 0),
+            "fp" => {
+                let mut fp = some_ints(rng, &["stable_t", "ams_groups", "ams_per_group"]);
+                let orders = (0..rng.below(3)).map(|_| Json::Num(pick(rng, &[0.5, 1.0, 2.0, 2.5])));
+                fp.insert("orders".to_string(), Json::Arr(orders.collect()));
+                Json::Obj(fp)
+            }
+            "window" if rng.below(2) == 0 => Json::Obj(some_ints(
+                rng,
+                &["bucket_rows", "tier_cap", "max_tiers", "merged_cache"],
+            )),
+            _ => Json::Num(rng.below(13) as f64),
+        }
+    }
+
+    /// A request object: the fields an op is about (`d`, `rows`, `cols`,
+    /// payloads) seven times in eight, each other one of `declared` three
+    /// in eight, now and then `trace`, sometimes one key outside them.
+    fn request(rng: &mut TestRng, name: &str, declared: &[&'static str]) -> Json {
+        let mut map = BTreeMap::new();
+        map.insert("op".to_string(), Json::Str(name.to_string()));
+        for &key in declared {
+            let usual = [
+                "d", "rows", "queries", "ms", "cols", "pattern", "phi", "k", "p",
+            ];
+            if rng.below(8) < if usual.contains(&key) { 7 } else { 3 } {
+                map.insert(key.to_string(), field_value(rng, key));
+            }
+        }
+        if rng.below(8) == 0 {
+            map.insert("trace".to_string(), field_value(rng, "trace"));
+        }
+        if rng.below(4) == 0 {
+            let stray = pick(rng, &["bogus", "cols", "rows", "windw", "path", "phi", "k"]);
+            map.insert(stray.to_string(), field_value(rng, stray));
+        }
+        Json::Obj(map)
+    }
+
+    /// A statistic request: `wire`'s common fields and the op's own
+    /// payload (another op's payload is one of the stray keys).
+    fn statistic_request(rng: &mut TestRng) -> Json {
+        let stats: Vec<&str> = OPS
+            .iter()
+            .filter(|op| op.fields.is_none())
+            .map(|op| op.name)
+            .chain(["bogus"])
+            .collect();
+        let name = pick(rng, &stats);
+        let mut fields: Vec<&'static str> = wire::COMMON_FIELDS.to_vec();
+        fields.retain(|&k| k != "op" && k != "trace");
+        fields.extend(match name {
+            "frequency" => Some("pattern"),
+            "heavy_hitters" => Some("phi"),
+            "l1_sample" => Some("k"),
+            "fp" => Some("p"),
+            _ => None,
+        });
+        request(rng, name, &fields)
+    }
+
+    #[test]
+    fn fuzz_handle_line_with_the_ops_grammar() {
+        let scratch = fuzz_scratch();
+        std::fs::create_dir_all(&scratch).expect("tmpdir");
+        let seeded = |start: &str| {
+            let d = Dispatcher::new(None);
+            d.handle_line(start);
+            d.handle_line(r#"{"op":"ingest","rows":[[0,1,0,0,1,0,1,1],[1,1,0,0,0,0,1,1]]}"#);
+            d.handle_line(r#"{"op":"snapshot"}"#);
+            d
+        };
+        let replica = seeded(r#"{"op":"start","d":8,"q":2,"shards":2}"#);
+        replica.set_replica_sources(vec![scratch.clone()]);
+        let dispatchers = [
+            ("fresh", Dispatcher::new(None)),
+            ("plain", seeded(r#"{"op":"start","d":8,"q":2,"shards":2}"#)),
+            (
+                "windowed",
+                seeded(r#"{"op":"start","d":8,"q":2,"window":{"bucket_rows":2,"tier_cap":2}}"#),
+            ),
+            ("replica", replica),
+        ];
+        let mut rng = TestRng::deterministic(FUZZ_SEED, 0);
+        for (which, d) in &dispatchers {
+            for _ in 0..FUZZ_CASES {
+                let req = match OPS.get(rng.below(OPS.len() as u128 + 2) as usize) {
+                    Some(op) if op.fields.is_none() => statistic_request(&mut rng),
+                    Some(op) => request(&mut rng, op.name, op.fields.unwrap_or(&[])),
+                    None => {
+                        let name = pick(&mut rng, &["bogus", "freq", "hh", ""]);
+                        request(&mut rng, name, &[])
+                    }
+                };
+                let mut line = req.to_string();
+                if rng.below(32) == 0 {
+                    let half = (0..=line.len() / 2)
+                        .rev()
+                        .find(|&i| line.is_char_boundary(i));
+                    line.truncate(half.unwrap_or(0));
+                }
+                let reply =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.handle_line(&line)))
+                        .unwrap_or_else(|_| panic!("{which}: handle_line panicked on {line}"));
+                let text = reply.json.to_string();
+                assert!(!text.contains('\n'), "{which}: {line}: a multi-line reply");
+                let reply = Json::parse(&text).expect("a reply re-parses");
+                match reply.get("ok") {
+                    Some(Json::Bool(true)) => {}
+                    Some(Json::Bool(false)) => assert!(
+                        reply.get("error").and_then(Json::as_str).is_some(),
+                        "{which}: {line}: ok:false without an error string: {text}"
+                    ),
+                    _ => panic!("{which}: {line}: no bool 'ok': {text}"),
+                }
+                let stats = d.handle_line(r#"{"op":"stats"}"#).json;
+                assert!(
+                    matches!(stats.get("ok"), Some(Json::Bool(_))),
+                    "{which}: {line}: stats stopped answering: {stats}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&scratch).ok();
     }
 }

@@ -2,12 +2,11 @@
 //! (d = 63, u128 pattern capacity), degenerate inputs, and the StableFp
 //! plug-in driving an α-net at p = 0.5.
 
-use subspace_exploration::core::alpha_net::{AlphaNet, AlphaNetFp, NetMode};
-use subspace_exploration::core::{ExactSummary, QueryError, UniformSampleSummary};
+use subspace_exploration::core::alpha_net::{AlphaNet, NetMode};
+use subspace_exploration::core::{ExactSummary, FpConfig, FpNet, QueryError, UniformSampleSummary};
 use subspace_exploration::row::{
     BinaryMatrix, ColumnSet, Dataset, FrequencyVector, PatternCodec, PatternKey, QaryMatrix,
 };
-use subspace_exploration::sketch::stable_fp::StableFp;
 use subspace_exploration::stream::gen::uniform_binary;
 
 #[test]
@@ -87,14 +86,15 @@ fn alpha_net_fp_with_stable_sketch_p_half() {
     let data = uniform_binary(d, 400, 3);
     let exact = ExactSummary::build(&data);
     let net = AlphaNet::new(d, 0.3).expect("valid");
-    let summary = AlphaNetFp::build(&data, net, NetMode::Full, 1 << 16, |m| {
-        StableFp::new(41, 0.5, m)
-    })
-    .expect("build");
+    let cfg = FpConfig {
+        stable_t: 41,
+        ..FpConfig::with_orders([0.5])
+    };
+    let summary = FpNet::build(&data, net, NetMode::Full, 1 << 16, 0.5, &cfg, 0).expect("build");
     assert_eq!(summary.p(), 0.5);
     for mask in [0b1111u64, 0b10101010, 0b11111111] {
         let cols = ColumnSet::from_mask(d, mask).expect("valid");
-        let ans = summary.fp(&cols, 0.5).expect("ok");
+        let ans = summary.fp(&cols).expect("ok");
         let truth = exact.fp(&cols, 0.5).expect("ok").value;
         let ratio = (ans.estimate / truth).max(truth / ans.estimate);
         // Distortion bound at p=0.5 is 2^{|delta|/2}; allow 2x sketch slack.

@@ -1,10 +1,9 @@
 //! Cross-crate integration: the paper's running example and the full
 //! observation-then-query pipeline exercised through every summary.
 
-use subspace_exploration::core::alpha_net::{AlphaNet, AlphaNetF0, AlphaNetFp, NetMode};
-use subspace_exploration::core::{ExactSummary, QueryError, UniformSampleSummary};
+use subspace_exploration::core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
+use subspace_exploration::core::{ExactSummary, FpConfig, FpNet, UniformSampleSummary};
 use subspace_exploration::row::{BinaryMatrix, ColumnSet, Dataset, PatternKey};
-use subspace_exploration::sketch::ams_f2::AmsF2;
 use subspace_exploration::sketch::kmv::Kmv;
 use subspace_exploration::sketch::traits::SpaceUsage;
 use subspace_exploration::stream::gen::{uniform_binary, zipf_patterns};
@@ -80,14 +79,16 @@ fn net_fp_summary_respects_guarantee_end_to_end() {
     let data = zipf_patterns(d, 4000, 60, 1.2, 4);
     let exact = ExactSummary::build(&data);
     let net = AlphaNet::new(d, 0.25).expect("valid");
-    let nfp = AlphaNetFp::build(&data, net, NetMode::Full, 1 << 20, |m| {
-        AmsF2::new(5, 128, m)
-    })
-    .expect("build");
-    assert_eq!(nfp.p(), 2.0);
+    let cfg = FpConfig {
+        ams_groups: 5,
+        ams_per_group: 128,
+        ..FpConfig::with_orders([2.0])
+    };
+    let nfp = FpNet::build(&data, net, NetMode::Full, 1 << 20, 2.0, &cfg, 0).expect("build");
+    assert!(nfp.is_ams());
     for mask in [0b1110001110u64, 0b1111111111, 0b1] {
         let cols = ColumnSet::from_mask(d, mask).expect("valid");
-        let ans = nfp.fp(&cols, 2.0).expect("ok");
+        let ans = nfp.fp(&cols).expect("ok");
         let truth = exact.fp(&cols, 2.0).expect("ok").value;
         let ratio = (ans.estimate / truth).max(truth / ans.estimate);
         assert!(
@@ -96,12 +97,6 @@ fn net_fp_summary_respects_guarantee_end_to_end() {
             ans.distortion_bound
         );
     }
-    // Wrong moment order is a typed error.
-    let cols = ColumnSet::from_mask(d, 0b11).expect("valid");
-    assert!(matches!(
-        nfp.fp(&cols, 0.5),
-        Err(QueryError::UnsupportedMoment { .. })
-    ));
 }
 
 #[test]
