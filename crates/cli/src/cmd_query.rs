@@ -8,8 +8,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pfe_engine::wire::{answer_to_json, query_from_json, stats_to_json};
+use pfe_engine::wire::{answer_to_json, query_from_json};
 use pfe_engine::{Json, Query, Recorder, TraceHandle};
+use pfe_server::proto::Dispatcher;
 use pfe_window::Backend;
 
 use crate::args::{engine_config, Args};
@@ -129,16 +130,20 @@ pub fn query(args: &Args) -> Result<i32, String> {
     Ok(code)
 }
 
-/// `pfe stats SNAP`: the engine-counter object for a checkpoint, same
-/// schema as the server's `stats` op.
+/// `pfe stats SNAP`: the server's `stats` reply for a checkpoint, from a
+/// dispatcher with the resumed backend installed — the one producer of
+/// that schema.
 pub fn stats(args: &Args) -> Result<i32, String> {
     let pos = args.positionals();
     let [snap] = pos[..] else {
         return Err("usage: pfe stats SNAP [engine flags]".into());
     };
     let ecfg = engine_config(args)?;
-    let backend = Backend::resume(snap, ecfg, Arc::new(Recorder::new()))
+    let dispatcher = Dispatcher::new(None);
+    let backend = Backend::resume(snap, ecfg, Arc::clone(dispatcher.recorder()))
         .map_err(|e| format!("{snap}: {e}"))?;
-    println!("{}", stats_to_json(&backend.stats()));
+    let q = backend.alphabet();
+    dispatcher.install(backend, q);
+    println!("{}", dispatcher.handle_line(r#"{"op":"stats"}"#).json);
     Ok(0)
 }

@@ -52,6 +52,25 @@ fn check_order(p: f64) -> Result<(), QueryError> {
     )))
 }
 
+/// Largest [`FpConfig::stable_t`]. Every member of every fractional-order
+/// net holds `t` f64 sums and every row updates all of them, so `t` is
+/// bytes and time in every member the client sizes. 1,024 is 25× the
+/// largest `t` the repo runs (41) and already advertises
+/// `β = 1 + 3/√t ≈ 1.09`.
+pub const MAX_STABLE_T: usize = 1 << 10;
+
+/// Largest [`FpConfig::ams_groups`]. Every `p = 2` member holds
+/// `groups × per_group` counters, each a sum plus a 4-wise sign hash
+/// (40 B), and every row updates all of them. 64 groups is 12× the
+/// largest count the repo runs (5); the median over them already fails
+/// with probability far below any δ the engine reports.
+pub const MAX_AMS_GROUPS: usize = 64;
+
+/// Largest [`FpConfig::ams_per_group`] — the same per-member counters as
+/// [`MAX_AMS_GROUPS`]. 1,024 is 8× the largest the repo runs (128) and
+/// advertises `β = 1 + √(8/1024) ≈ 1.09`.
+pub const MAX_AMS_PER_GROUP: usize = 1 << 10;
+
 /// Configuration of the optional `F_p` moment nets.
 ///
 /// Empty `orders` (the default) materializes nothing — `F_p` support is
@@ -95,7 +114,7 @@ impl FpConfig {
     ///
     /// # Errors
     /// `BadParameter` on an order outside `(0, 2]`, a duplicate order, or
-    /// a zero sketch dimension.
+    /// a sketch dimension outside `1..=` its `MAX_*` bound.
     pub fn validate(&self) -> Result<(), QueryError> {
         for (i, &p) in self.orders.iter().enumerate() {
             check_order(p)?;
@@ -104,13 +123,16 @@ impl FpConfig {
             }
         }
         if !self.orders.is_empty() {
-            if self.stable_t == 0 {
-                return Err(QueryError::BadParameter("fp stable_t must be >= 1".into()));
-            }
-            if self.ams_groups == 0 || self.ams_per_group == 0 {
-                return Err(QueryError::BadParameter(
-                    "fp ams_groups/ams_per_group must be >= 1".into(),
-                ));
+            for (field, value, max) in [
+                ("stable_t", self.stable_t, MAX_STABLE_T),
+                ("ams_groups", self.ams_groups, MAX_AMS_GROUPS),
+                ("ams_per_group", self.ams_per_group, MAX_AMS_PER_GROUP),
+            ] {
+                if !(1..=max).contains(&value) {
+                    return Err(QueryError::BadParameter(format!(
+                        "fp {field}={value} outside 1..={max}"
+                    )));
+                }
             }
         }
         Ok(())

@@ -50,37 +50,12 @@ struct LruState {
     tick: u64,
 }
 
-/// Cache hit/miss counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that fell through to the snapshot.
-    pub misses: u64,
-    /// Entries dropped by LRU pressure.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub len: usize,
-}
-
-impl CacheStats {
-    /// Fraction of lookups answered from cache (`0.0` before any lookup).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Bounded LRU cache; `capacity == 0` disables it entirely.
 ///
-/// Hit/miss/eviction counters live in `pfe-obs` handles so the same
-/// series feeds [`CacheStats`], the `metrics` wire op, and the
-/// Prometheus endpoint; a cache built with [`QueryCache::new`] keeps
-/// detached (unregistered) handles.
+/// Hit/miss/eviction counters and the occupancy gauge live in `pfe-obs`
+/// handles, so the stats replies, the `metrics` wire op and the
+/// Prometheus endpoint read one series each; a cache built with
+/// [`QueryCache::new`] keeps detached (unregistered) handles.
 pub struct QueryCache {
     capacity: usize,
     state: Mutex<LruState>,
@@ -165,17 +140,6 @@ impl QueryCache {
         }
         self.len_gauge.set(s.map.len() as u64);
     }
-
-    /// Hit/miss/occupancy counters.
-    pub fn stats(&self) -> CacheStats {
-        let s = self.state.lock().expect("cache lock");
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            len: s.map.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,20 +155,37 @@ mod tests {
         CachedAnswer::F0(v)
     }
 
+    /// A cache whose series are registered, and a reader of them:
+    /// `(hits, misses, evictions, len)`. (The hit ratio the stats replies
+    /// derive from these is pinned in the server's stats-view tests.)
+    fn registered(capacity: usize) -> (QueryCache, impl Fn() -> (u64, u64, u64, u64)) {
+        let rec = Arc::new(Recorder::new());
+        let cache = QueryCache::with_recorder(capacity, &rec);
+        let read = move || {
+            let counter = |name: &str| rec.counter(name).get();
+            (
+                counter("engine_cache_hits"),
+                counter("engine_cache_misses"),
+                counter("engine_cache_evictions"),
+                rec.gauge("engine_cache_len").get(),
+            )
+        };
+        (cache, read)
+    }
+
     #[test]
     fn hit_after_put() {
-        let c = QueryCache::new(4);
+        let (c, read) = registered(4);
         assert!(c.get(&key(1)).is_none());
         c.put(key(1), answer(10.0));
         assert_eq!(c.get(&key(1)), Some(answer(10.0)));
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert_eq!(stats.hit_ratio(), 0.5);
+        let (hits, misses, _, len) = read();
+        assert_eq!((hits, misses, len), (1, 1, 1));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let c = QueryCache::new(2);
+        let (c, read) = registered(2);
         c.put(key(1), answer(1.0));
         c.put(key(2), answer(2.0));
         assert!(c.get(&key(1)).is_some()); // 1 now most recent
@@ -212,34 +193,24 @@ mod tests {
         assert!(c.get(&key(2)).is_none());
         assert!(c.get(&key(1)).is_some());
         assert!(c.get(&key(3)).is_some());
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(read().2, 1);
     }
 
     #[test]
-    fn hit_ratio_is_zero_not_nan_before_any_lookup() {
-        let stats = QueryCache::new(4).stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        let ratio = stats.hit_ratio();
-        assert!(ratio.is_finite());
-        assert_eq!(ratio, 0.0);
+    fn counters_start_at_zero_before_any_lookup() {
+        let (_c, read) = registered(4);
+        let (hits, misses, _, _) = read();
+        assert_eq!((hits, misses), (0, 0));
     }
 
     #[test]
     fn recorder_backed_cache_shares_its_counters() {
-        let rec = pfe_obs::Recorder::new();
-        let c = QueryCache::with_recorder(1, &rec);
+        let (c, read) = registered(1);
         c.get(&key(1));
         c.put(key(1), answer(1.0));
         c.put(key(2), answer(2.0)); // evicts 1
         c.get(&key(2));
-        let read = |name: &str| rec.counter(name).get();
-        assert_eq!(read("engine_cache_hits"), 1);
-        assert_eq!(read("engine_cache_misses"), 1);
-        assert_eq!(read("engine_cache_evictions"), 1);
-        assert_eq!(rec.gauge("engine_cache_len").get(), 1);
-        // The CacheStats view reads the very same handles.
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 1));
+        assert_eq!(read(), (1, 1, 1, 1));
     }
 
     #[test]
@@ -261,19 +232,20 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let c = QueryCache::new(0);
+        let (c, read) = registered(0);
         c.put(key(1), answer(1.0));
         assert!(c.get(&key(1)).is_none());
-        assert_eq!(c.stats().len, 0);
-        assert_eq!(c.stats().hit_ratio(), 0.0);
+        // Nothing held and nothing counted: the derived hit ratio is 0.
+        assert_eq!(read(), (0, 0, 0, 0));
     }
 
     #[test]
     fn concurrent_access_is_safe() {
-        let c = std::sync::Arc::new(QueryCache::new(64));
+        let (c, read) = registered(64);
+        let c = Arc::new(c);
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let c = std::sync::Arc::clone(&c);
+                let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
                         c.put(key(t * 1000 + i % 100), answer(i as f64));
@@ -285,6 +257,6 @@ mod tests {
         for h in handles {
             h.join().expect("no panic");
         }
-        assert!(c.stats().len <= 64);
+        assert!(read().3 <= 64);
     }
 }

@@ -24,6 +24,14 @@ impl Default for FreqNetConfig {
     }
 }
 
+/// Largest [`EngineConfig::shards`]. Each shard is one OS thread and one
+/// full α-net summary built before the first row arrives, so the count is
+/// threads and memory the caller sizes (a failed spawn would panic the
+/// thread starting the engine). 64 is 16× the default and above the core
+/// count of every machine the repo is measured on; past the cores, more
+/// shards only add merge work.
+pub const MAX_SHARDS: usize = 64;
+
 /// Configuration for [`crate::Engine`] / [`crate::IngestPipeline`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -78,8 +86,11 @@ impl EngineConfig {
     /// # Errors
     /// `BadConfig` naming the offending field.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if self.shards == 0 {
-            return Err(EngineError::BadConfig("shards must be >= 1".into()));
+        if !(1..=MAX_SHARDS).contains(&self.shards) {
+            return Err(EngineError::BadConfig(format!(
+                "shards={} outside 1..={MAX_SHARDS}",
+                self.shards
+            )));
         }
         if self.batch_rows == 0 {
             return Err(EngineError::BadConfig("batch_rows must be >= 1".into()));

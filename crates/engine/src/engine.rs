@@ -28,33 +28,11 @@ use pfe_query::{Answer, Query};
 use pfe_row::Dataset;
 use pfe_sketch::traits::SpaceUsage;
 
-use crate::cache::CacheStats;
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::exec::{QueryCounters, QueryExecutor};
+use crate::exec::QueryExecutor;
 use crate::ingest::IngestPipeline;
 use crate::snapshot::Snapshot;
-
-/// Engine-level observability counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineStats {
-    /// Rows routed to shards so far.
-    pub rows_ingested: u64,
-    /// Epoch of the published snapshot (0 = none yet).
-    pub snapshot_epoch: u64,
-    /// Rows covered by the published snapshot.
-    pub snapshot_rows: u64,
-    /// Bytes held by the published snapshot.
-    pub snapshot_bytes: usize,
-    /// Cache counters (see [`CacheStats::hit_ratio`]).
-    pub cache: CacheStats,
-    /// Worker shard count.
-    pub shards: usize,
-    /// Queries answered since start, across all statistics.
-    pub queries_served: u64,
-    /// Per-statistic breakdown of `queries_served`.
-    pub queries: QueryCounters,
-}
 
 /// Sharded-ingest, snapshot-serving engine.
 ///
@@ -73,7 +51,7 @@ pub struct Engine {
     pipeline: Mutex<Option<IngestPipeline>>,
     published: RwLock<Option<Arc<Snapshot>>>,
     exec: QueryExecutor,
-    /// `(rows_routed, shards)` captured at shutdown, so stats stay
+    /// `(rows_routed, shards)` captured at shutdown, so the gauges stay
     /// truthful after the pipeline is gone.
     retired: Mutex<Option<(u64, usize)>>,
 }
@@ -401,13 +379,13 @@ impl Engine {
         self.exec.answer_batch_traced(&snap, queries, trace)
     }
 
-    /// Observability counters.
-    ///
-    /// Reading stats also mirrors the pipeline/snapshot-derived values
-    /// (rows routed, snapshot epoch/rows/bytes, shard count) into the
-    /// recorder's `engine_*` gauges, so a Prometheus scrape taken through
-    /// the server sees them without a separate wire round trip.
-    pub fn stats(&self) -> EngineStats {
+    /// Write what only the pipeline and the published snapshot know —
+    /// rows routed, the snapshot's epoch / rows / bytes, the shard count —
+    /// into the recorder's `engine_*` gauges. Every other figure of the
+    /// `stats` reply is a series the executor and cache keep current; the
+    /// reply and a `metrics` scrape both read the registry right after
+    /// this runs.
+    pub fn sync_gauges(&self) {
         let (rows_ingested, shards) = {
             let guard = self.pipeline.lock().expect("pipeline lock");
             match guard.as_ref() {
@@ -418,25 +396,16 @@ impl Engine {
             }
         };
         let snap = self.snapshot();
-        let queries = self.exec.counters();
-        let stats = EngineStats {
-            rows_ingested,
-            snapshot_epoch: snap.as_ref().map(|s| s.epoch()).unwrap_or(0),
-            snapshot_rows: snap.as_ref().map(|s| s.n()).unwrap_or(0),
-            snapshot_bytes: snap.as_ref().map(|s| s.space_bytes()).unwrap_or(0),
-            cache: self.exec.cache_stats(),
-            shards,
-            queries_served: queries.total(),
-            queries,
-        };
+        let snap = snap.as_deref();
         let rec = self.exec.recorder();
-        rec.gauge("engine_rows_ingested").set(stats.rows_ingested);
-        rec.gauge("engine_snapshot_epoch").set(stats.snapshot_epoch);
-        rec.gauge("engine_snapshot_rows").set(stats.snapshot_rows);
+        rec.gauge("engine_rows_ingested").set(rows_ingested);
+        rec.gauge("engine_snapshot_epoch")
+            .set(snap.map_or(0, Snapshot::epoch));
+        rec.gauge("engine_snapshot_rows")
+            .set(snap.map_or(0, Snapshot::n));
         rec.gauge("engine_snapshot_bytes")
-            .set(stats.snapshot_bytes as u64);
-        rec.gauge("engine_shards").set(stats.shards as u64);
-        stats
+            .set(snap.map_or(0, |s| s.space_bytes() as u64));
+        rec.gauge("engine_shards").set(shards as u64);
     }
 }
 
@@ -445,6 +414,24 @@ mod tests {
     use super::*;
     use pfe_query::{GuaranteeSource, StatKind};
     use pfe_stream::gen::uniform_binary;
+
+    /// A gauge of the engine's registry, synced first.
+    fn gauge(engine: &Engine, name: &str) -> u64 {
+        engine.sync_gauges();
+        engine.exec.recorder().gauge(name).get()
+    }
+
+    fn counter(engine: &Engine, name: &str) -> u64 {
+        engine.exec.recorder().counter(name).get()
+    }
+
+    /// Queries answered across all five statistics.
+    fn served(engine: &Engine) -> u64 {
+        StatKind::ALL
+            .iter()
+            .map(|k| counter(engine, &format!("engine_queries_{}", k.name())))
+            .sum()
+    }
 
     fn small_cfg(shards: usize) -> EngineConfig {
         EngineConfig {
@@ -528,7 +515,7 @@ mod tests {
             // them served from cache, every answer stamped with the group.
             assert!(a.iter().all(|x| x.cost.group_size == 3));
             assert!(a.iter().all(|x| !x.cost.cached));
-            assert_eq!(engine.stats().cache.misses, 1);
+            assert_eq!(counter(&engine, "engine_cache_misses"), 1);
             assert_eq!(a[0].estimate(), a[1].estimate());
         }
         // Same batch again: one probe, served from cache for all members.
@@ -652,9 +639,8 @@ mod tests {
         assert!(engine.query(&Query::over([0]).f0()).is_ok());
         assert!(engine.shutdown().is_err());
         // Counters must survive the pipeline retiring.
-        let stats = engine.stats();
-        assert_eq!(stats.rows_ingested, 500);
-        assert_eq!(stats.shards, 3);
+        assert_eq!(gauge(&engine, "engine_rows_ingested"), 500);
+        assert_eq!(gauge(&engine, "engine_shards"), 3);
     }
 
     #[test]
@@ -716,20 +702,27 @@ mod tests {
         for h in handles {
             h.join().expect("no panic");
         }
-        let stats = engine.stats();
-        assert_eq!(stats.rows_ingested, 4000);
-        assert!(stats.cache.hits > 0, "repeat queries should hit the cache");
-        assert_eq!(stats.queries_served, 800);
-        assert_eq!(stats.queries.f0, 800);
+        assert_eq!(gauge(&engine, "engine_rows_ingested"), 4000);
+        assert!(
+            counter(&engine, "engine_cache_hits") > 0,
+            "repeat queries should hit the cache"
+        );
+        assert_eq!(served(&engine), 800);
+        assert_eq!(counter(&engine, "engine_queries_f0"), 800);
     }
 
     #[test]
     fn stats_reflect_state_and_count_per_statistic() {
         let d = 8;
         let engine = Engine::start(d, 2, small_cfg(2)).expect("start");
-        let s0 = engine.stats();
-        assert_eq!((s0.rows_ingested, s0.snapshot_epoch), (0, 0));
-        assert_eq!(s0.queries_served, 0);
+        assert_eq!(
+            (
+                gauge(&engine, "engine_rows_ingested"),
+                gauge(&engine, "engine_snapshot_epoch")
+            ),
+            (0, 0)
+        );
+        assert_eq!(served(&engine), 0);
         engine.ingest(&uniform_binary(d, 300, 17)).expect("ingest");
         engine.refresh().expect("refresh");
         engine.query(&Query::over([0, 1]).f0()).expect("ok");
@@ -741,21 +734,23 @@ mod tests {
             .expect("ok");
         engine.query(&Query::over([0, 1]).l1_sample(4)).expect("ok");
         engine.query(&Query::over([0, 1]).f0()).expect("ok");
-        let s1 = engine.stats();
-        assert_eq!(s1.snapshot_rows, 300);
-        assert!(s1.snapshot_bytes > 0);
-        assert_eq!(s1.shards, 2);
-        assert_eq!(s1.queries_served, 5);
+        assert_eq!(gauge(&engine, "engine_snapshot_rows"), 300);
+        assert!(gauge(&engine, "engine_snapshot_bytes") > 0);
+        assert_eq!(gauge(&engine, "engine_shards"), 2);
+        assert_eq!(served(&engine), 5);
         assert_eq!(
-            (
-                s1.queries.f0,
-                s1.queries.frequency,
-                s1.queries.heavy_hitters,
-                s1.queries.l1_sample
-            ),
-            (2, 1, 1, 1)
+            [
+                "engine_queries_f0",
+                "engine_queries_frequency",
+                "engine_queries_heavy_hitters",
+                "engine_queries_l1_sample"
+            ]
+            .map(|name| counter(&engine, name)),
+            [2, 1, 1, 1]
         );
-        assert_eq!(s1.queries.get(StatKind::F0), 2);
-        assert!(s1.cache.hit_ratio() > 0.0);
+        let f0 = format!("engine_queries_{}", StatKind::F0.name());
+        assert_eq!(counter(&engine, &f0), 2);
+        // The repeated f0 hit: the derived hit ratio is above zero.
+        assert!(counter(&engine, "engine_cache_hits") > 0);
     }
 }

@@ -19,43 +19,10 @@ use pfe_query::{
     Statistic,
 };
 
-use crate::cache::{CacheStats, CachedAnswer, QueryCache};
+use crate::cache::{CachedAnswer, QueryCache};
 use crate::error::EngineError;
 use crate::planner::{plan, PlanGroup, Planned};
 use crate::snapshot::Snapshot;
-
-/// Per-statistic counters of queries answered since the executor started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueryCounters {
-    /// `F_0` queries answered.
-    pub f0: u64,
-    /// Point-frequency queries answered.
-    pub frequency: u64,
-    /// Heavy-hitter queries answered.
-    pub heavy_hitters: u64,
-    /// `ℓ_1`-sample queries answered.
-    pub l1_sample: u64,
-    /// `F_p` moment queries answered.
-    pub fp: u64,
-}
-
-impl QueryCounters {
-    /// Total queries answered across all statistics.
-    pub fn total(&self) -> u64 {
-        self.f0 + self.frequency + self.heavy_hitters + self.l1_sample + self.fp
-    }
-
-    /// The counter for one statistic kind.
-    pub fn get(&self, kind: StatKind) -> u64 {
-        match kind {
-            StatKind::F0 => self.f0,
-            StatKind::Frequency => self.frequency,
-            StatKind::HeavyHitters => self.heavy_hitters,
-            StatKind::L1Sample => self.l1_sample,
-            StatKind::Fp => self.fp,
-        }
-    }
-}
 
 fn kind_index(kind: StatKind) -> usize {
     match kind {
@@ -75,7 +42,7 @@ fn kind_index(kind: StatKind) -> usize {
 /// counters, `engine_query_latency_ns_*` per-statistic histograms,
 /// `engine_stage_{plan,cache_probe,compute,materialize}_ns` stage
 /// histograms, and the `engine_cache_*` series owned by the cache. The
-/// legacy [`QueryCounters`]/[`CacheStats`] views read the same handles.
+/// stats replies read those series back out of the registry.
 pub struct QueryExecutor {
     cache: QueryCache,
     recorder: Arc<Recorder>,
@@ -93,18 +60,12 @@ pub struct QueryExecutor {
 
 impl QueryExecutor {
     /// Create an executor with an answer cache of `cache_capacity`
-    /// entries (0 disables caching) and a private recorder. `windowed`
-    /// declares whether the owning frontend resolves window requests;
-    /// when `false`, queries carrying [`pfe_query::QueryOptions::window`]
-    /// get a typed per-slot error instead of a silently whole-stream
-    /// answer.
-    pub fn new(cache_capacity: usize, windowed: bool) -> Self {
-        Self::with_recorder(cache_capacity, windowed, Arc::new(Recorder::new()))
-    }
-
-    /// Create an executor registering its metrics in a shared `recorder`
-    /// (the server threads one recorder through engine, window, and
-    /// connection handling).
+    /// entries (0 disables caching), registering its metrics in the
+    /// shared `recorder` (the server threads one recorder through engine,
+    /// window, and connection handling). `windowed` declares whether the
+    /// owning frontend resolves window requests; when `false`, queries
+    /// carrying [`pfe_query::QueryOptions::window`] get a typed per-slot
+    /// error instead of a silently whole-stream answer.
     pub fn with_recorder(cache_capacity: usize, windowed: bool, recorder: Arc<Recorder>) -> Self {
         let stat_queries =
             StatKind::ALL.map(|kind| recorder.counter(&format!("engine_queries_{}", kind.name())));
@@ -353,23 +314,6 @@ impl QueryExecutor {
         self.cache.put(group.key, value.clone());
         Ok((value, false))
     }
-
-    /// Cache hit/miss/occupancy counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Per-statistic served-query counters (a view over the recorder's
-    /// `engine_queries_*` series).
-    pub fn counters(&self) -> QueryCounters {
-        QueryCounters {
-            f0: self.stat_queries[kind_index(StatKind::F0)].get(),
-            frequency: self.stat_queries[kind_index(StatKind::Frequency)].get(),
-            heavy_hitters: self.stat_queries[kind_index(StatKind::HeavyHitters)].get(),
-            l1_sample: self.stat_queries[kind_index(StatKind::L1Sample)].get(),
-            fp: self.stat_queries[kind_index(StatKind::Fp)].get(),
-        }
-    }
 }
 
 /// Attach one member's provenance, guarantee, and cost metadata to the
@@ -503,10 +447,27 @@ mod tests {
         Arc::new(Snapshot::from_shards(vec![shard], 1))
     }
 
+    fn executor(windowed: bool) -> QueryExecutor {
+        QueryExecutor::with_recorder(16, windowed, Arc::new(pfe_obs::Recorder::new()))
+    }
+
+    /// Queries the executor's registry counted for `kind` (all five
+    /// statistics when `None`).
+    fn served(exec: &QueryExecutor, kind: Option<StatKind>) -> u64 {
+        StatKind::ALL
+            .iter()
+            .filter(|&&k| kind.is_none_or(|kind| kind == k))
+            .map(|k| {
+                let name = format!("engine_queries_{}", k.name());
+                exec.recorder().counter(&name).get()
+            })
+            .sum()
+    }
+
     #[test]
     fn non_windowed_executor_rejects_window_queries_per_slot() {
         let snap = snapshot(8, 500);
-        let exec = QueryExecutor::new(16, false);
+        let exec = executor(false);
         let answers = exec.answer_batch(
             &snap,
             &[
@@ -524,13 +485,13 @@ mod tests {
         let a2 = answers[2].as_ref().expect("ok");
         assert_eq!(a2.provenance.requested.to_indices(), vec![0, 2]);
         // Rejected slots never reach the counters.
-        assert_eq!(exec.counters().total(), 2);
+        assert_eq!(served(&exec, None), 2);
     }
 
     #[test]
     fn windowed_executor_accepts_window_queries() {
         let snap = snapshot(8, 500);
-        let exec = QueryExecutor::new(16, true);
+        let exec = executor(true);
         let answers = exec.answer_batch(&snap, &[Query::over([0, 1]).f0().window(100)]);
         let a = answers[0].as_ref().expect("windowed slot accepted");
         // The executor leaves coverage attachment to the frontend.
@@ -561,8 +522,8 @@ mod tests {
         assert_eq!(rec.histogram("engine_stage_plan_ns").count(), 1);
         assert!(rec.histogram("engine_stage_compute_ns").count() >= 1);
         assert!(rec.histogram("engine_stage_materialize_ns").count() >= 1);
-        // The QueryCounters view reads the same series.
-        assert_eq!(exec.counters().total(), 3);
+        // Every statistic's counter is one registry series.
+        assert_eq!(served(&exec, None), 3);
     }
 
     #[test]
@@ -601,7 +562,7 @@ mod tests {
             }
         }
         let snap = Arc::new(Snapshot::from_shards(vec![shard], 1));
-        let exec = QueryExecutor::new(16, false);
+        let exec = executor(false);
         let answers = exec.answer_batch(
             &snap,
             &[
@@ -626,20 +587,20 @@ mod tests {
                 pfe_core::QueryError::UnsupportedMoment { .. }
             ))
         ));
-        assert_eq!(exec.counters().fp, 2);
-        assert_eq!(exec.counters().total(), 2);
+        assert_eq!(served(&exec, Some(StatKind::Fp)), 2);
+        assert_eq!(served(&exec, None), 2);
     }
 
     #[test]
     fn counters_and_cache_shared_across_batches() {
         let snap = snapshot(8, 500);
-        let exec = QueryExecutor::new(16, false);
+        let exec = executor(false);
         let q = Query::over([0, 1]).heavy_hitters(0.1);
         let first = exec.answer_batch(&snap, std::slice::from_ref(&q));
         assert!(!first[0].as_ref().expect("ok").cost.cached);
         let second = exec.answer_batch(&snap, std::slice::from_ref(&q));
         assert!(second[0].as_ref().expect("ok").cost.cached);
-        assert_eq!(exec.counters().heavy_hitters, 2);
-        assert_eq!(exec.cache_stats().hits, 1);
+        assert_eq!(served(&exec, Some(StatKind::HeavyHitters)), 2);
+        assert_eq!(exec.recorder().counter("engine_cache_hits").get(), 1);
     }
 }

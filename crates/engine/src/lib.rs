@@ -82,13 +82,13 @@ pub mod shard;
 pub mod snapshot;
 pub mod wire;
 
-pub use cache::{CacheStats, CachedAnswer, QueryCache};
+pub use cache::{CachedAnswer, QueryCache};
 pub use config::{EngineConfig, FreqNetConfig};
 // The moment-net configuration lives in pfe-core (the nets are built
 // there); re-exported so engine users need only one import path.
-pub use engine::{Engine, EngineStats};
+pub use engine::Engine;
 pub use error::EngineError;
-pub use exec::{QueryCounters, QueryExecutor};
+pub use exec::QueryExecutor;
 pub use ingest::{check_dense_chunk, check_packed_chunk, IngestPipeline, RowBatch};
 pub use json::Json;
 pub use persist::merge_snapshot_files;

@@ -69,6 +69,13 @@ pub struct Plan {
     pub errors: Vec<(usize, EngineError)>,
 }
 
+/// Largest `k` an `ℓ_1`-sample query may ask for. The answer collects `k`
+/// 16-byte draws and the answer cache keeps it, so `k` is memory the
+/// client sizes: 4,096 draws are 64 KiB per answer (64 MiB for a full
+/// default cache of them), 256× the largest `k` the repo's tests and
+/// benchmark ask for (16).
+pub const MAX_L1_SAMPLE_K: usize = 1 << 12;
+
 fn column_set(snap: &Snapshot, cols: &[u32]) -> Result<ColumnSet, EngineError> {
     let d = snap.sample().dimension();
     ColumnSet::from_indices(d, cols)
@@ -82,6 +89,14 @@ pub fn plan(snap: &Snapshot, queries: &[Query]) -> Plan {
     let mut plan = Plan::default();
     let mut index: HashMap<QueryKey, usize> = HashMap::with_capacity(queries.len());
     'next: for (slot, q) in queries.iter().enumerate() {
+        if let Statistic::L1Sample { k, .. } = q.statistic {
+            if k > MAX_L1_SAMPLE_K {
+                let msg = format!("l1_sample k={k} outside 0..={MAX_L1_SAMPLE_K}");
+                plan.errors
+                    .push((slot, EngineError::Query(QueryError::BadParameter(msg))));
+                continue 'next;
+            }
+        }
         if let Some(pinned) = q.options.pin_epoch {
             if pinned != epoch {
                 plan.errors.push((

@@ -1,12 +1,12 @@
 //! The wire protocol: canonical `pfe-query` types ⇄ line-delimited JSON.
 //!
 //! One definition drives everything — the server dispatcher parses requests
-//! with [`query_from_json`] and serializes responses with
-//! [`answer_to_json`] / [`stats_to_json`], so the Rust API, the cache
-//! keys, and the wire protocol can never drift apart. The statistic op
-//! names are [`StatKind::name`] (`f0`, `frequency`, `heavy_hitters`,
-//! `l1_sample`, `fp`); per-query options travel as optional fields
-//! (`epoch`, `bypass_cache`, `exact`, `seed`).
+//! with [`query_from_json`] and serializes answers with
+//! [`answer_to_json`], so the Rust API, the cache keys, and the wire
+//! protocol can never drift apart. The statistic op names are
+//! [`StatKind::name`](pfe_query::StatKind::name) (`f0`, `frequency`,
+//! `heavy_hitters`, `l1_sample`, `fp`); per-query options travel as
+//! optional fields (`epoch`, `bypass_cache`, `exact`, `seed`).
 //!
 //! ```
 //! use pfe_engine::{wire, Json};
@@ -18,10 +18,9 @@
 //! assert_eq!(query.statistic, Statistic::HeavyHitters { phi: 0.1 });
 //! ```
 
-use pfe_query::{Answer, AnswerValue, Query, StatKind};
+use pfe_query::{Answer, AnswerValue, Query};
 use pfe_row::PatternCodec;
 
-use crate::engine::EngineStats;
 use crate::json::Json;
 
 /// `x` as a nonnegative integer no larger than `max` — the one place the
@@ -137,7 +136,8 @@ pub const COMMON_FIELDS: &[&str] = &[
 
 /// Parse one statistic request object into a [`Query`].
 ///
-/// The object's `op` must be a [`StatKind::name`]; `cols` is required;
+/// The object's `op` must be a
+/// [`StatKind::name`](pfe_query::StatKind::name); `cols` is required;
 /// the op's own payload (`pattern` | `phi` | `k` | `p`) and the options
 /// (`epoch`, `bypass_cache`, `exact`, `seed`, `window`) are read from
 /// sibling fields. That set is closed: a field outside it — a misspelt
@@ -300,32 +300,6 @@ pub fn answer_to_json(answer: &Answer, q: u32) -> Json {
         ));
     }
     Json::obj(fields)
-}
-
-/// Serialize [`EngineStats`] as the `{"op":"stats"}` response object.
-pub fn stats_to_json(stats: &EngineStats) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("rows_ingested", Json::Num(stats.rows_ingested as f64)),
-        ("snapshot_epoch", Json::Num(stats.snapshot_epoch as f64)),
-        ("snapshot_rows", Json::Num(stats.snapshot_rows as f64)),
-        ("snapshot_bytes", Json::Num(stats.snapshot_bytes as f64)),
-        ("cache_hits", Json::Num(stats.cache.hits as f64)),
-        ("cache_misses", Json::Num(stats.cache.misses as f64)),
-        ("cache_evictions", Json::Num(stats.cache.evictions as f64)),
-        ("cache_hit_ratio", Json::Num(stats.cache.hit_ratio())),
-        ("queries_served", Json::Num(stats.queries_served as f64)),
-        (
-            "queries",
-            Json::obj(
-                StatKind::ALL
-                    .iter()
-                    .map(|&k| (k.name(), Json::Num(stats.queries.get(k) as f64)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("shards", Json::Num(stats.shards as f64)),
-    ])
 }
 
 #[cfg(test)]

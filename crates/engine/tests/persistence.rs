@@ -2,9 +2,11 @@
 //! engine that never stopped, and snapshot files from independent
 //! processes must union to the single-process build.
 
+use std::sync::Arc;
+
 use pfe_engine::{
     merge_snapshot_files, Engine, EngineConfig, EngineError, FpConfig, FreqNetConfig, Query,
-    Snapshot,
+    Recorder, Snapshot,
 };
 use pfe_row::{ColumnSet, Dataset};
 use pfe_stream::gen::uniform_binary;
@@ -60,7 +62,9 @@ fn checkpoint_resume_answers_bit_identical() {
     let engine = Engine::start(d, 2, cfg()).expect("start");
     engine.ingest(&uniform_binary(d, 3000, 7)).expect("ingest");
     engine.checkpoint(&path).expect("checkpoint");
-    let resumed = Engine::resume(&path, cfg()).expect("resume");
+    let recorder = Arc::new(Recorder::new());
+    let resumed =
+        Engine::resume_with_recorder(&path, cfg(), Arc::clone(&recorder)).expect("resume");
     // The resumed engine serves immediately — no refresh needed — and
     // every statistic matches to the bit.
     for req in battery(d) {
@@ -72,8 +76,8 @@ fn checkpoint_resume_answers_bit_identical() {
         assert_eq!(a.guarantee, b.guarantee, "guarantees diverged on {req:?}");
         assert_eq!(a.provenance, b.provenance);
     }
-    let stats = resumed.stats();
-    assert_eq!(stats.snapshot_rows, 3000);
+    resumed.sync_gauges();
+    assert_eq!(recorder.gauge("engine_snapshot_rows").get(), 3000);
     std::fs::remove_file(&path).ok();
 }
 

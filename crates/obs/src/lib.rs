@@ -6,10 +6,11 @@
 //! registry that renders to Prometheus text exposition.
 //!
 //! Every serving crate (`pfe-engine`, `pfe-window`, `pfe-server`) threads
-//! one shared `Arc<Recorder>` through its hot path; the legacy stat
-//! structs (`EngineStats`, `CacheStats`, `server_stats`) are *views* read
-//! back out of this registry, so the `metrics` wire op, the Prometheus
-//! endpoint, and the line-protocol stats ops can never disagree.
+//! one shared `Arc<Recorder>` through its hot path, and the registry is
+//! the stats schema: the `stats`, `window_stats` and `server_stats`
+//! replies are declared tables of registry series (`pfe_server::proto`),
+//! so they, the `metrics` wire op and the Prometheus endpoint can never
+//! disagree.
 //!
 //! ```
 //! use pfe_obs::Recorder;

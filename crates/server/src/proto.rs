@@ -7,6 +7,13 @@
 //! replica rejection, the unknown-field rejection, the per-op counters,
 //! the `docs/PROTOCOL.md` drift test and the request fuzzer all read it.
 //!
+//! The three stats replies are declared the same way, beside it:
+//! `STATS`, `WINDOW_STATS` and `SERVER_STATS` map each reply key to the
+//! metrics-registry series it reads, so `stats`, `metrics` and the
+//! Prometheus endpoint report one number per figure. One function builds
+//! each reply from its table, after the backend has written what only it
+//! knows into the registry ([`Backend::sync_gauges`]).
+//!
 //! A [`Dispatcher`] owns the serving [`Backend`] (whole-stream or
 //! sliding-window, selected by the `start` request — the dispatcher never
 //! asks which) plus the server-level counters, and turns one request line
@@ -37,12 +44,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Instant, SystemTime};
 
-use pfe_engine::{wire, Engine, EngineConfig, Json, Query, Snapshot};
+use pfe_engine::{wire, Engine, EngineConfig, Json, Query, Snapshot, StatKind};
 use pfe_obs::{
     chrome_trace_json, AttrValue, CompletedTrace, Counter, Gauge, Histogram, Recorder, SpanRecord,
     TraceContext, TraceHandle,
 };
-use pfe_window::{wire as window_wire, WindowConfig};
+use pfe_window::WindowConfig;
 
 /// The serving backend — whole-stream or sliding-window — lives in
 /// `pfe-window`, the lowest crate that sees both engines; re-exported here
@@ -98,6 +105,81 @@ pub const OPS: &[Op] = &[
     Op { name: "checkpoint", writes: true, fields: Some(&["path"]), serve: Dispatcher::checkpoint },
     Op { name: "shutdown", writes: false, fields: Some(&[]), serve: Dispatcher::shutdown },
     Op { name: "quit", writes: false, fields: Some(&[]), serve: Dispatcher::quit },
+];
+
+/// Where one key of a stats reply reads its value: a registry series, or
+/// a figure computed from registry series when the reply is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Series {
+    /// A registry counter.
+    Counter(&'static str),
+    /// A registry gauge.
+    Gauge(&'static str),
+    /// `engine_cache_hits / (hits + misses)`; 0 before any lookup.
+    CacheHitRatio,
+    /// The sum of the five `engine_queries_<statistic>` counters.
+    QueriesServed,
+    /// `{<statistic>: engine_queries_<statistic>}` over every statistic.
+    Queries,
+    /// `{<op>: server_op_requests_<op>}` over [`OPS`] plus `unknown`, ops
+    /// with traffic only.
+    Ops,
+    /// `[window_buckets_tier_<level>]` for each level below the
+    /// `window_max_tiers` gauge.
+    BucketsPerTier,
+    /// The whole `stats` reply, or `null` with no backend installed.
+    Engine,
+}
+
+/// The `stats` reply, one schema on both backends (the windowed sync maps
+/// its ring onto the `engine_*` gauges).
+#[rustfmt::skip]
+const STATS: &[(&str, Series)] = &[
+    ("rows_ingested", Series::Gauge("engine_rows_ingested")),
+    ("snapshot_epoch", Series::Gauge("engine_snapshot_epoch")),
+    ("snapshot_rows", Series::Gauge("engine_snapshot_rows")),
+    ("snapshot_bytes", Series::Gauge("engine_snapshot_bytes")),
+    ("cache_hits", Series::Counter("engine_cache_hits")),
+    ("cache_misses", Series::Counter("engine_cache_misses")),
+    ("cache_evictions", Series::Counter("engine_cache_evictions")),
+    ("cache_hit_ratio", Series::CacheHitRatio),
+    ("queries_served", Series::QueriesServed),
+    ("queries", Series::Queries),
+    ("shards", Series::Gauge("engine_shards")),
+];
+
+/// The `window_stats` reply (windowed backends only).
+#[rustfmt::skip]
+const WINDOW_STATS: &[(&str, Series)] = &[
+    ("retained_rows", Series::Gauge("window_retained_rows")),
+    ("active_rows", Series::Gauge("window_active_rows")),
+    ("evicted_rows", Series::Gauge("window_evicted_rows")),
+    ("buckets", Series::Gauge("window_buckets")),
+    ("buckets_per_tier", Series::BucketsPerTier),
+    ("sealed_buckets", Series::Gauge("window_sealed_buckets")),
+    ("tier_merges", Series::Gauge("window_tier_merges")),
+    ("evictions", Series::Gauge("window_evictions")),
+    ("merged_cache_hits", Series::Counter("window_merged_cache_hits")),
+    ("merged_cache_misses", Series::Counter("window_merged_cache_misses")),
+    ("ring_bytes", Series::Gauge("window_ring_bytes")),
+    ("cache_hits", Series::Counter("engine_cache_hits")),
+    ("cache_misses", Series::Counter("engine_cache_misses")),
+    ("queries_served", Series::QueriesServed),
+];
+
+/// The `server_stats` reply, on every transport (pipe mode reports no
+/// connections and a zero pool shape).
+#[rustfmt::skip]
+const SERVER_STATS: &[(&str, Series)] = &[
+    ("connections_accepted", Series::Counter("server_connections_accepted")),
+    ("connections_open", Series::Gauge("server_connections_open")),
+    ("rejected_saturated", Series::Counter("server_rejected_saturated")),
+    ("requests_handled", Series::Counter("server_requests_handled")),
+    ("in_flight", Series::Gauge("server_in_flight")),
+    ("workers", Series::Gauge("server_workers")),
+    ("queue_capacity", Series::Gauge("server_queue_capacity")),
+    ("ops", Series::Ops),
+    ("engine", Series::Engine),
 ];
 
 /// Build an `{"ok":false,"error":msg}` payload.
@@ -327,16 +409,14 @@ impl Reply {
     }
 }
 
-/// Connection/request counters served by `server_stats`. The TCP layer
-/// owns the connection-shaped ones; the dispatcher maintains the request
-/// and per-op counters on every transport (in pipe mode the connection
-/// counters simply stay 0).
+/// Handles to the connection/request series `server_stats` reads. The
+/// TCP layer owns the connection-shaped ones and the pool shape; the
+/// dispatcher maintains the request and per-op counters on every
+/// transport (in pipe mode the others simply stay 0).
 ///
-/// Every field is a handle into the dispatcher's shared
-/// [`Recorder`] (`server_*` names), so `server_stats`, the `metrics` op,
-/// and the Prometheus endpoint all read the same series. Per-op handles
-/// are pre-resolved for every op of [`OPS`] at construction — the hot
-/// path never takes the registry lock.
+/// Every field is a handle into the dispatcher's shared [`Recorder`]
+/// (`server_*` names). Per-op handles are pre-resolved for every op of
+/// [`OPS`] at construction — the hot path never takes the registry lock.
 #[derive(Debug)]
 pub struct ServerCounters {
     /// Connections accepted since start.
@@ -349,6 +429,11 @@ pub struct ServerCounters {
     pub requests_handled: Arc<Counter>,
     /// Requests currently being dispatched.
     pub in_flight: Arc<Gauge>,
+    /// Worker-pool threads (0 until the TCP layer sets it).
+    pub(crate) workers: Arc<Gauge>,
+    /// Worker-pool queue capacity, in connections (0 until the TCP layer
+    /// sets it).
+    pub(crate) queue_capacity: Arc<Gauge>,
     /// `op name -> (request counter, latency histogram)`; unrecognized
     /// names share the `unknown` slot.
     ops: BTreeMap<&'static str, (Arc<Counter>, Arc<Histogram>)>,
@@ -372,18 +457,10 @@ impl ServerCounters {
             rejected_saturated: recorder.counter("server_rejected_saturated"),
             requests_handled: recorder.counter("server_requests_handled"),
             in_flight: recorder.gauge("server_in_flight"),
+            workers: recorder.gauge("server_workers"),
+            queue_capacity: recorder.gauge("server_queue_capacity"),
             ops,
         }
-    }
-
-    /// Per-op request counts — ops with traffic only (unrecognized names
-    /// land under `unknown`).
-    fn ops(&self) -> BTreeMap<String, u64> {
-        self.ops
-            .iter()
-            .filter(|(_, (count, _))| count.get() > 0)
-            .map(|(&op, (count, _))| (op.to_string(), count.get()))
-            .collect()
     }
 }
 
@@ -429,9 +506,6 @@ pub struct Dispatcher {
     counters: ServerCounters,
     checkpoint_path: Option<PathBuf>,
     checkpointed: AtomicBool,
-    /// `(workers, queue)` reported by `server_stats`; `(0, 0)` until the
-    /// TCP layer announces its pool shape.
-    pool_shape: RwLock<(usize, usize)>,
     /// Process start, for `process_uptime_seconds`.
     started_at: Instant,
     /// `process_uptime_seconds` gauge, refreshed on every metrics read.
@@ -466,7 +540,6 @@ impl Dispatcher {
             counters,
             checkpoint_path,
             checkpointed: AtomicBool::new(false),
-            pool_shape: RwLock::new((0, 0)),
             started_at: Instant::now(),
             uptime,
             replica: RwLock::new(None),
@@ -634,11 +707,6 @@ impl Dispatcher {
         *self.started.write().expect("backend lock") = Some(Started { backend, d, q });
     }
 
-    /// Announce the worker-pool shape reported by `server_stats`.
-    pub fn set_pool_shape(&self, workers: usize, queue: usize) {
-        *self.pool_shape.write().expect("pool shape lock") = (workers, queue);
-    }
-
     /// The live counters (the TCP layer increments the connection ones).
     pub fn counters(&self) -> &ServerCounters {
         &self.counters
@@ -652,11 +720,59 @@ impl Dispatcher {
         &self.recorder
     }
 
-    /// Mirror backend-derived values into their gauges so a metrics read
-    /// reflects the live state, not the state at the last `stats` call.
+    /// Write the uptime and the backend's own figures into their gauges,
+    /// inside the request that reads them: a metrics read reflects the
+    /// live state, never a value carried over from an earlier request.
     fn sync_gauges(&self) {
         self.uptime.set(self.started_at.elapsed().as_secs());
-        self.with_live_backend(|b| b.stats());
+        self.with_live_backend(Backend::sync_gauges);
+    }
+
+    /// Build a stats reply from its declared table, once `backend` (if
+    /// given) has written its own figures in this request: each key reads
+    /// its registry series, and the derived figures are computed here.
+    fn view(&self, table: &[(&'static str, Series)], backend: Option<&Backend>) -> Json {
+        if let Some(b) = backend {
+            b.sync_gauges();
+        }
+        let rec = &self.recorder;
+        let count = |name: &str| rec.counter(name).get();
+        let num = |n: u64| Json::Num(n as f64);
+        let queries =
+            || StatKind::ALL.map(|k| (k.name(), count(&format!("engine_queries_{}", k.name()))));
+        let fields = table.iter().map(|&(key, series)| {
+            let value = match series {
+                Series::Counter(name) => num(count(name)),
+                Series::Gauge(name) => num(rec.gauge(name).get()),
+                Series::CacheHitRatio => {
+                    let (hits, misses) = (count("engine_cache_hits"), count("engine_cache_misses"));
+                    // 0 before any lookup, not NaN.
+                    Json::Num(hits as f64 / (hits + misses).max(1) as f64)
+                }
+                Series::QueriesServed => num(queries().iter().map(|&(_, n)| n).sum()),
+                Series::Queries => Json::obj(queries().map(|(k, n)| (k, num(n)))),
+                // The per-op handles are `server_op_requests_<op>` over
+                // `OPS` plus `unknown`.
+                Series::Ops => Json::Obj(
+                    self.counters
+                        .ops
+                        .iter()
+                        .filter(|(_, (n, _))| n.get() > 0)
+                        .map(|(&op, (n, _))| (op.to_string(), num(n.get())))
+                        .collect(),
+                ),
+                Series::BucketsPerTier => Json::Arr(
+                    (0..rec.gauge("window_max_tiers").get())
+                        .map(|level| num(rec.gauge(&format!("window_buckets_tier_{level}")).get()))
+                        .collect(),
+                ),
+                Series::Engine => self
+                    .with_live_backend(|b| self.view(STATS, Some(b)))
+                    .unwrap_or(Json::Null),
+            };
+            (key, value)
+        });
+        Json::obj([("ok", Json::Bool(true))].into_iter().chain(fields))
     }
 
     /// The full registry in Prometheus text-exposition format (metric
@@ -968,57 +1084,20 @@ impl Dispatcher {
     }
 
     fn stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
-        self.with_backend(|s| Ok(Reply::cont(wire::stats_to_json(&s.backend.stats()))))
+        self.with_backend(|s| Ok(Reply::cont(self.view(STATS, Some(&s.backend)))))
     }
 
     fn window_stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
-        self.with_backend(|s| {
-            let stats = s.backend.window_stats().ok_or_else(|| {
-                err("window_stats requires a windowed engine: start with a 'window' object")
-            })?;
-            Ok(Reply::cont(window_wire::window_stats_to_json(&stats)))
+        self.with_backend(|s| match s.backend.plain() {
+            Some(_) => Err(err(
+                "window_stats requires a windowed engine: start with a 'window' object",
+            )),
+            None => Ok(Reply::cont(self.view(WINDOW_STATS, Some(&s.backend)))),
         })
     }
 
-    /// The `server_stats` op.
     fn server_stats(&self, _: &Json, _: &TraceHandle) -> Result<Reply, Json> {
-        let (workers, queue) = *self.pool_shape.read().expect("pool shape lock");
-        let c = &self.counters;
-        let engine = self
-            .with_live_backend(|b| wire::stats_to_json(&b.stats()))
-            .unwrap_or(Json::Null);
-        Ok(Reply::cont(Json::obj([
-            ("ok", Json::Bool(true)),
-            (
-                "connections_accepted",
-                Json::Num(c.connections_accepted.get() as f64),
-            ),
-            (
-                "connections_open",
-                Json::Num(c.connections_open.get() as f64),
-            ),
-            (
-                "rejected_saturated",
-                Json::Num(c.rejected_saturated.get() as f64),
-            ),
-            (
-                "requests_handled",
-                Json::Num(c.requests_handled.get() as f64),
-            ),
-            ("in_flight", Json::Num(c.in_flight.get() as f64)),
-            ("workers", Json::Num(workers as f64)),
-            ("queue_capacity", Json::Num(queue as f64)),
-            (
-                "ops",
-                Json::Obj(
-                    c.ops()
-                        .into_iter()
-                        .map(|(k, v)| (k, Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            ("engine", engine),
-        ])))
+        Ok(Reply::cont(self.view(SERVER_STATS, None)))
     }
 
     /// The `metrics` op: the full registry as JSON, or Prometheus text
@@ -1236,7 +1315,20 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfe_core::fp::{MAX_AMS_GROUPS, MAX_AMS_PER_GROUP, MAX_STABLE_T};
+    use pfe_engine::{config::MAX_SHARDS, planner::MAX_L1_SAMPLE_K};
     use proptest::test_runner::TestRng;
+
+    const INGEST: &str = r#"{"op":"ingest","rows":[[0,1,0,0,1,0,1,1],[1,1,0,0,0,0,1,1]]}"#;
+
+    /// One request of each statistic.
+    const BATTERY: [&str; 5] = [
+        r#"{"op":"f0","cols":[0,1,2]}"#,
+        r#"{"op":"frequency","cols":[0,1],"pattern":[0,1]}"#,
+        r#"{"op":"heavy_hitters","cols":[0,1],"phi":0.2}"#,
+        r#"{"op":"l1_sample","cols":[0,1],"k":4,"seed":7}"#,
+        r#"{"op":"fp","cols":[0,1],"p":2.0}"#,
+    ];
 
     fn started() -> Dispatcher {
         let d = Dispatcher::new(None);
@@ -1332,17 +1424,30 @@ mod tests {
     fn windowed_backend_over_the_same_protocol() {
         let d = Dispatcher::new(None);
         let r = d.handle_line(
-            r#"{"op":"start","d":8,"q":2,"window":{"bucket_rows":64,"tier_cap":2,"max_tiers":3}}"#,
+            r#"{"op":"start","d":8,"q":2,"window":{"bucket_rows":3,"tier_cap":2,"max_tiers":3}}"#,
         );
         assert_eq!(r.json.get("windowed"), Some(&Json::Bool(true)));
         for _ in 0..4 {
-            d.handle_line(r#"{"op":"ingest","rows":[[0,1,0,0,1,0,1,1],[1,1,0,0,0,0,1,1]]}"#);
+            d.handle_line(INGEST);
         }
         let r = d.handle_line(r#"{"op":"f0","cols":[0,1,2],"window":4}"#);
         let w = r.json.get("window").expect("coverage");
         assert_eq!(w.get("requested_rows").and_then(Json::as_f64), Some(4.0));
-        let r = d.handle_line(r#"{"op":"window_stats"}"#);
-        assert!(r.json.get("buckets_per_tier").is_some());
+        // 8 rows in 3-row buckets: two sealed, two rows active, one
+        // entry per tier.
+        let r = d.handle_line(r#"{"op":"window_stats"}"#).json;
+        let num = |key: &str| r.get(key).and_then(Json::as_f64);
+        assert_eq!(
+            (
+                num("retained_rows"),
+                num("sealed_buckets"),
+                num("active_rows")
+            ),
+            (Some(8.0), Some(2.0), Some(2.0))
+        );
+        let tiers = r.get("buckets_per_tier").and_then(Json::as_arr);
+        assert_eq!(tiers.map(<[Json]>::len), Some(3));
+        assert_eq!(Json::parse(&r.to_string()).expect("reparse"), r);
         // stats keeps the plain schema on windowed engines.
         let r = d.handle_line(r#"{"op":"stats"}"#);
         assert_eq!(
@@ -1545,6 +1650,28 @@ mod tests {
             writes[..],
             "replica paragraph: {rule}"
         );
+        // Each stats op's reply example names exactly its table's keys.
+        for (op, table) in [
+            ("stats", STATS),
+            ("window_stats", WINDOW_STATS),
+            ("server_stats", SERVER_STATS),
+        ] {
+            let (_, body) = sections
+                .iter()
+                .find(|(h, _)| *h == op)
+                .expect("checked above");
+            let reply = body
+                .split_once('→')
+                .and_then(|(_, after)| after.split("```json\n").nth(1))
+                .and_then(|block| block.split("```").next())
+                .unwrap_or_else(|| panic!("'### {op}' has no reply example"));
+            let mut named = top_level_keys(reply);
+            let mut declared: Vec<&str> = table.iter().map(|&(key, _)| key).collect();
+            declared.push("ok");
+            named.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(named, declared, "'### {op}' reply example");
+        }
         for example in doc.split("\"op\":\"").skip(1) {
             let name = example.split('"').next().expect("split is never empty");
             if name
@@ -1556,6 +1683,209 @@ mod tests {
                     "docs/PROTOCOL.md sends op '{name}', which OPS does not declare"
                 );
             }
+        }
+    }
+
+    /// The keys of a JSON object's outermost level, read from a doc
+    /// example that may elide values (`{...}`).
+    fn top_level_keys(text: &str) -> Vec<&str> {
+        let (mut depth, mut keys, mut rest) = (0, Vec::new(), text);
+        while let Some(c) = rest.chars().next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let end = 1 + rest[1..].find('"').expect("a closed string");
+                    if depth == 1 && rest[end + 1..].trim_start().starts_with(':') {
+                        keys.push(&rest[1..end]);
+                    }
+                    rest = &rest[end + 1..];
+                    continue;
+                }
+                _ => {}
+            }
+            rest = &rest[c.len_utf8()..];
+        }
+        keys
+    }
+
+    #[test]
+    fn stats_replies_are_the_registry_series_their_tables_name() {
+        let windowed = r#"{"op":"start","d":8,"q":2,"fp":{"orders":[2.0]},
+            "window":{"bucket_rows":3,"tier_cap":2,"max_tiers":3}}"#;
+        for (backend, start, tables) in [
+            (
+                "plain",
+                r#"{"op":"start","d":8,"q":2,"shards":2,"fp":{"orders":[2.0]}}"#,
+                &[("stats", STATS), ("server_stats", SERVER_STATS)][..],
+            ),
+            (
+                "windowed",
+                windowed,
+                &[
+                    ("stats", STATS),
+                    ("window_stats", WINDOW_STATS),
+                    ("server_stats", SERVER_STATS),
+                ][..],
+            ),
+        ] {
+            let d = Dispatcher::new(None);
+            for line in [start, INGEST, INGEST, INGEST, r#"{"op":"snapshot"}"#]
+                .into_iter()
+                .chain(BATTERY)
+            {
+                let r = d.handle_line(line);
+                assert_eq!(
+                    r.json.get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{backend}: {line}"
+                );
+            }
+            let mut stats = Json::Null;
+            for &(op, table) in tables {
+                let reply = d.handle_line(&format!(r#"{{"op":"{op}"}}"#)).json;
+                let metrics = d.handle_line(r#"{"op":"metrics"}"#).json;
+                for &(key, series) in table {
+                    let (kind, name) = match series {
+                        Series::Counter(name) => ("counters", name),
+                        Series::Gauge(name) => ("gauges", name),
+                        _ => continue,
+                    };
+                    let expected = metrics.get(kind).and_then(|m| m.get(name));
+                    let expected = expected.and_then(Json::as_f64).unwrap_or_else(|| {
+                        panic!("{backend}: `metrics` has no {kind} '{name}' for {op}.{key}")
+                    });
+                    // `server_stats` counts itself once it has replied.
+                    let own = if name == "server_requests_handled" {
+                        1.0
+                    } else {
+                        0.0
+                    };
+                    let value = reply.get(key).and_then(Json::as_f64);
+                    assert_eq!(
+                        value.map(|v| v + own),
+                        Some(expected),
+                        "{backend} {op}.{key}"
+                    );
+                }
+                if table.contains(&("queries_served", Series::QueriesServed)) {
+                    let served = reply.get("queries_served").and_then(Json::as_f64);
+                    assert_eq!(served, Some(BATTERY.len() as f64), "{backend} {op}");
+                }
+                match op {
+                    "stats" => stats = reply,
+                    "server_stats" => assert_eq!(reply.get("engine"), Some(&stats), "{backend}"),
+                    _ => {}
+                }
+            }
+            // The Prometheus text carries the same figure.
+            let rows = stats
+                .get("rows_ingested")
+                .and_then(Json::as_f64)
+                .expect("rows");
+            assert_eq!(rows, 6.0, "{backend}");
+            let r = d.handle_line(r#"{"op":"metrics","format":"prometheus"}"#);
+            let text = r.json.get("text").and_then(Json::as_str).expect("text");
+            assert!(text.contains("\npfe_engine_rows_ingested 6\n"), "{backend}");
+        }
+    }
+
+    #[test]
+    fn derived_stats_figures_are_computed_in_the_view() {
+        let d = started();
+        d.handle_line(INGEST);
+        d.handle_line(r#"{"op":"snapshot"}"#);
+        let stats = || d.handle_line(r#"{"op":"stats"}"#).json;
+        // Before any lookup the hit ratio is 0, not NaN.
+        let ratio = stats().get("cache_hit_ratio").and_then(Json::as_f64);
+        assert!(ratio.expect("a ratio").is_finite());
+        assert_eq!(ratio, Some(0.0));
+        // One miss, then one hit.
+        d.handle_line(BATTERY[0]);
+        d.handle_line(BATTERY[0]);
+        let s = stats();
+        assert_eq!(s.get("cache_hit_ratio").and_then(Json::as_f64), Some(0.5));
+        assert_eq!(s.get("queries_served").and_then(Json::as_f64), Some(2.0));
+        let queries = s.get("queries").expect("per-statistic counts");
+        for kind in StatKind::ALL {
+            let expected = if kind == StatKind::F0 { 2.0 } else { 0.0 };
+            assert_eq!(
+                queries.get(kind.name()).and_then(Json::as_f64),
+                Some(expected)
+            );
+        }
+        // `ops` lists the ops with traffic, unknown names under `unknown`.
+        d.handle_line(r#"{"op":"bogus"}"#);
+        let r = d.handle_line(r#"{"op":"server_stats"}"#).json;
+        let ops = r.get("ops").expect("ops");
+        let count = |op: &str| ops.get(op).and_then(Json::as_f64);
+        assert_eq!(
+            (
+                count("f0"),
+                count("stats"),
+                count("unknown"),
+                count("server_stats")
+            ),
+            (Some(2.0), Some(2.0), Some(1.0), Some(1.0))
+        );
+        assert_eq!(count("trace"), None, "an op with no traffic is left out");
+    }
+
+    /// The five integers a request sizes memory or threads by, with their
+    /// bounds and a request carrying each (`N` stands for the value).
+    const BOUNDS: &[(&str, usize, &str)] = &[
+        (
+            "k",
+            MAX_L1_SAMPLE_K,
+            r#"{"op":"l1_sample","cols":[0,1],"k":N}"#,
+        ),
+        (
+            "shards",
+            MAX_SHARDS,
+            r#"{"op":"start","d":8,"q":2,"shards":N}"#,
+        ),
+        (
+            "stable_t",
+            MAX_STABLE_T,
+            r#"{"op":"start","d":8,"q":2,"shards":1,"fp":{"orders":[1.5],"stable_t":N}}"#,
+        ),
+        (
+            "ams_groups",
+            MAX_AMS_GROUPS,
+            r#"{"op":"start","d":8,"q":2,"shards":1,"fp":{"orders":[2.0],"ams_groups":N}}"#,
+        ),
+        (
+            "ams_per_group",
+            MAX_AMS_PER_GROUP,
+            r#"{"op":"start","d":8,"q":2,"shards":1,"fp":{"orders":[2.0],"ams_per_group":N}}"#,
+        ),
+    ];
+
+    #[test]
+    fn bounded_integers_past_their_constant_are_typed_errors() {
+        for &(key, bound, template) in BOUNDS {
+            let d = started();
+            d.handle_line(INGEST);
+            d.handle_line(r#"{"op":"snapshot"}"#);
+            let send = |n: u64| d.handle_line(&template.replace('N', &n.to_string())).json;
+            let at = send(bound as u64);
+            assert_eq!(
+                at.get("ok"),
+                Some(&Json::Bool(true)),
+                "{key} at {bound}: {at}"
+            );
+            for past in [bound as u64 + 1, 1 << 32, 1 << 53] {
+                let r = send(past);
+                let error = r.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(error.ends_with(&format!("..={bound}")), "{key}={past}: {r}");
+                assert!(
+                    error.contains(&format!("{key}={past} outside")),
+                    "{key}={past}: {r}"
+                );
+            }
+            // The rejection left the session serving.
+            let stats = d.handle_line(r#"{"op":"stats"}"#).json;
+            assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{key}");
         }
     }
 
@@ -1832,15 +2162,36 @@ mod tests {
         }
     }
 
-    /// Some of `keys`, each a small integer.
-    fn some_ints(rng: &mut TestRng, keys: &[&str]) -> BTreeMap<String, Json> {
+    /// Some of `keys`, each a small integer — or, for a key of
+    /// [`BOUNDS`], what [`bounded`] draws.
+    fn some_ints(rng: &mut TestRng, keys: &[&str], wide: &str) -> BTreeMap<String, Json> {
         let mut map = BTreeMap::new();
         for key in keys {
             if rng.below(2) == 0 {
-                map.insert(key.to_string(), Json::Num(rng.below(13) as f64));
+                let value = bounded(rng, key, wide).unwrap_or(rng.below(13) as f64);
+                map.insert(key.to_string(), Json::Num(value));
             }
         }
         map
+    }
+
+    /// A value for a key of [`BOUNDS`] (`None` for any other key). The
+    /// request's `wide` key draws from {small, its bound, one past it,
+    /// 2³², 2⁵³}; every other bounded key stays at 0..=4, so no request
+    /// pays for two bounds at once (shards × per-member counters).
+    fn bounded(rng: &mut TestRng, key: &str, wide: &str) -> Option<f64> {
+        let &(_, bound, _) = BOUNDS.iter().find(|(k, _, _)| *k == key)?;
+        let small = rng.below(5) as f64;
+        if key != wide {
+            return Some(small);
+        }
+        Some(match rng.below(5) {
+            0 => small,
+            1 => bound as f64,
+            2 => bound as f64 + 1.0,
+            3 => 2f64.powi(32),
+            _ => 2f64.powi(53),
+        })
     }
 
     /// Where fuzzed `checkpoint`s write: a string `path` always lands
@@ -1851,16 +2202,22 @@ mod tests {
 
     /// A value for `key`, shaped like what the key holds five times in
     /// six (rows near d = 8, columns, statistic requests, `start`'s
-    /// nested objects, paths under [`fuzz_scratch`]), any value — but
-    /// never a stray path string — otherwise.
-    fn field_value(rng: &mut TestRng, key: &str) -> Json {
+    /// nested objects, paths under [`fuzz_scratch`], [`bounded`] draws),
+    /// any value — but never a stray path string — otherwise.
+    fn field_value(rng: &mut TestRng, key: &str, wide: &str) -> Json {
         if rng.below(6) == 0 {
             match any_value(rng, 0) {
                 Json::Str(_) if key == "path" => {}
                 wrong => return wrong,
             }
         }
+        if let Some(n) = bounded(rng, key, wide) {
+            return Json::Num(n);
+        }
         match key {
+            // d <= 9 keeps a net at <= 92 members, so a bound drawn wide
+            // costs tens of MB, not hundreds.
+            "d" => Json::Num(rng.below(10) as f64),
             "rows" => Json::Arr(
                 (0..rng.below(4))
                     .map(|_| small_ints(rng, 3, 7..10))
@@ -1879,7 +2236,7 @@ mod tests {
             "alpha" | "phi" | "p" => Json::Num(pick(rng, &[0.05, 0.25, 0.3, 0.5, 1.0, 1.5, 2.0])),
             "exact" | "bypass_cache" => Json::Bool(rng.below(2) == 0),
             "fp" => {
-                let mut fp = some_ints(rng, &["stable_t", "ams_groups", "ams_per_group"]);
+                let mut fp = some_ints(rng, &["stable_t", "ams_groups", "ams_per_group"], wide);
                 let orders = (0..rng.below(3)).map(|_| Json::Num(pick(rng, &[0.5, 1.0, 2.0, 2.5])));
                 fp.insert("orders".to_string(), Json::Arr(orders.collect()));
                 Json::Obj(fp)
@@ -1887,6 +2244,7 @@ mod tests {
             "window" if rng.below(2) == 0 => Json::Obj(some_ints(
                 rng,
                 &["bucket_rows", "tier_cap", "max_tiers", "merged_cache"],
+                wide,
             )),
             _ => Json::Num(rng.below(13) as f64),
         }
@@ -1895,7 +2253,9 @@ mod tests {
     /// A request object: the fields an op is about (`d`, `rows`, `cols`,
     /// payloads) seven times in eight, each other one of `declared` three
     /// in eight, now and then `trace`, sometimes one key outside them.
+    /// One key of [`BOUNDS`] may draw wide.
     fn request(rng: &mut TestRng, name: &str, declared: &[&'static str]) -> Json {
+        let wide = pick(rng, BOUNDS).0;
         let mut map = BTreeMap::new();
         map.insert("op".to_string(), Json::Str(name.to_string()));
         for &key in declared {
@@ -1903,15 +2263,15 @@ mod tests {
                 "d", "rows", "queries", "ms", "cols", "pattern", "phi", "k", "p",
             ];
             if rng.below(8) < if usual.contains(&key) { 7 } else { 3 } {
-                map.insert(key.to_string(), field_value(rng, key));
+                map.insert(key.to_string(), field_value(rng, key, wide));
             }
         }
         if rng.below(8) == 0 {
-            map.insert("trace".to_string(), field_value(rng, "trace"));
+            map.insert("trace".to_string(), field_value(rng, "trace", wide));
         }
         if rng.below(4) == 0 {
             let stray = pick(rng, &["bogus", "cols", "rows", "windw", "path", "phi", "k"]);
-            map.insert(stray.to_string(), field_value(rng, stray));
+            map.insert(stray.to_string(), field_value(rng, stray, wide));
         }
         Json::Obj(map)
     }

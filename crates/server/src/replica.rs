@@ -119,7 +119,8 @@ pub fn ship_once(
             let engine = backend
                 .plain()
                 .ok_or("snapshot shipping requires a plain (whole-stream) engine")?;
-            let rows = engine.stats().rows_ingested;
+            engine.sync_gauges();
+            let rows = dispatcher.recorder().gauge("engine_rows_ingested").get();
             if *last_rows == Some(rows) {
                 return Ok(None);
             }

@@ -240,7 +240,8 @@ impl Server {
             None => None,
         };
         let dispatcher = Arc::new(Dispatcher::new(cfg.checkpoint_path.clone()));
-        dispatcher.set_pool_shape(cfg.workers, cfg.queue);
+        dispatcher.counters().workers.set(cfg.workers as u64);
+        dispatcher.counters().queue_capacity.set(cfg.queue as u64);
         if let Some(ms) = cfg.slow_ms {
             dispatcher.recorder().slow_log().set_threshold_ms(ms);
         }

@@ -8,18 +8,17 @@
 //! except to wrap an [`Engine`] it built itself in [`Backend::Plain`].
 //!
 //! An enum and not a trait on purpose: the two implementors are known at
-//! compile time, and the variant-only operations
-//! ([`plain`](Backend::plain) for snapshot install and shipping,
-//! [`window_stats`](Backend::window_stats)) would need downcasts behind a
+//! compile time, and the variant-only operation ([`plain`](Backend::plain),
+//! for snapshot install and shipping) would need a downcast behind a
 //! `dyn`.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use pfe_engine::{Answer, Engine, EngineConfig, EngineError, EngineStats, Query, Recorder};
+use pfe_engine::{Answer, Engine, EngineConfig, EngineError, Query, Recorder};
 use pfe_obs::TraceHandle;
 
-use crate::{WindowConfig, WindowStats, WindowedEngine};
+use crate::{WindowConfig, WindowedEngine};
 
 /// Whole-stream or sliding-window serving, behind one set of operations.
 // A process holds one `Backend`, never a collection of them: boxing the
@@ -153,36 +152,18 @@ impl Backend {
         }
     }
 
-    /// Engine-level counters under the one documented `stats` schema: the
-    /// windowed engine maps its ring counters onto it (ingested =
-    /// retained + evicted, "snapshot" fields describe the live ring,
-    /// epoch 0) and serves ring-specific detail under
-    /// [`window_stats`](Self::window_stats). Either way the read mirrors
-    /// the backend-derived values into the recorder's gauges.
-    pub fn stats(&self) -> EngineStats {
+    /// Write the figures only the engine itself knows into the
+    /// recorder's gauges, so the registry — which the `stats`,
+    /// `window_stats` and `server_stats` replies and `metrics` all read —
+    /// describes the live state. The plain engine writes its pipeline and
+    /// snapshot figures; the windowed one its ring, mapped onto the same
+    /// `engine_*` gauges (see [`WindowedEngine::window_stats`]).
+    pub fn sync_gauges(&self) {
         match self {
-            Self::Plain(e) => e.stats(),
+            Self::Plain(e) => e.sync_gauges(),
             Self::Windowed(e) => {
-                let w = e.window_stats();
-                EngineStats {
-                    rows_ingested: w.retained_rows + w.evicted_rows,
-                    snapshot_epoch: 0,
-                    snapshot_rows: w.retained_rows,
-                    snapshot_bytes: w.ring_bytes,
-                    cache: w.cache,
-                    shards: 1,
-                    queries_served: w.queries_served,
-                    queries: w.queries,
-                }
+                e.window_stats();
             }
-        }
-    }
-
-    /// Ring counters; `None` on a whole-stream backend.
-    pub fn window_stats(&self) -> Option<WindowStats> {
-        match self {
-            Self::Plain(_) => None,
-            Self::Windowed(e) => Some(e.window_stats()),
         }
     }
 

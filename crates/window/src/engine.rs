@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex};
 
 use pfe_core::QueryError;
 use pfe_engine::{
-    Answer, CacheStats, EngineConfig, EngineError, Query, QueryCounters, QueryExecutor, Recorder,
-    ShardSummary, Snapshot, WindowCoverage,
+    Answer, EngineConfig, EngineError, Query, QueryExecutor, Recorder, ShardSummary, Snapshot,
+    WindowCoverage,
 };
 use pfe_obs::{Counter, Histogram};
 use pfe_row::Dataset;
@@ -23,7 +23,8 @@ use pfe_sketch::traits::SpaceUsage;
 use crate::config::WindowConfig;
 use crate::ring::{BucketRing, Covering};
 
-/// Observability counters of a [`WindowedEngine`].
+/// The ring's figures, as [`WindowedEngine::window_stats`] last wrote
+/// them into the registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// Rows currently summarized (active bucket + sealed buckets).
@@ -48,12 +49,6 @@ pub struct WindowStats {
     pub merged_cache_misses: u64,
     /// Bytes held by the ring (active + sealed summaries).
     pub ring_bytes: usize,
-    /// Answer-cache counters (shared executor).
-    pub cache: CacheStats,
-    /// Queries answered since start, across all statistics.
-    pub queries_served: u64,
-    /// Per-statistic breakdown of `queries_served`.
-    pub queries: QueryCounters,
 }
 
 /// Tiny LRU of merged covering-set snapshots, keyed by fingerprint.
@@ -413,62 +408,52 @@ impl WindowedEngine {
         })
     }
 
-    /// Observability counters.
-    ///
-    /// Reading stats also mirrors the ring-derived values (retained/
-    /// active/evicted rows, bucket counts, seals, tier merges, ring
-    /// bytes) into the recorder's `window_*` gauges, so a Prometheus
-    /// scrape taken through the server sees them too.
+    /// The windowed half of the gauge sync: compute the ring's figures
+    /// under one ring lock, write them into the recorder — the `window_*`
+    /// gauges, one `window_buckets_tier_<level>` per tier below
+    /// `window_max_tiers`, and the five `engine_*` gauges the `stats`
+    /// reply shares with the plain engine (rows ingested = retained +
+    /// evicted, the live ring as the "snapshot", epoch 0, one shard) —
+    /// and return them.
     pub fn window_stats(&self) -> WindowStats {
-        let (
-            retained_rows,
-            active_rows,
-            evicted_rows,
-            buckets,
-            buckets_per_tier,
-            sealed_buckets,
-            tier_merges,
-            evictions,
-            ring_bytes,
-        ) = self.with_ring(|r| {
-            (
-                r.retained_rows(),
-                r.active().rows(),
-                r.evicted_rows(),
-                r.buckets().count(),
-                r.buckets_per_tier(),
-                r.sealed_buckets(),
-                r.tier_merges(),
-                r.evictions(),
-                r.space_bytes(),
-            )
+        let (stats, max_tiers) = self.with_ring(|r| {
+            let stats = WindowStats {
+                retained_rows: r.retained_rows(),
+                active_rows: r.active().rows(),
+                evicted_rows: r.evicted_rows(),
+                buckets: r.buckets().count(),
+                buckets_per_tier: r.buckets_per_tier(),
+                sealed_buckets: r.sealed_buckets(),
+                tier_merges: r.tier_merges(),
+                evictions: r.evictions(),
+                merged_cache_hits: self.merged_hits.get(),
+                merged_cache_misses: self.merged_misses.get(),
+                ring_bytes: r.space_bytes(),
+            };
+            (stats, r.window_config().max_tiers)
         });
-        let queries = self.exec.counters();
-        let stats = WindowStats {
-            retained_rows,
-            active_rows,
-            evicted_rows,
-            buckets,
-            buckets_per_tier,
-            sealed_buckets,
-            tier_merges,
-            evictions,
-            merged_cache_hits: self.merged_hits.get(),
-            merged_cache_misses: self.merged_misses.get(),
-            ring_bytes,
-            cache: self.exec.cache_stats(),
-            queries_served: queries.total(),
-            queries,
-        };
         let rec = self.exec.recorder();
-        rec.gauge("window_retained_rows").set(stats.retained_rows);
-        rec.gauge("window_active_rows").set(stats.active_rows);
-        rec.gauge("window_evicted_rows").set(stats.evicted_rows);
-        rec.gauge("window_buckets").set(stats.buckets as u64);
-        rec.gauge("window_sealed_buckets").set(stats.sealed_buckets);
-        rec.gauge("window_tier_merges").set(stats.tier_merges);
-        rec.gauge("window_evictions").set(stats.evictions);
-        rec.gauge("window_ring_bytes").set(stats.ring_bytes as u64);
+        let set = |name: &str, value: u64| rec.gauge(name).set(value);
+        set("window_retained_rows", stats.retained_rows);
+        set("window_active_rows", stats.active_rows);
+        set("window_evicted_rows", stats.evicted_rows);
+        set("window_buckets", stats.buckets as u64);
+        set("window_sealed_buckets", stats.sealed_buckets);
+        set("window_tier_merges", stats.tier_merges);
+        set("window_evictions", stats.evictions);
+        set("window_ring_bytes", stats.ring_bytes as u64);
+        set("window_max_tiers", u64::from(max_tiers));
+        for (level, &n) in stats.buckets_per_tier.iter().enumerate() {
+            set(&format!("window_buckets_tier_{level}"), u64::from(n));
+        }
+        set(
+            "engine_rows_ingested",
+            stats.retained_rows + stats.evicted_rows,
+        );
+        set("engine_snapshot_epoch", 0);
+        set("engine_snapshot_rows", stats.retained_rows);
+        set("engine_snapshot_bytes", stats.ring_bytes as u64);
+        set("engine_shards", 1);
         stats
     }
 }
@@ -493,6 +478,10 @@ mod tests {
             max_tiers: 4,
             merged_cache: 4,
         }
+    }
+
+    fn counter(engine: &WindowedEngine, name: &str) -> u64 {
+        engine.exec.recorder().counter(name).get()
     }
 
     fn engine_with(d: u32, rows: usize, seed: u64) -> WindowedEngine {
@@ -534,7 +523,7 @@ mod tests {
         assert_eq!(first.value, second.value);
         let stats = engine.window_stats();
         assert_eq!(stats.merged_cache_misses, 1);
-        assert!(stats.cache.hits >= 1);
+        assert!(counter(&engine, "engine_cache_hits") >= 1);
         // New rows shift the covering: the cache must not serve stale
         // windows.
         engine.push_packed_batch(&[0b1]).expect("push");
@@ -672,9 +661,16 @@ mod tests {
             stats.buckets
         );
         assert!(stats.ring_bytes > 0);
-        assert_eq!(stats.queries_served, 0);
+        let served = || {
+            pfe_engine::StatKind::ALL
+                .iter()
+                .map(|k| counter(&engine, &format!("engine_queries_{}", k.name())))
+                .sum::<u64>()
+        };
+        assert_eq!(served(), 0);
         engine.query(&Query::over([0]).f0().window(10)).expect("ok");
-        assert_eq!(engine.window_stats().queries.f0, 1);
+        assert_eq!(counter(&engine, "engine_queries_f0"), 1);
+        assert_eq!(served(), 1);
     }
 
     #[test]
@@ -701,6 +697,16 @@ mod tests {
             stats.sealed_buckets
         );
         assert_eq!(stats.merged_cache_hits, 1);
+        // The tiers and the engine-schema mapping land beside them.
+        let tiers = rec.gauge("window_max_tiers").get();
+        assert_eq!(tiers, u64::from(wcfg().max_tiers));
+        let per_tier: Vec<u32> = (0..tiers)
+            .map(|l| rec.gauge(&format!("window_buckets_tier_{l}")).get() as u32)
+            .collect();
+        assert_eq!(per_tier, stats.buckets_per_tier);
+        assert_eq!(rec.gauge("engine_rows_ingested").get(), 950);
+        assert_eq!(rec.gauge("engine_snapshot_rows").get(), 950);
+        assert_eq!(rec.gauge("engine_shards").get(), 1);
     }
 
     #[test]

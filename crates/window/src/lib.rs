@@ -63,7 +63,6 @@ mod backend;
 mod config;
 mod engine;
 mod ring;
-pub mod wire;
 
 pub use backend::Backend;
 pub use config::WindowConfig;

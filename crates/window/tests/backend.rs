@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use pfe_core::FpConfig;
 use pfe_engine::{
-    AnswerValue, EngineConfig, EngineError, FreqNetConfig, Query, Recorder, TraceHandle,
+    AnswerValue, EngineConfig, EngineError, FreqNetConfig, Query, Recorder, StatKind, TraceHandle,
 };
 use pfe_row::Dataset;
 use pfe_stream::gen::uniform_binary;
@@ -71,6 +71,21 @@ fn battery() -> Vec<Query> {
     ]
 }
 
+/// A gauge, read right after the backend wrote its figures.
+fn gauge(backend: &Backend, recorder: &Recorder, name: &str) -> u64 {
+    backend.sync_gauges();
+    recorder.gauge(name).get()
+}
+
+/// Whether the backend's sync wrote ring gauges (a windowed one does).
+fn writes_ring_gauges(backend: &Backend, recorder: &Recorder) -> bool {
+    backend.sync_gauges();
+    recorder
+        .gauges_snapshot()
+        .iter()
+        .any(|(name, _)| name == "window_max_tiers")
+}
+
 fn values(backend: &Backend) -> Vec<AnswerValue> {
     backend
         .query_batch_traced(&battery(), &TraceHandle::disabled())
@@ -84,9 +99,9 @@ fn one_script_over_both_engines() {
     for (name, wcfg) in [("plain", None), ("windowed", Some(wcfg()))] {
         let windowed = wcfg.is_some();
         let recorder = Arc::new(Recorder::new());
-        let backend = Backend::start(D, 2, ecfg(), wcfg, recorder).expect("start");
+        let backend = Backend::start(D, 2, ecfg(), wcfg, Arc::clone(&recorder)).expect("start");
         assert_eq!((backend.dimension(), backend.alphabet()), (D, 2), "{name}");
-        assert_eq!(backend.window_stats().is_some(), windowed, "{name}");
+        assert_eq!(writes_ring_gauges(&backend, &recorder), windowed, "{name}");
         assert_eq!(backend.plain().is_some(), !windowed, "{name}");
 
         // A packed chunk, then the same stream's next rows as a dense one.
@@ -110,10 +125,18 @@ fn one_script_over_both_engines() {
             "{name}: only snapshots have epochs"
         );
         let before = values(&backend);
-        let stats = backend.stats();
-        assert_eq!(stats.rows_ingested, 300, "{name}");
-        assert_eq!(stats.snapshot_rows, 300, "{name}");
-        assert_eq!(stats.queries_served, battery().len() as u64, "{name}");
+        let read = |series: &str| gauge(&backend, &recorder, series);
+        assert_eq!(read("engine_rows_ingested"), 300, "{name}");
+        assert_eq!(read("engine_snapshot_rows"), 300, "{name}");
+        let served: u64 = StatKind::ALL
+            .iter()
+            .map(|k| {
+                recorder
+                    .counter(&format!("engine_queries_{}", k.name()))
+                    .get()
+            })
+            .sum();
+        assert_eq!(served, battery().len() as u64, "{name}");
 
         let path = tmp(&format!("contract-{name}.pfes"));
         backend.checkpoint(&path).expect("checkpoint");
@@ -125,11 +148,16 @@ fn one_script_over_both_engines() {
             "{name}: closed backends still answer"
         );
 
-        let resumed = Backend::resume(&path, ecfg(), Arc::new(Recorder::new())).expect("resume");
-        assert_eq!(resumed.window_stats().is_some(), windowed, "{name}");
+        let recorder = Arc::new(Recorder::new());
+        let resumed = Backend::resume(&path, ecfg(), Arc::clone(&recorder)).expect("resume");
+        assert_eq!(writes_ring_gauges(&resumed, &recorder), windowed, "{name}");
         assert_eq!((resumed.dimension(), resumed.alphabet()), (D, 2), "{name}");
         assert_eq!(values(&resumed), before, "{name}: resumed answers differ");
-        assert_eq!(resumed.stats().rows_ingested, 300, "{name}");
+        assert_eq!(
+            gauge(&resumed, &recorder, "engine_rows_ingested"),
+            300,
+            "{name}"
+        );
         // …and keeps ingesting.
         resumed
             .push_packed_batch(&rows(50, 5), &trace)
@@ -159,13 +187,15 @@ fn resume_of_an_unservable_kind_is_a_typed_error() {
 
 #[test]
 fn ring_resume_rejects_every_differing_summary_parameter() {
-    let backend =
-        Backend::start(D, 2, ecfg(), Some(wcfg()), Arc::new(Recorder::new())).expect("start");
+    let recorder = Arc::new(Recorder::new());
+    let backend = Backend::start(D, 2, ecfg(), Some(wcfg()), Arc::clone(&recorder)).expect("start");
     backend
         .push_packed_batch(&rows(200, 9), &TraceHandle::disabled())
         .expect("ingest");
-    let stats = backend.window_stats().expect("windowed");
-    assert!(stats.sealed_buckets >= 2 && stats.active_rows > 0);
+    assert!(
+        gauge(&backend, &recorder, "window_sealed_buckets") >= 2
+            && gauge(&backend, &recorder, "window_active_rows") > 0
+    );
     let path = tmp("probe.pfew");
     backend.checkpoint(&path).expect("checkpoint");
 

@@ -6,8 +6,13 @@
 # which none repeats; one row 20,000 times) — and the checkpoints must
 # `cmp` equal; one fixed `pfe query --batch` file
 # (all five ops, an in-net and a rounded `f0`, `exact`, a windowed
-# request) must print the same lines from either tree, and the change
-# must read the parent's files to the same answers.
+# request) must print the same lines from either tree, the change must
+# read the parent's files to the same answers, and `pfe stats` must print
+# the same line for every checkpoint. Last, one fixed session piped
+# through `pfe serve` (a plain and then a windowed `start`, each followed
+# by `ingest`, `f0`, `stats`, `window_stats`, `server_stats` and an error)
+# must print the same replies. `metrics` stays out: its histograms time
+# the run.
 #
 #   scripts/check_same_answers.sh PARENT_DIR    exit 1 naming the first
 #                                               difference
@@ -74,7 +79,11 @@ check() { # name file engine-flags...   [INGEST_ONLY="--window ..."]
         || { echo "FAIL: $name: change answers the parent's file differently"; exit 1; }
     grep -q '"ok":true' "$tmpdir/$name.change.out" \
         || { echo "FAIL: $name: no request of the batch was answered"; exit 1; }
-    echo "   $name: same checkpoint bytes, same $(wc -l < "$tmpdir/$name.change.out") answers"
+    "$parent" stats "$tmpdir/$name.parent" "$@" > "$tmpdir/$name.parent.stats"
+    "$change" stats "$tmpdir/$name.change" "$@" > "$tmpdir/$name.change.stats"
+    diff "$tmpdir/$name.parent.stats" "$tmpdir/$name.change.stats" \
+        || { echo "FAIL: $name: parent and change print different stats"; exit 1; }
+    echo "   $name: same checkpoint bytes, same $(wc -l < "$tmpdir/$name.change.out") answers, same stats"
 }
 
 echo "== same bytes, same answers: $parent_dir vs $PWD"
@@ -87,4 +96,30 @@ gen_distinct 10 4 20000 > "$tmpdir/distinct.csv"
 check distinct "$tmpdir/distinct.csv" --q 4 --fp 2.0
 awk 'NR == 1; NR == 7778 { for (r = 0; r < 20000; r++) print }' "$tmpdir/distinct.csv" > "$tmpdir/repeated.csv"
 check repeated "$tmpdir/repeated.csv" --q 4 --fp 2.0
+
+rows='[[0,1,0,0,1,0,1,1],[1,1,0,0,0,0,1,1],[0,0,1,1,0,1,0,1],[1,0,1,0,1,0,1,0],'
+rows+='[0,1,0,0,1,0,1,1],[1,1,1,1,0,0,0,0],[0,0,0,1,1,1,0,1],[0,1,0,0,1,0,1,1]]'
+cat > "$tmpdir/session.jsonl" <<JSON
+{"op":"start","d":8,"q":2,"shards":2,"fp":{"orders":[2.0,1.5]}}
+{"op":"ingest","rows":$rows}
+{"op":"snapshot"}
+{"op":"f0","cols":[0,1,2]}
+{"op":"stats"}
+{"op":"window_stats"}
+{"op":"server_stats"}
+{"op":"f0","cols":[9]}
+{"op":"start","d":8,"q":2,"fp":{"orders":[2.0]},"window":{"bucket_rows":3,"tier_cap":2,"max_tiers":3}}
+{"op":"ingest","rows":$rows}
+{"op":"f0","cols":[0,1,2],"window":4}
+{"op":"stats"}
+{"op":"window_stats"}
+{"op":"server_stats"}
+{"op":"bogus"}
+{"op":"quit"}
+JSON
+"$parent" serve < "$tmpdir/session.jsonl" > "$tmpdir/session.parent"
+"$change" serve < "$tmpdir/session.jsonl" > "$tmpdir/session.change"
+diff "$tmpdir/session.parent" "$tmpdir/session.change" \
+    || { echo "FAIL: the pipe session replies differently"; exit 1; }
+echo "   session: same $(wc -l < "$tmpdir/session.change") replies through pfe serve"
 echo "OK"
