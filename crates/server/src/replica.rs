@@ -10,8 +10,9 @@
 //!
 //! * Files are named `snap-<epoch:016x>.pfes`, so lexicographic order is
 //!   epoch order and "the newest snapshot" is one sorted scan.
-//! * A snapshot is written to a dotted temp name and `rename(2)`d into
-//!   place — readers never observe a partial file through the protocol.
+//! * A snapshot is written to the persist frame's temp name
+//!   (`snap-….pfes.<pid>.<n>.tmp`) and `rename(2)`d into place —
+//!   readers never observe a partial file through the protocol.
 //!   (A *corrupt* file — truncated by a crashed writer before the
 //!   rename, say — is still detected by the snapshot checksum on load;
 //!   the replica keeps serving its previous epoch and logs a typed
@@ -102,9 +103,9 @@ fn newest_snapshot(dir: &Path) -> Option<(PathBuf, u64)> {
 }
 
 /// Ship one snapshot if the engine grew since `last_rows`: cut a fresh
-/// snapshot (bumping the epoch), write it to a temp file, and rename it
-/// to its epoch name. Returns the shipped epoch, or `None` when there is
-/// nothing to ship (no backend yet, or no new rows).
+/// snapshot (bumping the epoch) and save it under its epoch name.
+/// Returns the shipped epoch, or `None` when there is nothing to ship
+/// (no backend yet, or no new rows).
 ///
 /// # Errors
 /// A windowed backend (snapshots describe whole-stream state only), or
@@ -126,10 +127,10 @@ pub fn ship_once(
             }
             let snap = engine.refresh().map_err(|e| e.to_string())?;
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let final_path = dir.join(snapshot_file_name(snap.epoch()));
-            let tmp_path = dir.join(format!(".snap-{:016x}.tmp", snap.epoch()));
-            snap.save_to(&tmp_path).map_err(|e| e.to_string())?;
-            std::fs::rename(&tmp_path, &final_path).map_err(|e| e.to_string())?;
+            // `save_to` writes a unique temp file beside the target,
+            // syncs it and renames it into place.
+            snap.save_to(dir.join(snapshot_file_name(snap.epoch())))
+                .map_err(|e| e.to_string())?;
             *last_rows = Some(rows);
             Ok(Some(snap.epoch()))
         })
@@ -295,6 +296,8 @@ mod tests {
         assert_eq!(parse_epoch(&snapshot_file_name(u64::MAX)), Some(u64::MAX));
         assert_eq!(parse_epoch("snap-0000000000000010.pfes"), Some(16));
         assert_eq!(parse_epoch(".snap-0000000000000010.tmp"), None);
+        // The persist frame's temp name for an in-progress save.
+        assert_eq!(parse_epoch("snap-0000000000000010.pfes.4242.7.tmp"), None);
         assert_eq!(parse_epoch("snap-10.pfes"), None, "unpadded names rejected");
         assert_eq!(parse_epoch("other.pfes"), None);
         // Zero-padded hex means max-by-epoch == max-by-name.
@@ -312,6 +315,7 @@ mod tests {
             &snapshot_file_name(3),
             &snapshot_file_name(11),
             ".snap-00000000000000ff.tmp",
+            "snap-00000000000000ff.pfes.1.0.tmp",
             "README",
         ] {
             std::fs::write(dir.join(name), b"x").expect("write");

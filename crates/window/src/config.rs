@@ -25,8 +25,9 @@ pub struct WindowConfig {
     /// Number of tiers (bucket sizes `bucket_rows · 2^0 … 2^(max_tiers-1)`).
     pub max_tiers: u32,
     /// Covering-set snapshots kept merged and ready (tiny LRU keyed by
-    /// covering-set fingerprint); 0 disables reuse and re-merges per
-    /// fingerprint miss.
+    /// covering-set fingerprint). 0 disables reuse: both this LRU and the
+    /// sealed-fold memo, so every windowed read folds its whole covering
+    /// afresh — the reference path reuse is tested against.
     pub merged_cache: usize,
 }
 

@@ -51,11 +51,21 @@ pub struct WindowStats {
     pub ring_bytes: usize,
 }
 
-/// Tiny LRU of merged covering-set snapshots, keyed by fingerprint.
+/// The fold of one run of sealed buckets, keyed by their ids (fresh per
+/// seal and per tier merge, so equal ids mean equal content).
+#[derive(Clone)]
+struct SealedFold {
+    ids: Vec<u64>,
+    fold: Arc<ShardSummary>,
+}
+
+/// Tiny LRU of merged covering-set snapshots, keyed by fingerprint, plus
+/// the one-slot memo of the last sealed fold. Capacity 0 disables both.
 struct MergedLru {
     cap: usize,
     /// Most recently used at the back.
     entries: Vec<(u64, Arc<Snapshot>)>,
+    sealed: Option<SealedFold>,
 }
 
 impl MergedLru {
@@ -63,6 +73,7 @@ impl MergedLru {
         Self {
             cap,
             entries: Vec::new(),
+            sealed: None,
         }
     }
 
@@ -99,6 +110,20 @@ impl MergedLru {
 /// fingerprint-keyed LRU, so repeated windowed queries between seals cost
 /// one cache probe, not one merge.
 ///
+/// A write changes only the active bucket, so an LRU miss does not redo
+/// the whole fold either: sealed buckets are shared `Arc`s (a resolution
+/// copies pointers plus the active bucket under the ring lock), and a
+/// one-slot memo keeps the fold of the last covering's sealed buckets,
+/// keyed by their ids. The next cold covering reuses it when the ids are
+/// equal (*hit*), merges only the appended buckets when the memo's ids
+/// are a prefix (*extend*, a seal with no tier merge), and folds afresh
+/// otherwise (*miss*); the snapshot is then `fold ⊕ active`. The bytes
+/// are the same as one fold over every part:
+/// [`Snapshot::from_shards`] is a left fold in stream order, and a merge
+/// draws only on its left operand's seeded state, which a clone copies —
+/// so the same merges run on the same operands in the same order, `f64`
+/// sums included.
+///
 /// Queries without a window option are answered over everything the ring
 /// retains (bounded by the [`WindowConfig`]'s tiers). Epoch pinning is
 /// rejected: windowed epochs are content fingerprints, not a monotone
@@ -109,6 +134,9 @@ pub struct WindowedEngine {
     merged: Mutex<MergedLru>,
     merged_hits: Arc<Counter>,
     merged_misses: Arc<Counter>,
+    sealed_hits: Arc<Counter>,
+    sealed_extends: Arc<Counter>,
+    sealed_misses: Arc<Counter>,
     /// Distribution of covering-set sizes (buckets merged per resolved
     /// covering), recorded once per distinct covering per batch.
     covering_buckets: Arc<Histogram>,
@@ -143,16 +171,22 @@ impl WindowedEngine {
         wcfg: WindowConfig,
         recorder: Arc<Recorder>,
     ) -> Result<Self, EngineError> {
-        let merged = MergedLru::new(wcfg.merged_cache);
         let ring = BucketRing::new(d, q, &ecfg, wcfg)?;
-        Ok(Self {
+        Ok(Self::over(ring, &ecfg, recorder))
+    }
+
+    fn over(ring: BucketRing, ecfg: &EngineConfig, recorder: Arc<Recorder>) -> Self {
+        Self {
+            merged: Mutex::new(MergedLru::new(ring.window_config().merged_cache)),
             ring: Mutex::new(ring),
-            merged: Mutex::new(merged),
             merged_hits: recorder.counter("window_merged_cache_hits"),
             merged_misses: recorder.counter("window_merged_cache_misses"),
+            sealed_hits: recorder.counter("window_sealed_fold_hits"),
+            sealed_extends: recorder.counter("window_sealed_fold_extends"),
+            sealed_misses: recorder.counter("window_sealed_fold_misses"),
             covering_buckets: recorder.histogram("window_covering_buckets"),
             exec: QueryExecutor::with_recorder(ecfg.cache_capacity, true, recorder),
-        })
+        }
     }
 
     fn with_ring<T>(&self, f: impl FnOnce(&mut BucketRing) -> T) -> T {
@@ -259,12 +293,13 @@ impl WindowedEngine {
         let mut out: Vec<Option<Result<Answer, EngineError>>> = vec![None; queries.len()];
         // Covering sets to serve: `(covering, slots, snapshot-or-parts)`.
         // Snapshots come from the fingerprint LRU when warm; misses carry
-        // the bucket summaries cloned under the ring lock, so the
-        // CPU-heavy merge fold happens after the lock is released and the
-        // whole batch still sees one consistent ring state.
+        // the sealed buckets' shared summaries and a copy of the active
+        // bucket taken under the ring lock, so the CPU-heavy merge fold
+        // happens after the lock is released and the whole batch still
+        // sees one consistent ring state.
         enum Source {
             Warm(Arc<Snapshot>),
-            Cold(Vec<ShardSummary>),
+            Cold(Vec<(u64, Arc<ShardSummary>)>, Box<ShardSummary>),
         }
         let mut groups: Vec<(Covering, Vec<usize>, Source)> = Vec::new();
         // Per-slot coverings: two requests can share a covering set (and
@@ -300,7 +335,8 @@ impl WindowedEngine {
                             }
                             None => {
                                 self.merged_misses.inc();
-                                Source::Cold(ring.covering_summaries(&c))
+                                let (sealed, active) = ring.covering_summaries(&c);
+                                Source::Cold(sealed, Box::new(active))
                             }
                         };
                         self.covering_buckets.record(c.buckets as u64);
@@ -321,11 +357,21 @@ impl WindowedEngine {
         for (covering, slots, source) in groups {
             let snap = match source {
                 Source::Warm(snap) => snap,
-                Source::Cold(parts) => {
+                Source::Cold(sealed, active) => {
                     let mut merge_span = trace.span("window_merge");
+                    let mut parts = Vec::with_capacity(2);
+                    let mut merges = 0;
+                    if !sealed.is_empty() {
+                        let (fold, outcome, fold_merges) = self.fold_sealed(&sealed);
+                        merge_span.attr("sealed", outcome);
+                        merges = fold_merges + 1;
+                        parts.push(ShardSummary::clone(&fold));
+                    }
+                    parts.push(*active);
                     if merge_span.is_enabled() {
                         merge_span.attr("fingerprint", covering.fingerprint);
                         merge_span.attr("buckets", covering.buckets);
+                        merge_span.attr("merged_buckets", merges);
                     }
                     let snap = Arc::new(Snapshot::from_shards(parts, covering.fingerprint));
                     drop(merge_span);
@@ -357,6 +403,45 @@ impl WindowedEngine {
         out.into_iter()
             .map(|slot| slot.expect("every slot filled"))
             .collect()
+    }
+
+    /// Fold a covering's sealed buckets (oldest first, nonempty) through
+    /// the sealed-fold memo; returns the fold, the memo outcome (`hit`,
+    /// `extend` or `miss`) and the merges run. The memo is read and
+    /// written under brief `merged` locks, never held across the fold.
+    fn fold_sealed(
+        &self,
+        sealed: &[(u64, Arc<ShardSummary>)],
+    ) -> (Arc<ShardSummary>, &'static str, usize) {
+        let ids: Vec<u64> = sealed.iter().map(|&(id, _)| id).collect();
+        let memo = self.merged.lock().expect("merged lock").sealed.clone();
+        let (mut fold, outcome, from) = match memo.filter(|m| ids.starts_with(&m.ids)) {
+            Some(m) if m.ids.len() == ids.len() => {
+                self.sealed_hits.inc();
+                return (m.fold, "hit", 0);
+            }
+            Some(m) => {
+                self.sealed_extends.inc();
+                (m.fold, "extend", m.ids.len())
+            }
+            None => {
+                self.sealed_misses.inc();
+                (Arc::clone(&sealed[0].1), "miss", 1)
+            }
+        };
+        // `make_mut` copies the shared left operand once (a bucket or the
+        // memo still holds it); later merges write in place.
+        for (_, bucket) in &sealed[from..] {
+            Arc::make_mut(&mut fold).merge(bucket);
+        }
+        let mut merged = self.merged.lock().expect("merged lock");
+        if merged.cap > 0 {
+            merged.sealed = Some(SealedFold {
+                ids,
+                fold: Arc::clone(&fold),
+            });
+        }
+        (fold, outcome, sealed.len() - from)
     }
 
     /// Write the entire ring (sealed buckets, active bucket, counters) to
@@ -397,15 +482,7 @@ impl WindowedEngine {
     ) -> Result<Self, EngineError> {
         let mut ring: BucketRing = pfe_persist::load(path, pfe_persist::kind::WINDOW)?;
         ring.adopt_config(&ecfg)?;
-        let wcfg = *ring.window_config();
-        Ok(Self {
-            ring: Mutex::new(ring),
-            merged: Mutex::new(MergedLru::new(wcfg.merged_cache)),
-            merged_hits: recorder.counter("window_merged_cache_hits"),
-            merged_misses: recorder.counter("window_merged_cache_misses"),
-            covering_buckets: recorder.histogram("window_covering_buckets"),
-            exec: QueryExecutor::with_recorder(ecfg.cache_capacity, true, recorder),
-        })
+        Ok(Self::over(ring, &ecfg, recorder))
     }
 
     /// The windowed half of the gauge sync: compute the ring's figures
@@ -707,6 +784,140 @@ mod tests {
         assert_eq!(rec.gauge("engine_rows_ingested").get(), 950);
         assert_eq!(rec.gauge("engine_snapshot_rows").get(), 950);
         assert_eq!(rec.gauge("engine_shards").get(), 1);
+    }
+
+    #[test]
+    fn a_held_covering_survives_a_tier_merge() {
+        let d = 10;
+        let reference = WindowedEngine::start(
+            d,
+            2,
+            ecfg(),
+            WindowConfig {
+                merged_cache: 0,
+                ..wcfg()
+            },
+        )
+        .expect("start");
+        let engine = WindowedEngine::start(d, 2, ecfg(), wcfg()).expect("start");
+        let ingest = |rows: usize, seed: u64| {
+            let data = uniform_binary(d, rows, seed);
+            engine.ingest(&data).expect("ingest");
+            reference.ingest(&data).expect("ingest");
+        };
+        let q = Query::over([0, 1, 2]).f0();
+        // Three sealed tier-0 buckets (cap 3) plus 50 active rows.
+        ingest(350, 13);
+        let before = engine.query(&q).expect("ok");
+        assert_eq!(counter(&engine, "window_sealed_fold_misses"), 1);
+        // An in-flight read holds the sealed buckets it resolved…
+        let (held, active) = engine.with_ring(|r| r.covering_summaries(&r.covering(None)));
+        let merges = engine.with_ring(|r| r.tier_merges());
+        // …while the fourth seal merges the two oldest of them upward.
+        ingest(100, 14);
+        assert!(engine.with_ring(|r| r.tier_merges()) > merges);
+        let mut parts: Vec<ShardSummary> = held.iter().map(|(_, s)| (**s).clone()).collect();
+        parts.push(active);
+        let old = Snapshot::from_shards(parts, before.epoch);
+        assert_eq!(old.n(), 350, "the held buckets kept their content");
+        let cols = pfe_row::ColumnSet::from_mask(d, 0b111).expect("valid");
+        assert_eq!(
+            old.f0(&cols).expect("ok").estimate,
+            before.estimate().expect("f0")
+        );
+        // The next read sees the merged tier and answers like a ring
+        // that never memoized.
+        let after = engine.query(&q).expect("ok");
+        assert_eq!(after.value, reference.query(&q).expect("ok").value);
+        assert_eq!(after.epoch, reference.query(&q).expect("ok").epoch);
+        assert_eq!(counter(&engine, "window_sealed_fold_misses"), 2);
+    }
+
+    #[test]
+    fn memoized_coverings_have_the_bytes_of_a_full_fold() {
+        let bytes = |snap: &Snapshot| {
+            let mut enc = pfe_persist::Encoder::new();
+            pfe_persist::Persist::encode(snap, &mut enc);
+            enc.into_bytes()
+        };
+        let engine = WindowedEngine::start(
+            10,
+            2,
+            EngineConfig {
+                sample_t: 64, // full reservoirs: merges draw on their RNG
+                ..ecfg()
+            },
+            wcfg(),
+        )
+        .expect("start");
+        for step in 0..60u64 {
+            engine
+                .ingest(&uniform_binary(10, 1 + (step as usize * 37) % 80, step))
+                .expect("ingest");
+            // Five reads of one window, then five of the other.
+            let window = [Some(250), None][(step / 5 % 2) as usize];
+            let mut q = Query::over([0, 1]).f0();
+            q.options.window = window;
+            engine.query(&q).expect("ok");
+            let (c, (sealed, active)) = engine.with_ring(|r| {
+                let c = r.covering(window);
+                (c, r.covering_summaries(&c))
+            });
+            let mut parts: Vec<ShardSummary> = sealed.iter().map(|(_, s)| (**s).clone()).collect();
+            parts.push(active);
+            let full = Snapshot::from_shards(parts, c.fingerprint);
+            let served = engine
+                .merged
+                .lock()
+                .expect("merged lock")
+                .get(c.fingerprint)
+                .expect("just merged");
+            assert_eq!(
+                bytes(&served),
+                bytes(&full),
+                "step {step}, window {window:?}"
+            );
+        }
+        for name in ["hits", "extends", "misses"] {
+            assert!(counter(&engine, &format!("window_sealed_fold_{name}")) > 0);
+        }
+    }
+
+    #[test]
+    fn merge_spans_report_the_sealed_fold_outcome() {
+        use pfe_obs::{AttrValue, TraceContext, TraceStore};
+        // One sealed bucket (of 100 rows) plus 50 active rows.
+        let engine = engine_with(10, 150, 15);
+        let store = TraceStore::new(8);
+        let q = Query::over([0, 1]).f0();
+        // A first read folds afresh; a write that seals nothing reuses
+        // the fold; a seal without a tier merge extends it by one bucket.
+        for (trace_id, rows, outcome, merges) in [
+            (1, 0, "miss", 1u64),
+            (2, 1, "hit", 1),
+            (3, 100, "extend", 2),
+        ] {
+            let rows: Vec<u64> = (0..rows).map(|i| i % 1024).collect();
+            engine.push_packed_batch(&rows).expect("push");
+            let trace = store.begin(Some(TraceContext {
+                trace_id,
+                parent: None,
+            }));
+            engine.query_batch_traced(std::slice::from_ref(&q), &trace);
+            store.finish(trace);
+            let done = store.lookup(trace_id).expect("kept");
+            let merge = done
+                .spans
+                .iter()
+                .find(|s| s.name == "window_merge")
+                .expect("a cold read merges");
+            let attrs = done.attrs_of(merge);
+            assert!(attrs.contains(&("sealed", AttrValue::Str(outcome))));
+            assert!(attrs.contains(&("merged_buckets", AttrValue::U64(merges))));
+        }
+        for name in ["hits", "extends", "misses"] {
+            assert_eq!(counter(&engine, &format!("window_sealed_fold_{name}")), 1);
+        }
     }
 
     #[test]

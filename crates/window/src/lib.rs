@@ -28,7 +28,13 @@
 //!    length), the LRU answer cache, guarantees, and provenance are all
 //!    shared — plus a tiny fingerprint-keyed LRU of merged covering
 //!    snapshots, so repeated windowed queries between seals cost a cache
-//!    probe instead of a merge.
+//!    probe instead of a merge. An LRU miss after a write re-merges only
+//!    what the write changed: sealed buckets are shared `Arc`s, a
+//!    one-slot memo keeps the fold of the covering's sealed buckets
+//!    (reused as is, or extended by buckets sealed since), and the
+//!    snapshot is that fold ⊕ the active bucket — the same bytes as one
+//!    oldest-first fold, since each merge depends only on its operands
+//!    and the left one's seeded state.
 //! 3. **Durability** — the whole ring implements
 //!    [`Persist`](pfe_persist::Persist) (`kind::WINDOW` framing):
 //!    [`WindowedEngine::checkpoint`] / [`WindowedEngine::resume`]

@@ -22,6 +22,7 @@
 //! covering buckets change.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use pfe_engine::{
     check_dense_chunk, check_packed_chunk, EngineConfig, EngineError, FreqNetConfig, ShardSummary,
@@ -44,8 +45,10 @@ pub struct Bucket {
     /// Tier: the bucket covers on the order of `bucket_rows · 2^level`
     /// rows.
     level: u32,
-    /// The sealed summaries.
-    summary: ShardSummary,
+    /// The sealed summaries — immutable once sealed, so shared with
+    /// in-flight covering reads instead of copied; a tier merge writes
+    /// through [`Arc::make_mut`], which copies only while a read holds it.
+    summary: Arc<ShardSummary>,
 }
 
 impl Bucket {
@@ -268,7 +271,7 @@ impl BucketRing {
         self.buckets.push_back(Bucket {
             id: self.next_id,
             level: 0,
-            summary,
+            summary: Arc::new(summary),
         });
         self.next_id += 1;
         self.seals += 1;
@@ -306,7 +309,7 @@ impl BucketRing {
             let older = &mut self.buckets[first];
             // Older absorbs newer so the merged sample keeps stream order
             // while both reservoirs are under-full (lossless regime).
-            older.summary.merge(&newer.summary);
+            Arc::make_mut(&mut older.summary).merge(&newer.summary);
             older.level = level + 1;
             older.id = self.next_id;
             self.next_id += 1;
@@ -350,19 +353,20 @@ impl BucketRing {
         hash_u64(h ^ self.active.rows(), FP_SEED.rotate_left(47))
     }
 
-    /// Clone the summaries of a covering suffix in stream order (oldest
-    /// sealed bucket first, the active bucket last) — ready for
-    /// [`Snapshot::from_shards`](pfe_engine::Snapshot::from_shards) with
-    /// the covering fingerprint as the epoch slot.
-    pub fn covering_summaries(&self, covering: &Covering) -> Vec<ShardSummary> {
-        let mut out: Vec<ShardSummary> = self
+    /// The parts of a covering suffix in stream order: the sealed
+    /// buckets' `(id, summary)` pairs oldest first — shared pointers, not
+    /// copies — and a copy of the active bucket, which folds in last.
+    pub fn covering_summaries(
+        &self,
+        covering: &Covering,
+    ) -> (Vec<(u64, Arc<ShardSummary>)>, ShardSummary) {
+        let sealed = self
             .buckets
             .iter()
             .skip(covering.start)
-            .map(|b| b.summary.clone())
+            .map(|b| (b.id, Arc::clone(&b.summary)))
             .collect();
-        out.push(self.active.clone());
-        out
+        (sealed, self.active.clone())
     }
 }
 
@@ -502,7 +506,11 @@ impl Persist for BucketRing {
                     "sealed bucket summarizes zero rows".into(),
                 ));
             }
-            buckets.push_back(Bucket { id, level, summary });
+            buckets.push_back(Bucket {
+                id,
+                level,
+                summary: Arc::new(summary),
+            });
         }
         Ok(Self {
             wcfg,
@@ -663,7 +671,10 @@ mod tests {
         let mut ring = BucketRing::new(d, 2, &ecfg(), wcfg(50, 3, 3)).expect("new");
         fill(&mut ring, d, 500, 8);
         let c = ring.covering(None);
-        let snap = pfe_engine::Snapshot::from_shards(ring.covering_summaries(&c), c.fingerprint);
+        let (sealed, active) = ring.covering_summaries(&c);
+        let mut parts: Vec<ShardSummary> = sealed.iter().map(|(_, s)| (**s).clone()).collect();
+        parts.push(active);
+        let snap = pfe_engine::Snapshot::from_shards(parts, c.fingerprint);
         assert_eq!(snap.n(), ring.retained_rows());
         assert_eq!(snap.epoch(), c.fingerprint);
         let cols = ColumnSet::from_mask(d, 0b111).expect("valid");

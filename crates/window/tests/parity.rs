@@ -10,13 +10,19 @@
 //!    having ingested only the suffix.
 //! 2. **Durability parity** — `checkpoint` → `resume` of a
 //!    `WindowedEngine` answers windowed queries bit-identically.
+//! 3. **Reuse parity** — under interleaved writes and reads, an engine
+//!    that reuses merged coverings and sealed folds answers bit-identically
+//!    to a twin with `merged_cache: 0`, which folds every covering afresh.
 //!
 //! The reservoirs stay under-full here (`sample_t` above total stream
 //! length), which is the regime where reservoir merges are provably
 //! lossless; the KMV-backed `F_0` path is exact-union in every regime.
 
 use pfe_core::{FpConfig, SuiteConfig, SummarySuite};
-use pfe_engine::{AnswerValue, EngineConfig, Query};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use pfe_engine::{AnswerValue, EngineConfig, Query, Recorder};
 use pfe_row::{BinaryMatrix, ColumnSet, Dataset};
 use pfe_stream::gen::uniform_binary;
 use pfe_window::{WindowConfig, WindowedEngine};
@@ -274,4 +280,115 @@ fn ring_checkpoint_bytes_are_pinned_across_commits() {
         (bytes.len(), u32::from_le_bytes(crc)),
         (862_078, 0x6e36_b630)
     );
+}
+
+/// Cases of the interleaved schedule; the memo counters are summed over
+/// all of them and checked once the last case ran.
+const INTERLEAVED_CASES: u64 = 12;
+static CASES_RUN: AtomicU64 = AtomicU64::new(0);
+static SEALED_FOLDS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+const SEALED_FOLD_SERIES: [&str; 3] = [
+    "window_sealed_fold_hits",
+    "window_sealed_fold_extends",
+    "window_sealed_fold_misses",
+];
+
+/// A ring small enough that seals, tier merges, evictions and a moving
+/// covering start all happen within one schedule (retention 240 rows),
+/// with reservoirs that fill, so sample merges draw on their seeded RNG.
+fn interleaved_engine(seed: u64, merged_cache: usize, recorder: Arc<Recorder>) -> WindowedEngine {
+    let ecfg = EngineConfig {
+        sample_t: 64,
+        ..ecfg(seed)
+    };
+    let wcfg = WindowConfig {
+        bucket_rows: 16,
+        tier_cap: 2,
+        max_tiers: 3,
+        merged_cache,
+    };
+    WindowedEngine::start_with_recorder(D, 2, ecfg, wcfg, recorder).expect("start")
+}
+
+/// Every statistic over one window (`None` = whole retention).
+fn all_statistics(indices: &[u32], window: Option<u64>) -> Vec<Query> {
+    let over = || Query::over(indices.iter().copied());
+    let mut queries = vec![
+        over().f0(),
+        over().frequency(vec![0u16; indices.len()]),
+        over().heavy_hitters(0.05),
+        over().l1_sample(8).with_seed(5),
+        over().fp(2.0),
+        over().fp(1.5),
+    ];
+    if let Some(last_n) = window {
+        queries = queries.into_iter().map(|q| q.window(last_n)).collect();
+    }
+    queries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(INTERLEAVED_CASES as u32))]
+
+    /// Writes of 1..3 buckets' rows interleaved with reads of two windows
+    /// and whole retention (alone or in one batch): every answer equals
+    /// the no-reuse twin's, `F_p` estimates to the bit.
+    #[test]
+    fn prop_interleaved_writes_and_reads_match_a_no_reuse_twin(
+        steps in proptest::collection::vec((0u8..6, 1usize..=48), 30..60),
+        mask in 1u64..(1 << D),
+        seed in 0u64..1000,
+    ) {
+        let recorder = Arc::new(Recorder::new());
+        let engine = interleaved_engine(seed, 4, Arc::clone(&recorder));
+        let twin = interleaved_engine(seed, 0, Arc::new(Recorder::new()));
+        let indices = ColumnSet::from_mask(D, mask).expect("valid").to_indices();
+        for (i, &(kind, rows)) in steps.iter().enumerate() {
+            let queries = match kind {
+                0 | 1 => {
+                    let Dataset::Binary(data) = uniform_binary(D, rows, seed * 1000 + i as u64)
+                    else {
+                        unreachable!("generator yields binary data");
+                    };
+                    engine.push_packed_batch(data.rows()).expect("push");
+                    twin.push_packed_batch(data.rows()).expect("push");
+                    continue;
+                }
+                2 => all_statistics(&indices, Some(20)),
+                3 => all_statistics(&indices, Some(70)),
+                4 => all_statistics(&indices, None),
+                _ => [Some(20), Some(70), None]
+                    .into_iter()
+                    .flat_map(|w| all_statistics(&indices, w))
+                    .collect(),
+            };
+            let a = engine.query_batch(&queries);
+            let b = twin.query_batch(&queries);
+            for (x, y) in a.iter().zip(b.iter()) {
+                // Reads before the first write fail alike.
+                let (Ok(x), Ok(y)) = (x, y) else {
+                    prop_assert_eq!(x.as_ref().err(), y.as_ref().err());
+                    continue;
+                };
+                if let (AnswerValue::Fp { estimate: ex }, AnswerValue::Fp { estimate: ey }) =
+                    (&x.value, &y.value)
+                {
+                    prop_assert_eq!(ex.to_bits(), ey.to_bits());
+                }
+                prop_assert_eq!(&x.value, &y.value);
+                prop_assert_eq!(x.guarantee, y.guarantee);
+                prop_assert_eq!(x.provenance, y.provenance);
+                prop_assert_eq!(x.epoch, y.epoch);
+                prop_assert_eq!(x.window, y.window);
+            }
+        }
+        for (total, name) in SEALED_FOLDS.iter().zip(SEALED_FOLD_SERIES) {
+            total.fetch_add(recorder.counter(name).get(), Ordering::Relaxed);
+        }
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == INTERLEAVED_CASES {
+            for (total, name) in SEALED_FOLDS.iter().zip(SEALED_FOLD_SERIES) {
+                prop_assert!(total.load(Ordering::Relaxed) > 0, "{} never counted", name);
+            }
+        }
+    }
 }

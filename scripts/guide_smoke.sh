@@ -36,21 +36,38 @@ echo "$out" | grep -q '"bye":true' || { echo "FAIL: pipe session did not finish"
 echo "$out" | grep -q '"ok":false' && { echo "FAIL: pipe session had an error response: $out"; exit 1; }
 echo "$out" | grep -q '"rows_ingested":12' || { echo "FAIL: pipe session stats wrong: $out"; exit 1; }
 # Windowed: 4-row buckets, 14 rows => 3 sealed buckets + 2 active rows.
+# Read after write: the same windowed f0 before and after the second
+# ingest must be served from two different covering sets (new epoch, more
+# rows), each one merged-snapshot miss.
 out=$("$pfe" serve 2>/dev/null <<'SESSION'
 {"op":"start","d":6,"q":2,"window":{"bucket_rows":4,"tier_cap":4,"max_tiers":3}}
 {"op":"ingest","rows":[[0,1,0,1,0,1],[1,1,0,0,1,0],[0,0,1,1,0,1],[1,0,1,0,1,1],[0,1,1,0,0,0],[1,1,1,1,0,1],[0,0,0,1,1,0]]}
+{"op":"f0","cols":[0,1,2,3],"window":100}
 {"op":"ingest","rows":[[1,0,0,1,0,0],[0,1,0,1,0,1],[1,1,0,0,1,0],[1,1,1,0,0,1],[0,1,0,0,1,1],[0,0,1,0,1,0],[1,0,1,1,1,0]]}
+{"op":"f0","cols":[0,1,2,3],"window":100}
+{"op":"window_stats"}
 {"op":"heavy_hitters","cols":[0,1,2],"phi":0.05,"window":6}
 {"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
-{"op":"f0","cols":[0,1,2,3],"window":10}
 {"op":"batch","queries":[{"op":"f0","cols":[0,1],"window":6},{"op":"f0","cols":[0,1],"window":7}]}
-{"op":"window_stats"}
 {"op":"quit"}
 SESSION
 )
 echo "$out" | grep -q '"bye":true' || { echo "FAIL: windowed session did not finish"; exit 1; }
 echo "$out" | grep -q '"ok":false' && { echo "FAIL: windowed session had an error response: $out"; exit 1; }
-echo "$out" | grep -q '"sealed_buckets":3' || { echo "FAIL: windowed session sealed no buckets: $out"; exit 1; }
+first=$(echo "$out" | sed -n 3p)
+second=$(echo "$out" | sed -n 5p)
+stats=$(echo "$out" | sed -n 6p)
+for read in "$first" "$second"; do
+    echo "$read" | grep -q '"ok":true' || { echo "FAIL: windowed read failed: $read"; exit 1; }
+done
+field() { echo "$1" | grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2; }
+[ "$(field "$first" epoch)" != "$(field "$second" epoch)" ] \
+    || { echo "FAIL: read after write kept its epoch: $first / $second"; exit 1; }
+[ "$(field "$second" covered_rows)" -gt "$(field "$first" covered_rows)" ] \
+    || { echo "FAIL: read after write covered no new rows: $first / $second"; exit 1; }
+echo "$stats" | grep -q '"sealed_buckets":3' || { echo "FAIL: windowed session sealed no buckets: $stats"; exit 1; }
+echo "$stats" | grep -q '"merged_cache_misses":2' \
+    || { echo "FAIL: the two windowed reads were not two covering merges: $stats"; exit 1; }
 
 echo "== TCP server + client round trip (guide §5)"
 ckpt="$tmpdir/smoke.pfes"
