@@ -19,6 +19,7 @@
 //! `min(N^{H(1/2−α)}, n)`-type space, `N = 2^d` — the tradeoff Figure 1
 //! plots and our `figure1` bench regenerates.
 
+use std::collections::HashSet;
 use std::marker::PhantomData;
 
 use pfe_codes::binomial::binomial_sum;
@@ -398,6 +399,77 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
             sym_diff: r.sym_diff,
             distortion_bound: (self.alphabet() as f64).powi(r.sym_diff as i32),
         })
+    }
+
+    /// [`push_packed_chunk`](AlphaNetSummary::push_packed_chunk) over only
+    /// the chunk's distinct rows `fed` has no record of, which `fed` then
+    /// records (up to its bound). A distinct sketch is a set: a row it was
+    /// fed before projects onto keys every member already holds, so
+    /// leaving it out leaves the same sketches — the remaining keys reach
+    /// each member in the order a full sweep feeds them, so even the
+    /// sketches' allocations match. `fed` must record only rows this net
+    /// was fed. Returns the distinct rows swept.
+    ///
+    /// # Panics
+    /// As `push_packed_chunk`.
+    pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
+        self.sweep_packed(rows, Some(fed))
+    }
+
+    /// The dense counterpart of
+    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
+    ///
+    /// # Panics
+    /// As [`push_dense_chunk`](AlphaNetSummary::push_dense_chunk).
+    pub fn push_dense_chunk_once(&mut self, flat: &[u16], fed: &mut FedRows) -> usize {
+        self.sweep_dense(flat, Some(fed))
+    }
+}
+
+/// Most rows a [`FedRows`] records. Past it, rows it has no record of are
+/// swept again — correct, only slower — so the record's memory is bounded
+/// whatever the rows fed per summary.
+pub const MAX_FED_ROWS: usize = 1 << 13;
+
+/// The rows an `F_0` net has already been fed, up to [`MAX_FED_ROWS`] of
+/// them: what lets [`AlphaNetF0::push_packed_chunk_once`] skip a row the
+/// net holds. Packed binary rows and dense rows are recorded apart; a net
+/// sees only one kind.
+#[derive(Debug, Default)]
+pub struct FedRows {
+    packed: HashSet<u64>,
+    dense: HashSet<Box<[u16]>>,
+}
+
+impl FedRows {
+    /// Forget every row (the net it described starts afresh).
+    pub fn clear(&mut self) {
+        self.packed.clear();
+        self.dense.clear();
+    }
+
+    /// Whether `row` is absent from the record; records it when there is
+    /// room.
+    pub(crate) fn first_packed(&mut self, row: u64) -> bool {
+        if self.len() < MAX_FED_ROWS {
+            return self.packed.insert(row);
+        }
+        !self.packed.contains(&row)
+    }
+
+    /// [`first_packed`](Self::first_packed) for a dense row.
+    pub(crate) fn first_dense(&mut self, row: &[u16]) -> bool {
+        if self.dense.contains(row) {
+            return false;
+        }
+        if self.len() < MAX_FED_ROWS {
+            self.dense.insert(row.into());
+        }
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.packed.len() + self.dense.len()
     }
 }
 

@@ -41,7 +41,9 @@ pub mod problem;
 pub mod sampling;
 pub mod uniform_sample;
 
-pub use alpha_net::{AlphaNet, AlphaNetF0, NetAnswer, NetMode, RoundedQuery};
+pub use alpha_net::{
+    AlphaNet, AlphaNetF0, FedRows, NetAnswer, NetMode, RoundedQuery, MAX_FED_ROWS,
+};
 pub use alpha_net_freq::{AlphaNetFrequency, FreqNetAnswer};
 pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;

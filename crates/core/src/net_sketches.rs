@@ -58,6 +58,14 @@
 //! in row order, with multiplicity 1. Either way a summary's bytes do not
 //! depend on how its rows were cut into chunks, or on how much they
 //! repeat.
+//!
+//! A set statistic may also be narrowed past step 0 to the distinct rows
+//! a [`FedRows`] record has not seen
+//! ([`AlphaNetF0::push_packed_chunk_once`](crate::AlphaNetF0::push_packed_chunk_once)):
+//! a row the net was fed before projects onto keys every member holds.
+//! Step 2 still compares `Q^w` with the chunk's distinct rows *before*
+//! the cut, so the keys left reach each sketch in the order the full
+//! sweep feeds them — the same bytes, and the same allocations.
 
 use std::fmt::Debug;
 
@@ -65,7 +73,7 @@ use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{BitRun, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::traits::SpaceUsage;
 
-use crate::alpha_net::{AlphaNet, NetMode, RoundedQuery};
+use crate::alpha_net::{AlphaNet, FedRows, NetMode, RoundedQuery};
 use crate::problem::QueryError;
 
 /// What Algorithm 1 leaves to the statistic: which β-approximate sketch a
@@ -173,14 +181,17 @@ fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
 /// `weights = None` is the raw chunk: every key is fed as it comes, in row
 /// order, with multiplicity 1. `Some` is the de-duplicated chunk, one
 /// weight per key: when the member's `domain = Some(Q^w)` is no larger
-/// than the chunk's distinct rows the weights are summed into `hist` and
+/// than the chunk's `distinct` rows the weights are summed into `hist` and
 /// each present key is fed once, in ascending key order; otherwise every
-/// key is fed with its row's weight.
+/// key is fed with its row's weight. `distinct` counts the rows a
+/// narrowed sweep left out too, so narrowing never changes which order
+/// the remaining keys arrive in.
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
     keys: impl ExactSizeIterator<Item = PatternKey>,
     weights: Option<&[u32]>,
+    distinct: usize,
     domain: Option<usize>,
     hist: &mut Vec<u32>,
 ) {
@@ -188,7 +199,7 @@ fn absorb<P: Statistic>(
         return keys.for_each(|key| stat.feed(sketch, key, 1));
     };
     let weighted = keys.zip(weights.iter().copied());
-    match domain.filter(|&n| n <= weights.len()) {
+    match domain.filter(|&n| n <= distinct) {
         Some(n) => {
             hist.clear();
             hist.resize(n, 0);
@@ -292,10 +303,19 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// how often each occurs, when every member sketch takes multiplicities
     /// and the chunk is short enough for `u32` counts; else the rows as
     /// they came and no weights. Sorted once per chunk, not per member.
-    fn distinct<R: Ord>(&self, mut rows: Vec<R>) -> (Vec<R>, Option<Vec<u32>>) {
+    /// Only the rows `keep` admits stay, each asked once per distinct
+    /// row; the count returned is the chunk's distinct rows before that
+    /// cut, which picks each member's histogram-or-not path (see
+    /// [`absorb`]).
+    fn distinct<R: Ord>(
+        &self,
+        mut rows: Vec<R>,
+        mut keep: impl FnMut(&R) -> bool,
+    ) -> (Vec<R>, Option<Vec<u32>>, usize) {
         let counted = self.sketches().all(|sketch| self.stat.counted(sketch));
         if !counted || rows.is_empty() || u32::try_from(rows.len()).is_err() {
-            return (rows, None);
+            rows.retain(keep);
+            return (rows, None, 0);
         }
         rows.sort_unstable();
         let mut weights = vec![1];
@@ -308,7 +328,18 @@ impl<P: Statistic> AlphaNetSummary<P> {
             }
             repeat
         });
-        (rows, Some(weights))
+        let distinct = rows.len();
+        let mut kept = 0;
+        for i in 0..distinct {
+            if keep(&rows[i]) {
+                rows.swap(kept, i);
+                weights[kept] = weights[i];
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        weights.truncate(kept);
+        (rows, Some(weights), distinct)
     }
 
     /// Observe one packed binary row — a one-row
@@ -340,21 +371,43 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// Panics if the summary is not binary or a row has bits at or above
     /// `d`.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        self.sweep_packed(rows, None);
+    }
+
+    /// The packed sweep. With `fed`, only over the distinct rows `fed`
+    /// has no record of, which it then records — for a set statistic
+    /// only, where a row fed again changes nothing
+    /// ([`AlphaNetF0::push_packed_chunk_once`](crate::AlphaNetF0::push_packed_chunk_once)).
+    /// Returns the distinct rows swept.
+    pub(crate) fn sweep_packed(&mut self, rows: &[u64], mut fed: Option<&mut FedRows>) -> usize {
         assert_eq!(self.q, 2, "push_packed requires a binary summary");
         let d = self.net.dimension();
         assert!(
             rows.iter().all(|&row| row >> d == 0),
             "row has bits above d={d}"
         );
-        let (rows, weights) = self.distinct(rows.to_vec());
+        let unfed = |&row: &u64| fed.as_deref_mut().is_none_or(|f| f.first_packed(row));
+        let (rows, weights, distinct) = self.distinct(rows.to_vec(), unfed);
+        if rows.is_empty() {
+            return 0;
+        }
         let (weights, hist) = (weights.as_deref(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
             let keys = rows
                 .iter()
                 .map(|&row| PatternKey::from(pfe_row::extract_runs(runs, row)));
-            absorb(&self.stat, &mut m.sketch, keys, weights, m.domain, hist);
+            absorb(
+                &self.stat,
+                &mut m.sketch,
+                keys,
+                weights,
+                distinct,
+                m.domain,
+                hist,
+            );
         }
+        rows.len()
     }
 
     /// Observe a flat row-major chunk of dense rows (`d` symbols per
@@ -366,20 +419,41 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// Panics unless `flat` is a whole number of rows of in-alphabet
     /// symbols.
     pub fn push_dense_chunk(&mut self, flat: &[u16]) {
+        self.sweep_dense(flat, None);
+    }
+
+    /// The dense sweep, narrowed by `fed` as
+    /// [`sweep_packed`](Self::sweep_packed) is; returns the distinct rows
+    /// swept.
+    pub(crate) fn sweep_dense(&mut self, flat: &[u16], mut fed: Option<&mut FedRows>) -> usize {
         let d = self.net.dimension();
         assert!(flat.len().is_multiple_of(d as usize), "row length != d");
         if let Some(s) = flat.iter().find(|&&s| s as u32 >= self.q) {
             panic!("symbol {s} outside alphabet");
         }
         if self.q == 2 {
-            return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d));
+            return self.sweep_packed(&pfe_row::pack_binary_rows(flat, d), fed);
         }
-        let (rows, weights) = self.distinct(flat.chunks_exact(d as usize).collect());
+        let unfed = |row: &&[u16]| fed.as_deref_mut().is_none_or(|f| f.first_dense(row));
+        let (rows, weights, distinct) =
+            self.distinct(flat.chunks_exact(d as usize).collect(), unfed);
+        if rows.is_empty() {
+            return 0;
+        }
         let (weights, hist) = (weights.as_deref(), &mut Vec::new());
         for m in &mut self.members {
             let keys = rows.iter().map(|row| m.codec.encode_row(row, &m.cols));
-            absorb(&self.stat, &mut m.sketch, keys, weights, m.domain, hist);
+            absorb(
+                &self.stat,
+                &mut m.sketch,
+                keys,
+                weights,
+                distinct,
+                m.domain,
+                hist,
+            );
         }
+        rows.len()
     }
 
     /// The net definition.

@@ -24,12 +24,16 @@
 //! CountMin and AMS take it as the update weight (exact integer sums), and
 //! the float-sum `StableFp` nets are always fed the raw chunk, row by row
 //! in row order — so a shard's bytes do not depend on how its rows were
-//! cut into chunks or on how much they repeat. The sweep
+//! cut into chunks or on how much they repeat. Nor on whether the `F_0`
+//! net was narrowed to the rows a [`FedRows`] record has no note of
+//! ([`push_packed_chunk_once`](ShardSummary::push_packed_chunk_once), the
+//! window ring's write path, which records a bucket's rows as its net is
+//! fed): KMV is a set, and a row it holds changes nothing. The sweep
 //! itself lives in `pfe-core` (`net_sketches.rs`), once for every net —
 //! as does what makes two nets mergeable: this file asks each net, and
 //! names no sketch parameter itself.
 
-use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
+use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, FedRows, NetMode};
 use pfe_core::net_sketches::same;
 use pfe_core::{fp_seed, AlphaNetFrequency, FpNet, UniformSampleSummary};
 use pfe_hash::rng::SplitMix64;
@@ -155,17 +159,39 @@ impl ShardSummary {
     /// Observe a chunk of packed binary rows: the reservoir samples them
     /// in order, then each net makes its one mask-major sweep over the
     /// chunk's distinct rows (see the [module docs](self)). Pipeline
-    /// workers and the window ring both end here.
+    /// workers end here; the window ring ends in
+    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
     ///
     /// # Panics
     /// Panics if the shard is not binary or a row has bits at or above
     /// `d`; callers run [`check_packed_chunk`](crate::check_packed_chunk)
     /// first.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
+        self.observe_packed(rows, |net, rows| net.push_packed_chunk(rows));
+    }
+
+    /// [`push_packed_chunk`](Self::push_packed_chunk) with the `F_0` net
+    /// alone narrowed to the rows `fed` has no record of
+    /// ([`AlphaNetF0::push_packed_chunk_once`]); the reservoir and every
+    /// other net still see every row. `fed` must describe this summary's
+    /// `F_0` net. Same bytes as the full push. Returns the distinct rows
+    /// the `F_0` net swept.
+    ///
+    /// # Panics
+    /// As `push_packed_chunk`.
+    pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
+        let mut swept = 0;
+        self.observe_packed(rows, |net, rows| {
+            swept = net.push_packed_chunk_once(rows, fed);
+        });
+        swept
+    }
+
+    fn observe_packed(&mut self, rows: &[u64], f0: impl FnOnce(&mut AlphaNetF0<Kmv>, &[u64])) {
         for &row in rows {
             self.sample.push_packed(row);
         }
-        self.net_f0.push_packed_chunk(rows);
+        f0(&mut self.net_f0, rows);
         if let Some(freq) = &mut self.freq {
             freq.push_packed_chunk(rows);
         }
@@ -189,10 +215,32 @@ impl ShardSummary {
         if self.sample.alphabet() == 2 {
             return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d));
         }
+        self.observe_dense(flat, |net, flat| net.push_dense_chunk(flat));
+    }
+
+    /// The dense counterpart of
+    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
+    ///
+    /// # Panics
+    /// As [`push_dense_chunk`](Self::push_dense_chunk).
+    pub fn push_dense_chunk_once(&mut self, flat: &[u16], fed: &mut FedRows) -> usize {
+        let d = self.sample.dimension();
+        if self.sample.alphabet() == 2 {
+            return self.push_packed_chunk_once(&pfe_row::pack_binary_rows(flat, d), fed);
+        }
+        let mut swept = 0;
+        self.observe_dense(flat, |net, flat| {
+            swept = net.push_dense_chunk_once(flat, fed);
+        });
+        swept
+    }
+
+    fn observe_dense(&mut self, flat: &[u16], f0: impl FnOnce(&mut AlphaNetF0<Kmv>, &[u16])) {
+        let d = self.sample.dimension();
         for row in flat.chunks_exact(d as usize) {
             self.sample.push_dense(row);
         }
-        self.net_f0.push_dense_chunk(flat);
+        f0(&mut self.net_f0, flat);
         if let Some(freq) = &mut self.freq {
             freq.push_dense_chunk(flat);
         }

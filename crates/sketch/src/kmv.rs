@@ -6,6 +6,10 @@
 //! al.). This is the default `β`-approximate `F_0` plug-in for the α-net
 //! summary: its accuracy depends only on `k`, never on the pattern domain,
 //! matching the `O(ε^{-2} + log n')` sketches cited in Section 6.
+//!
+//! Two sketches of one seed merge by one linear walk over their ascending
+//! minima, in the left sketch's own buffer (see `merge`); inserting a
+//! sketch again, or a hash it already rejected, leaves it unchanged.
 
 use crate::traits::{vec_bytes, DistinctSketch, SpaceUsage};
 use pfe_hash::hash_u64;
@@ -75,6 +79,16 @@ impl Kmv {
             }
         }
     }
+
+    /// The merge as it was before the linear walk — one insert per hash —
+    /// kept as the reference [`DistinctSketch::merge`] must match, minima
+    /// and capacity alike.
+    #[cfg(test)]
+    fn merge_by_inserts(&mut self, other: &Self) {
+        for &h in &other.minima {
+            self.insert_hash(h);
+        }
+    }
 }
 
 impl SpaceUsage for Kmv {
@@ -98,12 +112,60 @@ impl DistinctSketch for Kmv {
         (self.k as f64 - 1.0) / vk
     }
 
+    /// Keep the `k` smallest of both sketches' minima: one forward walk
+    /// over the two ascending lists finds how far into each the union's
+    /// `k` smallest reach, then one backward walk writes them in place, in
+    /// the `Vec` `self` already owns. The result is what inserting
+    /// `other`'s minima one at a time leaves — the same minima and the
+    /// same capacity, which [`SpaceUsage`] counts: that loop inserts each
+    /// of `other`'s hashes that lands among the union's `k` smallest and
+    /// is new to `self`, at lengths `len, len + 1, …` capped at `k`, and
+    /// `Vec::insert` grows a full `Vec` to `max(2·cap, 4)` — so a full
+    /// sketch doubles on its first displacing insert.
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.k, other.k, "KMV merge: k mismatch");
         assert_eq!(self.seed, other.seed, "KMV merge: seed mismatch");
-        for &h in &other.minima {
-            self.insert_hash(h);
+        let (a, b) = (&self.minima, &other.minima);
+        // Forward: `i` / `j` minima of each side make the union's `out`
+        // smallest, `fresh` of them only `other` holds.
+        let (mut i, mut j, mut out, mut fresh) = (0, 0, 0, 0);
+        while out < self.k {
+            match (a.get(i), b.get(j)) {
+                (None, None) => break,
+                (Some(x), Some(y)) if x == y => (i, j) = (i + 1, j + 1),
+                (Some(x), Some(y)) if x < y => i += 1,
+                (Some(_), None) => i += 1,
+                _ => (j, fresh) = (j + 1, fresh + 1),
+            }
+            out += 1;
         }
+        if fresh == 0 {
+            return; // the union's `out` smallest are `self`'s own
+        }
+        let len = a.len();
+        let mut cap = a.capacity();
+        while cap < (len + fresh).min(self.k + 1) {
+            cap = (cap * 2).max(4);
+        }
+        self.minima.reserve_exact(cap - len);
+        // Backward: the largest survivor first, so every write lands at or
+        // above the `self` minimum it could overwrite.
+        self.minima.resize(out, 0);
+        let m = &mut self.minima;
+        let mut w = out;
+        while j > 0 {
+            w -= 1;
+            let y = b[j - 1];
+            if i > 0 && m[i - 1] >= y {
+                j -= usize::from(m[i - 1] == y);
+                i -= 1;
+                m[w] = m[i];
+            } else {
+                j -= 1;
+                m[w] = y;
+            }
+        }
+        debug_assert_eq!(w, i, "`self`'s surviving prefix is already in place");
     }
 }
 
@@ -192,6 +254,100 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.estimate(), u.estimate());
+    }
+
+    /// A full sketch's `Vec` doubles on its first displacing insert: it
+    /// inserts before it pops, so for a moment it holds `k + 1` hashes.
+    /// `space_bytes` counts capacity, so the merge replays this.
+    #[test]
+    fn a_full_sketch_doubles_on_its_first_displacing_insert() {
+        let full = || {
+            let mut s = Kmv::new(4, 1);
+            [10, 20, 30, 40].into_iter().for_each(|h| s.insert_hash(h));
+            s
+        };
+        let mut s = full();
+        assert_eq!((s.minima.len(), s.minima.capacity()), (4, 4));
+        s.insert_hash(50); // above the 4th minimum: rejected, no growth
+        assert_eq!(s.minima.capacity(), 4);
+        s.insert_hash(5);
+        assert_eq!(s.minima, [5, 10, 20, 30]);
+        assert_eq!(s.minima.capacity(), 8, "insert-then-pop grows a full Vec");
+        let mut merged = full();
+        let mut one = Kmv::new(4, 1);
+        one.insert_hash(5);
+        merged.merge(&one);
+        assert_eq!(merged.minima, s.minima);
+        assert_eq!(merged.minima.capacity(), 8, "the merge replays the growth");
+    }
+
+    /// The linear merge leaves exactly what the one-at-a-time loop leaves —
+    /// minima *and* capacity — over 10,752 random pairs: every `k` the
+    /// engine and its tests use, overlapping and disjoint item domains,
+    /// empty sides, and the capacities a sketch can carry into a merge
+    /// (fresh, decoded or cloned = its length, grown by a displacing
+    /// insert, grown by an earlier merge).
+    #[test]
+    fn linear_merge_matches_the_insert_loop_minima_and_capacity() {
+        use pfe_hash::rng::Xoshiro256pp;
+        use pfe_persist::{Decoder, Encoder};
+        let mut rng = Xoshiro256pp::seed_from_u64(29);
+        let mut below = |n: u64| rng.next_u64() % n;
+        // One side: `n` items from `[from, from + span)`, carried in `how`.
+        let side = |k: usize, n: u64, from: u64, span: u64, how: u64| {
+            let mut s = Kmv::new(k, 7);
+            (0..n).for_each(|i| s.insert(from + (i * 7919) % span));
+            match how {
+                0 => s,
+                1 => {
+                    let mut enc = Encoder::new();
+                    s.encode(&mut enc);
+                    let bytes = enc.into_bytes();
+                    Kmv::decode(&mut Decoder::new(&bytes)).expect("decode")
+                }
+                2 => s.clone(),
+                _ => {
+                    let mut extra = Kmv::new(k, 7);
+                    (0..2 * k as u64).for_each(|i| extra.insert(u64::MAX - i));
+                    s.merge_by_inserts(&extra);
+                    s
+                }
+            }
+        };
+        let mut cases = 0;
+        for k in [2usize, 3, 4, 7, 16, 64, 256] {
+            for _ in 0..1536 {
+                let sizes = [0, 1, k as u64 / 2, k as u64, k as u64 + 1, 3 * k as u64];
+                let mut draw = || sizes[below(6) as usize] + below(3);
+                let (na, nb) = (draw(), draw());
+                let span = 1 + below(4 * k as u64);
+                // Overlapping or disjoint item domains.
+                let from_b = [0, span / 2, 1 << 40][below(3) as usize];
+                let (how_a, how_b) = (below(4), below(4));
+                let build = || {
+                    let a = side(k, na, 0, span.max(na), how_a);
+                    let b = side(k, nb, from_b, span.max(nb), how_b);
+                    (a, b)
+                };
+                let (mut linear, b) = build();
+                let (mut reference, _) = build();
+                assert_eq!(linear.minima.capacity(), reference.minima.capacity());
+                linear.merge(&b);
+                reference.merge_by_inserts(&b);
+                let case = format!(
+                    "k={k} na={na} nb={nb} span={span} from_b={from_b} how={how_a}/{how_b}"
+                );
+                assert_eq!(linear.minima, reference.minima, "{case}");
+                assert_eq!(
+                    linear.minima.capacity(),
+                    reference.minima.capacity(),
+                    "{case}"
+                );
+                assert_eq!(linear.space_bytes(), reference.space_bytes(), "{case}");
+                cases += 1;
+            }
+        }
+        assert!(cases >= 10_000);
     }
 
     #[test]

@@ -175,7 +175,8 @@ impl WindowedEngine {
         Ok(Self::over(ring, &ecfg, recorder))
     }
 
-    fn over(ring: BucketRing, ecfg: &EngineConfig, recorder: Arc<Recorder>) -> Self {
+    fn over(mut ring: BucketRing, ecfg: &EngineConfig, recorder: Arc<Recorder>) -> Self {
+        ring.record_into(&recorder);
         Self {
             merged: Mutex::new(MergedLru::new(ring.window_config().merged_cache)),
             ring: Mutex::new(ring),
@@ -784,6 +785,23 @@ mod tests {
         assert_eq!(rec.gauge("engine_rows_ingested").get(), 950);
         assert_eq!(rec.gauge("engine_snapshot_rows").get(), 950);
         assert_eq!(rec.gauge("engine_shards").get(), 1);
+    }
+
+    #[test]
+    fn write_path_series_count_new_rows_and_tier_merges() {
+        let rec = Arc::new(Recorder::new());
+        let engine = WindowedEngine::start_with_recorder(10, 2, ecfg(), wcfg(), Arc::clone(&rec))
+            .expect("start");
+        // 40 rows, 25 distinct, written twice into one 100-row bucket: the
+        // active F0 net is fed each distinct row once.
+        let rows: Vec<u64> = (0..40).map(|i| i % 25).collect();
+        engine.push_packed_batch(&rows).expect("push");
+        engine.push_packed_batch(&rows).expect("push");
+        assert_eq!(rec.counter("window_f0_rows_swept").get(), 25);
+        engine.ingest(&uniform_binary(10, 950, 3)).expect("ingest");
+        let merges = engine.window_stats().tier_merges;
+        assert!(merges > 0);
+        assert_eq!(rec.histogram("window_tier_merge_us").count(), merges);
     }
 
     #[test]

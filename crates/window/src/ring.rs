@@ -21,13 +21,16 @@
 //! caches, so cached windowed answers invalidate exactly when their
 //! covering buckets change.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
+use pfe_core::FedRows;
 use pfe_engine::{
     check_dense_chunk, check_packed_chunk, EngineConfig, EngineError, FreqNetConfig, ShardSummary,
 };
 use pfe_hash::hash_u64;
+use pfe_obs::{Counter, Histogram, Recorder};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_sketch::traits::SpaceUsage;
 
@@ -95,6 +98,15 @@ pub struct BucketRing {
     buckets: VecDeque<Bucket>,
     /// The live bucket ingest routes into.
     active: ShardSummary,
+    /// The rows the active bucket's `F_0` net has been fed (bounded, see
+    /// [`FedRows`]): a write sweeps that net over only the rows new to
+    /// the bucket. Cleared at seal, never persisted, so empty after
+    /// resume — which costs one full sweep, not a byte.
+    fed: FedRows,
+    /// Distinct rows the active `F_0` net was fed (`window_f0_rows_swept`).
+    f0_rows_swept: Arc<Counter>,
+    /// Tier-merge durations, µs (`window_tier_merge_us`).
+    tier_merge_us: Arc<Histogram>,
     /// Id the active bucket will take when sealed (fresh ids are also
     /// consumed by tier merges, so this is *not* a seal count).
     next_id: u64,
@@ -132,12 +144,22 @@ impl BucketRing {
             q,
             buckets: VecDeque::new(),
             active,
+            fed: FedRows::default(),
+            f0_rows_swept: Arc::default(),
+            tier_merge_us: Arc::default(),
             next_id: 0,
             seals: 0,
             evicted_rows: 0,
             tier_merges: 0,
             evictions: 0,
         })
+    }
+
+    /// Record the ring's write-path series in `recorder`:
+    /// `window_f0_rows_swept` and `window_tier_merge_us`.
+    pub(crate) fn record_into(&mut self, recorder: &Recorder) {
+        self.f0_rows_swept = recorder.counter("window_f0_rows_swept");
+        self.tier_merge_us = recorder.histogram("window_tier_merge_us");
     }
 
     /// Dimension `d`.
@@ -231,7 +253,7 @@ impl BucketRing {
     /// `Query(BadParameter)` on shape violations.
     pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
         check_packed_chunk(self.d, self.q, rows)?;
-        self.push_split(rows, 1, ShardSummary::push_packed_chunk);
+        self.push_split(rows, 1, ShardSummary::push_packed_chunk_once);
         Ok(())
     }
 
@@ -242,20 +264,27 @@ impl BucketRing {
     /// `Query(BadParameter)` on shape violations.
     pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
         check_dense_chunk(self.d, self.q, flat)?;
-        self.push_split(flat, self.d as usize, ShardSummary::push_dense_chunk);
+        self.push_split(flat, self.d as usize, ShardSummary::push_dense_chunk_once);
         Ok(())
     }
 
     /// Feed a checked chunk (`width` symbols per row) to the active
     /// bucket, split at every seal boundary: each piece tops the active
     /// bucket up to at most `bucket_rows`, and a full bucket seals before
-    /// the next piece lands.
-    fn push_split<T>(&mut self, mut rest: &[T], width: usize, push: fn(&mut ShardSummary, &[T])) {
+    /// the next piece lands. The active `F_0` net sweeps only the rows of
+    /// a piece the bucket has not held yet (`push` narrows it by `fed`).
+    fn push_split<T>(
+        &mut self,
+        mut rest: &[T],
+        width: usize,
+        push: impl Fn(&mut ShardSummary, &[T], &mut FedRows) -> usize,
+    ) {
         while !rest.is_empty() {
             let room = self.wcfg.bucket_rows.saturating_sub(self.active.rows());
             let take = room.min((rest.len() / width) as u64) as usize * width;
             let (head, tail) = rest.split_at(take);
-            push(&mut self.active, head);
+            let swept = push(&mut self.active, head, &mut self.fed);
+            self.f0_rows_swept.add(swept as u64);
             rest = tail;
             if self.active.rows() >= self.wcfg.bucket_rows {
                 self.seal();
@@ -268,6 +297,7 @@ impl BucketRing {
         let fresh = ShardSummary::new(self.d, self.q, (self.next_id + 1) as usize, &self.ecfg)
             .expect("parameters validated at ring construction");
         let summary = std::mem::replace(&mut self.active, fresh);
+        self.fed.clear();
         self.buckets.push_back(Bucket {
             id: self.next_id,
             level: 0,
@@ -309,7 +339,10 @@ impl BucketRing {
             let older = &mut self.buckets[first];
             // Older absorbs newer so the merged sample keeps stream order
             // while both reservoirs are under-full (lossless regime).
+            let started = Instant::now();
             Arc::make_mut(&mut older.summary).merge(&newer.summary);
+            self.tier_merge_us
+                .record(started.elapsed().as_micros().try_into().unwrap_or(u64::MAX));
             older.level = level + 1;
             older.id = self.next_id;
             self.next_id += 1;
@@ -475,6 +508,7 @@ impl Persist for BucketRing {
         check_shape(&active, "active bucket")?;
         let count = dec.take_len(8)?;
         let mut buckets = VecDeque::with_capacity(count);
+        let mut ids = HashSet::with_capacity(count);
         let mut prev_level: Option<u32> = None;
         for i in 0..count {
             let id = dec.take_u64()?;
@@ -482,6 +516,13 @@ impl Persist for BucketRing {
             if id >= next_id {
                 return Err(PersistError::Malformed(format!(
                     "bucket id {id} at or above next_id {next_id}"
+                )));
+            }
+            // Equal ids must mean equal content: the covering fingerprint
+            // and the sealed-fold memo key on them.
+            if !ids.insert(id) {
+                return Err(PersistError::Malformed(format!(
+                    "bucket id {id} held by two buckets"
                 )));
             }
             if level >= wcfg.max_tiers {
@@ -519,6 +560,9 @@ impl Persist for BucketRing {
             q,
             buckets,
             active,
+            fed: FedRows::default(),
+            f0_rows_swept: Arc::default(),
+            tier_merge_us: Arc::default(),
             next_id,
             seals,
             evicted_rows,
@@ -703,6 +747,117 @@ mod tests {
         for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
             let mut dec = Decoder::new(&bytes[..cut]);
             assert!(BucketRing::decode(&mut dec).is_err());
+        }
+    }
+
+    /// Regression: decode checked only `id < next_id`, so a ring holding
+    /// ids `[5, 5]` decoded — and the sealed-fold memo, keyed by ids, took
+    /// the newer bucket's fold for the older one's.
+    #[test]
+    fn decode_rejects_a_bucket_id_held_twice() {
+        let d = 8;
+        let mut ring = BucketRing::new(d, 2, &ecfg(), wcfg(10, 4, 3)).expect("new");
+        fill(&mut ring, d, 25, 10); // two sealed buckets, ids 0 and 1
+        let encode = |ring: &BucketRing| {
+            let mut enc = Encoder::new();
+            ring.encode(&mut enc);
+            enc.into_bytes()
+        };
+        ring.next_id = 6;
+        for (bucket, id) in ring.buckets.iter_mut().zip([4, 5]) {
+            bucket.id = id;
+        }
+        let distinct = encode(&ring);
+        assert!(BucketRing::decode(&mut Decoder::new(&distinct)).is_ok());
+        ring.buckets[0].id = 5;
+        let twice = encode(&ring);
+        match BucketRing::decode(&mut Decoder::new(&twice)) {
+            Err(PersistError::Malformed(msg)) => assert!(msg.contains("id 5"), "{msg}"),
+            other => panic!("expected Malformed, got {:?}", other.map(|r| r.next_id)),
+        }
+    }
+
+    /// A ring whose active `F_0` net sweeps only rows new to the bucket
+    /// ends every write with the bytes *and* the `SpaceUsage` of a ring
+    /// that sweeps every row — packed and dense, with every net on.
+    #[test]
+    fn new_rows_only_sweeps_match_full_sweeps_in_bytes_and_space() {
+        // Writes of up to 150 rows: seals, tier merges and evictions, and
+        // KMVs small enough to fill inside one write.
+        for kmv_k in [2, 8] {
+            for shape in [(2, 9), (4, 5)] {
+                narrowed_and_full_rings_agree(shape, kmv_k, [1, 5, 30, 64, 150], [6, 60, 600], 0);
+            }
+        }
+        // Writes of 1–8 rows from tiny pools at k = 2: the one-column
+        // members (4 patterns) take the histogram path only while the
+        // whole chunk — old rows included — has 4 distinct rows, and its
+        // key order decides whether a sketch that fills mid-write grows
+        // its `Vec`. Seed 31 is a case where deciding on the new rows
+        // alone would change `SpaceUsage` (found by searching seeds).
+        for seed in 29..34 {
+            narrowed_and_full_rings_agree((4, 5), 2, [1, 2, 3, 5, 8], [3, 6, 10], seed);
+        }
+    }
+
+    fn narrowed_and_full_rings_agree(
+        (q, d): (u32, u32),
+        kmv_k: usize,
+        lens: [usize; 5],
+        pools: [u64; 3],
+        seed: u64,
+    ) {
+        let ecfg = EngineConfig {
+            sample_t: 32,
+            kmv_k,
+            freq_net: Some(FreqNetConfig {
+                depth: 2,
+                width: 32,
+            }),
+            fp: Some(pfe_core::FpConfig {
+                orders: vec![2.0, 1.5],
+                stable_t: 2,
+                ams_groups: 2,
+                ams_per_group: 2,
+            }),
+            ..Default::default()
+        };
+        let bytes = |ring: &BucketRing| {
+            let mut enc = Encoder::new();
+            ring.encode(&mut enc);
+            enc.into_bytes()
+        };
+        let mut ring = BucketRing::new(d, q, &ecfg, wcfg(64, 2, 3)).expect("new");
+        let mut full = BucketRing::new(d, q, &ecfg, wcfg(64, 2, 3)).expect("new");
+        let swept = Arc::clone(&ring.f0_rows_swept);
+        let mut rng = pfe_hash::rng::Xoshiro256pp::seed_from_u64(u64::from(q) + 10 * seed);
+        let mut pushed = 0;
+        for step in 0..120u64 {
+            let len = lens[(rng.next_u64() % 5) as usize];
+            let pool = pools[(step / 5 % 3) as usize];
+            let dense: Vec<u16> = (0..len)
+                .flat_map(|_| {
+                    let row = rng.next_u64() % pool;
+                    (0..d).map(move |c| (row / u64::from(q).pow(c) % u64::from(q)) as u16)
+                })
+                .collect();
+            ring.push_dense_batch(&dense).expect("push");
+            full.push_split(&dense, d as usize, |s, flat, _| {
+                s.push_dense_chunk(flat);
+                0
+            });
+            pushed += len as u64;
+            let at = format!("k={kmv_k} q={q} seed {seed} step {step}");
+            assert_eq!(bytes(&ring), bytes(&full), "{at}");
+            assert_eq!(ring.space_bytes(), full.space_bytes(), "{at}");
+        }
+        assert!(
+            swept.get() < pushed * 3 / 4,
+            "q={q}: swept {} of {pushed} rows",
+            swept.get()
+        );
+        if lens[4] > 64 {
+            assert!(ring.tier_merges() > 0 && ring.evictions() > 0);
         }
     }
 }

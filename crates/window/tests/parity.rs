@@ -13,19 +13,23 @@
 //! 3. **Reuse parity** — under interleaved writes and reads, an engine
 //!    that reuses merged coverings and sealed folds answers bit-identically
 //!    to a twin with `merged_cache: 0`, which folds every covering afresh.
+//! 4. **Sweep parity** — a ring whose active `F_0` net sweeps only rows
+//!    new to its bucket writes, after every write, the `Persist` bytes of
+//!    a ring that sweeps every row.
 //!
 //! The reservoirs stay under-full here (`sample_t` above total stream
 //! length), which is the regime where reservoir merges are provably
 //! lossless; the KMV-backed `F_0` path is exact-union in every regime.
 
-use pfe_core::{FpConfig, SuiteConfig, SummarySuite};
+use pfe_core::{FpConfig, SuiteConfig, SummarySuite, MAX_FED_ROWS};
+use pfe_persist::{Decoder, Encoder, Persist};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pfe_engine::{AnswerValue, EngineConfig, Query, Recorder};
+use pfe_engine::{AnswerValue, EngineConfig, FreqNetConfig, Query, Recorder};
 use pfe_row::{BinaryMatrix, ColumnSet, Dataset};
 use pfe_stream::gen::uniform_binary;
-use pfe_window::{WindowConfig, WindowedEngine};
+use pfe_window::{BucketRing, WindowConfig, WindowedEngine};
 use proptest::prelude::*;
 
 const D: u32 = 10;
@@ -391,4 +395,157 @@ proptest! {
             }
         }
     }
+}
+
+fn ring_bytes(ring: &BucketRing) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    ring.encode(&mut enc);
+    enc.into_bytes()
+}
+
+fn ring_from(bytes: &[u8]) -> BucketRing {
+    let mut dec = Decoder::new(bytes);
+    let ring = BucketRing::decode(&mut dec).expect("decode");
+    dec.expect_end().expect("fully consumed");
+    ring
+}
+
+/// A ring checked against a reference that sweeps every row: the
+/// reference lives as bytes and is decoded afresh before every write —
+/// a decoded ring has no record of fed rows, and one write fills each
+/// bucket from at most one piece, so nothing the reference is fed is ever
+/// left out of a sweep.
+struct SweepParity {
+    ring: BucketRing,
+    reference: Vec<u8>,
+}
+
+impl SweepParity {
+    fn new(ring: BucketRing) -> Self {
+        let reference = ring_bytes(&ring);
+        Self { ring, reference }
+    }
+
+    /// Write `rows` (`d` symbols each, row-major) to both, then compare.
+    fn write(&mut self, dense: &[u16], packed: Option<&[u64]>) {
+        let mut reference = ring_from(&self.reference);
+        match packed {
+            Some(rows) => {
+                self.ring.push_packed_batch(rows).expect("push");
+                reference.push_packed_batch(rows).expect("push");
+            }
+            None => {
+                self.ring.push_dense_batch(dense).expect("push");
+                reference.push_dense_batch(dense).expect("push");
+            }
+        }
+        self.reference = ring_bytes(&reference);
+        assert!(
+            ring_bytes(&self.ring) == self.reference,
+            "ring bytes diverged"
+        );
+    }
+
+    /// Checkpoint → resume the narrowed ring, losing its record of fed rows.
+    fn resume(&mut self) {
+        self.ring = ring_from(&ring_bytes(&self.ring));
+    }
+}
+
+/// `len` rows of `d` symbols over alphabet `q`, drawn from the first
+/// `pool` rows of the domain so that they repeat within and across writes.
+fn pooled_rows(q: u32, d: u32, len: usize, pool: u64, seed: u64) -> Vec<u16> {
+    let mut rng = pfe_hash::rng::Xoshiro256pp::seed_from_u64(seed);
+    let q = u64::from(q);
+    (0..len)
+        .flat_map(|_| {
+            let row = rng.next_u64() % pool;
+            (0..d).map(move |c| (row / q.pow(c) % q) as u16)
+        })
+        .collect()
+}
+
+fn pack(dense: &[u16], d: u32) -> Vec<u64> {
+    dense
+        .chunks(d as usize)
+        .map(|row| {
+            row.iter()
+                .rev()
+                .fold(0u64, |acc, &b| acc << 1 | u64::from(b))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Writes of 1 row to more than a bucket's, from pools small enough to
+    /// repeat and large enough not to, with seals, tier merges, evictions
+    /// and resumes mid-bucket: binary rows packed (every net but the
+    /// stable one) or Q = 4 dense rows with the frequency net, AMS and
+    /// stable moment nets on.
+    #[test]
+    fn prop_a_ring_sweeping_new_rows_only_writes_full_sweep_bytes(
+        steps in proptest::collection::vec((1usize..=150, 0usize..3, 0u8..8), 10..40),
+        dense in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let (q, d) = if dense { (4, 5) } else { (2, 9) };
+        let ecfg = EngineConfig {
+            sample_t: 32,
+            kmv_k: 8,
+            seed,
+            freq_net: dense.then_some(FreqNetConfig { depth: 2, width: 32 }),
+            fp: Some(FpConfig {
+                orders: if dense { vec![2.0, 1.5] } else { vec![2.0] },
+                stable_t: 2,
+                ams_groups: 2,
+                ams_per_group: 2,
+            }),
+            ..Default::default()
+        };
+        let wcfg = WindowConfig {
+            bucket_rows: 64,
+            tier_cap: 2,
+            max_tiers: 3,
+            merged_cache: 4,
+        };
+        let mut check = SweepParity::new(BucketRing::new(d, q, &ecfg, wcfg).expect("new"));
+        for (i, &(len, pool, action)) in steps.iter().enumerate() {
+            if action == 0 {
+                check.resume();
+            }
+            let pool = [5, 50, 1 << 10][pool];
+            let rows = pooled_rows(q, d, len, pool, seed * 100 + i as u64);
+            let packed = (!dense).then(|| pack(&rows, d));
+            check.write(&rows, packed.as_deref());
+        }
+    }
+}
+
+/// A bucket fed more distinct rows than the record of fed rows holds: the
+/// rows past the bound are swept again on every write, recorded ones are
+/// not, and the bytes stay those of a full sweep.
+#[test]
+fn sweep_parity_holds_past_the_fed_row_bound() {
+    let d = 16;
+    let ecfg = EngineConfig {
+        alpha: 0.4, // members of at most 1 or at least 15 columns
+        sample_t: 16,
+        kmv_k: 8,
+        ..Default::default()
+    };
+    let wcfg = WindowConfig {
+        bucket_rows: 1 << 16,
+        ..Default::default()
+    };
+    let mut check = SweepParity::new(BucketRing::new(d, 2, &ecfg, wcfg).expect("new"));
+    let distinct = MAX_FED_ROWS as u64 + MAX_FED_ROWS as u64 / 4;
+    let rows: Vec<u64> = (0..distinct).map(|i| i * 40_503 % (1 << d)).collect();
+    for _ in 0..2 {
+        for chunk in rows.chunks(2048) {
+            check.write(&[], Some(chunk));
+        }
+    }
+    assert_eq!(check.ring.active().rows(), 2 * distinct, "one bucket");
 }

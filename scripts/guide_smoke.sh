@@ -68,6 +68,24 @@ field() { echo "$1" | grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2; }
 echo "$stats" | grep -q '"sealed_buckets":3' || { echo "FAIL: windowed session sealed no buckets: $stats"; exit 1; }
 echo "$stats" | grep -q '"merged_cache_misses":2' \
     || { echo "FAIL: the two windowed reads were not two covering merges: $stats"; exit 1; }
+# A write sweeps the active bucket's F0 net over rows new to the bucket
+# only: the same 8 rows (6 distinct) written twice into one 64-row bucket
+# feed it 6 rows, as `window_f0_rows_swept` counts.
+rows='[[0,1,0,1,0,1],[1,1,0,0,1,0],[0,0,1,1,0,1],[0,1,0,1,0,1],[1,0,1,0,1,1],[0,1,1,0,0,0],[1,1,1,1,0,1],[0,1,1,0,0,0]]'
+out=$("$pfe" serve 2>/dev/null <<SESSION
+{"op":"start","d":6,"q":2,"window":{"bucket_rows":64}}
+{"op":"ingest","rows":$rows}
+{"op":"metrics"}
+{"op":"ingest","rows":$rows}
+{"op":"metrics"}
+{"op":"quit"}
+SESSION
+)
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: repeated-ingest session had an error response: $out"; exit 1; }
+for line in 3 5; do
+    echo "$out" | sed -n ${line}p | grep -q '"window_f0_rows_swept":6[,}]' \
+        || { echo "FAIL: window_f0_rows_swept is not the 6 distinct rows of one ingest: $(echo "$out" | sed -n ${line}p)"; exit 1; }
+done
 
 echo "== TCP server + client round trip (guide §5)"
 ckpt="$tmpdir/smoke.pfes"
