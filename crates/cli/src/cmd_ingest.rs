@@ -2,9 +2,9 @@
 //! checkpoint the result.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pfe_engine::{Json, Recorder};
 use pfe_ingest::{FileIngester, IngestError, IngestReport};
@@ -13,28 +13,23 @@ use pfe_window::Backend;
 use crate::args::{engine_config, ingest_options, window_config, Args};
 
 /// A once-a-second progress line on stderr, fed by the same recorder
-/// counters the ingester reports into. Silent under `--quiet`.
-struct Progress {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+/// counters the ingester reports into. Silent under `--quiet`. Dropping
+/// it hangs up the channel the thread waits on, which wakes it at once:
+/// the ingest's reported time never includes a wait on the next tick.
+struct Progress(Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>);
 
 impl Progress {
     fn start(recorder: &Arc<Recorder>, quiet: bool) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
         if quiet {
-            return Self { stop, handle: None };
+            return Self(None);
         }
         let rows = recorder.counter("ingest_rows");
         let bytes = recorder.counter("ingest_bytes");
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(1000));
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            let started = Instant::now();
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(Duration::from_secs(1))
+            {
                 let secs = started.elapsed().as_secs_f64();
                 eprintln!(
                     "ingest: {} rows read, {:.1} MiB ({:.0} rows/s)",
@@ -44,18 +39,15 @@ impl Progress {
                 );
             }
         });
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+        Self(Some((stop, handle)))
     }
 }
 
 impl Drop for Progress {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
+        if let Some((stop, handle)) = self.0.take() {
+            drop(stop);
+            handle.join().ok();
         }
     }
 }

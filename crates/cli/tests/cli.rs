@@ -150,6 +150,31 @@ fn ingest_reports_end_to_end_time_not_the_readers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Without `--quiet` a progress thread prints once a second; finishing
+/// must wake it rather than wait out its sleep inside the reported time.
+#[test]
+fn a_progress_line_does_not_hold_up_a_short_ingest() {
+    let dir = temp_dir("progress");
+    write_csv(&dir.join("rows.csv"), 10, 200, 0x200);
+    for args in [
+        &["ingest", "rows.csv", "--out", "rows.pfes"][..],
+        &["resume", "rows.pfes", "--ingest", "rows.csv"][..],
+    ] {
+        let out = pfe(&dir, args);
+        assert_ok(&out, args[0]);
+        let elapsed_ms = stdout_json(&out)
+            .get("elapsed_ms")
+            .and_then(Json::as_f64)
+            .expect("elapsed_ms");
+        assert!(
+            elapsed_ms < 500.0,
+            "{}: 200 rows reported {elapsed_ms} ms",
+            args[0]
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn batch_queries_answer_in_order() {
     let dir = temp_dir("batch");

@@ -30,7 +30,10 @@ use pfe_row::{ColumnSet, PatternCodec, PatternKey};
 use pfe_sketch::kmv::Kmv;
 use pfe_sketch::traits::DistinctSketch;
 
-use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
+use crate::bounds::{f0_rounding_distortion, kmv_beta};
+use crate::net_sketches::{
+    decode_shape, same, AlphaNetSummary, Distortion, Guaranteed, Mergeable, Statistic,
+};
 use crate::problem::{check_dims, QueryError};
 
 /// Seed for pattern-key fingerprinting; fixed so that the same pattern maps
@@ -322,19 +325,6 @@ pub struct NetAnswer {
     pub distortion_bound: f64,
 }
 
-impl NetAnswer {
-    /// The order-`p` moment answer for a query rounded by `r`, with the
-    /// Lemma 6.4(2) distortion `Q^{|CΔC′|·|p−1|}`.
-    pub(crate) fn moment(q: u32, p: f64, r: RoundedQuery, estimate: f64) -> Self {
-        Self {
-            estimate,
-            answered_on: r.target,
-            sym_diff: r.sym_diff,
-            distortion_bound: (q as f64).powf(r.sym_diff as f64 * (p - 1.0).abs()),
-        }
-    }
-}
-
 /// The distinct-count plug-in of Algorithm 1: any [`DistinctSketch`] per
 /// member. A distinct sketch is a set, so a key's multiplicity is
 /// irrelevant.
@@ -352,6 +342,21 @@ impl<S: DistinctSketch> Statistic for Distinct<S> {
 
     fn feed(&self, sketch: &mut S, key: PatternKey, _multiplicity: u32) {
         sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
+    }
+}
+
+/// Rounding by `s` columns distorts `F_0` by at most
+/// [`f0_rounding_distortion`]`(Q, s)`.
+impl<S: DistinctSketch> Distortion for Distinct<S> {
+    fn distortion(&self, q: u32, sym_diff: u32) -> f64 {
+        f0_rounding_distortion(q, sym_diff)
+    }
+}
+
+/// A KMV answer is within [`kmv_beta`]`(k)`.
+impl Guaranteed for Distinct<Kmv> {
+    fn beta(&self, sketch: &Kmv) -> f64 {
+        kmv_beta(sketch.k())
     }
 }
 
@@ -393,12 +398,7 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// Dimension errors.
     pub fn f0(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
         let r = self.effective_rounding(cols)?;
-        Ok(NetAnswer {
-            estimate: self.answering(&r).estimate(),
-            answered_on: r.target,
-            sym_diff: r.sym_diff,
-            distortion_bound: (self.alphabet() as f64).powi(r.sym_diff as i32),
-        })
+        Ok(self.net_answer(r, self.answering(&r).estimate()))
     }
 
     /// [`push_packed_chunk`](AlphaNetSummary::push_packed_chunk) over only

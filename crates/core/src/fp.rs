@@ -24,8 +24,10 @@ use pfe_sketch::stable_fp::StableFp;
 use pfe_sketch::traits::{MomentSketch, SpaceUsage};
 
 use crate::alpha_net::{AlphaNet, NetAnswer, NetMode, FINGERPRINT_SEED};
-use crate::bounds::{ams_f2_beta, stable_fp_beta};
-use crate::net_sketches::{decode_shape, same, AlphaNetSummary, Mergeable, Statistic};
+use crate::bounds::{ams_f2_beta, fp_rounding_distortion, stable_fp_beta};
+use crate::net_sketches::{
+    decode_shape, same, AlphaNetSummary, Distortion, Guaranteed, Mergeable, Statistic,
+};
 use crate::problem::QueryError;
 
 /// Salt folded into the engine seed before deriving per-order sketch
@@ -271,6 +273,24 @@ impl Statistic for ByOrder {
     }
 }
 
+/// The family's β — [`ams_f2_beta`] for AMS, [`stable_fp_beta`] for
+/// stable projections, read off the member's shape — and Lemma 6.4's
+/// [`fp_rounding_distortion`] at this net's order.
+impl Distortion for ByOrder {
+    fn distortion(&self, q: u32, sym_diff: u32) -> f64 {
+        fp_rounding_distortion(q, sym_diff, self.p)
+    }
+}
+
+impl Guaranteed for ByOrder {
+    fn beta(&self, sketch: &FpSketch) -> f64 {
+        match sketch {
+            FpSketch::Ams(s) => ams_f2_beta(s.per_group()),
+            FpSketch::Stable(s) => stable_fp_beta(s.estimators()),
+        }
+    }
+}
+
 /// One materialized `F_p` α-net: AMS members at `p = 2`, stable
 /// projections at `0 < p < 2`.
 pub type FpNet = AlphaNetSummary<ByOrder>;
@@ -325,25 +345,13 @@ impl FpNet {
         matches!(self.first(), FpSketch::Ams(_))
     }
 
-    /// The sketch β of this net's plug-in, read off the live sketch shape:
-    /// [`ams_f2_beta`] for the AMS path, [`stable_fp_beta`] for the
-    /// stable-projection path. Multiply by the per-query rounding
-    /// distortion for the full Theorem 6.5 guarantee factor.
-    pub fn beta(&self) -> f64 {
-        match self.first() {
-            FpSketch::Ams(s) => ams_f2_beta(s.per_group()),
-            FpSketch::Stable(s) => stable_fp_beta(s.estimators()),
-        }
-    }
-
     /// Answer a projected `F_p` query at this net's own order.
     ///
     /// # Errors
     /// Dimension errors.
     pub fn fp(&self, cols: &ColumnSet) -> Result<NetAnswer, QueryError> {
         let r = self.effective_rounding(cols)?;
-        let estimate = self.answering(&r).estimate();
-        Ok(NetAnswer::moment(self.alphabet(), self.p(), r, estimate))
+        Ok(self.net_answer(r, self.answering(&r).estimate()))
     }
 }
 

@@ -25,9 +25,9 @@
 //! - [`sampling::ExactLpSampler`] — offline `ℓ_p` sampling
 //!   from the materialized frequency vector (the object Theorem 5.5 proves
 //!   incompressible for `p ≠ 1`);
-//! - [`bounds`] — the theorem-derived accuracy constants (Theorem 5.1
-//!   `ε`, KMV `β`, Lemma 6.4 distortion) serving layers attach to
-//!   answers as `(α, ε)` guarantees.
+//! - [`bounds`] — the `(α, ε)` [`Guarantee`] every answer carries and
+//!   the theorem-derived constants (Theorem 5.1 `ε`, each plug-in's `β`,
+//!   Lemma 6.4 distortion) the summaries state it from.
 
 pub mod alpha_net;
 pub mod alpha_net_freq;
@@ -45,6 +45,7 @@ pub use alpha_net::{
     AlphaNet, AlphaNetF0, FedRows, NetAnswer, NetMode, RoundedQuery, MAX_FED_ROWS,
 };
 pub use alpha_net_freq::{AlphaNetFrequency, FreqNetAnswer};
+pub use bounds::{Guarantee, GuaranteeSource};
 pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;
 pub use fp::{fp_seed, FpConfig, FpNet};

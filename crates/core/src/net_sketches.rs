@@ -13,7 +13,8 @@
 //! a chunk's repeated key once with its multiplicity, what it does with a
 //! projected key — whose sketch is [`Mergeable`] (whether two members may
 //! merge, and how); beside it, each statistic says how an answer is read
-//! off a member and what its persisted header holds. The public
+//! off a member, what it guarantees of that answer ([`Distortion`],
+//! [`Guaranteed`]) and what its persisted header holds. The public
 //! summaries ([`AlphaNetF0`](crate::alpha_net::AlphaNetF0),
 //! [`AlphaNetFrequency`](crate::alpha_net_freq::AlphaNetFrequency),
 //! [`FpNet`](crate::fp::FpNet)) are aliases of this one type.
@@ -73,7 +74,8 @@ use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{BitRun, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::traits::SpaceUsage;
 
-use crate::alpha_net::{AlphaNet, FedRows, NetMode, RoundedQuery};
+use crate::alpha_net::{AlphaNet, FedRows, NetAnswer, NetMode, RoundedQuery};
+use crate::bounds::{Guarantee, GuaranteeSource};
 use crate::problem::QueryError;
 
 /// What Algorithm 1 leaves to the statistic: which β-approximate sketch a
@@ -103,6 +105,23 @@ pub trait Statistic {
     fn check_mergeable(&self, _other: &Self) -> Result<(), String> {
         Ok(())
     }
+}
+
+/// A statistic Lemma 6.4 bounds under net rounding, whatever the member
+/// sketch.
+pub trait Distortion: Statistic {
+    /// The factor by which rounding a query `sym_diff` columns over
+    /// alphabet `q` can move the statistic.
+    fn distortion(&self, q: u32, sym_diff: u32) -> f64;
+}
+
+/// A statistic whose net answer carries Theorem 6.5's multiplicative
+/// guarantee. With [`Distortion`], what the plug-in states, once, about
+/// its own answers; [`AlphaNetSummary::guarantee`] assembles them.
+pub trait Guaranteed: Distortion {
+    /// The β the estimate of `sketch` is within: the plug-in factor of
+    /// Theorem 6.5.
+    fn beta(&self, sketch: &Self::Sketch) -> f64;
 }
 
 /// A member sketch that folds in the sketch of a disjoint stream segment,
@@ -579,6 +598,40 @@ impl<P: Statistic> AlphaNetSummary<P> {
             }
             decode(dec)
         })
+    }
+}
+
+impl<P: Distortion> AlphaNetSummary<P> {
+    /// The answer to a query rounded by `r` whose member estimates
+    /// `estimate`, with that rounding's distortion.
+    pub(crate) fn net_answer(&self, r: RoundedQuery, estimate: f64) -> NetAnswer {
+        NetAnswer {
+            estimate,
+            answered_on: r.target,
+            sym_diff: r.sym_diff,
+            distortion_bound: self.stat.distortion(self.q, r.sym_diff),
+        }
+    }
+}
+
+/// Theorem 6.5, assembled in one place from what the plug-in states.
+impl<P: Guaranteed> AlphaNetSummary<P> {
+    /// The plug-in β of this net's member sketches, which all share one
+    /// shape.
+    pub fn beta(&self) -> f64 {
+        self.stat.beta(self.first())
+    }
+
+    /// The guarantee of an answer from this net to a query rounded by
+    /// `sym_diff` columns: `α = β × ` the Lemma 6.4 distortion, no
+    /// additive term. Members of one plan group share an estimate but
+    /// not a rounding, so each asks with its own `sym_diff`.
+    pub fn guarantee(&self, sym_diff: u32) -> Guarantee {
+        Guarantee {
+            alpha: self.beta() * self.stat.distortion(self.q, sym_diff),
+            epsilon: 0.0,
+            source: GuaranteeSource::AlphaNet,
+        }
     }
 }
 

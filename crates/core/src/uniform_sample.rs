@@ -37,6 +37,7 @@ use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::reservoir::Reservoir;
 use pfe_sketch::traits::SpaceUsage;
 
+use crate::bounds::{sample_epsilon, Guarantee, GuaranteeSource, DEFAULT_DELTA};
 use crate::problem::{check_dims, HeavyHitter, QueryError, SampledPattern};
 
 /// Up to how many histogram slots per sampled row a read counts the
@@ -47,6 +48,15 @@ use crate::problem::{check_dims, HeavyHitter, QueryError, SampledPattern};
 /// histogram is then at most `16·t` transient `u64`s (512 KiB at the
 /// default).
 const HISTOGRAM_SLOTS_PER_ROW: usize = 16;
+
+/// An unbiased sample answer with additive error `epsilon`.
+fn sampled(epsilon: f64) -> Guarantee {
+    Guarantee {
+        alpha: 1.0,
+        epsilon,
+        source: GuaranteeSource::Sample,
+    }
+}
 
 /// Sampled rows, stored packed for binary data and dense otherwise.
 #[derive(Debug, Clone)]
@@ -288,10 +298,29 @@ impl UniformSampleSummary {
     /// The additive error `ε‖f‖_1` guaranteed (with prob. `1-δ` at build
     /// parameters) by the current sample size: `ε = √(ln(2/δ)/t)`; exposed
     /// for reporting with a caller-chosen `δ`.
+    ///
+    /// # Panics
+    /// Panics if `delta` is outside `(0, 1)`.
     pub fn additive_error(&self, delta: f64) -> f64 {
-        assert!(delta > 0.0 && delta < 1.0);
-        let t = self.sample_len().max(1) as f64;
-        ((2.0 / delta).ln() / t).sqrt() * self.n() as f64
+        self.epsilon(delta) * self.n() as f64
+    }
+
+    /// Theorem 5.1's `ε` over the rows sampled so far (at least one).
+    fn epsilon(&self, delta: f64) -> f64 {
+        sample_epsilon(self.sample_len().max(1), delta)
+    }
+
+    /// Theorem 5.1's guarantee for a count read off the sample — a point
+    /// frequency, a heavy hitter's frequency: unbiased, within `ε·n`
+    /// absolute at [`DEFAULT_DELTA`].
+    pub fn count_guarantee(&self) -> Guarantee {
+        sampled(self.additive_error(DEFAULT_DELTA))
+    }
+
+    /// Theorem 5.1's guarantee for the probability mass of an `ℓ_1` draw:
+    /// within `ε` at [`DEFAULT_DELTA`].
+    pub fn mass_guarantee(&self) -> Guarantee {
+        sampled(self.epsilon(DEFAULT_DELTA))
     }
 
     /// `φ`-`ℓ_p` heavy hitters for `0 < p ≤ 1` with multiplicative slack

@@ -33,14 +33,8 @@ pub enum CachedAnswer {
     HeavyHitters(Vec<HeavyHitter>),
     /// `ℓ_1` pattern draws (deterministic per the key's `(k, seed)`).
     L1Sample(Vec<SampledPattern>),
-    /// `F_p` moment estimate for the key's (rounded) mask; carries the
-    /// order so materialization can look up the serving net's β.
-    Fp {
-        /// The moment order the estimate answers.
-        p: f64,
-        /// The (possibly rounded) moment estimate.
-        estimate: f64,
-    },
+    /// `F_p` moment estimate for the key's (rounded) mask.
+    Fp(f64),
 }
 
 struct LruState {

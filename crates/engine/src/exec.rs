@@ -6,18 +6,15 @@
 //! `last_n`-row batches against merged covering-set snapshots. Both drive
 //! the same [`QueryExecutor`]: one planner, one LRU answer cache keyed by
 //! the canonical [`pfe_query::QueryKey`], one per-statistic counter set,
-//! and one materialization path attaching guarantees and provenance — so
-//! the two frontends cannot drift in semantics.
+//! and one materialization path attaching provenance and the guarantee
+//! the answering summary stated at plan time — so the two frontends
+//! cannot drift in semantics.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use pfe_core::bounds;
 use pfe_obs::{AttrValue, Counter, Histogram, Recorder, TraceHandle};
-use pfe_query::{
-    Answer, AnswerValue, CostInfo, Guarantee, GuaranteeSource, Provenance, Query, StatKind,
-    Statistic,
-};
+use pfe_query::{Answer, AnswerValue, CostInfo, Provenance, Query, StatKind, Statistic};
 
 use crate::cache::{CachedAnswer, QueryCache};
 use crate::error::EngineError;
@@ -296,16 +293,10 @@ impl QueryExecutor {
             }
             Statistic::Fp { p } => {
                 if rep.exact {
-                    CachedAnswer::Fp {
-                        p: *p,
-                        estimate: snap.fp_exact(&rep.cols, *p)?,
-                    }
+                    CachedAnswer::Fp(snap.fp_exact(&rep.cols, *p)?)
                 } else {
                     // Like F_0: the estimate belongs to the rounded target.
-                    CachedAnswer::Fp {
-                        p: *p,
-                        estimate: snap.fp(&rep.target, *p)?.estimate,
-                    }
+                    CachedAnswer::Fp(snap.fp(&rep.target, *p)?.estimate)
                 }
             }
         };
@@ -316,8 +307,9 @@ impl QueryExecutor {
     }
 }
 
-/// Attach one member's provenance, guarantee, and cost metadata to the
-/// group's shared value.
+/// Attach one member's provenance, guarantee (the answering summary's,
+/// for this member's own rounding — see [`Planned::guarantee`]) and cost
+/// metadata to the group's shared value.
 fn materialize(
     snap: &Snapshot,
     m: &Planned,
@@ -325,105 +317,42 @@ fn materialize(
     cached: bool,
     group_size: u32,
 ) -> Answer {
-    let provenance = Provenance {
-        requested: m.cols,
-        answered_on: m.target,
-        sym_diff: m.sym_diff,
-    };
-    let sample_guarantee = |epsilon: f64| {
-        if m.exact {
-            Guarantee::exact()
-        } else {
-            Guarantee {
-                alpha: 1.0,
-                epsilon,
-                source: GuaranteeSource::Sample,
-            }
-        }
-    };
-    let (value, guarantee) = match value {
-        CachedAnswer::F0(estimate) => {
-            let guarantee = if m.exact {
-                Guarantee::exact()
-            } else {
-                // Theorem 6.5: the sketch's β times the per-query
-                // Lemma 6.4 rounding distortion.
-                let k = snap
-                    .net_f0()
-                    .sketch(m.target.mask())
-                    .map(|s| s.k())
-                    .unwrap_or(2);
-                Guarantee {
-                    alpha: bounds::kmv_beta(k)
-                        * bounds::f0_rounding_distortion(snap.sample().alphabet(), m.sym_diff),
-                    epsilon: 0.0,
-                    source: GuaranteeSource::AlphaNet,
-                }
-            };
-            (
-                AnswerValue::F0 {
-                    estimate: *estimate,
-                },
-                guarantee,
-            )
-        }
-        CachedAnswer::Frequency(fa) => (
-            AnswerValue::Frequency {
-                estimate: fa.estimate,
-                upper_bound: fa.upper_bound,
-            },
-            // Theorem 5.1: unbiased with additive error ε‖f‖₁.
-            sample_guarantee(fa.additive_error),
-        ),
-        CachedAnswer::HeavyHitters(hitters) => (
-            AnswerValue::HeavyHitters {
-                hitters: hitters.clone(),
-            },
-            sample_guarantee(snap.sample().additive_error(bounds::DEFAULT_DELTA)),
-        ),
-        CachedAnswer::L1Sample(patterns) => (
-            AnswerValue::L1Sample {
-                patterns: patterns.clone(),
-            },
-            // Probability-mass error of sample proportions.
-            sample_guarantee(bounds::sample_epsilon(
-                snap.sample().sample_len().max(1),
-                bounds::DEFAULT_DELTA,
-            )),
-        ),
-        CachedAnswer::Fp { p, estimate } => {
-            let guarantee = if m.exact {
-                Guarantee::exact()
-            } else {
-                // Theorem 6.5 with the moment plug-in's β (AMS at p = 2,
-                // stable projections otherwise) times the Lemma 6.4(2)–(3)
-                // rounding distortion Q^{|CΔC′|·|p−1|}.
-                let beta = snap.fp_net(*p).map(|n| n.beta()).unwrap_or(1.0);
-                Guarantee {
-                    alpha: beta
-                        * bounds::fp_rounding_distortion(snap.sample().alphabet(), m.sym_diff, *p),
-                    epsilon: 0.0,
-                    source: GuaranteeSource::AlphaNet,
-                }
-            };
-            (
-                AnswerValue::Fp {
-                    estimate: *estimate,
-                },
-                guarantee,
-            )
-        }
+    let value = match value {
+        CachedAnswer::F0(estimate) => AnswerValue::F0 {
+            estimate: *estimate,
+        },
+        CachedAnswer::Frequency(fa) => AnswerValue::Frequency {
+            estimate: fa.estimate,
+            upper_bound: fa.upper_bound,
+        },
+        CachedAnswer::HeavyHitters(hitters) => AnswerValue::HeavyHitters {
+            hitters: hitters.clone(),
+        },
+        CachedAnswer::L1Sample(patterns) => AnswerValue::L1Sample {
+            patterns: patterns.clone(),
+        },
+        CachedAnswer::Fp(estimate) => AnswerValue::Fp {
+            estimate: *estimate,
+        },
     };
     Answer {
         value,
-        guarantee,
-        provenance,
+        guarantee: m.guarantee,
+        provenance: Provenance {
+            requested: m.cols,
+            answered_on: m.target,
+            sym_diff: m.sym_diff,
+        },
         epoch: snap.epoch(),
         cost: CostInfo { cached, group_size },
         window: None,
         trace_id: None,
     }
 }
+
+// The tests below read answers' sources through `use super::*`.
+#[cfg(test)]
+use pfe_query::GuaranteeSource;
 
 #[cfg(test)]
 mod tests {

@@ -3,14 +3,15 @@
 //! compute and one cache probe serve the whole group.
 //!
 //! Planning does all the per-query normalization work exactly once:
-//! column validation, epoch-pin checking, `F_0` net rounding, and pattern
+//! column validation, epoch-pin checking, net rounding together with the
+//! guarantee the answering summary states for that rounding, and pattern
 //! encoding (the encoded [`PatternKey`] is carried into execution, so the
 //! frequency path never re-encodes after the cache probe). Queries whose
 //! keys coincide — e.g. many mid-size `F_0` subsets rounding to the same
 //! net member, or repeated heavy-hitter probes of one mask — land in one
 //! [`PlanGroup`]; the executor computes the group's answer once and
 //! materializes a per-query [`Answer`](pfe_query::Answer) with each
-//! query's own provenance.
+//! query's own provenance and guarantee.
 //!
 //! The planner is snapshot-relative, not engine-relative: the windowed
 //! engine plans each covering-set batch against the *merged* snapshot of
@@ -20,7 +21,8 @@
 
 use std::collections::HashMap;
 
-use pfe_core::QueryError;
+use pfe_core::net_sketches::Guaranteed;
+use pfe_core::{AlphaNetSummary, Guarantee, QueryError, RoundedQuery};
 use pfe_query::{Query, QueryKey, Statistic};
 use pfe_row::{ColumnSet, PatternKey};
 
@@ -39,6 +41,10 @@ pub struct Planned {
     pub target: ColumnSet,
     /// `|C Δ C′|` of the rounding (0 when not rounded).
     pub sym_diff: u32,
+    /// What the answering summary guarantees of this query's answer, its
+    /// own rounding folded in: members of one group share a value, not a
+    /// guarantee.
+    pub guarantee: Guarantee,
     /// The pattern encoded against `cols` — done here, once, for the
     /// frequency path.
     pub pattern_key: Option<PatternKey>,
@@ -75,6 +81,15 @@ pub struct Plan {
 /// default cache of them), 256× the largest `k` the repo's tests and
 /// benchmark ask for (16).
 pub const MAX_L1_SAMPLE_K: usize = 1 << 12;
+
+/// How `net` rounds `cols`, and what it guarantees of the answer.
+fn rounded<P: Guaranteed>(
+    net: &AlphaNetSummary<P>,
+    cols: &ColumnSet,
+) -> Result<(RoundedQuery, Guarantee), QueryError> {
+    let r = net.effective_rounding(cols)?;
+    Ok((r, net.guarantee(r.sym_diff)))
+}
 
 fn column_set(snap: &Snapshot, cols: &[u32]) -> Result<ColumnSet, EngineError> {
     let d = snap.sample().dimension();
@@ -117,20 +132,29 @@ pub fn plan(snap: &Snapshot, queries: &[Query]) -> Plan {
             }
         };
         let exact = q.options.exact_if_available && exhaustive;
-        // F_0 and F_p round to a net member (Definition 6.1) unless the
-        // exact path answers from the retained rows directly.
-        let rounding = match q.statistic {
-            Statistic::F0 if !exact => Some(snap.f0_rounding(&cols)),
-            Statistic::Fp { p } if !exact => Some(snap.fp_rounding(&cols, p)),
-            _ => None,
+        // The summary that answers says how it rounds the query — F_0 and
+        // F_p round to a net member (Definition 6.1) — and what it
+        // guarantees of an answer so rounded; the exact path answers from
+        // the retained rows directly.
+        let unrounded = RoundedQuery {
+            target: cols,
+            sym_diff: 0,
         };
-        let (target, sym_diff) = match rounding {
-            Some(Ok(r)) => (r.target, r.sym_diff),
-            Some(Err(e)) => {
+        let answered = match q.statistic {
+            _ if exact => Ok((unrounded, Guarantee::exact())),
+            Statistic::F0 => rounded(snap.net_f0(), &cols),
+            Statistic::Fp { p } => snap.moment_net(p).and_then(|net| rounded(net, &cols)),
+            Statistic::L1Sample { .. } => Ok((unrounded, snap.sample().mass_guarantee())),
+            Statistic::Frequency { .. } | Statistic::HeavyHitters { .. } => {
+                Ok((unrounded, snap.sample().count_guarantee()))
+            }
+        };
+        let (RoundedQuery { target, sym_diff }, guarantee) = match answered {
+            Ok(answered) => answered,
+            Err(e) => {
                 plan.errors.push((slot, e.into()));
                 continue 'next;
             }
-            None => (cols, 0),
         };
         let pattern_key = match &q.statistic {
             Statistic::Frequency { pattern } => match snap.encode_pattern(&cols, pattern) {
@@ -155,6 +179,7 @@ pub fn plan(snap: &Snapshot, queries: &[Query]) -> Plan {
             cols,
             target,
             sym_diff,
+            guarantee,
             pattern_key,
             exact,
         };

@@ -30,7 +30,8 @@ pub struct FrequencyAnswer {
     pub estimate: f64,
     /// One-sided overestimate from the α-net CountMin summary, if enabled.
     pub upper_bound: Option<f64>,
-    /// Additive error `ε‖f‖₁` of `estimate` at `δ = 0.05`.
+    /// Additive error `ε‖f‖₁` of `estimate` at `δ = 0.05`: the sample's
+    /// [`count_guarantee`](UniformSampleSummary::count_guarantee).
     pub additive_error: f64,
 }
 
@@ -132,6 +133,18 @@ impl Snapshot {
         self.fp_nets().iter().find(|n| (n.p() - p).abs() <= 1e-12)
     }
 
+    /// The net that answers order-`p` moment queries.
+    ///
+    /// # Errors
+    /// [`QueryError::UnsupportedMoment`] when no net for `p` is
+    /// materialized.
+    pub(crate) fn moment_net(&self, p: f64) -> Result<&FpNet, QueryError> {
+        self.fp_net(p).ok_or(QueryError::UnsupportedMoment {
+            requested: p,
+            supported: f64::NAN,
+        })
+    }
+
     /// Whether the uniform sample retains the *entire* stream (the
     /// reservoir never overflowed). When true, every sample statistic —
     /// and [`f0_exact`](Self::f0_exact) — is computed from complete data,
@@ -200,12 +213,7 @@ impl Snapshot {
     /// [`QueryError::UnsupportedMoment`] when no net for `p` is
     /// materialized; dimension errors.
     pub fn fp_rounding(&self, cols: &ColumnSet, p: f64) -> Result<RoundedQuery, QueryError> {
-        self.fp_net(p)
-            .ok_or(QueryError::UnsupportedMoment {
-                requested: p,
-                supported: f64::NAN,
-            })?
-            .effective_rounding(cols)
+        self.moment_net(p)?.effective_rounding(cols)
     }
 
     /// Projected frequency moment `F_p` (Algorithm 1 with the moment
@@ -215,12 +223,7 @@ impl Snapshot {
     /// [`QueryError::UnsupportedMoment`] when no net for `p` is
     /// materialized; dimension errors.
     pub fn fp(&self, cols: &ColumnSet, p: f64) -> Result<NetAnswer, QueryError> {
-        self.fp_net(p)
-            .ok_or(QueryError::UnsupportedMoment {
-                requested: p,
-                supported: f64::NAN,
-            })?
-            .fp(cols)
+        self.moment_net(p)?.fp(cols)
     }
 
     /// Encode a dense pattern for `cols`.
@@ -268,9 +271,7 @@ impl Snapshot {
         Ok(FrequencyAnswer {
             estimate,
             upper_bound,
-            additive_error: self
-                .sample()
-                .additive_error(pfe_core::bounds::DEFAULT_DELTA),
+            additive_error: self.sample().count_guarantee().epsilon,
         })
     }
 

@@ -4,72 +4,10 @@
 use pfe_core::{HeavyHitter, SampledPattern};
 use pfe_row::ColumnSet;
 
+// The accuracy contract is `pfe-core`'s: each summary states its own.
+pub use pfe_core::{Guarantee, GuaranteeSource};
+
 use crate::statistic::StatKind;
-
-/// Which construction produced the answer — and therefore which theorem
-/// the accompanying [`Guarantee`] numbers come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GuaranteeSource {
-    /// Computed exactly from fully retained data (the uniform sample
-    /// never overflowed); both error terms are trivial.
-    Exact,
-    /// The Theorem 5.1 uniform row sample: unbiased, additive error
-    /// `ε‖f‖₁` with probability `1 − δ`.
-    Sample,
-    /// The Section 6 α-net of β-approximate sketches: multiplicative
-    /// `β·r(α, d)` error after net rounding (Theorem 6.5 / Lemma 6.4).
-    AlphaNet,
-}
-
-impl GuaranteeSource {
-    /// Stable lowercase name (wire protocol).
-    pub fn name(self) -> &'static str {
-        match self {
-            GuaranteeSource::Exact => "exact",
-            GuaranteeSource::Sample => "sample",
-            GuaranteeSource::AlphaNet => "alpha_net",
-        }
-    }
-}
-
-/// The `(α, ε)` accuracy contract travelling with every answer.
-///
-/// `alpha` is the multiplicative factor the estimate is guaranteed within
-/// (`1.0` = unbiased / exact); `epsilon` is the additive error term in the
-/// units of the reported value (absolute row counts for frequencies and
-/// heavy hitters, probability mass for `ℓ_1` samples; `0.0` = none). Both
-/// hold at the summary's build-time confidence (δ = 0.05 by default — see
-/// `pfe_core::bounds`).
-///
-/// ```
-/// use pfe_query::{Guarantee, GuaranteeSource};
-///
-/// let g = Guarantee::exact();
-/// assert_eq!((g.alpha, g.epsilon), (1.0, 0.0));
-/// assert_eq!(g.source, GuaranteeSource::Exact);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Guarantee {
-    /// Multiplicative factor bound (`β·r` in Theorem 6.5 terms; `1.0`
-    /// means unbiased).
-    pub alpha: f64,
-    /// Additive error bound (`ε‖f‖₁` in Theorem 5.1 terms; `0.0` means
-    /// none).
-    pub epsilon: f64,
-    /// Which construction the bound comes from.
-    pub source: GuaranteeSource,
-}
-
-impl Guarantee {
-    /// The trivial guarantee of an exactly computed answer.
-    pub fn exact() -> Self {
-        Self {
-            alpha: 1.0,
-            epsilon: 0.0,
-            source: GuaranteeSource::Exact,
-        }
-    }
-}
 
 /// Which column set actually answered the query — the α-net rounding
 /// provenance (Lemma 6.4) clients need to interpret a net answer.

@@ -281,12 +281,6 @@ fn set_uint<T: TryFrom<u64>>(obj: &Json, field: &str, slot: &mut T) -> Result<()
     Ok(())
 }
 
-/// `start`'s nested `fp` / `window` objects read closed sets too: a key of
-/// `obj` outside `known` is a typed error naming it.
-fn known_fields(obj: &Json, what: &str, known: &[&str]) -> Result<(), Json> {
-    wire::known_fields(obj, what, |k| known.contains(&k)).map_err(err)
-}
-
 /// An optional string field: `Ok(None)` when absent or `null`; any other
 /// value that is not a string is an error naming the field, never the
 /// default.
@@ -994,11 +988,8 @@ impl Dispatcher {
         match req.get("fp") {
             None | Some(Json::Null) => {}
             Some(fp) => {
-                known_fields(
-                    fp,
-                    "fp",
-                    &["orders", "stable_t", "ams_groups", "ams_per_group"],
-                )?;
+                let known = ["orders", "stable_t", "ams_groups", "ams_per_group"];
+                wire::known_fields(fp, "fp", |k| known.contains(&k)).map_err(err)?;
                 let orders = fp
                     .get("orders")
                     .and_then(Json::as_arr)
@@ -1019,11 +1010,8 @@ impl Dispatcher {
         let wcfg = match req.get("window") {
             None | Some(Json::Null) => None,
             Some(win) => {
-                known_fields(
-                    win,
-                    "window",
-                    &["bucket_rows", "tier_cap", "max_tiers", "merged_cache"],
-                )?;
+                let known = ["bucket_rows", "tier_cap", "max_tiers", "merged_cache"];
+                wire::known_fields(win, "window", |k| known.contains(&k)).map_err(err)?;
                 let mut wcfg = WindowConfig::default();
                 set_uint(win, "bucket_rows", &mut wcfg.bucket_rows)?;
                 set_uint(win, "tier_cap", &mut wcfg.tier_cap)?;
