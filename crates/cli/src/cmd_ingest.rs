@@ -27,9 +27,8 @@ impl Progress {
         let bytes = recorder.counter("ingest_bytes");
         let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
-            let started = Instant::now();
-            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(Duration::from_secs(1))
-            {
+            let (started, tick) = (Instant::now(), Duration::from_secs(1));
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
                 let secs = started.elapsed().as_secs_f64();
                 eprintln!(
                     "ingest: {} rows read, {:.1} MiB ({:.0} rows/s)",

@@ -273,15 +273,15 @@ impl Statistic for ByOrder {
     }
 }
 
-/// The family's β — [`ams_f2_beta`] for AMS, [`stable_fp_beta`] for
-/// stable projections, read off the member's shape — and Lemma 6.4's
-/// [`fp_rounding_distortion`] at this net's order.
+/// Lemma 6.4's [`fp_rounding_distortion`] at this net's own order.
 impl Distortion for ByOrder {
     fn distortion(&self, q: u32, sym_diff: u32) -> f64 {
         fp_rounding_distortion(q, sym_diff, self.p)
     }
 }
 
+/// The family's β, read off the member's shape: [`ams_f2_beta`] for AMS,
+/// [`stable_fp_beta`] for stable projections.
 impl Guaranteed for ByOrder {
     fn beta(&self, sketch: &FpSketch) -> f64 {
         match sketch {

@@ -623,9 +623,10 @@ impl<P: Guaranteed> AlphaNetSummary<P> {
     }
 
     /// The guarantee of an answer from this net to a query rounded by
-    /// `sym_diff` columns: `α = β × ` the Lemma 6.4 distortion, no
-    /// additive term. Members of one plan group share an estimate but
-    /// not a rounding, so each asks with its own `sym_diff`.
+    /// `sym_diff` columns: `alpha` is β times the plug-in's Lemma 6.4
+    /// distortion for that rounding, with no additive term. Queries that
+    /// round to one member share its estimate but not their rounding, so
+    /// each asks with its own `sym_diff`.
     pub fn guarantee(&self, sym_diff: u32) -> Guarantee {
         Guarantee {
             alpha: self.beta() * self.stat.distortion(self.q, sym_diff),
