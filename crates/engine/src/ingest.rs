@@ -473,8 +473,9 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfe_hash::rng::{Xoshiro256pp, ZipfTable};
     use pfe_row::ColumnSet;
-    use pfe_stream::gen::{uniform_binary, uniform_qary};
+    use pfe_stream::gen::{indexed_rows, uniform_binary, uniform_qary};
 
     fn cfg(shards: usize) -> EngineConfig {
         EngineConfig {
@@ -612,6 +613,108 @@ mod tests {
         ));
         assert_eq!(c.rows_routed(), 0);
         c.finish().expect("finish");
+    }
+
+    /// A worker woken to a full channel — `n` batches, a `Collect`, more
+    /// batches, then hang-up — must answer the `Collect` with exactly the
+    /// first `n` batches' summary and end with all of them, to the byte,
+    /// however it groups the queued batches into sweeps.
+    #[test]
+    fn a_worker_woken_to_queued_batches_leaves_the_one_batch_at_a_time_bytes() {
+        fn bytes(s: &ShardSummary) -> Vec<u8> {
+            let mut enc = pfe_persist::Encoder::new();
+            pfe_persist::Persist::encode(s, &mut enc);
+            enc.into_bytes()
+        }
+        let one_at_a_time = |d, q, cfg: &EngineConfig, batches: &[RowBatch]| {
+            let mut shard = ShardSummary::new(d, q, 0, cfg).expect("new");
+            for batch in batches {
+                match batch {
+                    RowBatch::Packed(rows) => shard.push_packed_chunk(rows),
+                    RowBatch::Dense(flat) => shard.push_dense_chunk(flat),
+                }
+            }
+            shard
+        };
+        // Skewed rows, so rows recur across batches; batches of uneven
+        // length; a reservoir small enough to overflow.
+        let (zipf, mut rng) = (ZipfTable::new(300, 1.2), Xoshiro256pp::seed_from_u64(17));
+        let index: Vec<u64> = (0..3000).map(|_| zipf.sample(&mut rng) as u64).collect();
+        let lengths = [40, 700, 1, 333, 512, 90, 64, 260, 1000];
+        let cut = |data: &Dataset, dense_at: Option<usize>| {
+            let mut at = 0;
+            let mut batches = Vec::new();
+            for (i, &len) in lengths.iter().enumerate() {
+                let rows = at..at + len;
+                at += len;
+                batches.push(match data {
+                    Dataset::Binary(m) if dense_at != Some(i) => {
+                        RowBatch::Packed(m.rows()[rows].to_vec())
+                    }
+                    _ => RowBatch::Dense(rows.flat_map(|r| data.row_dense(r)).collect()),
+                });
+            }
+            batches
+        };
+        let fp = pfe_core::FpConfig {
+            orders: vec![2.0, 1.0],
+            stable_t: 4,
+            ams_groups: 3,
+            ams_per_group: 4,
+        };
+        let cases = [
+            // Binary, with one dense batch amid the packed ones (a binary
+            // pipeline fed through both doors).
+            (
+                EngineConfig {
+                    sample_t: 200,
+                    ..cfg(1)
+                },
+                cut(&indexed_rows(2, 10, 3000, |i| index[i]), Some(5)),
+                (10, 2),
+            ),
+            // Q = 4 with a CountMin net, an AMS (p = 2) and a stable
+            // (p = 1) moment net.
+            (
+                EngineConfig {
+                    sample_t: 200,
+                    freq_net: Some(crate::config::FreqNetConfig {
+                        depth: 3,
+                        width: 64,
+                    }),
+                    fp: Some(fp),
+                    ..cfg(1)
+                },
+                cut(&indexed_rows(4, 6, 3000, |i| index[i]), None),
+                (6, 4),
+            ),
+        ];
+        for (cfg, batches, (d, q)) in cases {
+            for n in [0, 1, 4, batches.len()] {
+                let (tx, rx) = mpsc::sync_channel(batches.len() + 1);
+                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+                for batch in &batches[..n] {
+                    tx.send(Msg::Batch(batch.clone())).expect("queued");
+                }
+                tx.send(Msg::Collect(reply_tx)).expect("queued");
+                for batch in &batches[n..] {
+                    tx.send(Msg::Batch(batch.clone())).expect("queued");
+                }
+                drop(tx);
+                let last = worker(rx, ShardSummary::new(d, q, 0, &cfg).expect("new"));
+                let collected = reply_rx.recv().expect("collect answered");
+                assert_eq!(
+                    bytes(&collected),
+                    bytes(&one_at_a_time(d, q, &cfg, &batches[..n])),
+                    "Q={q}: collect after {n} queued batches"
+                );
+                assert_eq!(
+                    bytes(&last),
+                    bytes(&one_at_a_time(d, q, &cfg, &batches)),
+                    "Q={q}: final summary, collect after {n}"
+                );
+            }
+        }
     }
 
     #[test]
