@@ -58,8 +58,10 @@ FILE SHAPE (ingest / resume / verify)
 ENGINE (must repeat the ingest-time values when querying/resuming)
   --shards N --alpha A --kmv-k K --sample-t T --seed S
   --max-subsets M --cache C --fp 2.0,1.5
-  --batch-rows N      rows per shard batch (default 4096); tunes ingest
-                      speed only, answers and checkpoint bytes do not change
+  --batch-rows N      rows per shard batch (default 4096); a shard sweeps
+                      every batch queued when it wakes as one run; tunes
+                      ingest speed only, answers and checkpoint bytes do
+                      not change
   --window ROWS[,TIER_CAP[,MAX_TIERS]]   sliding-window engine (ingest/serve)
 
 QUERY

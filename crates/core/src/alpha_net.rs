@@ -32,7 +32,8 @@ use pfe_sketch::traits::DistinctSketch;
 
 use crate::bounds::{f0_rounding_distortion, kmv_beta};
 use crate::net_sketches::{
-    decode_shape, same, AlphaNetSummary, Distortion, Guaranteed, Mergeable, Statistic,
+    decode_shape, same, AlphaNetSummary, DistinctRows, Distortion, Guaranteed, Mergeable,
+    Statistic, SweepRow,
 };
 use crate::problem::{check_dims, QueryError};
 
@@ -401,8 +402,8 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
         Ok(self.net_answer(r, self.answering(&r).estimate()))
     }
 
-    /// [`push_packed_chunk`](AlphaNetSummary::push_packed_chunk) over only
-    /// the chunk's distinct rows `fed` has no record of, which `fed` then
+    /// [`push_distinct`](AlphaNetSummary::push_distinct) over only the
+    /// run's distinct rows `fed` has no record of, which `fed` then
     /// records (up to its bound). A distinct sketch is a set: a row it was
     /// fed before projects onto keys every member already holds, so
     /// leaving it out leaves the same sketches — the remaining keys reach
@@ -411,18 +412,13 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// was fed. Returns the distinct rows swept.
     ///
     /// # Panics
-    /// As `push_packed_chunk`.
-    pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
-        self.sweep_packed(rows, Some(fed))
-    }
-
-    /// The dense counterpart of
-    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
-    ///
-    /// # Panics
-    /// As [`push_dense_chunk`](AlphaNetSummary::push_dense_chunk).
-    pub fn push_dense_chunk_once(&mut self, flat: &[u16], fed: &mut FedRows) -> usize {
-        self.sweep_dense(flat, Some(fed))
+    /// As `push_distinct`.
+    pub fn push_distinct_once<R: SweepRow>(
+        &mut self,
+        run: &DistinctRows<R>,
+        fed: &mut FedRows,
+    ) -> usize {
+        self.sweep_distinct(run, Some(fed))
     }
 }
 
@@ -432,7 +428,7 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
 pub const MAX_FED_ROWS: usize = 1 << 13;
 
 /// The rows an `F_0` net has already been fed, up to [`MAX_FED_ROWS`] of
-/// them: what lets [`AlphaNetF0::push_packed_chunk_once`] skip a row the
+/// them: what lets [`AlphaNetF0::push_distinct_once`] skip a row the
 /// net holds. Packed binary rows and dense rows are recorded apart; a net
 /// sees only one kind.
 #[derive(Debug, Default)]

@@ -27,10 +27,14 @@
 //! estimation is interesting when rows repeat, so the sweep pays per
 //! *distinct* row, not per row:
 //!
-//! 0. **de-duplicate, once per chunk** — the chunk is sorted (packed rows
-//!    as `u64`, dense rows as `&[u16]` slices) into its distinct rows and a
-//!    `u32` weight each, how often the row occurs; every member below
-//!    reads those;
+//! 0. **de-duplicate, once per run** — the run is sorted (packed rows as
+//!    `u64`, dense rows as `&[u16]` slices; a run of several batches
+//!    batch by batch, where each lies, then merged) into its distinct rows
+//!    and a `u32` weight each, how often the row occurs: a
+//!    [`DistinctRows`]. A shard builds it once and every counted net of
+//!    the shard sweeps it ([`push_distinct`](AlphaNetSummary::push_distinct));
+//!    a chunk pushed to a lone net is its own run. Every member below
+//!    reads those rows;
 //!
 //! then one pass over the distinct rows *per member*, so one sketch is hot
 //! at a time:
@@ -54,17 +58,18 @@
 //! bits as `n` unit updates in any order — a summary is charged for its
 //! bits, so any evaluation order that ends in the same bits is the same
 //! summary. Float sums (`StableFp`) round differently under `n·x` than
-//! under `n` additions of `x`, so a net of those skips step 0 — as does a
-//! chunk too long for `u32` weights — and is fed the raw chunk: every row,
-//! in row order, with multiplicity 1. Either way a summary's bytes do not
-//! depend on how its rows were cut into chunks, or on how much they
+//! under `n` additions of `x`, so a net of those skips step 0 and is fed
+//! the raw chunk: every row, in row order, with multiplicity 1. A stretch
+//! of rows too long for `u32` weights is swept in runs of at most
+//! [`MAX_RUN_ROWS`]. Either way a summary's bytes do not depend on how its
+//! rows were cut into chunks or grouped into runs, or on how much they
 //! repeat.
 //!
 //! A set statistic may also be narrowed past step 0 to the distinct rows
 //! a [`FedRows`] record has not seen
-//! ([`AlphaNetF0::push_packed_chunk_once`](crate::AlphaNetF0::push_packed_chunk_once)):
+//! ([`AlphaNetF0::push_distinct_once`](crate::AlphaNetF0::push_distinct_once)):
 //! a row the net was fed before projects onto keys every member holds.
-//! Step 2 still compares `Q^w` with the chunk's distinct rows *before*
+//! Step 2 still compares `Q^w` with the run's distinct rows *before*
 //! the cut, so the keys left reach each sketch in the order the full
 //! sweep feeds them — the same bytes, and the same allocations.
 
@@ -235,6 +240,112 @@ fn absorb<P: Statistic>(
     }
 }
 
+/// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot
+/// summing weights, is a `u32`. A longer stretch of rows is swept in runs
+/// of this length — the same bytes, as any cut into chunks is.
+pub const MAX_RUN_ROWS: usize = u32::MAX as usize;
+
+/// A run of rows as a counted net sweeps it: its distinct rows, ascending,
+/// and how often each occurs. Built once per run and read by every net of
+/// a shard that takes multiplicities.
+#[derive(Debug)]
+pub struct DistinctRows<R> {
+    rows: Vec<R>,
+    weights: Vec<u32>,
+}
+
+impl<R: Ord + Copy> DistinctRows<R> {
+    /// The distinct rows of `parts` together, each part sorted where it
+    /// lies and the sorted parts merged: a run of queued batches is
+    /// neither copied nor concatenated, and what is allocated is only as
+    /// long as the run's distinct rows.
+    ///
+    /// # Panics
+    /// Panics on more than [`MAX_RUN_ROWS`] rows in all.
+    pub fn new(parts: &mut [Vec<R>]) -> Self {
+        let total: usize = parts.iter().map(Vec::len).sum();
+        assert!(total <= MAX_RUN_ROWS, "a run holds at most u32::MAX rows");
+        parts.iter_mut().for_each(|part| part.sort_unstable());
+        let mut heads: Vec<&[R]> = parts.iter().map(Vec::as_slice).collect();
+        let (mut rows, mut weights) = (Vec::new(), Vec::new());
+        while let Some(&least) = heads.iter().filter_map(|head| head.first()).min() {
+            let mut weight = 0;
+            for head in &mut heads {
+                let n = head.iter().take_while(|&&row| row == least).count();
+                *head = &head[n..];
+                weight += n as u32;
+            }
+            rows.push(least);
+            weights.push(weight);
+        }
+        Self { rows, weights }
+    }
+
+    /// Distinct rows in the run.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the run holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
+/// A row as the sweep reads it: a packed binary row (`u64`) or a dense
+/// row of `d` symbols (`&[u16]`). The sweep is monomorphized per kind.
+pub trait SweepRow: Ord + Copy {
+    /// The key the row projects onto at the member of columns `cols`,
+    /// compiled for packed rows as `runs`, with codec `codec`.
+    fn project(self, runs: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey;
+
+    /// Whether `fed` has no record of the row; records it when there is
+    /// room.
+    fn first_fed(self, fed: &mut FedRows) -> bool;
+
+    /// Panics unless the row fits a `d`-column net over alphabet `q`.
+    fn check(self, d: u32, q: u32);
+}
+
+impl SweepRow for u64 {
+    #[inline]
+    fn project(self, runs: &[BitRun], _: &ColumnSet, _: &PatternCodec) -> PatternKey {
+        PatternKey::from(pfe_row::extract_runs(runs, self))
+    }
+
+    #[inline]
+    fn first_fed(self, fed: &mut FedRows) -> bool {
+        fed.first_packed(self)
+    }
+
+    #[inline]
+    fn check(self, d: u32, q: u32) {
+        assert_eq!(q, 2, "push_packed requires a binary summary");
+        assert!(self >> d == 0, "row has bits above d={d}");
+    }
+}
+
+impl SweepRow for &[u16] {
+    #[inline]
+    fn project(self, _: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
+        codec.encode_row(self, cols)
+    }
+
+    #[inline]
+    fn first_fed(self, fed: &mut FedRows) -> bool {
+        fed.first_dense(self)
+    }
+
+    #[inline]
+    fn check(self, d: u32, q: u32) {
+        assert_eq!(self.len(), d as usize, "row length != d");
+        assert_ne!(q, 2, "a binary summary takes its rows packed");
+        if let Some(s) = self.iter().find(|&&s| s as u32 >= q) {
+            panic!("symbol {s} outside alphabet");
+        }
+    }
+}
+
 /// The α-net summary of Algorithm 1 for the statistic `P`: one
 /// `P::Sketch` per materialized net member.
 #[derive(Clone)]
@@ -318,47 +429,11 @@ impl<P: Statistic> AlphaNetSummary<P> {
         Ok(self)
     }
 
-    /// The chunk as the sweep reads it: sorted into its distinct rows and
-    /// how often each occurs, when every member sketch takes multiplicities
-    /// and the chunk is short enough for `u32` counts; else the rows as
-    /// they came and no weights. Sorted once per chunk, not per member.
-    /// Only the rows `keep` admits stay, each asked once per distinct
-    /// row; the count returned is the chunk's distinct rows before that
-    /// cut, which picks each member's histogram-or-not path (see
-    /// [`absorb`]).
-    fn distinct<R: Ord>(
-        &self,
-        mut rows: Vec<R>,
-        mut keep: impl FnMut(&R) -> bool,
-    ) -> (Vec<R>, Option<Vec<u32>>, usize) {
-        let counted = self.sketches().all(|sketch| self.stat.counted(sketch));
-        if !counted || rows.is_empty() || u32::try_from(rows.len()).is_err() {
-            rows.retain(keep);
-            return (rows, None, 0);
-        }
-        rows.sort_unstable();
-        let mut weights = vec![1];
-        rows.dedup_by(|row, kept| {
-            let repeat = row == kept;
-            if repeat {
-                *weights.last_mut().expect("starts with one") += 1;
-            } else {
-                weights.push(1);
-            }
-            repeat
-        });
-        let distinct = rows.len();
-        let mut kept = 0;
-        for i in 0..distinct {
-            if keep(&rows[i]) {
-                rows.swap(kept, i);
-                weights[kept] = weights[i];
-                kept += 1;
-            }
-        }
-        rows.truncate(kept);
-        weights.truncate(kept);
-        (rows, Some(weights), distinct)
+    /// Whether every member sketch takes a row's multiplicity
+    /// ([`Statistic::counted`]): such a net sweeps a run's
+    /// [`DistinctRows`], any other every row in row order.
+    pub fn counted(&self) -> bool {
+        self.sketches().all(|sketch| self.stat.counted(sketch))
     }
 
     /// Observe one packed binary row — a one-row
@@ -390,43 +465,7 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// Panics if the summary is not binary or a row has bits at or above
     /// `d`.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.sweep_packed(rows, None);
-    }
-
-    /// The packed sweep. With `fed`, only over the distinct rows `fed`
-    /// has no record of, which it then records — for a set statistic
-    /// only, where a row fed again changes nothing
-    /// ([`AlphaNetF0::push_packed_chunk_once`](crate::AlphaNetF0::push_packed_chunk_once)).
-    /// Returns the distinct rows swept.
-    pub(crate) fn sweep_packed(&mut self, rows: &[u64], mut fed: Option<&mut FedRows>) -> usize {
-        assert_eq!(self.q, 2, "push_packed requires a binary summary");
-        let d = self.net.dimension();
-        assert!(
-            rows.iter().all(|&row| row >> d == 0),
-            "row has bits above d={d}"
-        );
-        let unfed = |&row: &u64| fed.as_deref_mut().is_none_or(|f| f.first_packed(row));
-        let (rows, weights, distinct) = self.distinct(rows.to_vec(), unfed);
-        if rows.is_empty() {
-            return 0;
-        }
-        let (weights, hist) = (weights.as_deref(), &mut Vec::new());
-        for m in &mut self.members {
-            let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
-            let keys = rows
-                .iter()
-                .map(|&row| PatternKey::from(pfe_row::extract_runs(runs, row)));
-            absorb(
-                &self.stat,
-                &mut m.sketch,
-                keys,
-                weights,
-                distinct,
-                m.domain,
-                hist,
-            );
-        }
-        rows.len()
+        self.push_rows(rows);
     }
 
     /// Observe a flat row-major chunk of dense rows (`d` symbols per
@@ -438,30 +477,85 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// Panics unless `flat` is a whole number of rows of in-alphabet
     /// symbols.
     pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        self.sweep_dense(flat, None);
-    }
-
-    /// The dense sweep, narrowed by `fed` as
-    /// [`sweep_packed`](Self::sweep_packed) is; returns the distinct rows
-    /// swept.
-    pub(crate) fn sweep_dense(&mut self, flat: &[u16], mut fed: Option<&mut FedRows>) -> usize {
         let d = self.net.dimension();
         assert!(flat.len().is_multiple_of(d as usize), "row length != d");
-        if let Some(s) = flat.iter().find(|&&s| s as u32 >= self.q) {
-            panic!("symbol {s} outside alphabet");
-        }
         if self.q == 2 {
-            return self.sweep_packed(&pfe_row::pack_binary_rows(flat, d), fed);
+            return self.push_rows(&pfe_row::pack_binary_rows(flat, d));
         }
-        let unfed = |row: &&[u16]| fed.as_deref_mut().is_none_or(|f| f.first_dense(row));
-        let (rows, weights, distinct) =
-            self.distinct(flat.chunks_exact(d as usize).collect(), unfed);
+        self.push_rows(&flat.chunks_exact(d as usize).collect::<Vec<_>>());
+    }
+
+    /// Observe `rows` in row order: a counted net de-duplicates them, in
+    /// runs of at most [`MAX_RUN_ROWS`]; any other net is fed every row.
+    ///
+    /// # Panics
+    /// As [`push_distinct`](Self::push_distinct), on rows of the wrong
+    /// shape.
+    pub fn push_rows<R: SweepRow>(&mut self, rows: &[R]) {
+        if !self.counted() {
+            self.sweep(rows, None, 0);
+            return;
+        }
+        for part in rows.chunks(MAX_RUN_ROWS) {
+            self.push_distinct(&DistinctRows::new(&mut [part.to_vec()]));
+        }
+    }
+
+    /// Observe a run already de-duplicated — built once and shared by
+    /// every counted net of a shard. The same sketches as pushing the
+    /// run's rows in any order and chunking.
+    ///
+    /// # Panics
+    /// Panics unless the net is [`counted`](Self::counted), and on rows
+    /// of the wrong shape: a packed row with bits at or above `d`, a dense
+    /// row of the wrong length or alphabet, or dense rows for a binary
+    /// net (which takes them packed).
+    pub fn push_distinct<R: SweepRow>(&mut self, run: &DistinctRows<R>) {
+        self.sweep_distinct(run, None);
+    }
+
+    /// [`push_distinct`](Self::push_distinct), with `fed` over only the
+    /// distinct rows `fed` has no record of, which it then records — for
+    /// a set statistic only, where a row fed again changes nothing
+    /// ([`AlphaNetF0::push_distinct_once`](crate::AlphaNetF0::push_distinct_once)).
+    /// Returns the distinct rows swept.
+    pub(crate) fn sweep_distinct<R: SweepRow>(
+        &mut self,
+        run: &DistinctRows<R>,
+        fed: Option<&mut FedRows>,
+    ) -> usize {
+        assert!(
+            self.counted(),
+            "a net of uncounted sketches sweeps raw rows"
+        );
+        let Some(fed) = fed else {
+            return self.sweep(&run.rows, Some(&run.weights), run.len());
+        };
+        let unfed = |&(&row, _): &(&R, &u32)| row.first_fed(fed);
+        let (rows, weights): (Vec<R>, Vec<u32>) =
+            run.rows.iter().zip(&run.weights).filter(unfed).unzip();
+        self.sweep(&rows, Some(&weights), run.len())
+    }
+
+    /// The mask-major sweep of `rows` — distinct rows with `weights`, or
+    /// with `None` the raw rows in row order (see [`absorb`]); `distinct`
+    /// counts the run's distinct rows before any narrowing. Returns the
+    /// rows swept.
+    fn sweep<R: SweepRow>(
+        &mut self,
+        rows: &[R],
+        weights: Option<&[u32]>,
+        distinct: usize,
+    ) -> usize {
+        let (d, q) = (self.net.dimension(), self.q);
+        rows.iter().for_each(|&row| row.check(d, q));
         if rows.is_empty() {
             return 0;
         }
-        let (weights, hist) = (weights.as_deref(), &mut Vec::new());
+        let hist = &mut Vec::new();
         for m in &mut self.members {
-            let keys = rows.iter().map(|row| m.codec.encode_row(row, &m.cols));
+            let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
+            let keys = rows.iter().map(|&row| row.project(runs, &m.cols, &m.codec));
             absorb(
                 &self.stat,
                 &mut m.sketch,

@@ -37,7 +37,8 @@ pub const MAX_SHARDS: usize = 64;
 pub struct EngineConfig {
     /// Number of ingest worker shards (each owns its own summaries).
     pub shards: usize,
-    /// Rows buffered per shard before a batch is sent down the channel.
+    /// Rows buffered per shard before a batch is sent down the channel. A
+    /// shard sweeps every batch queued when it wakes as one run.
     pub batch_rows: usize,
     /// α-net parameter for the `F_0` net.
     pub alpha: f64,
@@ -64,9 +65,10 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            // A batch is the chunk the shard's mask-major sweep amortizes
-            // over, and 4096 rows put every member of a d <= 12 binary
-            // net (domain 2^w <= 4096) on its histogram path.
+            // A shard's mask-major sweep amortizes over every batch
+            // queued when it wakes, at least one: 4096 rows put every
+            // member of a d <= 12 binary net (domain 2^w <= 4096) on its
+            // histogram path.
             batch_rows: 4096,
             alpha: 0.25,
             kmv_k: 256,

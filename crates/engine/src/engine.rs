@@ -81,6 +81,7 @@ impl Engine {
         let exec = QueryExecutor::with_recorder(cfg.cache_capacity, false, Arc::clone(&recorder));
         let mut pipeline = IngestPipeline::new(d, q, &cfg)?;
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
+        pipeline.record_sweeps(&recorder.histogram("engine_shard_sweep_rows"))?;
         Ok(Self {
             d,
             q,
@@ -261,6 +262,7 @@ impl Engine {
         let exec = QueryExecutor::with_recorder(cfg.cache_capacity, false, Arc::clone(&recorder));
         let mut pipeline = IngestPipeline::with_base(d, q, &cfg, Some(Arc::clone(&snap)))?;
         pipeline.instrument(recorder.counter("engine_ingest_backpressure"));
+        pipeline.record_sweeps(&recorder.histogram("engine_shard_sweep_rows"))?;
         let engine = Self {
             d,
             q,

@@ -19,10 +19,17 @@
 //! sends every copy of a row to the same shard: harmless for all summaries
 //! (distinct counting is duplicate-insensitive, sampling and counting are
 //! partition-oblivious) and the standard scheme for distributed distinct
-//! counting. Each worker owns a [`ShardSummary`] and hands it every batch
-//! (`batch_rows` rows) whole: the shard samples the rows in order and
-//! sweeps each α-net over the batch mask-major, so a batch is the unit
-//! that sweep amortizes over.
+//! counting. Each worker owns a [`ShardSummary`]. Woken by a batch
+//! (`batch_rows` rows), it takes every batch already queued behind it —
+//! up to the next snapshot request, so at most the channel's 8 plus the
+//! one that woke it — and hands the run to the shard as one chunk: the
+//! shard samples the rows in order, sorts the run into its distinct rows
+//! once, and sweeps each α-net over them mask-major. So the sweep
+//! amortizes over every batch queued when the shard wakes: a row that
+//! recurs across them is projected once. Bytes do not depend on how the
+//! batches group into runs, so the grouping may follow timing; the
+//! `engine_shard_sweep_rows` histogram
+//! ([`record_sweeps`](IngestPipeline::record_sweeps)) shows it.
 //!
 //! Two exits: [`snapshot`](IngestPipeline::snapshot) clones the live shard
 //! summaries into a point-in-time merged view while ingest continues, and
@@ -35,7 +42,7 @@ use std::thread::JoinHandle;
 
 use pfe_core::QueryError;
 use pfe_hash::hash_u64;
-use pfe_obs::TraceHandle;
+use pfe_obs::{Histogram, TraceHandle};
 use pfe_row::Dataset;
 
 use crate::config::EngineConfig;
@@ -55,10 +62,17 @@ pub enum RowBatch {
     Dense(Vec<u16>),
 }
 
+/// Bounded-channel depth per shard, in batches: `send` blocks when a shard
+/// falls this far behind (backpressure). 8 × the default `batch_rows` 4096
+/// = 32,768 rows in flight per shard.
+const CHANNEL_CAPACITY: usize = 8;
+
 enum Msg {
     Batch(RowBatch),
     /// Reply with a clone of the shard's current summary.
     Collect(SyncSender<ShardSummary>),
+    /// Record the rows of every later sweep here.
+    RecordSweeps(Arc<Histogram>),
 }
 
 /// The sharded ingest pipeline.
@@ -85,18 +99,76 @@ pub struct IngestPipeline {
     backpressure: Arc<pfe_obs::Counter>,
 }
 
+/// A shard's loop. Woken by a batch, it takes every further batch already
+/// queued behind it — up to the next `Collect`, and at most
+/// [`CHANNEL_CAPACITY`] — and hands the run to the shard as one chunk: a row that
+/// recurs across those batches is projected once, not once per batch. A
+/// `Collect` is answered after the run before it, so it sees exactly the
+/// rows routed before it.
 fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
-    while let Ok(msg) = rx.recv() {
+    let mut sweep_rows = Arc::new(Histogram::new());
+    let mut next = rx.recv().ok();
+    while let Some(msg) = next.take() {
         match msg {
-            Msg::Batch(RowBatch::Packed(rows)) => shard.push_packed_chunk(&rows),
-            Msg::Batch(RowBatch::Dense(flat)) => shard.push_dense_chunk(&flat),
+            Msg::Batch(RowBatch::Packed(rows)) => {
+                let mut run = vec![rows];
+                next = take_queued(&rx, |batch| match batch {
+                    RowBatch::Packed(rows) => {
+                        run.push(rows);
+                        None
+                    }
+                    other => Some(other),
+                });
+                sweep_rows.record(run.iter().map(Vec::len).sum::<usize>() as u64);
+                shard.push_packed_run(&mut run);
+            }
+            Msg::Batch(RowBatch::Dense(flat)) => {
+                let mut run = vec![flat];
+                next = take_queued(&rx, |batch| match batch {
+                    RowBatch::Dense(flat) => {
+                        run.push(flat);
+                        None
+                    }
+                    other => Some(other),
+                });
+                let d = shard.sample().dimension() as usize;
+                sweep_rows.record(run.iter().map(|flat| flat.len() / d).sum::<usize>() as u64);
+                shard.push_dense_run(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            }
             Msg::Collect(reply) => {
                 // The collector may have given up (engine dropped); ignore.
                 let _ = reply.send(shard.clone());
             }
+            Msg::RecordSweeps(hist) => sweep_rows = hist,
+        }
+        if next.is_none() {
+            next = rx.recv().ok();
         }
     }
     shard
+}
+
+/// Hand the batches already queued to `take` — at most
+/// [`CHANNEL_CAPACITY`], so a run is at most that many batches behind the
+/// one that woke the worker, however fast the router refills the channel
+/// — until `take` hands one back; returns the first message not taken,
+/// if any is queued.
+fn take_queued(
+    rx: &Receiver<Msg>,
+    mut take: impl FnMut(RowBatch) -> Option<RowBatch>,
+) -> Option<Msg> {
+    for _ in 0..CHANNEL_CAPACITY {
+        match rx.try_recv() {
+            Ok(Msg::Batch(batch)) => {
+                if let Some(batch) = take(batch) {
+                    return Some(Msg::Batch(batch));
+                }
+            }
+            Ok(other) => return Some(other),
+            Err(_) => return None,
+        }
+    }
+    None
 }
 
 fn bad_chunk(msg: String) -> EngineError {
@@ -174,10 +246,6 @@ impl IngestPipeline {
         // sketch allocation), so construction errors surface here — not as
         // worker panics — and the net materialization stays parallel.
         ShardSummary::validate(d, q, cfg)?;
-        // Bounded-channel depth per shard, in batches: `send` blocks when
-        // a shard falls this far behind (backpressure). 8 × the default
-        // `batch_rows` 4096 = 32,768 rows in flight per shard.
-        const CHANNEL_CAPACITY: usize = 8;
         let mut senders = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         for shard_id in 0..cfg.shards {
@@ -214,6 +282,21 @@ impl IngestPipeline {
     /// engine's shared recorder.
     pub fn instrument(&mut self, counter: Arc<pfe_obs::Counter>) {
         self.backpressure = counter;
+    }
+
+    /// Record the rows of every shard sweep — one value per run of queued
+    /// batches a worker hands its shard — into `hist`, typically
+    /// `engine_shard_sweep_rows` from the engine's shared recorder. Sweeps
+    /// already made are not recorded.
+    ///
+    /// # Errors
+    /// `Closed` if a worker has gone away.
+    pub fn record_sweeps(&mut self, hist: &Arc<Histogram>) -> Result<(), EngineError> {
+        for tx in &self.senders {
+            tx.send(Msg::RecordSweeps(Arc::clone(hist)))
+                .map_err(|_| EngineError::Closed)?;
+        }
+        Ok(())
     }
 
     /// Number of shards.
@@ -715,6 +798,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_worker_records_one_sweep_per_run_of_queued_batches() {
+        // Queued before the worker runs: the histogram, five batches, a
+        // collect, three more — two runs, cut at the collect.
+        let hist = Arc::new(Histogram::new());
+        let (tx, rx) = mpsc::sync_channel(16);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        tx.send(Msg::RecordSweeps(Arc::clone(&hist)))
+            .expect("queued");
+        for len in [10, 20, 30, 40, 50] {
+            tx.send(Msg::Batch(RowBatch::Packed(vec![3; len])))
+                .expect("queued");
+        }
+        tx.send(Msg::Collect(reply_tx)).expect("queued");
+        for len in [1, 2, 3] {
+            tx.send(Msg::Batch(RowBatch::Packed(vec![5; len])))
+                .expect("queued");
+        }
+        drop(tx);
+        let shard = worker(rx, ShardSummary::new(4, 2, 0, &cfg(1)).expect("new"));
+        assert_eq!(reply_rx.recv().expect("collected").rows(), 150);
+        assert_eq!(shard.rows(), 156);
+        let sweeps = hist.snapshot();
+        assert_eq!((sweeps.count, sweeps.sum, sweeps.max), (2, 156, 150));
+
+        // Through the pipeline, every routed row is in exactly one sweep.
+        let mut p = IngestPipeline::new(8, 2, &cfg(2)).expect("spawn");
+        let hist = Arc::new(Histogram::new());
+        p.record_sweeps(&hist).expect("workers alive");
+        p.push_packed_batch(&(0..1000).map(|i| i % 256).collect::<Vec<u64>>())
+            .expect("push");
+        p.finish().expect("finish");
+        assert_eq!(hist.snapshot().sum, 1000);
     }
 
     #[test]

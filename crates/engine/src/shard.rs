@@ -14,17 +14,20 @@
 //! shard → merge → snapshot pipeline equivalent to a single-threaded
 //! build.
 //!
-//! Rows reach a shard only as chunks. A chunk is consumed in two steps:
-//! the reservoir samples its rows — every one, in order (the one
-//! order-sensitive summary) — then every net de-duplicates the chunk into
-//! distinct rows and weights and sweeps those mask-major — per net member:
-//! compiled projection → histogram of the weights when the member's
-//! domain `Q^w` is no larger than the distinct rows, else one weighted
-//! feed per distinct row → sketch. KMV ignores a key's multiplicity,
-//! CountMin and AMS take it as the update weight (exact integer sums), and
-//! the float-sum `StableFp` nets are always fed the raw chunk, row by row
-//! in row order — so a shard's bytes do not depend on how its rows were
-//! cut into chunks or on how much they repeat. Nor on whether the `F_0`
+//! Rows reach a shard only as chunks — or, from a pipeline worker, as a
+//! run of the batches queued when it woke, which the shard takes as one
+//! chunk without copying it. A chunk is consumed in two steps: the
+//! reservoir samples its rows — every one, in order (the one
+//! order-sensitive summary) — and the float-sum `StableFp` nets are fed
+//! them row by row in row order; then the chunk is de-duplicated, once,
+//! into distinct rows and weights ([`DistinctRows`]) and every other net
+//! sweeps those mask-major — per net member: compiled projection →
+//! histogram of the weights when the member's domain `Q^w` is no larger
+//! than the distinct rows, else one weighted feed per distinct row →
+//! sketch. KMV ignores a key's multiplicity, CountMin and AMS take it as
+//! the update weight (exact integer sums) — so a shard's bytes do not
+//! depend on how its rows were cut into chunks or on how much they
+//! repeat. Nor on whether the `F_0`
 //! net was narrowed to the rows a [`FedRows`] record has no note of
 //! ([`push_packed_chunk_once`](ShardSummary::push_packed_chunk_once), the
 //! window ring's write path, which records a bucket's rows as its net is
@@ -35,7 +38,9 @@
 
 use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, FedRows, NetMode};
 use pfe_core::net_sketches::same;
-use pfe_core::{fp_seed, AlphaNetFrequency, FpNet, UniformSampleSummary};
+use pfe_core::{
+    fp_seed, AlphaNetFrequency, DistinctRows, FpNet, SweepRow, UniformSampleSummary, MAX_RUN_ROWS,
+};
 use pfe_hash::rng::SplitMix64;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_sketch::kmv::Kmv;
@@ -158,21 +163,30 @@ impl ShardSummary {
 
     /// Observe a chunk of packed binary rows: the reservoir samples them
     /// in order, then each net makes its one mask-major sweep over the
-    /// chunk's distinct rows (see the [module docs](self)). Pipeline
-    /// workers end here; the window ring ends in
-    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
+    /// chunk's distinct rows (see the [module docs](self)). The window
+    /// ring ends in [`push_packed_chunk_once`](Self::push_packed_chunk_once).
     ///
     /// # Panics
     /// Panics if the shard is not binary or a row has bits at or above
     /// `d`; callers run [`check_packed_chunk`](crate::check_packed_chunk)
     /// first.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.observe_packed(rows, |net, rows| net.push_packed_chunk(rows));
+        self.push_packed_run(&mut [rows.to_vec()]);
+    }
+
+    /// [`push_packed_chunk`](Self::push_packed_chunk) over a run of
+    /// batches the caller owns, in order, as one chunk: each batch is
+    /// sorted where it lies, none is copied. Pipeline workers end here.
+    ///
+    /// # Panics
+    /// As `push_packed_chunk`.
+    pub(crate) fn push_packed_run(&mut self, batches: &mut [Vec<u64>]) {
+        self.observe(batches, None, UniformSampleSummary::push_packed);
     }
 
     /// [`push_packed_chunk`](Self::push_packed_chunk) with the `F_0` net
     /// alone narrowed to the rows `fed` has no record of
-    /// ([`AlphaNetF0::push_packed_chunk_once`]); the reservoir and every
+    /// ([`AlphaNetF0::push_distinct_once`]); the reservoir and every
     /// other net still see every row. `fed` must describe this summary's
     /// `F_0` net. Same bytes as the full push. Returns the distinct rows
     /// the `F_0` net swept.
@@ -180,25 +194,11 @@ impl ShardSummary {
     /// # Panics
     /// As `push_packed_chunk`.
     pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
-        let mut swept = 0;
-        self.observe_packed(rows, |net, rows| {
-            swept = net.push_packed_chunk_once(rows, fed);
-        });
-        swept
-    }
-
-    fn observe_packed(&mut self, rows: &[u64], f0: impl FnOnce(&mut AlphaNetF0<Kmv>, &[u64])) {
-        for &row in rows {
-            self.sample.push_packed(row);
-        }
-        f0(&mut self.net_f0, rows);
-        if let Some(freq) = &mut self.freq {
-            freq.push_packed_chunk(rows);
-        }
-        for net in &mut self.fp {
-            net.push_packed_chunk(rows);
-        }
-        self.rows += rows.len() as u64;
+        self.observe(
+            &mut [rows.to_vec()],
+            Some(fed),
+            UniformSampleSummary::push_packed,
+        )
     }
 
     /// Observe a flat row-major chunk of dense rows (`d` symbols per
@@ -211,11 +211,16 @@ impl ShardSummary {
     /// symbols; callers run
     /// [`check_dense_chunk`](crate::check_dense_chunk) first.
     pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        let d = self.sample.dimension();
-        if self.sample.alphabet() == 2 {
-            return self.push_packed_chunk(&pfe_row::pack_binary_rows(flat, d));
-        }
-        self.observe_dense(flat, |net, flat| net.push_dense_chunk(flat));
+        self.observe_dense(&[flat], None);
+    }
+
+    /// [`push_dense_chunk`](Self::push_dense_chunk) over a run of flat
+    /// batches, in order, as one chunk. Pipeline workers end here.
+    ///
+    /// # Panics
+    /// As `push_dense_chunk`, for each batch.
+    pub(crate) fn push_dense_run(&mut self, batches: &[&[u16]]) {
+        self.observe_dense(batches, None);
     }
 
     /// The dense counterpart of
@@ -224,30 +229,73 @@ impl ShardSummary {
     /// # Panics
     /// As [`push_dense_chunk`](Self::push_dense_chunk).
     pub fn push_dense_chunk_once(&mut self, flat: &[u16], fed: &mut FedRows) -> usize {
-        let d = self.sample.dimension();
-        if self.sample.alphabet() == 2 {
-            return self.push_packed_chunk_once(&pfe_row::pack_binary_rows(flat, d), fed);
-        }
-        let mut swept = 0;
-        self.observe_dense(flat, |net, flat| {
-            swept = net.push_dense_chunk_once(flat, fed);
-        });
-        swept
+        self.observe_dense(&[flat], Some(fed))
     }
 
-    fn observe_dense(&mut self, flat: &[u16], f0: impl FnOnce(&mut AlphaNetF0<Kmv>, &[u16])) {
+    /// A binary shard packs each batch; any other sorts one index of the
+    /// run's row slices.
+    fn observe_dense(&mut self, batches: &[&[u16]], fed: Option<&mut FedRows>) -> usize {
         let d = self.sample.dimension();
-        for row in flat.chunks_exact(d as usize) {
-            self.sample.push_dense(row);
+        if self.sample.alphabet() == 2 {
+            let mut packed: Vec<Vec<u64>> = batches
+                .iter()
+                .map(|flat| pfe_row::pack_binary_rows(flat, d))
+                .collect();
+            return self.observe(&mut packed, fed, UniformSampleSummary::push_packed);
         }
-        f0(&mut self.net_f0, flat);
+        for flat in batches {
+            assert!(flat.len().is_multiple_of(d as usize), "row length != d");
+        }
+        let rows = batches
+            .iter()
+            .flat_map(|flat| flat.chunks_exact(d as usize));
+        self.observe(&mut [rows.collect()], fed, UniformSampleSummary::push_dense)
+    }
+
+    /// The one way rows enter the shard, a run of `batches` in order: the
+    /// reservoir samples every row, and every net whose sketches take no
+    /// multiplicity (a float-sum `StableFp` net) sweeps them, in row
+    /// order; then the run is sorted into distinct rows and weights, once
+    /// ([`DistinctRows`]), and every counted net sweeps those — the `F_0`
+    /// net narrowed by `fed` when given. Returns the distinct rows the
+    /// `F_0` net swept.
+    fn observe<R: SweepRow>(
+        &mut self,
+        batches: &mut [Vec<R>],
+        mut fed: Option<&mut FedRows>,
+        sample: impl Fn(&mut UniformSampleSummary, R) + Copy,
+    ) -> usize {
+        let rows: usize = batches.iter().map(Vec::len).sum();
+        if rows > MAX_RUN_ROWS {
+            // A weight is a `u32`: sweep a longer run in parts, which
+            // leaves the same bytes.
+            let parts = batches.iter().flat_map(|batch| batch.chunks(MAX_RUN_ROWS));
+            return parts
+                .map(|part| self.observe(&mut [part.to_vec()], fed.as_deref_mut(), sample))
+                .sum();
+        }
+        for &row in batches.iter().flatten() {
+            sample(&mut self.sample, row);
+        }
+        for net in self.fp.iter_mut().filter(|net| !net.counted()) {
+            batches.iter().for_each(|batch| net.push_rows(batch));
+        }
+        self.rows += rows as u64;
+        let run = DistinctRows::new(batches);
+        let swept = match fed {
+            Some(fed) => self.net_f0.push_distinct_once(&run, fed),
+            None => {
+                self.net_f0.push_distinct(&run);
+                run.len()
+            }
+        };
         if let Some(freq) = &mut self.freq {
-            freq.push_dense_chunk(flat);
+            freq.push_distinct(&run);
         }
-        for net in &mut self.fp {
-            net.push_dense_chunk(flat);
+        for net in self.fp.iter_mut().filter(|net| net.counted()) {
+            net.push_distinct(&run);
         }
-        self.rows += (flat.len() / d as usize) as u64;
+        swept
     }
 
     /// Check that `other` summarizes a disjoint segment of the *same*

@@ -160,13 +160,37 @@ fn converged_pair(name: &str) -> Pair {
         let r = replica_client.request_line(probe).expect("replica probe");
         r.get("ok") == Some(&Json::Bool(true)) && strip_cost(&w) == strip_cost(&r)
     });
-    Pair {
+    let mut pair = Pair {
         dir,
         writer,
         replica,
         writer_client,
         replica_client,
-    }
+    };
+    wait_applied_newest(&mut pair);
+    pair
+}
+
+/// Wait until the replica has applied the writer's newest shipped epoch,
+/// and that epoch is the snapshot the writer serves, holding every row it
+/// took. A probe answered alike at some epoch is not enough: a ship still
+/// due could land between that probe and the checks after it. Here none
+/// is due — the shipper ships only when rows grew since its last ship.
+fn wait_applied_newest(pair: &mut Pair) {
+    wait_for("the replica to apply the newest shipped epoch", || {
+        let newest = Some(newest_epoch(&pair.dir) as f64);
+        let writer = pair
+            .writer_client
+            .request_line(r#"{"op":"stats"}"#)
+            .expect("writer stats");
+        let replica = pair
+            .replica_client
+            .request_line(r#"{"op":"replica_stats"}"#)
+            .expect("replica_stats");
+        replica.get("epoch").and_then(Json::as_f64) == newest
+            && writer.get("snapshot_epoch").and_then(Json::as_f64) == newest
+            && writer.get("snapshot_rows") == writer.get("rows_ingested")
+    });
 }
 
 fn shutdown(pair: Pair) {
@@ -323,6 +347,7 @@ fn corrupt_snapshot_keeps_previous_epoch_and_logs_typed_failure() {
             .expect("replica probe");
         strip_cost(&w) == strip_cost(&r)
     });
+    wait_applied_newest(&mut pair);
     assert_eq!(
         answers(&mut pair.writer_client),
         answers(&mut pair.replica_client),

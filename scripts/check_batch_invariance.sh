@@ -2,9 +2,13 @@
 # Answers must not depend on how ingest cuts the stream into shard
 # batches: the mask-major sweep feeds a batch's repeated patterns once
 # with their multiplicity, and that must be invisible in the bytes.
-# Ingest one generated file at --batch-rows 1, 512 and 4096 and `cmp` the
-# checkpoints — binary rows, and Q=4 rows with an AMS (p=2, takes the
-# multiplicity) and a stable (p=1, fed row by row) moment net.
+# A shard also sweeps every batch already queued when it wakes as one run,
+# so the sweep's unit depends on timing too; only byte invariance makes
+# that safe. Ingest each generated file at --batch-rows 1, 512 and 4096
+# and `cmp` the checkpoints — binary rows, Q=4 rows with an AMS (p=2,
+# takes the multiplicity) and a stable (p=1, fed row by row) moment net,
+# and both ends of repetition: Q=4 rows that never repeat, and one row
+# repeated 20,000 times among them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,4 +38,10 @@ gen 12 2 20000 > "$tmpdir/binary.csv"
 check binary "$tmpdir/binary.csv"
 gen 8 4 6000 > "$tmpdir/q4.csv"
 check q4 "$tmpdir/q4.csv" --q 4 --fp 2.0,1.0
+gen_distinct 10 4 20000 > "$tmpdir/distinct.csv"
+check distinct "$tmpdir/distinct.csv" --q 4 --fp 2.0
+# As check_same_answers.sh builds it: one row of that file (line 7,778)
+# repeated 20,000 times.
+awk 'NR == 1; NR == 7778 { for (r = 0; r < 20000; r++) print }' "$tmpdir/distinct.csv" > "$tmpdir/repeated.csv"
+check repeated "$tmpdir/repeated.csv" --q 4 --fp 2.0
 echo "OK"
