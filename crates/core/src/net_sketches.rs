@@ -256,16 +256,33 @@ pub struct DistinctRows<R> {
 
 impl<R: Ord + Copy> DistinctRows<R> {
     /// The distinct rows of `parts` together, each part sorted where it
-    /// lies and the sorted parts merged: a run of queued batches is
-    /// neither copied nor concatenated, and what is allocated is only as
-    /// long as the run's distinct rows.
+    /// lies: one part is de-duplicated in place, several are merged. A run
+    /// of queued batches is neither copied nor concatenated, and what is
+    /// allocated is only as long as the run's distinct rows.
     ///
     /// # Panics
     /// Panics on more than [`MAX_RUN_ROWS`] rows in all.
-    pub fn new(parts: &mut [Vec<R>]) -> Self {
+    pub fn new(mut parts: Vec<Vec<R>>) -> Self {
         let total: usize = parts.iter().map(Vec::len).sum();
         assert!(total <= MAX_RUN_ROWS, "a run holds at most u32::MAX rows");
         parts.iter_mut().for_each(|part| part.sort_unstable());
+        if let [rows] = &mut parts[..] {
+            let mut rows = std::mem::take(rows);
+            let mut weights = Vec::new();
+            if !rows.is_empty() {
+                weights.push(1);
+            }
+            rows.dedup_by(|row, kept| {
+                let repeat = row == kept;
+                if repeat {
+                    *weights.last_mut().expect("starts with one") += 1;
+                } else {
+                    weights.push(1);
+                }
+                repeat
+            });
+            return Self { rows, weights };
+        }
         let mut heads: Vec<&[R]> = parts.iter().map(Vec::as_slice).collect();
         let (mut rows, mut weights) = (Vec::new(), Vec::new());
         while let Some(&least) = heads.iter().filter_map(|head| head.first()).min() {
@@ -497,7 +514,7 @@ impl<P: Statistic> AlphaNetSummary<P> {
             return;
         }
         for part in rows.chunks(MAX_RUN_ROWS) {
-            self.push_distinct(&DistinctRows::new(&mut [part.to_vec()]));
+            self.push_distinct(&DistinctRows::new(vec![part.to_vec()]));
         }
     }
 

@@ -120,7 +120,7 @@ fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
                     other => Some(other),
                 });
                 sweep_rows.record(run.iter().map(Vec::len).sum::<usize>() as u64);
-                shard.push_packed_run(&mut run);
+                shard.push_packed_run(run);
             }
             Msg::Batch(RowBatch::Dense(flat)) => {
                 let mut run = vec![flat];

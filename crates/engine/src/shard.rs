@@ -171,16 +171,16 @@ impl ShardSummary {
     /// `d`; callers run [`check_packed_chunk`](crate::check_packed_chunk)
     /// first.
     pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.push_packed_run(&mut [rows.to_vec()]);
+        self.push_packed_run(vec![rows.to_vec()]);
     }
 
     /// [`push_packed_chunk`](Self::push_packed_chunk) over a run of
-    /// batches the caller owns, in order, as one chunk: each batch is
-    /// sorted where it lies, none is copied. Pipeline workers end here.
+    /// batches the caller hands over, in order, as one chunk: each batch
+    /// is sorted where it lies, none is copied. Pipeline workers end here.
     ///
     /// # Panics
     /// As `push_packed_chunk`.
-    pub(crate) fn push_packed_run(&mut self, batches: &mut [Vec<u64>]) {
+    pub(crate) fn push_packed_run(&mut self, batches: Vec<Vec<u64>>) {
         self.observe(batches, None, UniformSampleSummary::push_packed);
     }
 
@@ -195,7 +195,7 @@ impl ShardSummary {
     /// As `push_packed_chunk`.
     pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
         self.observe(
-            &mut [rows.to_vec()],
+            vec![rows.to_vec()],
             Some(fed),
             UniformSampleSummary::push_packed,
         )
@@ -237,11 +237,11 @@ impl ShardSummary {
     fn observe_dense(&mut self, batches: &[&[u16]], fed: Option<&mut FedRows>) -> usize {
         let d = self.sample.dimension();
         if self.sample.alphabet() == 2 {
-            let mut packed: Vec<Vec<u64>> = batches
+            let packed = batches
                 .iter()
                 .map(|flat| pfe_row::pack_binary_rows(flat, d))
                 .collect();
-            return self.observe(&mut packed, fed, UniformSampleSummary::push_packed);
+            return self.observe(packed, fed, UniformSampleSummary::push_packed);
         }
         for flat in batches {
             assert!(flat.len().is_multiple_of(d as usize), "row length != d");
@@ -249,7 +249,7 @@ impl ShardSummary {
         let rows = batches
             .iter()
             .flat_map(|flat| flat.chunks_exact(d as usize));
-        self.observe(&mut [rows.collect()], fed, UniformSampleSummary::push_dense)
+        self.observe(vec![rows.collect()], fed, UniformSampleSummary::push_dense)
     }
 
     /// The one way rows enter the shard, a run of `batches` in order: the
@@ -261,7 +261,7 @@ impl ShardSummary {
     /// `F_0` net swept.
     fn observe<R: SweepRow>(
         &mut self,
-        batches: &mut [Vec<R>],
+        batches: Vec<Vec<R>>,
         mut fed: Option<&mut FedRows>,
         sample: impl Fn(&mut UniformSampleSummary, R) + Copy,
     ) -> usize {
@@ -271,7 +271,7 @@ impl ShardSummary {
             // leaves the same bytes.
             let parts = batches.iter().flat_map(|batch| batch.chunks(MAX_RUN_ROWS));
             return parts
-                .map(|part| self.observe(&mut [part.to_vec()], fed.as_deref_mut(), sample))
+                .map(|part| self.observe(vec![part.to_vec()], fed.as_deref_mut(), sample))
                 .sum();
         }
         for &row in batches.iter().flatten() {
