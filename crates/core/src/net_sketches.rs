@@ -1050,6 +1050,23 @@ mod tests {
         );
     }
 
+    /// A run handed over as several batches de-duplicates to what the
+    /// same rows give as one batch, empty batches included.
+    #[test]
+    fn distinct_rows_of_batches_equal_distinct_rows_of_their_concatenation() {
+        let rows = zipf_indices(256, 9);
+        let whole = DistinctRows::new(vec![rows.clone()]);
+        assert_eq!(whole.weights.iter().sum::<u32>(), 256);
+        assert!(whole.rows.windows(2).all(|pair| pair[0] < pair[1]));
+        for cuts in [[0, 0], [1, 255], [100, 200], [256, 256], [0, 256]] {
+            let [a, b] = cuts;
+            let parts = vec![rows[..a].to_vec(), rows[a..b].to_vec(), rows[b..].to_vec()];
+            let run = DistinctRows::new(parts);
+            assert_eq!((&run.rows, &run.weights), (&whole.rows, &whole.weights));
+        }
+        assert!(DistinctRows::<u64>::new(vec![Vec::new(), Vec::new()]).is_empty());
+    }
+
     /// Pairs of nets that differ in exactly the named parameter (equal
     /// parameters — `Ok`, and merged bytes equal to the single build — are
     /// the test above).

@@ -101,10 +101,10 @@ pub struct IngestPipeline {
 
 /// A shard's loop. Woken by a batch, it takes every further batch already
 /// queued behind it — up to the next `Collect`, and at most
-/// [`CHANNEL_CAPACITY`] — and hands the run to the shard as one chunk: a row that
-/// recurs across those batches is projected once, not once per batch. A
-/// `Collect` is answered after the run before it, so it sees exactly the
-/// rows routed before it.
+/// [`CHANNEL_CAPACITY`] — and hands the run to the shard as one chunk: a
+/// row that recurs across those batches is projected once, not once per
+/// batch. A `Collect` is answered after the run before it, so it sees
+/// exactly the rows routed before it.
 fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
     let mut sweep_rows = Arc::new(Histogram::new());
     let mut next = rx.recv().ok();
