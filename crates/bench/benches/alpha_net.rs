@@ -8,7 +8,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, NetMode};
 use pfe_core::{FpConfig, FpNet};
-use pfe_row::{ColumnSet, Dataset};
+use pfe_row::{Chunk, ColumnSet, Dataset};
 use pfe_sketch::kmv::Kmv;
 use pfe_stream::gen::{uniform_binary, uniform_qary};
 
@@ -71,7 +71,7 @@ fn bench_chunk_push(c: &mut Criterion) {
                 })
                 .expect("new");
                 for rows in binary.rows().chunks(chunk) {
-                    s.push_packed_chunk(rows);
+                    s.push_chunk(Chunk::Packed(rows));
                 }
                 black_box(s.num_sketches())
             })
@@ -93,7 +93,7 @@ fn bench_chunk_push(c: &mut Criterion) {
             let mut s = FpNet::new_streaming_qary(net, NetMode::Full, 1 << 22, 4, 2.0, &cfg, 0)
                 .expect("new");
             for flat in qary.flat().chunks(512 * 10) {
-                s.push_dense_chunk(flat);
+                s.push_chunk(Chunk::Dense(flat));
             }
             black_box(s.num_sketches())
         })

@@ -3,14 +3,14 @@
 //!
 //! Side A ingests the file through [`pfe_ingest::FileIngester`]; side B
 //! re-reads it with an independent `String`-based parser and pushes the
-//! rows through `push_packed_batch` / `push_dense_batch`. A probe
+//! rows as one dense [`Chunk`] through the engine's one `push`. A probe
 //! battery covering every statistic must agree exactly — value *and*
 //! guarantee — or the command exits 1. `scripts/guide_smoke.sh` runs
 //! this against generated data on every CI pass.
 
 use std::io::BufRead;
 
-use pfe_engine::{Engine, Json, Query};
+use pfe_engine::{Chunk, Engine, Json, Query, TraceHandle};
 use pfe_ingest::{FileIngester, IngestError, IngestOptions};
 
 use crate::args::{engine_config, ingest_options, Args};
@@ -109,24 +109,11 @@ pub fn verify(args: &Args) -> Result<i32, String> {
     }
     let (d, q) = (report.schema.dimension(), report.schema.alphabet);
     let engine_b = Engine::start(d, q, ecfg).map_err(|e| e.to_string())?;
-    if report.schema.packed() {
-        let packed: Vec<u64> = rows
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, &v)| acc | ((v as u64) << i))
-            })
-            .collect();
-        engine_b
-            .push_packed_batch(&packed)
-            .map_err(|e| e.to_string())?;
-    } else {
-        let flat: Vec<u16> = rows.concat();
-        engine_b
-            .push_dense_batch(&flat)
-            .map_err(|e| e.to_string())?;
-    }
+    // Dense rows whatever the schema: the engine packs a binary stream's
+    // rows where they come in, as the file path packs them in its parser.
+    engine_b
+        .push(Chunk::Dense(&rows.concat()), &TraceHandle::disabled())
+        .map_err(|e| e.to_string())?;
 
     engine_a.refresh().map_err(|e| e.to_string())?;
     engine_b.refresh().map_err(|e| e.to_string())?;

@@ -430,11 +430,11 @@ pub const MAX_FED_ROWS: usize = 1 << 13;
 /// The rows an `F_0` net has already been fed, up to [`MAX_FED_ROWS`] of
 /// them: what lets [`AlphaNetF0::push_distinct_once`] skip a row the
 /// net holds. Packed binary rows and dense rows are recorded apart; a net
-/// sees only one kind.
+/// sees only one kind, and [`SweepRow::first_fed`] reads and writes it.
 #[derive(Debug, Default)]
 pub struct FedRows {
-    packed: HashSet<u64>,
-    dense: HashSet<Box<[u16]>>,
+    pub(crate) packed: HashSet<u64>,
+    pub(crate) dense: HashSet<Box<[u16]>>,
 }
 
 impl FedRows {
@@ -444,27 +444,8 @@ impl FedRows {
         self.dense.clear();
     }
 
-    /// Whether `row` is absent from the record; records it when there is
-    /// room.
-    pub(crate) fn first_packed(&mut self, row: u64) -> bool {
-        if self.len() < MAX_FED_ROWS {
-            return self.packed.insert(row);
-        }
-        !self.packed.contains(&row)
-    }
-
-    /// [`first_packed`](Self::first_packed) for a dense row.
-    pub(crate) fn first_dense(&mut self, row: &[u16]) -> bool {
-        if self.dense.contains(row) {
-            return false;
-        }
-        if self.len() < MAX_FED_ROWS {
-            self.dense.insert(row.into());
-        }
-        true
-    }
-
-    fn len(&self) -> usize {
+    /// Rows recorded.
+    pub(crate) fn len(&self) -> usize {
         self.packed.len() + self.dense.len()
     }
 }

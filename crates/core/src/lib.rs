@@ -50,7 +50,9 @@ pub use estimator::{SuiteConfig, SummarySuite};
 pub use exact::ExactSummary;
 pub use fp::{fp_seed, FpConfig, FpNet};
 pub use marginals::MarginalsSummary;
-pub use net_sketches::{AlphaNetSummary, DistinctRows, SweepRow, MAX_RUN_ROWS};
+pub use net_sketches::{
+    flat_rows, sweep_form, AlphaNetSummary, DistinctRows, SweepRow, MAX_RUN_ROWS,
+};
 pub use problem::{HeavyHitter, QueryError, SampledPattern, ScalarEstimate};
 pub use sampling::ExactLpSampler;
 pub use uniform_sample::UniformSampleSummary;

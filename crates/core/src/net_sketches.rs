@@ -21,9 +21,9 @@
 //!
 //! # The update loop: a de-duplicated, mask-major chunk sweep
 //!
-//! Rows arrive as chunks ([`push_packed_chunk`](AlphaNetSummary::push_packed_chunk),
-//! [`push_dense_chunk`](AlphaNetSummary::push_dense_chunk); a single row is a
-//! one-row chunk, a whole dataset is one chunk). Projected frequency
+//! Rows arrive as chunks ([`push_chunk`](AlphaNetSummary::push_chunk), a
+//! [`Chunk`] of packed or dense rows; a single row is a one-row chunk, a
+//! whole dataset is one chunk). Projected frequency
 //! estimation is interesting when rows repeat, so the sweep pays per
 //! *distinct* row, not per row:
 //!
@@ -75,13 +75,15 @@
 
 use std::fmt::Debug;
 
+use pfe_hash::hash_u64;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{BitRun, ColumnSet, Dataset, PatternCodec, PatternKey};
+use pfe_row::{BitRun, Chunk, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::traits::SpaceUsage;
 
-use crate::alpha_net::{AlphaNet, FedRows, NetAnswer, NetMode, RoundedQuery};
+use crate::alpha_net::{AlphaNet, FedRows, NetAnswer, NetMode, RoundedQuery, MAX_FED_ROWS};
 use crate::bounds::{Guarantee, GuaranteeSource};
 use crate::problem::QueryError;
+use crate::uniform_sample::{RowStore, UniformSampleSummary};
 
 /// What Algorithm 1 leaves to the statistic: which β-approximate sketch a
 /// net member keeps and how that sketch consumes a projected key (how two
@@ -311,7 +313,14 @@ impl<R: Ord + Copy> DistinctRows<R> {
 
 /// A row as the sweep reads it: a packed binary row (`u64`) or a dense
 /// row of `d` symbols (`&[u16]`). The sweep is monomorphized per kind.
+/// Below a [`Chunk`], every choice that depends on the row form is made
+/// here: how a row projects, how it is routed to a shard, batched,
+/// sampled and recorded as fed.
 pub trait SweepRow: Ord + Copy {
+    /// What a batch of such rows stores per row: the packed row, or the
+    /// row's `d` symbols.
+    type Cell: Copy;
+
     /// The key the row projects onto at the member of columns `cols`,
     /// compiled for packed rows as `runs`, with codec `codec`.
     fn project(self, runs: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey;
@@ -322,9 +331,25 @@ pub trait SweepRow: Ord + Copy {
 
     /// Panics unless the row fits a `d`-column net over alphabet `q`.
     fn check(self, d: u32, q: u32);
+
+    /// The row's hash under `seed`, which picks its shard: every copy of
+    /// a row goes to the same one.
+    fn shard_hash(self, seed: u64) -> u64;
+
+    /// Append the row to a batch of such rows.
+    fn append_to(self, batch: &mut Vec<Self::Cell>);
+
+    /// Offer the row to `sample`'s reservoir.
+    ///
+    /// # Panics
+    /// Panics if `sample` keeps its rows in the other form: a binary
+    /// sample takes its rows packed.
+    fn sample_into(self, sample: &mut UniformSampleSummary);
 }
 
 impl SweepRow for u64 {
+    type Cell = u64;
+
     #[inline]
     fn project(self, runs: &[BitRun], _: &ColumnSet, _: &PatternCodec) -> PatternKey {
         PatternKey::from(pfe_row::extract_runs(runs, self))
@@ -332,17 +357,40 @@ impl SweepRow for u64 {
 
     #[inline]
     fn first_fed(self, fed: &mut FedRows) -> bool {
-        fed.first_packed(self)
+        if fed.len() < MAX_FED_ROWS {
+            return fed.packed.insert(self);
+        }
+        !fed.packed.contains(&self)
     }
 
     #[inline]
     fn check(self, d: u32, q: u32) {
-        assert_eq!(q, 2, "push_packed requires a binary summary");
+        assert_eq!(q, 2, "packed rows require a binary summary");
         assert!(self >> d == 0, "row has bits above d={d}");
+    }
+
+    #[inline]
+    fn shard_hash(self, seed: u64) -> u64 {
+        hash_u64(self, seed)
+    }
+
+    #[inline]
+    fn append_to(self, batch: &mut Vec<u64>) {
+        batch.push(self);
+    }
+
+    #[inline]
+    fn sample_into(self, sample: &mut UniformSampleSummary) {
+        match &mut sample.rows {
+            RowStore::Binary(r) => r.insert(self),
+            RowStore::Qary(_) => panic!("packed rows require a binary summary"),
+        }
     }
 }
 
 impl SweepRow for &[u16] {
+    type Cell = u16;
+
     #[inline]
     fn project(self, _: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
         codec.encode_row(self, cols)
@@ -350,7 +398,13 @@ impl SweepRow for &[u16] {
 
     #[inline]
     fn first_fed(self, fed: &mut FedRows) -> bool {
-        fed.first_dense(self)
+        if fed.dense.contains(self) {
+            return false;
+        }
+        if fed.len() < MAX_FED_ROWS {
+            fed.dense.insert(self.into());
+        }
+        true
     }
 
     #[inline]
@@ -361,6 +415,56 @@ impl SweepRow for &[u16] {
             panic!("symbol {s} outside alphabet");
         }
     }
+
+    #[inline]
+    fn shard_hash(self, seed: u64) -> u64 {
+        self.iter()
+            .fold(seed, |h, &s| hash_u64(h ^ u64::from(s), seed))
+    }
+
+    #[inline]
+    fn append_to(self, batch: &mut Vec<u16>) {
+        batch.extend_from_slice(self);
+    }
+
+    #[inline]
+    fn sample_into(self, sample: &mut UniformSampleSummary) {
+        match &mut sample.rows {
+            RowStore::Qary(r) => r.insert(self.into()),
+            RowStore::Binary(_) => panic!("a binary summary takes its rows packed"),
+        }
+    }
+}
+
+/// `chunk` in the form a summary over alphabet `q` sweeps it: a binary
+/// summary's rows packed, any other's dense. A dense chunk for a binary
+/// summary is packed here, into `packed` — the one place rows change form
+/// (an engine calls it once, where a chunk comes in); any other chunk is
+/// handed back as it is.
+///
+/// # Panics
+/// Panics on a dense binary chunk that is not whole rows of `0`/`1`
+/// symbols, `d ≤ 63`.
+pub fn sweep_form<'a>(chunk: Chunk<'a>, d: u32, q: u32, packed: &'a mut Vec<u64>) -> Chunk<'a> {
+    match chunk {
+        Chunk::Dense(flat) if q == 2 => {
+            *packed = pfe_row::pack_binary_rows(flat, d);
+            Chunk::Packed(packed)
+        }
+        chunk => chunk,
+    }
+}
+
+/// The rows of a flat row-major dense chunk, `d` symbols each.
+///
+/// # Panics
+/// Panics unless `flat` is a whole number of rows.
+pub fn flat_rows(flat: &[u16], d: u32) -> Vec<&[u16]> {
+    assert!(
+        d > 0 && flat.len().is_multiple_of(d as usize),
+        "row length != d"
+    );
+    flat.chunks_exact(d as usize).collect()
 }
 
 /// The α-net summary of Algorithm 1 for the statistic `P`: one
@@ -439,10 +543,7 @@ impl<P: Statistic> AlphaNetSummary<P> {
                 query: self.net.dimension(),
             });
         }
-        match data {
-            Dataset::Binary(rows) => self.push_packed_chunk(rows.rows()),
-            Dataset::Qary(rows) => self.push_dense_chunk(rows.flat()),
-        }
+        self.push_chunk(Chunk::from(data));
         Ok(self)
     }
 
@@ -454,52 +555,32 @@ impl<P: Statistic> AlphaNetSummary<P> {
     }
 
     /// Observe one packed binary row — a one-row
-    /// [`push_packed_chunk`](Self::push_packed_chunk).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or
-    /// above `d`.
+    /// [`push_chunk`](Self::push_chunk).
     pub fn push_packed(&mut self, row: u64) {
-        self.push_packed_chunk(&[row]);
+        self.push_chunk(Chunk::Packed(&[row]));
     }
 
-    /// Observe one dense row over alphabet `Q` — a one-row
-    /// [`push_dense_chunk`](Self::push_dense_chunk).
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
+    /// Observe one dense row — a one-row [`push_chunk`](Self::push_chunk).
     pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.net.dimension() as usize, "row length != d");
-        self.push_dense_chunk(row);
+        self.push_chunk(Chunk::Dense(row));
     }
 
-    /// Observe a chunk of packed binary rows: one mask-major sweep over
-    /// every member (see the [module docs](self)). Leaves the sketch
-    /// contents a build over the same rows would, however they are cut
-    /// into chunks.
+    /// Observe a chunk: one mask-major sweep over every member (see the
+    /// [module docs](self)). A binary summary takes its rows packed (a
+    /// dense chunk is brought to [`sweep_form`] first), so both forms feed
+    /// identical keys. Leaves the sketch contents a build over the same
+    /// rows would, however they are cut into chunks.
     ///
     /// # Panics
-    /// Panics if the summary is not binary or a row has bits at or above
-    /// `d`.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.push_rows(rows);
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row): one mask-major sweep. A binary summary packs the chunk once
-    /// and takes the [`push_packed_chunk`](Self::push_packed_chunk)
-    /// sweep, so both surfaces feed identical keys.
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        let d = self.net.dimension();
-        assert!(flat.len().is_multiple_of(d as usize), "row length != d");
-        if self.q == 2 {
-            return self.push_rows(&pfe_row::pack_binary_rows(flat, d));
+    /// Panics on rows that do not fit the net: a packed row for a
+    /// non-binary summary or with bits at or above `d`, a dense chunk that
+    /// is not whole rows of in-alphabet symbols.
+    pub fn push_chunk(&mut self, chunk: Chunk<'_>) {
+        let (d, mut packed) = (self.net.dimension(), Vec::new());
+        match sweep_form(chunk, d, self.q, &mut packed) {
+            Chunk::Packed(rows) => self.push_rows(rows),
+            Chunk::Dense(flat) => self.push_rows(&flat_rows(flat, d)),
         }
-        self.push_rows(&flat.chunks_exact(d as usize).collect::<Vec<_>>());
     }
 
     /// Observe `rows` in row order: a counted net de-duplicates them, in
@@ -946,7 +1027,7 @@ mod tests {
             for len in chunk_lengths(&net, q, rows.len()) {
                 let mut chunked = empty(net, q);
                 for chunk in flat.chunks(len * d) {
-                    chunked.push_dense_chunk(chunk);
+                    chunked.push_chunk(Chunk::Dense(chunk));
                 }
                 assert_eq!(
                     bytes(&chunked),
@@ -956,7 +1037,7 @@ mod tests {
                 if let Dataset::Binary(m) = &data {
                     let mut chunked = empty(net, q);
                     for chunk in m.rows().chunks(len) {
-                        chunked.push_packed_chunk(chunk);
+                        chunked.push_chunk(Chunk::Packed(chunk));
                     }
                     assert_eq!(
                         bytes(&chunked),

@@ -33,11 +33,12 @@
 
 use pfe_hash::rng::Xoshiro256pp;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
-use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
+use pfe_row::{Chunk, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::reservoir::Reservoir;
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::bounds::{sample_epsilon, Guarantee, GuaranteeSource, DEFAULT_DELTA};
+use crate::net_sketches::{flat_rows, sweep_form, SweepRow};
 use crate::problem::{check_dims, HeavyHitter, QueryError, SampledPattern};
 
 /// Up to how many histogram slots per sampled row a read counts the
@@ -60,7 +61,7 @@ fn sampled(epsilon: f64) -> Guarantee {
 
 /// Sampled rows, stored packed for binary data and dense otherwise.
 #[derive(Debug, Clone)]
-enum RowStore {
+pub(crate) enum RowStore {
     Binary(Reservoir<u64>),
     Qary(Reservoir<Box<[u16]>>),
 }
@@ -82,7 +83,7 @@ enum RowStore {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformSampleSummary {
-    rows: RowStore,
+    pub(crate) rows: RowStore,
     d: u32,
     q: u32,
 }
@@ -106,42 +107,40 @@ impl UniformSampleSummary {
     /// Build by streaming a whole dataset through the reservoir.
     pub fn build(data: &Dataset, t: usize, seed: u64) -> Self {
         let mut s = Self::new(data.dimension(), data.alphabet(), t, seed);
-        match (data, &mut s.rows) {
-            (Dataset::Binary(m), RowStore::Binary(r)) => {
-                for &row in m.rows() {
-                    r.insert(row);
-                }
-            }
-            _ => {
-                for i in 0..data.num_rows() {
-                    s.push_dense(&data.row_dense(i));
-                }
-            }
-        }
+        s.push_chunk(Chunk::from(data));
         s
     }
 
-    /// Observe one dense row (streaming ingestion).
+    /// Observe one dense row — a one-row [`push_chunk`](Self::push_chunk).
+    pub fn push_dense(&mut self, row: &[u16]) {
+        self.push_chunk(Chunk::Dense(row));
+    }
+
+    /// Observe a chunk of rows, in order (streaming ingestion). A binary
+    /// summary keeps its rows packed, so a dense chunk is brought to
+    /// [`sweep_form`] first.
     ///
     /// # Panics
-    /// Panics if the row has the wrong length or out-of-alphabet symbols.
-    pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.d as usize, "row length != d");
-        match &mut self.rows {
-            RowStore::Binary(r) => {
-                let mut packed = 0u64;
-                for (i, &s) in row.iter().enumerate() {
-                    assert!(s < 2, "symbol {s} not binary");
-                    packed |= (s as u64) << i;
-                }
-                r.insert(packed);
-            }
-            RowStore::Qary(r) => {
-                for &s in row {
-                    assert!((s as u32) < self.q, "symbol {s} outside alphabet");
-                }
-                r.insert(row.into());
-            }
+    /// Panics on rows that do not fit the summary: a packed row for a
+    /// non-binary summary or with bits at or above `d`, a dense chunk
+    /// that is not whole rows of in-alphabet symbols.
+    pub fn push_chunk(&mut self, chunk: Chunk<'_>) {
+        let (d, q, mut packed) = (self.d, self.q, Vec::new());
+        match sweep_form(chunk, d, q, &mut packed) {
+            Chunk::Packed(rows) => self.push_rows(rows),
+            Chunk::Dense(flat) => self.push_rows(&flat_rows(flat, d)),
+        }
+    }
+
+    /// Observe `rows`, in order.
+    ///
+    /// # Panics
+    /// As [`push_chunk`](Self::push_chunk); dense rows for a binary
+    /// summary, which takes them packed.
+    pub fn push_rows<R: SweepRow>(&mut self, rows: &[R]) {
+        for &row in rows {
+            row.check(self.d, self.q);
+            row.sample_into(self);
         }
     }
 
@@ -181,21 +180,10 @@ impl UniformSampleSummary {
         self.q
     }
 
-    /// Observe one packed binary row (fast path; `Q = 2` only).
-    ///
-    /// # Panics
-    /// Panics if the summary is not binary or the row has bits at or above
-    /// `d`.
+    /// Observe one packed binary row — a one-row
+    /// [`push_chunk`](Self::push_chunk).
     pub fn push_packed(&mut self, row: u64) {
-        assert!(
-            row & !((1u64 << self.d) - 1) == 0,
-            "row has bits above d={}",
-            self.d
-        );
-        match &mut self.rows {
-            RowStore::Binary(r) => r.insert(row),
-            RowStore::Qary(_) => panic!("push_packed requires a binary summary"),
-        }
+        self.push_chunk(Chunk::Packed(&[row]));
     }
 
     /// Stream length observed so far (`n = ‖f‖_1`).

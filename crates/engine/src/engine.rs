@@ -23,9 +23,9 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use pfe_obs::Recorder;
+use pfe_obs::{Recorder, TraceHandle};
 use pfe_query::{Answer, Query};
-use pfe_row::Dataset;
+use pfe_row::{Chunk, Dataset};
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::config::EngineConfig;
@@ -113,53 +113,36 @@ impl Engine {
         }
     }
 
-    /// Route a chunk of packed binary rows (a single row is a one-row
-    /// chunk): checked as a whole, partitioned, and forwarded one
-    /// bounded-channel message per full per-shard buffer.
+    /// Route a chunk (a single row is a one-row chunk): checked as a
+    /// whole, partitioned, and forwarded one bounded-channel message per
+    /// full per-shard buffer, with the routing and every per-shard channel
+    /// hop recorded as spans on `trace` (no-ops when the handle is
+    /// disabled).
     ///
     /// # Errors
     /// `Query(BadParameter)` if any row is malformed (nothing is routed in
-    /// that case); `Closed` after [`shutdown`](Self::shutdown).
+    /// that case); `Closed` after [`shutdown`](Self::shutdown) or on
+    /// worker loss.
+    pub fn push(&self, chunk: Chunk<'_>, trace: &TraceHandle) -> Result<(), EngineError> {
+        self.with_pipeline(|p| p.push(chunk, trace))
+    }
+
+    /// Route a chunk of packed binary rows — [`push`](Self::push)
+    /// untraced.
+    ///
+    /// # Errors
+    /// As `push`.
     pub fn push_packed_batch(&self, rows: &[u64]) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_packed_batch(rows))
+        self.push(Chunk::Packed(rows), &TraceHandle::disabled())
     }
 
-    /// [`push_packed_batch`](Self::push_packed_batch) under a request
-    /// trace: records the routing sweep and every per-shard channel hop
-    /// as spans on `trace` (no-ops when the handle is disabled).
+    /// Route a flat row-major chunk of dense rows — [`push`](Self::push)
+    /// untraced.
     ///
     /// # Errors
-    /// Same as [`push_packed_batch`](Self::push_packed_batch).
-    pub fn push_packed_batch_traced(
-        &self,
-        rows: &[u64],
-        trace: &pfe_obs::TraceHandle,
-    ) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_packed_batch_traced(rows, trace))
-    }
-
-    /// Route a flat row-major chunk of dense rows (`d` symbols per row) —
-    /// the allocation-free surface for general alphabets.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations (nothing is routed);
-    /// `Closed` after [`shutdown`](Self::shutdown) or on worker loss.
+    /// As `push`.
     pub fn push_dense_batch(&self, flat: &[u16]) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_dense_batch(flat))
-    }
-
-    /// [`push_dense_batch`](Self::push_dense_batch) under a request
-    /// trace — see
-    /// [`push_packed_batch_traced`](Self::push_packed_batch_traced).
-    ///
-    /// # Errors
-    /// Same as [`push_dense_batch`](Self::push_dense_batch).
-    pub fn push_dense_batch_traced(
-        &self,
-        flat: &[u16],
-        trace: &pfe_obs::TraceHandle,
-    ) -> Result<(), EngineError> {
-        self.with_pipeline(|p| p.push_dense_batch_traced(flat, trace))
+        self.push(Chunk::Dense(flat), &TraceHandle::disabled())
     }
 
     /// Route a whole dataset.

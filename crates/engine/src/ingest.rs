@@ -1,18 +1,21 @@
 //! The one road rows take into the summaries.
 //!
 //! ```text
-//!  door                     check                route                 sweep
-//!  Engine / wire `ingest` ┐ check_packed_chunk   IngestPipeline        ShardSummary::
-//!  file `RowSink`         ├ check_dense_chunk ─▶ hash-partition by ─▶  push_packed_chunk
-//!  `Dataset`              ┘ (whole chunk, or     row content, bounded  push_dense_chunk
+//!  entry point              check                route                 sweep
+//!  Engine / wire `ingest` ┐                      IngestPipeline::push
+//!  file `RowSink`         ├ check_chunk       ─▶ hash-partition by ─▶  ShardSummary::
+//!  `Dataset`              ┘ (whole chunk, or     row content, bounded  push_run
 //!  window `BucketRing` ───▶  nothing is routed)  channel per shard     (Alg. 1 per mask)
 //! ```
 //!
-//! Every door hands over a *chunk* — a `&[u64]` of packed binary rows or a
-//! flat row-major `&[u16]` of dense rows; a single row is a one-row chunk.
-//! The chunk is shape-checked once, as a whole, by [`check_packed_chunk`] /
-//! [`check_dense_chunk`] (the pipeline and the window ring both call
-//! them), so a malformed chunk is a typed error that ingests nothing.
+//! Every entry point hands over a [`Chunk`] — a `&[u64]` of packed binary
+//! rows or a flat row-major `&[u16]` of dense rows; a single row is a
+//! one-row chunk. The chunk is shape-checked once, as a whole, by
+//! [`check_chunk`] (the pipeline and the window ring both call it), so a
+//! malformed chunk is a typed error that ingests nothing; a binary
+//! stream's dense chunk is packed there, once, so everything below sees a
+//! stream's rows in one form and routes and sweeps them alike whichever
+//! entry point they came in by.
 //! The router then hash-partitions rows by content across `N` worker
 //! shards through *bounded* channels — a slow shard exerts backpressure on
 //! the producer instead of letting the queue grow. Content partitioning
@@ -40,26 +43,54 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pfe_core::QueryError;
-use pfe_hash::hash_u64;
+use pfe_core::{sweep_form, QueryError, SweepRow};
 use pfe_obs::{Histogram, TraceHandle};
-use pfe_row::Dataset;
+use pfe_row::{Chunk, Dataset};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::shard::ShardSummary;
 use crate::snapshot::Snapshot;
 
-/// A batch of rows travelling to one shard.
+/// A batch of rows travelling to one shard, in its stream's one row form.
 #[derive(Debug, Clone)]
-pub enum RowBatch {
-    /// Packed binary rows (`q = 2` fast path).
+pub(crate) enum RowBatch {
+    /// Packed binary rows (a binary stream).
     Packed(Vec<u64>),
     /// Dense rows over a general alphabet, flattened row-major (`d`
     /// symbols per row). One allocation per channel message instead of
     /// one per row — the worker re-chunks by the dimension it already
     /// knows.
     Dense(Vec<u16>),
+}
+
+impl RowBatch {
+    /// The batch, borrowed as a chunk.
+    fn chunk(&self) -> Chunk<'_> {
+        match self {
+            Self::Packed(rows) => Chunk::Packed(rows),
+            Self::Dense(flat) => Chunk::Dense(flat),
+        }
+    }
+}
+
+impl From<Vec<u64>> for RowBatch {
+    fn from(rows: Vec<u64>) -> Self {
+        Self::Packed(rows)
+    }
+}
+
+impl From<Vec<u16>> for RowBatch {
+    fn from(flat: Vec<u16>) -> Self {
+        Self::Dense(flat)
+    }
+}
+
+/// The router's per-shard buffers: one per shard, in the stream's one row
+/// form.
+enum Buffers {
+    Packed(Vec<Vec<u64>>),
+    Dense(Vec<Vec<u16>>),
 }
 
 /// Bounded-channel depth per shard, in batches: `send` blocks when a shard
@@ -80,9 +111,7 @@ pub struct IngestPipeline {
     senders: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<ShardSummary>>,
     /// Router-side per-shard row buffers (amortize channel traffic).
-    packed_buf: Vec<Vec<u64>>,
-    /// Flattened row-major dense rows per shard (`d` symbols per row).
-    dense_buf: Vec<Vec<u16>>,
+    bufs: Buffers,
     d: u32,
     q: u32,
     batch_rows: usize,
@@ -106,34 +135,16 @@ pub struct IngestPipeline {
 /// batch. A `Collect` is answered after the run before it, so it sees
 /// exactly the rows routed before it.
 fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
+    let d = shard.sample().dimension();
     let mut sweep_rows = Arc::new(Histogram::new());
     let mut next = rx.recv().ok();
     while let Some(msg) = next.take() {
         match msg {
-            Msg::Batch(RowBatch::Packed(rows)) => {
-                let mut run = vec![rows];
-                next = take_queued(&rx, |batch| match batch {
-                    RowBatch::Packed(rows) => {
-                        run.push(rows);
-                        None
-                    }
-                    other => Some(other),
-                });
-                sweep_rows.record(run.iter().map(Vec::len).sum::<usize>() as u64);
-                shard.push_packed_run(run);
-            }
-            Msg::Batch(RowBatch::Dense(flat)) => {
-                let mut run = vec![flat];
-                next = take_queued(&rx, |batch| match batch {
-                    RowBatch::Dense(flat) => {
-                        run.push(flat);
-                        None
-                    }
-                    other => Some(other),
-                });
-                let d = shard.sample().dimension() as usize;
-                sweep_rows.record(run.iter().map(|flat| flat.len() / d).sum::<usize>() as u64);
-                shard.push_dense_run(&run.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            Msg::Batch(batch) => {
+                let mut run = vec![batch];
+                next = take_queued(&rx, &mut run);
+                sweep_rows.record(run.iter().map(|b| b.chunk().rows(d)).sum::<usize>() as u64);
+                shard.push_run(run);
             }
             Msg::Collect(reply) => {
                 // The collector may have given up (engine dropped); ignore.
@@ -148,22 +159,14 @@ fn worker(rx: Receiver<Msg>, mut shard: ShardSummary) -> ShardSummary {
     shard
 }
 
-/// Hand the batches already queued to `take` — at most
+/// Move the batches already queued onto `run` — at most
 /// [`CHANNEL_CAPACITY`], so a run is at most that many batches behind the
 /// one that woke the worker, however fast the router refills the channel
-/// — until `take` hands one back; returns the first message not taken,
-/// if any is queued.
-fn take_queued(
-    rx: &Receiver<Msg>,
-    mut take: impl FnMut(RowBatch) -> Option<RowBatch>,
-) -> Option<Msg> {
+/// — up to the first message that is not a batch, which is returned.
+fn take_queued(rx: &Receiver<Msg>, run: &mut Vec<RowBatch>) -> Option<Msg> {
     for _ in 0..CHANNEL_CAPACITY {
         match rx.try_recv() {
-            Ok(Msg::Batch(batch)) => {
-                if let Some(batch) = take(batch) {
-                    return Some(Msg::Batch(batch));
-                }
-            }
+            Ok(Msg::Batch(batch)) => run.push(batch),
             Ok(other) => return Some(other),
             Err(_) => return None,
         }
@@ -175,45 +178,42 @@ fn bad_chunk(msg: String) -> EngineError {
     EngineError::Query(QueryError::BadParameter(msg))
 }
 
-/// Shape check for a chunk of packed binary rows bound for a `d`-column
-/// stream over alphabet `q`: the stream must be binary and no row may set
-/// a bit at or above `d`. Every ingest boundary (the pipeline router, the
-/// window ring) runs this over the *whole* chunk before touching any
-/// state, so a malformed chunk ingests nothing and a bad client request
-/// is a typed error — never a panic in a summary's assert.
+/// Shape check for a chunk bound for a `d`-column stream over alphabet
+/// `q`, which hands the chunk back in the stream's one row form: packed
+/// rows must be for a binary stream and set no bit at or above `d`; dense
+/// rows must be whole rows of in-alphabet symbols, and a binary stream's
+/// are packed here, into `packed` ([`sweep_form`]). Every entry point (the
+/// pipeline router, the window ring) runs this over the *whole* chunk
+/// before touching any state, so a malformed chunk ingests nothing and a
+/// bad client request is a typed error — never a panic in a summary's
+/// assert.
 ///
 /// # Errors
-/// `Query(BadParameter)` naming the offending row.
-pub fn check_packed_chunk(d: u32, q: u32, rows: &[u64]) -> Result<(), EngineError> {
-    if q != 2 {
-        return Err(bad_chunk(format!(
+/// `Query(BadParameter)` naming the offending row, symbol or length.
+pub fn check_chunk<'a>(
+    d: u32,
+    q: u32,
+    chunk: Chunk<'a>,
+    packed: &'a mut Vec<u64>,
+) -> Result<Chunk<'a>, EngineError> {
+    match chunk {
+        Chunk::Packed(_) if q != 2 => Err(bad_chunk(format!(
             "packed rows require a binary stream, this one has Q={q}"
-        )));
-    }
-    let above_d = !((1u64 << d) - 1);
-    match rows.iter().find(|&&row| row & above_d != 0) {
-        Some(bad) => Err(bad_chunk(format!("row {bad:#x} has bits above d={d}"))),
-        None => Ok(()),
-    }
-}
-
-/// Shape check for a flat row-major chunk of dense rows (`d` symbols per
-/// row) over alphabet `q` — the dense counterpart of
-/// [`check_packed_chunk`], with the same whole-chunk-or-nothing contract.
-///
-/// # Errors
-/// `Query(BadParameter)` when the length is not a whole number of rows or
-/// a symbol is outside the alphabet.
-pub fn check_dense_chunk(d: u32, q: u32, flat: &[u16]) -> Result<(), EngineError> {
-    if d == 0 || !flat.len().is_multiple_of(d as usize) {
-        return Err(bad_chunk(format!(
-            "flat length {} is not a multiple of d = {d}",
-            flat.len()
-        )));
-    }
-    match flat.iter().find(|&&s| s as u32 >= q) {
-        Some(s) => Err(bad_chunk(format!("symbol {s} outside alphabet Q={q}"))),
-        None => Ok(()),
+        ))),
+        Chunk::Packed(rows) => {
+            let above_d = !((1u64 << d) - 1);
+            match rows.iter().find(|&&row| row & above_d != 0) {
+                Some(bad) => Err(bad_chunk(format!("row {bad:#x} has bits above d={d}"))),
+                None => Ok(chunk),
+            }
+        }
+        Chunk::Dense(flat) if d == 0 || !flat.len().is_multiple_of(d as usize) => Err(bad_chunk(
+            format!("flat length {} is not a multiple of d = {d}", flat.len()),
+        )),
+        Chunk::Dense(flat) => match flat.iter().find(|&&s| s as u32 >= q) {
+            Some(s) => Err(bad_chunk(format!("symbol {s} outside alphabet Q={q}"))),
+            None => Ok(sweep_form(chunk, d, q, packed)),
+        },
     }
 }
 
@@ -258,9 +258,13 @@ impl IngestPipeline {
             }));
             senders.push(tx);
         }
+        let bufs = if q == 2 {
+            Buffers::Packed(vec![Vec::new(); cfg.shards])
+        } else {
+            Buffers::Dense(vec![Vec::new(); cfg.shards])
+        };
         Ok(Self {
-            packed_buf: vec![Vec::new(); cfg.shards],
-            dense_buf: vec![Vec::new(); cfg.shards],
+            bufs,
             senders,
             handles,
             d,
@@ -309,18 +313,6 @@ impl IngestPipeline {
         self.rows_routed
     }
 
-    fn shard_of_packed(&self, row: u64) -> usize {
-        (hash_u64(row, self.partition_seed) % self.senders.len() as u64) as usize
-    }
-
-    fn shard_of_dense(&self, row: &[u16]) -> usize {
-        let mut h = self.partition_seed;
-        for &s in row {
-            h = hash_u64(h ^ s as u64, self.partition_seed);
-        }
-        (h % self.senders.len() as u64) as usize
-    }
-
     fn send(&self, shard: usize, batch: RowBatch) -> Result<(), EngineError> {
         // Try the non-blocking path first so a full channel is visible as
         // a backpressure event before the router parks on the blocking
@@ -337,115 +329,97 @@ impl IngestPipeline {
         }
     }
 
-    /// The one partition-and-send loop. `stage(self, i)` appends row `i`
-    /// of the caller's chunk to its shard's buffer and hands back
-    /// `(shard, batch)` when that buffer reached `batch_rows`; each such
-    /// batch crosses the shard's bounded channel here. Under an enabled
-    /// `trace` the sweep is one `ingest_route` span with a child
-    /// `shard_send` span (shard id, chunk index, rows) per channel hop.
-    fn route(
-        &mut self,
-        n_rows: usize,
-        format: &'static str,
-        trace: &TraceHandle,
-        mut stage: impl FnMut(&mut Self, usize) -> Option<(usize, RowBatch)>,
-    ) -> Result<(), EngineError> {
+    /// Route a chunk (a single row is a one-row chunk): checked as a whole
+    /// by [`check_chunk`] *before* any routing happens, then partitioned
+    /// into the per-shard buffers and forwarded one bounded-channel
+    /// message per full buffer — no per-row allocation anywhere on the
+    /// path. Under an enabled `trace` the routing is one `ingest_route`
+    /// span with a child `shard_send` span (shard id, chunk index, rows)
+    /// per channel hop; with a disabled handle nothing is recorded or
+    /// allocated.
+    ///
+    /// # Errors
+    /// `Query(BadParameter)` on shape violations (nothing is routed);
+    /// `Closed` if a worker has gone away.
+    pub fn push(&mut self, chunk: Chunk<'_>, trace: &TraceHandle) -> Result<(), EngineError> {
+        let (mut packed, format) = (Vec::new(), chunk.form());
+        let chunk = check_chunk(self.d, self.q, chunk, &mut packed)?;
         let mut route_span = trace.span("ingest_route");
         if route_span.is_enabled() {
-            route_span.attr("rows", n_rows);
+            route_span.attr("rows", chunk.rows(self.d));
+            // The form the chunk came in, whatever form it is routed in.
             route_span.attr("format", format);
         }
         let hop = route_span.handle();
+        let d = self.d as usize;
+        let mut bufs = std::mem::replace(&mut self.bufs, Buffers::Packed(Vec::new()));
+        let routed = match (chunk, &mut bufs) {
+            (Chunk::Packed(rows), Buffers::Packed(bufs)) => {
+                self.route(rows.iter().copied(), bufs, 1, &hop)
+            }
+            (Chunk::Dense(flat), Buffers::Dense(bufs)) => {
+                self.route(flat.chunks_exact(d), bufs, d, &hop)
+            }
+            _ => unreachable!("check_chunk hands over the stream's one row form"),
+        };
+        self.bufs = bufs;
+        routed
+    }
+
+    /// Route a chunk of packed binary rows — [`push`](Self::push) untraced.
+    ///
+    /// # Errors
+    /// As `push`.
+    pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
+        self.push(Chunk::Packed(rows), &TraceHandle::disabled())
+    }
+
+    /// Route a flat row-major chunk of dense rows — [`push`](Self::push)
+    /// untraced.
+    ///
+    /// # Errors
+    /// As `push`.
+    pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
+        self.push(Chunk::Dense(flat), &TraceHandle::disabled())
+    }
+
+    /// The one partition-and-send loop, monomorphized per row form: each
+    /// row goes to the buffer of the shard its content hashes to, and a
+    /// buffer that reached `batch_rows` rows (`width` cells each) crosses
+    /// its shard's bounded channel, under a `shard_send` span on `hop`.
+    fn route<R: SweepRow>(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = R>,
+        bufs: &mut [Vec<R::Cell>],
+        width: usize,
+        hop: &TraceHandle,
+    ) -> Result<(), EngineError>
+    where
+        Vec<R::Cell>: Into<RowBatch>,
+    {
+        let n_rows = rows.len();
+        let (shards, full) = (bufs.len() as u64, self.batch_rows * width);
         let mut chunk = 0usize;
-        for i in 0..n_rows {
-            let Some((shard, batch)) = stage(self, i) else {
+        for row in rows {
+            let shard = (row.shard_hash(self.partition_seed) % shards) as usize;
+            let buf = &mut bufs[shard];
+            row.append_to(buf);
+            if buf.len() < full {
                 continue;
-            };
+            }
             let mut send_span = hop.span("shard_send");
             if send_span.is_enabled() {
                 send_span.attr("shard", shard);
                 send_span.attr("chunk", chunk);
-                // `stage` hands a buffer over the moment it fills.
+                // A buffer is handed over the moment it fills.
                 send_span.attr("rows", self.batch_rows);
             }
-            self.send(shard, batch)?;
+            self.send(shard, std::mem::take(buf).into())?;
             drop(send_span);
             chunk += 1;
         }
         self.rows_routed += n_rows as u64;
         Ok(())
-    }
-
-    /// Route a chunk of packed binary rows (a single row is a one-row
-    /// chunk): checked as a whole by [`check_packed_chunk`] *before* any
-    /// routing happens, then partitioned into the per-shard buffers and
-    /// forwarded one bounded-channel message per full buffer.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations (nothing is routed);
-    /// `Closed` if a worker has gone away.
-    pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
-        self.push_packed_batch_traced(rows, &TraceHandle::disabled())
-    }
-
-    /// [`push_packed_batch`](Self::push_packed_batch) under a request
-    /// trace: the routing sweep is recorded as one `ingest_route` span
-    /// and every bounded-channel hop to a worker as a child `shard_send`
-    /// span. With a disabled handle this is exactly the untraced path —
-    /// same delivery order, no allocation.
-    ///
-    /// # Errors
-    /// Same as [`push_packed_batch`](Self::push_packed_batch).
-    pub fn push_packed_batch_traced(
-        &mut self,
-        rows: &[u64],
-        trace: &TraceHandle,
-    ) -> Result<(), EngineError> {
-        check_packed_chunk(self.d, self.q, rows)?;
-        self.route(rows.len(), "packed", trace, |p, i| {
-            let row = rows[i];
-            let shard = p.shard_of_packed(row);
-            let buf = &mut p.packed_buf[shard];
-            buf.push(row);
-            (buf.len() >= p.batch_rows).then(|| (shard, RowBatch::Packed(std::mem::take(buf))))
-        })
-    }
-
-    /// Route a flat row-major chunk of dense rows (`d` symbols per row,
-    /// `flat.len() / d` rows): checked as a whole by
-    /// [`check_dense_chunk`] *before* any routing happens, then appended
-    /// to the per-shard flat buffers — no per-row allocation anywhere on
-    /// the path, which is what lets the columnar file ingester feed
-    /// general alphabets at the same channel cost as the packed path.
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations (nothing is routed);
-    /// `Closed` if a worker has gone away.
-    pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
-        self.push_dense_batch_traced(flat, &TraceHandle::disabled())
-    }
-
-    /// [`push_dense_batch`](Self::push_dense_batch) under a request
-    /// trace — see
-    /// [`push_packed_batch_traced`](Self::push_packed_batch_traced) for
-    /// the span shape.
-    ///
-    /// # Errors
-    /// Same as [`push_dense_batch`](Self::push_dense_batch).
-    pub fn push_dense_batch_traced(
-        &mut self,
-        flat: &[u16],
-        trace: &TraceHandle,
-    ) -> Result<(), EngineError> {
-        check_dense_chunk(self.d, self.q, flat)?;
-        let d = self.d as usize;
-        self.route(flat.len() / d, "dense", trace, |p, i| {
-            let row = &flat[i * d..(i + 1) * d];
-            let shard = p.shard_of_dense(row);
-            let buf = &mut p.dense_buf[shard];
-            buf.extend_from_slice(row);
-            (buf.len() >= p.batch_rows * d).then(|| (shard, RowBatch::Dense(std::mem::take(buf))))
-        })
     }
 
     /// Route a whole dataset (batch ingest).
@@ -462,12 +436,7 @@ impl IngestPipeline {
                 self.q
             )));
         }
-        match data {
-            // Both matrices are already chunks: packed rows, or flat
-            // row-major symbols.
-            Dataset::Binary(m) => self.push_packed_batch(m.rows()),
-            Dataset::Qary(m) => self.push_dense_batch(m.flat()),
-        }
+        self.push(Chunk::from(data), &TraceHandle::disabled())
     }
 
     /// Flush router-side buffers to the workers.
@@ -476,13 +445,12 @@ impl IngestPipeline {
     /// `Closed` if a worker has gone away.
     fn flush(&mut self) -> Result<(), EngineError> {
         for shard in 0..self.senders.len() {
-            if !self.packed_buf[shard].is_empty() {
-                let batch = std::mem::take(&mut self.packed_buf[shard]);
-                self.send(shard, RowBatch::Packed(batch))?;
-            }
-            if !self.dense_buf[shard].is_empty() {
-                let batch = std::mem::take(&mut self.dense_buf[shard]);
-                self.send(shard, RowBatch::Dense(batch))?;
+            let batch: RowBatch = match &mut self.bufs {
+                Buffers::Packed(bufs) => std::mem::take(&mut bufs[shard]).into(),
+                Buffers::Dense(bufs) => std::mem::take(&mut bufs[shard]).into(),
+            };
+            if batch.chunk().rows(self.d) > 0 {
+                self.send(shard, batch)?;
             }
         }
         Ok(())
@@ -712,10 +680,7 @@ mod tests {
         let one_at_a_time = |d, q, cfg: &EngineConfig, batches: &[RowBatch]| {
             let mut shard = ShardSummary::new(d, q, 0, cfg).expect("new");
             for batch in batches {
-                match batch {
-                    RowBatch::Packed(rows) => shard.push_packed_chunk(rows),
-                    RowBatch::Dense(flat) => shard.push_dense_chunk(flat),
-                }
+                shard.push_chunk(batch.chunk(), None);
             }
             shard
         };
@@ -724,16 +689,14 @@ mod tests {
         let (zipf, mut rng) = (ZipfTable::new(300, 1.2), Xoshiro256pp::seed_from_u64(17));
         let index: Vec<u64> = (0..3000).map(|_| zipf.sample(&mut rng) as u64).collect();
         let lengths = [40, 700, 1, 333, 512, 90, 64, 260, 1000];
-        let cut = |data: &Dataset, dense_at: Option<usize>| {
+        let cut = |data: &Dataset| {
             let mut at = 0;
             let mut batches = Vec::new();
-            for (i, &len) in lengths.iter().enumerate() {
+            for &len in &lengths {
                 let rows = at..at + len;
                 at += len;
                 batches.push(match data {
-                    Dataset::Binary(m) if dense_at != Some(i) => {
-                        RowBatch::Packed(m.rows()[rows].to_vec())
-                    }
+                    Dataset::Binary(m) => RowBatch::Packed(m.rows()[rows].to_vec()),
                     _ => RowBatch::Dense(rows.flat_map(|r| data.row_dense(r)).collect()),
                 });
             }
@@ -746,14 +709,14 @@ mod tests {
             ams_per_group: 4,
         };
         let cases = [
-            // Binary, with one dense batch amid the packed ones (a binary
-            // pipeline fed through both doors).
+            // Binary: packed batches (`check_chunk` packs a binary
+            // stream's dense rows before they are routed).
             (
                 EngineConfig {
                     sample_t: 200,
                     ..cfg(1)
                 },
-                cut(&indexed_rows(2, 10, 3000, |i| index[i]), Some(5)),
+                cut(&indexed_rows(2, 10, 3000, |i| index[i])),
                 (10, 2),
             ),
             // Q = 4 with a CountMin net, an AMS (p = 2) and a stable
@@ -768,7 +731,7 @@ mod tests {
                     fp: Some(fp),
                     ..cfg(1)
                 },
-                cut(&indexed_rows(4, 6, 3000, |i| index[i]), None),
+                cut(&indexed_rows(4, 6, 3000, |i| index[i])),
                 (6, 4),
             ),
         ];
@@ -838,13 +801,14 @@ mod tests {
     #[test]
     fn partitioning_is_content_stable() {
         let p = IngestPipeline::new(8, 2, &cfg(4)).expect("spawn");
+        let shard_of = |row: u64| (row.shard_hash(p.partition_seed) % 4) as usize;
         for row in 0..200u64 {
-            assert_eq!(p.shard_of_packed(row), p.shard_of_packed(row));
+            assert_eq!(shard_of(row), shard_of(row));
         }
         // All shards get traffic.
         let mut seen = [false; 4];
         for row in 0..200u64 {
-            seen[p.shard_of_packed(row)] = true;
+            seen[shard_of(row)] = true;
         }
         assert!(seen.iter().all(|&s| s), "unused shard under hash partition");
     }

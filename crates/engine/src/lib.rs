@@ -11,11 +11,11 @@
 //!    [`UniformSampleSummary`](pfe_core::UniformSampleSummary) +
 //!    [`AlphaNetF0`](pfe_core::alpha_net::AlphaNetF0)`<Kmv>` (plus an
 //!    optional CountMin frequency net), fed through *bounded* channels so
-//!    slow shards apply backpressure. Every door — a
+//!    slow shards apply backpressure. Every entry point — a
 //!    [`Dataset`](pfe_row::Dataset), the wire, a file, the window ring —
-//!    hands over a shape-checked *chunk* ([`check_packed_chunk`] /
-//!    [`check_dense_chunk`]), and [`ShardSummary`]'s chunk methods are the
-//!    one per-row loop.
+//!    hands over a [`Chunk`], shape-checked once by [`check_chunk`]
+//!    (which packs a binary stream's dense rows), and [`ShardSummary`]'s
+//!    chunk methods are the one per-row loop.
 //! 2. **Merge / compaction** ([`Snapshot`]): shard summaries fold into an
 //!    immutable snapshot via the net's own `check_mergeable` / `merge`
 //!    ([`AlphaNetSummary`](pfe_core::AlphaNetSummary)) and the
@@ -89,10 +89,13 @@ pub use config::{EngineConfig, FreqNetConfig};
 pub use engine::Engine;
 pub use error::EngineError;
 pub use exec::QueryExecutor;
-pub use ingest::{check_dense_chunk, check_packed_chunk, IngestPipeline, RowBatch};
+pub use ingest::{check_chunk, IngestPipeline};
 pub use json::Json;
 pub use persist::merge_snapshot_files;
 pub use pfe_core::FpConfig;
+// The unit every ingest entry point takes — re-exported so callers need
+// only one import path.
+pub use pfe_row::Chunk;
 pub use shard::ShardSummary;
 pub use snapshot::{FrequencyAnswer, Snapshot};
 // The shared observability registry — re-exported so frontends threading

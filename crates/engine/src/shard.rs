@@ -14,12 +14,14 @@
 //! shard → merge → snapshot pipeline equivalent to a single-threaded
 //! build.
 //!
-//! Rows reach a shard only as chunks — or, from a pipeline worker, as a
-//! run of the batches queued when it woke, which the shard takes as one
-//! chunk without copying it. A chunk is consumed in two steps: the
-//! reservoir samples its rows — every one, in order (the one
-//! order-sensitive summary) — and the float-sum `StableFp` nets are fed
-//! them row by row in row order; then the chunk is de-duplicated, once,
+//! Rows reach a shard only as chunks, in the form
+//! [`check_chunk`](crate::check_chunk) hands them over (a binary stream's
+//! packed) — or, from a pipeline worker, as a run of the batches queued
+//! when it woke, which the shard takes as one chunk without copying it.
+//! A chunk is consumed in two steps: the reservoir samples its rows —
+//! every one, in order (the one order-sensitive summary) — and the
+//! float-sum `StableFp` nets are fed them row by row in row order; then
+//! the chunk is de-duplicated, once,
 //! into distinct rows and weights ([`DistinctRows`]) and every other net
 //! sweeps those mask-major — per net member: compiled projection →
 //! histogram of the weights when the member's domain `Q^w` is no larger
@@ -29,7 +31,7 @@
 //! depend on how its rows were cut into chunks or on how much they
 //! repeat. Nor on whether the `F_0`
 //! net was narrowed to the rows a [`FedRows`] record has no note of
-//! ([`push_packed_chunk_once`](ShardSummary::push_packed_chunk_once), the
+//! ([`push_chunk`](ShardSummary::push_chunk) with a record, the
 //! window ring's write path, which records a bucket's rows as its net is
 //! fed): KMV is a set, and a row it holds changes nothing. The sweep
 //! itself lives in `pfe-core` (`net_sketches.rs`), once for every net —
@@ -39,15 +41,18 @@
 use pfe_core::alpha_net::{AlphaNet, AlphaNetF0, FedRows, NetMode};
 use pfe_core::net_sketches::same;
 use pfe_core::{
-    fp_seed, AlphaNetFrequency, DistinctRows, FpNet, SweepRow, UniformSampleSummary, MAX_RUN_ROWS,
+    flat_rows, fp_seed, AlphaNetFrequency, DistinctRows, FpNet, SweepRow, UniformSampleSummary,
+    MAX_RUN_ROWS,
 };
 use pfe_hash::rng::SplitMix64;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
+use pfe_row::Chunk;
 use pfe_sketch::kmv::Kmv;
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
+use crate::ingest::RowBatch;
 
 /// Summaries owned by one ingest shard.
 #[derive(Clone)]
@@ -138,118 +143,63 @@ impl ShardSummary {
     }
 
     /// Observe one packed binary row — a one-row
-    /// [`push_packed_chunk`](Self::push_packed_chunk).
-    ///
-    /// # Panics
-    /// Panics if the shard is not binary or the row has bits at or above
-    /// `d`.
+    /// [`push_chunk`](Self::push_chunk).
     pub fn push_packed(&mut self, row: u64) {
-        self.push_packed_chunk(&[row]);
+        self.push_chunk(Chunk::Packed(&[row]), None);
     }
 
-    /// Observe one dense row (any alphabet) — a one-row
-    /// [`push_dense_chunk`](Self::push_dense_chunk).
-    ///
-    /// # Panics
-    /// Panics on wrong row length or out-of-alphabet symbols.
+    /// Observe one dense row — a one-row [`push_chunk`](Self::push_chunk).
     pub fn push_dense(&mut self, row: &[u16]) {
-        assert_eq!(
-            row.len(),
-            self.sample.dimension() as usize,
-            "row length != d"
-        );
-        self.push_dense_chunk(row);
+        self.push_chunk(Chunk::Dense(row), None);
     }
 
-    /// Observe a chunk of packed binary rows: the reservoir samples them
-    /// in order, then each net makes its one mask-major sweep over the
-    /// chunk's distinct rows (see the [module docs](self)). The window
-    /// ring ends in [`push_packed_chunk_once`](Self::push_packed_chunk_once).
+    /// Observe a chunk: the reservoir samples its rows in order, then
+    /// each net makes its one mask-major sweep over the chunk's distinct
+    /// rows (see the [module docs](self)). With `fed`, the `F_0` net alone
+    /// is narrowed to the rows `fed` has no record of
+    /// ([`AlphaNetF0::push_distinct_once`]) — the window ring's write
+    /// path; the reservoir and every other net still see every row, and
+    /// the bytes are those of the full push. `fed` must describe this
+    /// summary's `F_0` net. Returns the distinct rows the `F_0` net swept.
     ///
     /// # Panics
-    /// Panics if the shard is not binary or a row has bits at or above
-    /// `d`; callers run [`check_packed_chunk`](crate::check_packed_chunk)
-    /// first.
-    pub fn push_packed_chunk(&mut self, rows: &[u64]) {
-        self.push_packed_run(vec![rows.to_vec()]);
+    /// Panics on rows that do not fit the shard: a binary shard takes its
+    /// rows packed. Callers run [`check_chunk`](crate::check_chunk)
+    /// first, which hands a binary stream's rows over packed.
+    pub fn push_chunk(&mut self, chunk: Chunk<'_>, fed: Option<&mut FedRows>) -> usize {
+        match chunk {
+            Chunk::Packed(rows) => self.observe(vec![rows.to_vec()], fed),
+            Chunk::Dense(flat) => {
+                let d = self.sample.dimension();
+                self.observe(vec![flat_rows(flat, d)], fed)
+            }
+        }
     }
 
-    /// [`push_packed_chunk`](Self::push_packed_chunk) over a run of
-    /// batches the caller hands over, in order, as one chunk: each batch
-    /// is sorted where it lies, none is copied. Pipeline workers end here.
+    /// [`push_chunk`](Self::push_chunk) over a run of batches the caller
+    /// hands over, in order, as one chunk: each packed batch is sorted
+    /// where it lies, none is copied. Pipeline workers end here.
     ///
     /// # Panics
-    /// As `push_packed_chunk`.
-    pub(crate) fn push_packed_run(&mut self, batches: Vec<Vec<u64>>) {
-        self.observe(batches, None, UniformSampleSummary::push_packed);
-    }
-
-    /// [`push_packed_chunk`](Self::push_packed_chunk) with the `F_0` net
-    /// alone narrowed to the rows `fed` has no record of
-    /// ([`AlphaNetF0::push_distinct_once`]); the reservoir and every
-    /// other net still see every row. `fed` must describe this summary's
-    /// `F_0` net. Same bytes as the full push. Returns the distinct rows
-    /// the `F_0` net swept.
-    ///
-    /// # Panics
-    /// As `push_packed_chunk`.
-    pub fn push_packed_chunk_once(&mut self, rows: &[u64], fed: &mut FedRows) -> usize {
-        self.observe(
-            vec![rows.to_vec()],
-            Some(fed),
-            UniformSampleSummary::push_packed,
-        )
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per
-    /// row). A binary shard packs the chunk once and takes the
-    /// [`push_packed_chunk`](Self::push_packed_chunk) road — the same
-    /// keys, the same reservoir contents.
-    ///
-    /// # Panics
-    /// Panics unless `flat` is a whole number of rows of in-alphabet
-    /// symbols; callers run
-    /// [`check_dense_chunk`](crate::check_dense_chunk) first.
-    pub fn push_dense_chunk(&mut self, flat: &[u16]) {
-        self.observe_dense(&[flat], None);
-    }
-
-    /// [`push_dense_chunk`](Self::push_dense_chunk) over a run of flat
-    /// batches, in order, as one chunk. Pipeline workers end here.
-    ///
-    /// # Panics
-    /// As `push_dense_chunk`, for each batch.
-    pub(crate) fn push_dense_run(&mut self, batches: &[&[u16]]) {
-        self.observe_dense(batches, None);
-    }
-
-    /// The dense counterpart of
-    /// [`push_packed_chunk_once`](Self::push_packed_chunk_once).
-    ///
-    /// # Panics
-    /// As [`push_dense_chunk`](Self::push_dense_chunk).
-    pub fn push_dense_chunk_once(&mut self, flat: &[u16], fed: &mut FedRows) -> usize {
-        self.observe_dense(&[flat], Some(fed))
-    }
-
-    /// A binary shard packs each batch; any other sorts one index of the
-    /// run's row slices.
-    fn observe_dense(&mut self, batches: &[&[u16]], fed: Option<&mut FedRows>) -> usize {
+    /// As `push_chunk`, for each batch.
+    pub(crate) fn push_run(&mut self, run: Vec<RowBatch>) {
+        let mut packed = Vec::with_capacity(run.len());
+        let mut flats = Vec::new();
+        for batch in run {
+            match batch {
+                RowBatch::Packed(rows) => packed.push(rows),
+                RowBatch::Dense(flat) => flats.push(flat),
+            }
+        }
+        if flats.is_empty() {
+            self.observe(packed, None);
+            return;
+        }
+        // A stream's batches all take its one row form.
+        debug_assert!(packed.is_empty(), "a run mixes row forms");
         let d = self.sample.dimension();
-        if self.sample.alphabet() == 2 {
-            let packed = batches
-                .iter()
-                .map(|flat| pfe_row::pack_binary_rows(flat, d))
-                .collect();
-            return self.observe(packed, fed, UniformSampleSummary::push_packed);
-        }
-        for flat in batches {
-            assert!(flat.len().is_multiple_of(d as usize), "row length != d");
-        }
-        let rows = batches
-            .iter()
-            .flat_map(|flat| flat.chunks_exact(d as usize));
-        self.observe(vec![rows.collect()], fed, UniformSampleSummary::push_dense)
+        let rows = flats.iter().flat_map(|flat| flat.chunks_exact(d as usize));
+        self.observe(vec![rows.collect()], None);
     }
 
     /// The one way rows enter the shard, a run of `batches` in order: the
@@ -263,7 +213,6 @@ impl ShardSummary {
         &mut self,
         batches: Vec<Vec<R>>,
         mut fed: Option<&mut FedRows>,
-        sample: impl Fn(&mut UniformSampleSummary, R) + Copy,
     ) -> usize {
         let rows: usize = batches.iter().map(Vec::len).sum();
         if rows > MAX_RUN_ROWS {
@@ -271,11 +220,11 @@ impl ShardSummary {
             // leaves the same bytes.
             let parts = batches.iter().flat_map(|batch| batch.chunks(MAX_RUN_ROWS));
             return parts
-                .map(|part| self.observe(vec![part.to_vec()], fed.as_deref_mut(), sample))
+                .map(|part| self.observe(vec![part.to_vec()], fed.as_deref_mut()))
                 .sum();
         }
-        for &row in batches.iter().flatten() {
-            sample(&mut self.sample, row);
+        for batch in &batches {
+            self.sample.push_rows(batch);
         }
         for net in self.fp.iter_mut().filter(|net| !net.counted()) {
             batches.iter().for_each(|batch| net.push_rows(batch));
@@ -449,6 +398,15 @@ mod tests {
     use pfe_row::ColumnSet;
     use pfe_stream::gen::{indexed_rows, uniform_binary, uniform_qary};
 
+    /// Push a dense chunk the way an entry point does: through
+    /// `check_chunk`, which packs a binary stream's rows.
+    fn push_checked(shard: &mut ShardSummary, flat: &[u16]) {
+        let (d, q) = (shard.sample().dimension(), shard.sample().alphabet());
+        let mut packed = Vec::new();
+        let chunk = crate::check_chunk(d, q, Chunk::Dense(flat), &mut packed).expect("in shape");
+        shard.push_chunk(chunk, None);
+    }
+
     fn cfg() -> EngineConfig {
         EngineConfig {
             shards: 2,
@@ -545,12 +503,12 @@ mod tests {
             let mut per_row = ShardSummary::new(d, q, 0, &cfg).expect("new");
             dense
                 .chunks(d as usize)
-                .for_each(|row| per_row.push_dense(row));
+                .for_each(|row| push_checked(&mut per_row, row));
             for len in [1, 7, 256, n] {
                 let mut chunked = ShardSummary::new(d, q, 0, &cfg).expect("new");
                 dense
                     .chunks(len * d as usize)
-                    .for_each(|chunk| chunked.push_dense_chunk(chunk));
+                    .for_each(|chunk| push_checked(&mut chunked, chunk));
                 assert_eq!(
                     bytes(&chunked),
                     bytes(&per_row),
@@ -560,9 +518,9 @@ mod tests {
                     continue;
                 };
                 let mut packed = ShardSummary::new(d, q, 0, &cfg).expect("new");
-                m.rows()
-                    .chunks(len)
-                    .for_each(|chunk| packed.push_packed_chunk(chunk));
+                m.rows().chunks(len).for_each(|chunk| {
+                    packed.push_chunk(Chunk::Packed(chunk), None);
+                });
                 assert_eq!(bytes(&packed), bytes(&per_row), "packed chunks of {len}");
             }
         }

@@ -396,7 +396,7 @@ mod tests {
         // The format relation `Persist for Snapshot` relies on: a snapshot
         // file is its summary's bytes behind 8 bytes of epoch.
         let mut shard = ShardSummary::new(8, 2, 0, &EngineConfig::default()).expect("new");
-        shard.push_packed_chunk(&[0b1011, 0b0110, 0b1011]);
+        shard.push_chunk(pfe_row::Chunk::Packed(&[0b1011, 0b0110, 0b1011]), None);
         let mut summary = Encoder::new();
         shard.encode(&mut summary);
         let epoch = 0x0102_0304_0506_0708u64;

@@ -8,8 +8,7 @@
 //! parsed byte-level with **no per-row allocation** (packed schemas
 //! bit-pack straight into a `Vec<u64>`, general alphabets append into
 //! one flat `Vec<u16>`), and handed to the engine in `chunk_rows`-sized
-//! batches over the allocation-free `push_packed_batch` /
-//! `push_dense_batch` surfaces.
+//! chunks ([`pfe_engine::Chunk`]) over its one allocation-free `push`.
 //!
 //! Everything that can be wrong with a file is a typed [`IngestError`]
 //! naming the 1-based line and field — ragged rows, bad digits,

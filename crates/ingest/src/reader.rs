@@ -7,7 +7,7 @@
 //!        split at the last '\n' (partial line carries over)
 //!        ──lines──▶ RowParser (byte-level, no per-row alloc)
 //!        ──append──▶ chunk buffer  (Vec<u64> packed / flat Vec<u16> dense)
-//!        every `chunk_rows` rows ──▶ RowSink::push_*_rows (one call per chunk)
+//!        every `chunk_rows` rows ──▶ RowSink::push_rows (one call per chunk)
 //! ```
 //!
 //! Schema discovery happens on the first line (header, explicit
@@ -26,6 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pfe_engine::Chunk;
 use pfe_obs::{Counter, Histogram, Recorder, Span};
 
 use crate::error::IngestError;
@@ -355,24 +356,23 @@ where
             return Ok(());
         };
         let d = schema.dimension();
-        if !self.packed.is_empty() {
-            let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            sink.push_packed_rows(&self.packed)?;
-            drop(span);
-            self.ins.rows.add(self.packed.len() as u64);
-            self.packed.clear();
-            self.chunks += 1;
-            self.ins.chunks.inc();
+        let chunk = if schema.packed() {
+            Chunk::Packed(&self.packed)
+        } else {
+            Chunk::Dense(&self.dense)
+        };
+        let rows = chunk.rows(d);
+        if rows == 0 {
+            return Ok(());
         }
-        if !self.dense.is_empty() {
-            let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            sink.push_dense_rows(d, &self.dense)?;
-            drop(span);
-            self.ins.rows.add(self.dense.len() as u64 / d.max(1) as u64);
-            self.dense.clear();
-            self.chunks += 1;
-            self.ins.chunks.inc();
-        }
+        let span = Span::on(Arc::clone(&self.ins.chunk_latency));
+        sink.push_rows(chunk)?;
+        drop(span);
+        self.ins.rows.add(rows as u64);
+        self.packed.clear();
+        self.dense.clear();
+        self.chunks += 1;
+        self.ins.chunks.inc();
         Ok(())
     }
 }

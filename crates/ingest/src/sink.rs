@@ -1,17 +1,16 @@
 //! Where parsed chunks go: the [`RowSink`] trait and its engine impls —
-//! the file door onto the one ingest road (door → check → route →
-//! `ShardSummary` loop; see `pfe_engine::ingest`).
+//! the file entry point onto the one ingest road (entry point → check →
+//! route → `ShardSummary` loop; see `pfe_engine::ingest`).
 //!
-//! The ingester hands over *chunks*, never rows — a packed chunk is a
-//! `&[u64]`, a dense chunk is a flat row-major `&[u16]` — which is the
-//! only unit the engines accept: both impls below are one-line delegates
-//! to `push_packed_batch` / `push_dense_batch`, where the chunk is
-//! shape-checked as a whole (a rejected chunk ingests nothing and
-//! surfaces as [`IngestError::Sink`]) and then routed. A bare [`Engine`]
-//! is a sink for library callers; the CLI ingests into a [`Backend`],
-//! whichever engine it holds.
+//! The ingester hands over *chunks*, never rows — a [`Chunk`] of packed
+//! `u64` rows or of flat row-major `u16` symbols — which is the only unit
+//! the engines accept: both impls below are one-line delegates to the
+//! engine's one `push`, where the chunk is shape-checked as a whole (a
+//! rejected chunk ingests nothing and surfaces as [`IngestError::Sink`])
+//! and then routed. A bare [`Engine`] is a sink for library callers; the
+//! CLI ingests into a [`Backend`], whichever engine it holds.
 
-use pfe_engine::Engine;
+use pfe_engine::{Chunk, Engine};
 use pfe_obs::TraceHandle;
 use pfe_window::Backend;
 
@@ -19,18 +18,12 @@ use crate::error::IngestError;
 
 /// A destination for parsed row chunks.
 pub trait RowSink {
-    /// Accept a chunk of packed binary rows (`Q = 2`, `d ≤ 64`).
+    /// Accept a chunk: packed binary rows (`Q = 2`, `d ≤ 64`) or dense
+    /// rows flattened row-major (`d` symbols per row).
     ///
     /// # Errors
     /// [`IngestError::Sink`] when the destination rejects the chunk.
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError>;
-
-    /// Accept a chunk of dense rows, flattened row-major (`d` symbols
-    /// per row).
-    ///
-    /// # Errors
-    /// [`IngestError::Sink`] when the destination rejects the chunk.
-    fn push_dense_rows(&mut self, d: u32, flat: &[u16]) -> Result<(), IngestError>;
+    fn push_rows(&mut self, chunk: Chunk<'_>) -> Result<(), IngestError>;
 }
 
 fn sink_err(e: impl std::fmt::Display) -> IngestError {
@@ -38,24 +31,14 @@ fn sink_err(e: impl std::fmt::Display) -> IngestError {
 }
 
 impl RowSink for Engine {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        self.push_packed_batch(rows).map_err(sink_err)
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        self.push_dense_batch(flat).map_err(sink_err)
+    fn push_rows(&mut self, chunk: Chunk<'_>) -> Result<(), IngestError> {
+        self.push(chunk, &TraceHandle::disabled()).map_err(sink_err)
     }
 }
 
 impl RowSink for Backend {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        self.push_packed_batch(rows, &TraceHandle::disabled())
-            .map_err(sink_err)
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        self.push_dense_batch(flat, &TraceHandle::disabled())
-            .map_err(sink_err)
+    fn push_rows(&mut self, chunk: Chunk<'_>) -> Result<(), IngestError> {
+        self.push(chunk, &TraceHandle::disabled()).map_err(sink_err)
     }
 }
 
@@ -70,13 +53,11 @@ pub struct VecSink {
 }
 
 impl RowSink for VecSink {
-    fn push_packed_rows(&mut self, rows: &[u64]) -> Result<(), IngestError> {
-        self.packed.extend_from_slice(rows);
-        Ok(())
-    }
-
-    fn push_dense_rows(&mut self, _d: u32, flat: &[u16]) -> Result<(), IngestError> {
-        self.dense.extend_from_slice(flat);
+    fn push_rows(&mut self, chunk: Chunk<'_>) -> Result<(), IngestError> {
+        match chunk {
+            Chunk::Packed(rows) => self.packed.extend_from_slice(rows),
+            Chunk::Dense(flat) => self.dense.extend_from_slice(flat),
+        }
         Ok(())
     }
 }

@@ -108,6 +108,65 @@ impl pfe_persist::Persist for Dataset {
     }
 }
 
+/// A borrowed run of rows in one of the two forms rows travel in: what
+/// every ingest entry point takes. A single row is a one-row chunk, a
+/// whole [`Dataset`] is one chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chunk<'a> {
+    /// Packed binary rows, one `u64` per row (column `i` is bit `i`).
+    Packed(&'a [u64]),
+    /// Dense rows over any alphabet, flattened row-major: `d` symbols per
+    /// row.
+    Dense(&'a [u16]),
+}
+
+impl<'a> Chunk<'a> {
+    /// Rows in the chunk, at `d` symbols per dense row.
+    pub fn rows(self, d: u32) -> usize {
+        match self {
+            Self::Packed(rows) => rows.len(),
+            Self::Dense(flat) => flat.len() / d.max(1) as usize,
+        }
+    }
+
+    /// The chunk's first `n` rows and the rest, at `d` symbols per dense
+    /// row.
+    ///
+    /// # Panics
+    /// Panics if the chunk holds fewer than `n` rows.
+    pub fn split_at(self, n: usize, d: u32) -> (Self, Self) {
+        match self {
+            Self::Packed(rows) => {
+                let (head, tail) = rows.split_at(n);
+                (Self::Packed(head), Self::Packed(tail))
+            }
+            Self::Dense(flat) => {
+                let (head, tail) = flat.split_at(n * d as usize);
+                (Self::Dense(head), Self::Dense(tail))
+            }
+        }
+    }
+
+    /// `"packed"` or `"dense"`: the form's name in traces.
+    pub fn form(self) -> &'static str {
+        match self {
+            Self::Packed(_) => "packed",
+            Self::Dense(_) => "dense",
+        }
+    }
+}
+
+impl<'a> From<&'a Dataset> for Chunk<'a> {
+    /// Both matrices are already chunks: packed rows, or flat row-major
+    /// symbols.
+    fn from(data: &'a Dataset) -> Self {
+        match data {
+            Dataset::Binary(m) => Self::Packed(m.rows()),
+            Dataset::Qary(m) => Self::Dense(m.flat()),
+        }
+    }
+}
+
 impl From<BinaryMatrix> for Dataset {
     fn from(m: BinaryMatrix) -> Self {
         Self::Binary(m)
@@ -179,6 +238,18 @@ mod tests {
         let ds = Dataset::Qary(m);
         let cols = ColumnSet::full(63).expect("valid");
         assert!(ds.codec_for(&cols).is_err());
+    }
+
+    #[test]
+    fn chunk_counts_and_splits_rows_in_either_form() {
+        let (bin, qar) = (binary_fixture(), qary_fixture());
+        let (packed, dense) = (Chunk::from(&bin), Chunk::from(&qar));
+        assert_eq!((packed.rows(4), dense.rows(4)), (3, 3));
+        let (head, tail) = dense.split_at(1, 4);
+        assert_eq!(head, Chunk::Dense(&[0, 1, 2, 0]));
+        assert_eq!(tail.rows(4), 2);
+        assert_eq!(packed.split_at(2, 4).1, Chunk::Packed(&[0b0011]));
+        assert_eq!((packed.form(), dense.form()), ("packed", "dense"));
     }
 
     #[test]

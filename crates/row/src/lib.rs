@@ -12,7 +12,9 @@
 //! - [`PatternKey`]/[`PatternCodec`] — bijective base-`Q` packing of
 //!   projected rows, realizing the index function `e(·)` of Remark 1
 //!   ([`pattern`]);
-//! - [`Dataset`] — the unified input type ([`dataset`]);
+//! - [`Dataset`] — the unified input type, and [`Chunk`], a borrowed run
+//!   of its rows in either form: what every ingest entry point takes
+//!   ([`dataset`]);
 //! - [`FrequencyVector`] — the exact `f(A, C)` oracle with `F_p`, norms,
 //!   heavy hitters and sampling distributions ([`freq`]).
 
@@ -27,7 +29,7 @@ pub use binary::{
     bit_runs, extract_runs, pack_binary_rows, pext_u64, BinaryMatrix, BitExtractor, BitRun,
 };
 pub use column_set::{ColumnSet, ColumnSetError};
-pub use dataset::Dataset;
+pub use dataset::{Chunk, Dataset};
 pub use freq::FrequencyVector;
 pub use pattern::{PatternCodec, PatternCodecError, PatternKey};
 pub use qary::QaryMatrix;

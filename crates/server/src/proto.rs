@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Instant, SystemTime};
 
-use pfe_engine::{wire, Engine, EngineConfig, Json, Query, Snapshot, StatKind};
+use pfe_engine::{wire, Chunk, Engine, EngineConfig, Json, Query, Snapshot, StatKind};
 use pfe_obs::{
     chrome_trace_json, AttrValue, CompletedTrace, Counter, Gauge, Histogram, Recorder, SpanRecord,
     TraceContext, TraceHandle,
@@ -1053,7 +1053,7 @@ impl Dispatcher {
             let mut ingest_span = trace.span("ingest");
             ingest_span.attr("rows", rows.len());
             s.backend
-                .push_dense_batch(&flat, &ingest_span.handle())
+                .push(Chunk::Dense(&flat), &ingest_span.handle())
                 .map_err(|e| rejected(e.to_string()))?;
             Ok(Reply::cont(Json::obj([
                 ("ok", Json::Bool(true)),

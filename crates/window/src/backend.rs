@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use pfe_engine::{Answer, Engine, EngineConfig, EngineError, Query, Recorder};
 use pfe_obs::TraceHandle;
+use pfe_row::Chunk;
 
 use crate::{WindowConfig, WindowedEngine};
 
@@ -98,28 +99,16 @@ impl Backend {
         }
     }
 
-    /// Route a chunk of packed binary rows in one engine call. The plain
-    /// engine records its routing spans under `trace`; the window ring
-    /// pushes inline, so its tree stops at the caller's span.
+    /// Route a chunk in one engine call. The plain engine records its
+    /// routing spans under `trace`; the window ring pushes inline, so its
+    /// tree stops at the caller's span.
     ///
     /// # Errors
     /// Shape violations (nothing is ingested) or a closed pipeline.
-    pub fn push_packed_batch(&self, rows: &[u64], trace: &TraceHandle) -> Result<(), EngineError> {
+    pub fn push(&self, chunk: Chunk<'_>, trace: &TraceHandle) -> Result<(), EngineError> {
         match self {
-            Self::Plain(e) => e.push_packed_batch_traced(rows, trace),
-            Self::Windowed(e) => e.push_packed_batch(rows),
-        }
-    }
-
-    /// Route a flat row-major chunk of dense rows — the dense counterpart
-    /// of [`push_packed_batch`](Self::push_packed_batch).
-    ///
-    /// # Errors
-    /// Shape violations (nothing is ingested) or a closed pipeline.
-    pub fn push_dense_batch(&self, flat: &[u16], trace: &TraceHandle) -> Result<(), EngineError> {
-        match self {
-            Self::Plain(e) => e.push_dense_batch_traced(flat, trace),
-            Self::Windowed(e) => e.push_dense_batch(flat),
+            Self::Plain(e) => e.push(chunk, trace),
+            Self::Windowed(e) => e.push(chunk),
         }
     }
 

@@ -17,7 +17,7 @@ use pfe_engine::{
     WindowCoverage,
 };
 use pfe_obs::{Counter, Histogram};
-use pfe_row::Dataset;
+use pfe_row::{Chunk, Dataset};
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::config::WindowConfig;
@@ -194,22 +194,29 @@ impl WindowedEngine {
         f(&mut self.ring.lock().expect("ring lock"))
     }
 
-    /// Route a chunk of packed binary rows into the active bucket
-    /// (checked as a whole first; a single row is a one-row chunk).
+    /// Route a chunk into the active bucket under one ring lock (checked
+    /// as a whole first; a single row is a one-row chunk).
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
-    pub fn push_packed_batch(&self, rows: &[u64]) -> Result<(), EngineError> {
-        self.with_ring(|r| r.push_packed_batch(rows))
+    pub fn push(&self, chunk: Chunk<'_>) -> Result<(), EngineError> {
+        self.with_ring(|r| r.push(chunk))
     }
 
-    /// Route a flat row-major chunk of dense rows (`d` symbols per row,
-    /// checked as a whole first) under one ring lock.
+    /// Route a chunk of packed binary rows — [`push`](Self::push).
     ///
     /// # Errors
-    /// `Query(BadParameter)` on shape violations.
+    /// As `push`.
+    pub fn push_packed_batch(&self, rows: &[u64]) -> Result<(), EngineError> {
+        self.push(Chunk::Packed(rows))
+    }
+
+    /// Route a flat row-major chunk of dense rows — [`push`](Self::push).
+    ///
+    /// # Errors
+    /// As `push`.
     pub fn push_dense_batch(&self, flat: &[u16]) -> Result<(), EngineError> {
-        self.with_ring(|r| r.push_dense_batch(flat))
+        self.push(Chunk::Dense(flat))
     }
 
     /// Dimension `d` of the windowed stream.
@@ -237,10 +244,7 @@ impl WindowedEngine {
                     r.alphabet()
                 )));
             }
-            match data {
-                Dataset::Binary(m) => r.push_packed_batch(m.rows()),
-                Dataset::Qary(m) => r.push_dense_batch(m.flat()),
-            }
+            r.push(Chunk::from(data))
         })
     }
 

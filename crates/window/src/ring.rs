@@ -26,12 +26,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pfe_core::FedRows;
-use pfe_engine::{
-    check_dense_chunk, check_packed_chunk, EngineConfig, EngineError, FreqNetConfig, ShardSummary,
-};
+use pfe_engine::{check_chunk, EngineConfig, EngineError, FreqNetConfig, ShardSummary};
 use pfe_hash::hash_u64;
 use pfe_obs::{Counter, Histogram, Recorder};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
+use pfe_row::Chunk;
 use pfe_sketch::traits::SpaceUsage;
 
 use crate::config::WindowConfig;
@@ -244,52 +243,32 @@ impl BucketRing {
         tiers
     }
 
-    /// Observe a chunk of packed binary rows (a single row is a one-row
-    /// chunk). The ring is a serving boundary like the ingest pipeline:
-    /// the chunk is checked as a whole first, so a malformed chunk is a
-    /// typed error that observes nothing.
+    /// Observe a chunk (a single row is a one-row chunk). The ring is a
+    /// serving boundary like the ingest pipeline: the chunk is checked as
+    /// a whole first ([`check_chunk`]), so a malformed chunk is a typed
+    /// error that observes nothing. The checked chunk then feeds the
+    /// active bucket, split at every seal boundary: each piece tops the
+    /// active bucket up to at most `bucket_rows`, and a full bucket seals
+    /// before the next piece lands. The active `F_0` net sweeps only the
+    /// rows of a piece the bucket has not held yet (narrowed by `fed`).
     ///
     /// # Errors
     /// `Query(BadParameter)` on shape violations.
-    pub fn push_packed_batch(&mut self, rows: &[u64]) -> Result<(), EngineError> {
-        check_packed_chunk(self.d, self.q, rows)?;
-        self.push_split(rows, 1, ShardSummary::push_packed_chunk_once);
-        Ok(())
-    }
-
-    /// Observe a flat row-major chunk of dense rows (`d` symbols per row;
-    /// checked as a whole first, a malformed chunk observes nothing).
-    ///
-    /// # Errors
-    /// `Query(BadParameter)` on shape violations.
-    pub fn push_dense_batch(&mut self, flat: &[u16]) -> Result<(), EngineError> {
-        check_dense_chunk(self.d, self.q, flat)?;
-        self.push_split(flat, self.d as usize, ShardSummary::push_dense_chunk_once);
-        Ok(())
-    }
-
-    /// Feed a checked chunk (`width` symbols per row) to the active
-    /// bucket, split at every seal boundary: each piece tops the active
-    /// bucket up to at most `bucket_rows`, and a full bucket seals before
-    /// the next piece lands. The active `F_0` net sweeps only the rows of
-    /// a piece the bucket has not held yet (`push` narrows it by `fed`).
-    fn push_split<T>(
-        &mut self,
-        mut rest: &[T],
-        width: usize,
-        push: impl Fn(&mut ShardSummary, &[T], &mut FedRows) -> usize,
-    ) {
-        while !rest.is_empty() {
+    pub fn push(&mut self, chunk: Chunk<'_>) -> Result<(), EngineError> {
+        let mut packed = Vec::new();
+        let mut rest = check_chunk(self.d, self.q, chunk, &mut packed)?;
+        while rest.rows(self.d) > 0 {
             let room = self.wcfg.bucket_rows.saturating_sub(self.active.rows());
-            let take = room.min((rest.len() / width) as u64) as usize * width;
-            let (head, tail) = rest.split_at(take);
-            let swept = push(&mut self.active, head, &mut self.fed);
+            let take = room.min(rest.rows(self.d) as u64) as usize;
+            let (head, tail) = rest.split_at(take, self.d);
+            let swept = self.active.push_chunk(head, Some(&mut self.fed));
             self.f0_rows_swept.add(swept as u64);
             rest = tail;
             if self.active.rows() >= self.wcfg.bucket_rows {
                 self.seal();
             }
         }
+        Ok(())
     }
 
     /// Seal the active bucket into tier 0 and restore the tier caps.
@@ -597,7 +576,7 @@ mod tests {
 
     fn fill(ring: &mut BucketRing, d: u32, rows: usize, seed: u64) {
         if let pfe_row::Dataset::Binary(m) = &uniform_binary(d, rows, seed) {
-            ring.push_packed_batch(m.rows()).expect("push");
+            ring.push(Chunk::Packed(m.rows())).expect("push");
         }
     }
 
@@ -678,7 +657,7 @@ mod tests {
         // Same request, untouched ring: stable.
         assert_eq!(ring.covering(Some(20)).fingerprint, before);
         // One more row lands in the active bucket: fingerprint moves.
-        ring.push_packed_batch(&[0b1]).expect("push");
+        ring.push(Chunk::Packed(&[0b1])).expect("push");
         let after = ring.covering(Some(20)).fingerprint;
         assert_ne!(before, after);
         // Different coverings differ.
@@ -692,19 +671,21 @@ mod tests {
     fn malformed_rows_are_typed_errors() {
         let mut ring = BucketRing::new(8, 2, &ecfg(), wcfg(10, 2, 2)).expect("new");
         assert!(matches!(
-            ring.push_packed_batch(&[0, 1 << 20]),
+            ring.push(Chunk::Packed(&[0, 1 << 20])),
             Err(EngineError::Query(_))
         ));
         assert!(matches!(
-            ring.push_dense_batch(&[0, 1]),
+            ring.push(Chunk::Dense(&[0, 1])),
             Err(EngineError::Query(_))
         ));
         assert!(matches!(
-            ring.push_dense_batch(&[1, 0, 1, 0, 1, 0, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9]),
+            ring.push(Chunk::Dense(&[
+                1, 0, 1, 0, 1, 0, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9
+            ])),
             Err(EngineError::Query(_))
         ));
         assert_eq!(ring.retained_rows(), 0, "malformed chunk observes nothing");
-        ring.push_dense_batch(&[1, 0, 1, 0, 1, 0, 1, 0])
+        ring.push(Chunk::Dense(&[1, 0, 1, 0, 1, 0, 1, 0]))
             .expect("good row");
         assert_eq!(ring.retained_rows(), 1);
     }
@@ -841,11 +822,10 @@ mod tests {
                     (0..d).map(move |c| (row / u64::from(q).pow(c) % u64::from(q)) as u16)
                 })
                 .collect();
-            ring.push_dense_batch(&dense).expect("push");
-            full.push_split(&dense, d as usize, |s, flat, _| {
-                s.push_dense_chunk(flat);
-                0
-            });
+            ring.push(Chunk::Dense(&dense)).expect("push");
+            // A record cleared before every write narrows nothing.
+            full.fed.clear();
+            full.push(Chunk::Dense(&dense)).expect("push");
             pushed += len as u64;
             let at = format!("k={kmv_k} q={q} seed {seed} step {step}");
             assert_eq!(bytes(&ring), bytes(&full), "{at}");

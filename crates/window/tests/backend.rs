@@ -13,7 +13,7 @@ use pfe_core::FpConfig;
 use pfe_engine::{
     AnswerValue, EngineConfig, EngineError, FreqNetConfig, Query, Recorder, StatKind, TraceHandle,
 };
-use pfe_row::Dataset;
+use pfe_row::{Chunk, Dataset};
 use pfe_stream::gen::uniform_binary;
 use pfe_window::{Backend, WindowConfig};
 
@@ -107,15 +107,17 @@ fn one_script_over_both_engines() {
         // A packed chunk, then the same stream's next rows as a dense one.
         let trace = TraceHandle::disabled();
         let packed = rows(200, 3);
-        backend.push_packed_batch(&packed, &trace).expect("packed");
+        backend
+            .push(Chunk::Packed(&packed), &trace)
+            .expect("packed");
         let dense: Vec<u16> = rows(100, 4)
             .iter()
             .flat_map(|&row| (0..D).map(move |i| ((row >> i) & 1) as u16))
             .collect();
-        backend.push_dense_batch(&dense, &trace).expect("dense");
+        backend.push(Chunk::Dense(&dense), &trace).expect("dense");
         // A malformed chunk is a typed error that ingests nothing.
-        assert!(backend.push_packed_batch(&[1 << D], &trace).is_err());
-        assert!(backend.push_dense_batch(&dense[..7], &trace).is_err());
+        assert!(backend.push(Chunk::Packed(&[1 << D]), &trace).is_err());
+        assert!(backend.push(Chunk::Dense(&dense[..7]), &trace).is_err());
 
         let (epoch, published) = backend.publish().expect("publish");
         assert_eq!(published, 300, "{name}");
@@ -160,7 +162,7 @@ fn one_script_over_both_engines() {
         );
         // …and keeps ingesting.
         resumed
-            .push_packed_batch(&rows(50, 5), &trace)
+            .push(Chunk::Packed(&rows(50, 5)), &trace)
             .expect("push");
         assert_eq!(resumed.publish().expect("publish").1, 350, "{name}");
         resumed.close();
@@ -190,7 +192,7 @@ fn ring_resume_rejects_every_differing_summary_parameter() {
     let recorder = Arc::new(Recorder::new());
     let backend = Backend::start(D, 2, ecfg(), Some(wcfg()), Arc::clone(&recorder)).expect("start");
     backend
-        .push_packed_batch(&rows(200, 9), &TraceHandle::disabled())
+        .push(Chunk::Packed(&rows(200, 9)), &TraceHandle::disabled())
         .expect("ingest");
     assert!(
         gauge(&backend, &recorder, "window_sealed_buckets") >= 2

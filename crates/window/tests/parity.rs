@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pfe_engine::{AnswerValue, EngineConfig, FreqNetConfig, Query, Recorder};
-use pfe_row::{BinaryMatrix, ColumnSet, Dataset};
+use pfe_row::{BinaryMatrix, Chunk, ColumnSet, Dataset};
 use pfe_stream::gen::uniform_binary;
 use pfe_window::{BucketRing, WindowConfig, WindowedEngine};
 use proptest::prelude::*;
@@ -429,16 +429,9 @@ impl SweepParity {
     /// Write `rows` (`d` symbols each, row-major) to both, then compare.
     fn write(&mut self, dense: &[u16], packed: Option<&[u64]>) {
         let mut reference = ring_from(&self.reference);
-        match packed {
-            Some(rows) => {
-                self.ring.push_packed_batch(rows).expect("push");
-                reference.push_packed_batch(rows).expect("push");
-            }
-            None => {
-                self.ring.push_dense_batch(dense).expect("push");
-                reference.push_dense_batch(dense).expect("push");
-            }
-        }
+        let chunk = packed.map_or(Chunk::Dense(dense), Chunk::Packed);
+        self.ring.push(chunk).expect("push");
+        reference.push(chunk).expect("push");
         self.reference = ring_bytes(&reference);
         assert!(
             ring_bytes(&self.ring) == self.reference,

@@ -11,7 +11,9 @@
 //!
 //! Run with `cargo run --release --example checkpoint_resume`.
 
-use subspace_exploration::engine::{merge_snapshot_files, Engine, EngineConfig, Query, Snapshot};
+use subspace_exploration::engine::{
+    merge_snapshot_files, Chunk, Engine, EngineConfig, Query, Snapshot, TraceHandle,
+};
 use subspace_exploration::row::{ColumnSet, Dataset};
 use subspace_exploration::stream::gen::uniform_binary;
 
@@ -83,8 +85,16 @@ fn main() {
     let (path_a, path_b) = (dir.join("half-a.pfes"), dir.join("half-b.pfes"));
     let worker_a = Engine::start(d, 2, cfg()).expect("start");
     let worker_b = Engine::start(d, 2, cfg()).expect("start");
-    worker_a.push_packed_batch(&rows[..20_000]).expect("push");
-    worker_b.push_packed_batch(&rows[20_000..]).expect("push");
+    let (first, second) = (
+        Chunk::Packed(&rows[..20_000]),
+        Chunk::Packed(&rows[20_000..]),
+    );
+    worker_a
+        .push(first, &TraceHandle::disabled())
+        .expect("push");
+    worker_b
+        .push(second, &TraceHandle::disabled())
+        .expect("push");
     worker_a.checkpoint(&path_a).expect("checkpoint a");
     worker_b.checkpoint(&path_b).expect("checkpoint b");
     let merged = merge_snapshot_files(&[&path_a, &path_b]).expect("merge");
