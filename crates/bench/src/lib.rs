@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Benchmark harness: regenerates every table and figure of the paper.
 //!
 //! Experiment binaries (see `EXPERIMENTS.md` for the index):

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe` — the operator command line for the projected-frequency engine.
 //!
 //! One binary covers the whole bulk-data workflow: load a CSV/TSV file

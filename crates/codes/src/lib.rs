@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Coding-theory toolkit for the lower-bound constructions of
 //! Cormode–Dickens–Woodruff (PODS 2021).
 //!

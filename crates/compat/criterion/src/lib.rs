@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline, API-compatible stand-in for the `criterion` benchmark harness.
 //!
 //! The build environment has no crate registry, so the workspace vendors

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline, API-compatible stand-in for the `proptest` property-testing
 //! framework.
 //!

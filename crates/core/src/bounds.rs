@@ -45,8 +45,14 @@ impl GuaranteeSource {
 /// `alpha` is the multiplicative factor the estimate is guaranteed within
 /// (`1.0` = unbiased / exact); `epsilon` is the additive error term in the
 /// units of the reported value (absolute row counts for frequencies and
-/// heavy hitters, probability mass for `ℓ_1` samples; `0.0` = none). Both
-/// hold at the summary's build-time confidence ([`DEFAULT_DELTA`]).
+/// heavy hitters, probability mass for `ℓ_1` samples; `0.0` = none).
+///
+/// The quantifier is *for each answer*: one answer is within `(α, ε)`
+/// with probability at least `1 − δ` ([`DEFAULT_DELTA`]) over the
+/// engine's seed. It is not a bound for all answers at once. Every answer
+/// rounded onto one α-net member reads that member's one seeded sketch, so
+/// such answers share the member's miss: if its sketch is outside its `β`,
+/// every answer rounded onto it is.
 ///
 /// ```
 /// use pfe_core::{Guarantee, GuaranteeSource};

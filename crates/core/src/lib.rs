@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Projected frequency estimation — the core library reproducing
 //! Cormode, Dickens & Woodruff, "Subspace Exploration: Bounds on Projected
 //! Frequency Estimation" (PODS 2021).

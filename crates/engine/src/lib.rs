@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe-engine` — sharded parallel ingest and concurrent projection-query
 //! serving over the paper's mergeable summaries.
 //!

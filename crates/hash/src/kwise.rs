@@ -6,17 +6,44 @@
 //! CountMin. We use `p = 2^61 - 1` because reduction modulo a Mersenne prime
 //! needs only shifts and adds.
 //!
-//! # One sign, three products, one fold
+//! # Eighty signs, one limb kernel
 //!
 //! A [`SignHash`] is the low bit of a cubic `c₀x³ + c₁x² + c₂x + c₃` over
-//! `F_p`, its four coefficients held inline. Horner's rule evaluates it as
-//! three dependent multiply-and-reduce steps; an AMS update evaluates 80
-//! such cubics at *one* key, so [`SignHash::powers`] reduces the key and
-//! computes `x³, x², x mod p` once and [`SignHash::sign_at`] sums the three
-//! products `cᵢ·xⁱ` unreduced — each below `2^122`, the sum with `c₃` below
-//! `2^124`, inside what `mod_mersenne61` folds — and reduces once. Both
-//! routes end in the canonical residue in `[0, p)` of the same field
-//! element, hence in the same low bit: same signs, same sums, same bytes.
+//! `F_p`. An AMS update evaluates 80 such cubics at *one* key, so the key
+//! is reduced and `x³, x², x mod p` computed once, and a [`SignBank`]
+//! holds the 80 hashes' coefficients as eight planes of `u32` limbs: each
+//! `c < 2^61` as `c_l` (its low 31 bits) and `c_h` (its high 30), `c₃` as
+//! two 32-bit halves — 32 bytes a hash, as four inline `u64`s were. The
+//! planes are the coefficients' only copy; [`SignHash`] is how they are
+//! drawn and how they travel.
+//!
+//! With each power split the same way, `X = X_h·2^31 + X_l`, a sign needs
+//! only `u32 × u32 → u64` products, which vectorize across the hashes
+//! (`vpmuludq`) where the three `u64 × u64 → u128` products of Horner's
+//! rule or of the plain cubic cannot. Per hash, summed over the three
+//! powers:
+//!
+//! - `HH = Σ c_h·X_h`: three terms below `2^60`, so below `2^62`;
+//! - `MID = Σ (c_h·X_l + c_l·X_h)`: six terms below `2^61`, so below `2^64`;
+//! - `LL = Σ c_l·X_l`: three terms below `2^62`, so below `2^64`.
+//!
+//! Since `cX = HH·2^62 + MID·2^31 + LL` termwise, `2^62 ≡ 2` and
+//! `2^61 ≡ 1 (mod p)`, the sum
+//! `S = 2·HH + (MID >> 30) + ((MID & (2^30−1)) << 31) + (LL & p) + (LL >> 61) + c₃`
+//! is congruent to the cubic and below `6·2^61 < 2^64`. One fold,
+//! `T = (S & p) + (S >> 61)`, leaves `T ≤ p + 5`: the canonical residue
+//! is `T` or, when `T ≥ p`, `T − p` with `p` odd, so its low bit is
+//! `T`'s flipped exactly when `(T + 1) >> 61` is 1. Every route ends in
+//! the parity of the same canonical residue: same signs, same sums, same
+//! bytes.
+//!
+//! The kernel is one `#[inline(always)]` body compiled twice under
+//! `#[target_feature]`, for AVX-512F and for AVX2, and the CPU is asked
+//! at run time on each update which to call. Without either (or off
+//! x86-64) the update runs the `u128` loop on the same planes: compiled
+//! for baseline x86-64 (two 64-bit SSE2 lanes) the limb kernel is no
+//! faster than it, and the loop is the reference the kernel's tests
+//! compare every instantiation against.
 
 use crate::rng::SplitMix64;
 
@@ -153,16 +180,16 @@ impl SignHash {
 
     /// `[x³, x², x]` in `F_p`: what every sign of one key shares.
     #[inline]
-    pub fn powers(x: u64) -> [u64; 3] {
+    fn powers(x: u64) -> [u64; 3] {
         let x = mod_once(x);
         let x2 = mul_add_mod(x, x, 0);
         [mul_add_mod(x2, x, 0), x2, x]
     }
 
-    /// The sign of the key whose [`powers`](Self::powers) these are (see
-    /// the [module docs](self)).
+    /// The sign of the key whose [`powers`](Self::powers) these are: three
+    /// products summed below `2^124`, inside what `mod_mersenne61` folds.
     #[inline]
-    pub fn sign_at(&self, &[x3, x2, x]: &[u64; 3]) -> i64 {
+    fn sign_at(&self, &[x3, x2, x]: &[u64; 3]) -> i64 {
         let [c0, c1, c2, c3] = self.0.map(u128::from);
         let sum = c0 * x3 as u128 + c1 * x2 as u128 + c2 * x as u128 + c3;
         1 - 2 * (mod_mersenne61(sum) & 1) as i64
@@ -172,6 +199,182 @@ impl SignHash {
     #[inline]
     pub fn sign(&self, x: u64) -> i64 {
         self.sign_at(&Self::powers(x))
+    }
+}
+
+/// Eight limb planes: `c₀ₗ c₀ₕ c₁ₗ c₁ₕ c₂ₗ c₂ₕ c₃ₗ c₃ₕ`.
+const PLANES: usize = 8;
+const LOW31: u32 = (1 << 31) - 1;
+#[cfg(target_arch = "x86_64")]
+const LOW30: u64 = (1 << 30) - 1;
+
+/// `t` [`SignHash`]es evaluated together at one key by the limb kernel
+/// (see the [module docs](self)). The coefficients live only here, plane
+/// by plane, each plane `t` contiguous `u32` limbs.
+#[derive(Debug, Clone)]
+pub struct SignBank {
+    planes: Vec<u32>,
+}
+
+impl FromIterator<SignHash> for SignBank {
+    fn from_iter<I: IntoIterator<Item = SignHash>>(hashes: I) -> Self {
+        let hashes: Vec<SignHash> = hashes.into_iter().collect();
+        let t = hashes.len();
+        let mut planes = vec![0u32; PLANES * t];
+        for (j, SignHash([c0, c1, c2, c3])) in hashes.into_iter().enumerate() {
+            let limbs = [c0, c1, c2].map(|c| [c as u32 & LOW31, (c >> 31) as u32]);
+            let halves = [c3 as u32, (c3 >> 32) as u32];
+            for (k, limb) in limbs.into_iter().flatten().chain(halves).enumerate() {
+                planes[k * t + j] = limb;
+            }
+        }
+        Self { planes }
+    }
+}
+
+impl SignBank {
+    /// Number of sign hashes.
+    pub fn len(&self) -> usize {
+        self.planes.len() / PLANES
+    }
+
+    /// True when the bank holds no hash.
+    pub fn is_empty(&self) -> bool {
+        self.planes.is_empty()
+    }
+
+    /// Heap bytes of the planes: 32 a hash.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.planes.as_slice())
+    }
+
+    /// Hash `j`, rebuilt from its limbs.
+    fn hash(&self, j: usize) -> SignHash {
+        SignHash(coefficients(&split_planes(&self.planes, self.len()), j))
+    }
+
+    /// `sums[j] += sign_j(x) · delta` for every hash `j`.
+    ///
+    /// # Panics
+    /// Panics unless there is one sum per hash.
+    pub fn add_signs(&self, x: u64, delta: i64, sums: &mut [i64]) {
+        self.add_signs_on(&[Isa::Avx512, Isa::Avx2], x, delta, sums);
+    }
+
+    /// [`add_signs`](Self::add_signs) on the first of `isas` this CPU
+    /// has, else on the `u128` loop.
+    #[allow(unsafe_code)]
+    fn add_signs_on(&self, isas: &[Isa], x: u64, delta: i64, sums: &mut [i64]) {
+        assert_eq!(sums.len(), self.len(), "one AMS sum per sign hash");
+        let powers = SignHash::powers(x);
+        match isas.iter().find_map(|isa| isa.kernel()) {
+            // SAFETY: `Isa::kernel` returns an instantiation only after
+            // `is_x86_feature_detected!` found its target feature on this
+            // CPU, which is all a `#[target_feature]` function requires.
+            Some(kernel) => unsafe { kernel(&self.planes, &powers, delta, sums) },
+            None => self.add_signs_u128(&powers, delta, sums),
+        }
+    }
+
+    /// The reference: each hash rebuilt and its sign taken by `sign_at`.
+    fn add_signs_u128(&self, powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
+        let planes = split_planes(&self.planes, sums.len());
+        for (j, z) in sums.iter_mut().enumerate() {
+            *z += SignHash(coefficients(&planes, j)).sign_at(powers) * delta;
+        }
+    }
+}
+
+/// The `t`-limb planes of `planes`, plane `k` holding limb `k` of every
+/// hash.
+#[inline(always)]
+fn split_planes(planes: &[u32], t: usize) -> [&[u32]; PLANES] {
+    let plane = |k: usize| &planes[k * t..(k + 1) * t];
+    [
+        plane(0),
+        plane(1),
+        plane(2),
+        plane(3),
+        plane(4),
+        plane(5),
+        plane(6),
+        plane(7),
+    ]
+}
+
+/// Hash `j`'s coefficients, rebuilt from its limbs.
+#[inline(always)]
+fn coefficients(planes: &[&[u32]; PLANES], j: usize) -> [u64; 4] {
+    let limb = |k: usize| planes[k][j] as u64;
+    [
+        limb(1) << 31 | limb(0),
+        limb(3) << 31 | limb(2),
+        limb(5) << 31 | limb(4),
+        limb(7) << 32 | limb(6),
+    ]
+}
+
+/// The instantiations of the limb kernel.
+#[derive(Debug, Clone, Copy)]
+enum Isa {
+    Avx512,
+    Avx2,
+}
+
+/// A limb kernel compiled for one target feature.
+type Kernel = unsafe fn(&[u32], &[u64; 3], i64, &mut [i64]);
+
+impl Isa {
+    /// This instantiation, if the CPU has its feature (asked now).
+    #[cfg(target_arch = "x86_64")]
+    fn kernel(self) -> Option<Kernel> {
+        let (found, kernel): (bool, Kernel) = match self {
+            Isa::Avx512 => (std::is_x86_feature_detected!("avx512f"), add_signs_avx512),
+            Isa::Avx2 => (std::is_x86_feature_detected!("avx2"), add_signs_avx2),
+        };
+        found.then_some(kernel)
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn kernel(self) -> Option<Kernel> {
+        None
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn add_signs_avx512(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
+    add_signs_limbs(planes, powers, delta, sums);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn add_signs_avx2(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
+    add_signs_limbs(planes, powers, delta, sums);
+}
+
+/// The limb kernel (see the [module docs](self)): `sums.len()` hashes,
+/// each plane `sums.len()` limbs of `planes`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn add_signs_limbs(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
+    let t = sums.len();
+    let [c0l, c0h, c1l, c1h, c2l, c2h, c3l, c3h] = split_planes(planes, t);
+    // `X < 2^61`, so `X >> 31` fits a `u32`: both factors of every
+    // product below are zero-extended `u32`s.
+    let [(x3l, x3h), (x2l, x2h), (x1l, x1h)] =
+        powers.map(|x| ((x as u32 & LOW31) as u64, (x >> 31) as u32 as u64));
+    for j in 0..t {
+        let [a0, a1, a2] = [c0l[j], c1l[j], c2l[j]].map(u64::from);
+        let [b0, b1, b2] = [c0h[j], c1h[j], c2h[j]].map(u64::from);
+        let hh = b0 * x3h + b1 * x2h + b2 * x1h;
+        let mid = b0 * x3l + a0 * x3h + b1 * x2l + a1 * x2h + b2 * x1l + a2 * x1h;
+        let ll = a0 * x3l + a1 * x2l + a2 * x1l;
+        let c3 = (c3h[j] as u64) << 32 | c3l[j] as u64;
+        let s = 2 * hh + (mid >> 30) + ((mid & LOW30) << 31) + (ll & MERSENNE61) + (ll >> 61) + c3;
+        let folded = (s & MERSENNE61) + (s >> 61);
+        let neg = ((folded ^ ((folded + 1) >> 61)) & 1).wrapping_neg() as i64;
+        sums[j] += (delta ^ neg) - neg;
     }
 }
 
@@ -224,6 +427,20 @@ impl pfe_persist::Persist for SignHash {
                 "sign hash needs 4 coefficients, all in F_{2^61-1}".into(),
             )),
         }
+    }
+}
+
+/// Travels as the `Vec<SignHash>` it holds, and is decoded through one.
+impl pfe_persist::Persist for SignBank {
+    const MIN_WIRE_BYTES: usize = 8;
+
+    fn encode(&self, enc: &mut pfe_persist::Encoder) {
+        enc.put_len(self.len());
+        (0..self.len()).for_each(|j| self.hash(j).encode(enc));
+    }
+
+    fn decode(dec: &mut pfe_persist::Decoder<'_>) -> Result<Self, pfe_persist::PersistError> {
+        Ok(Vec::<SignHash>::decode(dec)?.into_iter().collect())
     }
 }
 
@@ -382,6 +599,60 @@ mod tests {
                 ),
                 "{bad:?} must be malformed"
             );
+        }
+    }
+
+    #[test]
+    fn every_kernel_instantiation_equals_the_u128_reference() {
+        // Coefficients at the limb edges: `c_l = 2^31 − 1`, `c_h = 2^30 − 1`,
+        // both (`p − 1`), and the halves of `c₃` at `2^32 − 1` and `2^32`.
+        let edges = [
+            0,
+            1,
+            MERSENNE61 - 1,
+            (1 << 31) - 1,
+            ((1 << 30) - 1) << 31,
+            (1 << 32) - 1,
+            1 << 32,
+        ];
+        let mut rng = SplitMix64::new(0xb4c4);
+        let mut hashes: Vec<SignHash> = (0..edges.len().pow(4))
+            .map(|i| {
+                SignHash(std::array::from_fn(|k| {
+                    edges[i / edges.len().pow(k as u32) % edges.len()]
+                }))
+            })
+            .collect();
+        // 2401 + 3 hashes: a tail shorter than any vector.
+        hashes.extend((0..3).map(|_| SignHash::new(rng.next_u64())));
+        let bank: SignBank = hashes.iter().cloned().collect();
+        let items = [
+            0,
+            1,
+            MERSENNE61 - 1,
+            MERSENNE61,
+            MERSENNE61 + 1,
+            1 << 61,
+            (1 << 62) + 5,
+            u64::MAX,
+        ];
+        let items = items.into_iter().chain((0..64).map(|_| rng.next_u64()));
+        let mut reference = vec![0i64; bank.len()];
+        let mut kernels: Vec<(Isa, Vec<i64>)> = [Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .filter(|isa| isa.kernel().is_some())
+            .map(|isa| (isa, vec![0i64; bank.len()]))
+            .collect();
+        for (i, x) in items.enumerate() {
+            let delta = [1, -7, u32::MAX as i64][i % 3];
+            bank.add_signs_u128(&SignHash::powers(x), delta, &mut reference);
+            for (isa, sums) in &mut kernels {
+                bank.add_signs_on(&[*isa], x, delta, sums);
+                assert_eq!(*sums, reference, "{isa:?} after item {x}");
+            }
+        }
+        for (j, h) in hashes.iter().enumerate() {
+            assert_eq!(bank.hash(j).0, h.0, "hash {j} rebuilt from its limbs");
         }
     }
 

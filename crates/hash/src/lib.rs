@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! Deterministic hashing and pseudo-randomness substrate.
 //!
 //! Every randomized component in this workspace (sketches, random codes,
@@ -27,6 +28,6 @@ pub mod mix;
 pub mod rng;
 
 pub use builder::{SeededHashMap, SeededHashSet, SeededState};
-pub use kwise::{SignHash, TwoWise};
+pub use kwise::{SignBank, SignHash, TwoWise};
 pub use mix::{hash_u128, hash_u64, mix64};
 pub use rng::{SplitMix64, Xoshiro256pp};

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe-ingest` — zero-dependency columnar CSV/TSV file ingest for the
 //! projected-frequency engine.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Executable communication-complexity lower bounds.
 //!
 //! The paper's `2^{Ω(d)}` space bounds (Theorems 4.1, 5.3, 5.4, 5.5) all

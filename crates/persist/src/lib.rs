@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe-persist` — versioned, checksummed binary serialization for the
 //! paper's summaries.
 //!

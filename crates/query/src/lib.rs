@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe-query` — the canonical request/response surface for projected
 //! frequency estimation.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Data model for projected frequency estimation (Section 2 of the paper).
 //!
 //! The input is an array `A ∈ [Q]^{n×d}`; a query is a column subset

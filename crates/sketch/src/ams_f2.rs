@@ -6,16 +6,20 @@
 //! `s2` groups gives an `(ε, δ)` guarantee with `s1 = O(1/ε²)`,
 //! `s2 = O(log 1/δ)`. This is the `β`-approximate `F_2` plug-in for the
 //! α-net `F_p` summary at `p = 2`.
+//!
+//! The `t = groups × per_group` sign hashes live in one [`SignBank`]: its
+//! limb planes are the coefficients' only in-memory copy, and one update
+//! evaluates all `t` signs at once.
 
 use crate::traits::{vec_bytes, MomentSketch, SpaceUsage};
-use pfe_hash::kwise::SignHash;
+use pfe_hash::kwise::{SignBank, SignHash};
 use pfe_persist::Persist;
 
 /// AMS `F_2` sketch: `groups × per_group` elementary estimators.
 #[derive(Debug, Clone)]
 pub struct AmsF2 {
     sums: Vec<i64>,
-    signs: Vec<SignHash>,
+    signs: SignBank,
     per_group: usize,
 }
 
@@ -71,9 +75,7 @@ impl AmsF2 {
 
 impl SpaceUsage for AmsF2 {
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + vec_bytes(&self.sums)
-            + self.signs.len() * std::mem::size_of::<SignHash>()
+        std::mem::size_of::<Self>() + vec_bytes(&self.sums) + self.signs.bytes()
     }
 }
 
@@ -85,10 +87,7 @@ impl MomentSketch for AmsF2 {
     }
 
     fn update(&mut self, item: u64, delta: i64) {
-        let powers = SignHash::powers(item);
-        for (z, s) in self.sums.iter_mut().zip(&self.signs) {
-            *z += s.sign_at(&powers) * delta;
-        }
+        self.signs.add_signs(item, delta, &mut self.sums);
     }
 
     fn estimate(&self) -> f64 {
@@ -122,7 +121,7 @@ impl Persist for AmsF2 {
             return Err(PersistError::Malformed("AMS per_group must be >= 1".into()));
         }
         let sums = Vec::<i64>::decode(dec)?;
-        let signs = Vec::<SignHash>::decode(dec)?;
+        let signs = SignBank::decode(dec)?;
         if sums.len() != signs.len() {
             return Err(PersistError::Malformed(format!(
                 "AMS has {} sums but {} sign hashes",

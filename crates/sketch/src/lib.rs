@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Streaming sketch substrate.
 //!
 //! The α-net meta-algorithm of the paper's Section 6 keeps one

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Workload generators and adversarial instances for projected frequency
 //! estimation.
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! `pfe-window` — sliding-window projected-frequency analytics over
 //! tiered mergeable buckets.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Projected frequency estimation over column subspaces — a from-scratch
 //! Rust reproduction of Cormode, Dickens & Woodruff, *Subspace
 //! Exploration: Bounds on Projected Frequency Estimation* (PODS 2021,
