@@ -27,11 +27,12 @@
 //! - `MID = Σ (c_h·X_l + c_l·X_h)`: six terms below `2^61`, so below `2^64`;
 //! - `LL = Σ c_l·X_l`: three terms below `2^62`, so below `2^64`.
 //!
-//! Since `cX = HH·2^62 + MID·2^31 + LL` termwise, `2^62 ≡ 2` and
-//! `2^61 ≡ 1 (mod p)`, the sum
+//! Since `c·X = c_h·X_h·2^62 + (c_h·X_l + c_l·X_h)·2^31 + c_l·X_l`,
+//! `2^62 ≡ 2` and `2^61 ≡ 1 (mod p)`, and
+//! `MID·2^31 = (MID >> 30)·2^61 + (MID & (2^30−1))·2^31`, the sum
 //! `S = 2·HH + (MID >> 30) + ((MID & (2^30−1)) << 31) + (LL & p) + (LL >> 61) + c₃`
-//! is congruent to the cubic and below `6·2^61 < 2^64`. One fold,
-//! `T = (S & p) + (S >> 61)`, leaves `T ≤ p + 5`: the canonical residue
+//! is congruent to the cubic and below `7·2^61 < 2^64`. One fold,
+//! `T = (S & p) + (S >> 61)`, leaves `T ≤ p + 6`: the canonical residue
 //! is `T` or, when `T ≥ p`, `T − p` with `p` odd, so its low bit is
 //! `T`'s flipped exactly when `(T + 1) >> 61` is 1. Every route ends in
 //! the parity of the same canonical residue: same signs, same sums, same
@@ -432,8 +433,6 @@ impl pfe_persist::Persist for SignHash {
 
 /// Travels as the `Vec<SignHash>` it holds, and is decoded through one.
 impl pfe_persist::Persist for SignBank {
-    const MIN_WIRE_BYTES: usize = 8;
-
     fn encode(&self, enc: &mut pfe_persist::Encoder) {
         enc.put_len(self.len());
         (0..self.len()).for_each(|j| self.hash(j).encode(enc));
@@ -604,8 +603,9 @@ mod tests {
 
     #[test]
     fn every_kernel_instantiation_equals_the_u128_reference() {
-        // Coefficients at the limb edges: `c_l = 2^31 − 1`, `c_h = 2^30 − 1`,
-        // both (`p − 1`), and the halves of `c₃` at `2^32 − 1` and `2^32`.
+        // Coefficients at the limb edges: `c_l = 2^31 − 1` alone, `c_h =
+        // 2^30 − 1` alone, `p − 1` (`c_h` full, `c_l = 2^31 − 2`), and the
+        // halves of `c₃` at `2^32 − 1` and `2^32`.
         let edges = [
             0,
             1,

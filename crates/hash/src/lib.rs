@@ -28,6 +28,6 @@ pub mod mix;
 pub mod rng;
 
 pub use builder::{SeededHashMap, SeededHashSet, SeededState};
-pub use kwise::{SignBank, SignHash, TwoWise};
+pub use kwise::{SignHash, TwoWise};
 pub use mix::{hash_u128, hash_u64, mix64};
 pub use rng::{SplitMix64, Xoshiro256pp};
