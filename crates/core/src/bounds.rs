@@ -51,8 +51,7 @@ impl GuaranteeSource {
 /// with probability at least `1 − δ` ([`DEFAULT_DELTA`]) over the
 /// engine's seed. It is not a bound for all answers at once. Every answer
 /// rounded onto one α-net member reads that member's one seeded sketch, so
-/// such answers share the member's miss: if its sketch is outside its `β`,
-/// every answer rounded onto it is.
+/// such answers share the member's miss rather than failing independently.
 ///
 /// ```
 /// use pfe_core::{Guarantee, GuaranteeSource};
