@@ -344,6 +344,10 @@ impl<S: DistinctSketch> Statistic for Distinct<S> {
     fn feed(&self, sketch: &mut S, key: PatternKey, _multiplicity: u32) {
         sketch.insert(key.fingerprint64(FINGERPRINT_SEED));
     }
+
+    fn feed_block(&self, sketch: &mut S, keys: &mut [u64], _weights: Option<&[u32]>) {
+        sketch.insert_keys(keys, FINGERPRINT_SEED);
+    }
 }
 
 /// Rounding by `s` columns distorts `F_0` by at most

@@ -78,6 +78,13 @@ impl Statistic for PointFrequency {
         );
     }
 
+    fn feed_block(&self, sketch: &mut CountMin, keys: &mut [u64], weights: Option<&[u32]>) {
+        pfe_hash::hash_keys(keys, self.fingerprint_seed, None);
+        for (i, &item) in keys.iter().enumerate() {
+            sketch.update(item, weights.map_or(1, |w| w[i]).into());
+        }
+    }
+
     fn check_mergeable(&self, other: &Self) -> Result<(), String> {
         same(
             "frequency-net fingerprint seed",

@@ -268,6 +268,16 @@ impl Statistic for ByOrder {
         }
     }
 
+    fn feed_block(&self, sketch: &mut FpSketch, keys: &mut [u64], weights: Option<&[u32]>) {
+        pfe_hash::hash_keys(keys, FINGERPRINT_SEED, None);
+        let updates = keys.iter().enumerate();
+        let updates = updates.map(|(i, &item)| (item, weights.map_or(1, |w| w[i]).into()));
+        match sketch {
+            FpSketch::Ams(s) => updates.for_each(|(item, delta)| s.update(item, delta)),
+            FpSketch::Stable(s) => updates.for_each(|(item, delta)| s.update(item, delta)),
+        }
+    }
+
     fn check_mergeable(&self, other: &Self) -> Result<(), String> {
         same("moment order p", self.p, other.p)
     }

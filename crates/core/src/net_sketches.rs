@@ -104,6 +104,13 @@ pub trait Statistic {
     /// Observe a projected key the chunk holds `multiplicity` times.
     fn feed(&self, sketch: &mut Self::Sketch, key: PatternKey, multiplicity: u32);
 
+    /// [`feed`](Self::feed) every key of `keys`, in order, key `i` with
+    /// multiplicity `weights[i]` (`None`: 1 each): one member's block of
+    /// projected keys, each below `2^64`. `keys` is the sweep's scratch,
+    /// which the statistic may overwrite — with the keys' fingerprints,
+    /// say, from one pass of [`pfe_hash::hash_keys`].
+    fn feed_block(&self, sketch: &mut Self::Sketch, keys: &mut [u64], weights: Option<&[u32]>);
+
     /// Whether the parameters the statistic keeps beside the member map
     /// agree.
     ///
@@ -203,15 +210,67 @@ fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
     Vec::with_capacity(runs)
 }
 
-/// One member's pass over a chunk whose entries project onto it as `keys`.
-/// `weights = None` is the raw chunk: every key is fed as it comes, in row
-/// order, with multiplicity 1. `Some` is the de-duplicated chunk, one
-/// weight per key: when the member's `domain = Some(Q^w)` is no larger
-/// than the chunk's `distinct` rows the weights are summed into `hist` and
-/// each present key is fed once, in ascending key order; otherwise every
-/// key is fed with its row's weight. `distinct` counts the rows a
-/// narrowed sweep left out too, so narrowing never changes which order
-/// the remaining keys arrive in.
+/// One member's block: `keys`, what the swept rows project onto at the
+/// member, in row order. `weights = None` is the raw chunk: every key is
+/// fed as it comes, with multiplicity 1. `Some` is the de-duplicated
+/// chunk, one weight per key: when the member's `domain = Some(Q^w)` is
+/// no larger than the chunk's `distinct` rows the weights are summed into
+/// `hist` and each present key is fed once, in ascending key order, with
+/// its total in `counts`; otherwise every key is fed with its row's
+/// weight. `distinct` counts the rows a narrowed sweep left out too, so
+/// narrowing never changes which order the remaining keys arrive in.
+fn feed_member<P: Statistic>(
+    stat: &P,
+    sketch: &mut P::Sketch,
+    keys: &mut Vec<u64>,
+    (weights, distinct): (Option<&[u32]>, usize),
+    domain: Option<usize>,
+    (hist, counts): (&mut Vec<u32>, &mut Vec<u32>),
+) {
+    let Some(weights) = weights else {
+        return stat.feed_block(sketch, keys, None);
+    };
+    let Some(n) = domain.filter(|&n| n <= distinct) else {
+        return stat.feed_block(sketch, keys, Some(weights));
+    };
+    hist.clear();
+    if n <= SPLIT_HIST_DOMAIN {
+        // Few slots take many increments: four histograms, summed after,
+        // keep consecutive increments of one slot from waiting on each
+        // other through memory.
+        hist.resize(4 * n, 0);
+        let (quads, rest) = keys.as_chunks::<4>();
+        let (weight_quads, rest_weights) = weights.as_chunks::<4>();
+        for (quad, weight_quad) in quads.iter().zip(weight_quads) {
+            for lane in 0..4 {
+                hist[lane * n + quad[lane] as usize] += weight_quad[lane];
+            }
+        }
+        for (&key, &weight) in rest.iter().zip(rest_weights) {
+            hist[key as usize] += weight;
+        }
+        for slot in 0..n {
+            hist[slot] += hist[n + slot] + hist[2 * n + slot] + hist[3 * n + slot];
+        }
+    } else {
+        hist.resize(n, 0);
+        for (&key, &weight) in keys.iter().zip(weights) {
+            hist[key as usize] += weight;
+        }
+    }
+    keys.resize(n, 0);
+    counts.resize(n, 0);
+    let mut present = 0;
+    for (key, &count) in hist[..n].iter().enumerate() {
+        keys[present] = key as u64;
+        counts[present] = count;
+        present += usize::from(count != 0);
+    }
+    keys.truncate(present);
+    counts.truncate(present);
+    stat.feed_block(sketch, keys, Some(counts));
+}
+
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
@@ -241,6 +300,15 @@ fn absorb<P: Statistic>(
         None => weighted.for_each(|(key, weight)| stat.feed(sketch, key, weight)),
     }
 }
+
+/// Largest domain whose histogram is summed in four interleaved copies.
+const SPLIT_HIST_DOMAIN: usize = 64;
+
+/// Fewest rows a sweep hands each member as one block of keys: below it
+/// the block's fixed costs (a kernel call, a merge) outweigh what it saves,
+/// and the rows are fed one at a time (measured on a d = 12 binary net:
+/// even at 8 rows, slower at 4).
+const MIN_BLOCK_ROWS: usize = 8;
 
 /// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot
 /// summing weights, is a `u32`. A longer stretch of rows is swept in runs
@@ -325,6 +393,22 @@ pub trait SweepRow: Ord + Copy {
     /// compiled for packed rows as `runs`, with codec `codec`.
     fn project(self, runs: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey;
 
+    /// `rows` laid out once for every member's
+    /// [`project_block`](Self::project_block): dense rows transposed to
+    /// column-major, `d` columns of `rows.len()` symbols; nothing for
+    /// packed rows, which are read as they are.
+    fn columns(rows: &[Self], d: u32) -> Vec<u16>;
+
+    /// [`project`](Self::project) of every row of `rows`, into `keys`,
+    /// for a member whose keys fit a `u64`; `columns` is what
+    /// [`columns`](Self::columns) made of `rows`.
+    fn project_block(
+        rows: &[Self],
+        columns: &[u16],
+        member: (&[BitRun], &ColumnSet, &PatternCodec),
+        keys: &mut Vec<u64>,
+    );
+
     /// Whether `fed` has no record of the row; records it when there is
     /// room.
     fn first_fed(self, fed: &mut FedRows) -> bool;
@@ -353,6 +437,20 @@ impl SweepRow for u64 {
     #[inline]
     fn project(self, runs: &[BitRun], _: &ColumnSet, _: &PatternCodec) -> PatternKey {
         PatternKey::from(pfe_row::extract_runs(runs, self))
+    }
+
+    fn columns(_: &[u64], _: u32) -> Vec<u16> {
+        Vec::new()
+    }
+
+    #[inline]
+    fn project_block(
+        rows: &[u64],
+        _: &[u16],
+        (runs, _, _): (&[BitRun], &ColumnSet, &PatternCodec),
+        keys: &mut Vec<u64>,
+    ) {
+        pfe_row::extract_runs_block(runs, rows, keys);
     }
 
     #[inline]
@@ -394,6 +492,27 @@ impl SweepRow for &[u16] {
     #[inline]
     fn project(self, _: &[BitRun], cols: &ColumnSet, codec: &PatternCodec) -> PatternKey {
         codec.encode_row(self, cols)
+    }
+
+    fn columns(rows: &[&[u16]], d: u32) -> Vec<u16> {
+        let n = rows.len();
+        let mut columns = vec![0; d as usize * n];
+        for (i, row) in rows.iter().enumerate() {
+            for (c, &s) in row.iter().enumerate() {
+                columns[c * n + i] = s;
+            }
+        }
+        columns
+    }
+
+    #[inline]
+    fn project_block(
+        rows: &[&[u16]],
+        columns: &[u16],
+        (_, cols, codec): (&[BitRun], &ColumnSet, &PatternCodec),
+        keys: &mut Vec<u64>,
+    ) {
+        codec.encode_columns(columns, rows.len(), cols, keys);
     }
 
     #[inline]
@@ -636,9 +755,11 @@ impl<P: Statistic> AlphaNetSummary<P> {
     }
 
     /// The mask-major sweep of `rows` — distinct rows with `weights`, or
-    /// with `None` the raw rows in row order (see [`absorb`]); `distinct`
-    /// counts the run's distinct rows before any narrowing. Returns the
-    /// rows swept.
+    /// with `None` the raw rows in row order (see [`feed_member`]);
+    /// `distinct` counts the run's distinct rows before any narrowing.
+    /// Each member whose domain fits a `usize` — every key a `u64` —
+    /// takes the rows as one block of keys; a wider one, row by row.
+    /// Returns the rows swept.
     fn sweep<R: SweepRow>(
         &mut self,
         rows: &[R],
@@ -650,18 +771,32 @@ impl<P: Statistic> AlphaNetSummary<P> {
         if rows.is_empty() {
             return 0;
         }
-        let hist = &mut Vec::new();
+        let columns = R::columns(rows, d);
+        let (keys, hist, counts) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
-            let keys = rows.iter().map(|&row| row.project(runs, &m.cols, &m.codec));
-            absorb(
-                &self.stat,
-                &mut m.sketch,
+            if m.domain.is_none() || rows.len() < MIN_BLOCK_ROWS {
+                let keys = rows.iter().map(|&row| row.project(runs, &m.cols, &m.codec));
+                absorb(
+                    &self.stat,
+                    &mut m.sketch,
+                    keys,
+                    weights,
+                    distinct,
+                    m.domain,
+                    hist,
+                );
+                continue;
+            }
+            R::project_block(rows, &columns, (runs, &m.cols, &m.codec), keys);
+            let (stat, sketch) = (&self.stat, &mut m.sketch);
+            feed_member(
+                stat,
+                sketch,
                 keys,
-                weights,
-                distinct,
+                (weights, distinct),
                 m.domain,
-                hist,
+                (hist, counts),
             );
         }
         rows.len()
@@ -971,13 +1106,15 @@ mod tests {
         merged
     }
 
-    /// The chunk lengths that exercise the sweep's path choice: one row,
-    /// an odd length, the whole stream, and one row either side of a
-    /// boundary member's domain `Q^w` (a chunk with fewer distinct rows
-    /// than that feeds the member key by key, any other through the
-    /// histogram).
+    /// The chunk lengths that exercise the sweep's path choices: one row,
+    /// the whole stream, one row either side of [`MIN_BLOCK_ROWS`] (a
+    /// shorter run is fed row by row, a longer one as blocks of keys), and
+    /// one row either side of a boundary member's domain `Q^w` (a chunk
+    /// with fewer distinct rows than that feeds the member key by key, any
+    /// other through the histogram).
     fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
-        let mut lengths = vec![1, 7, n_rows];
+        let block = MIN_BLOCK_ROWS;
+        let mut lengths = vec![1, block - 1, block, block + 1, n_rows];
         for w in [net.small_size(), net.large_size()] {
             if let Some(domain) = (q as usize).checked_pow(w).filter(|&n| n < n_rows) {
                 lengths.extend([domain - 1, domain, domain + 1]);
@@ -1005,6 +1142,10 @@ mod tests {
             // Full-width member at d = 63: `1 << w` and `Q^w` must neither
             // overflow nor be allocated for.
             (uniform_binary(63, 3, 11), AlphaNet::new(63, 0.48)),
+            // Members of 16 and 17 columns over Q = 16: domains of 2^64
+            // and 2^68, whose keys a `u64` block cannot hold, fed row by
+            // row beside block-fed narrow members.
+            (uniform_qary(16, 17, 120, 5), AlphaNet::new(17, 0.4)),
         ];
         // What the de-duplicated sweep must not show in the bytes: a chunk
         // that is one row repeated, one with no repeat, one in between.

@@ -46,6 +46,7 @@
 //! faster than it, and the loop is the reference the kernel's tests
 //! compare every instantiation against.
 
+use crate::isa::{Isa, Kernel};
 use crate::rng::SplitMix64;
 
 /// The Mersenne prime `2^61 - 1`.
@@ -203,32 +204,25 @@ impl SignHash {
     }
 }
 
-/// Eight limb planes: `c₀ₗ c₀ₕ c₁ₗ c₁ₕ c₂ₗ c₂ₕ c₃ₗ c₃ₕ`.
-const PLANES: usize = 8;
-const LOW31: u32 = (1 << 31) - 1;
-#[cfg(target_arch = "x86_64")]
+/// Four coefficient planes: `c₀ c₁ c₂ c₃`.
+const PLANES: usize = 4;
+const LOW31: u64 = (1 << 31) - 1;
 const LOW30: u64 = (1 << 30) - 1;
 
-/// `t` [`SignHash`]es evaluated together at one key by the limb kernel
-/// (see the [module docs](self)). The coefficients live only here, plane
-/// by plane, each plane `t` contiguous `u32` limbs.
+/// `t` [`SignHash`]es evaluated together at one key (see the [module
+/// docs](self)). The coefficients live only here, plane by plane, each
+/// plane `t` contiguous `u64`s.
 #[derive(Debug, Clone)]
 pub struct SignBank {
-    planes: Vec<u32>,
+    planes: Vec<u64>,
 }
 
 impl FromIterator<SignHash> for SignBank {
     fn from_iter<I: IntoIterator<Item = SignHash>>(hashes: I) -> Self {
         let hashes: Vec<SignHash> = hashes.into_iter().collect();
-        let t = hashes.len();
-        let mut planes = vec![0u32; PLANES * t];
-        for (j, SignHash([c0, c1, c2, c3])) in hashes.into_iter().enumerate() {
-            let limbs = [c0, c1, c2].map(|c| [c as u32 & LOW31, (c >> 31) as u32]);
-            let halves = [c3 as u32, (c3 >> 32) as u32];
-            for (k, limb) in limbs.into_iter().flatten().chain(halves).enumerate() {
-                planes[k * t + j] = limb;
-            }
-        }
+        let planes = (0..PLANES)
+            .flat_map(|k| hashes.iter().map(move |h| h.0[k]))
+            .collect();
         Self { planes }
     }
 }
@@ -249,9 +243,10 @@ impl SignBank {
         std::mem::size_of_val(self.planes.as_slice())
     }
 
-    /// Hash `j`, rebuilt from its limbs.
+    /// Hash `j`, gathered from the planes.
     fn hash(&self, j: usize) -> SignHash {
-        SignHash(coefficients(&split_planes(&self.planes, self.len()), j))
+        let [c0, c1, c2, c3] = split_planes(&self.planes, self.len());
+        SignHash([c0[j], c1[j], c2[j], c3[j]])
     }
 
     /// `sums[j] += sign_j(x) · delta` for every hash `j`.
@@ -259,123 +254,103 @@ impl SignBank {
     /// # Panics
     /// Panics unless there is one sum per hash.
     pub fn add_signs(&self, x: u64, delta: i64, sums: &mut [i64]) {
-        self.add_signs_on(&[Isa::Avx512, Isa::Avx2], x, delta, sums);
+        self.add_signs_on(&[Isa::Avx512F, Isa::Avx2], x, delta, sums);
     }
 
-    /// [`add_signs`](Self::add_signs) on the first of `isas` this CPU
-    /// has, else on the `u128` loop.
-    #[allow(unsafe_code)]
+    /// [`add_signs`](Self::add_signs) on the limb kernel compiled for the
+    /// first of `isas` this CPU has, else on the `u128` loop.
     fn add_signs_on(&self, isas: &[Isa], x: u64, delta: i64, sums: &mut [i64]) {
         assert_eq!(sums.len(), self.len(), "one AMS sum per sign hash");
         let powers = SignHash::powers(x);
-        match isas.iter().find_map(|isa| isa.kernel()) {
-            // SAFETY: `Isa::kernel` returns an instantiation only after
-            // `is_x86_feature_detected!` found its target feature on this
-            // CPU, which is all a `#[target_feature]` function requires.
-            Some(kernel) => unsafe { kernel(&self.planes, &powers, delta, sums) },
+        match Isa::first_found(isas) {
+            Some(found) => found.run(AddSignsLimbs {
+                planes: &self.planes,
+                powers,
+                delta,
+                sums,
+            }),
             None => self.add_signs_u128(&powers, delta, sums),
         }
     }
 
-    /// The reference: each hash rebuilt and its sign taken by `sign_at`.
+    /// The reference, and the path of a CPU with neither vector feature:
+    /// each cubic summed in `u128` (three products below `2^122`, so the
+    /// sum is below `2^124`), folded once to a `u64` and its residue's
+    /// parity read by [`residue_parity`].
     fn add_signs_u128(&self, powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
-        let planes = split_planes(&self.planes, sums.len());
-        for (j, z) in sums.iter_mut().enumerate() {
-            *z += SignHash(coefficients(&planes, j)).sign_at(powers) * delta;
+        let t = sums.len();
+        let [c0, c1, c2, c3] = split_planes(&self.planes, t);
+        let [x3, x2, x1] = powers.map(u128::from);
+        for j in 0..t {
+            let sum = u128::from(c0[j]) * x3 + u128::from(c1[j]) * x2 + u128::from(c2[j]) * x1;
+            let sum = sum + u128::from(c3[j]);
+            // `(sum >> 61) < 2^63`: the fold stays below 2^64.
+            let folded = (sum as u64 & MERSENNE61) + (sum >> 61) as u64;
+            sums[j] += signed(delta, residue_parity(folded));
         }
     }
 }
 
-/// The `t`-limb planes of `planes`, plane `k` holding limb `k` of every
-/// hash.
+/// The `t`-coefficient planes of `planes`, plane `k` holding coefficient
+/// `k` of every hash.
 #[inline(always)]
-fn split_planes(planes: &[u32], t: usize) -> [&[u32]; PLANES] {
+fn split_planes(planes: &[u64], t: usize) -> [&[u64]; PLANES] {
     let plane = |k: usize| &planes[k * t..(k + 1) * t];
-    [
-        plane(0),
-        plane(1),
-        plane(2),
-        plane(3),
-        plane(4),
-        plane(5),
-        plane(6),
-        plane(7),
-    ]
+    [plane(0), plane(1), plane(2), plane(3)]
 }
 
-/// Hash `j`'s coefficients, rebuilt from its limbs.
+/// The parity of the canonical residue of `s` modulo `p`, for any
+/// `s < 2^64`: one fold leaves `T = (s & p) + (s >> 61) ≤ p + 7`, whose
+/// residue is `T`, or `T − p` when `T ≥ p` — `p` odd, so the low bit flips
+/// exactly when `(T + 1) >> 61` is 1.
 #[inline(always)]
-fn coefficients(planes: &[&[u32]; PLANES], j: usize) -> [u64; 4] {
-    let limb = |k: usize| planes[k][j] as u64;
-    [
-        limb(1) << 31 | limb(0),
-        limb(3) << 31 | limb(2),
-        limb(5) << 31 | limb(4),
-        limb(7) << 32 | limb(6),
-    ]
+fn residue_parity(s: u64) -> u64 {
+    let folded = (s & MERSENNE61) + (s >> 61);
+    (folded ^ ((folded + 1) >> 61)) & 1
 }
 
-/// The instantiations of the limb kernel.
-#[derive(Debug, Clone, Copy)]
-enum Isa {
-    Avx512,
-    Avx2,
-}
-
-/// A limb kernel compiled for one target feature.
-type Kernel = unsafe fn(&[u32], &[u64; 3], i64, &mut [i64]);
-
-impl Isa {
-    /// This instantiation, if the CPU has its feature (asked now).
-    #[cfg(target_arch = "x86_64")]
-    fn kernel(self) -> Option<Kernel> {
-        let (found, kernel): (bool, Kernel) = match self {
-            Isa::Avx512 => (std::is_x86_feature_detected!("avx512f"), add_signs_avx512),
-            Isa::Avx2 => (std::is_x86_feature_detected!("avx2"), add_signs_avx2),
-        };
-        found.then_some(kernel)
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn kernel(self) -> Option<Kernel> {
-        None
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn add_signs_avx512(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
-    add_signs_limbs(planes, powers, delta, sums);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn add_signs_avx2(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
-    add_signs_limbs(planes, powers, delta, sums);
+/// `delta` for an even residue, `−delta` for an odd one, without a
+/// multiply or a branch.
+#[inline(always)]
+fn signed(delta: i64, parity: u64) -> i64 {
+    let neg = parity.wrapping_neg() as i64;
+    (delta ^ neg) - neg
 }
 
 /// The limb kernel (see the [module docs](self)): `sums.len()` hashes,
-/// each plane `sums.len()` limbs of `planes`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn add_signs_limbs(planes: &[u32], powers: &[u64; 3], delta: i64, sums: &mut [i64]) {
-    let t = sums.len();
-    let [c0l, c0h, c1l, c1h, c2l, c2h, c3l, c3h] = split_planes(planes, t);
-    // `X < 2^61`, so `X >> 31` fits a `u32`: both factors of every
-    // product below are zero-extended `u32`s.
-    let [(x3l, x3h), (x2l, x2h), (x1l, x1h)] =
-        powers.map(|x| ((x as u32 & LOW31) as u64, (x >> 31) as u32 as u64));
-    for j in 0..t {
-        let [a0, a1, a2] = [c0l[j], c1l[j], c2l[j]].map(u64::from);
-        let [b0, b1, b2] = [c0h[j], c1h[j], c2h[j]].map(u64::from);
-        let hh = b0 * x3h + b1 * x2h + b2 * x1h;
-        let mid = b0 * x3l + a0 * x3h + b1 * x2l + a1 * x2h + b2 * x1l + a2 * x1h;
-        let ll = a0 * x3l + a1 * x2l + a2 * x1l;
-        let c3 = (c3h[j] as u64) << 32 | c3l[j] as u64;
-        let s = 2 * hh + (mid >> 30) + ((mid & LOW30) << 31) + (ll & MERSENNE61) + (ll >> 61) + c3;
-        let folded = (s & MERSENNE61) + (s >> 61);
-        let neg = ((folded ^ ((folded + 1) >> 61)) & 1).wrapping_neg() as i64;
-        sums[j] += (delta ^ neg) - neg;
+/// each plane `sums.len()` coefficients of `planes`.
+struct AddSignsLimbs<'a> {
+    planes: &'a [u64],
+    powers: [u64; 3],
+    delta: i64,
+    sums: &'a mut [i64],
+}
+
+impl Kernel for AddSignsLimbs<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            planes,
+            powers,
+            delta,
+            sums,
+        } = self;
+        let t = sums.len();
+        let [c0, c1, c2, c3] = split_planes(planes, t);
+        // `X < 2^61` and `c < 2^61`: every limb fits a `u32`, so both
+        // factors of every product below are zero-extended `u32`s.
+        let limbs = |x: u64| (x & LOW31, (x >> 31) as u32 as u64);
+        let [(x3l, x3h), (x2l, x2h), (x1l, x1h)] = powers.map(limbs);
+        for j in 0..t {
+            let [(a0, b0), (a1, b1), (a2, b2)] = [c0[j], c1[j], c2[j]].map(limbs);
+            let hh = b0 * x3h + b1 * x2h + b2 * x1h;
+            let mid = b0 * x3l + a0 * x3h + b1 * x2l + a1 * x2h + b2 * x1l + a2 * x1h;
+            let ll = a0 * x3l + a1 * x2l + a2 * x1l;
+            let s = 2 * hh + (mid >> 30) + ((mid & LOW30) << 31) + (ll & MERSENNE61) + (ll >> 61);
+            sums[j] += signed(delta, residue_parity(s + c3[j]));
+        }
     }
 }
 
@@ -638,9 +613,9 @@ mod tests {
         ];
         let items = items.into_iter().chain((0..64).map(|_| rng.next_u64()));
         let mut reference = vec![0i64; bank.len()];
-        let mut kernels: Vec<(Isa, Vec<i64>)> = [Isa::Avx2, Isa::Avx512]
+        let mut kernels: Vec<(Isa, Vec<i64>)> = [Isa::Avx2, Isa::Avx512F, Isa::Avx512]
             .into_iter()
-            .filter(|isa| isa.kernel().is_some())
+            .filter(|&isa| Isa::first_found(&[isa]).is_some())
             .map(|isa| (isa, vec![0i64; bank.len()]))
             .collect();
         for (i, x) in items.enumerate() {
@@ -652,7 +627,7 @@ mod tests {
             }
         }
         for (j, h) in hashes.iter().enumerate() {
-            assert_eq!(bank.hash(j).0, h.0, "hash {j} rebuilt from its limbs");
+            assert_eq!(bank.hash(j).0, h.0, "hash {j} gathered from the planes");
         }
     }
 

@@ -59,5 +59,5 @@ pub mod sink;
 pub use error::{IngestError, ParseErrorKind};
 pub use parser::RowParser;
 pub use reader::{FileIngester, IngestReport};
-pub use schema::{IngestOptions, Schema};
+pub use schema::{IngestOptions, Schema, MAX_COLUMNS};
 pub use sink::{RowSink, VecSink};

@@ -220,9 +220,9 @@ impl RowParser {
     }
 
     /// Parse one line (without its terminating `\n`) into a packed
-    /// binary row. Only valid for packed schemas (`Q = 2`, `d ≤ 64`).
+    /// binary row. Only valid for packed schemas (`Q = 2`, `d ≤ 63`).
     pub fn parse_packed(&self, line: &[u8], lineno: u64) -> Result<u64, IngestError> {
-        debug_assert!(self.q == 2 && self.d <= 64, "packed parse needs Q=2, d<=64");
+        debug_assert!(self.q == 2 && self.d <= 63, "packed parse needs Q=2, d<=63");
         let mut row = 0u64;
         self.walk(line, lineno, |col, val| row |= (val as u64) << col)?;
         Ok(row)

@@ -2,6 +2,11 @@
 
 use crate::error::IngestError;
 
+/// Most columns a stream may have: a column subset is a `u64` mask, and
+/// an α-net summary needs `d ≤ 63`. A wider file is rejected at its
+/// header, before any sink is built.
+pub const MAX_COLUMNS: usize = 63;
+
 /// The discovered (or declared) shape of the input: one named column per
 /// stream dimension, over alphabet `[0, Q)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,9 +24,9 @@ impl Schema {
     }
 
     /// Whether this schema takes the packed binary fast path
-    /// (`Q = 2`, `d ≤ 64`: one row is one `u64`).
+    /// (`Q = 2`, `d ≤ 63`: one row is one `u64`).
     pub fn packed(&self) -> bool {
-        self.alphabet == 2 && self.columns.len() <= 64
+        self.alphabet == 2 && self.columns.len() <= MAX_COLUMNS
     }
 
     /// Synthesized column names `c0..c{d-1}` for headerless input.
@@ -35,6 +40,12 @@ impl Schema {
     pub(crate) fn validate(&self) -> Result<(), IngestError> {
         if self.columns.is_empty() {
             return Err(IngestError::Schema("zero columns".into()));
+        }
+        if self.columns.len() > MAX_COLUMNS {
+            return Err(IngestError::Schema(format!(
+                "{} columns: a stream has at most {MAX_COLUMNS}",
+                self.columns.len()
+            )));
         }
         if let Some(i) = self.columns.iter().position(|c| c.is_empty()) {
             return Err(IngestError::Schema(format!(
@@ -120,10 +131,13 @@ mod tests {
         assert_eq!(s.dimension(), 8);
         assert_eq!(s.columns[0], "c0");
         assert!(s.packed());
-        assert!(!Schema::synthetic(65, 2).packed());
+        assert!(Schema::synthetic(63, 2).packed());
+        assert!(!Schema::synthetic(64, 2).packed());
         assert!(!Schema::synthetic(8, 3).packed());
         assert!(s.validate().is_ok());
         assert!(Schema::synthetic(0, 2).validate().is_err());
+        assert!(Schema::synthetic(63, 2).validate().is_ok());
+        assert!(Schema::synthetic(64, 4).validate().is_err());
         assert!(Schema::synthetic(4, 1).validate().is_err());
         assert!(Schema::synthetic(4, 70_000).validate().is_err());
         assert!(Schema::synthetic(4, 65_536).validate().is_ok());

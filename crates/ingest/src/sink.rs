@@ -18,7 +18,7 @@ use crate::error::IngestError;
 
 /// A destination for parsed row chunks.
 pub trait RowSink {
-    /// Accept a chunk: packed binary rows (`Q = 2`, `d ≤ 64`) or dense
+    /// Accept a chunk: packed binary rows (`Q = 2`, `d ≤ 63`) or dense
     /// rows flattened row-major (`d` symbols per row).
     ///
     /// # Errors

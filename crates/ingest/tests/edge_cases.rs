@@ -5,7 +5,9 @@
 
 use std::io::Cursor;
 
-use pfe_ingest::{FileIngester, IngestError, IngestOptions, ParseErrorKind, Schema, VecSink};
+use pfe_ingest::{
+    FileIngester, IngestError, IngestOptions, ParseErrorKind, Schema, VecSink, MAX_COLUMNS,
+};
 use proptest::prelude::*;
 
 fn ingest_str(
@@ -137,6 +139,39 @@ fn header_validation_against_declared_columns() {
     assert!(ingest_str(b"a,b\n1,0\n", opts.clone()).is_ok());
     let err = ingest_str(b"a,c\n1,0\n", opts).unwrap_err();
     assert!(matches!(err, IngestError::Schema(_)), "{err}");
+}
+
+/// A stream has at most 63 columns (every engine's α-net needs `d ≤ 63`):
+/// a 64-column file is a typed schema error naming the limit, raised at
+/// the header before any sink is built, binary or not; 63 columns ingest.
+#[test]
+fn more_than_63_columns_are_rejected_at_the_header() {
+    let file = |d: usize| {
+        let header: Vec<String> = (0..d).map(|c| format!("c{c}")).collect();
+        format!("{}\n{}\n", header.join(","), vec!["1"; d].join(",")).into_bytes()
+    };
+    assert_eq!(MAX_COLUMNS, 63);
+    let (sink, report) = ingest_str(&file(63), IngestOptions::default()).expect("63 columns");
+    assert_eq!((report.schema.dimension(), report.rows), (63, 1));
+    assert_eq!(sink.packed, [(1 << 63) - 1]);
+    for q in [2, 4] {
+        let opts = IngestOptions {
+            alphabet: q,
+            ..Default::default()
+        };
+        let mut built = false;
+        let err = FileIngester::new(opts)
+            .ingest_reader_with(Cursor::new(file(64)), "wide.csv", |_| {
+                built = true;
+                Ok(VecSink::default())
+            })
+            .unwrap_err();
+        assert!(!built, "q={q}: the sink is never built");
+        match err {
+            IngestError::Schema(msg) => assert!(msg.contains("at most 63"), "{msg}"),
+            other => panic!("q={q}: expected a schema error, got {other}"),
+        }
+    }
 }
 
 #[test]

@@ -67,6 +67,36 @@ pub fn extract_runs(runs: &[BitRun], x: u64) -> u64 {
         .fold(0, |out, run| out | (x >> run.shift) & run.keep)
 }
 
+/// [`extract_runs`] of every row of `rows`, into `keys` (resized to one
+/// key a row): run by run, one shift-and-mask pass over the whole block
+/// each, so the loop a compiler sees is over rows and vectorizes — for
+/// the widest vectors this CPU has ([`pfe_hash::widest`]).
+pub fn extract_runs_block(runs: &[BitRun], rows: &[u64], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.resize(rows.len(), 0);
+    pfe_hash::widest(ExtractRuns { runs, rows, keys });
+}
+
+/// [`extract_runs_block`]'s loop, as a [`pfe_hash::Kernel`].
+struct ExtractRuns<'a> {
+    runs: &'a [BitRun],
+    rows: &'a [u64],
+    keys: &'a mut [u64],
+}
+
+impl pfe_hash::Kernel for ExtractRuns<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        for run in self.runs {
+            for (key, &row) in self.keys.iter_mut().zip(self.rows) {
+                *key |= (row >> run.shift) & run.keep;
+            }
+        }
+    }
+}
+
 /// [`pext_u64`] for one fixed mask applied to many rows: [`bit_runs`]
 /// compiled once at construction, [`extract_runs`] per row.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -27,7 +27,8 @@ pub mod pattern;
 pub mod qary;
 
 pub use binary::{
-    bit_runs, extract_runs, pack_binary_rows, pext_u64, BinaryMatrix, BitExtractor, BitRun,
+    bit_runs, extract_runs, extract_runs_block, pack_binary_rows, pext_u64, BinaryMatrix,
+    BitExtractor, BitRun,
 };
 pub use column_set::{ColumnSet, ColumnSetError};
 pub use dataset::{Chunk, Dataset};

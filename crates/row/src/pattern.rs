@@ -45,6 +45,32 @@ impl From<u64> for PatternKey {
     }
 }
 
+/// [`PatternCodec::encode_columns`]'s loop, as a [`pfe_hash::Kernel`].
+struct EncodeColumns<'a> {
+    columns: &'a [u16],
+    cols: &'a ColumnSet,
+    q: u32,
+    keys: &'a mut [u64],
+}
+
+impl pfe_hash::Kernel for EncodeColumns<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let n = self.keys.len();
+        let mut scale = 1u64;
+        for c in self.cols.iter() {
+            let column = &self.columns[c as usize * n..][..n];
+            for (key, &s) in self.keys.iter_mut().zip(column) {
+                *key += u64::from(s) * scale;
+            }
+            // Below `Q^m`, so below 2^64.
+            scale *= u64::from(self.q);
+        }
+    }
+}
+
 /// Errors from codec construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatternCodecError {
@@ -137,6 +163,32 @@ impl PatternCodec {
             scale *= self.q as u128;
         }
         PatternKey(acc)
+    }
+
+    /// The keys of `n` rows laid out column-major — row `i`'s symbol in
+    /// column `c` at `columns[c·n + i]` — projected onto `cols`, into
+    /// `keys` (resized to `n`): [`encode_row`](Self::encode_row) of every
+    /// row, a column at a time over the whole block, in `u64`, for the
+    /// widest vectors this CPU has ([`pfe_hash::widest`]).
+    ///
+    /// # Panics
+    /// Panics (debug) unless the codec's domain `Q^m` is below `2^64`,
+    /// every key a `u64`, and `cols.len() == m`.
+    pub fn encode_columns(&self, columns: &[u16], n: usize, cols: &ColumnSet, keys: &mut Vec<u64>) {
+        debug_assert_eq!(cols.len(), self.m, "codec width mismatch");
+        debug_assert!(
+            self.domain_size() <= u64::MAX as u128,
+            "keys wider than u64"
+        );
+        keys.clear();
+        keys.resize(n, 0);
+        let q = self.q;
+        pfe_hash::widest(EncodeColumns {
+            columns,
+            cols,
+            q,
+            keys,
+        });
     }
 
     /// Encode an already-projected pattern (length `m`, ascending column

@@ -89,6 +89,134 @@ impl Kmv {
             self.insert_hash(h);
         }
     }
+
+    /// [`insert_hash`](Self::insert_hash) of every hash of `hashes`, in
+    /// order: the same minima and the same capacity, by sorted merges.
+    /// While the sketch has `room` for more hashes, the next `room` of
+    /// them hold at most `room` new to it, so none displaces another and
+    /// they merge as one ascending block. A full sketch rejects, then and
+    /// later, every hash at or above its `k`-th minimum and changes on
+    /// none it holds: the rest of `hashes` is cut to those left, which
+    /// merge at once. `hashes` is scratch.
+    fn insert_hashes(&mut self, mut hashes: &mut [u64]) {
+        while self.minima.len() < self.k && !hashes.is_empty() {
+            let room = self.k - self.minima.len();
+            let (block, rest) = hashes.split_at_mut(room.min(hashes.len()));
+            if block.len() < 16 {
+                block.iter().for_each(|&h| self.insert_hash(h));
+            } else {
+                self.merge_sorted(sort_dedup(block));
+            }
+            hashes = rest;
+        }
+        if hashes.is_empty() {
+            return;
+        }
+        let last = self.minima[self.k - 1];
+        let mut below = retain(hashes, |h| h < last);
+        if below > self.k {
+            // Only the `k` smallest can stay; when they are `k` distinct
+            // hashes, nothing above them can.
+            hashes[..below].select_nth_unstable(self.k - 1);
+            if sort_dedup(&mut hashes[..self.k]).len() == self.k {
+                below = self.k;
+            }
+        }
+        let fresh = retain(&mut hashes[..below], |h| {
+            self.minima.binary_search(&h).is_err()
+        });
+        self.merge_sorted(sort_dedup(&mut hashes[..fresh]));
+    }
+
+    /// Fold in `b`, strictly ascending hashes: the `k` smallest of both
+    /// stay, in the `Vec` `self` already owns, with the capacity that
+    /// inserting `b`'s hashes one at a time, ascending, leaves. That loop
+    /// grows the `Vec` to `max(2·cap, 4)` whenever it is full, and holds
+    /// `k + 1` hashes for a moment at a displacing insert (one into a full
+    /// sketch) — which, ascending, happens exactly when more than `k`
+    /// hashes meet: a full sketch doubles on its first.
+    fn merge_sorted(&mut self, b: &[u64]) {
+        let (len, k) = (self.minima.len(), self.k);
+        // Forward: `fresh` of `b`'s hashes are new to `self` and land
+        // among the union's `k` smallest, the last of them at `b[end - 1]`.
+        let (mut fresh, mut from, mut end) = (0, 0, 0);
+        for (j, &y) in b.iter().enumerate() {
+            let at = from + rank_from_front(&self.minima[from..], y);
+            if self.minima.get(at) == Some(&y) {
+                from = at + 1;
+            } else if at + fresh < k {
+                (from, fresh, end) = (at, fresh + 1, j + 1);
+            } else {
+                break;
+            }
+        }
+        if fresh == 0 {
+            return; // the union's smallest are `self`'s own
+        }
+        let mut cap = self.minima.capacity();
+        while cap < (len + fresh).min(k + 1) {
+            cap = (cap * 2).max(4);
+        }
+        self.minima.reserve_exact(cap - len);
+        let out = (len + fresh).min(k);
+        self.minima.resize(out, 0);
+        // Backward: the largest survivor first, so every write lands at or
+        // above the `self` minimum it could overwrite; `self`'s first
+        // `out - fresh` minima survive, and `b[..end]` holds every `b`
+        // hash that does.
+        let (m, mut i, mut j, mut w) = (&mut self.minima, out - fresh, end, out);
+        while j > 0 {
+            w -= 1;
+            let y = b[j - 1];
+            if i > 0 && m[i - 1] >= y {
+                j -= usize::from(m[i - 1] == y);
+                i -= 1;
+                m[w] = m[i];
+            } else {
+                j -= 1;
+                m[w] = y;
+            }
+        }
+        debug_assert_eq!(w, i, "`self`'s surviving prefix is already in place");
+    }
+}
+
+/// Move the values of `xs` that pass `keep` to its front, in order; how
+/// many there are. Branch-free, whichever way the tests fall.
+fn retain(xs: &mut [u64], keep: impl Fn(u64) -> bool) -> usize {
+    let mut kept = 0;
+    for i in 0..xs.len() {
+        let x = xs[i];
+        xs[kept] = x;
+        kept += usize::from(keep(x));
+    }
+    kept
+}
+
+/// How many values of ascending `xs` are below `y`, searched from the
+/// front in steps that double, then halve: `O(log r)` for a rank `r`, so a
+/// merge walking one list through another pays for the gaps it crosses.
+fn rank_from_front(xs: &[u64], y: u64) -> usize {
+    let mut bound = 1;
+    while bound <= xs.len() && xs[bound - 1] < y {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + xs[lo..(bound - 1).min(xs.len())].partition_point(|&x| x < y)
+}
+
+/// `xs` sorted, its repeats dropped: the distinct values, ascending, at
+/// its front.
+fn sort_dedup(xs: &mut [u64]) -> &[u64] {
+    xs.sort_unstable();
+    let mut kept = usize::from(!xs.is_empty());
+    for i in 1..xs.len() {
+        if xs[i] != xs[kept - 1] {
+            xs[kept] = xs[i];
+            kept += 1;
+        }
+    }
+    &xs[..kept]
 }
 
 impl SpaceUsage for Kmv {
@@ -112,60 +240,21 @@ impl DistinctSketch for Kmv {
         (self.k as f64 - 1.0) / vk
     }
 
-    /// Keep the `k` smallest of both sketches' minima: one forward walk
-    /// over the two ascending lists finds how far into each the union's
-    /// `k` smallest reach, then one backward walk writes them in place, in
-    /// the `Vec` `self` already owns. The result is what inserting
-    /// `other`'s minima one at a time leaves — the same minima and the
-    /// same capacity, which [`SpaceUsage`] counts: that loop inserts each
-    /// of `other`'s hashes that lands among the union's `k` smallest and
-    /// is new to `self`, at lengths `len, len + 1, …` capped at `k`, and
-    /// `Vec::insert` grows a full `Vec` to `max(2·cap, 4)` — so a full
-    /// sketch doubles on its first displacing insert.
+    /// Keep the `k` smallest of both sketches' minima by one merge of
+    /// `other`'s ascending minima (see `merge_sorted`): what inserting
+    /// them one at a time leaves — the same minima and the same capacity,
+    /// which [`SpaceUsage`] counts.
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.k, other.k, "KMV merge: k mismatch");
         assert_eq!(self.seed, other.seed, "KMV merge: seed mismatch");
-        let (a, b) = (&self.minima, &other.minima);
-        // Forward: `i` / `j` minima of each side make the union's `out`
-        // smallest, `fresh` of them only `other` holds.
-        let (mut i, mut j, mut out, mut fresh) = (0, 0, 0, 0);
-        while out < self.k {
-            match (a.get(i), b.get(j)) {
-                (None, None) => break,
-                (Some(x), Some(y)) if x == y => (i, j) = (i + 1, j + 1),
-                (Some(x), Some(y)) if x < y => i += 1,
-                (Some(_), None) => i += 1,
-                _ => (j, fresh) = (j + 1, fresh + 1),
-            }
-            out += 1;
-        }
-        if fresh == 0 {
-            return; // the union's `out` smallest are `self`'s own
-        }
-        let len = a.len();
-        let mut cap = a.capacity();
-        while cap < (len + fresh).min(self.k + 1) {
-            cap = (cap * 2).max(4);
-        }
-        self.minima.reserve_exact(cap - len);
-        // Backward: the largest survivor first, so every write lands at or
-        // above the `self` minimum it could overwrite.
-        self.minima.resize(out, 0);
-        let m = &mut self.minima;
-        let mut w = out;
-        while j > 0 {
-            w -= 1;
-            let y = b[j - 1];
-            if i > 0 && m[i - 1] >= y {
-                j -= usize::from(m[i - 1] == y);
-                i -= 1;
-                m[w] = m[i];
-            } else {
-                j -= 1;
-                m[w] = y;
-            }
-        }
-        debug_assert_eq!(w, i, "`self`'s surviving prefix is already in place");
+        self.merge_sorted(&other.minima);
+    }
+
+    /// Fingerprint and hash the whole block in one pass of the vector
+    /// kernel, then [`insert_hashes`](Kmv::insert_hashes).
+    fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
+        pfe_hash::hash_keys(keys, key_seed, Some(self.seed));
+        self.insert_hashes(keys);
     }
 }
 
@@ -348,6 +437,73 @@ mod tests {
             }
         }
         assert!(cases >= 10_000);
+    }
+
+    /// A block inserted by `insert_keys` / `insert_hashes` leaves what
+    /// inserting it one hash at a time leaves — minima *and* capacity —
+    /// for every `k` from 2 to past the 1024 a new sketch reserves,
+    /// sketches empty, part-filled and full (fresh, or cloned so their
+    /// capacity is their length), and blocks holding repeats and hashes
+    /// the sketch already holds, in random, ascending and descending hash
+    /// order.
+    #[test]
+    fn block_insert_matches_the_insert_loop_minima_and_capacity() {
+        use pfe_hash::rng::Xoshiro256pp;
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let mut below = |n: u64| rng.next_u64() % n;
+        let key_seed = 0xf1a9;
+        let hash = |s: &Kmv, key: u64| hash_u64(pfe_hash::hash_u128(key.into(), key_seed), s.seed);
+        for k in [2usize, 3, 64, 256, 1025, 2048] {
+            let ku = k as u64;
+            for _ in 0..200 {
+                let span = [ku / 2 + 1, 2 * ku, 1 << 40][below(3) as usize];
+                let held = [0, ku / 2, ku - 1, ku, 3 * ku][below(5) as usize];
+                let cloned = below(2) == 0;
+                let start = || {
+                    let mut s = Kmv::new(k, 7);
+                    (0..held).for_each(|i| s.insert_hash(hash(&s, (i * 7919) % span)));
+                    if cloned {
+                        s = s.clone();
+                    }
+                    s
+                };
+                let n = [0, 1, 7, ku / 2, ku, 2 * ku + 1][below(6) as usize];
+                let keys: Vec<u64> = (0..n).map(|_| below(span)).collect();
+                let (mut reference, mut block) = (start(), start());
+                let mut hashes: Vec<u64> = keys.iter().map(|&key| hash(&block, key)).collect();
+                let order = below(3);
+                match order {
+                    1 => hashes.sort_unstable(),
+                    2 => hashes.sort_unstable_by(|a, b| b.cmp(a)),
+                    _ => {}
+                }
+                hashes.iter().for_each(|&h| reference.insert_hash(h));
+                if order == 0 {
+                    block.insert_keys(&mut keys.clone(), key_seed);
+                } else {
+                    block.insert_hashes(&mut hashes.clone());
+                }
+                let case =
+                    format!("k={k} span={span} held={held} cloned={cloned} n={n} order={order}");
+                assert_eq!(block.minima, reference.minima, "{case}");
+                assert_eq!(
+                    block.minima.capacity(),
+                    reference.minima.capacity(),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn galloping_rank_equals_the_partition_point() {
+        for n in 0..40u64 {
+            let xs: Vec<u64> = (0..n).map(|i| 3 * i + 1).collect();
+            for y in 0..=3 * n + 2 {
+                let rank = xs.partition_point(|&x| x < y);
+                assert_eq!(rank_from_front(&xs, y), rank, "n={n} y={y}");
+            }
+        }
     }
 
     #[test]

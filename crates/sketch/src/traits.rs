@@ -19,6 +19,15 @@ pub trait DistinctSketch: SpaceUsage {
     /// Observe one item (duplicates allowed; only distinctness matters).
     fn insert(&mut self, item: u64);
 
+    /// Observe the fingerprint [`hash_u128`](pfe_hash::hash_u128)`(key,
+    /// key_seed)` of every key of `keys`, in order: the sketch
+    /// [`insert`](Self::insert) of each leaves. `keys` is scratch the
+    /// sketch may overwrite.
+    fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
+        pfe_hash::hash_keys(keys, key_seed, None);
+        keys.iter().for_each(|&item| self.insert(item));
+    }
+
     /// Estimate the number of distinct items observed.
     fn estimate(&self) -> f64;
 

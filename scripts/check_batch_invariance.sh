@@ -7,8 +7,11 @@
 # that safe. Ingest each generated file at --batch-rows 1, 512 and 4096
 # and `cmp` the checkpoints — binary rows, Q=4 rows with an AMS (p=2,
 # takes the multiplicity) and a stable (p=1, fed row by row) moment net,
-# and both ends of repetition: Q=4 rows that never repeat, and one row
-# repeated 20,000 times among them.
+# both ends of repetition: Q=4 rows that never repeat, and one row
+# repeated 20,000 times among them — and wide binary rows (d=24 at
+# alpha 0.35), whose 21- to 24-column members take each run's keys in
+# row order, as blocks that full sketches merge, not through a
+# histogram.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,4 +47,6 @@ check distinct "$tmpdir/distinct.csv" --q 4 --fp 2.0
 # repeated 20,000 times.
 awk 'NR == 1; NR == 7778 { for (r = 0; r < 20000; r++) print }' "$tmpdir/distinct.csv" > "$tmpdir/repeated.csv"
 check repeated "$tmpdir/repeated.csv" --q 4 --fp 2.0
+gen 24 2 20000 > "$tmpdir/wide.csv"
+check wide "$tmpdir/wide.csv" --alpha 0.35
 echo "OK"
