@@ -37,20 +37,44 @@
 //!    reads those rows;
 //!
 //! then one pass over the distinct rows *per member*, so one sketch is hot
-//! at a time:
+//! at a time, and in that pass the member takes the rows as **one block**:
 //!
-//! 1. **project** — packed rows through the member's mask compiled to its
-//!    runs of adjacent columns ([`pfe_row::bit_runs`], one shift-and-mask
-//!    per run), dense rows through its [`PatternCodec`];
+//! 1. **project** — every row's key into one reusable `u64` buffer
+//!    ([`SweepRow::project_block`]): packed rows through the member's mask
+//!    compiled to its runs of adjacent columns ([`pfe_row::bit_runs`]),
+//!    applied run by run over the whole block as shift, mask, OR
+//!    ([`pfe_row::extract_runs_block`]); dense rows transposed to
+//!    column-major once per sweep ([`SweepRow::columns`]), then
+//!    `Σ col·Q^j` a column at a time
+//!    ([`PatternCodec::encode_columns`]). Both loops run over rows, so
+//!    they are compiled for the widest vectors the CPU has
+//!    ([`pfe_hash::widest`]);
 //! 2. **histogram or not** — the net is made of subsets of size `≤ αd` or
 //!    `≥ (1−α)d`, so half of the members project onto only `Q^{≤αd}`
 //!    patterns and distinct rows still collide on them. When a member's
 //!    domain `Q^w` is no larger than the number of distinct rows, the
-//!    weights are summed into a `Q^w`-slot histogram and each *present*
-//!    key is fed once with its total; a wider member is fed each distinct
-//!    row's key with that row's weight;
-//! 3. **feed** — [`Statistic::feed`] gets `(sketch, key, multiplicity)`,
+//!    weights are summed into a `Q^w`-slot histogram (four interleaved
+//!    ones, summed after, for a domain of at most 64) and the *present*
+//!    keys, ascending, replace the block, each with its total; a wider
+//!    member keeps the block of every distinct row's key with that row's
+//!    weight;
+//! 3. **feed** — [`Statistic::feed_block`] gets `(sketch, keys, weights)`,
 //!    statically dispatched: the sweep is monomorphized per statistic.
+//!    Each statistic hashes the block in one pass of the vector kernel
+//!    ([`pfe_hash::hash_keys`]): CountMin and AMS take the fingerprints
+//!    and update as before; a KMV takes `hash_u64` of the fingerprint
+//!    under its own seed in the same pass, drops every hash a full sketch
+//!    would reject and merges the rest at once
+//!    ([`DistinctSketch::insert_keys`](pfe_sketch::traits::DistinctSketch::insert_keys)),
+//!    leaving the minima *and* the `Vec` capacity that inserting the
+//!    block one hash at a time leaves.
+//!
+//! Two cases keep the per-row loop ([`Statistic::feed`], one
+//! [`PatternKey`] at a time): a run of fewer than 8 rows, where a block's
+//! fixed costs outweigh what it saves (a one-row chunk is such a run), and
+//! a member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit
+//! target), whose keys a `u64` block cannot hold. Either way each sketch
+//! sees the keys the block path would feed it, in the same order.
 //!
 //! Which sketches may take a multiplicity is the statistic's call
 //! ([`Statistic::counted`]): set sketches (KMV) ignore it, exact integer
@@ -271,6 +295,9 @@ fn feed_member<P: Statistic>(
     stat.feed_block(sketch, keys, Some(counts));
 }
 
+/// [`feed_member`] one key at a time, through [`Statistic::feed`]: for a
+/// run too short to pay for a block, or a member whose keys exceed `u64`.
+/// The same keys, weights and order.
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,

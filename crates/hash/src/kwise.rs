@@ -11,14 +11,14 @@
 //! A [`SignHash`] is the low bit of a cubic `c₀x³ + c₁x² + c₂x + c₃` over
 //! `F_p`. An AMS update evaluates 80 such cubics at *one* key, so the key
 //! is reduced and `x³, x², x mod p` computed once, and a [`SignBank`]
-//! holds the 80 hashes' coefficients as eight planes of `u32` limbs: each
-//! `c < 2^61` as `c_l` (its low 31 bits) and `c_h` (its high 30), `c₃` as
-//! two 32-bit halves — 32 bytes a hash, as four inline `u64`s were. The
-//! planes are the coefficients' only copy; [`SignHash`] is how they are
-//! drawn and how they travel.
+//! holds the 80 hashes' coefficients as four planes of `u64`, plane `k`
+//! holding every hash's `c_k` — 32 bytes a hash, as four inline `u64`s
+//! were. The planes are the coefficients' only copy; [`SignHash`] is how
+//! they are drawn and how they travel.
 //!
-//! With each power split the same way, `X = X_h·2^31 + X_l`, a sign needs
-//! only `u32 × u32 → u64` products, which vectorize across the hashes
+//! With each coefficient `c < 2^61` and each power split in registers as
+//! `c = c_h·2^31 + c_l` and `X = X_h·2^31 + X_l`, a sign needs only
+//! `u32 × u32 → u64` products, which vectorize across the hashes
 //! (`vpmuludq`) where the three `u64 × u64 → u128` products of Horner's
 //! rule or of the plain cubic cannot. Per hash, summed over the three
 //! powers:
@@ -38,13 +38,14 @@
 //! the parity of the same canonical residue: same signs, same sums, same
 //! bytes.
 //!
-//! The kernel is one `#[inline(always)]` body compiled twice under
-//! `#[target_feature]`, for AVX-512F and for AVX2, and the CPU is asked
-//! at run time on each update which to call. Without either (or off
-//! x86-64) the update runs the `u128` loop on the same planes: compiled
-//! for baseline x86-64 (two 64-bit SSE2 lanes) the limb kernel is no
-//! faster than it, and the loop is the reference the kernel's tests
-//! compare every instantiation against.
+//! The kernel is compiled for AVX-512 F and for AVX2 through
+//! [`widest`](crate::isa::widest)'s dispatch (see [`isa`](crate::isa)),
+//! the CPU asked at run time on each update; its AVX-512 build leaves DQ
+//! off, or LLVM multiplies the 32-bit halves with the slower `vpmullq`.
+//! Without either feature (or off x86-64) the update runs the `u128`
+//! loop on the same planes — each cubic summed in `u128`, folded once to
+//! a `u64` and read by the same parity step — which is the reference the
+//! kernel's tests compare every instantiation against.
 
 use crate::isa::{Isa, Kernel};
 use crate::rng::SplitMix64;

@@ -12,12 +12,15 @@
 //! Modules:
 //!
 //! - [`mix`] — stateless 64-bit finalizers/combiners (SplitMix64 finalizer,
-//!   xxHash-style avalanche, byte-string hashing).
+//!   xxHash-style avalanche, byte-string hashing), and [`hash_keys`],
+//!   which fingerprints a whole block of projected keys in one pass.
 //! - [`rng`] — [`rng::SplitMix64`] and
 //!   [`rng::Xoshiro256pp`] PRNGs with distribution helpers
 //!   (uniform ranges, floats, Gaussian, exponential, Cauchy, p-stable).
 //! - [`kwise`] — polynomial k-wise independent hash family over the Mersenne
 //!   prime `2^61 - 1`, with pairwise/4-wise specializations and sign hashes.
+//! - [`isa`] — which vector instruction set a loop ([`Kernel`]) is
+//!   compiled for, chosen at run time: the crate's one `unsafe` call.
 //! - [`builder`] — a fast seeded [`std::hash::BuildHasher`] so `HashMap`s in
 //!   hot paths avoid SipHash (per the Rust performance guide) while staying
 //!   deterministic across runs.

@@ -5,6 +5,22 @@
 //! [`hash_u64`]`(item, seed)`, which behaves as a fixed random function for
 //! each seed. The finalizer is the SplitMix64 / MurmurHash3 `fmix64`
 //! construction, which passes SMHasher-style avalanche tests.
+//!
+//! # A block of keys, one pass
+//!
+//! An α-net sweep hands each member the keys of a whole run of rows at
+//! once, and every member sketch wants them fingerprinted —
+//! [`hash_u128`]`(key, seed)` — and a KMV then hashes each fingerprint
+//! again under its own seed. [`hash_keys`] does both for a block in one
+//! loop over the keys: the terms that depend on a seed alone (`mix64` of
+//! it, its golden-ratio multiple) are worked out once per block, not once
+//! per key, and a key below `2^64` is a `u128` whose high word is zero,
+//! so its fingerprint is [`hash_u64`] under one fixed derived seed. The
+//! loop is compiled for AVX-512 F+DQ (eight lanes of `vpmullq`, the
+//! 64-bit lane product `mix64` needs) and for AVX2, and the CPU picks at
+//! run time ([`isa`](crate::isa)); without either it runs as compiled
+//! for the baseline, which is also the reference its tests compare every
+//! instantiation against. Every route gives the per-key hashes exactly.
 
 use crate::isa::{Isa, Kernel};
 

@@ -7,9 +7,14 @@
 //! summary: its accuracy depends only on `k`, never on the pattern domain,
 //! matching the `O(ε^{-2} + log n')` sketches cited in Section 6.
 //!
-//! Two sketches of one seed merge by one linear walk over their ascending
-//! minima, in the left sketch's own buffer (see `merge`); inserting a
-//! sketch again, or a hash it already rejected, leaves it unchanged.
+//! Two sketches of one seed merge by one walk over their ascending
+//! minima, in the left sketch's own buffer (see `merge_sorted`), and a
+//! block of keys goes in by the same merge
+//! ([`insert_keys`](DistinctSketch::insert_keys)): hashed in one pass of
+//! the vector kernel, cut to what a full sketch would keep, sorted and
+//! merged. Either leaves the minima and the `Vec` capacity that inserting
+//! the hashes one at a time, in their order, leaves; inserting a sketch
+//! again, or a hash it already rejected, leaves it unchanged.
 
 use crate::traits::{vec_bytes, DistinctSketch, SpaceUsage};
 use pfe_hash::hash_u64;
