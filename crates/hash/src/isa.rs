@@ -16,7 +16,7 @@
 //!
 //! This is the crate's one `unsafe` call: a `#[target_feature]`
 //! function may only be called where its features are present, and a
-//! [`Found`] instruction set is made only after `is_x86_feature_detected!`
+//! `Found` instruction set is made only after `is_x86_feature_detected!`
 //! found them.
 
 /// A loop to compile once per instruction set: [`widest`] runs it.

@@ -580,8 +580,8 @@ mod tests {
     #[test]
     fn every_kernel_instantiation_equals_the_u128_reference() {
         // Coefficients at the limb edges: `c_l = 2^31 − 1` alone, `c_h =
-        // 2^30 − 1` alone, `p − 1` (`c_h` full, `c_l = 2^31 − 2`), and the
-        // halves of `c₃` at `2^32 − 1` and `2^32`.
+        // 2^30 − 1` alone, `p − 1` (`c_h` full, `c_l = 2^31 − 2`), and
+        // `2^32 − 1`, `2^32` either side of a 32-bit word.
         let edges = [
             0,
             1,

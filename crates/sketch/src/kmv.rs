@@ -256,7 +256,8 @@ impl DistinctSketch for Kmv {
     }
 
     /// Fingerprint and hash the whole block in one pass of the vector
-    /// kernel, then [`insert_hashes`](Kmv::insert_hashes).
+    /// kernel, then `insert_hashes`: sorted merges that leave the minima
+    /// and capacity inserting one hash at a time leaves.
     fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
         pfe_hash::hash_keys(keys, key_seed, Some(self.seed));
         self.insert_hashes(keys);
