@@ -53,8 +53,7 @@
 //!    `≥ (1−α)d`, so half of the members project onto only `Q^{≤αd}`
 //!    patterns and distinct rows still collide on them. When a member's
 //!    domain `Q^w` is no larger than the number of distinct rows, the
-//!    weights are summed into a `Q^w`-slot histogram (four interleaved
-//!    ones, summed after, for a domain of at most 64) and the *present*
+//!    weights are summed into a `Q^w`-slot histogram and the *present*
 //!    keys, ascending, replace the block, each with its total; a wider
 //!    member keeps the block of every distinct row's key with that row's
 //!    weight;
@@ -69,11 +68,10 @@
 //!    leaving the minima *and* the `Vec` capacity that inserting the
 //!    block one hash at a time leaves.
 //!
-//! Two cases keep the per-row loop ([`Statistic::feed`], one
-//! [`PatternKey`] at a time): a run of fewer than 8 rows, where a block's
-//! fixed costs outweigh what it saves (a one-row chunk is such a run), and
-//! a member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit
-//! target), whose keys a `u64` block cannot hold. Either way each sketch
+//! A run of any length, a one-row chunk too, goes through those steps.
+//! Only a member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a
+//! 64-bit target), whose keys a `u64` block cannot hold, keeps the per-row
+//! loop ([`Statistic::feed`], one [`PatternKey`] at a time); its sketch
 //! sees the keys the block path would feed it, in the same order.
 //!
 //! Which sketches may take a multiplicity is the statistic's call
@@ -258,34 +256,14 @@ fn feed_member<P: Statistic>(
         return stat.feed_block(sketch, keys, Some(weights));
     };
     hist.clear();
-    if n <= SPLIT_HIST_DOMAIN {
-        // Few slots take many increments: four histograms, summed after,
-        // keep consecutive increments of one slot from waiting on each
-        // other through memory.
-        hist.resize(4 * n, 0);
-        let (quads, rest) = keys.as_chunks::<4>();
-        let (weight_quads, rest_weights) = weights.as_chunks::<4>();
-        for (quad, weight_quad) in quads.iter().zip(weight_quads) {
-            for lane in 0..4 {
-                hist[lane * n + quad[lane] as usize] += weight_quad[lane];
-            }
-        }
-        for (&key, &weight) in rest.iter().zip(rest_weights) {
-            hist[key as usize] += weight;
-        }
-        for slot in 0..n {
-            hist[slot] += hist[n + slot] + hist[2 * n + slot] + hist[3 * n + slot];
-        }
-    } else {
-        hist.resize(n, 0);
-        for (&key, &weight) in keys.iter().zip(weights) {
-            hist[key as usize] += weight;
-        }
+    hist.resize(n, 0);
+    for (&key, &weight) in keys.iter().zip(weights) {
+        hist[key as usize] += weight;
     }
     keys.resize(n, 0);
     counts.resize(n, 0);
     let mut present = 0;
-    for (key, &count) in hist[..n].iter().enumerate() {
+    for (key, &count) in hist.iter().enumerate() {
         keys[present] = key as u64;
         counts[present] = count;
         present += usize::from(count != 0);
@@ -295,47 +273,23 @@ fn feed_member<P: Statistic>(
     stat.feed_block(sketch, keys, Some(counts));
 }
 
-/// [`feed_member`] one key at a time, through [`Statistic::feed`]: for a
-/// run too short to pay for a block, or a member whose keys exceed `u64`.
-/// The same keys, weights and order.
+/// A wide member's keys, which a `u64` block cannot hold, fed one at a
+/// time through [`Statistic::feed`], each with its row's weight (`None`:
+/// 1), in row order: what [`feed_member`] does with a block whose domain
+/// is wider than the run, as a wide member's always is.
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
-    keys: impl ExactSizeIterator<Item = PatternKey>,
+    keys: impl Iterator<Item = PatternKey>,
     weights: Option<&[u32]>,
-    distinct: usize,
-    domain: Option<usize>,
-    hist: &mut Vec<u32>,
 ) {
-    let Some(weights) = weights else {
-        return keys.for_each(|key| stat.feed(sketch, key, 1));
-    };
-    let weighted = keys.zip(weights.iter().copied());
-    match domain.filter(|&n| n <= distinct) {
-        Some(n) => {
-            hist.clear();
-            hist.resize(n, 0);
-            for (key, weight) in weighted {
-                hist[key.raw() as usize] += weight;
-            }
-            for (key, &count) in hist.iter().enumerate() {
-                if count != 0 {
-                    stat.feed(sketch, PatternKey::from(key as u64), count);
-                }
-            }
-        }
-        None => weighted.for_each(|(key, weight)| stat.feed(sketch, key, weight)),
+    match weights {
+        None => keys.for_each(|key| stat.feed(sketch, key, 1)),
+        Some(weights) => keys
+            .zip(weights)
+            .for_each(|(key, &weight)| stat.feed(sketch, key, weight)),
     }
 }
-
-/// Largest domain whose histogram is summed in four interleaved copies.
-const SPLIT_HIST_DOMAIN: usize = 64;
-
-/// Fewest rows a sweep hands each member as one block of keys: below it
-/// the block's fixed costs (a kernel call, a merge) outweigh what it saves,
-/// and the rows are fed one at a time (measured on a d = 12 binary net:
-/// the block path 10% faster at 8-row runs, 7% slower at 4).
-const MIN_BLOCK_ROWS: usize = 8;
 
 /// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot
 /// summing weights, is a `u32`. A longer stretch of rows is swept in runs
@@ -802,17 +756,9 @@ impl<P: Statistic> AlphaNetSummary<P> {
         let (keys, hist, counts) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
-            if m.domain.is_none() || rows.len() < MIN_BLOCK_ROWS {
+            if m.domain.is_none() {
                 let keys = rows.iter().map(|&row| row.project(runs, &m.cols, &m.codec));
-                absorb(
-                    &self.stat,
-                    &mut m.sketch,
-                    keys,
-                    weights,
-                    distinct,
-                    m.domain,
-                    hist,
-                );
+                absorb(&self.stat, &mut m.sketch, keys, weights);
                 continue;
             }
             R::project_block(rows, &columns, (runs, &m.cols, &m.codec), keys);
@@ -1134,14 +1080,13 @@ mod tests {
     }
 
     /// The chunk lengths that exercise the sweep's path choices: one row,
-    /// the whole stream, one row either side of [`MIN_BLOCK_ROWS`] (a
-    /// shorter run is fed row by row, a longer one as blocks of keys), and
-    /// one row either side of a boundary member's domain `Q^w` (a chunk
-    /// with fewer distinct rows than that feeds the member key by key, any
-    /// other through the histogram).
+    /// the whole stream, one row either side of 8 (one AVX-512 vector of
+    /// keys in the block kernels, two AVX2 ones), and one row either side
+    /// of a boundary member's domain `Q^w` (a chunk with fewer distinct
+    /// rows than that feeds the member key by key, any other through the
+    /// histogram).
     fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
-        let block = MIN_BLOCK_ROWS;
-        let mut lengths = vec![1, block - 1, block, block + 1, n_rows];
+        let mut lengths = vec![1, 7, 8, 9, n_rows];
         for w in [net.small_size(), net.large_size()] {
             if let Some(domain) = (q as usize).checked_pow(w).filter(|&n| n < n_rows) {
                 lengths.extend([domain - 1, domain, domain + 1]);
