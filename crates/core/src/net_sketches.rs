@@ -68,11 +68,14 @@
 //!    leaving the minima *and* the `Vec` capacity that inserting the
 //!    block one hash at a time leaves.
 //!
-//! A run of any length, a one-row chunk too, goes through those steps.
-//! Only a member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a
-//! 64-bit target), whose keys a `u64` block cannot hold, keeps the per-row
-//! loop ([`Statistic::feed`], one [`PatternKey`] at a time); its sketch
-//! sees the keys the block path would feed it, in the same order.
+//! Two cases feed keys one at a time instead ([`Statistic::feed`], one
+//! [`PatternKey`] at a time): a run of fewer than 8 rows, a one-row chunk
+//! among them (`MIN_BLOCK_ROWS`), where the block kernels' calls and a
+//! KMV's block insert cost more than they save — its keys still go
+//! through step 2's one histogram where the member takes one — and a member
+//! whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit target),
+//! whose keys a `u64` block cannot hold. Either way each sketch sees the
+//! keys the block path would feed it, in the same order.
 //!
 //! Which sketches may take a multiplicity is the statistic's call
 //! ([`Statistic::counted`]): set sketches (KMV) ignore it, exact integer
@@ -232,28 +235,33 @@ fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
     Vec::with_capacity(runs)
 }
 
-/// One member's block: `keys`, what the swept rows project onto at the
-/// member, in row order. `weights = None` is the raw chunk: every key is
-/// fed as it comes, with multiplicity 1. `Some` is the de-duplicated
-/// chunk, one weight per key: when the member's `domain = Some(Q^w)` is
-/// no larger than the chunk's `distinct` rows the weights are summed into
-/// `hist` and each present key is fed once, in ascending key order, with
-/// its total in `counts`; otherwise every key is fed with its row's
-/// weight. `distinct` counts the rows a narrowed sweep left out too, so
-/// narrowing never changes which order the remaining keys arrive in.
+/// One member's keys: what the swept rows project onto at the member, in
+/// row order, one `weights` entry each (`None`: the raw chunk, every key
+/// with multiplicity 1). With a `histogram` of `n = Q^w` slots the
+/// weights are summed into `hist` and each present key is fed once, in
+/// ascending key order, with its total in `counts`; without one every
+/// key is fed with its row's weight. `block`: the keys go to
+/// [`Statistic::feed_block`] at once, else one at a time to
+/// [`Statistic::feed`] (see [`MIN_BLOCK_ROWS`]).
 fn feed_member<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
-    keys: &mut Vec<u64>,
-    (weights, distinct): (Option<&[u32]>, usize),
-    domain: Option<usize>,
+    (keys, block): (&mut Vec<u64>, bool),
+    weights: Option<&[u32]>,
+    histogram: Option<usize>,
     (hist, counts): (&mut Vec<u32>, &mut Vec<u32>),
 ) {
-    let Some(weights) = weights else {
-        return stat.feed_block(sketch, keys, None);
+    let feed = |sketch: &mut P::Sketch, keys: &mut [u64], weights| match block {
+        true => stat.feed_block(sketch, keys, weights),
+        false => absorb(
+            stat,
+            sketch,
+            keys.iter().map(|&k| PatternKey::from(k)),
+            weights,
+        ),
     };
-    let Some(n) = domain.filter(|&n| n <= distinct) else {
-        return stat.feed_block(sketch, keys, Some(weights));
+    let (Some(weights), Some(n)) = (weights, histogram) else {
+        return feed(sketch, keys, weights);
     };
     hist.clear();
     hist.resize(n, 0);
@@ -270,13 +278,13 @@ fn feed_member<P: Statistic>(
     }
     keys.truncate(present);
     counts.truncate(present);
-    stat.feed_block(sketch, keys, Some(counts));
+    feed(sketch, keys, Some(counts));
 }
 
-/// A wide member's keys, which a `u64` block cannot hold, fed one at a
-/// time through [`Statistic::feed`], each with its row's weight (`None`:
-/// 1), in row order: what [`feed_member`] does with a block whose domain
-/// is wider than the run, as a wide member's always is.
+/// Feed `keys` one at a time through [`Statistic::feed`], each with its
+/// row's weight (`None`: 1), in row order: what [`feed_member`] does
+/// without a histogram, for keys not worth a buffer — a short run's, or a
+/// wide member's, which a `u64` block cannot hold.
 fn absorb<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
@@ -290,6 +298,16 @@ fn absorb<P: Statistic>(
             .for_each(|(key, &weight)| stat.feed(sketch, key, weight)),
     }
 }
+
+/// Fewest rows a sweep hands each member as one block. A shorter run's
+/// keys are projected and fed one at a time, as the block kernels' calls
+/// and a KMV's block insert cost more than a few keys save. Measured on a
+/// d = 12 binary F0 net, α = 0.25, KMV k = 256, pushed runs of one
+/// length (AVX-512 x86-64), per row: one-row runs 9.6 µs one at a time
+/// against 20.7 µs as blocks, 4-row runs 8.0 against 9.6 µs, 8-row runs
+/// about even (7.0 against 7.1 µs), 16-row runs 5.6 against 4.7 µs.
+/// Single-row `ingest` requests and one-row chunks sweep runs this short.
+const MIN_BLOCK_ROWS: usize = 8;
 
 /// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot
 /// summing weights, is a `u32`. A longer stretch of rows is swept in runs
@@ -739,8 +757,9 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// with `None` the raw rows in row order (see [`feed_member`]);
     /// `distinct` counts the run's distinct rows before any narrowing.
     /// Each member whose domain fits a `usize` — every key a `u64` —
-    /// takes the rows as one block of keys; a wider one, row by row.
-    /// Returns the rows swept.
+    /// takes a run of at least [`MIN_BLOCK_ROWS`] rows as one block of
+    /// keys; a wider member, or a shorter run, row by row. Returns the
+    /// rows swept.
     fn sweep<R: SweepRow>(
         &mut self,
         rows: &[R],
@@ -752,23 +771,36 @@ impl<P: Statistic> AlphaNetSummary<P> {
         if rows.is_empty() {
             return 0;
         }
-        let columns = R::columns(rows, d);
+        let block = rows.len() >= MIN_BLOCK_ROWS;
+        let columns = if block {
+            R::columns(rows, d)
+        } else {
+            Vec::new()
+        };
         let (keys, hist, counts) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
-            if m.domain.is_none() {
-                let keys = rows.iter().map(|&row| row.project(runs, &m.cols, &m.codec));
-                absorb(&self.stat, &mut m.sketch, keys, weights);
+            let project = |&row: &R| row.project(runs, &m.cols, &m.codec);
+            // `distinct` counts the rows a narrowed sweep left out too, so
+            // narrowing never changes which order the remaining keys arrive in.
+            let histogram = weights.and(m.domain.filter(|&n| n <= distinct));
+            if m.domain.is_none() || !block && histogram.is_none() {
+                absorb(&self.stat, &mut m.sketch, rows.iter().map(project), weights);
                 continue;
             }
-            R::project_block(rows, &columns, (runs, &m.cols, &m.codec), keys);
+            if block {
+                R::project_block(rows, &columns, (runs, &m.cols, &m.codec), keys);
+            } else {
+                keys.clear();
+                keys.extend(rows.iter().map(|row| project(row).raw() as u64));
+            }
             let (stat, sketch) = (&self.stat, &mut m.sketch);
             feed_member(
                 stat,
                 sketch,
-                keys,
-                (weights, distinct),
-                m.domain,
+                (keys, block),
+                weights,
+                histogram,
                 (hist, counts),
             );
         }
@@ -1080,13 +1112,15 @@ mod tests {
     }
 
     /// The chunk lengths that exercise the sweep's path choices: one row,
-    /// the whole stream, one row either side of 8 (one AVX-512 vector of
-    /// keys in the block kernels, two AVX2 ones), and one row either side
-    /// of a boundary member's domain `Q^w` (a chunk with fewer distinct
-    /// rows than that feeds the member key by key, any other through the
-    /// histogram).
+    /// the whole stream, one row either side of [`MIN_BLOCK_ROWS`] (a
+    /// shorter run is fed row by row, a longer one as blocks of keys; 8
+    /// keys are also one AVX-512 vector of the block kernels), and one row
+    /// either side of a boundary member's domain `Q^w` (a chunk with fewer
+    /// distinct rows than that feeds the member key by key, any other
+    /// through the histogram).
     fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
-        let mut lengths = vec![1, 7, 8, 9, n_rows];
+        let block = MIN_BLOCK_ROWS;
+        let mut lengths = vec![1, block - 1, block, block + 1, n_rows];
         for w in [net.small_size(), net.large_size()] {
             if let Some(domain) = (q as usize).checked_pow(w).filter(|&n| n < n_rows) {
                 lengths.extend([domain - 1, domain, domain + 1]);
@@ -1242,6 +1276,48 @@ mod tests {
             |n, q| AlphaNetFrequency::new_streaming(n, q, 4, 128, CAP, 9).expect("new"),
             true,
         );
+    }
+
+    /// A run shorter than [`MIN_BLOCK_ROWS`] feeds each KMV its keys in
+    /// the order step 2 sets, as a block run does: a histogram member its
+    /// present keys ascending, any other its keys in distinct-row order.
+    /// At `k` of 2 or 3 whether a displacing insert happens, and so the
+    /// sketch's capacity, depends on that order.
+    #[test]
+    fn a_short_run_feeds_each_kmv_its_keys_in_the_block_order() {
+        let (q, d) = (4, 4);
+        let net = AlphaNet::new(d, 0.25).expect("valid");
+        for k in [2, 3] {
+            for seed in 0..16u64 {
+                let mut summary = AlphaNetF0::new_streaming_qary(net, NetMode::Full, CAP, q, |m| {
+                    Kmv::new(k, m ^ seed)
+                })
+                .expect("new");
+                let mut codes: Vec<u64> = (0..256).collect();
+                Xoshiro256pp::seed_from_u64(seed).shuffle(&mut codes);
+                let mut rows: Vec<Vec<u16>> = codes[..MIN_BLOCK_ROWS - 1]
+                    .iter()
+                    .map(|&c| (0..d).map(|j| (c >> (2 * j) & 3) as u16).collect())
+                    .collect();
+                summary.push_chunk(Chunk::Dense(&rows.concat()));
+                rows.sort();
+                for m in &summary.members {
+                    let project = |row: &Vec<u16>| m.codec.encode_row(row, &m.cols).raw() as u64;
+                    let mut keys: Vec<u64> = rows.iter().map(project).collect();
+                    if m.domain.is_some_and(|n| n <= rows.len()) {
+                        keys.sort_unstable();
+                        keys.dedup();
+                    }
+                    let mut reference = Kmv::new(k, m.sketch.seed());
+                    for key in keys {
+                        summary.stat.feed(&mut reference, PatternKey::from(key), 1);
+                    }
+                    let at = format!("k={k} seed={seed} member {:?}", m.cols);
+                    assert_eq!(bytes(&m.sketch), bytes(&reference), "{at}");
+                    assert_eq!(m.sketch.space_bytes(), reference.space_bytes(), "{at}");
+                }
+            }
+        }
     }
 
     /// A run handed over as several batches de-duplicates to what the
