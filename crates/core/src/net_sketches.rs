@@ -306,7 +306,8 @@ fn absorb<P: Statistic>(
 /// length (AVX-512 x86-64), per row: one-row runs 9.6 µs one at a time
 /// against 20.7 µs as blocks, 4-row runs 8.0 against 9.6 µs, 8-row runs
 /// about even (7.0 against 7.1 µs), 16-row runs 5.6 against 4.7 µs.
-/// Single-row `ingest` requests and one-row chunks sweep runs this short.
+/// A row pushed on its own — `push_packed`, `push_dense`, a one-row chunk,
+/// a shard handed a one-row batch — sweeps a run this short.
 const MIN_BLOCK_ROWS: usize = 8;
 
 /// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot

@@ -192,11 +192,12 @@ impl Kmv {
 /// every held hash above the first new one by one compare-and-copy each;
 /// a few inserts move the same hashes by `memmove`, far cheaper per hash,
 /// so below this a block goes in one [`insert_hash`](Kmv::insert_hash)
-/// at a time. Short runs of rows feed short blocks: `pfe ingest
-/// --batch-rows 1` of a `d = 12` binary file took a median 1,154 ms CPU
-/// with every block merged and 872 ms with this cut (7 runs each, 2
-/// shards, AVX-512 x86-64); at `--batch-rows 4` 513 against 410 ms, at
-/// 4,096 34.5 against 35.0 ms.
+/// at a time. Short runs of rows feed short blocks: `pfe ingest` of a
+/// `d = 12` binary file (2 shards, AVX-512 x86-64) took a median CPU of
+/// 944 ms with every filling block merged against 830 ms with this cut
+/// at `--batch-rows 1`, 512 against 414 ms at 4 and 228 against 209 ms
+/// at 16 (5 runs each), and about the same at 4,096 (34.5 against
+/// 35.0 ms, 7 runs).
 const MIN_MERGE_HASHES: usize = 16;
 
 /// Move the values of `xs` that pass `keep` to its front, in order; how
