@@ -21,6 +21,7 @@
 //! `ε‖f‖₁·Q^{|C′\C|}` error bound. (Heavy hitters are served from the
 //! Theorem 5.1 uniform sample, not from a net.)
 
+use pfe_hash::Features;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::count_min::CountMin;
@@ -79,7 +80,7 @@ impl Statistic for PointFrequency {
     }
 
     fn feed_block(&self, sketch: &mut CountMin, keys: &mut [u64], weights: Option<&[u32]>) {
-        pfe_hash::hash_keys(keys, self.fingerprint_seed, None);
+        pfe_hash::hash_keys(Features::detect(), keys, self.fingerprint_seed, None);
         for (i, &item) in keys.iter().enumerate() {
             sketch.update(item, weights.map_or(1, |w| w[i]).into());
         }

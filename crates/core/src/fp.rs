@@ -17,6 +17,7 @@
 //! [`FpConfig`] names which orders an engine materializes (each order
 //! gets its own α-net of sketches).
 
+use pfe_hash::Features;
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{ColumnSet, Dataset, PatternKey};
 use pfe_sketch::ams_f2::AmsF2;
@@ -269,7 +270,7 @@ impl Statistic for ByOrder {
     }
 
     fn feed_block(&self, sketch: &mut FpSketch, keys: &mut [u64], weights: Option<&[u32]>) {
-        pfe_hash::hash_keys(keys, FINGERPRINT_SEED, None);
+        pfe_hash::hash_keys(Features::detect(), keys, FINGERPRINT_SEED, None);
         let updates = keys.iter().enumerate();
         let updates = updates.map(|(i, &item)| (item, weights.map_or(1, |w| w[i]).into()));
         match sketch {

@@ -48,7 +48,8 @@
 //!    `Σ col·Q^j` a column at a time
 //!    ([`PatternCodec::encode_columns`]). Both loops run over rows, so
 //!    they are compiled for the widest vectors the CPU has
-//!    ([`pfe_hash::widest`]);
+//!    ([`Features::widest`]); the sweep asks the CPU once and hands its
+//!    [`Features`] to each member's projection;
 //! 2. **histogram or not** — the net is made of subsets of size `≤ αd` or
 //!    `≥ (1−α)d`, so half of the members project onto only `Q^{≤αd}`
 //!    patterns and distinct rows still collide on them. When a member's
@@ -68,14 +69,11 @@
 //!    leaving the minima *and* the `Vec` capacity that inserting the
 //!    block one hash at a time leaves.
 //!
-//! Two cases feed keys one at a time instead ([`Statistic::feed`], one
-//! [`PatternKey`] at a time): a run of fewer than 8 rows, a one-row chunk
-//! among them (`MIN_BLOCK_ROWS`), where the block kernels' calls and a
-//! KMV's block insert cost more than they save — its keys still go
-//! through step 2's one histogram where the member takes one — and a member
-//! whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit target),
-//! whose keys a `u64` block cannot hold. Either way each sketch sees the
-//! keys the block path would feed it, in the same order.
+//! A run of any length takes this one path, a one-row chunk too. Only a
+//! member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit
+//! target), whose keys a `u64` block cannot hold, is fed its keys one at a
+//! time ([`Statistic::feed`], one [`PatternKey`] at a time), in the order
+//! a block would hold them.
 //!
 //! Which sketches may take a multiplicity is the statistic's call
 //! ([`Statistic::counted`]): set sketches (KMV) ignore it, exact integer
@@ -100,7 +98,7 @@
 
 use std::fmt::Debug;
 
-use pfe_hash::hash_u64;
+use pfe_hash::{hash_u64, Features};
 use pfe_persist::{Decoder, Encoder, Persist, PersistError};
 use pfe_row::{BitRun, Chunk, ColumnSet, Dataset, PatternCodec, PatternKey};
 use pfe_sketch::traits::SpaceUsage;
@@ -237,31 +235,21 @@ fn run_table_for(net: &AlphaNet, mode: NetMode) -> Vec<BitRun> {
 
 /// One member's keys: what the swept rows project onto at the member, in
 /// row order, one `weights` entry each (`None`: the raw chunk, every key
-/// with multiplicity 1). With a `histogram` of `n = Q^w` slots the
-/// weights are summed into `hist` and each present key is fed once, in
-/// ascending key order, with its total in `counts`; without one every
-/// key is fed with its row's weight. `block`: the keys go to
-/// [`Statistic::feed_block`] at once, else one at a time to
-/// [`Statistic::feed`] (see [`MIN_BLOCK_ROWS`]).
+/// with multiplicity 1), handed to [`Statistic::feed_block`] as one block.
+/// With a `histogram` of `n = Q^w` slots the weights are summed into
+/// `hist` and each present key is fed once, in ascending key order, with
+/// its total in `counts`; without one every key is fed with its row's
+/// weight.
 fn feed_member<P: Statistic>(
     stat: &P,
     sketch: &mut P::Sketch,
-    (keys, block): (&mut Vec<u64>, bool),
+    keys: &mut Vec<u64>,
     weights: Option<&[u32]>,
     histogram: Option<usize>,
     (hist, counts): (&mut Vec<u32>, &mut Vec<u32>),
 ) {
-    let feed = |sketch: &mut P::Sketch, keys: &mut [u64], weights| match block {
-        true => stat.feed_block(sketch, keys, weights),
-        false => absorb(
-            stat,
-            sketch,
-            keys.iter().map(|&k| PatternKey::from(k)),
-            weights,
-        ),
-    };
     let (Some(weights), Some(n)) = (weights, histogram) else {
-        return feed(sketch, keys, weights);
+        return stat.feed_block(sketch, keys, weights);
     };
     hist.clear();
     hist.resize(n, 0);
@@ -278,37 +266,8 @@ fn feed_member<P: Statistic>(
     }
     keys.truncate(present);
     counts.truncate(present);
-    feed(sketch, keys, Some(counts));
+    stat.feed_block(sketch, keys, Some(counts));
 }
-
-/// Feed `keys` one at a time through [`Statistic::feed`], each with its
-/// row's weight (`None`: 1), in row order: what [`feed_member`] does
-/// without a histogram, for keys not worth a buffer — a short run's, or a
-/// wide member's, which a `u64` block cannot hold.
-fn absorb<P: Statistic>(
-    stat: &P,
-    sketch: &mut P::Sketch,
-    keys: impl Iterator<Item = PatternKey>,
-    weights: Option<&[u32]>,
-) {
-    match weights {
-        None => keys.for_each(|key| stat.feed(sketch, key, 1)),
-        Some(weights) => keys
-            .zip(weights)
-            .for_each(|(key, &weight)| stat.feed(sketch, key, weight)),
-    }
-}
-
-/// Fewest rows a sweep hands each member as one block. A shorter run's
-/// keys are projected and fed one at a time, as the block kernels' calls
-/// and a KMV's block insert cost more than a few keys save. Measured on a
-/// d = 12 binary F0 net, α = 0.25, KMV k = 256, pushed runs of one
-/// length (AVX-512 x86-64), per row: one-row runs 9.6 µs one at a time
-/// against 20.7 µs as blocks, 4-row runs 8.0 against 9.6 µs, 8-row runs
-/// about even (7.0 against 7.1 µs), 16-row runs 5.6 against 4.7 µs.
-/// A row pushed on its own — `push_packed`, `push_dense`, a one-row chunk,
-/// a shard handed a one-row batch — sweeps a run this short.
-const MIN_BLOCK_ROWS: usize = 8;
 
 /// Most rows one [`DistinctRows`] holds: a weight, and a histogram slot
 /// summing weights, is a `u32`. A longer stretch of rows is swept in runs
@@ -400,9 +359,11 @@ pub trait SweepRow: Ord + Copy {
     fn columns(rows: &[Self], d: u32) -> Vec<u16>;
 
     /// [`project`](Self::project) of every row of `rows`, into `keys`,
-    /// for a member whose keys fit a `u64`; `columns` is what
-    /// [`columns`](Self::columns) made of `rows`.
+    /// for a member whose keys fit a `u64`, on the vector `features` the
+    /// sweep found; `columns` is what [`columns`](Self::columns) made of
+    /// `rows`.
     fn project_block(
+        features: Features,
         rows: &[Self],
         columns: &[u16],
         member: (&[BitRun], &ColumnSet, &PatternCodec),
@@ -445,12 +406,13 @@ impl SweepRow for u64 {
 
     #[inline]
     fn project_block(
+        features: Features,
         rows: &[u64],
         _: &[u16],
         (runs, _, _): (&[BitRun], &ColumnSet, &PatternCodec),
         keys: &mut Vec<u64>,
     ) {
-        pfe_row::extract_runs_block(runs, rows, keys);
+        pfe_row::extract_runs_block(features, runs, rows, keys);
     }
 
     #[inline]
@@ -507,12 +469,13 @@ impl SweepRow for &[u16] {
 
     #[inline]
     fn project_block(
+        features: Features,
         rows: &[&[u16]],
         columns: &[u16],
         (_, cols, codec): (&[BitRun], &ColumnSet, &PatternCodec),
         keys: &mut Vec<u64>,
     ) {
-        codec.encode_columns(columns, rows.len(), cols, keys);
+        codec.encode_columns(features, columns, rows.len(), cols, keys);
     }
 
     #[inline]
@@ -758,9 +721,8 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// with `None` the raw rows in row order (see [`feed_member`]);
     /// `distinct` counts the run's distinct rows before any narrowing.
     /// Each member whose domain fits a `usize` — every key a `u64` —
-    /// takes a run of at least [`MIN_BLOCK_ROWS`] rows as one block of
-    /// keys; a wider member, or a shorter run, row by row. Returns the
-    /// rows swept.
+    /// takes the run as one block of keys, a wider member row by row.
+    /// Returns the rows swept.
     fn sweep<R: SweepRow>(
         &mut self,
         rows: &[R],
@@ -772,38 +734,25 @@ impl<P: Statistic> AlphaNetSummary<P> {
         if rows.is_empty() {
             return 0;
         }
-        let block = rows.len() >= MIN_BLOCK_ROWS;
-        let columns = if block {
-            R::columns(rows, d)
-        } else {
-            Vec::new()
-        };
+        let (features, columns) = (Features::detect(), R::columns(rows, d));
         let (keys, hist, counts) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
         for m in &mut self.members {
             let runs = &self.run_table[m.runs.start as usize..m.runs.end as usize];
-            let project = |&row: &R| row.project(runs, &m.cols, &m.codec);
+            let Some(domain) = m.domain else {
+                // A `u64` block cannot hold a wide member's keys.
+                for (i, &row) in rows.iter().enumerate() {
+                    let key = row.project(runs, &m.cols, &m.codec);
+                    self.stat
+                        .feed(&mut m.sketch, key, weights.map_or(1, |w| w[i]));
+                }
+                continue;
+            };
             // `distinct` counts the rows a narrowed sweep left out too, so
             // narrowing never changes which order the remaining keys arrive in.
-            let histogram = weights.and(m.domain.filter(|&n| n <= distinct));
-            if m.domain.is_none() || !block && histogram.is_none() {
-                absorb(&self.stat, &mut m.sketch, rows.iter().map(project), weights);
-                continue;
-            }
-            if block {
-                R::project_block(rows, &columns, (runs, &m.cols, &m.codec), keys);
-            } else {
-                keys.clear();
-                keys.extend(rows.iter().map(|row| project(row).raw() as u64));
-            }
+            let histogram = weights.and(Some(domain)).filter(|&n| n <= distinct);
+            R::project_block(features, rows, &columns, (runs, &m.cols, &m.codec), keys);
             let (stat, sketch) = (&self.stat, &mut m.sketch);
-            feed_member(
-                stat,
-                sketch,
-                (keys, block),
-                weights,
-                histogram,
-                (hist, counts),
-            );
+            feed_member(stat, sketch, keys, weights, histogram, (hist, counts));
         }
         rows.len()
     }
@@ -1113,15 +1062,15 @@ mod tests {
     }
 
     /// The chunk lengths that exercise the sweep's path choices: one row,
-    /// the whole stream, one row either side of [`MIN_BLOCK_ROWS`] (a
-    /// shorter run is fed row by row, a longer one as blocks of keys; 8
-    /// keys are also one AVX-512 vector of the block kernels), and one row
-    /// either side of a boundary member's domain `Q^w` (a chunk with fewer
-    /// distinct rows than that feeds the member key by key, any other
-    /// through the histogram).
+    /// the whole stream, one row either side of 8 keys (one AVX-512
+    /// vector of the block kernels: a shorter block is all remainder, a
+    /// longer one a vector and a remainder), and one row either side of a
+    /// boundary member's domain `Q^w` (a chunk with fewer distinct rows
+    /// than that feeds the member its block of keys as they are, any
+    /// other through the histogram).
     fn chunk_lengths(net: &AlphaNet, q: u32, n_rows: usize) -> Vec<usize> {
-        let block = MIN_BLOCK_ROWS;
-        let mut lengths = vec![1, block - 1, block, block + 1, n_rows];
+        let vector = 8;
+        let mut lengths = vec![1, vector - 1, vector, vector + 1, n_rows];
         for w in [net.small_size(), net.large_size()] {
             if let Some(domain) = (q as usize).checked_pow(w).filter(|&n| n < n_rows) {
                 lengths.extend([domain - 1, domain, domain + 1]);
@@ -1277,48 +1226,6 @@ mod tests {
             |n, q| AlphaNetFrequency::new_streaming(n, q, 4, 128, CAP, 9).expect("new"),
             true,
         );
-    }
-
-    /// A run shorter than [`MIN_BLOCK_ROWS`] feeds each KMV its keys in
-    /// the order step 2 sets, as a block run does: a histogram member its
-    /// present keys ascending, any other its keys in distinct-row order.
-    /// At `k` of 2 or 3 whether a displacing insert happens, and so the
-    /// sketch's capacity, depends on that order.
-    #[test]
-    fn a_short_run_feeds_each_kmv_its_keys_in_the_block_order() {
-        let (q, d) = (4, 4);
-        let net = AlphaNet::new(d, 0.25).expect("valid");
-        for k in [2, 3] {
-            for seed in 0..16u64 {
-                let mut summary = AlphaNetF0::new_streaming_qary(net, NetMode::Full, CAP, q, |m| {
-                    Kmv::new(k, m ^ seed)
-                })
-                .expect("new");
-                let mut codes: Vec<u64> = (0..256).collect();
-                Xoshiro256pp::seed_from_u64(seed).shuffle(&mut codes);
-                let mut rows: Vec<Vec<u16>> = codes[..MIN_BLOCK_ROWS - 1]
-                    .iter()
-                    .map(|&c| (0..d).map(|j| (c >> (2 * j) & 3) as u16).collect())
-                    .collect();
-                summary.push_chunk(Chunk::Dense(&rows.concat()));
-                rows.sort();
-                for m in &summary.members {
-                    let project = |row: &Vec<u16>| m.codec.encode_row(row, &m.cols).raw() as u64;
-                    let mut keys: Vec<u64> = rows.iter().map(project).collect();
-                    if m.domain.is_some_and(|n| n <= rows.len()) {
-                        keys.sort_unstable();
-                        keys.dedup();
-                    }
-                    let mut reference = Kmv::new(k, m.sketch.seed());
-                    for key in keys {
-                        summary.stat.feed(&mut reference, PatternKey::from(key), 1);
-                    }
-                    let at = format!("k={k} seed={seed} member {:?}", m.cols);
-                    assert_eq!(bytes(&m.sketch), bytes(&reference), "{at}");
-                    assert_eq!(m.sketch.space_bytes(), reference.space_bytes(), "{at}");
-                }
-            }
-        }
     }
 
     /// A run handed over as several batches de-duplicates to what the

@@ -39,15 +39,14 @@
 //! bytes.
 //!
 //! The kernel is compiled for AVX-512 F and for AVX2 through
-//! [`widest`](crate::isa::widest)'s dispatch (see [`isa`](crate::isa)),
-//! the CPU asked at run time on each update; its AVX-512 build leaves DQ
-//! off, or LLVM multiplies the 32-bit halves with the slower `vpmullq`.
-//! Without either feature (or off x86-64) the update runs the `u128`
+//! [`isa`](crate::isa)'s dispatch, the CPU asked at run time on each
+//! update; its AVX-512 build leaves DQ off, or LLVM multiplies the
+//! 32-bit halves with the slower `vpmullq`. Without either feature (or off x86-64) the update runs the `u128`
 //! loop on the same planes — each cubic summed in `u128`, folded once to
 //! a `u64` and read by the same parity step — which is the reference the
 //! kernel's tests compare every instantiation against.
 
-use crate::isa::{Isa, Kernel};
+use crate::isa::{Features, Isa, Kernel};
 use crate::rng::SplitMix64;
 
 /// The Mersenne prime `2^61 - 1`.
@@ -205,6 +204,10 @@ impl SignHash {
     }
 }
 
+/// The sign kernel's builds, preferred first: AVX-512 F alone, as its
+/// products are all of 32-bit halves (see [`Isa::Avx512F`]).
+const SIGN_ISAS: [Isa; 2] = [Isa::Avx512F, Isa::Avx2];
+
 /// Four coefficient planes: `c₀ c₁ c₂ c₃`.
 const PLANES: usize = 4;
 const LOW31: u64 = (1 << 31) - 1;
@@ -255,15 +258,15 @@ impl SignBank {
     /// # Panics
     /// Panics unless there is one sum per hash.
     pub fn add_signs(&self, x: u64, delta: i64, sums: &mut [i64]) {
-        self.add_signs_on(&[Isa::Avx512F, Isa::Avx2], x, delta, sums);
+        self.add_signs_on(Features::detect(), x, delta, sums);
     }
 
     /// [`add_signs`](Self::add_signs) on the limb kernel compiled for the
-    /// first of `isas` this CPU has, else on the `u128` loop.
-    fn add_signs_on(&self, isas: &[Isa], x: u64, delta: i64, sums: &mut [i64]) {
+    /// first of [`SIGN_ISAS`] `features` allow, else on the `u128` loop.
+    fn add_signs_on(&self, features: Features, x: u64, delta: i64, sums: &mut [i64]) {
         assert_eq!(sums.len(), self.len(), "one AMS sum per sign hash");
         let powers = SignHash::powers(x);
-        match Isa::first_found(isas) {
+        match features.first(&SIGN_ISAS) {
             Some(found) => found.run(AddSignsLimbs {
                 planes: &self.planes,
                 powers,
@@ -614,17 +617,17 @@ mod tests {
         ];
         let items = items.into_iter().chain((0..64).map(|_| rng.next_u64()));
         let mut reference = vec![0i64; bank.len()];
-        let mut kernels: Vec<(Isa, Vec<i64>)> = [Isa::Avx2, Isa::Avx512F, Isa::Avx512]
+        let mut kernels: Vec<(String, Features, Vec<i64>)> = Features::detect()
+            .each_build_of("add_signs", &SIGN_ISAS)
             .into_iter()
-            .filter(|&isa| Isa::first_found(&[isa]).is_some())
-            .map(|isa| (isa, vec![0i64; bank.len()]))
+            .map(|(name, features)| (name, features, vec![0i64; bank.len()]))
             .collect();
         for (i, x) in items.enumerate() {
             let delta = [1, -7, u32::MAX as i64][i % 3];
             bank.add_signs_u128(&SignHash::powers(x), delta, &mut reference);
-            for (isa, sums) in &mut kernels {
-                bank.add_signs_on(&[*isa], x, delta, sums);
-                assert_eq!(*sums, reference, "{isa:?} after item {x}");
+            for (name, features, sums) in &mut kernels {
+                bank.add_signs_on(*features, x, delta, sums);
+                assert_eq!(*sums, reference, "{name} after item {x}");
             }
         }
         for (j, h) in hashes.iter().enumerate() {

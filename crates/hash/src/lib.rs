@@ -32,7 +32,7 @@ pub mod mix;
 pub mod rng;
 
 pub use builder::{SeededHashMap, SeededHashSet, SeededState};
-pub use isa::{widest, Kernel};
+pub use isa::{Features, Kernel};
 pub use kwise::{SignHash, TwoWise};
 pub use mix::{hash_keys, hash_u128, hash_u64, mix64};
 pub use rng::{SplitMix64, Xoshiro256pp};

@@ -17,12 +17,12 @@
 //! per key, and a key below `2^64` is a `u128` whose high word is zero,
 //! so its fingerprint is [`hash_u64`] under one fixed derived seed. The
 //! loop is compiled for AVX-512 F+DQ (eight lanes of `vpmullq`, the
-//! 64-bit lane product `mix64` needs) and for AVX2, and the CPU picks at
-//! run time ([`isa`](crate::isa)); without either it runs as compiled
-//! for the baseline, which is also the reference its tests compare every
-//! instantiation against. Every route gives the per-key hashes exactly.
+//! 64-bit lane product `mix64` needs) and for AVX2, and the caller hands
+//! in the [`Features`] the CPU was found to have ([`isa`](crate::isa));
+//! without either it runs as compiled for the baseline, which is also
+//! the reference its tests compare every instantiation against. Every route gives the per-key hashes exactly.
 
-use crate::isa::{Isa, Kernel};
+use crate::isa::{Features, Kernel};
 
 /// MurmurHash3 `fmix64` finalizer: a bijective avalanche mixer on `u64`.
 ///
@@ -92,18 +92,13 @@ impl Seeded {
 /// Every key of `keys`, a pattern below `2^64`, replaced by
 /// [`hash_u128`]`(key, seed)` and then, for `rehash = Some(s)`, by
 /// [`hash_u64`] of that under `s` — a whole block of a member's keys in
-/// one pass of the vector kernel (see the [module docs](self)).
-pub fn hash_keys(keys: &mut [u64], seed: u64, rehash: Option<u64>) {
-    hash_keys_on(&Isa::WIDEST_FIRST, keys, seed, rehash);
-}
-
-/// [`hash_keys`] compiled for the first of `isas` this CPU has, else
-/// for the baseline.
-fn hash_keys_on(isas: &[Isa], keys: &mut [u64], seed: u64, rehash: Option<u64>) {
+/// one pass of the vector kernel, the widest `features` allow (see the
+/// [module docs](self)).
+pub fn hash_keys(features: Features, keys: &mut [u64], seed: u64, rehash: Option<u64>) {
     // A key below 2^64 is a `u128` whose high word is zero.
     let first = Seeded::new(seed ^ mix64(GOLDEN_GAMMA));
     let then = rehash.map(Seeded::new);
-    crate::isa::run_on(isas, HashKeys { keys, first, then });
+    features.widest(HashKeys { keys, first, then });
 }
 
 /// The block hash as a [`Kernel`]: one loop over the block per seed
@@ -193,9 +188,9 @@ mod tests {
     }
 
     /// Every instantiation — AVX-512, AVX2 and the scalar loop, each
-    /// named, so a CPU with AVX-512 still runs the other two — leaves
-    /// what the per-key hashes give, at block lengths on both sides of
-    /// every vector width.
+    /// picked by narrowed features, so a CPU with AVX-512 still runs the
+    /// other two — leaves what the per-key hashes give, at block lengths
+    /// on both sides of every vector width.
     #[test]
     fn every_hash_keys_instantiation_equals_the_per_key_hashes() {
         let mut rng = crate::rng::SplitMix64::new(0x6b65);
@@ -204,23 +199,19 @@ mod tests {
             .chain((0..500).map(|_| rng.next_u64()))
             .collect();
         let (seed, rehash) = (0xf1a9_f1a9_f1a9_f1a9, 0xbeef);
-        let runs: Vec<&[Isa]> = vec![&[], &[Isa::Avx2], &[Isa::Avx512F], &[Isa::Avx512]];
-        let runs = runs
-            .into_iter()
-            .filter(|isas| isas.is_empty() || Isa::first_found(isas).is_some());
-        for isas in runs {
+        for (name, features) in Features::detect().each_build("hash_keys") {
             for len in [0, 1, 7, 8, 9, 15, 16, 17] {
                 for at in (0..keys.len()).step_by(len.max(1)) {
                     let block = &keys[at..(at + len).min(keys.len())];
                     for rehash in [None, Some(rehash)] {
                         let mut hashed = block.to_vec();
-                        hash_keys_on(isas, &mut hashed, seed, rehash);
+                        hash_keys(features, &mut hashed, seed, rehash);
                         let expect: Vec<u64> = block
                             .iter()
                             .map(|&k| hash_u128(u128::from(k), seed))
                             .map(|h| rehash.map_or(h, |s| hash_u64(h, s)))
                             .collect();
-                        assert_eq!(hashed, expect, "{isas:?} len {len} at {at}");
+                        assert_eq!(hashed, expect, "{name} len {len} at {at}");
                     }
                 }
             }

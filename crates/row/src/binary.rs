@@ -8,6 +8,7 @@
 //! allocation-free.
 
 use crate::column_set::ColumnSet;
+use pfe_hash::Features;
 
 /// Portable parallel bit extract: pack the bits of `x` selected by `mask`
 /// toward the LSB, preserving ascending bit order.
@@ -70,11 +71,11 @@ pub fn extract_runs(runs: &[BitRun], x: u64) -> u64 {
 /// [`extract_runs`] of every row of `rows`, into `keys` (resized to one
 /// key a row): run by run, one shift-and-mask pass over the whole block
 /// each, so the loop a compiler sees is over rows and vectorizes — for
-/// the widest vectors this CPU has ([`pfe_hash::widest`]).
-pub fn extract_runs_block(runs: &[BitRun], rows: &[u64], keys: &mut Vec<u64>) {
+/// the widest vectors `features` allow ([`Features::widest`]).
+pub fn extract_runs_block(features: Features, runs: &[BitRun], rows: &[u64], keys: &mut Vec<u64>) {
     keys.clear();
     keys.resize(rows.len(), 0);
-    pfe_hash::widest(ExtractRuns { runs, rows, keys });
+    features.widest(ExtractRuns { runs, rows, keys });
 }
 
 /// [`extract_runs_block`]'s loop, as a [`pfe_hash::Kernel`].
@@ -344,6 +345,38 @@ mod tests {
             let e = BitExtractor::new(mask);
             for x in [0, u64::MAX, ALTERNATING, 0x0123_4567_89ab_cdef, 1 << 62] {
                 assert_eq!(e.extract(x), pext_u64(x, mask), "mask {mask:#x} x {x:#x}");
+            }
+        }
+    }
+
+    /// Every build of the block projection — AVX-512, AVX2 and the
+    /// scalar loop, each picked by narrowed features, so a CPU with
+    /// AVX-512 still runs the other two — leaves what [`extract_runs`]
+    /// gives row by row, for masks of none to 32 runs, at block lengths
+    /// on both sides of every vector width, into a buffer holding keys
+    /// of an earlier block.
+    #[test]
+    fn every_extract_runs_block_instantiation_equals_extract_runs() {
+        let mut rng = pfe_hash::SplitMix64::new(0x7275);
+        let rows: Vec<u64> = [0, u64::MAX, 0x5555_5555_5555_5555, 1 << 63]
+            .into_iter()
+            .chain((0..200).map(|_| rng.next_u64()))
+            .collect();
+        let mut masks = vec![0, 1, 1 << 63, u64::MAX, 0x5555_5555_5555_5555, 0xb6d];
+        masks.extend((0..4).map(|_| rng.next_u64()));
+        let mut keys = vec![u64::MAX; 5];
+        for (name, features) in Features::detect().each_build("extract_runs_block") {
+            for &mask in &masks {
+                let runs: Vec<BitRun> = bit_runs(mask).collect();
+                for len in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
+                    for at in (0..rows.len()).step_by(len.max(1)) {
+                        let block = &rows[at..(at + len).min(rows.len())];
+                        extract_runs_block(features, &runs, block, &mut keys);
+                        let expect: Vec<u64> =
+                            block.iter().map(|&x| extract_runs(&runs, x)).collect();
+                        assert_eq!(keys, expect, "{name} mask {mask:#x} len {len} at {at}");
+                    }
+                }
             }
         }
     }

@@ -14,6 +14,7 @@
 //! Corollary 4.3 need `|C| log2 d ≤ 127`).
 
 use crate::column_set::ColumnSet;
+use pfe_hash::Features;
 
 /// A packed projected pattern. Ordering/equality follow the packed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,12 +170,19 @@ impl PatternCodec {
     /// column `c` at `columns[c·n + i]` — projected onto `cols`, into
     /// `keys` (resized to `n`): [`encode_row`](Self::encode_row) of every
     /// row, a column at a time over the whole block, in `u64`, for the
-    /// widest vectors this CPU has ([`pfe_hash::widest`]).
+    /// widest vectors `features` allow ([`Features::widest`]).
     ///
     /// # Panics
     /// Panics (debug) unless the codec's domain `Q^m` is below `2^64`,
     /// every key a `u64`, and `cols.len() == m`.
-    pub fn encode_columns(&self, columns: &[u16], n: usize, cols: &ColumnSet, keys: &mut Vec<u64>) {
+    pub fn encode_columns(
+        &self,
+        features: Features,
+        columns: &[u16],
+        n: usize,
+        cols: &ColumnSet,
+        keys: &mut Vec<u64>,
+    ) {
         debug_assert_eq!(cols.len(), self.m, "codec width mismatch");
         debug_assert!(
             self.domain_size() <= u64::MAX as u128,
@@ -183,7 +191,7 @@ impl PatternCodec {
         keys.clear();
         keys.resize(n, 0);
         let q = self.q;
-        pfe_hash::widest(EncodeColumns {
+        features.widest(EncodeColumns {
             columns,
             cols,
             q,
@@ -301,6 +309,59 @@ mod tests {
         PatternCodec::new(2, 2)
             .expect("fits")
             .decode(PatternKey::new(4));
+    }
+
+    /// Every build of the column-major block encoding — AVX-512, AVX2
+    /// and the scalar loop, each picked by narrowed features, so a CPU
+    /// with AVX-512 still runs the other two — leaves what
+    /// [`encode_row`](PatternCodec::encode_row) gives row by row, for
+    /// alphabets from 2 to 16, scattered and adjacent columns, domains up
+    /// to `2^60`, at block lengths on both sides of every vector width.
+    #[test]
+    fn every_encode_columns_instantiation_equals_encode_row() {
+        let d = 17;
+        let mut rng = pfe_hash::SplitMix64::new(0x636f);
+        let builds = Features::detect().each_build("encode_columns");
+        let mut keys = vec![u64::MAX; 5];
+        for (q, widths) in [
+            (2, [1, 9, 17]),
+            (3, [1, 5, 17]),
+            (4, [2, 8, 17]),
+            (16, [1, 7, 15]),
+        ] {
+            let rows: Vec<Vec<u16>> = (0..100)
+                .map(|i| match i {
+                    0 => vec![0; d],
+                    1 => vec![q as u16 - 1; d],
+                    _ => (0..d).map(|_| (rng.next_u64() % q) as u16).collect(),
+                })
+                .collect();
+            for m in widths {
+                let picked: Vec<u32> = (0..d as u32).filter(|c| c % 2 == 0 || m > 9).collect();
+                let cols = ColumnSet::from_indices(d as u32, &picked[..m]).expect("valid");
+                let codec = PatternCodec::new(q as u32, m as u32).expect("fits");
+                for len in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
+                    for at in (0..rows.len()).step_by(len.max(1)) {
+                        let block = &rows[at..(at + len).min(rows.len())];
+                        let n = block.len();
+                        let mut columns = vec![0; d * n];
+                        for (i, row) in block.iter().enumerate() {
+                            row.iter()
+                                .enumerate()
+                                .for_each(|(c, &s)| columns[c * n + i] = s);
+                        }
+                        let expect: Vec<u64> = block
+                            .iter()
+                            .map(|row| codec.encode_row(row, &cols).raw() as u64)
+                            .collect();
+                        for (name, features) in &builds {
+                            codec.encode_columns(*features, &columns, n, &cols, &mut keys);
+                            assert_eq!(keys, expect, "{name} q={q} m={m} len {len} at {at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

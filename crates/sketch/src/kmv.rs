@@ -9,16 +9,16 @@
 //!
 //! Two sketches of one seed merge by one walk over their ascending
 //! minima, in the left sketch's own buffer (see `merge_sorted`), and a
-//! block of keys goes in by the same merge
+//! block of keys of any length goes in by the same merge
 //! ([`insert_keys`](DistinctSketch::insert_keys)): hashed in one pass of
-//! the vector kernel, cut to what a full sketch would keep, sorted and
-//! merged (a short block into a filling sketch, one hash at a time).
-//! Either leaves the minima and the `Vec` capacity that inserting the
-//! hashes one at a time, in their order, leaves; inserting a sketch
-//! again, or a hash it already rejected, leaves it unchanged.
+//! the vector kernel, cut to what a full sketch would keep and to the
+//! hashes the sketch does not hold, sorted and merged. Either leaves the
+//! minima and the `Vec` capacity that inserting the hashes one at a time,
+//! in their order, leaves; inserting a sketch again, or a hash it already
+//! rejected, leaves it unchanged.
 
 use crate::traits::{vec_bytes, DistinctSketch, SpaceUsage};
-use pfe_hash::hash_u64;
+use pfe_hash::{hash_u64, Features};
 use pfe_persist::Persist;
 
 /// KMV sketch with capacity `k`.
@@ -97,23 +97,20 @@ impl Kmv {
     }
 
     /// [`insert_hash`](Self::insert_hash) of every hash of `hashes`, in
-    /// order: the same minima and the same capacity, by sorted merges.
+    /// order: the same minima and the same capacity, by sorted merges of
+    /// the hashes the sketch does not hold (a held hash changes nothing).
     /// While the sketch has `room` for more hashes, the next `room` of
     /// them hold at most `room` new to it, so none displaces another and
     /// they merge as one ascending block. A full sketch rejects, then and
     /// later, every hash at or above its `k`-th minimum and changes on
     /// none it holds: the rest of `hashes` is cut to those left, which
-    /// merge at once. `hashes` is scratch. A filling block shorter than
-    /// [`MIN_MERGE_HASHES`] goes in one hash at a time instead.
+    /// merge at once. `hashes` is scratch.
     fn insert_hashes(&mut self, mut hashes: &mut [u64]) {
         while self.minima.len() < self.k && !hashes.is_empty() {
             let room = self.k - self.minima.len();
             let (block, rest) = hashes.split_at_mut(room.min(hashes.len()));
-            if block.len() < MIN_MERGE_HASHES {
-                block.iter().for_each(|&h| self.insert_hash(h));
-            } else {
-                self.merge_sorted(sort_dedup(block));
-            }
+            let fresh = self.retain_fresh(block);
+            self.merge_sorted(sort_dedup(&mut block[..fresh]));
             hashes = rest;
         }
         if hashes.is_empty() {
@@ -129,10 +126,13 @@ impl Kmv {
                 below = self.k;
             }
         }
-        let fresh = retain(&mut hashes[..below], |h| {
-            self.minima.binary_search(&h).is_err()
-        });
+        let fresh = self.retain_fresh(&mut hashes[..below]);
         self.merge_sorted(sort_dedup(&mut hashes[..fresh]));
+    }
+
+    /// [`retain`] of the hashes of `hashes` the sketch does not hold.
+    fn retain_fresh(&self, hashes: &mut [u64]) -> usize {
+        retain(hashes, |h| self.minima.binary_search(&h).is_err())
     }
 
     /// Fold in `b`, strictly ascending hashes: the `k` smallest of both
@@ -187,18 +187,6 @@ impl Kmv {
         debug_assert_eq!(w, i, "`self`'s surviving prefix is already in place");
     }
 }
-
-/// Fewest hashes a filling sketch takes as one merge. The merge moves
-/// every held hash above the first new one by one compare-and-copy each;
-/// a few inserts move the same hashes by `memmove`, far cheaper per hash,
-/// so below this a block goes in one [`insert_hash`](Kmv::insert_hash)
-/// at a time. Short runs of rows feed short blocks: `pfe ingest` of a
-/// `d = 12` binary file (2 shards, AVX-512 x86-64) took a median CPU of
-/// 944 ms with every filling block merged against 830 ms with this cut
-/// at `--batch-rows 1`, 512 against 414 ms at 4 and 228 against 209 ms
-/// at 16 (5 runs each), and about the same at 4,096 (34.5 against
-/// 35.0 ms, 7 runs).
-const MIN_MERGE_HASHES: usize = 16;
 
 /// Move the values of `xs` that pass `keep` to its front, in order; how
 /// many there are. Branch-free, whichever way the tests fall.
@@ -273,7 +261,7 @@ impl DistinctSketch for Kmv {
     /// kernel, then `insert_hashes`: sorted merges that leave the minima
     /// and capacity inserting one hash at a time leaves.
     fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
-        pfe_hash::hash_keys(keys, key_seed, Some(self.seed));
+        pfe_hash::hash_keys(Features::detect(), keys, key_seed, Some(self.seed));
         self.insert_hashes(keys);
     }
 }

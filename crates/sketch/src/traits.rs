@@ -24,7 +24,7 @@ pub trait DistinctSketch: SpaceUsage {
     /// [`insert`](Self::insert) of each leaves. `keys` is scratch the
     /// sketch may overwrite.
     fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
-        pfe_hash::hash_keys(keys, key_seed, None);
+        pfe_hash::hash_keys(pfe_hash::Features::detect(), keys, key_seed, None);
         keys.iter().for_each(|&item| self.insert(item));
     }
 

@@ -2,7 +2,9 @@
 //! packed rows, as dense rows, over the wire (a pipe-mode `ingest` line)
 //! and from a CSV file through `FileIngester` writes byte-equal
 //! checkpoints. Rows are routed to shards by content, so this holds only
-//! if every entry point hashes a row in the same form.
+//! if every entry point hashes a row in the same form. A prefix pushed in
+//! chunks of one and of seven rows — short runs at every shard — writes
+//! the checkpoint the prefix pushed as one chunk writes.
 
 use std::path::{Path, PathBuf};
 
@@ -97,6 +99,10 @@ fn from_a_file(data: &Dataset, dir: &Path, path: &Path) -> Vec<u8> {
     checkpoint(&engine, path)
 }
 
+/// Rows of the stream pushed in short chunks: enough for every shard's
+/// sketches to fill and for repeats, few enough for a debug build.
+const SHORT_RUN_ROWS: usize = 400;
+
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pfe-entry-points-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -127,6 +133,24 @@ fn every_entry_point_leaves_the_same_checkpoint() {
             assert!(
                 bytes == reference,
                 "{name}: the {entry} checkpoint differs from the {first} one"
+            );
+        }
+        // Short runs: a prefix pushed a row, then seven rows, at a time
+        // reaches the shards as runs shorter than a vector of keys, and
+        // leaves what the prefix pushed as one chunk leaves.
+        let prefix = &flat[..SHORT_RUN_ROWS * data.dimension() as usize];
+        let whole = pushed(data, Chunk::Dense(prefix), &dir.join("prefix.pfes"));
+        for len in [1, 7] {
+            let engine = start(data);
+            for chunk in prefix.chunks(len * data.dimension() as usize) {
+                engine
+                    .push(Chunk::Dense(chunk), &TraceHandle::disabled())
+                    .expect("rows are in shape");
+            }
+            let bytes = checkpoint(&engine, &dir.join(format!("chunks-{len}.pfes")));
+            assert!(
+                bytes == whole,
+                "{name}: {len}-row chunks leave another checkpoint than one chunk"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
