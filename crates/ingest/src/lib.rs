@@ -5,10 +5,11 @@
 //!
 //! The paper's summaries consume rows; real deployments have files. This
 //! crate is the bridge, built for the GB/s-class target in ROADMAP item
-//! 2: input is chunk-read (1 MiB at a time), split at line boundaries,
-//! parsed byte-level with **no per-row allocation** (packed schemas
+//! 2: input is chunk-read (1 MiB at a time), cut at line boundaries,
+//! parsed with **no per-row allocation** — a line of one-digit fields
+//! eight bytes at a time, any other line byte by byte (packed schemas
 //! bit-pack straight into a `Vec<u64>`, general alphabets append into
-//! one flat `Vec<u16>`), and handed to the engine in `chunk_rows`-sized
+//! one flat `Vec<u16>`) — and handed to the engine in `chunk_rows`-sized
 //! chunks ([`pfe_engine::Chunk`]) over its one allocation-free `push`.
 //!
 //! Everything that can be wrong with a file is a typed [`IngestError`]

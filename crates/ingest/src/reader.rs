@@ -4,11 +4,17 @@
 //!
 //! ```text
 //!   file ──1 MiB reads──▶ pending byte buffer
-//!        split at the last '\n' (partial line carries over)
-//!        ──lines──▶ RowParser (byte-level, no per-row alloc)
+//!        cut after the last '\n' (partial line carries over)
+//!        ──at each line start──▶ RowParser::take_{packed,dense}:
+//!              every leading regular line, 8 bytes a step
+//!        ──any other line──▶ RowParser byte walk (typed errors)
 //!        ──append──▶ chunk buffer  (Vec<u64> packed / flat Vec<u16> dense)
 //!        every `chunk_rows` rows ──▶ RowSink::push_rows (one call per chunk)
 //! ```
+//!
+//! The fast path takes lines only up to the chunk's flush point, so both
+//! paths cut the same chunks (see the `parser` module doc for which
+//! lines are regular).
 //!
 //! Schema discovery happens on the first line (header, explicit
 //! `--columns` spec, or synthesized names from the first row's field
@@ -200,8 +206,20 @@ impl FileIngester {
             run.bytes += n as u64;
             self.ins.bytes.add(n as u64);
             if let Some(pos) = pending.iter().rposition(|&b| b == b'\n') {
-                for line in pending[..pos].split(|&b| b == b'\n') {
-                    run.line(line)?;
+                let mut rest = &pending[..=pos];
+                while !rest.is_empty() {
+                    // One inlined byte compare is all a line for the
+                    // walk pays the fast path.
+                    let opens = run.parser.as_ref().is_some_and(|p| p.opens(rest));
+                    if opens && run.regular_lines(&mut rest)? {
+                        continue;
+                    }
+                    let end = rest
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .expect("the cut ends with a newline");
+                    run.line(&rest[..end])?;
+                    rest = &rest[end + 1..];
                 }
                 pending.drain(..=pos);
             }
@@ -267,10 +285,11 @@ where
         if self.schema.is_none() && self.first_line(line)? {
             return Ok(());
         }
-        let (packed_mode, d) = {
-            let s = self.schema.as_ref().expect("schema set by first_line");
-            (s.packed(), s.dimension() as usize)
-        };
+        let packed_mode = self
+            .schema
+            .as_ref()
+            .expect("schema set by first_line")
+            .packed();
         let lineno = self.lineno;
         let result = {
             let parser = self.parser.as_ref().expect("schema implies parser");
@@ -285,12 +304,7 @@ where
         match result {
             Ok(()) => {
                 self.rows += 1;
-                if self.packed.len() >= self.opts.chunk_rows.max(1)
-                    || self.dense.len() >= self.opts.chunk_rows.max(1) * d
-                {
-                    self.flush()?;
-                }
-                Ok(())
+                self.flush_if_full()
             }
             Err(e) => {
                 if self.rejected < self.opts.max_rejects {
@@ -302,6 +316,39 @@ where
                 }
             }
         }
+    }
+
+    /// Take the regular lines at the head of `rest` through the parser's
+    /// fast path, up to the chunk's flush point, and step `rest` past
+    /// them; false when it took none (no schema yet, or the next line is
+    /// for the walk).
+    fn regular_lines(&mut self, rest: &mut &[u8]) -> Result<bool, IngestError> {
+        let (Some(parser), Some(schema)) = (&self.parser, &self.schema) else {
+            return Ok(false);
+        };
+        let chunk_rows = self.opts.chunk_rows.max(1);
+        let taken = if schema.packed() {
+            parser.take_packed(rest, chunk_rows, &mut self.packed)
+        } else {
+            parser.take_dense(rest, chunk_rows, &mut self.dense)
+        };
+        if taken == 0 {
+            return Ok(false);
+        }
+        self.lineno += taken as u64;
+        self.rows += taken as u64;
+        self.flush_if_full()?;
+        Ok(true)
+    }
+
+    /// Hand the chunk to the sink once it holds `chunk_rows` rows.
+    fn flush_if_full(&mut self) -> Result<(), IngestError> {
+        let d = self.schema.as_ref().map_or(1, Schema::dimension) as usize;
+        let chunk_rows = self.opts.chunk_rows.max(1);
+        if self.packed.len() >= chunk_rows || self.dense.len() >= chunk_rows * d {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Discover the schema from the first line; returns whether the line
@@ -374,5 +421,106 @@ where
         self.chunks += 1;
         self.ins.chunks.inc();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Cursor;
+
+    use super::*;
+    use crate::error::ParseErrorKind;
+    use crate::parser::tests::{random_line, Rng, ALPHABETS, DELIMITERS};
+    use crate::sink::VecSink;
+
+    /// The rows, `rows`, `rejected` and `chunks` of a run, or its error:
+    /// `(line, column, kind)` of a parse error, `None` for an empty input.
+    type Outcome = Result<(VecSink, u64, u64, u64), Option<(u64, u32, ParseErrorKind)>>;
+
+    fn parse_error(e: IngestError) -> Option<(u64, u32, ParseErrorKind)> {
+        match e {
+            IngestError::Parse {
+                line, column, kind, ..
+            } => Some((line, column, kind)),
+            IngestError::EmptyInput { .. } => None,
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    fn ingested(text: &[u8], opts: &IngestOptions) -> Outcome {
+        let ingester = FileIngester::new(opts.clone());
+        match ingester.ingest_reader_with(Cursor::new(text), "t.csv", |_| Ok(VecSink::default())) {
+            Ok((sink, r)) => Ok((sink, r.rows, r.rejected, r.chunks)),
+            Err(e) => Err(parse_error(e)),
+        }
+    }
+
+    /// What the reader must report: every data line of `text` through
+    /// the walk alone, under the same reject budget and chunk size.
+    fn walked(text: &[u8], schema: &Schema, opts: &IngestOptions) -> Outcome {
+        let parser = RowParser::new(schema, opts.delimiter.expect("set"));
+        let mut sink = VecSink::default();
+        let mut rejected = 0;
+        let body = text.strip_suffix(b"\n").unwrap_or(text);
+        for (i, line) in body.split(|&b| b == b'\n').enumerate().skip(1) {
+            let lineno = i as u64 + 1;
+            let parsed = if schema.packed() {
+                parser
+                    .parse_packed(line, lineno)
+                    .map(|row| sink.packed.push(row))
+            } else {
+                parser.parse_dense_into(line, lineno, &mut sink.dense)
+            };
+            if let Err(e) = parsed {
+                if rejected == opts.max_rejects {
+                    return Err(parse_error(e));
+                }
+                rejected += 1;
+            }
+        }
+        let rows = (sink.packed.len() + sink.dense.len() / schema.columns.len()) as u64;
+        if rows == 0 && rejected == 0 {
+            return Err(None);
+        }
+        Ok((sink, rows, rejected, rows.div_ceil(opts.chunk_rows as u64)))
+    }
+
+    /// Files mixing regular lines, walk-only spellings and defects, read
+    /// in tiny pieces and cut into tiny chunks: the reader's two paths
+    /// report what the walk alone reports.
+    #[test]
+    fn files_read_through_both_paths_as_through_the_walk() {
+        let mut rng = Rng(2019);
+        for case in 0..400 {
+            let d = 1 + rng.below(63) as u32;
+            let q = ALPHABETS[rng.below(ALPHABETS.len())];
+            let delim = DELIMITERS[rng.below(DELIMITERS.len())];
+            let schema = Schema::synthetic(d, q);
+            let mut text = schema
+                .columns
+                .join(&(delim as char).to_string())
+                .into_bytes();
+            for _ in 0..20 + rng.below(30) {
+                text.push(b'\n');
+                text.extend(random_line(&mut rng, d, q, delim, 6));
+            }
+            if rng.below(2) == 0 {
+                text.push(b'\n');
+            }
+            let opts = IngestOptions {
+                delimiter: Some(delim),
+                alphabet: q,
+                chunk_rows: 1 + rng.below(9),
+                chunk_bytes: 1 + rng.below(64),
+                max_rejects: [0, 3][case % 2],
+                ..IngestOptions::default()
+            };
+            assert_eq!(
+                ingested(&text, &opts),
+                walked(&text, &schema, &opts),
+                "case {case}: d={d} q={q} {opts:?}\n{}",
+                text.escape_ascii()
+            );
+        }
     }
 }

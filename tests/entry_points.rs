@@ -1,10 +1,11 @@
 //! One stream, every entry point, the same state: a dataset pushed as
 //! packed rows, as dense rows, over the wire (a pipe-mode `ingest` line)
 //! and from a CSV file through `FileIngester` writes byte-equal
-//! checkpoints. Rows are routed to shards by content, so this holds only
-//! if every entry point hashes a row in the same form. A prefix pushed in
-//! chunks of one and of seven rows — short runs at every shard — writes
-//! the checkpoint the prefix pushed as one chunk writes.
+//! checkpoints; the file mixes lines for both of the parser's paths.
+//! Rows are routed to shards by content, so this holds only if every
+//! entry point hashes a row in the same form. A prefix pushed in chunks
+//! of one and of seven rows — short runs at every shard — writes the
+//! checkpoint the prefix pushed as one chunk writes.
 
 use std::path::{Path, PathBuf};
 
@@ -80,9 +81,21 @@ fn from_a_file(data: &Dataset, dir: &Path, path: &Path) -> Vec<u8> {
     let csv = dir.join("rows.csv");
     let header: Vec<String> = (0..data.dimension()).map(|c| format!("c{c}")).collect();
     let mut text = header.join(",") + "\n";
-    for row in rows(data) {
-        let fields: Vec<String> = row.iter().map(u16::to_string).collect();
-        text += &(fields.join(",") + "\n");
+    for (i, row) in rows(data).iter().enumerate() {
+        let mut fields: Vec<String> = row.iter().map(u16::to_string).collect();
+        // Every seventh line is spelled for the parser's byte walk (one
+        // quoted field, or CRLF), the rest for its eight-byte path: the
+        // file switches paths inside a chunk.
+        let eol = match i % 14 {
+            0 => {
+                let c = i / 14 % fields.len();
+                fields[c] = format!("\"{}\"", fields[c]);
+                "\n"
+            }
+            7 => "\r\n",
+            _ => "\n",
+        };
+        text += &(fields.join(",") + eol);
     }
     std::fs::write(&csv, text).expect("csv writes");
     let opts = IngestOptions {
