@@ -73,6 +73,21 @@ impl Encoder {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Append `items` as one run of `W`-byte little-endian values: the
+    /// bytes one `put_*` call per item writes, sized once and filled in
+    /// one pass.
+    pub(crate) fn put_fixed<T: Copy, const W: usize>(
+        &mut self,
+        items: &[T],
+        to_le_bytes: impl Fn(T) -> [u8; W],
+    ) {
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * W, 0);
+        for (dst, &item) in self.buf[start..].chunks_exact_mut(W).zip(items) {
+            dst.copy_from_slice(&to_le_bytes(item));
+        }
+    }
 }
 
 /// Bounds-checked reader over an untrusted byte slice.
@@ -187,6 +202,35 @@ impl<'a> Decoder<'a> {
     /// `Truncated`.
     pub fn take_f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Take `n` values of `W` little-endian bytes each as one slice.
+    ///
+    /// Nothing is allocated unless all `n` values are present, and a
+    /// short input fails with the error the `n`-th single `take_*` call
+    /// would have returned: `Truncated` needing `W` bytes with the
+    /// remainder of whole values available.
+    ///
+    /// # Errors
+    /// `Truncated`.
+    pub(crate) fn take_fixed<T, const W: usize>(
+        &mut self,
+        n: usize,
+        from_le_bytes: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, PersistError> {
+        let bytes = match n.checked_mul(W) {
+            Some(len) if len <= self.remaining() => self.take_bytes(len)?,
+            _ => {
+                return Err(PersistError::Truncated {
+                    needed: W,
+                    available: self.remaining() % W,
+                })
+            }
+        };
+        Ok(bytes
+            .chunks_exact(W)
+            .map(|c| from_le_bytes(c.try_into().expect("chunks_exact yields W bytes")))
+            .collect())
     }
 
     /// Take a collection length written by [`Encoder::put_len`], validated

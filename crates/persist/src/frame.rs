@@ -12,6 +12,9 @@
 //! 16+len  4     CRC-32 over bytes [0, 16+len)
 //! ```
 //!
+//! The trailer is zlib's / gzip's CRC-32 (CRC-32/ISO-HDLC), so
+//! `zlib.crc32(file[:-4])` checks a file from outside this crate.
+//!
 //! The CRC covers the header too, so version/kind/length corruption is
 //! caught even when the payload happens to survive. Reads are fully
 //! defensive: every failure is a typed [`PersistError`], never a panic.
@@ -121,11 +124,13 @@ pub fn from_bytes<T: Persist>(record_kind: u16, bytes: &[u8]) -> Result<T, Persi
     Ok(value)
 }
 
-/// Write `value` to `path` as a framed file, atomically: the bytes go to
-/// a temporary sibling file which is fsynced and then renamed over the
-/// target, so a crash mid-write can never destroy a previous good file
-/// at `path` — the checkpoint either fully replaces it or leaves it
-/// untouched.
+/// Write `value` to `path` as a framed file, atomically and durably: the
+/// bytes go to a temporary sibling file which is fsynced and then renamed
+/// over the target, so a crash mid-write can never destroy a previous good
+/// file at `path` — the checkpoint either fully replaces it or leaves it
+/// untouched. On Unix the parent directory (`.` for a bare file name) is
+/// then fsynced too, so a power cut after `save` returns cannot lose the
+/// new name.
 ///
 /// # Errors
 /// I/O errors, stringified into [`PersistError::Io`].
@@ -148,12 +153,21 @@ pub fn save<T: Persist, P: AsRef<Path>>(
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
+    let result = (|| -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(&to_bytes(record_kind, value))?;
         file.sync_all()?;
         drop(file);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            std::fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
     })();
     if result.is_err() {
         std::fs::remove_file(&tmp).ok();

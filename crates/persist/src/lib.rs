@@ -15,7 +15,8 @@
 //! 2. the [`Persist`] trait — `encode`/`decode` implemented by every
 //!    summary in the workspace (sketches in `pfe-sketch`, summaries in
 //!    `pfe-core`, snapshots in `pfe-engine`), with impls for primitives,
-//!    `Vec`, `Option`, and boxed slices provided here;
+//!    `Vec`, `Option`, and boxed slices provided here; a `Vec` or boxed
+//!    slice of a fixed-width number travels as one little-endian slice;
 //! 3. the [`frame`] module — `magic + version + kind + length + CRC-32`
 //!    file framing, so corrupted, truncated, version-skewed, or
 //!    wrong-typed files are rejected with a precise [`PersistError`].
@@ -74,6 +75,32 @@ pub trait Persist: Sized {
     /// `Truncated` when the input ends early, `Malformed` when decoded
     /// values violate the target type's invariants.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError>;
+
+    /// Append every item of `items`, in order — exactly the bytes one
+    /// [`encode`](Self::encode) per item writes. Fixed-width primitives
+    /// override it to write the whole slice in one pass.
+    fn encode_slice(items: &[Self], enc: &mut Encoder) {
+        for item in items {
+            item.encode(enc);
+        }
+    }
+
+    /// Decode `n` consecutive values — exactly what `n`
+    /// [`decode`](Self::decode) calls read, with the same first error.
+    /// Fixed-width primitives override it to read one little-endian slice.
+    ///
+    /// The default reserves `n` slots up front, so callers must first
+    /// check `n` against the input, as [`Decoder::take_len`] does.
+    ///
+    /// # Errors
+    /// The first error of a single `decode`.
+    fn decode_n(dec: &mut Decoder<'_>, n: usize) -> Result<Vec<Self>, PersistError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::decode(dec)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! persist_primitive {
@@ -93,12 +120,37 @@ macro_rules! persist_primitive {
 persist_primitive! {
     u8 => (put_u8, take_u8, 1),
     bool => (put_bool, take_bool, 1),
-    u16 => (put_u16, take_u16, 2),
-    u32 => (put_u32, take_u32, 4),
-    u64 => (put_u64, take_u64, 8),
     u128 => (put_u128, take_u128, 16),
-    i64 => (put_i64, take_i64, 8),
-    f64 => (put_f64, take_f64, 8),
+}
+
+/// Fixed-width numbers: a slice of them travels as one little-endian run,
+/// byte for byte what one `put_*` per value writes.
+macro_rules! persist_fixed_width {
+    ($($t:ty => ($put:ident, $take:ident)),+ $(,)?) => {$(
+        impl Persist for $t {
+            const MIN_WIRE_BYTES: usize = std::mem::size_of::<$t>();
+            fn encode(&self, enc: &mut Encoder) {
+                enc.$put(*self);
+            }
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
+                dec.$take()
+            }
+            fn encode_slice(items: &[Self], enc: &mut Encoder) {
+                enc.put_fixed(items, <$t>::to_le_bytes);
+            }
+            fn decode_n(dec: &mut Decoder<'_>, n: usize) -> Result<Vec<Self>, PersistError> {
+                dec.take_fixed(n, <$t>::from_le_bytes)
+            }
+        }
+    )+};
+}
+
+persist_fixed_width! {
+    u16 => (put_u16, take_u16),
+    u32 => (put_u32, take_u32),
+    u64 => (put_u64, take_u64),
+    i64 => (put_i64, take_i64),
+    f64 => (put_f64, take_f64),
 }
 
 impl<T: Persist> Persist for Vec<T> {
@@ -106,20 +158,14 @@ impl<T: Persist> Persist for Vec<T> {
 
     fn encode(&self, enc: &mut Encoder) {
         enc.put_len(self.len());
-        for item in self {
-            item.encode(enc);
-        }
+        T::encode_slice(self, enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         // The element wire size caps the pre-allocation at what the
         // remaining input can actually back.
         let n = dec.take_len(T::MIN_WIRE_BYTES)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(dec)?);
-        }
-        Ok(out)
+        T::decode_n(dec, n)
     }
 }
 
@@ -128,9 +174,7 @@ impl<T: Persist> Persist for Box<[T]> {
 
     fn encode(&self, enc: &mut Encoder) {
         enc.put_len(self.len());
-        for item in self.iter() {
-            item.encode(enc);
-        }
+        T::encode_slice(self, enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
@@ -204,6 +248,122 @@ mod tests {
             Vec::<u64>::decode(&mut Decoder::new(&bytes)),
             Err(PersistError::Malformed(_))
         ));
+    }
+
+    /// What `Vec<T>` wrote before slices: the length, then one
+    /// `encode` per item.
+    fn encode_each<T: Persist>(items: &[T]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_len(items.len());
+        for item in items {
+            item.encode(&mut enc);
+        }
+        enc.into_bytes()
+    }
+
+    /// What `Vec<T>` read before slices: the checked length, then one
+    /// `decode` per item. Values come back re-encoded, so `f64` NaNs
+    /// compare by their bits.
+    fn decode_each<T: Persist>(bytes: &[u8]) -> Result<Vec<u8>, PersistError> {
+        let mut dec = Decoder::new(bytes);
+        let n = dec.take_len(T::MIN_WIRE_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode(&mut dec)?);
+        }
+        dec.expect_end()?;
+        Ok(encode_each(&out))
+    }
+
+    fn decode_whole<T: Persist>(bytes: &[u8]) -> Result<Vec<u8>, PersistError> {
+        let mut dec = Decoder::new(bytes);
+        let out = Vec::<T>::decode(&mut dec)?;
+        dec.expect_end()?;
+        Ok(encode_each(&out))
+    }
+
+    /// A fixed-width `T`'s slice codec against the per-item reference:
+    /// equal bytes out, and for every truncation, every over-long length
+    /// field and every `n` the same value or the same error.
+    fn slice_codec_matches_per_item<T: Persist + Copy>(items: &[T]) {
+        let bytes = encode_each(items);
+        let mut enc = Encoder::new();
+        items.to_vec().encode(&mut enc);
+        assert_eq!(enc.into_bytes(), bytes, "Vec encode");
+        let mut enc = Encoder::new();
+        items.to_vec().into_boxed_slice().encode(&mut enc);
+        assert_eq!(enc.into_bytes(), bytes, "Box<[T]> encode");
+
+        for cut in 0..=bytes.len() {
+            let input = &bytes[..cut];
+            assert_eq!(
+                decode_whole::<T>(input),
+                decode_each::<T>(input),
+                "cut {cut}"
+            );
+            // `decode_n` on its own, past the length field, for every n
+            // up to two more than the input holds.
+            let body = &input[cut.min(8)..];
+            for n in 0..=items.len() + 2 {
+                let mut fast = Decoder::new(body);
+                let mut slow = Decoder::new(body);
+                let fast = T::decode_n(&mut fast, n).map(|v| encode_each(&v));
+                let slow = (0..n)
+                    .map(|_| T::decode(&mut slow))
+                    .collect::<Result<Vec<T>, _>>()
+                    .map(|v| encode_each(&v));
+                assert_eq!(fast, slow, "cut {cut}, n {n}");
+            }
+        }
+        let declared = [
+            items.len() as u64 + 1,
+            items.len() as u64 + 1000,
+            1 << 40,
+            (usize::MAX / T::MIN_WIRE_BYTES) as u64 + 1,
+            u64::MAX,
+        ];
+        for n in declared {
+            let mut long = bytes.clone();
+            long[..8].copy_from_slice(&n.to_le_bytes());
+            let got = decode_whole::<T>(&long);
+            assert_eq!(got, decode_each::<T>(&long), "declared {n}");
+            // The length check rejects it before anything is reserved.
+            assert!(
+                matches!(got, Err(PersistError::Malformed(_))),
+                "declared {n}"
+            );
+        }
+        // An unchecked count no input could back allocates nothing.
+        let huge = usize::MAX / T::MIN_WIRE_BYTES;
+        assert!(matches!(
+            T::decode_n(&mut Decoder::new(&bytes), huge),
+            Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn fixed_width_slices_match_the_per_item_codec() {
+        slice_codec_matches_per_item(&[0u16, 1, 0xbeef, u16::MAX, 7]);
+        slice_codec_matches_per_item(&[0u32, 1, 0xdead_beef, u32::MAX]);
+        slice_codec_matches_per_item(&[0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef, 3]);
+        slice_codec_matches_per_item(&[0i64, -1, i64::MIN, i64::MAX, 42]);
+        slice_codec_matches_per_item(&[0.0f64, -0.0, -1.5, f64::NAN, f64::INFINITY, 1e-300]);
+        slice_codec_matches_per_item::<u64>(&[]);
+    }
+
+    #[test]
+    fn bool_vectors_still_reject_a_byte_other_than_0_or_1() {
+        let mut enc = Encoder::new();
+        vec![false, true, true].encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        assert_eq!(decode_whole::<bool>(&bytes), decode_each::<bool>(&bytes));
+        bytes[10] = 2;
+        assert_eq!(
+            Vec::<bool>::decode(&mut Decoder::new(&bytes)),
+            Err(PersistError::Malformed(
+                "bool byte must be 0 or 1, got 2".into()
+            ))
+        );
     }
 
     #[test]
