@@ -103,26 +103,6 @@ pub trait Persist: Sized {
     }
 }
 
-macro_rules! persist_primitive {
-    ($($t:ty => ($put:ident, $take:ident, $width:literal)),+ $(,)?) => {$(
-        impl Persist for $t {
-            const MIN_WIRE_BYTES: usize = $width;
-            fn encode(&self, enc: &mut Encoder) {
-                enc.$put(*self);
-            }
-            fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-                dec.$take()
-            }
-        }
-    )+};
-}
-
-persist_primitive! {
-    u8 => (put_u8, take_u8, 1),
-    bool => (put_bool, take_bool, 1),
-    u128 => (put_u128, take_u128, 16),
-}
-
 /// Fixed-width numbers: a slice of them travels as one little-endian run,
 /// byte for byte what one `put_*` per value writes.
 macro_rules! persist_fixed_width {
@@ -146,11 +126,24 @@ macro_rules! persist_fixed_width {
 }
 
 persist_fixed_width! {
+    u8 => (put_u8, take_u8),
     u16 => (put_u16, take_u16),
     u32 => (put_u32, take_u32),
     u64 => (put_u64, take_u64),
+    u128 => (put_u128, take_u128),
     i64 => (put_i64, take_i64),
     f64 => (put_f64, take_f64),
+}
+
+/// One byte, 0 or 1; decoded one at a time, so every other byte is
+/// `Malformed`.
+impl Persist for bool {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bool(*self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        dec.take_bool()
+    }
 }
 
 impl<T: Persist> Persist for Vec<T> {
@@ -319,7 +312,7 @@ mod tests {
             items.len() as u64 + 1,
             items.len() as u64 + 1000,
             1 << 40,
-            (usize::MAX / T::MIN_WIRE_BYTES) as u64 + 1,
+            ((usize::MAX / T::MIN_WIRE_BYTES) as u64).saturating_add(1),
             u64::MAX,
         ];
         for n in declared {
@@ -343,9 +336,11 @@ mod tests {
 
     #[test]
     fn fixed_width_slices_match_the_per_item_codec() {
+        slice_codec_matches_per_item(&[0u8, 1, 0x7f, u8::MAX]);
         slice_codec_matches_per_item(&[0u16, 1, 0xbeef, u16::MAX, 7]);
         slice_codec_matches_per_item(&[0u32, 1, 0xdead_beef, u32::MAX]);
         slice_codec_matches_per_item(&[0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef, 3]);
+        slice_codec_matches_per_item(&[0u128, u128::MAX, 1 << 100]);
         slice_codec_matches_per_item(&[0i64, -1, i64::MIN, i64::MAX, 42]);
         slice_codec_matches_per_item(&[0.0f64, -0.0, -1.5, f64::NAN, f64::INFINITY, 1e-300]);
         slice_codec_matches_per_item::<u64>(&[]);
