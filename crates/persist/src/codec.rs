@@ -207,9 +207,9 @@ impl<'a> Decoder<'a> {
     /// Take `n` values of `W` little-endian bytes each as one slice.
     ///
     /// Nothing is allocated unless all `n` values are present, and a
-    /// short input fails with the error the `n`-th single `take_*` call
-    /// would have returned: `Truncated` needing `W` bytes with the
-    /// remainder of whole values available.
+    /// short input fails with the error the first failing single `take_*`
+    /// call would have returned: `Truncated`, needing `W` bytes, with
+    /// what is left after the whole values available.
     ///
     /// # Errors
     /// `Truncated`.

@@ -77,8 +77,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// The byte-at-a-time loop the 16-byte kernel replaced: one dependent
-    /// table lookup per byte. It stays here as the reference.
+    /// The plain byte-at-a-time loop, one dependent table lookup per
+    /// byte: the reference the 16-byte kernel is checked against.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in bytes {
