@@ -109,8 +109,8 @@ mod tests {
 
     #[test]
     fn sixteen_byte_kernel_matches_the_byte_loop_at_every_length_and_offset() {
-        // A seeded buffer (splitmix64), so every byte value and every
-        // block/tail split is exercised at every misalignment.
+        // A seeded buffer (splitmix64): every split into 16-byte blocks
+        // and a tail, at every start offset within a block.
         let mut state = 0x5eed_c3c3_u64;
         let buf: Vec<u8> = (0..300 + STEP)
             .map(|_| {
