@@ -27,7 +27,6 @@ mod cmd_query;
 mod cmd_replica;
 mod cmd_serve;
 mod cmd_trace;
-mod cmd_verify;
 
 pub use args::{Args, UnknownFlag};
 
@@ -45,10 +44,9 @@ SUBCOMMANDS
   serve [--listen ADDR]      wire protocol over TCP, or stdin/stdout pipe mode
   replica ADDR [--watch]     replication health of a live server
   trace ADDR [--last N]      fetch request traces from a live server
-  verify FILE                prove file ingest matches the Rust API bit-for-bit
   help                       this text
 
-FILE SHAPE (ingest / resume / verify)
+FILE SHAPE (ingest / resume)
   --q Q               alphabet size (default 2; values must lie in [0,Q))
   --no-header         first line is data, not column names
   --columns a,b,c     declare/validate column names
@@ -126,7 +124,6 @@ pub fn run(argv: Vec<String>) -> i32 {
         "serve" => cmd_serve::serve(&args),
         "replica" => cmd_replica::replica(&args),
         "trace" => cmd_trace::trace(&args),
-        "verify" => cmd_verify::verify(&args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return 0;

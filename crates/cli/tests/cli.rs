@@ -254,18 +254,6 @@ fn resume_continues_ingesting() {
 }
 
 #[test]
-fn verify_agrees_on_clean_files() {
-    let dir = temp_dir("verify");
-    write_csv(&dir.join("rows.csv"), 11, 600, 5);
-    let out = pfe(&dir, &["verify", "rows.csv"]);
-    assert_ok(&out, "verify");
-    let v = stdout_json(&out);
-    assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(v.get("packed"), Some(&Json::Bool(true)));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn malformed_files_fail_with_provenance() {
     let dir = temp_dir("badfile");
     std::fs::write(dir.join("bad.csv"), "a,b\n1,0\n1,x\n").unwrap();
@@ -349,16 +337,12 @@ fn usage_errors_exit_2() {
     let out = pfe(&dir, &["help"]);
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(help.contains("verify FILE"));
     // The removed ingest benchmark is gone from every surface: typed
     // unknown-subcommand and unknown-flag errors, no help entry.
     assert!(!help.contains("bench-ingest") && !help.contains("--iters"));
     let out = pfe(&dir, &["bench-ingest", "rows.csv"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand \"bench-ingest\""));
-    let out = pfe(&dir, &["verify", "rows.csv", "--iters", "1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --iters"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

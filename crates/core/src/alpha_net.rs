@@ -410,10 +410,8 @@ impl<S: DistinctSketch> AlphaNetF0<S> {
     /// run's distinct rows `fed` has no record of, which `fed` then
     /// records (up to its bound). A distinct sketch is a set: a row it was
     /// fed before projects onto keys every member already holds, so
-    /// leaving it out leaves the same sketches — the remaining keys reach
-    /// each member in the order a full sweep feeds them, so even the
-    /// sketches' allocations match. `fed` must record only rows this net
-    /// was fed. Returns the distinct rows swept.
+    /// leaving it out leaves the same sketches. `fed` must record only
+    /// rows this net was fed. Returns the distinct rows swept.
     ///
     /// # Panics
     /// As `push_distinct`.

@@ -65,9 +65,7 @@
 //!    and update as before; a KMV takes `hash_u64` of the fingerprint
 //!    under its own seed in the same pass, drops every hash a full sketch
 //!    would reject and merges the rest at once
-//!    ([`DistinctSketch::insert_keys`](pfe_sketch::traits::DistinctSketch::insert_keys)),
-//!    leaving the minima *and* the `Vec` capacity that inserting the
-//!    block one hash at a time leaves.
+//!    ([`DistinctSketch::insert_keys`](pfe_sketch::traits::DistinctSketch::insert_keys)).
 //!
 //! A run of any length takes this one path, a one-row chunk too. Only a
 //! member whose domain does not fit a `usize` (`Q^w ≥ 2^64` on a 64-bit
@@ -91,10 +89,9 @@
 //! A set statistic may also be narrowed past step 0 to the distinct rows
 //! a [`FedRows`] record has not seen
 //! ([`AlphaNetF0::push_distinct_once`](crate::AlphaNetF0::push_distinct_once)):
-//! a row the net was fed before projects onto keys every member holds.
-//! Step 2 still compares `Q^w` with the run's distinct rows *before*
-//! the cut, so the keys left reach each sketch in the order the full
-//! sweep feeds them — the same bytes, and the same allocations.
+//! a row the net was fed before projects onto keys every member holds, so
+//! each sketch ends with the same minima, and a KMV, whose capacity
+//! follows from the lengths it has held, in as many slots.
 
 use std::fmt::Debug;
 
@@ -673,7 +670,7 @@ impl<P: Statistic> AlphaNetSummary<P> {
     /// shape.
     pub fn push_rows<R: SweepRow>(&mut self, rows: &[R]) {
         if !self.counted() {
-            self.sweep(rows, None, 0);
+            self.sweep(rows, None);
             return;
         }
         for part in rows.chunks(MAX_RUN_ROWS) {
@@ -709,26 +706,20 @@ impl<P: Statistic> AlphaNetSummary<P> {
             "a net of uncounted sketches sweeps raw rows"
         );
         let Some(fed) = fed else {
-            return self.sweep(&run.rows, Some(&run.weights), run.len());
+            return self.sweep(&run.rows, Some(&run.weights));
         };
         let unfed = |&(&row, _): &(&R, &u32)| row.first_fed(fed);
         let (rows, weights): (Vec<R>, Vec<u32>) =
             run.rows.iter().zip(&run.weights).filter(unfed).unzip();
-        self.sweep(&rows, Some(&weights), run.len())
+        self.sweep(&rows, Some(&weights))
     }
 
     /// The mask-major sweep of `rows` — distinct rows with `weights`, or
-    /// with `None` the raw rows in row order (see [`feed_member`]);
-    /// `distinct` counts the run's distinct rows before any narrowing.
+    /// with `None` the raw rows in row order (see [`feed_member`]).
     /// Each member whose domain fits a `usize` — every key a `u64` —
     /// takes the run as one block of keys, a wider member row by row.
     /// Returns the rows swept.
-    fn sweep<R: SweepRow>(
-        &mut self,
-        rows: &[R],
-        weights: Option<&[u32]>,
-        distinct: usize,
-    ) -> usize {
+    fn sweep<R: SweepRow>(&mut self, rows: &[R], weights: Option<&[u32]>) -> usize {
         let (d, q) = (self.net.dimension(), self.q);
         rows.iter().for_each(|&row| row.check(d, q));
         if rows.is_empty() {
@@ -747,9 +738,7 @@ impl<P: Statistic> AlphaNetSummary<P> {
                 }
                 continue;
             };
-            // `distinct` counts the rows a narrowed sweep left out too, so
-            // narrowing never changes which order the remaining keys arrive in.
-            let histogram = weights.and(Some(domain)).filter(|&n| n <= distinct);
+            let histogram = weights.and(Some(domain)).filter(|&n| n <= rows.len());
             R::project_block(features, rows, &columns, (runs, &m.cols, &m.codec), keys);
             let (stat, sketch) = (&self.stat, &mut m.sketch);
             feed_member(stat, sketch, keys, weights, histogram, (hist, counts));

@@ -237,10 +237,11 @@ fn chunk_boundaries_never_change_the_answer() {
 
 /// The naive row-at-a-time reference: String splitting, per-row allocs —
 /// everything the columnar path avoids, kept here as its ground truth.
-fn naive_reference(text: &str, q: u32, delim: char) -> Result<Vec<Vec<u16>>, String> {
+/// With `header`, the first line names the columns and is skipped.
+fn naive_reference(text: &str, q: u32, delim: char, header: bool) -> Result<Vec<Vec<u16>>, String> {
     let mut rows = Vec::new();
     let mut d: Option<usize> = None;
-    for line in text.lines() {
+    for line in text.lines().skip(usize::from(header)) {
         let line = line.strip_suffix('\r').unwrap_or(line);
         let mut row = Vec::new();
         for field in line.split(delim) {
@@ -260,6 +261,70 @@ fn naive_reference(text: &str, q: u32, delim: char) -> Result<Vec<Vec<u16>>, Str
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// Generated files, read from disk by `FileIngester`, hold the rows the
+/// naive reference reads: headers, quoted fields, CRLF, a `.tsv` file's
+/// inferred tab and two-digit `Q = 16` fields, with regular lines (the
+/// parser's eight-bytes-a-step path) between lines only its byte walk
+/// takes, and reads that cut lines anywhere.
+#[test]
+fn generated_files_parse_as_the_naive_reference() {
+    let dir = std::env::temp_dir().join(format!("pfe-ingest-naive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut state = 0x5eed_u64;
+    let mut next = |n: u64| {
+        state = state.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0xb5);
+        (state >> 33) % n
+    };
+    // (file, Q, d, every line CRLF)
+    for (name, q, d, crlf) in [
+        ("binary.csv", 2u32, 12u32, false),
+        ("qary.csv", 4, 8, false),
+        ("crlf.csv", 4, 5, true),
+        ("wide.tsv", 16, 6, false),
+    ] {
+        let delim = if name.ends_with(".tsv") { '\t' } else { ',' };
+        let join = |fields: Vec<String>| fields.join(&delim.to_string());
+        let mut text = join((0..d).map(|c| format!("c{c}")).collect()) + "\n";
+        for _ in 0..2000 {
+            // One line in four quotes a field, so only the walk takes it.
+            let quoted = next(4) == 0;
+            let fields = (0..d).map(|c| {
+                let v = next(u64::from(q));
+                if quoted && c == d / 2 {
+                    format!("\"{v}\"")
+                } else {
+                    v.to_string()
+                }
+            });
+            text += &join(fields.collect());
+            text += if crlf { "\r\n" } else { "\n" };
+        }
+        let path = dir.join(name);
+        std::fs::write(&path, &text).expect("write file");
+        let opts = IngestOptions {
+            alphabet: q,
+            chunk_bytes: 4093,
+            chunk_rows: 500,
+            ..Default::default()
+        };
+        let (sink, report) = FileIngester::new(opts)
+            .ingest_path_with(&path, |_| Ok(VecSink::default()))
+            .expect("the file parses");
+        let expect = naive_reference(&text, q, delim, true).expect("the reference parses");
+        assert_eq!(report.rows, expect.len() as u64, "{name}");
+        if report.schema.packed() {
+            let packed: Vec<u64> = expect
+                .iter()
+                .map(|row| row.iter().rev().fold(0, |acc, &v| acc << 1 | u64::from(v)))
+                .collect();
+            assert_eq!(sink.packed, packed, "{name}");
+        } else {
+            assert_eq!(sink.dense, expect.concat(), "{name}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -294,7 +359,7 @@ proptest! {
                 text.push_str(eol);
             }
         }
-        let expect: Vec<u16> = naive_reference(&text, q, delim)
+        let expect: Vec<u16> = naive_reference(&text, q, delim, false)
             .expect("reference accepts generated input")
             .into_iter()
             .flatten()

@@ -7,14 +7,17 @@
 //! summary: its accuracy depends only on `k`, never on the pattern domain,
 //! matching the `O(ε^{-2} + log n')` sketches cited in Section 6.
 //!
-//! Two sketches of one seed merge by one walk over their ascending
-//! minima, in the left sketch's own buffer (see `merge_sorted`), and a
-//! block of keys of any length goes in by the same merge
-//! ([`insert_keys`](DistinctSketch::insert_keys)): hashed in one pass of
-//! the vector kernel, cut to what a full sketch would keep and to the
-//! hashes the sketch does not hold, sorted and merged. Either leaves the
-//! minima and the `Vec` capacity that inserting the hashes one at a time,
-//! in their order, leaves; inserting a sketch again, or a hash it already
+//! Every write is one walk over ascending hashes in the sketch's own
+//! buffer (see `merge_sorted`): a hash is a one-hash walk, another
+//! sketch's minima one walk, and a block of keys of any length
+//! ([`insert_keys`](DistinctSketch::insert_keys)) is hashed in one pass of
+//! the vector kernel, cut once to the hashes that can stay, sorted and
+//! walked once. The walk is the one growth rule: a full sketch gives up
+//! its largest minimum before it takes a smaller hash, and the buffer
+//! grows only to hold the new length, doubling from its capacity (at
+//! least to 4) but never past `k`. A sketch never shrinks, so its
+//! capacity follows from the lengths it has held, whatever order its
+//! hashes came in; inserting a sketch again, or a hash it already
 //! rejected, leaves it unchanged.
 
 use crate::traits::{vec_bytes, DistinctSketch, SpaceUsage};
@@ -66,93 +69,48 @@ impl Kmv {
         self.seed
     }
 
-    /// Insert a pre-hashed value (for callers that already hold a uniform
-    /// 64-bit fingerprint).
-    fn insert_hash(&mut self, h: u64) {
-        if self.minima.len() == self.k {
-            let last = *self.minima.last().expect("nonempty at capacity");
-            if h >= last {
-                return;
-            }
-        }
-        match self.minima.binary_search(&h) {
-            Ok(_) => {} // duplicate hash = duplicate item (hash is injective per seed)
-            Err(pos) => {
-                self.minima.insert(pos, h);
-                if self.minima.len() > self.k {
-                    self.minima.pop();
-                }
-            }
-        }
-    }
-
-    /// The merge as it was before the linear walk — one insert per hash —
-    /// kept as the reference [`DistinctSketch::merge`] must match, minima
-    /// and capacity alike.
-    #[cfg(test)]
-    fn merge_by_inserts(&mut self, other: &Self) {
-        for &h in &other.minima {
-            self.insert_hash(h);
-        }
-    }
-
-    /// [`insert_hash`](Self::insert_hash) of every hash of `hashes`, in
-    /// order: the same minima and the same capacity, by sorted merges of
-    /// the hashes the sketch does not hold (a held hash changes nothing).
-    /// While the sketch has `room` for more hashes, the next `room` of
-    /// them hold at most `room` new to it, so none displaces another and
-    /// they merge as one ascending block. A full sketch rejects, then and
-    /// later, every hash at or above its `k`-th minimum and changes on
-    /// none it holds: the rest of `hashes` is cut to those left, which
-    /// merge at once. `hashes` is scratch.
-    fn insert_hashes(&mut self, mut hashes: &mut [u64]) {
-        while self.minima.len() < self.k && !hashes.is_empty() {
-            let room = self.k - self.minima.len();
-            let (block, rest) = hashes.split_at_mut(room.min(hashes.len()));
-            let fresh = self.retain_fresh(block);
-            self.merge_sorted(sort_dedup(&mut block[..fresh]));
-            hashes = rest;
-        }
-        if hashes.is_empty() {
-            return;
-        }
-        let last = self.minima[self.k - 1];
-        let mut below = retain(hashes, |h| h < last);
-        if below > self.k {
+    /// Fold in `hashes`, in any order and with repeats, by one cut and one
+    /// merge. The cut keeps the hashes below the `k`-th minimum when the
+    /// sketch is full, then the `k` smallest of those, then the ones the
+    /// sketch does not hold. `hashes` is scratch.
+    fn insert_hashes(&mut self, hashes: &mut [u64]) {
+        let mut n = match self.minima.get(self.k - 1) {
+            Some(&last) => retain(hashes, |h| h < last),
+            None => hashes.len(),
+        };
+        if n > self.k {
             // Only the `k` smallest can stay; when they are `k` distinct
             // hashes, nothing above them can.
-            hashes[..below].select_nth_unstable(self.k - 1);
+            hashes[..n].select_nth_unstable(self.k - 1);
             if sort_dedup(&mut hashes[..self.k]).len() == self.k {
-                below = self.k;
+                n = self.k;
             }
         }
-        let fresh = self.retain_fresh(&mut hashes[..below]);
+        let fresh = retain(&mut hashes[..n], |h| self.minima.binary_search(&h).is_err());
         self.merge_sorted(sort_dedup(&mut hashes[..fresh]));
     }
 
-    /// [`retain`] of the hashes of `hashes` the sketch does not hold.
-    fn retain_fresh(&self, hashes: &mut [u64]) -> usize {
-        retain(hashes, |h| self.minima.binary_search(&h).is_err())
-    }
-
-    /// Fold in `b`, strictly ascending hashes: the `k` smallest of both
-    /// stay, in the `Vec` `self` already owns, with the capacity that
-    /// inserting `b`'s hashes one at a time, ascending, leaves. That loop
-    /// grows the `Vec` to `max(2·cap, 4)` whenever it is full, and holds
-    /// `k + 1` hashes for a moment at a displacing insert (one into a full
-    /// sketch) — which, ascending, happens exactly when more than `k`
-    /// hashes meet: a full sketch doubles on its first.
+    /// The one write: fold in `b`, strictly ascending hashes, keeping the
+    /// `k` smallest of both in the `Vec` `self` already owns. Only here
+    /// does the `Vec` grow, and only to hold the new length: doubling from
+    /// its capacity, at least to 4, never past `k`.
     fn merge_sorted(&mut self, b: &[u64]) {
         let (len, k) = (self.minima.len(), self.k);
+        // A full sketch rejects every hash from its `k`-th minimum up.
+        let rejected = |y: &u64| len == k && *y >= self.minima[k - 1];
+        if b.first().is_none_or(rejected) {
+            return;
+        }
         // Forward: `fresh` of `b`'s hashes are new to `self` and land
-        // among the union's `k` smallest, the last of them at `b[end - 1]`.
-        let (mut fresh, mut from, mut end) = (0, 0, 0);
+        // among the union's `k` smallest, the last of them at `b[end - 1]`,
+        // above `self`'s first `last_at` minima.
+        let (mut fresh, mut from, mut end, mut last_at) = (0, 0, 0, 0);
         for (j, &y) in b.iter().enumerate() {
             let at = from + rank_from_front(&self.minima[from..], y);
             if self.minima.get(at) == Some(&y) {
                 from = at + 1;
             } else if at + fresh < k {
-                (from, fresh, end) = (at, fresh + 1, j + 1);
+                (from, fresh, end, last_at) = (at, fresh + 1, j + 1, at);
             } else {
                 break;
             }
@@ -160,18 +118,20 @@ impl Kmv {
         if fresh == 0 {
             return; // the union's smallest are `self`'s own
         }
+        let out = (len + fresh).min(k);
         let mut cap = self.minima.capacity();
-        while cap < (len + fresh).min(k + 1) {
+        while cap < out {
             cap = (cap * 2).max(4);
         }
-        self.minima.reserve_exact(cap - len);
-        let out = (len + fresh).min(k);
+        self.minima.reserve_exact(cap.min(k) - len);
         self.minima.resize(out, 0);
-        // Backward: the largest survivor first, so every write lands at or
-        // above the `self` minimum it could overwrite; `self`'s first
-        // `out - fresh` minima survive, and `b[..end]` holds every `b`
-        // hash that does.
-        let (m, mut i, mut j, mut w) = (&mut self.minima, out - fresh, end, out);
+        // Backward: `self`'s first `kept` minima survive, and `b[..end]`
+        // holds every `b` hash that does. Those above the last new hash
+        // move up as one block, then the rest go largest first, so every
+        // write lands at or above the `self` minimum it could overwrite.
+        let kept = out - fresh;
+        self.minima.copy_within(last_at..kept, last_at + fresh);
+        let (m, mut i, mut j, mut w) = (&mut self.minima, last_at, end, last_at + fresh);
         while j > 0 {
             w -= 1;
             let y = b[j - 1];
@@ -234,7 +194,7 @@ impl SpaceUsage for Kmv {
 
 impl DistinctSketch for Kmv {
     fn insert(&mut self, item: u64) {
-        self.insert_hash(hash_u64(item, self.seed));
+        self.merge_sorted(&[hash_u64(item, self.seed)]);
     }
 
     fn estimate(&self) -> f64 {
@@ -247,10 +207,9 @@ impl DistinctSketch for Kmv {
         (self.k as f64 - 1.0) / vk
     }
 
-    /// Keep the `k` smallest of both sketches' minima by one merge of
-    /// `other`'s ascending minima (see `merge_sorted`): what inserting
-    /// them one at a time leaves — the same minima and the same capacity,
-    /// which [`SpaceUsage`] counts.
+    /// Keep the `k` smallest of both sketches' minima by one walk over
+    /// `other`'s ascending minima (see `merge_sorted`), growing by the one
+    /// rule: never past `k` slots.
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.k, other.k, "KMV merge: k mismatch");
         assert_eq!(self.seed, other.seed, "KMV merge: seed mismatch");
@@ -258,8 +217,8 @@ impl DistinctSketch for Kmv {
     }
 
     /// Fingerprint and hash the whole block in one pass of the vector
-    /// kernel, then `insert_hashes`: sorted merges that leave the minima
-    /// and capacity inserting one hash at a time leaves.
+    /// kernel, then `insert_hashes`: one cut and one merge, growing by the
+    /// one rule, never past `k` slots.
     fn insert_keys(&mut self, keys: &mut [u64], key_seed: u64) {
         pfe_hash::hash_keys(Features::detect(), keys, key_seed, Some(self.seed));
         self.insert_hashes(keys);
@@ -353,63 +312,88 @@ mod tests {
         assert_eq!(a.estimate(), u.estimate());
     }
 
-    /// A full sketch's `Vec` doubles on its first displacing insert: it
-    /// inserts before it pops, so for a moment it holds `k + 1` hashes.
-    /// `space_bytes` counts capacity, so the merge replays this.
-    #[test]
-    fn a_full_sketch_doubles_on_its_first_displacing_insert() {
-        let full = || {
-            let mut s = Kmv::new(4, 1);
-            [10, 20, 30, 40].into_iter().for_each(|h| s.insert_hash(h));
-            s
-        };
-        let mut s = full();
-        assert_eq!((s.minima.len(), s.minima.capacity()), (4, 4));
-        s.insert_hash(50); // above the 4th minimum: rejected, no growth
-        assert_eq!(s.minima.capacity(), 4);
-        s.insert_hash(5);
-        assert_eq!(s.minima, [5, 10, 20, 30]);
-        assert_eq!(s.minima.capacity(), 8, "insert-then-pop grows a full Vec");
-        let mut merged = full();
-        let mut one = Kmv::new(4, 1);
-        one.insert_hash(5);
-        merged.merge(&one);
-        assert_eq!(merged.minima, s.minima);
-        assert_eq!(merged.minima.capacity(), 8, "the merge replays the growth");
+    /// The one-at-a-time reference: a plain `Vec` holding `s`'s minima in
+    /// `s`'s capacity, which [`push`] fills.
+    fn reference(s: &Kmv) -> Vec<u64> {
+        let mut r = Vec::with_capacity(s.minima.capacity());
+        r.extend_from_slice(&s.minima);
+        r
     }
 
-    /// The linear merge leaves exactly what the one-at-a-time loop leaves —
-    /// minima *and* capacity — over 10,752 random pairs: every `k` the
-    /// engine and its tests use, overlapping and disjoint item domains,
-    /// empty sides, and the capacities a sketch can carry into a merge
-    /// (fresh, decoded or cloned = its length, grown by a displacing
-    /// insert, grown by an earlier merge).
-    #[test]
-    fn linear_merge_matches_the_insert_loop_minima_and_capacity() {
-        use pfe_hash::rng::Xoshiro256pp;
+    /// Insert `h` into the reference by binary search, a full reference
+    /// popping its largest minimum first; `Vec::insert` grows it by
+    /// doubling (at least to 4), with no bound.
+    fn push(r: &mut Vec<u64>, k: usize, h: u64) {
+        if let Err(pos) = r.binary_search(&h) {
+            if r.len() == k {
+                if pos == k {
+                    return;
+                }
+                r.pop();
+            }
+            r.insert(pos, h);
+        }
+    }
+
+    /// `s` holds the reference's capacity while that is at most `k`, and
+    /// `k` slots once the doubling reference passes `k`.
+    fn check_capacity(s: &Kmv, r: &Vec<u64>, case: &str) {
+        let cap = s.minima.capacity();
+        assert!(cap <= s.k, "capacity {cap} past k: {case}");
+        assert_eq!(cap, r.capacity().min(s.k), "{case}");
+    }
+
+    /// [`check_capacity`], and `s` holds the reference's minima.
+    fn check(s: &Kmv, r: &Vec<u64>, case: &str) {
+        assert_eq!(s.minima, *r, "{case}");
+        check_capacity(s, r, case);
+    }
+
+    /// `s` through its checkpoint bytes: the capacity is the length.
+    fn decoded(s: &Kmv) -> Kmv {
         use pfe_persist::{Decoder, Encoder};
+        let mut enc = Encoder::new();
+        s.encode(&mut enc);
+        Kmv::decode(&mut Decoder::new(&enc.into_bytes())).expect("decode")
+    }
+
+    /// The linear merge leaves the minima of the one-at-a-time reference,
+    /// in at most `k` slots by the one growth rule, over 10,752 random
+    /// pairs: every `k` the engine and its tests use, overlapping and
+    /// disjoint item domains, empty sides, and the capacities a sketch can
+    /// carry into a merge (fresh, decoded or cloned = its length, grown by
+    /// an earlier merge). Every insert on the way is checked too.
+    #[test]
+    fn linear_merge_matches_the_insert_loop_minima() {
+        use pfe_hash::rng::Xoshiro256pp;
         let mut rng = Xoshiro256pp::seed_from_u64(29);
         let mut below = |n: u64| rng.next_u64() % n;
-        // One side: `n` items from `[from, from + span)`, carried in `how`.
+        // One side and its reference: `n` items from `[from, from + span)`,
+        // carried in `how`.
         let side = |k: usize, n: u64, from: u64, span: u64, how: u64| {
             let mut s = Kmv::new(k, 7);
-            (0..n).for_each(|i| s.insert(from + (i * 7919) % span));
+            let mut r = reference(&s);
+            for i in 0..n {
+                let item = from + (i * 7919) % span;
+                s.insert(item);
+                push(&mut r, k, hash_u64(item, 7));
+                check_capacity(&s, &r, "insert");
+            }
             match how {
-                0 => s,
-                1 => {
-                    let mut enc = Encoder::new();
-                    s.encode(&mut enc);
-                    let bytes = enc.into_bytes();
-                    Kmv::decode(&mut Decoder::new(&bytes)).expect("decode")
+                0 => {}
+                1 | 2 => {
+                    s = if how == 1 { decoded(&s) } else { s.clone() };
+                    r = reference(&s);
                 }
-                2 => s.clone(),
                 _ => {
                     let mut extra = Kmv::new(k, 7);
                     (0..2 * k as u64).for_each(|i| extra.insert(u64::MAX - i));
-                    s.merge_by_inserts(&extra);
-                    s
+                    s.merge(&extra);
+                    extra.minima.iter().for_each(|&h| push(&mut r, k, h));
                 }
             }
+            check(&s, &r, "side");
+            (s, r)
         };
         let mut cases = 0;
         for k in [2usize, 3, 4, 7, 16, 64, 256] {
@@ -421,63 +405,55 @@ mod tests {
                 // Overlapping or disjoint item domains.
                 let from_b = [0, span / 2, 1 << 40][below(3) as usize];
                 let (how_a, how_b) = (below(4), below(4));
-                let build = || {
-                    let a = side(k, na, 0, span.max(na), how_a);
-                    let b = side(k, nb, from_b, span.max(nb), how_b);
-                    (a, b)
-                };
-                let (mut linear, b) = build();
-                let (mut reference, _) = build();
-                assert_eq!(linear.minima.capacity(), reference.minima.capacity());
-                linear.merge(&b);
-                reference.merge_by_inserts(&b);
+                let (mut a, mut r) = side(k, na, 0, span.max(na), how_a);
+                let (b, _) = side(k, nb, from_b, span.max(nb), how_b);
+                a.merge(&b);
+                b.minima.iter().for_each(|&h| push(&mut r, k, h));
                 let case = format!(
                     "k={k} na={na} nb={nb} span={span} from_b={from_b} how={how_a}/{how_b}"
                 );
-                assert_eq!(linear.minima, reference.minima, "{case}");
-                assert_eq!(
-                    linear.minima.capacity(),
-                    reference.minima.capacity(),
-                    "{case}"
-                );
-                assert_eq!(linear.space_bytes(), reference.space_bytes(), "{case}");
+                check(&a, &r, &case);
                 cases += 1;
             }
         }
         assert!(cases >= 10_000);
     }
 
-    /// A block inserted by `insert_keys` / `insert_hashes` leaves what
-    /// inserting it one hash at a time leaves — minima *and* capacity —
-    /// for every `k` from 2 to past the 1024 a new sketch reserves,
-    /// sketches empty, part-filled and full (fresh, or cloned so their
-    /// capacity is their length), and blocks holding repeats and hashes
-    /// the sketch already holds, in random, ascending and descending hash
-    /// order.
+    /// A block inserted by `insert_keys` / `insert_hashes` leaves the
+    /// minima of the one-at-a-time reference, and so do one-hash inserts,
+    /// each in at most `k` slots by the one growth rule: for every `k` from
+    /// 2 to past the 1024 a new sketch reserves, sketches empty,
+    /// part-filled and full (fresh, cloned or decoded, so their capacity is
+    /// their length), and blocks holding repeats and hashes the sketch
+    /// already holds, in random, ascending and descending hash order. A
+    /// fresh sketch of `k ≤ 1024` never reallocates.
     #[test]
-    fn block_insert_matches_the_insert_loop_minima_and_capacity() {
+    fn block_insert_matches_the_insert_loop_minima() {
         use pfe_hash::rng::Xoshiro256pp;
         let mut rng = Xoshiro256pp::seed_from_u64(31);
         let mut below = |n: u64| rng.next_u64() % n;
         let key_seed = 0xf1a9;
         let hash = |s: &Kmv, key: u64| hash_u64(pfe_hash::hash_u128(key.into(), key_seed), s.seed);
+        let mut decoded_past_k = 0;
         for k in [2usize, 3, 64, 256, 1025, 2048] {
             let ku = k as u64;
             for _ in 0..200 {
                 let span = [ku / 2 + 1, 2 * ku, 1 << 40][below(3) as usize];
                 let held = [0, ku / 2, ku - 1, ku, 3 * ku][below(5) as usize];
-                let cloned = below(2) == 0;
+                let how = below(3); // fresh, cloned, decoded
                 let start = || {
                     let mut s = Kmv::new(k, 7);
-                    (0..held).for_each(|i| s.insert_hash(hash(&s, (i * 7919) % span)));
-                    if cloned {
-                        s = s.clone();
+                    (0..held).for_each(|i| s.merge_sorted(&[hash(&s, (i * 7919) % span)]));
+                    match how {
+                        1 => s.clone(),
+                        2 => decoded(&s),
+                        _ => s,
                     }
-                    s
                 };
                 let n = [0, 1, 7, ku / 2, ku, 2 * ku + 1][below(6) as usize];
                 let keys: Vec<u64> = (0..n).map(|_| below(span)).collect();
-                let (mut reference, mut block) = (start(), start());
+                let (mut one, mut block) = (start(), start());
+                let (mut r, was) = (reference(&one), block.minima.as_ptr());
                 let mut hashes: Vec<u64> = keys.iter().map(|&key| hash(&block, key)).collect();
                 let order = below(3);
                 match order {
@@ -485,22 +461,30 @@ mod tests {
                     2 => hashes.sort_unstable_by(|a, b| b.cmp(a)),
                     _ => {}
                 }
-                hashes.iter().for_each(|&h| reference.insert_hash(h));
+                let case = format!("k={k} span={span} held={held} how={how} n={n} order={order}");
+                for &h in &hashes {
+                    one.merge_sorted(&[h]);
+                    push(&mut r, k, h);
+                    check_capacity(&one, &r, &case);
+                }
                 if order == 0 {
                     block.insert_keys(&mut keys.clone(), key_seed);
                 } else {
                     block.insert_hashes(&mut hashes.clone());
                 }
-                let case =
-                    format!("k={k} span={span} held={held} cloned={cloned} n={n} order={order}");
-                assert_eq!(block.minima, reference.minima, "{case}");
-                assert_eq!(
-                    block.minima.capacity(),
-                    reference.minima.capacity(),
-                    "{case}"
-                );
+                check(&one, &r, &case);
+                check(&block, &r, &case);
+                if how == 0 && k <= 1024 {
+                    let now = (block.minima.as_ptr(), block.minima.capacity());
+                    assert_eq!(now, (was, k), "a fresh sketch reallocated: {case}");
+                }
+                decoded_past_k += usize::from(how == 2 && held < ku && block.minima.len() == k);
             }
         }
+        assert!(
+            decoded_past_k > 0,
+            "no decoded under-full sketch was fed past k"
+        );
     }
 
     #[test]

@@ -771,11 +771,9 @@ mod tests {
             }
         }
         // Writes of 1–8 rows from tiny pools at k = 2: the one-column
-        // members (4 patterns) take the histogram path only while the
-        // whole chunk — old rows included — has 4 distinct rows, and its
-        // key order decides whether a sketch that fills mid-write grows
-        // its `Vec`. Seed 31 is a case where deciding on the new rows
-        // alone would change `SpaceUsage` (found by searching seeds).
+        // members (4 patterns) take the histogram path while the rows
+        // swept have 4 distinct rows, so a sketch that fills mid-write
+        // often takes its keys in a different order in each ring.
         for seed in 29..34 {
             narrowed_and_full_rings_agree((4, 5), 2, [1, 2, 3, 5, 8], [3, 6, 10], seed);
         }
